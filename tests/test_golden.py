@@ -1,0 +1,136 @@
+"""Golden CLI outputs: exit code, stdout and stderr pinned byte for byte.
+
+Every case runs in process through `bialgebra_forge.cli.main`, in text
+and JSON format, at order 5 and at order 6 with cap 12 (where `hopf all`
+reports the known presentation-Jacobi FAIL). Cases that need a document
+on disk (the z1=z2=z diagonal and a copy of @corrected with one altered
+coproduct coefficient) write it to a scratch directory first; no path
+appears in any pinned output.
+
+The expected outputs are the files under tests/golden/, one JSON object
+{"exit", "stdout", "stderr"} per case. After a deliberate change to the
+reports, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import bialgebra_forge as bf
+from bialgebra_forge.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SETTINGS = {
+    "o5": ["--order", "5"],
+    "o6c12": ["--order", "6", "--cap", "12"],
+}
+FORMATS = ("text", "json")
+FIXTURES = ("h-field-at-z0", "t-field-at-z0", "h-field", "t-field")
+DIAGONAL = "z1=z,z2=z"
+
+
+def _cases():
+    """(case id, argv template, setting, format); '{diag}' and '{altered}'
+    stand for the documents written by _prepare."""
+    per_setting = [
+        ("check-lie", ["check", "lie", "@corrected"]),
+        ("check-colie", ["check", "colie", "@corrected"]),
+        ("check-four-pairs", ["check", "four-pairs", "@corrected"]),
+        ("check-bialgebra", ["check", "bialgebra", "mu_100", "delta_010", "@corrected"]),
+        ("family", ["family", "@corrected"]),
+        ("hopf-all", ["hopf", "all", "@corrected"]),
+        ("specialize-zero", ["specialize", "@corrected", "--set", "z1=0,z2=0"]),
+        ("specialize-diagonal", ["specialize", "@corrected", "--set", DIAGONAL]),
+        ("expand-diagonal", ["expand", "{diag}"]),
+        ("hopf-altered-coproduct", ["hopf", "hom", "coassoc", "{altered}"]),
+    ]
+    for name in FIXTURES:
+        fixture = bf.load_tangent_fixtures()[name]
+        argv = ["tangent", "{diag}", "--direction", fixture["direction"]]
+        for param, value in fixture["at"].items():
+            argv += ["--at", f"{param}={value}"]
+        per_setting.append((f"tangent-{name}", argv + ["--expect", f"@{name}"]))
+    out = []
+    for setting in SETTINGS:
+        for fmt in FORMATS:
+            for case, argv in per_setting:
+                out.append((f"{case}.{setting}.{fmt}", argv, setting, fmt))
+    out.append(("verbatim.o5.text", ["check", "four-pairs", "@verbatim"], "o5", "text"))
+    return out
+
+
+CASES = _cases()
+
+
+def _prepare(directory: Path) -> dict:
+    """Write the diagonal (per setting) and the altered document."""
+    paths = {}
+    for setting, flags in SETTINGS.items():
+        diag = directory / f"diagonal-{setting}.json"
+        code = main(["specialize", "@corrected", "--set", DIAGONAL, *flags,
+                     "--output", str(diag)])
+        assert code == 0
+        paths[("diag", setting)] = str(diag)
+    data = bf.load_bundled("corrected").to_dict()
+    coproducts = data["presentation"]["coproducts"]
+    altered_py = coproducts["p_y"].replace("exp(-(z2/2)*p_x)", "cosh((z2/2)*p_x)")
+    assert altered_py != coproducts["p_y"]
+    coproducts["p_y"] = altered_py
+    altered = directory / "altered.json"
+    altered.write_text(json.dumps(data))
+    paths["altered"] = str(altered)
+    return paths
+
+
+def _run(argv, setting, fmt, paths) -> dict:
+    argv = [
+        a.format(diag=paths[("diag", setting)], altered=paths["altered"])
+        for a in argv
+    ] + SETTINGS[setting] + ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return _prepare(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("case, argv, setting, fmt", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(case, argv, setting, fmt, paths):
+    expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    assert _run(argv, setting, fmt, paths) == expected
+
+
+def test_golden_set_is_complete():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(c[0] for c in CASES)
+
+
+def _regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.json"):
+        stale.unlink()
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = _prepare(Path(scratch))
+        for case, argv, setting, fmt in CASES:
+            result = _run(argv, setting, fmt, paths)
+            (GOLDEN / f"{case}.json").write_text(
+                json.dumps(result, indent=1) + "\n", encoding="utf-8"
+            )
+            print(f"{case}: exit {result['exit']}")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())
