@@ -45,6 +45,8 @@ class Document:
             raise DocumentError(
                 f"unsupported schema {data.get('schema')!r}; expected {SCHEMA!r}"
             )
+        if not isinstance(data.get("settings", {}), dict):
+            raise DocumentError("settings must be a JSON object")
         doc = cls(
             parameters=list(data.get("parameters", [])),
             generators=list(data.get("generators", [])),

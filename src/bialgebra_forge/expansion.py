@@ -21,8 +21,9 @@ from .errors import InputError
 from .hopf import DefectReport, HopfPresentation, specialize
 from .ncpoly import Context, NCPoly, TensorNCPoly
 from .params import ParamPoly
-from .rewrite import RelationTable, normalize, normalize_tensor
+from .rewrite import RelationTable, normalize
 from .scalars import Scalar, ZERO
+from .sparse import accumulate
 from .tensors import Basis, BracketTensor, CobracketTensor
 
 _HALF = Scalar(Fraction(1, 2))
@@ -52,67 +53,32 @@ class CoefficientTable:
 
     # -- coefficient maps ------------------------------------------------------
 
+    # m is keyed like a BracketTensor (i, j, k) and q like a
+    # CobracketTensor (i, a, b); their _flipped swaps the antisymmetric pair
+
     def mu(self, multi) -> dict:
         """Antisymmetrised product coefficients, full difference, with
         both orientations present."""
-        src = self._m_at(multi)
-        out = {}
-        for (i, j, k), v in src.items():
-            w = v - src.get((j, i, k), ZERO)
-            if w:
-                out[(i, j, k)] = w
-                out.setdefault((j, i, k), -w)
-        return out
+        return _antisymmetric(self._m_at(multi), BracketTensor._flipped, None)
 
     def msym(self, multi) -> dict:
-        src = self._m_at(multi)
-        out = {}
-        for (i, j, k), v in src.items():
-            for key in ((i, j, k), (j, i, k)):
-                if key not in out:
-                    w = (src.get(key, ZERO) + src.get((key[1], key[0], key[2]), ZERO)) * _HALF
-                    if w:
-                        out[key] = w
-        return out
+        return _symmetric(self._m_at(multi), BracketTensor._flipped)
 
     def delta(self, multi) -> dict:
         """Antisymmetric part of the projected coproduct (wedge values),
         with both orientations present."""
-        src = self._q_at(multi)
-        out = {}
-        for (i, a, b), v in src.items():
-            w = (v - src.get((i, b, a), ZERO)) * _HALF
-            if w:
-                out[(i, a, b)] = w
-                out.setdefault((i, b, a), -w)
-        return out
+        return _antisymmetric(self._q_at(multi), CobracketTensor._flipped, _HALF)
 
     def deltasym(self, multi) -> dict:
-        src = self._q_at(multi)
-        out = {}
-        for (i, a, b), v in src.items():
-            for key in ((i, a, b), (i, b, a)):
-                if key not in out:
-                    w = (src.get(key, ZERO) + src.get((key[0], key[2], key[1]), ZERO)) * _HALF
-                    if w:
-                        out[key] = w
-        return out
+        return _symmetric(self._q_at(multi), CobracketTensor._flipped)
 
     # -- tensor views ------------------------------------------------------------
 
     def mu_tensor(self, multi) -> BracketTensor:
-        out = BracketTensor(self.basis, (), 0)
-        for (i, j, k), v in self.mu(multi).items():
-            if i < j:
-                out.set_entry((i, j, k), v)
-        return out
+        return _canonical_tensor(BracketTensor, self.basis, self.mu(multi))
 
     def delta_tensor(self, multi) -> CobracketTensor:
-        out = CobracketTensor(self.basis, (), 0)
-        for (i, a, b), v in self.delta(multi).items():
-            if a < b:
-                out.set_entry((i, a, b), v)
-        return out
+        return _canonical_tensor(CobracketTensor, self.basis, self.delta(multi))
 
     def exclusion_violations(self) -> dict:
         """Entries that the expansion shape forbids: antisymmetrised
@@ -132,6 +98,41 @@ class CoefficientTable:
                 if dl:
                     bad[("delta", multi)] = dl
         return bad
+
+
+def _antisymmetric(src: dict, swap, factor) -> dict:
+    """(v - v at the swapped key), times factor unless None; both
+    orientations present."""
+    out = {}
+    for key, v in src.items():
+        w = v - src.get(swap(key), ZERO)
+        if factor is not None:
+            w = w * factor
+        if w:
+            out[key] = w
+            out.setdefault(swap(key), -w)
+    return out
+
+
+def _symmetric(src: dict, swap) -> dict:
+    """Half the sum of the values at a key and at its swap."""
+    out = {}
+    for first in src:
+        for key in (first, swap(first)):
+            if key not in out:
+                w = (src.get(key, ZERO) + src.get(swap(key), ZERO)) * _HALF
+                if w:
+                    out[key] = w
+    return out
+
+
+def _canonical_tensor(cls, basis, values: dict):
+    """Scalar tensor holding the lower orientation of each entry pair."""
+    out = cls(basis, (), 0)
+    for key, v in values.items():
+        if key < cls._flipped(key):
+            out.set_entry(key, v)
+    return out
 
 
 def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", "z")) -> CoefficientTable:
@@ -210,6 +211,15 @@ def _coeff_delta(table_values):
     return apply
 
 
+def _m_pair(values):
+    """The coefficient map on either side of the base multiplication."""
+    return [(_base_m, _coeff_m(values)), (_coeff_m(values), _base_m)]
+
+
+def _d_pair(values):
+    return [(_base_delta, _coeff_delta(values)), (_coeff_delta(values), _base_delta)]
+
+
 def _compose_pair(m_pairs, d_pairs, x, y):
     """Sum of (M1 (x) M2) o (id (x) tau (x) id) o (D1 (x) D2) applied to
     x (x) y, as a dict over output slot pairs."""
@@ -218,20 +228,13 @@ def _compose_pair(m_pairs, d_pairs, x, y):
         four = {}
         for (s1, s2), c1 in d1(x):
             for (s3, s4), c2 in d2(y):
-                key = (s1, s3, s2, s4)  # middle slots swapped
-                four[key] = four.get(key, ZERO) + c1 * c2
+                # middle slots swapped
+                accumulate(four, (s1, s3, s2, s4), c1 * c2)
         for m1, m2 in m_pairs:
             for (s1, s2, s3, s4), c in four.items():
-                if not c:
-                    continue
                 for left, cl in m1(s1, s2):
                     for right, cr in m2(s3, s4):
-                        key = (left, right)
-                        acc = out.get(key, ZERO) + c * cl * cr
-                        if acc:
-                            out[key] = acc
-                        else:
-                            out.pop(key, None)
+                        accumulate(out, (left, right), c * cl * cr)
     return out
 
 
@@ -241,31 +244,26 @@ def _lhs_pair(d_values, m_values, x, y):
         if i != x or j != y:
             continue
         for (m, a, b), w in d_values.items():
-            if m != k:
-                continue
-            key = (a, b)
-            acc = out.get(key, ZERO) + v * w
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            if m == k:
+                accumulate(out, (a, b), v * w)
     return out
 
 
-def _identity_defect(mu_lhs_pairs, m_pairs, d_pairs, basis) -> dict:
-    """LHS - RHS on every generator pair; entries keyed (pair, out-slot)."""
+def _identity_defect(lhs_pairs, rhs_terms, basis) -> dict:
+    """LHS - RHS on every generator pair; entries keyed (pair, out-slot).
+    rhs_terms lists the (m_pairs, d_pairs) compositions summed on the
+    right-hand side."""
     n = len(basis)
     out = {}
     for x in range(n):
         for y in range(x + 1, n):
             acc = {}
-            for d_values, m_values in mu_lhs_pairs:
+            for d_values, m_values in lhs_pairs:
                 for key, v in _lhs_pair(d_values, m_values, x, y).items():
-                    acc[key] = acc.get(key, ZERO) + v
-            rhs = _compose_pair(m_pairs, d_pairs, x, y)
-            for key, v in rhs.items():
-                acc[key] = acc.get(key, ZERO) - v
-            acc = {k: v for k, v in acc.items() if v}
+                    accumulate(acc, key, v)
+            for m_pairs, d_pairs in rhs_terms:
+                for key, v in _compose_pair(m_pairs, d_pairs, x, y).items():
+                    accumulate(acc, key, -v)
             if acc:
                 out[(x, y)] = acc
     return out
@@ -295,9 +293,7 @@ def verify_order2(table: CoefficientTable) -> DefectReport:
 def order2_component_defect(table, mu_multi, delta_multi) -> dict:
     mu = table.mu(mu_multi)
     delta = table.delta(delta_multi)
-    m_pairs = [(_base_m, _coeff_m(mu)), (_coeff_m(mu), _base_m)]
-    d_pairs = [(_base_delta, _coeff_delta(delta)), (_coeff_delta(delta), _base_delta)]
-    return _identity_defect([(delta, mu)], m_pairs, d_pairs, table.basis)
+    return _identity_defect([(delta, mu)], [(_m_pair(mu), _d_pair(delta))], table.basis)
 
 
 def verify_order3_thz(table: CoefficientTable) -> DefectReport:
@@ -319,29 +315,21 @@ def verify_order3_thz(table: CoefficientTable) -> DefectReport:
         (delta[(0, 1, 1)], mu[(1, 0, 0)]),
     ]
 
-    def m_pair(values):
-        return [(_base_m, _coeff_m(values)), (_coeff_m(values), _base_m)]
-
-    def d_pair(values):
-        return [(_base_delta, _coeff_delta(values)), (_coeff_delta(values), _base_delta)]
-
-    n = len(table.basis)
-    out = {}
     terms = [
-        (m_pair(mu[(1, 1, 0)]), d_pair(delta[(0, 0, 1)])),
+        (_m_pair(mu[(1, 1, 0)]), _d_pair(delta[(0, 0, 1)])),
         (
-            m_pair(mu[(1, 0, 1)])
+            _m_pair(mu[(1, 0, 1)])
             + [
                 (_coeff_m(msym[(0, 0, 1)]), _coeff_m(mu[(1, 0, 0)])),
                 (_coeff_m(mu[(0, 0, 1)]), _coeff_m(msym[(1, 0, 0)])),
                 (_coeff_m(msym[(1, 0, 0)]), _coeff_m(mu[(0, 0, 1)])),
                 (_coeff_m(mu[(1, 0, 0)]), _coeff_m(msym[(0, 0, 1)])),
             ],
-            d_pair(delta[(0, 1, 0)]),
+            _d_pair(delta[(0, 1, 0)]),
         ),
         (
-            m_pair(mu[(1, 0, 0)]),
-            d_pair(delta[(0, 1, 1)])
+            _m_pair(mu[(1, 0, 0)]),
+            _d_pair(delta[(0, 1, 1)])
             + [
                 (_coeff_delta(dsym[(0, 0, 1)]), _coeff_delta(delta[(0, 1, 0)])),
                 (_coeff_delta(delta[(0, 0, 1)]), _coeff_delta(dsym[(0, 1, 0)])),
@@ -349,21 +337,9 @@ def verify_order3_thz(table: CoefficientTable) -> DefectReport:
                 (_coeff_delta(delta[(0, 1, 0)]), _coeff_delta(dsym[(0, 0, 1)])),
             ],
         ),
-        (m_pair(mu[(0, 0, 1)]), d_pair(delta[(1, 1, 0)])),
+        (_m_pair(mu[(0, 0, 1)]), _d_pair(delta[(1, 1, 0)])),
     ]
-    for x in range(n):
-        for y in range(x + 1, n):
-            acc = {}
-            for d_values, m_values in lhs:
-                for key, v in _lhs_pair(d_values, m_values, x, y).items():
-                    acc[key] = acc.get(key, ZERO) + v
-            for m_pairs, d_pairs in terms:
-                for key, v in _compose_pair(m_pairs, d_pairs, x, y).items():
-                    acc[key] = acc.get(key, ZERO) - v
-            acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                out[(x, y)] = acc
-
+    out = _identity_defect(lhs, terms, table.basis)
     report = DefectReport("order-3-thz")
     report.add("order-3", "thz", _DictDefect(out, table.basis))
     return report
@@ -464,27 +440,18 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     for i in range(n):
         for j in range(i + 1, n):
             bracket = normalize(H.rel.bracket_poly(i, j), H.rel)
-            terms = {}
-            for word, coeff in bracket.terms.items():
-                c = slice_coeff(coeff)
-                if c:
-                    terms[word] = c
-            if terms:
-                field_obj.mu[(i, j)] = NCPoly(rcontext, terms)
+            sliced = bracket.map_coeffs(slice_coeff, rcontext)
+            if sliced:
+                field_obj.mu[(i, j)] = sliced
     for g in range(n):
         d = H.coproduct_word((g,))
         vv = TensorNCPoly(H.context, 2, {
             (w1, w2): c for (w1, w2), c in d.terms.items()
             if len(w1) == 1 and len(w2) == 1
         })
-        anti = vv - vv.flip()
-        terms = {}
-        for key, coeff in anti.terms.items():
-            c = slice_coeff(coeff)
-            if c:
-                terms[key] = c
-        if terms:
-            field_obj.delta[g] = TensorNCPoly(rcontext, 2, terms)
+        sliced = (vv - vv.flip()).map_coeffs(slice_coeff, rcontext)
+        if sliced:
+            field_obj.delta[g] = sliced
     return field_obj
 
 
@@ -542,7 +509,6 @@ def compare_field(actual: TangentField, expected: list, mode: str = "leading") -
             want = parse_expr(entry.text, context)
             if isinstance(want, TensorNCPoly):
                 raise InputError(f"mu entry {entry.key} given a tensor expression")
-            want = normalize(want, actual.base_table)
             seen_mu.add((min(a, b), max(a, b)))
             label = f"mu({left},{right})"
         else:
@@ -552,9 +518,9 @@ def compare_field(actual: TangentField, expected: list, mode: str = "leading") -
             want = parse_expr(entry.text, context)
             if isinstance(want, NCPoly):
                 raise InputError(f"delta entry {entry.key} needs a tensor expression")
-            want = normalize_tensor(want, actual.base_table)
             seen_delta.add(g)
             label = f"delta({gen})"
+        want = normalize(want, actual.base_table)
         if mode == "leading":
             cut = _max_degree(want)
             value = value.truncate(cut)

@@ -14,6 +14,8 @@ pending for the enclosing additive term and applied only after the term
 has been fully expanded, so removable prefactor singularities like
 t/(z2*h) never require stored negative exponents. '(x)' is always read
 as the tensor-join token, never as a parenthesised identifier.
+Parentheses, function calls and unary minus nest at most MAX_NESTING
+levels deep; deeper input is a syntax error.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .ncpoly import Context, NCPoly, TensorNCPoly, divide_param, series_apply, t
 from .scalars import I, ONE, Scalar
 
 _FUNCTIONS = ("exp", "sinh", "cosh")
+# deepest nesting of parentheses, function calls and unary minus; deeper
+# input would exhaust the interpreter stack of this recursive parser
+MAX_NESTING = 100
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")")
 
 
@@ -112,6 +117,7 @@ class Parser:
         self.text = text
         self.tokens = _lex(text)
         self.at = 0
+        self.depth = 0
         self.gen_index = context.basis.index
         self.param_set = set(context.params)
 
@@ -194,20 +200,25 @@ class Parser:
 
     def _factor(self) -> _Value:
         tok = self._peek()
+        if self.depth == MAX_NESTING:
+            self._fail(f"expression nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
         if tok.kind == "MINUS":
             self._next()
             inner = self._factor()
-            return self._postfix(_Value(-inner.poly, inner.den))
-        if tok.kind == "NUMBER":
-            return self._postfix(self._scalar_literal())
-        if tok.kind == "LPAREN":
+            value = _Value(-inner.poly, inner.den)
+        elif tok.kind == "NUMBER":
+            value = self._scalar_literal()
+        elif tok.kind == "LPAREN":
             self._next()
-            inner = self._expr()
+            value = self._expr()
             self._expect("RPAREN")
-            return self._postfix(inner)
-        if tok.kind == "IDENT":
-            return self._postfix(self._identifier())
-        self._fail(f"unexpected token {tok.value!r}")
+        elif tok.kind == "IDENT":
+            value = self._identifier()
+        else:
+            self._fail(f"unexpected token {tok.value!r}")
+        self.depth -= 1
+        return self._postfix(value)
 
     def _scalar_literal(self) -> _Value:
         tok = self._expect("NUMBER")

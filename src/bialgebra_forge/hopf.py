@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from .errors import AntipodeError, DocumentError, InputError
 from .ncpoly import Context, NCPoly, TensorNCPoly
 from .params import ParamPoly
-from .rewrite import RelationTable, normalize, normalize_tensor, tensor_commutator
+from .rewrite import RelationTable, commutator, normalize
 from .scalars import ONE, Scalar, ZERO
+from .sparse import accumulate
 
 
 @dataclass
@@ -96,19 +97,20 @@ class HopfPresentation:
         if not word:
             out = TensorNCPoly.unit(self.context, 2)
         elif len(word) == 1:
-            out = normalize_tensor(self.coproduct[word[0]], self.rel)
+            out = normalize(self.coproduct[word[0]], self.rel)
         else:
-            out = normalize_tensor(
+            out = normalize(
                 self.coproduct_word(word[:-1]) * self.coproduct[word[-1]], self.rel
             )
         self._cop_cache[word] = out
         return out
 
     def apply_coproduct(self, a: NCPoly) -> TensorNCPoly:
-        out = TensorNCPoly.zero(self.context, 2)
+        out = {}
         for word, coeff in a.terms.items():
-            out = out + self.coproduct_word(word).scale(coeff)
-        return out
+            for key, c in self.coproduct_word(word).terms.items():
+                accumulate(out, key, c * coeff)
+        return TensorNCPoly(self.context, 2, out)
 
     # -- counit ----------------------------------------------------------------
 
@@ -143,7 +145,7 @@ def coproduct_hom_defect(H: HopfPresentation, order: int | None = None) -> Defec
         lhs = H.apply_coproduct(rhs)
         di = H.coproduct_word((i,))
         dj = H.coproduct_word((j,))
-        defect = (lhs - tensor_commutator(dj, di, H.rel)).truncate(order)
+        defect = (lhs - commutator(dj, di, H.rel)).truncate(order)
         report.add(
             "hom", f"({names[j]},{names[i]})", defect,
             location=f"[{names[j]},{names[i]}] = {rhs}",
@@ -166,21 +168,21 @@ def coassociativity_defect(H: HopfPresentation, order: int | None = None) -> Def
 
 
 def _extend_slot(H: HopfPresentation, t2: TensorNCPoly, slot: int) -> TensorNCPoly:
-    acc = {}
-    for (w1, w2), coeff in t2.terms.items():
-        inner = H.coproduct_word(w1 if slot == 0 else w2)
-        for (u1, u2), c in inner.terms.items():
-            key = (u1, u2, w2) if slot == 0 else (w1, u1, u2)
+    terms = _map_slot(t2, slot, lambda w: H.coproduct_word(w).terms)
+    return TensorNCPoly(H.context, 3, terms)
+
+
+def _map_slot(t: TensorNCPoly, slot: int, image) -> dict:
+    """Terms of t with factor `slot` replaced by a linear map's value on
+    it: image(word) is a {tuple of words: coefficient} map spliced in."""
+    out = {}
+    for key, coeff in t.terms.items():
+        head, tail = key[:slot], key[slot + 1:]
+        for mid, c in image(key[slot]).items():
             s = coeff * c
-            if not s:
-                continue
-            cur = acc.get(key)
-            cur = s if cur is None else cur + s
-            if cur:
-                acc[key] = cur
-            else:
-                del acc[key]
-    return TensorNCPoly(H.context, 3, acc)
+            if s:
+                accumulate(out, head + mid + tail, s)
+    return out
 
 
 def counit_defect(H: HopfPresentation, order: int | None = None) -> DefectReport:
@@ -192,17 +194,16 @@ def counit_defect(H: HopfPresentation, order: int | None = None) -> DefectReport
         d = H.coproduct_word((g,))
         gen = NCPoly.generator(H.context, g)
         for side, label in ((0, "eps(x)id"), (1, "id(x)eps")):
-            collapsed = NCPoly.zero(H.context)
-            for (w1, w2), coeff in d.terms.items():
-                e = H.counit_word(w1 if side == 0 else w2)
-                if e:
-                    kept = w2 if side == 0 else w1
-                    collapsed = collapsed + NCPoly(
-                        H.context, {kept: coeff.scale(e)}
-                    )
+            terms = _map_slot(d, side, lambda w: _counit_image(H, w))
+            collapsed = NCPoly(H.context, {kept: c for (kept,), c in terms.items()})
             defect = (normalize(collapsed, H.rel) - gen).truncate(order)
             report.add("counit", f"{label} on {names[g]}", defect)
     return report
+
+
+def _counit_image(H: HopfPresentation, word) -> dict:
+    e = H.counit_word(word)
+    return {(): e} if e else {}
 
 
 # -- antipode ------------------------------------------------------------------
@@ -223,39 +224,30 @@ class _Extension:
         got = self.cache.get(w)
         if got is not None:
             return got
-        if not w:
-            out = NCPoly.unit(self.H.context)
-        else:
-            letters = reversed(w) if self.reverse else iter(w)
-            out = NCPoly.unit(self.H.context)
-            for g in letters:
-                out = normalize(out * self.table[g], self.H.rel)
+        out = NCPoly.unit(self.H.context)
+        for g in reversed(w) if self.reverse else w:
+            out = normalize(out * self.table[g], self.H.rel)
         self.cache[w] = out
         return out
 
     def contract(self, t2: TensorNCPoly, slot: int) -> NCPoly:
         """m((S (x) id) t2) for slot 0, m((id (x) S) t2) for slot 1."""
-        out = NCPoly.zero(self.H.context)
+        out = {}
         for (w1, w2), coeff in t2.terms.items():
             if slot == 0:
                 piece = self.word(w1) * NCPoly(self.H.context, {w2: coeff})
             else:
                 piece = NCPoly(self.H.context, {w1: coeff}) * self.word(w2)
-            out = out + piece
-        return normalize(out, self.H.rel)
+            for w, c in piece.terms.items():
+                accumulate(out, w, c)
+        return normalize(NCPoly(self.H.context, out), self.H.rel)
 
     def apply_slot(self, t2: TensorNCPoly, slot: int) -> TensorNCPoly:
         """(S (x) id) t2 or (id (x) S) t2, factors normalized."""
-        acc = TensorNCPoly.zero(self.H.context, 2)
-        for (w1, w2), coeff in t2.terms.items():
-            if slot == 0:
-                sval = self.word(w1)
-                pieces = {(u, w2): c for u, c in sval.terms.items()}
-            else:
-                sval = self.word(w2)
-                pieces = {(w1, u): c for u, c in sval.terms.items()}
-            acc = acc + TensorNCPoly(self.H.context, 2, pieces).scale(coeff)
-        return normalize_tensor(acc, self.H.rel)
+        terms = _map_slot(
+            t2, slot, lambda w: {(u,): c for u, c in self.word(w).terms.items()}
+        )
+        return normalize(TensorNCPoly(self.H.context, 2, terms), self.H.rel)
 
 
 def solve_antipode(H: HopfPresentation, order: int | None = None):

@@ -5,16 +5,24 @@ Coefficients are ParamPoly values carried at the working order
 (reporting order + slack). Generator degree is capped: a product whose
 coefficient survives truncation but whose word exceeds the cap is a
 hard error, so runaway rewriting cannot pass silently.
+
+Word polynomials (NCPoly, keyed by words) and their tensor squares and
+cubes (TensorNCPoly, keyed by tuples of words) share one implementation
+of every operation; the two classes only say how a key splits into its
+factor words. outer() is the one outer-product loop, used by tensor()
+and by factorwise normalisation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import CapExceededError, InputError, NonTerminatingSeriesError
 from .params import ParamPoly
 from .scalars import ONE, Scalar
+from .sparse import accumulate
 from .tensors import Basis
 
 
@@ -27,6 +35,14 @@ class Context:
     order: int = 5
     cap: int = 10
     slack: int = 2
+
+    def __post_init__(self):
+        for name in ("order", "cap", "slack"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise InputError(
+                    f"{name} must be a non-negative integer, got {value!r}"
+                )
 
     @property
     def working_order(self) -> int:
@@ -62,17 +78,155 @@ def word_str(word, basis: Basis) -> str:
     )
 
 
-class NCPoly:
+class _Terms:
+    """The single implementation behind NCPoly and TensorNCPoly: a sparse
+    map from keys to nonzero ParamPoly coefficients. The two classes
+    differ only in how a key splits into its tensor factor words
+    (_factors) and how factor words join back into a key (_key);
+    multiplication acts factorwise."""
+
     __slots__ = ("context", "terms")
 
     def __init__(self, context: Context, terms=None):
         self.context = context
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    clean[word] = coeff
-        self.terms = clean
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    # -- linear structure ------------------------------------------------------
+
+    def _same_arity(self, other):
+        if self.arity != other.arity:
+            raise InputError("tensor arity mismatch")
+
+    def __add__(self, other):
+        self._same_arity(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            accumulate(out, key, coeff)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.map_coeffs(lambda c: -c)
+
+    def scale(self, factor):
+        """Multiply by a commuting coefficient (ParamPoly or Scalar)."""
+        if isinstance(factor, Scalar):
+            return self.map_coeffs(lambda c: c.scale(factor))
+        return self.map_coeffs(lambda c: c * factor)
+
+    def map_coeffs(self, fn, context: Context = None):
+        """fn applied to every coefficient; the result lives over context
+        (default: this one)."""
+        return self._like({k: fn(c) for k, c in self.terms.items()}, context)
+
+    # -- free multiplication ----------------------------------------------------
+
+    def __mul__(self, other):
+        self._same_arity(other)
+        cap = self.context.cap
+        split, join = self._factors, self._key
+        out = {}
+        for k1, c1 in self.terms.items():
+            f1 = split(k1)
+            for k2, c2 in other.terms.items():
+                c = c1 * c2
+                if not c:
+                    continue
+                words = tuple(map(add, f1, split(k2)))
+                for w in words:
+                    if len(w) > cap:
+                        raise CapExceededError(
+                            f"word {word_str(w, self.context.basis)} exceeds "
+                            f"generator-degree cap {cap}"
+                        )
+                accumulate(out, join(words), c)
+        return self._like(out)
+
+    # -- structure ---------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.context == other.context
+            and self.arity == other.arity
+            and self.terms == other.terms
+        )
+
+    def min_param_degree(self):
+        degrees = [c.min_degree() for c in self.terms.values()]
+        degrees = [d for d in degrees if d is not None]
+        return min(degrees) if degrees else None
+
+    def truncate(self, order: int):
+        return self.map_coeffs(lambda c: c.truncate(order))
+
+    def substitute(self, images, target: Context = None):
+        ctx = self.context if target is None else target
+        tgt = (ctx.params, ctx.working_order)
+        return self.map_coeffs(lambda c: c.substitute(images, tgt), ctx)
+
+    def sorted_terms(self):
+        split = self._factors
+        return sorted(
+            self.terms.items(),
+            key=lambda kv: (tuple(len(w) for w in split(kv[0])), kv[0]),
+        )
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        basis = self.context.basis
+        parts = []
+        for key, coeff in self.sorted_terms():
+            body = " (x) ".join(word_str(w, basis) for w in self._factors(key))
+            parts.append(_joined(coeff, body, not key))
+        joined = parts[0]
+        for p in parts[1:]:
+            joined += p if p.startswith("-") else "+" + p
+        return joined
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+def _joined(coeff: ParamPoly, body: str, body_is_unit: bool) -> str:
+    c = str(coeff)
+    if body_is_unit:
+        return c
+    if c == "1":
+        return body
+    if c == "-1":
+        return "-" + body
+    if "+" in c[1:] or "-" in c[1:]:
+        c = f"({c})"
+    return f"{c}*{body}"
+
+
+class NCPoly(_Terms):
+    """Word polynomial: keys are words."""
+
+    __slots__ = ()
+    arity = 1
+
+    @staticmethod
+    def _factors(word):
+        return (word,)
+
+    @staticmethod
+    def _key(words):
+        return words[0]
+
+    def _like(self, terms, context=None):
+        return NCPoly(self.context if context is None else context, terms)
 
     # -- constructors ---------------------------------------------------------
 
@@ -98,84 +252,11 @@ class NCPoly:
     def from_coeff(cls, context, coeff: ParamPoly):
         return cls(context, {(): coeff})
 
-    def _like(self, terms):
-        return NCPoly(self.context, terms)
-
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: "NCPoly"):
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            s = out.get(word)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-        return self._like(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like({w: -c for w, c in self.terms.items()})
-
-    def scale(self, factor):
-        """Multiply by a commuting coefficient (ParamPoly or Scalar)."""
-        if isinstance(factor, Scalar):
-            return self._like({w: c.scale(factor) for w, c in self.terms.items()})
-        return self._like({w: c * factor for w, c in self.terms.items()})
-
-    # -- free multiplication ----------------------------------------------------
-
-    def __mul__(self, other: "NCPoly"):
-        cap = self.context.cap
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                w = w1 + w2
-                if len(w) > cap:
-                    raise CapExceededError(
-                        f"word {word_str(w, self.context.basis)} exceeds "
-                        f"generator-degree cap {cap}"
-                    )
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return self._like(out)
-
     def __pow__(self, n: int):
         out = NCPoly.unit(self.context)
         for _ in range(n):
             out = out * self
         return out
-
-    # -- structure ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.context == other.context and self.terms == other.terms
-
-    def min_param_degree(self):
-        degrees = [c.min_degree() for c in self.terms.values()]
-        degrees = [d for d in degrees if d is not None]
-        return min(degrees) if degrees else None
-
-    def truncate(self, order: int) -> "NCPoly":
-        return self._like({w: c.truncate(order) for w, c in self.terms.items()})
 
     def coefficient(self, word) -> ParamPoly:
         return self.terms.get(tuple(word), self.context.zero_poly())
@@ -184,62 +265,29 @@ class NCPoly:
         """Generator-degree-1 component, as {generator index: ParamPoly}."""
         return {w[0]: c for w, c in self.terms.items() if len(w) == 1}
 
-    def substitute(self, images, target: Context = None) -> "NCPoly":
-        ctx = self.context if target is None else target
-        tgt = (ctx.params, ctx.working_order)
-        out = {}
-        for w, c in self.terms.items():
-            nc = c.substitute(images, tgt)
-            if nc:
-                out[w] = nc
-        return NCPoly(ctx, out)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+class TensorNCPoly(_Terms):
+    """Tensor square / cube of the word algebra: keys are tuples of words;
+    coefficients are global ParamPoly values."""
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coeff in self.sorted_terms():
-            parts.append(_joined(coeff, word_str(word, self.context.basis), not word))
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += p if p.startswith("-") else "+" + p
-        return joined
-
-    def __repr__(self):
-        return f"NCPoly({self})"
-
-
-def _joined(coeff: ParamPoly, body: str, body_is_unit: bool) -> str:
-    c = str(coeff)
-    if body_is_unit:
-        return c
-    if c == "1":
-        return body
-    if c == "-1":
-        return "-" + body
-    if "+" in c[1:] or "-" in c[1:]:
-        c = f"({c})"
-    return f"{c}*{body}"
-
-
-class TensorNCPoly:
-    """Tensor square / cube of the word algebra; coefficients are global
-    ParamPoly values, multiplication acts factorwise."""
-
-    __slots__ = ("context", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, context: Context, arity: int, terms=None):
-        self.context = context
         self.arity = arity
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        self.terms = clean
+        super().__init__(context, terms)
+
+    @staticmethod
+    def _factors(key):
+        return key
+
+    @staticmethod
+    def _key(words):
+        return words
+
+    def _like(self, terms, context=None):
+        return TensorNCPoly(
+            self.context if context is None else context, self.arity, terms
+        )
 
     @classmethod
     def zero(cls, context, arity):
@@ -249,89 +297,11 @@ class TensorNCPoly:
     def unit(cls, context, arity):
         return cls(context, arity, {((),) * arity: context.const_poly(ONE)})
 
-    def _like(self, terms):
-        return TensorNCPoly(self.context, self.arity, terms)
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise InputError("tensor arity mismatch")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return self._like(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def scale(self, factor):
-        if isinstance(factor, Scalar):
-            return self._like({k: c.scale(factor) for k, c in self.terms.items()})
-        return self._like({k: c * factor for k, c in self.terms.items()})
-
-    def __mul__(self, other: "TensorNCPoly"):
-        if self.arity != other.arity:
-            raise InputError("tensor arity mismatch")
-        cap = self.context.cap
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if any(len(w) > cap for w in key):
-                    raise CapExceededError(
-                        "tensor factor exceeds generator-degree cap"
-                    )
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return self._like(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorNCPoly):
-            return NotImplemented
-        return (
-            self.context == other.context
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
     def flip(self) -> "TensorNCPoly":
         """Swap the two factors (arity 2 only)."""
         if self.arity != 2:
             raise InputError("flip needs arity 2")
         return self._like({(k[1], k[0]): c for k, c in self.terms.items()})
-
-    def truncate(self, order: int) -> "TensorNCPoly":
-        return self._like({k: c.truncate(order) for k, c in self.terms.items()})
-
-    def substitute(self, images, target: Context = None) -> "TensorNCPoly":
-        ctx = self.context if target is None else target
-        tgt = (ctx.params, ctx.working_order)
-        out = {}
-        for k, c in self.terms.items():
-            nc = c.substitute(images, tgt)
-            if nc:
-                out[k] = nc
-        return TensorNCPoly(ctx, self.arity, out)
 
     def vv_part(self) -> dict:
         """Component with every factor of generator degree 1, keyed by
@@ -342,54 +312,25 @@ class TensorNCPoly:
             if all(len(w) == 1 for w in key)
         }
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (tuple(len(w) for w in kv[0]), kv[0]),
-        )
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        basis = self.context.basis
-        parts = []
-        for key, coeff in self.sorted_terms():
-            body = " (x) ".join(word_str(w, basis) for w in key)
-            parts.append(_joined(coeff, body, False))
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += p if p.startswith("-") else "+" + p
-        return joined
-
-    def __repr__(self):
-        return f"TensorNCPoly({self})"
+def outer(factors, coeff=None) -> dict:
+    """Terms of coeff * (f1 (x) f2 (x) ...) for NCPoly factors, keyed by
+    tuples of words; coeff None stands for 1."""
+    partial = {(): coeff}
+    for factor in factors:
+        grown = {}
+        for done, c in partial.items():
+            for w, cw in factor.terms.items():
+                s = cw if c is None else c * cw
+                if s:
+                    grown[done + (w,)] = s
+        partial = grown
+    return partial
 
 
 def tensor(*factors: NCPoly) -> TensorNCPoly:
     """Outer tensor product of 2 or 3 NCPoly factors."""
-    context = factors[0].context
-    arity = len(factors)
-    expanded = {}
-    for key_coeffs in _expand(factors):
-        key, coeff = key_coeffs
-        s = expanded.get(key)
-        s = coeff if s is None else s + coeff
-        if s:
-            expanded[key] = s
-        else:
-            expanded.pop(key, None)
-    return TensorNCPoly(context, arity, expanded)
-
-
-def _expand(factors):
-    head, *rest = factors
-    if not rest:
-        for w, c in head.terms.items():
-            yield (w,), c
-    else:
-        for w, c in head.terms.items():
-            for key, coeff in _expand(rest):
-                yield (w,) + key, c * coeff
+    return TensorNCPoly(factors[0].context, len(factors), outer(factors))
 
 
 # -- elementary series -------------------------------------------------------
@@ -434,14 +375,11 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
 
 def divide_param(a, monomial: dict):
     """Exact division of every coefficient by prod(param^power)."""
-    if isinstance(a, (NCPoly, TensorNCPoly)):
-        params = a.context.params
-        exps = tuple(monomial.get(p, 0) for p in params)
-        missing = set(monomial) - set(params)
-        if missing:
-            raise InputError(f"unknown parameters {sorted(missing)} in divisor")
-        out = {k: c.divide_monomial(exps) for k, c in a.terms.items()}
-        if isinstance(a, NCPoly):
-            return NCPoly(a.context, out)
-        return TensorNCPoly(a.context, a.arity, out)
-    raise InputError("divide_param expects an NCPoly or TensorNCPoly")
+    if not isinstance(a, _Terms):
+        raise InputError("divide_param expects an NCPoly or TensorNCPoly")
+    params = a.context.params
+    missing = set(monomial) - set(params)
+    if missing:
+        raise InputError(f"unknown parameters {sorted(missing)} in divisor")
+    exps = tuple(monomial.get(p, 0) for p in params)
+    return a.map_coeffs(lambda c: c.divide_monomial(exps))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import InexactDivisionError, InputError
 from .scalars import ONE, Scalar, ZERO, format_scalar
+from .sparse import accumulate
 
 
 def _degree(exps) -> int:
@@ -65,11 +66,7 @@ class ParamPoly:
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            s = out.get(exps, ZERO) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            accumulate(out, exps, coeff)
         return self._like(out)
 
     def __sub__(self, other):
@@ -89,12 +86,7 @@ class ParamPoly:
             for e2, c2 in other.terms.items():
                 if d1 + _degree(e2) > order:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return self._like(out)
 
     def scale(self, coeff: Scalar):

@@ -12,7 +12,8 @@ truncation order.
 from __future__ import annotations
 
 from .errors import CapExceededError, DocumentError, NonContractingError
-from .ncpoly import Context, NCPoly, TensorNCPoly, word_str
+from .ncpoly import Context, NCPoly, outer, word_str
+from .sparse import accumulate
 
 
 class RelationTable:
@@ -132,12 +133,7 @@ def normal_form_word(table: RelationTable, word, choose=None) -> NCPoly:
                 for u, c in cached.terms.items():
                     s = coeff * c
                     if s:
-                        acc = result.get(u)
-                        acc = s if acc is None else acc + s
-                        if acc:
-                            result[u] = acc
-                        else:
-                            del result[u]
+                        accumulate(result, u, s)
                 continue
         if choose is None:
             pos = _first_descent(w)
@@ -145,12 +141,7 @@ def normal_form_word(table: RelationTable, word, choose=None) -> NCPoly:
             ds = _descents(w)
             pos = ds[choose(w, ds)] if ds else None
         if pos is None:
-            acc = result.get(w)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                result[w] = acc
-            else:
-                del result[w]
+            accumulate(result, w, coeff)
             continue
         a, b = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
@@ -172,50 +163,22 @@ def normal_form_word(table: RelationTable, word, choose=None) -> NCPoly:
     return nf
 
 
-def normalize(a: NCPoly, table: RelationTable, choose=None) -> NCPoly:
-    out = NCPoly.zero(a.context)
-    for word, coeff in a.terms.items():
-        out = out + normal_form_word(table, word, choose).scale(coeff)
-    return out
-
-
-def normalize_tensor(a: TensorNCPoly, table: RelationTable) -> TensorNCPoly:
-    """Normalize each tensor factor independently."""
+def normalize(a, table: RelationTable, choose=None):
+    """Normal form of an NCPoly, or of each factor of a TensorNCPoly."""
     out = {}
     for key, coeff in a.terms.items():
-        factors = [normal_form_word(table, w) for w in key]
-        partial = {(): coeff}
-        for nf in factors:
-            grown = {}
-            for done, c in partial.items():
-                for w, cw in nf.terms.items():
-                    s = c * cw
-                    if not s:
-                        continue
-                    nk = done + (w,)
-                    acc = grown.get(nk)
-                    acc = s if acc is None else acc + s
-                    if acc:
-                        grown[nk] = acc
-                    else:
-                        del grown[nk]
-            partial = grown
-        for nk, c in partial.items():
-            acc = out.get(nk)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[nk] = acc
-            else:
-                del out[nk]
-    return TensorNCPoly(a.context, a.arity, out)
+        factors = [normal_form_word(table, w, choose) for w in a._factors(key)]
+        for words, c in outer(factors, coeff).items():
+            accumulate(out, a._key(words), c)
+    return a._like(out)
 
 
-def commutator(a: NCPoly, b: NCPoly, table: RelationTable) -> NCPoly:
+def commutator(a, b, table: RelationTable):
     return normalize(a * b - b * a, table)
 
 
-def tensor_commutator(a: TensorNCPoly, b: TensorNCPoly, table: RelationTable) -> TensorNCPoly:
-    return normalize_tensor(a * b - b * a, table)
+normalize_tensor = normalize
+tensor_commutator = commutator
 
 
 def presentation_jacobi_defect(table: RelationTable) -> dict:

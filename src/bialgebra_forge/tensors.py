@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import HypothesisError, InputError, MismatchedBasesError
 from .params import ParamPoly, ScaleMonomial
 from .scalars import Scalar
+from .sparse import accumulate
 
 
 class Basis:
@@ -80,16 +81,10 @@ class _ConstantTensor:
         got = self.entries.get((i, j, k))
         if got is not None:
             return got
-        a, b = self._flip(i, j, k)
-        got = self.entries.get((a, b, k) if self.kind == "bracket" else (i, a, b))
+        got = self.entries.get(self._flipped((i, j, k)))
         if got is not None:
             return -got
         return self._zero()
-
-    def _flip(self, i, j, k):
-        if self.kind == "bracket":
-            return j, i
-        return k, j
 
     def is_zero(self) -> bool:
         return all(not v for v in self.entries.values())
@@ -145,6 +140,11 @@ class BracketTensor(_ConstantTensor):
     kind = "bracket"
 
     @staticmethod
+    def _flipped(key):
+        i, j, k = key
+        return (j, i, k)
+
+    @staticmethod
     def _key_str(key, names):
         i, j, k = key
         return f"C^{names[k]}_{names[i]},{names[j]}"
@@ -156,8 +156,8 @@ class BracketTensor(_ConstantTensor):
             if {a, b} == {i, j} and a != b:
                 v = self.value(i, j, k)
                 if v:
-                    out[k] = out.get(k, self._zero()) + v
-        return {k: v for k, v in out.items() if v}
+                    accumulate(out, k, v)
+        return out
 
     def rescale(self, scales) -> "BracketTensor":
         scales = _normalise_scales(self, scales)
@@ -174,6 +174,11 @@ class CobracketTensor(_ConstantTensor):
     """D_i^jk, antisymmetric in (j, k)."""
 
     kind = "cobracket"
+
+    @staticmethod
+    def _flipped(key):
+        i, j, k = key
+        return (i, k, j)
 
     @staticmethod
     def _key_str(key, names):
@@ -245,12 +250,7 @@ def _wedge_add(acc, a, b, value):
     if a > b:
         a, b = b, a
         value = -value
-    cur = acc.get((a, b))
-    new = value if cur is None else cur + value
-    if new:
-        acc[(a, b)] = new
-    else:
-        acc.pop((a, b), None)
+    accumulate(acc, (a, b), value)
 
 
 # -- defect computations -----------------------------------------------------
@@ -260,48 +260,48 @@ def antisymmetry_defect(tensor) -> dict:
     """Entry (i,j,k) -> C^k_ij + C^k_ji over the stored support."""
     out = {}
     seen = set()
-    for key in tensor.entries:
-        if tensor.kind == "bracket":
-            i, j, k = key
-            pair = ((min(i, j), max(i, j)), k)
-            flipped = (j, i, k)
-            canon = (pair[0][0], pair[0][1], k)
-        else:
-            i, j, k = key
-            pair = (i, (min(j, k), max(j, k)))
-            flipped = (i, k, j)
-            canon = (i, pair[1][0], pair[1][1])
+    for key, a in tensor.entries.items():
+        flipped = tensor._flipped(key)
+        canon = min(key, flipped)
         if canon in seen:
             continue
         seen.add(canon)
-        a = tensor.entries.get(key, tensor._zero())
-        b = tensor.entries.get(flipped, tensor._zero())
         if key == flipped:
             d = a + a  # diagonal entry: antisymmetry forces it to vanish
+        elif flipped in tensor.entries:
+            d = a + tensor.entries[flipped]
         else:
-            d = a + b if flipped in tensor.entries else tensor._zero()
+            continue
         if d:
             out[canon] = d
+    return out
+
+
+def _cyclic_defect(pairs) -> dict:
+    """sum over (first, second) in pairs of the cyclic sum
+    sum_m F^m_ij S^l_mk + F^m_jk S^l_mi + F^m_ki S^l_mj, for i<j<k."""
+    zero = pairs[0][0]._zero()
+    n = len(pairs[0][0].basis)
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    acc = zero
+                    for m in range(n):
+                        for first, second in pairs:
+                            acc = acc + first.value(i, j, m) * second.value(m, k, l)
+                            acc = acc + first.value(j, k, m) * second.value(m, i, l)
+                            acc = acc + first.value(k, i, m) * second.value(m, j, l)
+                    if acc:
+                        out[(i, j, k, l)] = acc
     return out
 
 
 def jacobi_defect(mu: BracketTensor) -> dict:
     """J^l_ijk = sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj,
     reported for i<j<k."""
-    n = len(mu.basis)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    acc = mu._zero()
-                    for m in range(n):
-                        acc = acc + mu.value(i, j, m) * mu.value(m, k, l)
-                        acc = acc + mu.value(j, k, m) * mu.value(m, i, l)
-                        acc = acc + mu.value(k, i, m) * mu.value(m, j, l)
-                    if acc:
-                        out[(i, j, k, l)] = acc
-    return out
+    return _cyclic_defect(((mu, mu),))
 
 
 def cojacobi_defect(delta: CobracketTensor) -> dict:
@@ -312,21 +312,7 @@ def cojacobi_defect(delta: CobracketTensor) -> dict:
 def mixed_jacobi_defect(mu_a: BracketTensor, mu_b: BracketTensor) -> dict:
     """Bilinear cross term: Jacobi(x*a + y*b) = x^2 J(a) + xy*this + y^2 J(b)."""
     mu_a.same_shape(mu_b)
-    n = len(mu_a.basis)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    acc = mu_a._zero()
-                    for m in range(n):
-                        for first, second in ((mu_a, mu_b), (mu_b, mu_a)):
-                            acc = acc + first.value(i, j, m) * second.value(m, k, l)
-                            acc = acc + first.value(j, k, m) * second.value(m, i, l)
-                            acc = acc + first.value(k, i, m) * second.value(m, j, l)
-                    if acc:
-                        out[(i, j, k, l)] = acc
-    return out
+    return _cyclic_defect(((mu_a, mu_b), (mu_b, mu_a)))
 
 
 def mixed_cojacobi_defect(d_a: CobracketTensor, d_b: CobracketTensor) -> dict:

@@ -42,12 +42,37 @@ def test_exit_code_1_on_defect(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_exit_code_2_on_input_error(capsys):
+def test_exit_code_2_on_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", "four-pairs", "@verbatim")
     assert code == 2
     assert "duplicate bracket key" in err
     code, _, err = run(capsys, "check", "four-pairs", "/no/such/file.json")
     assert code == 2
+    # order, cap and slack must be non-negative integers, from flags ...
+    for flag, value in (("--slack", "-2"), ("--order", "-1"), ("--cap", "-3")):
+        code, out, err = run(
+            capsys, "hopf", "jacobi", "@corrected", "--order", "6", "--cap", "12",
+            flag, value,
+        )
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} must be a non-negative integer" in err
+    # ... and from the document settings, which must be an object
+    for settings in ({"order": "5"}, {"cap": True}, {"slack": 1.5}, "order=5"):
+        data = bf.load_bundled("corrected").to_dict()
+        data["settings"] = settings
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "check", "four-pairs", str(path))
+        assert code == 2, settings
+        assert err.startswith("error: ")
+    # an expression nested past the parser's limit
+    data = bf.load_bundled("corrected").to_dict()
+    data["presentation"]["brackets"][1]["rhs"] = "(" * 3000 + "z1*p_y" + ")" * 3000
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hopf", "jacobi", str(path))
+    assert code == 2 and out == ""
+    assert "nested more than" in err
 
 
 def test_json_format_parses_and_reports(capsys):

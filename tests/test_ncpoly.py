@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bialgebra_forge.errors import (
-    CapExceededError, InexactDivisionError, NonTerminatingSeriesError,
+    CapExceededError, InexactDivisionError, InputError, NonTerminatingSeriesError,
 )
 from bialgebra_forge.ncpoly import (
     Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor,
@@ -21,6 +21,15 @@ def gen(i):
 
 def param(name):
     return NCPoly.from_coeff(CTX, CTX.param_poly(name))
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("order", -1), ("cap", -1), ("slack", -2),
+    ("order", "5"), ("cap", True), ("slack", 1.0), ("order", None),
+])
+def test_context_rejects_bad_settings(setting, value):
+    with pytest.raises(InputError, match=f"{setting} must be a non-negative integer"):
+        Context(Basis(("a",)), ("u",), **{setting: value})
 
 
 def test_multiply_concatenates_words():

@@ -89,10 +89,21 @@ def test_scalar_division_binds_to_coefficient():
     "sinh t",         # function without parens
     "p_x p_y",        # juxtaposition is not multiplication
     "t ^ x",          # non-natural exponent
+    # nesting far beyond the parser's limit
+    pytest.param("(" * 3000 + "t" + ")" * 3000, id="3000-parentheses"),
+    pytest.param("-" * 3000 + "t", id="3000-unary-minuses"),
+    pytest.param("exp(" * 3000 + "t" + ")" * 3000, id="3000-function-calls"),
 ])
 def test_syntax_errors(text):
     with pytest.raises(ExprSyntaxError):
         parse_expr(text, CTX)
+
+
+def test_nesting_up_to_the_limit_parses():
+    from bialgebra_forge.exprparse import MAX_NESTING
+    deep = "(" * (MAX_NESTING - 1) + "t" + ")" * (MAX_NESTING - 1)
+    assert coeff(deep) == CTX.param_poly("t")
+    assert coeff("-" * (MAX_NESTING - 1) + "t") == -CTX.param_poly("t")
 
 
 def test_syntax_error_carries_position():

@@ -39,6 +39,12 @@ def test_equality_is_canonical():
     assert hash(Scalar(Fraction(2, 4))) == hash(Scalar(Fraction(1, 2)))
     assert Scalar(3) == 3
     assert Scalar(0, 1) != 1
+    # equal values hash equal, so sets and dict keys merge them
+    assert hash(Scalar(1)) == hash(1)
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({Scalar(1), 1}) == 1
+    assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({Scalar(1), Scalar(1, 1), Scalar(0, 1)}) == 3
 
 
 @pytest.mark.parametrize("text, expected", [
