@@ -2,7 +2,8 @@
 
 Subcommands: check | family | hopf | specialize | expand | tangent.
 Exit codes: 0 all requested checks pass, 1 a defect was found, 2 input
-or usage error. Reports are deterministic: identical inputs and
+or usage error, 3 internal error (an unexpected exception, reported as
+one line on stderr). Reports are deterministic: identical inputs and
 settings produce byte-identical output.
 """
 
@@ -80,9 +81,20 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _emit(args, report: Report):
+def _open(args):
+    """The document named on the command line and its context."""
+    path = args.file
+    doc = load_bundled(_BUNDLED[path]) if path in _BUNDLED else Document.load(path)
+    return doc, doc.make_context(args.order, args.cap)
+
+
+def _emit(args, report: Report, notes=()) -> int:
+    """Print the report with the given notes appended; the exit code."""
+    for note in notes:
+        report.note(note)
     text = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(text)
+    return 0 if report.ok else 1
 
 
 def _write_output(args, payload: str):
@@ -91,12 +103,6 @@ def _write_output(args, payload: str):
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _load_document(path: str) -> Document:
-    if path in _BUNDLED:
-        return load_bundled(_BUNDLED[path])
-    return Document.load(path)
 
 
 def _names(basis, key):
@@ -123,10 +129,7 @@ def _render_defects(basis, defects: dict, limit: int = 8) -> str:
 
 
 def _add_defect_check(report, basis, name, defects):
-    if defects:
-        report.add(name, False, _render_defects(basis, defects))
-    else:
-        report.add(name, True)
+    report.add(name, not defects, _render_defects(basis, defects))
 
 
 def _add_report(report, defect_report):
@@ -141,25 +144,22 @@ def _add_report(report, defect_report):
 
 # -- subcommands ----------------------------------------------------------------
 
+# check target -> (composition kind, Jacobi check name, Jacobi defect)
+_JACOBI = {"lie": ("bracket", "jacobi", jacobi_defect),
+           "colie": ("cobracket", "cojacobi", cojacobi_defect)}
+
 
 def cmd_check(args) -> int:
-    doc = _load_document(args.file)
-    context = doc.make_context(args.order, args.cap, args.slack)
+    doc, context = _open(args)
     report = Report(f"check {args.which}", _settings(context))
     basis = context.basis
     which = args.which
-    if which == "lie":
-        names = args.names or doc.composition_names("bracket")
-        for name in names:
-            mu = doc.composition_tensor(name, context)
-            _add_defect_check(report, basis, f"antisymmetry {name}", antisymmetry_defect(mu))
-            _add_defect_check(report, basis, f"jacobi {name}", jacobi_defect(mu))
-    elif which == "colie":
-        names = args.names or doc.composition_names("cobracket")
-        for name in names:
-            d = doc.composition_tensor(name, context)
-            _add_defect_check(report, basis, f"antisymmetry {name}", antisymmetry_defect(d))
-            _add_defect_check(report, basis, f"cojacobi {name}", cojacobi_defect(d))
+    if which in _JACOBI:
+        kind, check, defect = _JACOBI[which]
+        for name in args.names or doc.composition_names(kind):
+            tensor = doc.composition_tensor(name, context)
+            _add_defect_check(report, basis, f"antisymmetry {name}", antisymmetry_defect(tensor))
+            _add_defect_check(report, basis, f"{check} {name}", defect(tensor))
     elif which == "bialgebra":
         if len(args.names) != 2:
             raise InputError("check bialgebra needs exactly two composition names")
@@ -188,15 +188,11 @@ def cmd_check(args) -> int:
         report.add("theorem hypotheses satisfied", four.ok)
     else:
         raise InputError(f"unknown check target {which!r}")
-    for note in doc.notes:
-        report.note(note)
-    _emit(args, report)
-    return 0 if report.ok else 1
+    return _emit(args, report, doc.notes)
 
 
 def cmd_family(args) -> int:
-    doc = _load_document(args.file)
-    context = doc.make_context(args.order, args.cap, args.slack)
+    doc, context = _open(args)
     report = Report("family", _settings(context))
     names = args.names or ["mu_100", "mu_001", "delta_010", "delta_001"]
     tensors = [doc.composition_tensor(n, context) for n in names]
@@ -205,8 +201,7 @@ def cmd_family(args) -> int:
     except HypothesisError as exc:
         for check, name in exc.report.failing_checks():
             report.add(f"{check} {name}", False)
-        _emit(args, report)
-        return 1
+        return _emit(args, report)
     report.add("four-pair hypothesis", True)
     identity = cocycle_defect(family.mu, family.delta)
     _add_defect_check(report, context.basis, "family cocycle identity", identity)
@@ -214,17 +209,16 @@ def cmd_family(args) -> int:
         {"mu_family": family.mu, "delta_family": family.delta}, context,
         notes=["family built from " + ", ".join(names)],
     )
-    _emit(args, report)
+    code = _emit(args, report)
     _write_output(args, out_doc.dumps())
-    return 0 if report.ok else 1
+    return code
 
 
 _HOPF_CHECKS = ("jacobi", "hom", "coassoc", "counit", "antipode", "class-f")
 
 
 def cmd_hopf(args) -> int:
-    doc = _load_document(args.file)
-    context = doc.make_context(args.order, args.cap, args.slack)
+    doc, context = _open(args)
     H = doc.build_presentation(context)
     report = Report("hopf", _settings(context))
     checks = args.checks or ["all"]
@@ -256,10 +250,7 @@ def cmd_hopf(args) -> int:
             _add_report(report, class_f_check(H, antipode))
         else:
             raise InputError(f"unknown hopf check {check!r}")
-    for note in doc.notes:
-        report.note(note)
-    _emit(args, report)
-    return 0 if report.ok else 1
+    return _emit(args, report, doc.notes)
 
 
 def _parse_assignments(pairs) -> dict:
@@ -283,8 +274,7 @@ def _parse_assignments(pairs) -> dict:
 
 
 def cmd_specialize(args) -> int:
-    doc = _load_document(args.file)
-    context = doc.make_context(args.order, args.cap, args.slack)
+    doc, context = _open(args)
     H = doc.build_presentation(context)
     assignment = _parse_assignments(args.set or [])
     specialized = specialize(H, assignment)
@@ -294,8 +284,7 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    doc = _load_document(args.file)
-    context = doc.make_context(args.order, args.cap, args.slack)
+    doc, context = _open(args)
     H = doc.build_presentation(context)
     roles = tuple(args.roles.split(","))
     if len(roles) != 3:
@@ -329,15 +318,11 @@ def cmd_expand(args) -> int:
     )
     _add_report(report, verify_order2(table))
     _add_report(report, verify_order3_thz(table))
-    for note in doc.notes:
-        report.note(note)
-    _emit(args, report)
-    return 0 if report.ok else 1
+    return _emit(args, report, doc.notes)
 
 
 def cmd_tangent(args) -> int:
-    doc = _load_document(args.file)
-    context = doc.make_context(args.order, args.cap, args.slack)
+    doc, context = _open(args)
     H = doc.build_presentation(context)
     base = {
         name: value for name, value in _parse_assignments(args.at or []).items()
@@ -367,8 +352,7 @@ def cmd_tangent(args) -> int:
         report.add(f"field matches expectation ({mode})", diff.ok, detail)
     else:
         report.add("tangent field computed", True)
-    _emit(args, report)
-    return 0 if report.ok else 1
+    return _emit(args, report)
 
 
 def _load_expectation(ref: str):
@@ -411,7 +395,6 @@ def _common(sub):
     sub.add_argument("file", help="input document path, or @corrected/@verbatim")
     sub.add_argument("--order", type=int, default=None, help="truncation order N")
     sub.add_argument("--cap", type=int, default=None, help="generator-degree cap G")
-    sub.add_argument("--slack", type=int, default=None, help="interior truncation slack")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--output", default=None, help="write emitted document here")
 
@@ -478,6 +461,11 @@ def main(argv=None) -> int:
     except ForgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        # a fault of the program, not of its input: keep exit 1 for defects
+        message = str(exc).replace("\n", " ")
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return 3
 
 
 if __name__ == "__main__":

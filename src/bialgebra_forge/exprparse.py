@@ -12,13 +12,20 @@ Scalars are rationals with an optional i factor ('1/2', 'i', '-3*i/4',
 parameter monomial such as z2 or (z2*h); parameter divisions are kept
 pending for the enclosing additive term and applied only after the term
 has been fully expanded, so removable prefactor singularities like
-t/(z2*h) never require stored negative exponents. '(x)' is always read
-as the tensor-join token, never as a parenthesised identifier.
+t/(z2*h) never require stored negative exponents. A quotient by a
+degree-d monomial is exact only through d degrees below the working
+order (order + slack); an expression whose divisor degrees sum past the
+slack is parsed again with that sum as its slack and cut back to the
+working order, so every result is exact through the context's order.
+'(x)' is always read as the tensor-join token, never as a parenthesised
+identifier.
 Parentheses, function calls and unary minus nest at most MAX_NESTING
 levels deep; deeper input is a syntax error.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .errors import ExprSyntaxError, UnknownIdentifierError
 from .ncpoly import Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor
@@ -105,11 +112,6 @@ class _Value:
     def is_tensor(self):
         return isinstance(self.poly, TensorNCPoly)
 
-    def resolve(self):
-        if not self.den:
-            return self.poly
-        return divide_param(self.poly, self.den)
-
 
 class Parser:
     def __init__(self, context: Context, text: str):
@@ -120,6 +122,7 @@ class Parser:
         self.depth = 0
         self.gen_index = context.basis.index
         self.param_set = set(context.params)
+        self.loss = 0  # sum of the degrees of every applied divisor
 
     # -- token plumbing -------------------------------------------------------
 
@@ -141,6 +144,15 @@ class Parser:
         tok = tok or self._peek()
         raise ExprSyntaxError(message, tok.pos)
 
+    def _resolve(self, value: _Value):
+        """The numerator divided by the pending denominator. Every product
+        was truncated at the working order, so a quotient by a degree-d
+        monomial is exact only through d degrees less."""
+        if not value.den:
+            return value.poly
+        self.loss += sum(value.den.values())
+        return divide_param(value.poly, value.den)
+
     # -- grammar --------------------------------------------------------------
 
     def parse(self):
@@ -148,7 +160,7 @@ class Parser:
         end = self._peek()
         if end.kind != "END":
             self._fail(f"trailing input starting at {end.value!r}")
-        return value.resolve()
+        return self._resolve(value)
 
     def _expr(self) -> _Value:
         value = self._tterm()
@@ -157,10 +169,10 @@ class Parser:
             # prefactors like (t/(z2*h)) stay unresolved until the full
             # product is expanded
             return value
-        total = value.resolve()
+        total = self._resolve(value)
         while self._peek().kind in ("PLUS", "MINUS"):
             op = self._next()
-            rhs = self._tterm().resolve()
+            rhs = self._resolve(self._tterm())
             if isinstance(total, TensorNCPoly) != isinstance(rhs, TensorNCPoly):
                 self._fail("cannot add tensor and non-tensor terms", op)
             total = total + rhs if op.kind == "PLUS" else total - rhs
@@ -235,7 +247,7 @@ class Parser:
             self._expect("LPAREN")
             arg = self._expr()
             self._expect("RPAREN")
-            poly = arg.resolve()
+            poly = self._resolve(arg)
             if isinstance(poly, TensorNCPoly):
                 self._fail("series functions take non-tensor arguments", tok)
             return _Value(series_apply(name, poly))
@@ -314,8 +326,16 @@ class Parser:
 
 
 def parse_expr(text: str, context: Context):
-    """Parse an expression into an NCPoly or (with '(x)') a TensorNCPoly."""
-    return Parser(context, text).parse()
+    """Parse an expression into an NCPoly or (with '(x)') a TensorNCPoly,
+    exact through context.order."""
+    parser = Parser(context, text)
+    poly = parser.parse()
+    if parser.loss <= context.slack:
+        return poly
+    working = context.working_order
+    return Parser(replace(context, slack=parser.loss), text).parse().map_coeffs(
+        lambda c: c.truncate(working).with_order(working), context
+    )
 
 
 def parse_coefficient(text: str, context: Context):

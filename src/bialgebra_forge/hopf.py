@@ -46,10 +46,6 @@ class DefectReport:
         if value:
             self.items.append(DefectItem(check, subject, value, location))
 
-    def merge(self, other: "DefectReport"):
-        self.checked.extend(other.checked)
-        self.items.extend(other.items)
-
     def to_dict(self):
         return {
             "name": self.name,
@@ -121,14 +117,6 @@ class HopfPresentation:
             if not out:
                 return ZERO
         return out
-
-    def counit_poly(self, a: NCPoly) -> ParamPoly:
-        total = self.context.zero_poly()
-        for word, coeff in a.terms.items():
-            e = self.counit_word(word)
-            if e:
-                total = total + coeff.scale(e)
-        return total
 
 
 def coproduct_hom_defect(H: HopfPresentation, order: int | None = None) -> DefectReport:

@@ -82,9 +82,6 @@ class Scalar:
             n >>= 1
         return out
 
-    def conjugate(self):
-        return Scalar(self.re, -self.im)
-
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):

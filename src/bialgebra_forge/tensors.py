@@ -138,6 +138,8 @@ class BracketTensor(_ConstantTensor):
     """C^k_ij, antisymmetric in (i, j)."""
 
     kind = "bracket"
+    # a_i -> a_i / s_i multiplies C^k_ij by s_i * s_j / s_k
+    inverted_slots = (False, False, True)
 
     @staticmethod
     def _flipped(key):
@@ -152,21 +154,12 @@ class BracketTensor(_ConstantTensor):
     def bracket(self, i, j) -> dict:
         """[x_i, x_j] as a map generator index -> ParamPoly."""
         out = {}
-        for (a, b, k), _ in self.entries.items():
+        for (a, b, k) in self.entries:
             if {a, b} == {i, j} and a != b:
+                # both stored orientations reach k; value() is one entry
                 v = self.value(i, j, k)
                 if v:
-                    accumulate(out, k, v)
-        return out
-
-    def rescale(self, scales) -> "BracketTensor":
-        scales = _normalise_scales(self, scales)
-        out = BracketTensor(self.basis, self.params, self.order)
-        for (i, j, k), value in self.entries.items():
-            factor = scales[i] * scales[j] * scales[k].inverse()
-            new = factor.apply_to(value)
-            if new:
-                out.entries[(i, j, k)] = new
+                    out[k] = v
         return out
 
 
@@ -174,6 +167,8 @@ class CobracketTensor(_ConstantTensor):
     """D_i^jk, antisymmetric in (j, k)."""
 
     kind = "cobracket"
+    # a_i -> a_i / s_i multiplies D_i^jk by s_i / (s_j * s_k)
+    inverted_slots = (False, True, True)
 
     @staticmethod
     def _flipped(key):
@@ -209,16 +204,6 @@ class CobracketTensor(_ConstantTensor):
             out.entries[(j, k, i)] = value
         return out
 
-    def rescale(self, scales) -> "CobracketTensor":
-        scales = _normalise_scales(self, scales)
-        out = CobracketTensor(self.basis, self.params, self.order)
-        for (i, j, k), value in self.entries.items():
-            factor = scales[i] * scales[j].inverse() * scales[k].inverse()
-            new = factor.apply_to(value)
-            if new:
-                out.entries[(i, j, k)] = new
-        return out
-
 
 def _normalise_scales(tensor, scales):
     if len(scales) != len(tensor.basis):
@@ -237,8 +222,20 @@ def _normalise_scales(tensor, scales):
 
 
 def rescale_basis(tensor, scales):
-    """B(t): a_i -> a_i / s_i on either tensor kind."""
-    return tensor.rescale(scales)
+    """B(t): a_i -> a_i / s_i on either tensor kind. Each key slot of an
+    entry contributes its generator's scale, inverted where the tensor's
+    inverted_slots says so."""
+    scales = _normalise_scales(tensor, scales)
+    out = type(tensor)(tensor.basis, tensor.params, tensor.order)
+    for key, value in tensor.entries.items():
+        a, b, c = (
+            scales[g].inverse() if inverted else scales[g]
+            for g, inverted in zip(key, tensor.inverted_slots)
+        )
+        new = (a * b * c).apply_to(value)
+        if new:
+            out.entries[key] = new
+    return out
 
 
 # -- wedge helpers -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 
 import bialgebra_forge as bf
+from bialgebra_forge import cli
 from bialgebra_forge.cli import main
 
 
@@ -48,16 +49,18 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
     assert "duplicate bracket key" in err
     code, _, err = run(capsys, "check", "four-pairs", "/no/such/file.json")
     assert code == 2
-    # order, cap and slack must be non-negative integers, from flags ...
-    for flag, value in (("--slack", "-2"), ("--order", "-1"), ("--cap", "-3")):
+    # order and cap must be non-negative integers, from flags ...
+    for flag, value in (("--order", "-1"), ("--cap", "-3")):
         code, out, err = run(
             capsys, "hopf", "jacobi", "@corrected", "--order", "6", "--cap", "12",
             flag, value,
         )
         assert code == 2 and out == ""
         assert f"{flag[2:]} must be a non-negative integer" in err
-    # ... and from the document settings, which must be an object
-    for settings in ({"order": "5"}, {"cap": True}, {"slack": 1.5}, "order=5"):
+    # ... and so must all three in the document settings, which must be an object
+    for settings in (
+        {"order": "5"}, {"cap": True}, {"slack": 1.5}, {"slack": -2}, "order=5",
+    ):
         data = bf.load_bundled("corrected").to_dict()
         data["settings"] = settings
         path = tmp_path / "settings.json"
@@ -65,6 +68,8 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         code, _, err = run(capsys, "check", "four-pairs", str(path))
         assert code == 2, settings
         assert err.startswith("error: ")
+        for key in settings if isinstance(settings, dict) else ():
+            assert f"{key} must be a non-negative integer" in err
     # an expression nested past the parser's limit
     data = bf.load_bundled("corrected").to_dict()
     data["presentation"]["brackets"][1]["rhs"] = "(" * 3000 + "z1*p_y" + ")" * 3000
@@ -159,3 +164,52 @@ def test_tangent_unknown_fixture_is_input_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["check"]) == 2
     assert main(["no-such-command"]) == 2
+    # precision is not a user setting: the slack flag does not exist
+    assert main(["hopf", "hom", "@corrected", "--slack", "2"]) == 2
+
+
+def test_exit_code_3_on_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_hopf", broken)
+    code, out, err = run(capsys, "hopf", "all", "@corrected")
+    assert code == 3 and out == ""
+    assert err == "internal error: ZeroDivisionError: boom second line\n"
+
+
+def _with_slack(tmp_path, slack):
+    data = bf.load_bundled("corrected").to_dict()
+    data["settings"]["slack"] = slack
+    path = tmp_path / f"slack{slack}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_verdicts_do_not_depend_on_slack(tmp_path, capsys):
+    """t/(z2*h) costs two degrees of exactness, more than a slack of 0 or
+    1 carries; the verdicts and the defects, which are printed at the
+    reporting order, must still be those of the default slack 2."""
+    def check_lines(out):
+        return [line for line in out.splitlines() if line.startswith("[")]
+
+    def defects(out):
+        # (check, verdict, detail without the location echoed at the
+        # working order)
+        return [(c["check"], c["pass"], c["detail"].partition(" [")[0])
+                for c in json.loads(out)["checks"]]
+
+    code, want5, _ = run(capsys, "hopf", "all", "@corrected")
+    assert code == 0
+    order8 = ["--order", "8", "--cap", "16", "--format", "json"]
+    code, want8, _ = run(capsys, "hopf", "all", "@corrected", *order8)
+    assert code == 1
+    assert sum(not c["pass"] for c in json.loads(want8)["checks"]) > 0
+    for slack in (0, 1):
+        path = _with_slack(tmp_path, slack)
+        code, out, _ = run(capsys, "hopf", "all", path)
+        assert code == 0, slack
+        assert check_lines(out) == check_lines(want5)
+        code, out, _ = run(capsys, "hopf", "all", path, *order8)
+        assert code == 1, slack
+        assert defects(out) == defects(want8)

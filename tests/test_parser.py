@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,21 @@ def test_prefactor_division_expands_before_dividing():
     assert p == NCPoly(CTX, {
         w: c for w, c in expected.terms.items() if len(w) <= 5
     })
+
+
+def test_division_beyond_slack_stays_exact_through_order():
+    # dividing by z2*h costs two degrees; at slack 0 the expression is
+    # parsed again with slack 2 and cut back to the working order
+    text = "(t/(z2*h))*sinh(z2*h*l_z)"
+    narrow = replace(CTX, slack=0)
+    p = parse_expr(text, narrow)
+    assert p.context == narrow
+    assert all(c.order == narrow.working_order for c in p.terms.values())
+    want = parse_expr(text, CTX).truncate(CTX.order)
+    assert {w: c.terms for w, c in p.truncate(CTX.order).terms.items()} == {
+        w: c.terms for w, c in want.terms.items()
+    }
+    assert (IDX["l_z"],) * 3 in p.terms
 
 
 def test_tensor_expression_for_coproduct():

@@ -193,6 +193,27 @@ def test_cocycle_detects_corruption(ctx, comps):
     assert cocycle_defect(comps["mu_100"], delta)
 
 
+def test_both_orientations_count_once(ctx, comps):
+    """A bracket stored in both orientations gives the same [x_i, x_j]
+    and cocycle defect as the one orientation alone."""
+    small = BracketTensor(ctx.basis, (), 0, {(0, 1, 2): 1, (1, 0, 2): -1})
+    assert small.bracket(0, 1) == {2: small.value(0, 1, 2)}
+    mu = comps["mu_100"]
+    both = BracketTensor(ctx.basis, ctx.params, ctx.working_order, mu.entries)
+    for (i, j, k), value in mu.entries.items():
+        if (j, i, k) not in mu.entries:
+            both.set_entry((j, i, k), -value)
+    assert len(both.entries) == 2 * len(mu.entries)
+    n = len(ctx.basis)
+    for i, j in product(range(n), repeat=2):
+        assert both.bracket(i, j) == mu.bracket(i, j), (i, j)
+    delta = CobracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+        (L_X, L_Z, L_Y): I, (P_Y, L_Y, L_Z): ONE,
+    })
+    assert cocycle_defect(mu, delta)
+    assert cocycle_defect(both, delta) == cocycle_defect(mu, delta)
+
+
 # -- four pairs ------------------------------------------------------------------------------
 
 
