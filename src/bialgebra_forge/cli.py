@@ -227,13 +227,8 @@ def cmd_hopf(args) -> int:
     antipode = None
     for check in checks:
         if check == "jacobi":
-            defects = presentation_jacobi_defect(H.rel)
-            trimmed = {
-                key: value for key, value in (
-                    (k, v.truncate(context.order)) for k, v in defects.items()
-                ) if value
-            }
-            _add_defect_check(report, context.basis, "presentation-jacobi", trimmed)
+            _add_defect_check(report, context.basis, "presentation-jacobi",
+                              presentation_jacobi_defect(H.rel))
         elif check == "hom":
             _add_report(report, coproduct_hom_defect(H))
         elif check == "coassoc":
@@ -339,7 +334,6 @@ def cmd_tangent(args) -> int:
         report.note(f"delta({names[g]}) = {value}")
     if args.expect:
         expected, mode = _load_expectation(args.expect)
-        mode = args.mode or mode
         diff = compare_field(field, expected, mode=mode)
         detail = ""
         if not diff.ok:
@@ -444,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base-point assignments, e.g. --at z=0")
     p.add_argument("--expect", default=None,
                    help="expectation fixture: @name (bundled) or a JSON path")
-    p.add_argument("--mode", choices=("leading", "exact"), default=None)
     _common(p)
     p.set_defaults(func=cmd_tangent)
     return parser

@@ -124,6 +124,11 @@ class Document:
             for g in self.presentation.get("coproducts", {}):
                 if g not in gens:
                     raise DocumentError(f"coproduct for undeclared generator {g!r}")
+            if "antipode" in self.presentation:
+                raise DocumentError(
+                    "presentation.antipode is not read: the antipode is solved "
+                    "from the coproduct"
+                )
             missing = gens - set(self.presentation.get("coproducts", {}))
             if missing:
                 raise DocumentError(
@@ -193,19 +198,7 @@ class Document:
             if gname not in index:
                 raise DocumentError(f"counit for undeclared generator {gname!r}")
             counit[index[gname]] = parse_coefficient(text, context).constant_term()
-        antipode = None
-        if "antipode" in self.presentation:
-            antipode = {}
-            for gname, text in self.presentation["antipode"].items():
-                if gname not in index:
-                    raise DocumentError(
-                        f"antipode for undeclared generator {gname!r}"
-                    )
-                value = parse_expr(text, context)
-                if isinstance(value, TensorNCPoly):
-                    raise DocumentError(f"antipode of {gname} must not be a tensor")
-                antipode[index[gname]] = value
-        return HopfPresentation(context, rel, coproduct, counit, antipode)
+        return HopfPresentation(context, rel, coproduct, counit)
 
     # -- emission ------------------------------------------------------------------
 
@@ -240,10 +233,6 @@ def presentation_document(H: HopfPresentation, notes=()) -> Document:
     }
     counit = {names[g]: format_scalar(H.counit[g]) for g in range(len(names))}
     presentation = {"brackets": brackets, "coproducts": coproducts, "counit": counit}
-    if H.antipode:
-        presentation["antipode"] = {
-            names[g]: str(H.antipode[g]) for g in sorted(H.antipode)
-        }
     return Document(
         parameters=list(context.params),
         generators=list(names),

@@ -485,18 +485,27 @@ class FieldDiff:
 
 
 def compare_field(actual: TangentField, expected: list, mode: str = "leading") -> FieldDiff:
-    """Entrywise comparison against expected entries.
+    """Entrywise comparison against expected entries, through degree
+    order - 1: the field is a first-power coefficient of the direction
+    parameter, so it is exact one degree below the order.
 
-    In leading mode each actual entry is truncated to the highest
-    parameter degree present in the corresponding expected value, and
-    unlisted entries are ignored; in exact mode values must agree in
-    full and no unlisted nonzero entry may exist.
+    In leading mode each entry is compared up to the highest parameter
+    degree present in the corresponding expected value (at most
+    order - 1), and unlisted entries are ignored; in exact mode values
+    must agree through order - 1 and no unlisted entry may be nonzero
+    there.
     """
     from .exprparse import parse_expr
 
     if mode not in ("leading", "exact"):
         raise InputError(f"unknown comparison mode {mode!r}")
     context = actual.context
+    exact = context.order - 1
+    if exact < 0:
+        raise InputError(
+            "a tangent field is exact through order - 1; at order 0 there "
+            "is nothing to compare"
+        )
     index = context.basis.index
     diff = FieldDiff(mode=mode)
     seen_mu = set()
@@ -521,18 +530,19 @@ def compare_field(actual: TangentField, expected: list, mode: str = "leading") -
             seen_delta.add(g)
             label = f"delta({gen})"
         want = normalize(want, actual.base_table)
-        if mode == "leading":
-            cut = _max_degree(want)
-            value = value.truncate(cut)
-            want = want.truncate(cut)
+        cut = min(_max_degree(want), exact) if mode == "leading" else exact
+        value = value.truncate(cut)
+        want = want.truncate(cut)
         if value != want:
             diff.mismatched.append((label, value, want))
     if mode == "exact":
         names = context.basis.names
         for (i, j), value in sorted(actual.mu.items()):
+            value = value.truncate(exact)
             if (i, j) not in seen_mu and value:
                 diff.extra.append((f"mu({names[i]},{names[j]})", value))
         for g, value in sorted(actual.delta.items()):
+            value = value.truncate(exact)
             if g not in seen_delta and value:
                 diff.extra.append((f"delta({names[g]})", value))
     return diff

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from .errors import AntipodeError, DocumentError, InputError
 from .ncpoly import Context, NCPoly, TensorNCPoly
-from .params import ParamPoly
 from .rewrite import RelationTable, commutator, normalize
 from .scalars import ONE, Scalar, ZERO
 from .sparse import accumulate
@@ -23,12 +22,6 @@ class DefectItem:
     subject: str
     value: object          # NCPoly or TensorNCPoly, nonzero
     location: str = ""
-
-    def to_dict(self):
-        out = {"check": self.check, "subject": self.subject, "defect": str(self.value)}
-        if self.location:
-            out["location"] = self.location
-        return out
 
 
 @dataclass
@@ -46,27 +39,70 @@ class DefectReport:
         if value:
             self.items.append(DefectItem(check, subject, value, location))
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "pass": self.ok,
-            "checked": len(self.checked),
-            "defects": [item.to_dict() for item in self.items],
-        }
+
+class _WordMap:
+    """A generator table extended to words, every image normalised and
+    cached. A generator's image is its table entry. Forward, the image
+    of a longer word w is image(w[:-1]) * table[w[-1]] (an algebra map:
+    the coproduct, the counit, the in-order antipode of the class-F
+    check); reversed, it is image(w[1:]) * table[w[0]] (an anti-algebra
+    map: the antipode). Past order 5 the bundled table is not
+    confluent, so this product order is part of every reported normal
+    form."""
+
+    def __init__(self, rel: RelationTable, table: dict, unit, reverse: bool = False):
+        self.rel = rel
+        self.table = table
+        self.reverse = reverse
+        self.arity = unit.arity
+        self.cache = {(): unit}
+
+    def __call__(self, w):
+        got = self.cache.get(w)
+        if got is None:
+            if len(w) == 1:
+                got = normalize(self.table[w[0]], self.rel)
+            elif self.reverse:
+                got = normalize(self(w[1:]) * self.table[w[0]], self.rel)
+            else:
+                got = normalize(self(w[:-1]) * self.table[w[-1]], self.rel)
+            self.cache[w] = got
+        return got
+
+    def apply_slot(self, t, slot: int) -> TensorNCPoly:
+        """t with factor `slot` replaced by its image."""
+        out = {}
+        for key, coeff in t.terms.items():
+            words = t._factors(key)
+            head, tail = words[:slot], words[slot + 1:]
+            image = self(words[slot])
+            for mid, c in image.terms.items():
+                accumulate(out, head + image._factors(mid) + tail, coeff * c)
+        return TensorNCPoly(t.context, t.arity - 1 + self.arity, out)
+
+    def contract(self, t2: TensorNCPoly, slot: int) -> NCPoly:
+        """m((F (x) id) t2) for slot 0, m((id (x) F) t2) for slot 1,
+        normalised; F is this map, with word-polynomial images."""
+        context = t2.context
+        out = {}
+        for key, coeff in t2.terms.items():
+            image = self(key[slot])
+            kept = NCPoly(context, {key[1 - slot]: coeff})
+            piece = image * kept if slot == 0 else kept * image
+            for w, c in piece.terms.items():
+                accumulate(out, w, c)
+        return normalize(NCPoly(context, out), self.rel)
 
 
 class HopfPresentation:
-    """Generators, bracket relations, coproduct and counit tables, and an
-    optional solved antipode table."""
+    """Generators, bracket relations, coproduct and counit tables."""
 
     def __init__(self, context: Context, rel: RelationTable, coproduct: dict,
-                 counit: dict, antipode: dict | None = None):
+                 counit: dict):
         self.context = context
         self.rel = rel
         self.coproduct = dict(coproduct)
         self.counit = dict(counit)
-        self.antipode = dict(antipode) if antipode else None
-        self._cop_cache = {}
         n = len(context.basis)
         for g in range(n):
             cop = self.coproduct.get(g)
@@ -80,6 +116,7 @@ class HopfPresentation:
                     f"coproduct of {context.basis.names[g]} has a 1(x)1 component"
                 )
             self.counit.setdefault(g, ZERO)
+        self._delta = _WordMap(rel, self.coproduct, TensorNCPoly.unit(context, 2))
 
     def names(self):
         return self.context.basis.names
@@ -87,36 +124,10 @@ class HopfPresentation:
     # -- coproduct as an algebra morphism -------------------------------------
 
     def coproduct_word(self, word) -> TensorNCPoly:
-        cached = self._cop_cache.get(word)
-        if cached is not None:
-            return cached
-        if not word:
-            out = TensorNCPoly.unit(self.context, 2)
-        elif len(word) == 1:
-            out = normalize(self.coproduct[word[0]], self.rel)
-        else:
-            out = normalize(
-                self.coproduct_word(word[:-1]) * self.coproduct[word[-1]], self.rel
-            )
-        self._cop_cache[word] = out
-        return out
+        return self._delta(word)
 
     def apply_coproduct(self, a: NCPoly) -> TensorNCPoly:
-        out = {}
-        for word, coeff in a.terms.items():
-            for key, c in self.coproduct_word(word).terms.items():
-                accumulate(out, key, c * coeff)
-        return TensorNCPoly(self.context, 2, out)
-
-    # -- counit ----------------------------------------------------------------
-
-    def counit_word(self, word) -> Scalar:
-        out = ONE
-        for g in word:
-            out = out * self.counit[g]
-            if not out:
-                return ZERO
-        return out
+        return self._delta.apply_slot(a, 0)
 
 
 def coproduct_hom_defect(H: HopfPresentation, order: int | None = None) -> DefectReport:
@@ -148,94 +159,30 @@ def coassociativity_defect(H: HopfPresentation, order: int | None = None) -> Def
     names = H.names()
     for g in range(len(names)):
         d = H.coproduct_word((g,))
-        left = _extend_slot(H, d, 0)
-        right = _extend_slot(H, d, 1)
-        defect = (left - right).truncate(order)
+        defect = (H._delta.apply_slot(d, 0) - H._delta.apply_slot(d, 1)).truncate(order)
         report.add("coassoc", names[g], defect, location=f"Delta {names[g]} = {d}")
     return report
-
-
-def _extend_slot(H: HopfPresentation, t2: TensorNCPoly, slot: int) -> TensorNCPoly:
-    terms = _map_slot(t2, slot, lambda w: H.coproduct_word(w).terms)
-    return TensorNCPoly(H.context, 3, terms)
-
-
-def _map_slot(t: TensorNCPoly, slot: int, image) -> dict:
-    """Terms of t with factor `slot` replaced by a linear map's value on
-    it: image(word) is a {tuple of words: coefficient} map spliced in."""
-    out = {}
-    for key, coeff in t.terms.items():
-        head, tail = key[:slot], key[slot + 1:]
-        for mid, c in image(key[slot]).items():
-            s = coeff * c
-            if s:
-                accumulate(out, head + mid + tail, s)
-    return out
 
 
 def counit_defect(H: HopfPresentation, order: int | None = None) -> DefectReport:
     """(eps (x) id) Delta g - g and (id (x) eps) Delta g - g."""
     order = H.context.order if order is None else order
+    context = H.context
     report = DefectReport("counit")
     names = H.names()
+    eps = _WordMap(H.rel, {
+        g: NCPoly.from_scalar(context, e) for g, e in H.counit.items()
+    }, NCPoly.unit(context))
     for g in range(len(names)):
         d = H.coproduct_word((g,))
-        gen = NCPoly.generator(H.context, g)
+        gen = NCPoly.generator(context, g)
         for side, label in ((0, "eps(x)id"), (1, "id(x)eps")):
-            terms = _map_slot(d, side, lambda w: _counit_image(H, w))
-            collapsed = NCPoly(H.context, {kept: c for (kept,), c in terms.items()})
-            defect = (normalize(collapsed, H.rel) - gen).truncate(order)
+            defect = (eps.contract(d, side) - gen).truncate(order)
             report.add("counit", f"{label} on {names[g]}", defect)
     return report
 
 
-def _counit_image(H: HopfPresentation, word) -> dict:
-    e = H.counit_word(word)
-    return {(): e} if e else {}
-
-
 # -- antipode ------------------------------------------------------------------
-
-
-class _Extension:
-    """Extension of a generator antipode table to all words: reversed
-    (anti-multiplicative, the true antipode) or in-order (the
-    homomorphic comparison map of the class-F condition)."""
-
-    def __init__(self, H: HopfPresentation, table: dict, reverse: bool):
-        self.H = H
-        self.table = table
-        self.reverse = reverse
-        self.cache = {}
-
-    def word(self, w) -> NCPoly:
-        got = self.cache.get(w)
-        if got is not None:
-            return got
-        out = NCPoly.unit(self.H.context)
-        for g in reversed(w) if self.reverse else w:
-            out = normalize(out * self.table[g], self.H.rel)
-        self.cache[w] = out
-        return out
-
-    def contract(self, t2: TensorNCPoly, slot: int) -> NCPoly:
-        """m((S (x) id) t2) for slot 0, m((id (x) S) t2) for slot 1."""
-        out = {}
-        for (w1, w2), coeff in t2.terms.items():
-            if slot == 0:
-                piece = self.word(w1) * NCPoly(self.H.context, {w2: coeff})
-            else:
-                piece = NCPoly(self.H.context, {w1: coeff}) * self.word(w2)
-            for w, c in piece.terms.items():
-                accumulate(out, w, c)
-        return normalize(NCPoly(self.H.context, out), self.H.rel)
-
-    def apply_slot(self, t2: TensorNCPoly, slot: int) -> TensorNCPoly:
-        """(S (x) id) t2 or (id (x) S) t2, factors normalized."""
-        terms = _map_slot(
-            t2, slot, lambda w: {(u,): c for u, c in self.word(w).terms.items()}
-        )
-        return normalize(TensorNCPoly(self.H.context, 2, terms), self.H.rel)
 
 
 def solve_antipode(H: HopfPresentation, order: int | None = None):
@@ -269,20 +216,19 @@ def solve_antipode(H: HopfPresentation, order: int | None = None):
             )
         corrections[g] = corr
     for _ in range(order):
-        ext = _Extension(H, table, reverse=True)
-        new_table = {}
-        for g in range(n):
-            correction = ext.contract(corrections[g], 0)
-            new_table[g] = (-NCPoly.generator(context, g) - correction).truncate(order)
-        table = new_table
+        S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
+        table = {
+            g: (-NCPoly.generator(context, g) - S.contract(corrections[g], 0)).truncate(order)
+            for g in range(n)
+        }
 
     report = DefectReport("antipode")
-    ext = _Extension(H, table, reverse=True)
+    S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
     for g in range(n):
         d = H.coproduct_word((g,))
         eps_unit = NCPoly.from_scalar(context, H.counit[g])
-        left = (ext.contract(d, 0) - eps_unit).truncate(order)
-        right = (ext.contract(d, 1) - eps_unit).truncate(order)
+        left = (S.contract(d, 0) - eps_unit).truncate(order)
+        right = (S.contract(d, 1) - eps_unit).truncate(order)
         report.add("antipode-left", names[g], left, location=f"S({names[g]}) = {table[g]}")
         report.add("antipode-right", names[g], right)
     return table, report
@@ -295,14 +241,13 @@ def class_f_check(H: HopfPresentation, antipode: dict, order: int | None = None)
     order = H.context.order if order is None else order
     report = DefectReport("class-f")
     names = H.names()
-    anti = _Extension(H, antipode, reverse=True)
-    homo = _Extension(H, antipode, reverse=False)
+    unit = NCPoly.unit(H.context)
+    anti = _WordMap(H.rel, antipode, unit, reverse=True)
+    homo = _WordMap(H.rel, antipode, unit)
     for g in range(len(names)):
         d = H.coproduct_word((g,))
         for slot, label in ((0, "S(x)id"), (1, "id(x)S")):
-            defect = (
-                homo.apply_slot(d, slot) - anti.apply_slot(d, slot)
-            ).truncate(order)
+            defect = (homo.apply_slot(d, slot) - anti.apply_slot(d, slot)).truncate(order)
             report.add("class-f", f"{label} on {names[g]}", defect)
     return report
 
@@ -310,44 +255,29 @@ def class_f_check(H: HopfPresentation, antipode: dict, order: int | None = None)
 # -- specialization --------------------------------------------------------------
 
 
-def specialization_targets(params, assignment: dict):
-    """New parameter tuple and substitution images for an assignment
-    mapping parameter -> Scalar or parameter name."""
+def specialize(H: HopfPresentation, assignment: dict) -> HopfPresentation:
+    """Substitute scalars/renamings into every coefficient; the
+    CONTRACTING property of the resulting table is re-checked.
+    assignment maps a parameter to a Scalar or to a parameter name."""
     new_params = []
-    for name in params:
-        image = assignment.get(name)
-        if image is None:
-            if name not in new_params:
-                new_params.append(name)
-        elif isinstance(image, str):
+    for name in H.context.params:
+        image = assignment.get(name, name)
+        if isinstance(image, str):
             if image not in new_params:
                 new_params.append(image)
         elif not isinstance(image, Scalar):
             raise InputError(f"bad specialization value for {name!r}")
-    return tuple(new_params)
-
-
-def specialize(H: HopfPresentation, assignment: dict) -> HopfPresentation:
-    """Substitute scalars/renamings into every coefficient; the
-    CONTRACTING property of the resulting table is re-checked."""
-    new_params = specialization_targets(H.context.params, assignment)
     new_context = H.context.with_params(new_params)
-    target = (new_params, new_context.working_order)
     images = {}
     for name, image in assignment.items():
         if name not in H.context.params:
             raise InputError(f"unknown parameter {name!r} in specialization")
         if isinstance(image, Scalar):
-            images[name] = ParamPoly.const(new_params, target[1], image)
+            images[name] = new_context.const_poly(image)
         else:
-            images[name] = ParamPoly.parameter(new_params, target[1], image)
+            images[name] = new_context.param_poly(image)
     rel = H.rel.substitute(images, new_context)
     coproduct = {
         g: cop.substitute(images, new_context) for g, cop in H.coproduct.items()
     }
-    antipode = None
-    if H.antipode:
-        antipode = {
-            g: s.substitute(images, new_context) for g, s in H.antipode.items()
-        }
-    return HopfPresentation(new_context, rel, coproduct, dict(H.counit), antipode)
+    return HopfPresentation(new_context, rel, coproduct, dict(H.counit))

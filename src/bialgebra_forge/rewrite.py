@@ -182,9 +182,10 @@ tensor_commutator = commutator
 
 
 def presentation_jacobi_defect(table: RelationTable) -> dict:
-    """Normal form of the Jacobi cyclic sum for every generator triple;
-    an all-zero result certifies local confluence of the rewriting at
-    the working order."""
+    """Normal form of the Jacobi cyclic sum for every generator triple,
+    truncated to the verification order, where it is exact; nonzero
+    entries only. An empty result certifies local confluence of the
+    rewriting through that order."""
     context = table.context
     n = len(context.basis)
     out = {}
@@ -198,7 +199,7 @@ def presentation_jacobi_defect(table: RelationTable) -> dict:
                     commutator(table.bracket_poly(i, j), gk, table)
                     + commutator(table.bracket_poly(j, k), gi, table)
                     + commutator(table.bracket_poly(k, i), gj, table)
-                )
+                ).truncate(context.order)
                 if total:
                     out[(i, j, k)] = total
     return out

@@ -213,3 +213,81 @@ def test_verdicts_do_not_depend_on_slack(tmp_path, capsys):
         code, out, _ = run(capsys, "hopf", "all", path, *order8)
         assert code == 1, slack
         assert defects(out) == defects(want8)
+
+
+def _diagonal(tmp_path, capsys):
+    diag = tmp_path / "diag.json"
+    run(capsys, "specialize", "@corrected", "--set", "z1=z,z2=z",
+        "--output", str(diag))
+    return diag
+
+
+def _tangent_expectation(out):
+    """An exact-mode expectation holding every entry of a printed field."""
+    body = {"mode": "exact", "mu": [], "delta": []}
+    for note in json.loads(out)["notes"]:
+        label, value = note.split(" = ", 1)
+        kind, names = label.rstrip(")").split("(")
+        if kind == "mu":
+            left, right = names.split(",")
+            body["mu"].append({"left": left, "right": right, "value": value})
+        else:
+            body["delta"].append({"generator": names, "value": value})
+    return body
+
+
+def test_tangent_verdict_does_not_depend_on_slack(tmp_path, capsys):
+    """A field is the first-power coefficient of its direction, exact
+    through order - 1 only: h*t^5 contributes t^5 at degree 5 = order
+    with slack 2 and nothing with slack 0. Compared through order - 1,
+    both documents match the field printed at slack 0."""
+    diag = _diagonal(tmp_path, capsys)
+    data = json.loads(diag.read_text())
+    for item in data["presentation"]["brackets"]:
+        if (item["left"], item["right"]) == ("l_y", "l_x"):
+            item["rhs"] = "t*l_y+h*t^5*l_y"
+    paths = {}
+    for slack in (0, 2):
+        data["settings"]["slack"] = slack
+        paths[slack] = tmp_path / f"slack{slack}.json"
+        paths[slack].write_text(json.dumps(data))
+    code, out, _ = run(capsys, "tangent", str(paths[0]), "--direction", "h",
+                       "--format", "json")
+    assert code == 0
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps(_tangent_expectation(out)))
+    for slack in (0, 2):
+        code, out, _ = run(capsys, "tangent", str(paths[slack]), "--direction", "h",
+                           "--expect", str(expect))
+        assert code == 0, (slack, out)
+        assert "[pass] field matches expectation (exact)" in out
+        assert ("note: mu(l_x,l_y) = -t^5*l_y" in out) == (slack == 2)
+
+
+def test_tangent_expectation_at_order_0_is_input_error(tmp_path, capsys):
+    diag = _diagonal(tmp_path, capsys)
+    code, out, err = run(capsys, "tangent", str(diag), "--direction", "h",
+                         "--at", "z=0", "--expect", "@h-field-at-z0", "--order", "0")
+    assert code == 2 and out == ""
+    assert "exact through order - 1" in err
+
+
+def test_tangent_mode_flag_is_gone(tmp_path, capsys):
+    # the expectation names its mode; a flag could only loosen it
+    diag = _diagonal(tmp_path, capsys)
+    for mode in ("leading", "exact"):
+        code, out, _ = run(capsys, "tangent", str(diag), "--direction", "h",
+                           "--at", "z=0", "--expect", "@h-field-at-z0",
+                           "--mode", mode)
+        assert code == 2 and out == ""
+
+
+def test_document_antipode_is_rejected(tmp_path, capsys):
+    data = bf.load_bundled("corrected").to_dict()
+    data["presentation"]["antipode"] = {"p_x": "-p_x"}
+    path = tmp_path / "antipode.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hopf", "all", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: presentation.antipode is not read: the antipode is "
+                   "solved from the coproduct\n")

@@ -85,6 +85,12 @@ def test_presentation_jacobi_zero():
     assert trimmed == {}
 
 
+def test_presentation_jacobi_is_exact_through_the_order():
+    # the cyclic sums of @corrected carry terms of degree 6 and 7 at the
+    # working order 7; only what is exact through order 5 is returned
+    assert presentation_jacobi_defect(REL5) == {}
+
+
 def test_sign_flip_of_the_z1_relation_is_a_reparameterization():
     # z1 appears in [p_z,p_x] only, so flipping that sign is the change
     # of parameters z1 -> -z1: the table stays consistent at any order
