@@ -6,9 +6,10 @@ reports the known presentation-Jacobi FAIL). `hopf all` also runs at
 order 8 with cap 16: past order 5 the bracket table is not confluent,
 so normal forms there depend on the order in which products are
 normalised, and only this depth pins that order. Cases that need a document
-on disk (the z1=z2=z diagonal and a copy of @corrected with one altered
-coproduct coefficient) write it to a scratch directory first; no path
-appears in any pinned output.
+on disk (the z1=z2=z diagonal, a copy of @corrected with one altered
+coproduct coefficient, and a copy of the diagonal whose altered coproducts
+break the order-2 and order-3 expansion identities) write it to a scratch
+directory first; no path appears in any pinned output.
 
 The expected outputs are the files under tests/golden/, one JSON object
 {"exit", "stdout", "stderr"} per case. After a deliberate change to the
@@ -45,8 +46,8 @@ DIAGONAL = "z1=z,z2=z"
 
 
 def _cases():
-    """(case id, argv template, setting, format); '{diag}' and '{altered}'
-    stand for the documents written by _prepare."""
+    """(case id, argv template, setting, format); '{diag}', '{altered}'
+    and '{diag_altered}' stand for the documents written by _prepare."""
     per_setting = [
         ("check-lie", ["check", "lie", "@corrected"]),
         ("check-colie", ["check", "colie", "@corrected"]),
@@ -57,6 +58,7 @@ def _cases():
         ("specialize-zero", ["specialize", "@corrected", "--set", "z1=0,z2=0"]),
         ("specialize-diagonal", ["specialize", "@corrected", "--set", DIAGONAL]),
         ("expand-diagonal", ["expand", "{diag}"]),
+        ("expand-altered", ["expand", "{diag_altered}"]),
         ("hopf-altered-coproduct", ["hopf", "hom", "coassoc", "{altered}"]),
     ]
     for name in FIXTURES:
@@ -80,7 +82,8 @@ CASES = _cases()
 
 
 def _prepare(directory: Path) -> dict:
-    """Write the diagonal (per setting) and the altered document."""
+    """Write the diagonal and its altered copy (per setting) and the
+    altered document."""
     paths = {}
     for setting in GRID:
         diag = directory / f"diagonal-{setting}.json"
@@ -88,6 +91,13 @@ def _prepare(directory: Path) -> dict:
                      "--output", str(diag)])
         assert code == 0
         paths[("diag", setting)] = str(diag)
+        data = json.loads(diag.read_text())
+        coproducts = data["presentation"]["coproducts"]
+        coproducts["l_y"] += " + i*h*l_y (x) l_x - i*h*l_x (x) l_y"
+        coproducts["p_y"] += " + t*h*l_y (x) l_z"
+        diag_altered = directory / f"diagonal-altered-{setting}.json"
+        diag_altered.write_text(json.dumps(data))
+        paths[("diag_altered", setting)] = str(diag_altered)
     data = bf.load_bundled("corrected").to_dict()
     coproducts = data["presentation"]["coproducts"]
     altered_py = coproducts["p_y"].replace("exp(-(z2/2)*p_x)", "cosh((z2/2)*p_x)")
@@ -101,7 +111,8 @@ def _prepare(directory: Path) -> dict:
 
 def _run(argv, setting, fmt, paths) -> dict:
     argv = [
-        a.format(diag=paths.get(("diag", setting)), altered=paths["altered"])
+        a.format(diag=paths.get(("diag", setting)), altered=paths["altered"],
+                 diag_altered=paths.get(("diag_altered", setting)))
         for a in argv
     ] + SETTINGS[setting] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
