@@ -12,7 +12,7 @@ from .tensors import (
 from .ncpoly import Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor
 from .rewrite import (
     RelationTable, commutator, normal_form_word, normalize, normalize_tensor,
-    presentation_jacobi_defect, tensor_commutator,
+    presentation_jacobi_defect,
 )
 from .exprparse import parse_coefficient, parse_expr, parse_scalar_text
 from .hopf import (

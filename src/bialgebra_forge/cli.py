@@ -28,7 +28,6 @@ from .hopf import (
     solve_antipode, specialize,
 )
 from .rewrite import presentation_jacobi_defect
-from .scalars import Scalar
 from .tensors import (
     antisymmetry_defect, build_family, check_four_pairs, cocycle_defect,
     cojacobi_defect, jacobi_defect,
@@ -284,7 +283,10 @@ def cmd_expand(args) -> int:
     roles = tuple(args.roles.split(","))
     if len(roles) != 3:
         raise InputError("--roles needs three parameter names (t,h,z order)")
-    up_to = tuple(int(x) for x in args.up_to.split(","))
+    try:
+        up_to = tuple(int(x) for x in args.up_to.split(","))
+    except ValueError:
+        raise InputError(f"--up-to needs three integer exponent bounds, got {args.up_to!r}")
     if len(up_to) != 3:
         raise InputError("--up-to needs three exponent bounds")
     report = Report("expand", _settings(context))
@@ -319,14 +321,8 @@ def cmd_expand(args) -> int:
 def cmd_tangent(args) -> int:
     doc, context = _open(args)
     H = doc.build_presentation(context)
-    base = {
-        name: value for name, value in _parse_assignments(args.at or []).items()
-    }
-    for name, value in base.items():
-        if not isinstance(value, Scalar):
-            raise InputError("--at values must be scalars")
     report = Report("tangent", _settings(context))
-    field = tangent_field(H, args.direction, base)
+    field = tangent_field(H, args.direction, _parse_assignments(args.at))
     names = context.basis.names
     for (i, j), value in sorted(field.mu.items()):
         report.note(f"mu({names[i]},{names[j]}) = {value}")

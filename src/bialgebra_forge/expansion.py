@@ -10,6 +10,13 @@ wedge coefficients, i.e. the antisymmetric part of the projected
 coproduct. Tangent fields keep the full factor difference instead, which
 is the normalisation under which the boundary fields reproduce the
 cobracket input data.
+
+Only coefficients of total degree at most the order are collected; the
+ones above it are not exact. The compatibility identities are cocycle
+defects delta([x,y]) - ad_x delta(y) + ad_y delta(x) of bracket and
+cobracket coefficients (tensors.cocycle_defect): each second-order
+component is that of one first-order pair, and the third-order thz
+identity is the sum over four pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .params import ParamPoly
 from .rewrite import RelationTable, normalize
 from .scalars import Scalar, ZERO
 from .sparse import accumulate
-from .tensors import Basis, BracketTensor, CobracketTensor
+from .tensors import Basis, BracketTensor, CobracketTensor, cocycle_defect
 
 _HALF = Scalar(Fraction(1, 2))
 
@@ -34,6 +41,7 @@ class CoefficientTable:
     basis: Basis
     roles: tuple                      # parameter names in (t, h, z) order
     bounds: tuple                     # per-parameter exponent bounds
+    order: int                        # total degree through which entries are exact
     m: dict = field(default_factory=dict)   # multi -> {(i, j, k): Scalar}
     q: dict = field(default_factory=dict)   # multi -> {(i, a, b): Scalar}
 
@@ -50,6 +58,11 @@ class CoefficientTable:
                     f"coefficient table missing multi-index {multi}; "
                     f"extracted bounds are {self.bounds}"
                 )
+            if sum(multi) > self.order:
+                raise InputError(
+                    f"multi-index {multi} lies above order {self.order}; "
+                    f"its coefficients are not exact there"
+                )
 
     # -- coefficient maps ------------------------------------------------------
 
@@ -61,16 +74,10 @@ class CoefficientTable:
         both orientations present."""
         return _antisymmetric(self._m_at(multi), BracketTensor._flipped, None)
 
-    def msym(self, multi) -> dict:
-        return _symmetric(self._m_at(multi), BracketTensor._flipped)
-
     def delta(self, multi) -> dict:
         """Antisymmetric part of the projected coproduct (wedge values),
         with both orientations present."""
         return _antisymmetric(self._q_at(multi), CobracketTensor._flipped, _HALF)
-
-    def deltasym(self, multi) -> dict:
-        return _symmetric(self._q_at(multi), CobracketTensor._flipped)
 
     # -- tensor views ------------------------------------------------------------
 
@@ -114,18 +121,6 @@ def _antisymmetric(src: dict, swap, factor) -> dict:
     return out
 
 
-def _symmetric(src: dict, swap) -> dict:
-    """Half the sum of the values at a key and at its swap."""
-    out = {}
-    for first in src:
-        for key in (first, swap(first)):
-            if key not in out:
-                w = (src.get(key, ZERO) + src.get(swap(key), ZERO)) * _HALF
-                if w:
-                    out[key] = w
-    return out
-
-
 def _canonical_tensor(cls, basis, values: dict):
     """Scalar tensor holding the lower orientation of each entry pair."""
     out = cls(basis, (), 0)
@@ -137,21 +132,28 @@ def _canonical_tensor(cls, basis, values: dict):
 
 def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", "z")) -> CoefficientTable:
     """Collect m/Q coefficients of a 3-parameter presentation per
-    parameter monomial within the given per-parameter exponent bounds."""
+    parameter monomial within the given per-parameter exponent bounds and
+    of total degree at most the presentation's order (the entries above
+    it sit within the slack and are not exact)."""
     params = H.context.params
+    order = H.context.order
+    if len(set(roles)) != len(roles):
+        raise InputError(f"roles {roles} name one parameter twice")
     if set(roles) - set(params):
         raise InputError(f"presentation lacks parameters {roles}")
     idx = [params.index(r) for r in roles]
     basis = H.context.basis
     n = len(basis)
-    table = CoefficientTable(basis=basis, roles=tuple(roles), bounds=tuple(up_to))
+    table = CoefficientTable(
+        basis=basis, roles=tuple(roles), bounds=tuple(up_to), order=order
+    )
 
     def collect(poly: ParamPoly, sink, key):
         for exps, coeff in poly.terms.items():
             if any(exps[p] for p in range(len(params)) if p not in idx):
                 continue
             multi = tuple(exps[p] for p in idx)
-            if any(e > b for e, b in zip(multi, up_to)):
+            if sum(multi) > order or any(e > b for e, b in zip(multi, up_to)):
                 continue
             sink.setdefault(multi, {})[key] = coeff
 
@@ -170,108 +172,18 @@ def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", 
 
 # -- the projected compatibility identities ------------------------------------
 
-
-def _base_m(s1, s2):
-    """Base multiplication on unit/generator slots: absorbs units,
-    kills generator-generator pairs (their product has no V part)."""
-    if s1 is None:
-        return [(s2, Scalar(1))]
-    if s2 is None:
-        return [(s1, Scalar(1))]
-    return []
-
-
-def _coeff_m(table_values):
-    def apply(s1, s2):
-        if s1 is None or s2 is None:
-            return []
-        return [
-            (k, v)
-            for (i, j, k), v in table_values.items()
-            if i == s1 and j == s2
-        ]
-    return apply
-
-
-def _base_delta(s):
-    if s is None:
-        return []
-    return [((s, None), Scalar(1)), ((None, s), Scalar(1))]
-
-
-def _coeff_delta(table_values):
-    def apply(s):
-        if s is None:
-            return []
-        return [
-            ((a, b), v)
-            for (i, a, b), v in table_values.items()
-            if i == s
-        ]
-    return apply
-
-
-def _m_pair(values):
-    """The coefficient map on either side of the base multiplication."""
-    return [(_base_m, _coeff_m(values)), (_coeff_m(values), _base_m)]
-
-
-def _d_pair(values):
-    return [(_base_delta, _coeff_delta(values)), (_coeff_delta(values), _base_delta)]
-
-
-def _compose_pair(m_pairs, d_pairs, x, y):
-    """Sum of (M1 (x) M2) o (id (x) tau (x) id) o (D1 (x) D2) applied to
-    x (x) y, as a dict over output slot pairs."""
-    out = {}
-    for d1, d2 in d_pairs:
-        four = {}
-        for (s1, s2), c1 in d1(x):
-            for (s3, s4), c2 in d2(y):
-                # middle slots swapped
-                accumulate(four, (s1, s3, s2, s4), c1 * c2)
-        for m1, m2 in m_pairs:
-            for (s1, s2, s3, s4), c in four.items():
-                for left, cl in m1(s1, s2):
-                    for right, cr in m2(s3, s4):
-                        accumulate(out, (left, right), c * cl * cr)
-    return out
-
-
-def _lhs_pair(d_values, m_values, x, y):
-    out = {}
-    for (i, j, k), v in m_values.items():
-        if i != x or j != y:
-            continue
-        for (m, a, b), w in d_values.items():
-            if m == k:
-                accumulate(out, (a, b), v * w)
-    return out
-
-
-def _identity_defect(lhs_pairs, rhs_terms, basis) -> dict:
-    """LHS - RHS on every generator pair; entries keyed (pair, out-slot).
-    rhs_terms lists the (m_pairs, d_pairs) compositions summed on the
-    right-hand side."""
-    n = len(basis)
-    out = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            acc = {}
-            for d_values, m_values in lhs_pairs:
-                for key, v in _lhs_pair(d_values, m_values, x, y).items():
-                    accumulate(acc, key, v)
-            for m_pairs, d_pairs in rhs_terms:
-                for key, v in _compose_pair(m_pairs, d_pairs, x, y).items():
-                    accumulate(acc, key, -v)
-            if acc:
-                out[(x, y)] = acc
-    return out
+# (mu, delta) coefficient pairs whose cocycle defects sum to the thz identity
+_THZ_PAIRS = (
+    ((1, 1, 0), (0, 0, 1)),
+    ((1, 0, 1), (0, 1, 0)),
+    ((0, 0, 1), (1, 1, 0)),
+    ((1, 0, 0), (0, 1, 1)),
+)
 
 
 def verify_order2(table: CoefficientTable) -> DefectReport:
     """The four second-order compatibility components (z^2, th, tz, hz);
-    each is the mixed-coefficient identity of one bracket/cobracket pair."""
+    each is the cocycle defect of one first-order bracket/cobracket pair."""
     table.require([(0, 0, 1), (1, 0, 0), (0, 1, 0)])
     report = DefectReport("order-2")
     components = {
@@ -291,55 +203,32 @@ def verify_order2(table: CoefficientTable) -> DefectReport:
 
 
 def order2_component_defect(table, mu_multi, delta_multi) -> dict:
-    mu = table.mu(mu_multi)
-    delta = table.delta(delta_multi)
-    return _identity_defect([(delta, mu)], [(_m_pair(mu), _d_pair(delta))], table.basis)
+    """delta([x,y]) - ad_x delta(y) + ad_y delta(x) for the bracket at
+    mu_multi and the cobracket at delta_multi (tensors.cocycle_defect),
+    as {(x, y): {(a, b): Scalar}} with both orientations (a, b) -> v and
+    (b, a) -> -v of each wedge entry."""
+    wedges = cocycle_defect(table.mu_tensor(mu_multi), table.delta_tensor(delta_multi))
+    out = {}
+    for pair, wedge in wedges.items():
+        entries = out[pair] = {}
+        for (a, b), value in wedge.items():
+            entries[(a, b)] = value.constant_term()
+            entries[(b, a)] = -entries[(a, b)]
+    return out
 
 
 def verify_order3_thz(table: CoefficientTable) -> DefectReport:
-    """The third-order thz compatibility identity, including the
-    symmetric-part cross terms."""
-    needed = [
-        (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    ]
-    table.require(needed)
-    mu = {multi: table.mu(multi) for multi in needed}
-    delta = {multi: table.delta(multi) for multi in needed}
-    msym = {multi: table.msym(multi) for multi in needed}
-    dsym = {multi: table.deltasym(multi) for multi in needed}
-
-    lhs = [
-        (delta[(0, 0, 1)], mu[(1, 1, 0)]),
-        (delta[(0, 1, 0)], mu[(1, 0, 1)]),
-        (delta[(1, 1, 0)], mu[(0, 0, 1)]),
-        (delta[(0, 1, 1)], mu[(1, 0, 0)]),
-    ]
-
-    terms = [
-        (_m_pair(mu[(1, 1, 0)]), _d_pair(delta[(0, 0, 1)])),
-        (
-            _m_pair(mu[(1, 0, 1)])
-            + [
-                (_coeff_m(msym[(0, 0, 1)]), _coeff_m(mu[(1, 0, 0)])),
-                (_coeff_m(mu[(0, 0, 1)]), _coeff_m(msym[(1, 0, 0)])),
-                (_coeff_m(msym[(1, 0, 0)]), _coeff_m(mu[(0, 0, 1)])),
-                (_coeff_m(mu[(1, 0, 0)]), _coeff_m(msym[(0, 0, 1)])),
-            ],
-            _d_pair(delta[(0, 1, 0)]),
-        ),
-        (
-            _m_pair(mu[(1, 0, 0)]),
-            _d_pair(delta[(0, 1, 1)])
-            + [
-                (_coeff_delta(dsym[(0, 0, 1)]), _coeff_delta(delta[(0, 1, 0)])),
-                (_coeff_delta(delta[(0, 0, 1)]), _coeff_delta(dsym[(0, 1, 0)])),
-                (_coeff_delta(dsym[(0, 1, 0)]), _coeff_delta(delta[(0, 0, 1)])),
-                (_coeff_delta(delta[(0, 1, 0)]), _coeff_delta(dsym[(0, 0, 1)])),
-            ],
-        ),
-        (_m_pair(mu[(0, 0, 1)]), _d_pair(delta[(1, 1, 0)])),
-    ]
-    out = _identity_defect(lhs, terms, table.basis)
+    """The third-order thz compatibility identity: the sum of the cocycle
+    defects of the (mu, delta) pairs (110, 001), (101, 010), (001, 110)
+    and (100, 011)."""
+    table.require([multi for pair in _THZ_PAIRS for multi in pair])
+    out = {}
+    for mu_multi, delta_multi in _THZ_PAIRS:
+        for pair, entries in order2_component_defect(table, mu_multi, delta_multi).items():
+            acc = out.setdefault(pair, {})
+            for key, value in entries.items():
+                accumulate(acc, key, value)
+    out = {pair: entries for pair, entries in out.items() if entries}
     report = DefectReport("order-3-thz")
     report.add("order-3", "thz", _DictDefect(out, table.basis))
     return report
@@ -359,20 +248,12 @@ class _DictDefect:
         if not self.data:
             return "0"
         names = self.basis.names
-
-        def slot(s):
-            return "1" if s is None else names[s]
-
         parts = []
-        for pair, entries in sorted(self.data.items()):
+        for (x, y), entries in sorted(self.data.items()):
             inner = " + ".join(
-                f"{v}*{slot(a)}(x){slot(b)}"
-                for (a, b), v in sorted(
-                    entries.items(),
-                    key=lambda kv: tuple(-1 if s is None else s for s in kv[0][0:2]),
-                )
+                f"{v}*{names[a]}(x){names[b]}" for (a, b), v in sorted(entries.items())
             )
-            parts.append(f"on ({names[pair[0]]},{names[pair[1]]}): {inner}")
+            parts.append(f"on ({names[x]},{names[y]}): {inner}")
         return "; ".join(parts)
 
 
@@ -416,6 +297,8 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     if direction not in params:
         raise InputError(f"unknown direction parameter {direction!r}")
     dir_idx = params.index(direction)
+    if not all(isinstance(value, Scalar) for value in base.values()):
+        raise InputError("tangent base values must be scalars")
 
     assignment = {direction: Scalar(0)}
     assignment.update(base)
@@ -425,8 +308,6 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
 
     images = {direction: ParamPoly.zero(rcontext.params, rcontext.working_order)}
     for name, value in base.items():
-        if not isinstance(value, Scalar):
-            raise InputError("tangent base values must be scalars")
         images[name] = ParamPoly.const(rcontext.params, rcontext.working_order, value)
 
     def slice_coeff(poly: ParamPoly) -> ParamPoly:

@@ -178,7 +178,6 @@ def commutator(a, b, table: RelationTable):
 
 
 normalize_tensor = normalize
-tensor_commutator = commutator
 
 
 def presentation_jacobi_defect(table: RelationTable) -> dict:

@@ -78,6 +78,19 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "hopf", "jacobi", str(path))
     assert code == 2 and out == ""
     assert "nested more than" in err
+    # expand bounds that are not integers, and one parameter in two roles
+    for flag, value, message in (
+        ("--up-to", "x,1,1", "--up-to needs three integer exponent bounds"),
+        ("--roles", "t,t,h", "name one parameter twice"),
+    ):
+        code, out, err = run(capsys, "expand", "@corrected", flag, value)
+        assert code == 2 and out == "", (flag, value)
+        assert err.startswith("error: ") and message in err
+    # a tangent base point that is not a scalar
+    code, out, err = run(capsys, "tangent", "@corrected", "--direction", "h",
+                         "--at", "z1=w")
+    assert code == 2 and out == ""
+    assert "tangent base values must be scalars" in err
 
 
 def test_json_format_parses_and_reports(capsys):
@@ -262,6 +275,24 @@ def test_tangent_verdict_does_not_depend_on_slack(tmp_path, capsys):
         assert code == 0, (slack, out)
         assert "[pass] field matches expectation (exact)" in out
         assert ("note: mu(l_x,l_y) = -t^5*l_y" in out) == (slack == 2)
+
+
+def test_expand_verdict_does_not_depend_on_slack(tmp_path, capsys):
+    """A t*h coproduct term breaks the thz identity. At order 1 it lies
+    above the order, where slack decides whether it is carried at all;
+    the identity needs it, so expand refuses (exit 2) at any slack."""
+    diag = _diagonal(tmp_path, capsys)
+    data = json.loads(diag.read_text())
+    data["presentation"]["coproducts"]["p_y"] += " + t*h*l_y (x) l_z"
+    for slack in (0, 2):
+        data["settings"]["slack"] = slack
+        path = tmp_path / f"slack{slack}.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "expand", str(path), "--order", "1")
+        assert code == 2 and out == "", (slack, out)
+        assert "(1, 1, 0) lies above order 1" in err
+    code, out, _ = run(capsys, "expand", str(path), "--order", "2")
+    assert code == 1 and "[FAIL] order-3-thz" in out
 
 
 def test_tangent_expectation_at_order_0_is_input_error(tmp_path, capsys):
