@@ -152,7 +152,7 @@ class Document:
         if comp is None:
             raise DocumentError(f"no composition named {name!r}")
         cls = BracketTensor if comp["kind"] == "bracket" else CobracketTensor
-        tensor = cls(context.basis, context.params, context.working_order)
+        tensor = cls(context.basis, context.params, context.order)
         index = context.basis.index
         for entry in comp.get("entries", []):
             coeff = parse_coefficient(entry["coeff"], context)

@@ -11,8 +11,8 @@ coproduct. Tangent fields keep the full factor difference instead, which
 is the normalisation under which the boundary fields reproduce the
 cobracket input data.
 
-Only coefficients of total degree at most the order are collected; the
-ones above it are not exact. The compatibility identities are cocycle
+Every collected coefficient is exact: the presentation carries no
+degree above its order. The compatibility identities are cocycle
 defects delta([x,y]) - ad_x delta(y) + ad_y delta(x) of bracket and
 cobracket coefficients (tensors.cocycle_defect): each second-order
 component is that of one first-order pair, and the third-order thz
@@ -132,11 +132,10 @@ def _canonical_tensor(cls, basis, values: dict):
 
 def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", "z")) -> CoefficientTable:
     """Collect m/Q coefficients of a 3-parameter presentation per
-    parameter monomial within the given per-parameter exponent bounds and
-    of total degree at most the presentation's order (the entries above
-    it sit within the slack and are not exact)."""
+    parameter monomial within the given per-parameter exponent bounds;
+    every coefficient has total degree at most the presentation's order,
+    through which it is exact."""
     params = H.context.params
-    order = H.context.order
     if len(set(roles)) != len(roles):
         raise InputError(f"roles {roles} name one parameter twice")
     if set(roles) - set(params):
@@ -145,7 +144,7 @@ def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", 
     basis = H.context.basis
     n = len(basis)
     table = CoefficientTable(
-        basis=basis, roles=tuple(roles), bounds=tuple(up_to), order=order
+        basis=basis, roles=tuple(roles), bounds=tuple(up_to), order=H.context.order
     )
 
     def collect(poly: ParamPoly, sink, key):
@@ -153,7 +152,7 @@ def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", 
             if any(exps[p] for p in range(len(params)) if p not in idx):
                 continue
             multi = tuple(exps[p] for p in idx)
-            if sum(multi) > order or any(e > b for e, b in zip(multi, up_to)):
+            if any(e > b for e, b in zip(multi, up_to)):
                 continue
             sink.setdefault(multi, {})[key] = coeff
 
@@ -285,7 +284,8 @@ class TangentField:
 
 def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> TangentField:
     """First derivative of the structure maps along `direction` at
-    direction = 0, with further base-point values substituted.
+    direction = 0, with the base-point parameters set to their values
+    (0, the one exact evaluation; see hopf.specialize).
 
     mu-components are derivatives of the normalised commutators (full
     generator degree retained); delta-components are derivatives of the
@@ -300,15 +300,10 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     if not all(isinstance(value, Scalar) for value in base.values()):
         raise InputError("tangent base values must be scalars")
 
-    assignment = {direction: Scalar(0)}
-    assignment.update(base)
-    reduced = specialize(H, assignment)
+    reduced = specialize(H, {direction: Scalar(0), **base})
     rcontext = reduced.context
-    rtarget = (rcontext.params, rcontext.working_order)
-
-    images = {direction: ParamPoly.zero(rcontext.params, rcontext.working_order)}
-    for name, value in base.items():
-        images[name] = ParamPoly.const(rcontext.params, rcontext.working_order, value)
+    rtarget = (rcontext.params, rcontext.order)
+    images = {name: rcontext.zero_poly() for name in (direction, *base)}
 
     def slice_coeff(poly: ParamPoly) -> ParamPoly:
         sliced = poly.coefficient_of(dir_idx, 1)
@@ -368,7 +363,8 @@ class FieldDiff:
 def compare_field(actual: TangentField, expected: list, mode: str = "leading") -> FieldDiff:
     """Entrywise comparison against expected entries, through degree
     order - 1: the field is a first-power coefficient of the direction
-    parameter, so it is exact one degree below the order.
+    parameter, so it is exact one degree below the order and carries no
+    degree above that.
 
     In leading mode each entry is compared up to the highest parameter
     degree present in the corresponding expected value (at most
@@ -419,11 +415,9 @@ def compare_field(actual: TangentField, expected: list, mode: str = "leading") -
     if mode == "exact":
         names = context.basis.names
         for (i, j), value in sorted(actual.mu.items()):
-            value = value.truncate(exact)
             if (i, j) not in seen_mu and value:
                 diff.extra.append((f"mu({names[i]},{names[j]})", value))
         for g, value in sorted(actual.delta.items()):
-            value = value.truncate(exact)
             if g not in seen_delta and value:
                 diff.extra.append((f"delta({names[g]})", value))
     return diff

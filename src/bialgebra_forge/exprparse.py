@@ -13,10 +13,11 @@ parameter monomial such as z2 or (z2*h); parameter divisions are kept
 pending for the enclosing additive term and applied only after the term
 has been fully expanded, so removable prefactor singularities like
 t/(z2*h) never require stored negative exponents. A quotient by a
-degree-d monomial is exact only through d degrees below the working
-order (order + slack); an expression whose divisor degrees sum past the
-slack is parsed again with that sum as its slack and cut back to the
-working order, so every result is exact through the context's order.
+degree-d monomial is exact only through d degrees below the order the
+parse works at. parse_expr is the one place that works above the
+context's order: it parses at order + slack, parses again at order + the
+summed divisor degrees when those exceed the slack, and cuts the result
+to the context's order, through which it is exact.
 '(x)' is always read as the tensor-join token, never as a parenthesised
 identifier.
 Parentheses, function calls and unary minus nest at most MAX_NESTING
@@ -146,7 +147,7 @@ class Parser:
 
     def _resolve(self, value: _Value):
         """The numerator divided by the pending denominator. Every product
-        was truncated at the working order, so a quotient by a degree-d
+        was truncated at the parser's order, so a quotient by a degree-d
         monomial is exact only through d degrees less."""
         if not value.den:
             return value.poly
@@ -326,16 +327,14 @@ class Parser:
 
 
 def parse_expr(text: str, context: Context):
-    """Parse an expression into an NCPoly or (with '(x)') a TensorNCPoly,
-    exact through context.order."""
-    parser = Parser(context, text)
+    """Parse an expression into an NCPoly or (with '(x)') a TensorNCPoly
+    over context, exact through and cut at context.order."""
+    order, slack = context.order, context.slack
+    parser = Parser(replace(context, order=order + slack), text)
     poly = parser.parse()
-    if parser.loss <= context.slack:
-        return poly
-    working = context.working_order
-    return Parser(replace(context, slack=parser.loss), text).parse().map_coeffs(
-        lambda c: c.truncate(working).with_order(working), context
-    )
+    if parser.loss > slack:
+        poly = Parser(replace(context, order=order + parser.loss), text).parse()
+    return poly.map_coeffs(lambda c: c.with_order(order), context)
 
 
 def parse_coefficient(text: str, context: Context):

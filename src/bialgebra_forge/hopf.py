@@ -1,7 +1,7 @@
 """Hopf-axiom defect computation for a parameter-dependent presentation.
 
-All checks work at the working truncation order and report defects
-truncated back to the verification order, where coefficients are exact.
+Every check works at the presentation's order, where truncated
+arithmetic is exact, so each reported defect is exact through it.
 A presentation passes when every reported defect is identically zero.
 """
 
@@ -130,13 +130,12 @@ class HopfPresentation:
         return self._delta.apply_slot(a, 0)
 
 
-def coproduct_hom_defect(H: HopfPresentation, order: int | None = None) -> DefectReport:
+def coproduct_hom_defect(H: HopfPresentation) -> DefectReport:
     """Delta(rhs of [a, b]) - [Delta a, Delta b] for every generator pair.
 
     Zero everywhere certifies that the coproduct table extends to an
     algebra morphism for the presented relations.
     """
-    order = H.context.order if order is None else order
     report = DefectReport("coproduct-hom")
     names = H.names()
     for i, j in H.rel.pairs():
@@ -144,7 +143,7 @@ def coproduct_hom_defect(H: HopfPresentation, order: int | None = None) -> Defec
         lhs = H.apply_coproduct(rhs)
         di = H.coproduct_word((i,))
         dj = H.coproduct_word((j,))
-        defect = (lhs - commutator(dj, di, H.rel)).truncate(order)
+        defect = lhs - commutator(dj, di, H.rel)
         report.add(
             "hom", f"({names[j]},{names[i]})", defect,
             location=f"[{names[j]},{names[i]}] = {rhs}",
@@ -152,21 +151,19 @@ def coproduct_hom_defect(H: HopfPresentation, order: int | None = None) -> Defec
     return report
 
 
-def coassociativity_defect(H: HopfPresentation, order: int | None = None) -> DefectReport:
+def coassociativity_defect(H: HopfPresentation) -> DefectReport:
     """(Delta (x) id) Delta - (id (x) Delta) Delta on every generator."""
-    order = H.context.order if order is None else order
     report = DefectReport("coassociativity")
     names = H.names()
     for g in range(len(names)):
         d = H.coproduct_word((g,))
-        defect = (H._delta.apply_slot(d, 0) - H._delta.apply_slot(d, 1)).truncate(order)
+        defect = H._delta.apply_slot(d, 0) - H._delta.apply_slot(d, 1)
         report.add("coassoc", names[g], defect, location=f"Delta {names[g]} = {d}")
     return report
 
 
-def counit_defect(H: HopfPresentation, order: int | None = None) -> DefectReport:
+def counit_defect(H: HopfPresentation) -> DefectReport:
     """(eps (x) id) Delta g - g and (id (x) eps) Delta g - g."""
-    order = H.context.order if order is None else order
     context = H.context
     report = DefectReport("counit")
     names = H.names()
@@ -177,7 +174,7 @@ def counit_defect(H: HopfPresentation, order: int | None = None) -> DefectReport
         d = H.coproduct_word((g,))
         gen = NCPoly.generator(context, g)
         for side, label in ((0, "eps(x)id"), (1, "id(x)eps")):
-            defect = (eps.contract(d, side) - gen).truncate(order)
+            defect = eps.contract(d, side) - gen
             report.add("counit", f"{label} on {names[g]}", defect)
     return report
 
@@ -185,16 +182,15 @@ def counit_defect(H: HopfPresentation, order: int | None = None) -> DefectReport
 # -- antipode ------------------------------------------------------------------
 
 
-def solve_antipode(H: HopfPresentation, order: int | None = None):
+def solve_antipode(H: HopfPresentation):
     """Order-by-order antipode solve from the seed S0 = -id.
 
     Returns (table, report): the generator antipode table satisfying
-    m(S (x) id) Delta g = eps(g) 1 up to the requested parameter order,
+    m(S (x) id) Delta g = eps(g) 1 through the presentation's order,
     with the residual of both antipode equations in the report. The
     solve is a fixed point: coproduct corrections carry parameter
     degree >= 1, so iteration k pins degree k.
     """
-    order = H.context.order if order is None else order
     context = H.context
     names = H.names()
     n = len(names)
@@ -215,10 +211,10 @@ def solve_antipode(H: HopfPresentation, order: int | None = None):
                 "degree 0; order-by-order solve cannot start"
             )
         corrections[g] = corr
-    for _ in range(order):
+    for _ in range(context.order):
         S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
         table = {
-            g: (-NCPoly.generator(context, g) - S.contract(corrections[g], 0)).truncate(order)
+            g: -NCPoly.generator(context, g) - S.contract(corrections[g], 0)
             for g in range(n)
         }
 
@@ -227,18 +223,17 @@ def solve_antipode(H: HopfPresentation, order: int | None = None):
     for g in range(n):
         d = H.coproduct_word((g,))
         eps_unit = NCPoly.from_scalar(context, H.counit[g])
-        left = (S.contract(d, 0) - eps_unit).truncate(order)
-        right = (S.contract(d, 1) - eps_unit).truncate(order)
+        left = S.contract(d, 0) - eps_unit
+        right = S.contract(d, 1) - eps_unit
         report.add("antipode-left", names[g], left, location=f"S({names[g]}) = {table[g]}")
         report.add("antipode-right", names[g], right)
     return table, report
 
 
-def class_f_check(H: HopfPresentation, antipode: dict, order: int | None = None) -> DefectReport:
+def class_f_check(H: HopfPresentation, antipode: dict) -> DefectReport:
     """Membership test for the class fixed by the antipode conditions:
     the homomorphic extension of the generator antipode must act on
     generator coproducts exactly like the anti-multiplicative one."""
-    order = H.context.order if order is None else order
     report = DefectReport("class-f")
     names = H.names()
     unit = NCPoly.unit(H.context)
@@ -247,7 +242,7 @@ def class_f_check(H: HopfPresentation, antipode: dict, order: int | None = None)
     for g in range(len(names)):
         d = H.coproduct_word((g,))
         for slot, label in ((0, "S(x)id"), (1, "id(x)S")):
-            defect = (homo.apply_slot(d, slot) - anti.apply_slot(d, slot)).truncate(order)
+            defect = homo.apply_slot(d, slot) - anti.apply_slot(d, slot)
             report.add("class-f", f"{label} on {names[g]}", defect)
     return report
 
@@ -256,9 +251,12 @@ def class_f_check(H: HopfPresentation, antipode: dict, order: int | None = None)
 
 
 def specialize(H: HopfPresentation, assignment: dict) -> HopfPresentation:
-    """Substitute scalars/renamings into every coefficient; the
+    """Substitute renamings or 0 into every coefficient; the
     CONTRACTING property of the resulting table is re-checked.
-    assignment maps a parameter to a Scalar or to a parameter name."""
+    assignment maps a parameter to a parameter name or to the Scalar 0.
+    A nonzero value is an input error: it lowers the degree of every term
+    it meets, so the terms cut off above the order would come back below
+    it, and no order of the result is exact."""
     new_params = []
     for name in H.context.params:
         image = assignment.get(name, name)
@@ -267,13 +265,18 @@ def specialize(H: HopfPresentation, assignment: dict) -> HopfPresentation:
                 new_params.append(image)
         elif not isinstance(image, Scalar):
             raise InputError(f"bad specialization value for {name!r}")
+        elif image:
+            raise InputError(
+                f"cannot specialize {name!r} to {image}: a truncated series is "
+                "exact only at 0 or under a renaming"
+            )
     new_context = H.context.with_params(new_params)
     images = {}
     for name, image in assignment.items():
         if name not in H.context.params:
             raise InputError(f"unknown parameter {name!r} in specialization")
         if isinstance(image, Scalar):
-            images[name] = new_context.const_poly(image)
+            images[name] = new_context.zero_poly()
         else:
             images[name] = new_context.param_poly(image)
     rel = H.rel.substitute(images, new_context)

@@ -1,8 +1,8 @@
 """Truncated noncommutative polynomials over the generator alphabet.
 
 Words are tuples of generator indices; the empty word is the unit.
-Coefficients are ParamPoly values carried at the working order
-(reporting order + slack). Generator degree is capped: a product whose
+Coefficients are ParamPoly values carried at the context's order, where
+truncated arithmetic is exact. Generator degree is capped: a product whose
 coefficient survives truncation but whose word exceeds the cap is a
 hard error, so runaway rewriting cannot pass silently.
 
@@ -15,7 +15,7 @@ and by factorwise normalisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
 
@@ -28,7 +28,9 @@ from .tensors import Basis
 
 @dataclass(frozen=True)
 class Context:
-    """Shared computation settings: basis, parameters, truncation."""
+    """Shared computation settings: basis, parameters, truncation. Every
+    value lives at `order`; `slack` is only the parser's first-pass
+    headroom (exprparse.parse_expr)."""
 
     basis: Basis
     params: tuple
@@ -44,21 +46,17 @@ class Context:
                     f"{name} must be a non-negative integer, got {value!r}"
                 )
 
-    @property
-    def working_order(self) -> int:
-        return self.order + self.slack
-
     def zero_poly(self) -> ParamPoly:
-        return ParamPoly.zero(self.params, self.working_order)
+        return ParamPoly.zero(self.params, self.order)
 
     def const_poly(self, value) -> ParamPoly:
-        return ParamPoly.const(self.params, self.working_order, value)
+        return ParamPoly.const(self.params, self.order, value)
 
     def param_poly(self, name) -> ParamPoly:
-        return ParamPoly.parameter(self.params, self.working_order, name)
+        return ParamPoly.parameter(self.params, self.order, name)
 
     def with_params(self, params) -> "Context":
-        return Context(self.basis, tuple(params), self.order, self.cap, self.slack)
+        return replace(self, params=tuple(params))
 
 
 def word_str(word, basis: Basis) -> str:
@@ -171,7 +169,7 @@ class _Terms:
 
     def substitute(self, images, target: Context = None):
         ctx = self.context if target is None else target
-        tgt = (ctx.params, ctx.working_order)
+        tgt = (ctx.params, ctx.order)
         return self.map_coeffs(lambda c: c.substitute(images, tgt), ctx)
 
     def sorted_terms(self):
@@ -353,7 +351,7 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
     """Taylor series of exp/sinh/cosh at a parameter-weighted argument.
 
     Every term of arg must carry parameter degree >= 1 so that the
-    series terminates at the working order.
+    series terminates at the context's order.
     """
     if fn not in ("exp", "sinh", "cosh"):
         raise InputError(f"unknown series function {fn!r}")
@@ -361,7 +359,7 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
         raise NonTerminatingSeriesError(
             f"{fn} argument has a parameter-degree-0 term; series would not terminate"
         )
-    max_k = arg.context.working_order
+    max_k = arg.context.order
     out = NCPoly.zero(arg.context)
     power = NCPoly.unit(arg.context)
     next_k = 0

@@ -2,8 +2,8 @@
 
 A ParamPoly is a sparse map from exponent vectors to Scalar coefficients,
 over a fixed ordered tuple of parameter names, with every stored term of
-total degree <= order. The order carried here is the *working* order
-(reporting order plus slack); final reports truncate further down.
+total degree <= order. Truncation at total degree N is a quotient of
+the coefficient ring, so sums and products are exact through N.
 """
 
 from __future__ import annotations
@@ -137,6 +137,7 @@ class ParamPoly:
         )
 
     def with_order(self, order: int) -> "ParamPoly":
+        """The same terms carried at `order`; terms above it are dropped."""
         return ParamPoly(self.params, order, self.terms)
 
     # -- monomial shifts -----------------------------------------------------

@@ -5,7 +5,7 @@ The relation table stores, for every generator pair, the commutator
 replaces an out-of-order adjacent pair x_j x_i by x_i x_j + [x_j, x_i].
 Every right-hand-side term must carry at least one power of a
 deformation parameter (the CONTRACTING condition), so each correction
-strictly raises parameter degree and the worklist dies at the working
+strictly raises parameter degree and the worklist dies at the
 truncation order.
 """
 
@@ -181,10 +181,9 @@ normalize_tensor = normalize
 
 
 def presentation_jacobi_defect(table: RelationTable) -> dict:
-    """Normal form of the Jacobi cyclic sum for every generator triple,
-    truncated to the verification order, where it is exact; nonzero
-    entries only. An empty result certifies local confluence of the
-    rewriting through that order."""
+    """Normal form of the Jacobi cyclic sum for every generator triple;
+    nonzero entries only. An empty result certifies local confluence of
+    the rewriting through the table's order."""
     context = table.context
     n = len(context.basis)
     out = {}
@@ -198,7 +197,7 @@ def presentation_jacobi_defect(table: RelationTable) -> dict:
                     commutator(table.bracket_poly(i, j), gk, table)
                     + commutator(table.bracket_poly(j, k), gi, table)
                     + commutator(table.bracket_poly(k, i), gj, table)
-                ).truncate(context.order)
+                )
                 if total:
                     out[(i, j, k)] = total
     return out

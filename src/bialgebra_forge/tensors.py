@@ -422,22 +422,17 @@ class DeformationFamily:
 def build_family(
     mu_100, mu_001, delta_010, delta_001,
     param_names=("z1", "t", "z2", "h"),
-    target=None,
 ) -> DeformationFamily:
     """The two linear pencils of the construction, as one object.
 
-    param_names gives (z', t, z'', h). The returned tensors live over
-    the target (params, order) context, which must contain all four
-    names; by default the inputs' own context is reused.
+    param_names gives (z', t, z'', h), all four among the inputs'
+    parameters; the returned tensors live over the inputs' context.
     """
     report = check_four_pairs(mu_100, mu_001, delta_010, delta_001)
     if not report.ok:
         raise HypothesisError("four-pair hypothesis fails", report)
     zp, t, zpp, h = param_names
-    if target is None:
-        params, order = mu_100.params, mu_100.order
-    else:
-        params, order = tuple(target[0]), target[1]
+    params, order = mu_100.params, mu_100.order
     for name in param_names:
         if name not in params:
             raise InputError(f"family parameter {name!r} missing from context")
@@ -446,8 +441,7 @@ def build_family(
         mono = ScaleMonomial.parameter(params, pname)
         out = cls(tensor.basis, params, order)
         for key, value in tensor.entries.items():
-            shifted = value.substitute({}, (params, order))
-            out.entries[key] = mono.apply_to(shifted)
+            out.entries[key] = mono.apply_to(value)
         return out
 
     mu = lift(mu_001, BracketTensor, zp)

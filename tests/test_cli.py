@@ -91,6 +91,13 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
                          "--at", "z1=w")
     assert code == 2 and out == ""
     assert "tangent base values must be scalars" in err
+    # a nonzero value evaluates a truncated series: exact at no order
+    diag = _diagonal(tmp_path, capsys)
+    for argv in (["specialize", "@corrected", "--set", "z2=1"],
+                 ["tangent", str(diag), "--direction", "h", "--at", "z=1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "to 1: a truncated series is exact only at 0" in err
 
 
 def test_json_format_parses_and_reports(capsys):
@@ -207,8 +214,7 @@ def test_verdicts_do_not_depend_on_slack(tmp_path, capsys):
         return [line for line in out.splitlines() if line.startswith("[")]
 
     def defects(out):
-        # (check, verdict, detail without the location echoed at the
-        # working order)
+        # (check, verdict, detail without the echoed location)
         return [(c["check"], c["pass"], c["detail"].partition(" [")[0])
                 for c in json.loads(out)["checks"]]
 
@@ -251,9 +257,9 @@ def _tangent_expectation(out):
 
 def test_tangent_verdict_does_not_depend_on_slack(tmp_path, capsys):
     """A field is the first-power coefficient of its direction, exact
-    through order - 1 only: h*t^5 contributes t^5 at degree 5 = order
-    with slack 2 and nothing with slack 0. Compared through order - 1,
-    both documents match the field printed at slack 0."""
+    through order - 1 only: h*t^5 has degree 6, above the order, so it
+    contributes nothing at any slack, and both documents match the field
+    printed at slack 0."""
     diag = _diagonal(tmp_path, capsys)
     data = json.loads(diag.read_text())
     for item in data["presentation"]["brackets"]:
@@ -274,7 +280,51 @@ def test_tangent_verdict_does_not_depend_on_slack(tmp_path, capsys):
                            "--expect", str(expect))
         assert code == 0, (slack, out)
         assert "[pass] field matches expectation (exact)" in out
-        assert ("note: mu(l_x,l_y) = -t^5*l_y" in out) == (slack == 2)
+        assert "note: mu(l_x,l_y) = -t^5*l_y" not in out
+
+
+def test_check_lie_verdict_does_not_depend_on_slack(tmp_path, capsys):
+    """The Jacobi defect of [a,b] = t^3*b, [b,c] = t^3*a is t^6: above
+    order 5 at every slack, and a FAIL at order 6."""
+    data = {
+        "schema": "bialgebra-forge/1", "parameters": ["t"],
+        "generators": ["a", "b", "c"],
+        "compositions": {"mu": {"kind": "bracket", "entries": [
+            {"lower": ["a", "b"], "upper": "b", "coeff": "t^3"},
+            {"lower": ["b", "c"], "upper": "a", "coeff": "t^3"},
+        ]}},
+    }
+    for slack in (0, 1, 2):
+        data["settings"] = {"order": 5, "slack": slack}
+        path = tmp_path / f"lie{slack}.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "check", "lie", str(path))
+        assert code == 0 and "[pass] jacobi mu" in out, (slack, out)
+        code, out, _ = run(capsys, "check", "lie", str(path), "--order", "6")
+        assert code == 1 and "[FAIL] jacobi mu: (a,b,c,a): t^6" in out, (slack, out)
+
+
+def test_reports_do_not_depend_on_slack(tmp_path, capsys):
+    """Slack is only the parser's first-pass headroom: at slack 0 and 2
+    every line but the settings echo is the same, FAIL values and the
+    locations they echo included."""
+    altered = bf.load_bundled("corrected").to_dict()
+    coproducts = altered["presentation"]["coproducts"]
+    coproducts["p_y"] = coproducts["p_y"].replace("exp(-(z2/2)*p_x)", "cosh((z2/2)*p_x)")
+    corrected = bf.load_bundled("corrected").to_dict()
+    for doc, checks, flags in ((altered, ["hom", "coassoc"], []),
+                               (corrected, ["all"], ["--order", "8", "--cap", "16"])):
+        outs = []
+        for slack in (0, 2):
+            doc["settings"]["slack"] = slack
+            path = tmp_path / f"slack{slack}.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, "hopf", *checks, str(path), *flags)
+            assert code == 1, (checks, slack)
+            outs.append(out.splitlines())
+        changed = [(a, b) for a, b in zip(*outs) if a != b]
+        assert len(outs[0]) == len(outs[1]) and len(changed) == 1, checks
+        assert all(line.startswith("settings: ") for line in changed[0])
 
 
 def test_expand_verdict_does_not_depend_on_slack(tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_settings_defaults_and_overrides():
     assert doc.make_context().order == 5
     low = doc.make_context(order=3, cap=8, slack=1)
     assert (low.order, low.cap, low.slack) == (3, 8, 1)
-    assert low.working_order == 4
+    assert doc.composition_tensor("mu_100", low).order == 3
 
 
 def test_boundary_fixture_documents_load():

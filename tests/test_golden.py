@@ -17,12 +17,14 @@ reports, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff.
+which lists every case whose output changed and says whether its exit
+code or any verdict moved; then review the diff.
 """
 
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +42,7 @@ SETTINGS = {
     "o8c16": ["--order", "8", "--cap", "16"],
 }
 GRID = ("o5", "o6c12")   # settings every case runs at
+ORDER = {"o5": 5, "o6c12": 6, "o8c16": 8}
 FORMATS = ("text", "json")
 FIXTURES = ("h-field-at-z0", "t-field-at-z0", "h-field", "t-field")
 DIAGONAL = "z1=z,z2=z"
@@ -136,18 +139,85 @@ def test_golden_set_is_complete():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(c[0] for c in CASES)
 
 
+# a parameter of @corrected or of its diagonal, with an optional power
+_PARAM_FACTOR = re.compile(r"(?:t|h|z|z1|z2)(?:\^(\d+))?")
+
+
+def _max_param_degree(text: str) -> int:
+    """Highest total parameter degree of any product printed in text; a
+    product is a run of '*'-joined factors."""
+    best = 0
+    for product in re.split(r"[^\w^*/]+", text):
+        degree = 0
+        for factor in product.split("*"):
+            match = _PARAM_FACTOR.fullmatch(factor)
+            if match:
+                degree += int(match.group(1) or 1)
+        best = max(best, degree)
+    return best
+
+
+def test_max_param_degree_reads_products():
+    assert _max_param_degree("-i/645120*t*h^2*z2^7*p_x^7*l_y") == 10
+    assert _max_param_degree("(t^2*h^3*z2-t^2*h^3*z1)*l_z") == 6
+    assert _max_param_degree('"1/2*z^8*p_y (x) p_x", h') == 8
+    assert _max_param_degree("mu_111: (p_x,l_y)->i*l_z, order=6") == 0
+
+
+@pytest.mark.parametrize("case, setting", [c[::2] for c in CASES], ids=[c[0] for c in CASES])
+def test_golden_prints_nothing_above_the_order(case, setting):
+    """Every printed series is exact, so none carries a term above the
+    order, or above order - 1 for a tangent field."""
+    stdout = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))["stdout"]
+    order = ORDER[setting]
+    bound = order - 1 if case.startswith("tangent-") else order
+    assert _max_param_degree(stdout) <= bound
+
+
+def _verdicts(result) -> tuple:
+    """Exit code and verdicts of a result: each check's status and the
+    result line (text), or each (check, pass) pair and the overall pass
+    (JSON report)."""
+    stdout = result["stdout"]
+    if stdout.startswith("{"):
+        body, _ = json.JSONDecoder().raw_decode(stdout)
+        checks = [(c["check"], c["pass"]) for c in body.get("checks", [])]
+        return result["exit"], checks, body.get("pass")
+    lines = stdout.splitlines()
+    statuses = [line[:6] for line in lines if line.startswith("[")]
+    return result["exit"], statuses, [line for line in lines if line.startswith("result: ")]
+
+
 def _regenerate():
+    """Rewrite every golden file; print each case whose file changed and
+    whether its exit code or a verdict moved."""
     GOLDEN.mkdir(exist_ok=True)
+    current = {f"{c[0]}.json" for c in CASES}
     for stale in GOLDEN.glob("*.json"):
-        stale.unlink()
+        if stale.name not in current:
+            stale.unlink()
+            print(f"{stale.stem}: removed")
+    changed = moved = 0
     with tempfile.TemporaryDirectory() as scratch:
         paths = _prepare(Path(scratch))
         for case, argv, setting, fmt in CASES:
             result = _run(argv, setting, fmt, paths)
-            (GOLDEN / f"{case}.json").write_text(
-                json.dumps(result, indent=1) + "\n", encoding="utf-8"
-            )
-            print(f"{case}: exit {result['exit']}")
+            path = GOLDEN / f"{case}.json"
+            text = json.dumps(result, indent=1) + "\n"
+            old = path.read_text(encoding="utf-8") if path.exists() else None
+            if text == old:
+                continue
+            changed += 1
+            if old is None:
+                print(f"{case}: new, exit {result['exit']}")
+            elif _verdicts(json.loads(old)) == _verdicts(result):
+                print(f"{case}: changed, exit code and verdicts kept")
+            else:
+                moved += 1
+                print(f"{case}: changed, EXIT CODE OR VERDICT MOVED")
+            path.write_text(text, encoding="utf-8")
+    print(f"{changed} of {len(CASES)} cases changed; "
+          f"{moved} moved an exit code or a verdict")
 
 
 if __name__ == "__main__":

@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 import bialgebra_forge as bf
-from bialgebra_forge.errors import NonContractingError
+from bialgebra_forge.errors import InputError, NonContractingError
 from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly
 from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.rewrite import RelationTable
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import Basis
 
-from conftest import presentation3, presentation5
+from conftest import corrected_document, presentation3, presentation5
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
 
@@ -70,8 +70,8 @@ def test_hom_defect_localizes_coefficient_corruption():
 
 def test_defects_vanishing_at_high_order_vanish_truncated():
     # monotonicity of truncation: an order-5 pass implies an order-3 pass
-    high = bf.coproduct_hom_defect(presentation5(), order=5)
-    low = bf.coproduct_hom_defect(presentation5(), order=3)
+    high = bf.coproduct_hom_defect(presentation5())
+    low = bf.coproduct_hom_defect(presentation3())
     assert high.ok and low.ok
 
 
@@ -116,9 +116,10 @@ def test_antipode_on_abelian_cocommutative_specialization():
 
 
 def test_class_f_passes_on_reference_presentation():
-    H = presentation5()
-    table, _ = bf.solve_antipode(H, order=4)
-    report = bf.class_f_check(H, table, order=4)
+    doc = corrected_document()
+    H = doc.build_presentation(doc.make_context(order=4))
+    table, _ = bf.solve_antipode(H)
+    report = bf.class_f_check(H, table)
     assert report.ok
 
 
@@ -176,8 +177,8 @@ def test_four_parameter_table_is_diagonal_exact_beyond_order_5():
     assert set(trimmed) == {(P_X, P_Z, L_X), (P_X, P_Z, L_Y), (P_Y, P_Z, L_Y)}
     diag_ctx = ctx.with_params(("t", "h", "z"))
     images = {
-        "z1": ParamPoly.parameter(diag_ctx.params, diag_ctx.working_order, "z"),
-        "z2": ParamPoly.parameter(diag_ctx.params, diag_ctx.working_order, "z"),
+        "z1": ParamPoly.parameter(diag_ctx.params, diag_ctx.order, "z"),
+        "z2": ParamPoly.parameter(diag_ctx.params, diag_ctx.order, "z"),
     }
     for value in trimmed.values():
         # vanishing under z1 = z2 = z is divisibility by (z2 - z1)
@@ -224,9 +225,16 @@ def test_specializations_chain():
 
 
 def test_specialize_rejects_contracting_violation():
-    H = presentation5()
+    # a parameter-free relation term is rejected when the table is built
+    data = corrected_document().to_dict()
+    data["presentation"]["brackets"][0]["rhs"] += "+p_x"
+    doc = bf.Document.from_dict(data)
     with pytest.raises(NonContractingError):
-        bf.specialize(H, {"t": Scalar(1)})
+        doc.build_presentation(doc.make_context())
+    # a nonzero value is refused before any table is built: evaluated
+    # there, the truncated series is not exact
+    with pytest.raises(InputError, match="cannot specialize 't' to 1"):
+        bf.specialize(presentation5(), {"t": Scalar(1)})
 
 
 def test_specialize_commutes_with_hom_defect():
@@ -243,8 +251,8 @@ def test_specialize_commutes_with_hom_defect():
     routed = bf.coproduct_hom_defect(H)
     assert len(direct.items) == len(routed.items) == 1
     images = {
-        "z1": ParamPoly.parameter(spec.context.params, spec.context.working_order, "z"),
-        "z2": ParamPoly.parameter(spec.context.params, spec.context.working_order, "z"),
+        "z1": ParamPoly.parameter(spec.context.params, spec.context.order, "z"),
+        "z2": ParamPoly.parameter(spec.context.params, spec.context.order, "z"),
     }
     pushed = routed.items[0].value.substitute(images, spec.context)
     assert pushed.truncate(5) == direct.items[0].value

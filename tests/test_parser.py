@@ -39,8 +39,8 @@ def test_prefactor_division_expands_before_dividing():
         (lz,) * 3: (t * z2h * z2h).scale(sixth),
         (lz,) * 5: (t * z2h ** 4).scale(Scalar(Fraction(1, 120))),
     })
-    # the k=5 numerator term has degree 11 > working order, so the
-    # quotient stops at the l_z^5 term representable within slack
+    # the quotient is cut at the order: t*(z2*h)^2/6 on l_z^3 has degree
+    # 5 and stays, t*(z2*h)^4/120 on l_z^5 has degree 9 and goes
     assert p == NCPoly(CTX, {
         w: c for w, c in expected.terms.items() if len(w) <= 5
     })
@@ -48,12 +48,12 @@ def test_prefactor_division_expands_before_dividing():
 
 def test_division_beyond_slack_stays_exact_through_order():
     # dividing by z2*h costs two degrees; at slack 0 the expression is
-    # parsed again with slack 2 and cut back to the working order
+    # parsed again at order + 2 and cut back to the order
     text = "(t/(z2*h))*sinh(z2*h*l_z)"
     narrow = replace(CTX, slack=0)
     p = parse_expr(text, narrow)
     assert p.context == narrow
-    assert all(c.order == narrow.working_order for c in p.terms.values())
+    assert all(c.order == narrow.order for c in p.terms.values())
     want = parse_expr(text, CTX).truncate(CTX.order)
     assert {w: c.terms for w, c in p.truncate(CTX.order).terms.items()} == {
         w: c.terms for w, c in want.terms.items()
@@ -66,7 +66,7 @@ def test_tensor_expression_for_coproduct():
     assert isinstance(p, TensorNCPoly)
     px, py = IDX["p_x"], IDX["p_y"]
     half = Scalar(Fraction(1, 2))
-    for k in range(CTX.working_order + 1):
+    for k in range(CTX.order + 1):
         left = p.terms.get(((px,) * k, (py,)))
         want = (CTX.param_poly("z2").scale(-half) ** k).scale(
             Scalar(Fraction(1, _fact(k)))

@@ -86,8 +86,8 @@ def test_presentation_jacobi_zero():
 
 
 def test_presentation_jacobi_is_exact_through_the_order():
-    # the cyclic sums of @corrected carry terms of degree 6 and 7 at the
-    # working order 7; only what is exact through order 5 is returned
+    # the cyclic sums of @corrected start at degree 6, above order 5,
+    # where the table carries nothing
     assert presentation_jacobi_defect(REL5) == {}
 
 
@@ -192,8 +192,8 @@ def test_reported_values_do_not_depend_on_slack():
 def test_substitution_commutes_with_normalize():
     target = CTX5.with_params(("t", "h", "z"))
     images = {
-        "z1": bf.ParamPoly.parameter(target.params, target.working_order, "z"),
-        "z2": bf.ParamPoly.parameter(target.params, target.working_order, "z"),
+        "z1": bf.ParamPoly.parameter(target.params, target.order, "z"),
+        "z2": bf.ParamPoly.parameter(target.params, target.order, "z"),
     }
     sub_rel = REL5.substitute(images, target)
     for word in [(L_Z, L_X), (P_Z, P_X, L_X), (L_Y, L_X, L_Z), (P_Z, L_Y)]:

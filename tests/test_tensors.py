@@ -46,23 +46,23 @@ def test_antisymmetry_single_orientation_storage(comps):
 
 
 def test_antisymmetry_both_orientations_consistent(ctx):
-    mu = BracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    mu = BracketTensor(ctx.basis, ctx.params, ctx.order, {
         (L_Y, L_X, L_Y): ONE, (L_X, L_Y, L_Y): -ONE,
     })
     assert antisymmetry_defect(mu) == {}
 
 
 def test_antisymmetry_violation_reported(ctx):
-    mu = BracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    mu = BracketTensor(ctx.basis, ctx.params, ctx.order, {
         (P_Z, P_X, P_Y): I, (P_X, P_Z, P_Y): I,
     })
     defect = antisymmetry_defect(mu)
-    zero = ParamPoly.const(ctx.params, ctx.working_order, 2 * I)
+    zero = ParamPoly.const(ctx.params, ctx.order, 2 * I)
     assert defect == {(P_X, P_Z, P_Y): zero}
 
 
 def test_antisymmetry_zero_tensor(ctx):
-    mu = BracketTensor(ctx.basis, ctx.params, ctx.working_order)
+    mu = BracketTensor(ctx.basis, ctx.params, ctx.order)
     assert antisymmetry_defect(mu) == {}
 
 
@@ -84,7 +84,7 @@ def _corrupted_mu001(ctx):
     # (p_x, p_y, p_z): the cyclic sum leaves -i p_y. (Adding the
     # spec-suggested [p_y, p_z] = p_x instead still yields a Lie
     # bracket; the brute-force oracle confirms its defect is zero.)
-    return BracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    return BracketTensor(ctx.basis, ctx.params, ctx.order, {
         (P_Z, P_X, P_Y): I, (P_Z, P_Y, P_Z): ONE,
     })
 
@@ -100,7 +100,7 @@ def test_jacobi_detects_corruption(ctx, comps):
 
 
 def test_cojacobi_detects_corruption(ctx):
-    delta = CobracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    delta = CobracketTensor(ctx.basis, ctx.params, ctx.order, {
         (P_Y, P_X, P_Y): Scalar(Fraction(-1, 2)),
         (P_Z, P_X, P_Z): Scalar(Fraction(-1, 2)),
         (P_X, P_Y, P_Z): ONE,
@@ -187,7 +187,7 @@ def test_cocycle_all_pairs_zero_for_initial_pair(comps):
 
 
 def test_cocycle_detects_corruption(ctx, comps):
-    delta = CobracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    delta = CobracketTensor(ctx.basis, ctx.params, ctx.order, {
         (L_X, L_Z, L_Y): I, (P_Y, L_Y, L_Z): ONE,
     })
     assert cocycle_defect(comps["mu_100"], delta)
@@ -199,7 +199,7 @@ def test_both_orientations_count_once(ctx, comps):
     small = BracketTensor(ctx.basis, (), 0, {(0, 1, 2): 1, (1, 0, 2): -1})
     assert small.bracket(0, 1) == {2: small.value(0, 1, 2)}
     mu = comps["mu_100"]
-    both = BracketTensor(ctx.basis, ctx.params, ctx.working_order, mu.entries)
+    both = BracketTensor(ctx.basis, ctx.params, ctx.order, mu.entries)
     for (i, j, k), value in mu.entries.items():
         if (j, i, k) not in mu.entries:
             both.set_entry((j, i, k), -value)
@@ -207,7 +207,7 @@ def test_both_orientations_count_once(ctx, comps):
     n = len(ctx.basis)
     for i, j in product(range(n), repeat=2):
         assert both.bracket(i, j) == mu.bracket(i, j), (i, j)
-    delta = CobracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    delta = CobracketTensor(ctx.basis, ctx.params, ctx.order, {
         (L_X, L_Z, L_Y): I, (P_Y, L_Y, L_Z): ONE,
     })
     assert cocycle_defect(mu, delta)
@@ -226,13 +226,13 @@ def test_four_pairs_pass(comps):
 
 
 def test_four_pairs_all_zero_tensors_pass(ctx):
-    zero_mu = BracketTensor(ctx.basis, ctx.params, ctx.working_order)
-    zero_delta = CobracketTensor(ctx.basis, ctx.params, ctx.working_order)
+    zero_mu = BracketTensor(ctx.basis, ctx.params, ctx.order)
+    zero_delta = CobracketTensor(ctx.basis, ctx.params, ctx.order)
     assert check_four_pairs(zero_mu, zero_mu, zero_delta, zero_delta).ok
 
 
 def test_four_pairs_sign_flip_localizes_to_delta001_pairs(ctx, comps):
-    flipped = CobracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    flipped = CobracketTensor(ctx.basis, ctx.params, ctx.order, {
         (P_Y, P_X, P_Y): Scalar(Fraction(1, 2)),
         (P_Z, P_X, P_Z): Scalar(Fraction(-1, 2)),
     })
@@ -256,8 +256,8 @@ def test_family_entries(comps, ctx):
         comps["mu_100"], comps["mu_001"], comps["delta_010"], comps["delta_001"],
         param_names=("z1", "t", "z2", "h"),
     )
-    z1 = ParamPoly.parameter(ctx.params, ctx.working_order, "z1")
-    t = ParamPoly.parameter(ctx.params, ctx.working_order, "t")
+    z1 = ParamPoly.parameter(ctx.params, ctx.order, "z1")
+    t = ParamPoly.parameter(ctx.params, ctx.order, "t")
     assert family.mu.value(P_Z, P_X, P_Y) == z1.scale(I)
     assert family.mu.value(L_Y, L_X, L_Y) == t
     assert cocycle_defect(family.mu, family.delta) == {}
@@ -270,15 +270,15 @@ def test_family_specializes_to_pencil_ends(comps, ctx):
     )
     zero = Scalar(0)
     images = {
-        "z1": ParamPoly.const(ctx.params, ctx.working_order, zero),
-        "z2": ParamPoly.const(ctx.params, ctx.working_order, zero),
+        "z1": ParamPoly.const(ctx.params, ctx.order, zero),
+        "z2": ParamPoly.const(ctx.params, ctx.order, zero),
     }
     mu_end = family.mu.substitute(images)
-    t = ParamPoly.parameter(ctx.params, ctx.working_order, "t")
+    t = ParamPoly.parameter(ctx.params, ctx.order, "t")
     for (i, j, k), value in comps["mu_100"].entries.items():
         assert mu_end.value(i, j, k) == value * t
     delta_end = family.delta.substitute(images)
-    h = ParamPoly.parameter(ctx.params, ctx.working_order, "h")
+    h = ParamPoly.parameter(ctx.params, ctx.order, "h")
     for (i, j, k), value in comps["delta_010"].entries.items():
         assert delta_end.value(i, j, k) == value * h
 
@@ -302,7 +302,7 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
 
     def lift(tensor, cls, pname):
         mono = ScaleMonomial.parameter(ctx.params, pname)
-        out = cls(ctx.basis, ctx.params, ctx.working_order)
+        out = cls(ctx.basis, ctx.params, ctx.order)
         for key, value in tensor.entries.items():
             out.set_entry(key, mono.apply_to(value))
         return out
@@ -340,7 +340,7 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
 def test_uniform_rescale_multiplies_constants(comps, ctx):
     scale = ScaleMonomial.parameter(ctx.params, "t")
     scaled = rescale_basis(comps["mu_100"], [scale] * 6)
-    t = ParamPoly.parameter(ctx.params, ctx.working_order, "t")
+    t = ParamPoly.parameter(ctx.params, ctx.order, "t")
     for key, value in comps["mu_100"].entries.items():
         assert scaled.entries[key] == value * t
 
@@ -371,7 +371,7 @@ def test_rescale_cocycle_covariance(comps, ctx):
     per-entry factor s_i s_j / (s_a s_b)."""
     scales = [Scalar(2), Scalar(3), Scalar(5), Scalar(7), Scalar(11), Scalar(13)]
     mu = comps["mu_100"]
-    delta = CobracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    delta = CobracketTensor(ctx.basis, ctx.params, ctx.order, {
         (L_X, L_Z, L_Y): I, (P_Y, L_Y, L_Z): ONE,
     })
     base = cocycle_defect(mu, delta)
@@ -392,7 +392,7 @@ def test_substitution_commutes_with_defects(comps, ctx):
         comps["mu_100"], _safe_mu001(ctx), comps["delta_010"], comps["delta_001"],
         param_names=("z1", "t", "z2", "h"),
     )
-    target = (("t", "h", "z"), ctx.working_order)
+    target = (("t", "h", "z"), ctx.order)
     images = {
         "z1": ParamPoly.parameter(target[0], target[1], "z"),
         "z2": ParamPoly.parameter(target[0], target[1], "z"),
@@ -411,6 +411,6 @@ def test_substitution_commutes_with_defects(comps, ctx):
 
 
 def _safe_mu001(ctx):
-    return BracketTensor(ctx.basis, ctx.params, ctx.working_order, {
+    return BracketTensor(ctx.basis, ctx.params, ctx.order, {
         (P_Z, P_X, P_Y): I,
     })
