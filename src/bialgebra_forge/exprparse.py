@@ -80,7 +80,13 @@ def _lex(text: str):
             start = pos
             while pos < n and text[pos].isdigit():
                 pos += 1
-            tokens.append(_Token("NUMBER", int(text[start:pos]), start))
+            try:
+                value = int(text[start:pos])
+            except ValueError:  # past the interpreter's digit limit
+                raise ExprSyntaxError(
+                    f"numeric literal of {pos - start} digits is too long", start
+                ) from None
+            tokens.append(_Token("NUMBER", value, start))
             continue
         if ch.isalpha() or ch == "_":
             start = pos

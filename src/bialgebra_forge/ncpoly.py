@@ -251,9 +251,18 @@ class NCPoly(_Terms):
         return cls(context, {(): coeff})
 
     def __pow__(self, n: int):
+        """A coefficient (only the empty word) is raised by squaring; a
+        word polynomial takes one factor at a time, so a word past the
+        cap raises, and stops once the product is zero."""
+        if self.terms.keys() <= {()}:
+            return NCPoly.from_coeff(self.context, self.coefficient(()) ** n)
+        if n < 0:
+            raise InputError(f"negative power {n} of a polynomial")
         out = NCPoly.unit(self.context)
         for _ in range(n):
             out = out * self
+            if not out:
+                break
         return out
 
     def coefficient(self, word) -> ParamPoly:

@@ -9,14 +9,15 @@ the coefficient ring, so sums and products are exact through N.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import InexactDivisionError, InputError
 from .scalars import ONE, Scalar, ZERO, format_scalar
 from .sparse import accumulate
 
 
-def _degree(exps) -> int:
-    return sum(exps)
+_degree = sum   # total degree of an exponent vector
+_new = object.__new__
 
 
 class ParamPoly:
@@ -54,7 +55,12 @@ class ParamPoly:
         return cls(params, order, {exps: ONE})
 
     def _like(self, terms):
-        return ParamPoly(self.params, self.order, terms)
+        """A polynomial in this context holding terms as they are: every
+        caller yields nonzero coefficients within the order, so only the
+        public constructor filters."""
+        out = _new(ParamPoly)
+        out.params, out.order, out.terms = self.params, self.order, terms
+        return out
 
     def _check(self, other):
         if self.params != other.params or self.order != other.order:
@@ -80,13 +86,13 @@ class ParamPoly:
             return self.scale(other)
         self._check(other)
         order = self.order
+        right = [(e2, c2, _degree(e2)) for e2, c2 in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            d1 = _degree(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + _degree(e2) > order:
-                    continue
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            room = order - _degree(e1)
+            for e2, c2, d2 in right:
+                if d2 <= room:
+                    accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
         return self._like(out)
 
     def scale(self, coeff: Scalar):
@@ -95,9 +101,16 @@ class ParamPoly:
         return self._like({e: c * coeff for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise InputError(f"negative power {n} of a polynomial")
         out = ParamPoly.const(self.params, self.order, ONE)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- structure -----------------------------------------------------------

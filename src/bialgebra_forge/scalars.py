@@ -4,28 +4,48 @@ Every coefficient in the engine is an element of Q(i): a complex number
 a + b*i with arbitrary-precision rational real and imaginary parts.
 Keeping the field exact is what makes "defect == 0" a decidable question;
 no floating point is allowed anywhere downstream of this module.
+
+A Scalar stores (a + b*i)/d as one integer triple with d > 0 and
+gcd(a, b, d) = 1. That form is canonical, so equality is structural, and
+each operation is integer arithmetic plus one gcd.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
+
+from .errors import InputError
 
 
 class Scalar:
-    """A Gaussian rational a + b*i with Fraction components.
+    """A Gaussian rational (a + b*i)/d, reduced, with d > 0.
 
-    Instances are immutable by convention and hashable; Fraction keeps
-    both parts reduced, so equality is canonical.
+    Instances are immutable by convention and hashable; `re` and `im`
+    read the parts as Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            p, q = re.denominator, im.denominator
+            # over the lcm of two reduced denominators the triple is reduced
+            d = p // gcd(p, q) * q
+            a, b = re.numerator * (d // p), im.numerator * (d // q)
+        self._a, self._b, self._d = a, b, d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __reduce__(self):
         return (Scalar, (self.re, self.im))
@@ -33,42 +53,49 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei)*f / (d*(c^2+e^2))
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -85,18 +112,21 @@ class Scalar:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is Scalar:
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
         # a real value hashes like its re, as it compares equal to it
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        if self._b:
+            return hash((self.re, self.im))
+        return hash(self._a) if self._d == 1 else hash(self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def is_zero(self) -> bool:
         return not self
@@ -108,6 +138,20 @@ class Scalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The Scalar (a + b*i)/d for d > 0, reduced by one gcd; bypasses
+    the parsing in __init__."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    s = _new(Scalar)
+    s._a, s._b, s._d = a, b, d
+    return s
 
 
 def _coerce(value) -> Scalar:
@@ -124,8 +168,21 @@ I = Scalar(0, 1)
 MINUS_ONE = Scalar(-1)
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n; a number past the interpreter's conversion
+    limit is an input error, as only a hostile document produces one."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(
+            f"a coefficient has more than {limit} decimal digits, too many to print"
+        ) from None
+
+
 def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 def _imag_str(q: Fraction) -> str:
@@ -133,15 +190,15 @@ def _imag_str(q: Fraction) -> str:
     num, den = q.numerator, q.denominator
     sign = "-" if num < 0 else ""
     num = abs(num)
-    head = "i" if num == 1 else f"{num}*i"
-    return f"{sign}{head}" if den == 1 else f"{sign}{head}/{den}"
+    head = "i" if num == 1 else f"{_int_str(num)}*i"
+    return f"{sign}{head}" if den == 1 else f"{sign}{head}/{_int_str(den)}"
 
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form, accepted back by the expression grammar."""
-    if s.im == 0:
+    if not s._b:
         return _frac_str(s.re)
-    if s.re == 0:
+    if not s._a:
         return _imag_str(s.im)
     im = _imag_str(s.im)
     joiner = "" if im.startswith("-") else "+"

@@ -78,6 +78,20 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "hopf", "jacobi", str(path))
     assert code == 2 and out == ""
     assert "nested more than" in err
+    # numbers past the interpreter's digit limit: a literal the lexer
+    # cannot convert, and a coefficient the report cannot print
+    for rhs, message in (
+        ("1" * 5000 + "*t*p_y", "numeric literal of 5000 digits is too long"),
+        ("2^15000*t*p_y", "a coefficient has more than"),
+    ):
+        data = bf.load_bundled("corrected").to_dict()
+        data["presentation"]["brackets"][0]["rhs"] = rhs
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "hopf", "all", str(path))
+        assert code == 2 and out == "", rhs
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
     # expand bounds that are not integers, and one parameter in two roles
     for flag, value, message in (
         ("--up-to", "x,1,1", "--up-to needs three integer exponent bounds"),
@@ -98,6 +112,17 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "to 1: a truncated series is exact only at 0" in err
+
+
+def test_huge_power_of_a_vanishing_term(tmp_path, capsys):
+    # (t*p_y)^n is zero past the order, so [p_x,p_y] stays 0 for any n
+    data = bf.load_bundled("corrected").to_dict()
+    data["presentation"]["brackets"][0]["rhs"] = "(t*p_y)^100000000"
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "hopf", "all", str(path))
+    _, expected, _ = run(capsys, "hopf", "all", "@corrected")
+    assert code == 0 and out == expected
 
 
 def test_json_format_parses_and_reports(capsys):

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from bialgebra_forge.errors import (
     CapExceededError, InexactDivisionError, InputError, NonTerminatingSeriesError,
 )
 from bialgebra_forge.ncpoly import (
-    Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor,
+    Context, NCPoly, TensorNCPoly, _series_coeffs, divide_param, series_apply, tensor,
 )
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import Basis
@@ -84,6 +85,18 @@ def test_sinh_expansion_matches_taylor_oracle():
         if k <= CTX.order:
             expected[(C,) * k] = (CTX.param_poly("u") ** k).scale(sinh_coeff(k))
     assert got == NCPoly(CTX, expected)
+
+
+@pytest.mark.parametrize("fn", ["exp", "sinh", "cosh"])
+def test_series_coefficients_match_sympy(fn):
+    x = sympy.Symbol("x")
+    taylor = sympy.series(getattr(sympy, fn)(x), x, 0, 13).removeO()
+    expected = {}
+    for k in range(13):
+        c = taylor.coeff(x, k)
+        if c:
+            expected[k] = Scalar(Fraction(int(c.p), int(c.q)))
+    assert dict(_series_coeffs(fn, 12)) == expected
 
 
 def test_exp_of_zero_is_unit():
@@ -165,3 +178,30 @@ def test_truncate_acts_on_coefficients():
     p = NCPoly(CTX, {(A,): CTX.param_poly("u") ** 3 + CTX.param_poly("v")})
     cut = p.truncate(1)
     assert cut == NCPoly(CTX, {(A,): CTX.param_poly("v")})
+
+
+# -- powers -------------------------------------------------------------------------
+
+
+def test_negative_power_is_an_input_error():
+    for p in (param("u"), gen(A)):
+        with pytest.raises(InputError, match="negative power"):
+            p ** -1
+
+
+def test_powers_match_repeated_products():
+    for p in (param("u") + NCPoly.from_scalar(CTX, I), gen(A) + param("v") * gen(B)):
+        expected = NCPoly.unit(CTX)
+        for n in range(5):
+            assert p ** n == expected
+            expected = expected * p
+    assert NCPoly.zero(CTX) ** 0 == NCPoly.unit(CTX)
+    assert NCPoly.zero(CTX) ** 3 == NCPoly.zero(CTX)
+
+
+def test_word_power_stops_once_zero():
+    # u*a has parameter degree k in its k-th power: zero past the order,
+    # before the word reaches the cap, however large the exponent
+    assert (param("u") * gen(A)) ** 100000000 == NCPoly.zero(CTX)
+    with pytest.raises(CapExceededError):
+        gen(A) ** 9

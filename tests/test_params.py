@@ -1,7 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from bialgebra_forge.errors import InexactDivisionError
+from bialgebra_forge.errors import InexactDivisionError, InputError
 from bialgebra_forge.params import ParamPoly, ScaleMonomial
 from bialgebra_forge.scalars import I, ONE, Scalar
 
@@ -124,3 +128,73 @@ def test_truncate_is_monotone(p):
     assert p.truncate(ORDER) == p
     lower = p.truncate(2)
     assert all(sum(e) <= 2 for e in lower.terms)
+
+
+# -- independent oracle: sympy polynomials truncated at the order ----------------
+
+SYMBOLS = sympy.symbols(PARAMS)
+
+
+def terms_of(p: ParamPoly) -> dict:
+    """{exponent vector: (re, im)} of p, as sympy rationals."""
+    return {e: (sympy.Rational(c.re), sympy.Rational(c.im)) for e, c in p.terms.items()}
+
+
+def to_sympy(p: ParamPoly):
+    return sum(
+        (re + sympy.I * im) * sympy.Mul(*(s ** k for s, k in zip(SYMBOLS, exps)))
+        for exps, (re, im) in terms_of(p).items()
+    )
+
+
+def truncated_terms(expr) -> dict:
+    """{exponent vector: (re, im)} of the expanded expr through ORDER."""
+    if expr == 0:
+        return {}
+    out = {}
+    for exps, c in sympy.Poly(sympy.expand(expr), *SYMBOLS).terms():
+        if sum(exps) <= ORDER and c != 0:
+            out[exps] = (sympy.re(c), sympy.im(c))
+    return out
+
+
+@given(polys, polys)
+@settings(max_examples=40, deadline=None)
+def test_product_matches_sympy_truncated(a, b):
+    assert terms_of(a * b) == truncated_terms(to_sympy(a) * to_sympy(b))
+
+
+def test_product_oracle_on_seeded_dense_polynomials():
+    rng = random.Random(7)
+
+    def dense():
+        terms = {}
+        for _ in range(12):
+            exps = tuple(rng.randint(0, 3) for _ in PARAMS)
+            c = Scalar(Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+                       Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+            terms[exps] = c
+        return poly(terms)
+
+    for _ in range(10):
+        a, b = dense(), dense()
+        assert terms_of(a * b) == truncated_terms(to_sympy(a) * to_sympy(b))
+
+
+# -- powers -------------------------------------------------------------------
+
+
+def test_negative_power_is_an_input_error():
+    t = ParamPoly.parameter(("t",), 5, "t")
+    with pytest.raises(InputError, match="negative power"):
+        t ** -1
+
+
+def test_powers_by_squaring_match_repeated_products():
+    p = const(Scalar(1, 1)) + mono("t").scale(Scalar(Fraction(1, 2))) + mono("h")
+    expected = const(ONE)
+    for n in range(9):
+        assert p ** n == expected
+        expected = expected * p
+    assert mono("t") ** 100000000 == poly({})
+    assert const(Scalar(2)) ** 40 == const(Scalar(2 ** 40))

@@ -1,7 +1,9 @@
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from bialgebra_forge.scalars import I, ONE, Scalar, ZERO, format_scalar
 from bialgebra_forge.exprparse import parse_scalar_text
@@ -74,3 +76,73 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
     if b:
         assert (a / b) * b == a
+
+
+# -- independent oracle: sympy's exact Gaussian rationals ----------------------
+
+nonzero_scalars = scalars.filter(bool)
+
+
+def to_sympy(s: Scalar):
+    return sympy.Rational(s.re) + sympy.I * sympy.Rational(s.im)
+
+
+def agrees(s: Scalar, expr) -> bool:
+    """s equals the sympy number expr, read as re + im*i."""
+    expr = sympy.expand_complex(expr)
+    return to_sympy(s) == sympy.re(expr) + sympy.I * sympy.im(expr)
+
+
+def assert_canonical(s: Scalar):
+    """s is stored in lowest terms with a positive denominator: rebuilt
+    from its reduced parts it is equal and hashes equal (equality is
+    structural), and it pickles back to itself."""
+    assert isinstance(s.re, Fraction) and isinstance(s.im, Fraction)
+    rebuilt = Scalar(s.re, s.im)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == hash(s)
+    if not s.im:
+        assert s == s.re and hash(s) == hash(s.re)
+        if s.re.denominator == 1:
+            assert s == s.re.numerator and hash(s) == hash(s.re.numerator)
+    else:
+        assert s != s.re and s != s.re.numerator
+
+
+@given(scalars, scalars)
+@settings(max_examples=80)
+def test_field_operations_match_sympy(a, b):
+    x, y = to_sympy(a), to_sympy(b)
+    for got, expected in ((a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)):
+        assert_canonical(got)
+        assert agrees(got, expected)
+    if b:
+        assert_canonical(a / b)
+        assert agrees(a / b, x / y)
+
+
+@given(nonzero_scalars, st.integers(-4, 6))
+@settings(max_examples=60)
+def test_powers_match_sympy(a, n):
+    got = a ** n
+    assert_canonical(got)
+    assert agrees(got, to_sympy(a) ** n)
+
+
+@pytest.mark.parametrize("value", [0, 1, -7, Fraction(3, 4), Fraction(-5, 6)])
+def test_real_values_compare_and_hash_like_their_numbers(value):
+    s = Scalar(value)
+    assert_canonical(s)
+    assert s == value and hash(s) == hash(value)
+    assert Scalar(value) + Scalar(0, 1) != value
+
+
+def test_scalars_with_common_factors_reduce():
+    # (2 + 2i)/4 and (1 + i)/2 are one element; so are 1/2 + 1/2 and 1
+    half = Scalar(Fraction(1, 2))
+    assert half + half == ONE and hash(half + half) == hash(1)
+    assert Scalar(Fraction(1, 2), Fraction(1, 2)) * Scalar(2) == Scalar(1, 1)
+    assert Scalar(1, 1) / Scalar(2, 2) == half
+    for s in (half + half, Scalar(1, 1) / Scalar(2, 2), Scalar(0, 1) / Scalar(0, -3)):
+        assert_canonical(s)
