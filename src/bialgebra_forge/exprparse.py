@@ -21,7 +21,9 @@ to the context's order, through which it is exact.
 '(x)' is always read as the tensor-join token, never as a parenthesised
 identifier.
 Parentheses, function calls and unary minus nest at most MAX_NESTING
-levels deep; deeper input is a syntax error.
+levels deep; deeper input is a syntax error. A power whose constant term
+would outgrow the digits a coefficient may print is an input error,
+raised before the power is computed (scalars.check_power).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import replace
 
 from .errors import ExprSyntaxError, UnknownIdentifierError
 from .ncpoly import Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor
-from .scalars import I, ONE, Scalar
+from .scalars import I, ONE, ZERO, Scalar, check_power
 
 _FUNCTIONS = ("exp", "sinh", "cosh")
 # deepest nesting of parentheses, function calls and unary minus; deeper
@@ -277,6 +279,7 @@ class Parser:
                 ntok = self._expect("NUMBER")
                 if value.is_tensor():
                     self._fail("'^' cannot raise tensor expressions", ntok)
+                check_power(self._constant_term(value), ntok.value)
                 value = _Value(value.poly ** ntok.value, {
                     name: power * ntok.value for name, power in value.den.items()
                 })
@@ -285,6 +288,12 @@ class Parser:
                 value = self._division(value)
             else:
                 return value
+
+    def _constant_term(self, value: _Value) -> Scalar:
+        """The coefficient of the empty word and of no parameter in the
+        value, its pending division applied."""
+        exps = tuple(value.den.get(name, 0) for name in self.context.params)
+        return value.poly.coefficient(()).terms.get(exps, ZERO)
 
     def _division(self, value: _Value) -> _Value:
         tok = self._peek()

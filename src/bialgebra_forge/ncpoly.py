@@ -25,6 +25,8 @@ from .scalars import ONE, Scalar
 from .sparse import accumulate
 from .tensors import Basis
 
+_new = object.__new__
+
 
 @dataclass(frozen=True)
 class Context:
@@ -89,6 +91,16 @@ class _Terms:
         self.context = context
         self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
+    def _like(self, terms, context=None):
+        """A value of this kind over context (default: this one) holding
+        terms as they are: sums, products and normal forms yield only
+        nonzero coefficients, so only the public constructors and
+        map_coeffs filter."""
+        out = _new(type(self))
+        out.context = self.context if context is None else context
+        out.terms = terms
+        return out
+
     # -- linear structure ------------------------------------------------------
 
     def _same_arity(self, other):
@@ -117,7 +129,9 @@ class _Terms:
     def map_coeffs(self, fn, context: Context = None):
         """fn applied to every coefficient; the result lives over context
         (default: this one)."""
-        return self._like({k: fn(c) for k, c in self.terms.items()}, context)
+        return self._like(
+            {k: v for k, c in self.terms.items() if (v := fn(c))}, context
+        )
 
     # -- free multiplication ----------------------------------------------------
 
@@ -223,9 +237,6 @@ class NCPoly(_Terms):
     def _key(words):
         return words[0]
 
-    def _like(self, terms, context=None):
-        return NCPoly(self.context if context is None else context, terms)
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -292,9 +303,9 @@ class TensorNCPoly(_Terms):
         return words
 
     def _like(self, terms, context=None):
-        return TensorNCPoly(
-            self.context if context is None else context, self.arity, terms
-        )
+        out = super()._like(terms, context)
+        out.arity = self.arity
+        return out
 
     @classmethod
     def zero(cls, context, arity):
@@ -322,9 +333,13 @@ class TensorNCPoly(_Terms):
 
 def outer(factors, coeff=None) -> dict:
     """Terms of coeff * (f1 (x) f2 (x) ...) for NCPoly factors, keyed by
-    tuples of words; coeff None stands for 1."""
+    tuples of words; coeff None stands for 1, and a factor given as a
+    bare word stands for that word with coefficient 1."""
     partial = {(): coeff}
     for factor in factors:
+        if type(factor) is tuple:
+            partial = {done + (factor,): c for done, c in partial.items()}
+            continue
         grown = {}
         for done, c in partial.items():
             for w, cw in factor.terms.items():

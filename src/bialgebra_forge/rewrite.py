@@ -6,7 +6,8 @@ replaces an out-of-order adjacent pair x_j x_i by x_i x_j + [x_j, x_i].
 Every right-hand-side term must carry at least one power of a
 deformation parameter (the CONTRACTING condition), so each correction
 strictly raises parameter degree and the worklist dies at the
-truncation order.
+truncation order. A sorted word has no out-of-order pair, so it is its
+own normal form: normalize passes it through untouched.
 """
 
 from __future__ import annotations
@@ -164,10 +165,15 @@ def normal_form_word(table: RelationTable, word, choose=None) -> NCPoly:
 
 
 def normalize(a, table: RelationTable, choose=None):
-    """Normal form of an NCPoly, or of each factor of a TensorNCPoly."""
+    """Normal form of an NCPoly, or of each factor of a TensorNCPoly. A
+    sorted factor word is irreducible, so it passes through as it is,
+    with no rewriting and no coefficient product, whatever `choose` is."""
     out = {}
     for key, coeff in a.terms.items():
-        factors = [normal_form_word(table, w, choose) for w in a._factors(key)]
+        factors = [
+            w if _first_descent(w) is None else normal_form_word(table, w, choose)
+            for w in a._factors(key)
+        ]
         for words, c in outer(factors, coeff).items():
             accumulate(out, a._key(words), c)
     return a._like(out)

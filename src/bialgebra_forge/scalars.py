@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 
 from .errors import InputError
 
@@ -178,6 +178,30 @@ def _int_str(n: int) -> str:
         raise InputError(
             f"a coefficient has more than {limit} decimal digits, too many to print"
         ) from None
+
+
+def check_power(base: Scalar, n: int) -> None:
+    """Raise InputError, before base**n is computed, when some part of it
+    would have more decimal digits than format_scalar can print.
+
+    Write base = beta/delta in lowest terms over the Gaussian integers.
+    Its height h = log10 max(|beta|, |delta|) obeys h(base**n) = n*h(base),
+    and it is 0 exactly at 0, 1, -1, i and -i, whose powers never grow.
+    The height of a sum is at most the sum of the heights plus log10(2),
+    so a value of height h prints its real or its imaginary part with a
+    numerator or denominator of at least 10**((h - log10(2))/2); with
+    that, and one digit of margin, this rejects only powers that could
+    not be printed. An interpreter with no digit limit rejects none.
+    """
+    limit = sys.get_int_max_str_digits()
+    norm, d = base._a ** 2 + base._b ** 2, base._d
+    # the common factor of a + b*i and d has norm gcd(norm, d)
+    height = log10(max(norm, d * d) // gcd(norm, d)) / 2
+    if limit and height and n > (2 * limit + 1) / height:
+        raise InputError(
+            f"a power would give a coefficient of more than {limit} decimal "
+            "digits, too many to print"
+        )
 
 
 def _frac_str(q: Fraction) -> str:

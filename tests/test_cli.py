@@ -1,4 +1,5 @@
 import json
+import math
 
 import bialgebra_forge as bf
 from bialgebra_forge import cli
@@ -79,10 +80,15 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "nested more than" in err
     # numbers past the interpreter's digit limit: a literal the lexer
-    # cannot convert, and a coefficient the report cannot print
+    # cannot convert, a coefficient the report cannot print, and powers
+    # whose constant term would outgrow the limit, refused before they
+    # are computed (each would take seconds)
     for rhs, message in (
         ("1" * 5000 + "*t*p_y", "numeric literal of 5000 digits is too long"),
         ("2^15000*t*p_y", "a coefficient has more than"),
+        ("2^30000000*t*p_y", "a power would give a coefficient of more than"),
+        ("((3+4*i)/5)^200000*t*p_y", "a power would give a coefficient of more than"),
+        ("(2*t/t)^30000000*t*p_y", "a power would give a coefficient of more than"),
     ):
         data = bf.load_bundled("corrected").to_dict()
         data["presentation"]["brackets"][0]["rhs"] = rhs
@@ -123,6 +129,27 @@ def test_huge_power_of_a_vanishing_term(tmp_path, capsys):
     code, out, _ = run(capsys, "hopf", "all", str(path))
     _, expected, _ = run(capsys, "hopf", "all", "@corrected")
     assert code == 0 and out == expected
+
+
+def test_huge_powers_of_units_and_roots_of_unity(tmp_path, capsys):
+    # a constant term 1, -1 or i never grows, so these powers are computed
+    # and read exactly like the series they stand for
+    n = 10 ** 9
+    binomial = "+".join(f"{math.comb(n, k)}*t^{k + 1}*p_y" for k in range(5))
+    for rhs, same in (
+        (f"(1+t)^{n}*t*p_y", binomial),
+        (f"i^{n + 1}*t*p_y", "i*t*p_y"),
+        (f"(-1)^{n + 1}*t*p_y", "-t*p_y"),
+    ):
+        reports = []
+        for text in (rhs, same):
+            data = bf.load_bundled("corrected").to_dict()
+            data["presentation"]["brackets"][0]["rhs"] = text
+            path = tmp_path / "power.json"
+            path.write_text(json.dumps(data))
+            reports.append(run(capsys, "hopf", "jacobi", str(path)))
+        assert reports[0] == reports[1], rhs
+        assert reports[0][0] == 1 and reports[0][2] == "", rhs
 
 
 def test_json_format_parses_and_reports(capsys):

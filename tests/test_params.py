@@ -164,6 +164,33 @@ def test_product_matches_sympy_truncated(a, b):
     assert terms_of(a * b) == truncated_terms(to_sympy(a) * to_sympy(b))
 
 
+@pytest.mark.parametrize("a, b", [
+    # the unit on either side: the product is the other operand
+    (const(ONE), poly({(1, 2, 0): Scalar(Fraction(-3, 4), 2)})),
+    (poly({(0, 0, 5): I}), const(ONE)),
+    (const(ONE), const(ONE)),
+    # a degree-0 constant that is not the unit
+    (const(Scalar(2)), poly({(2, 0, 1): Scalar(0, Fraction(1, 3))})),
+    (poly({(1, 1, 1): ONE}), const(-ONE)),
+    (const(I), const(I)),
+    # monomials landing exactly on the order, and one degree above it
+    (poly({(3, 0, 0): Scalar(5)}), poly({(0, 2, 1): Scalar(1, 1)})),
+    (poly({(0, 0, 6): ONE}), const(Scalar(Fraction(1, 7)))),
+    (poly({(3, 1, 0): Scalar(5)}), poly({(0, 2, 1): Scalar(1, 1)})),
+    (poly({(0, 0, 6): ONE}), mono("t")),
+    # a monomial against a sum, and a zero operand
+    (const(ONE), const(ONE) + mono("h")),
+    (poly({}), const(ONE)),
+])
+def test_monomial_products_match_sympy_and_leave_operands_alone(a, b):
+    before = (dict(a.terms), dict(b.terms))
+    for x, y in ((a, b), (b, a)):
+        product = x * y
+        assert terms_of(product) == truncated_terms(to_sympy(x) * to_sympy(y))
+        assert product.params == PARAMS and product.order == ORDER
+    assert (a.terms, b.terms) == before
+
+
 def test_product_oracle_on_seeded_dense_polynomials():
     rng = random.Random(7)
 

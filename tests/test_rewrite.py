@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
-from bialgebra_forge.ncpoly import NCPoly
+from bialgebra_forge import rewrite
+from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly, outer, tensor
 from bialgebra_forge.rewrite import (
     commutator, normal_form_word, normalize, presentation_jacobi_defect,
 )
@@ -166,6 +167,67 @@ def test_rewriting_strategy_confluence(word, seed):
         REL3, word, choose=lambda w, ds: rng.randrange(len(ds))
     )
     assert randomized == fixed
+
+
+# -- sorted words pass through the normaliser ---------------------------------------
+
+sorted_words = words.map(lambda w: tuple(sorted(w)))
+
+
+@st.composite
+def tensor_polys(draw):
+    """A word polynomial (arity 1) or a tensor square or cube over context3
+    whose factor words mix sorted and unsorted ones."""
+    ctx = context3()
+    arity = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = tuple(draw(st.one_of(sorted_words, words)) for _ in range(arity))
+        coeff = ctx.const_poly(draw(coeffs)) * ctx.param_poly("t") ** draw(st.integers(0, 2))
+        terms[key[0] if arity == 1 else key] = coeff
+    return NCPoly(ctx, terms) if arity == 1 else TensorNCPoly(ctx, arity, terms)
+
+
+def normalize_every_factor(a, table, choose):
+    """The normaliser with no pass-through: normal_form_word on every
+    factor word, then the outer product of the factors' normal forms."""
+    ctx = a.context
+    out = {}
+    for key, coeff in a.terms.items():
+        factors = (key,) if a.arity == 1 else key
+        nfs = [normal_form_word(table, w, choose) for w in factors]
+        for ws, c in outer(nfs, coeff).items():
+            k = ws[0] if a.arity == 1 else ws
+            out[k] = out.get(k, ctx.zero_poly()) + c
+    return NCPoly(ctx, out) if a.arity == 1 else TensorNCPoly(ctx, a.arity, out)
+
+
+@given(tensor_polys(), st.one_of(st.none(), st.integers(0, 2 ** 31 - 1)))
+@settings(max_examples=60, deadline=None)
+def test_normalize_matches_normal_forms_of_every_factor(p, seed):
+    choose = None if seed is None else (lambda w, ds: hash((seed, w)) % len(ds))
+    assert normalize(p, REL3, choose) == normalize_every_factor(p, REL3, choose)
+
+
+def test_normal_input_makes_no_normal_form_calls(monkeypatch):
+    calls = []
+
+    def counted(table, word, choose=None):
+        calls.append(word)
+        return normal_form_word(table, word, choose)
+
+    monkeypatch.setattr(rewrite, "normal_form_word", counted)
+    g = [NCPoly.generator(CTX5, i) for i in range(6)]
+    normal = (tensor(g[P_X] * g[L_X], g[P_Y], g[P_X] * g[P_X] * g[L_Z])
+              + tensor(g[L_Y], NCPoly.unit(CTX5), g[P_Z]).scale(CTX5.param_poly("t")))
+    assert normalize(normal, REL5) == normal
+    assert normalize(tensor(g[P_Y], g[P_X]), REL5) == tensor(g[P_Y], g[P_X])
+    assert calls == []
+    # an unsorted factor is rewritten; the sorted one beside it is not
+    expected = tensor(normalize(g[L_Z] * g[L_X], REL5), g[P_X] * g[L_Z])
+    calls.clear()
+    assert normalize(tensor(g[L_Z] * g[L_X], g[P_X] * g[L_Z]), REL5) == expected
+    assert calls == [(L_Z, L_X)]
 
 
 def test_reported_values_do_not_depend_on_slack():

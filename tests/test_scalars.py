@@ -1,11 +1,14 @@
 import pickle
+import sys
 from fractions import Fraction
+from math import log10
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bialgebra_forge.scalars import I, ONE, Scalar, ZERO, format_scalar
+from bialgebra_forge.errors import InputError
+from bialgebra_forge.scalars import I, ONE, Scalar, ZERO, check_power, format_scalar
 from bialgebra_forge.exprparse import parse_scalar_text
 
 
@@ -146,3 +149,40 @@ def test_scalars_with_common_factors_reduce():
     assert Scalar(1, 1) / Scalar(2, 2) == half
     for s in (half + half, Scalar(1, 1) / Scalar(2, 2), Scalar(0, 1) / Scalar(0, -3)):
         assert_canonical(s)
+
+
+# the interpreter's smallest digit limit keeps the powers below small
+LOW_LIMIT = 640
+
+
+@given(scalars, st.integers(1, 4000))
+@settings(max_examples=60, deadline=None)
+def test_power_check_refuses_only_powers_that_cannot_be_printed(c, n):
+    # a refused power prints a part past the digit limit; an admitted one
+    # has height at most 2*limit + 1, and no part of a value has more
+    # digits than twice its height
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LOW_LIMIT)
+    try:
+        try:
+            check_power(c, n)
+            refused = False
+        except InputError:
+            refused = True
+        value = c ** n
+        if refused:
+            with pytest.raises(InputError, match="too many to print"):
+                format_scalar(value)
+        else:
+            parts = (value.re.numerator, value.im.numerator,
+                     value.re.denominator, value.im.denominator)
+            assert max(log10(abs(p)) for p in parts if p) <= 2 * (2 * LOW_LIMIT + 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_powers_of_zero_and_roots_of_unity_are_never_refused():
+    for c in (ZERO, ONE, -ONE, I, -I):
+        check_power(c, 10 ** 4000)
+    with pytest.raises(InputError, match="a power would give a coefficient"):
+        check_power(Scalar(Fraction(3, 5), Fraction(4, 5)), 10 ** 6)
