@@ -279,7 +279,10 @@ class Parser:
                 ntok = self._expect("NUMBER")
                 if value.is_tensor():
                     self._fail("'^' cannot raise tensor expressions", ntok)
-                check_power(self._constant_term(value), ntok.value)
+                # the constant term, with the pending division applied
+                exps = tuple(value.den.get(name, 0) for name in self.context.params)
+                constant = value.poly.coefficient(()).terms.get(exps, ZERO)
+                check_power(constant, ntok.value)
                 value = _Value(value.poly ** ntok.value, {
                     name: power * ntok.value for name, power in value.den.items()
                 })
@@ -288,12 +291,6 @@ class Parser:
                 value = self._division(value)
             else:
                 return value
-
-    def _constant_term(self, value: _Value) -> Scalar:
-        """The coefficient of the empty word and of no parameter in the
-        value, its pending division applied."""
-        exps = tuple(value.den.get(name, 0) for name in self.context.params)
-        return value.poly.coefficient(()).terms.get(exps, ZERO)
 
     def _division(self, value: _Value) -> _Value:
         tok = self._peek()
