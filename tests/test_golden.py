@@ -8,9 +8,11 @@ table is not confluent, so normal forms there depend on the order in which
 products are normalised, and only these depths pin that order; order 12
 also carries the deepest rationals (factorial denominators). Cases that need a document
 on disk (the z1=z2=z diagonal, a copy of @corrected with one altered
-coproduct coefficient, and a copy of the diagonal whose altered coproducts
-break the order-2 and order-3 expansion identities) write it to a scratch
-directory first; no path appears in any pinned output.
+coproduct coefficient, a copy of the diagonal whose altered coproducts
+break the order-2 and order-3 expansion identities, and a copy of
+@corrected whose compositions gain entries that fail the Jacobi, mixed
+and cocycle checks) write it to a scratch directory first; no path
+appears in any pinned output.
 
 The expected outputs are the files under tests/golden/, one JSON object
 {"exit", "stdout", "stderr"} per case. After a deliberate change to the
@@ -49,10 +51,33 @@ FORMATS = ("text", "json")
 FIXTURES = ("h-field-at-z0", "t-field-at-z0", "h-field", "t-field")
 DIAGONAL = "z1=z,z2=z"
 
+# Composition entries added to @corrected for the gate document: both
+# orientations stored consistently (mu_001), a key whose duplicates sum to
+# zero next to its stored flip, a diagonal key and a plain extra entry
+# (mu_100), and an orientation inconsistent with the stored one plus an
+# entry with a parameter coefficient (delta_001).
+GATE_ENTRIES = {
+    "mu_001": [
+        {"lower": ["p_x", "p_z"], "upper": "p_y", "coeff": "-i"},
+    ],
+    "mu_100": [
+        {"lower": ["p_x", "p_y"], "upper": "p_z", "coeff": "t"},
+        {"lower": ["p_x", "p_y"], "upper": "p_z", "coeff": "-t"},
+        {"lower": ["p_y", "p_x"], "upper": "p_z", "coeff": "1"},
+        {"lower": ["l_x", "l_x"], "upper": "l_y", "coeff": "h"},
+        {"lower": ["p_z", "l_z"], "upper": "p_x", "coeff": "2"},
+    ],
+    "delta_001": [
+        {"lower": "p_z", "upper": ["p_z", "p_x"], "coeff": "-1/2"},
+        {"lower": "l_y", "upper": ["p_x", "l_z"], "coeff": "z1"},
+    ],
+}
+
 
 def _cases():
-    """(case id, argv template, setting, format); '{diag}', '{altered}'
-    and '{diag_altered}' stand for the documents written by _prepare."""
+    """(case id, argv template, setting, format); '{diag}', '{altered}',
+    '{diag_altered}' and '{gate}' stand for the documents written by
+    _prepare."""
     per_setting = [
         ("check-lie", ["check", "lie", "@corrected"]),
         ("check-colie", ["check", "colie", "@corrected"]),
@@ -65,6 +90,14 @@ def _cases():
         ("expand-diagonal", ["expand", "{diag}"]),
         ("expand-altered", ["expand", "{diag_altered}"]),
         ("hopf-altered-coproduct", ["hopf", "hom", "coassoc", "{altered}"]),
+        ("gate-check-lie", ["check", "lie", "{gate}"]),
+        ("gate-check-colie", ["check", "colie", "{gate}"]),
+        ("gate-check-bialgebra-100-010",
+         ["check", "bialgebra", "mu_100", "delta_010", "{gate}"]),
+        ("gate-check-bialgebra-001-001",
+         ["check", "bialgebra", "mu_001", "delta_001", "{gate}"]),
+        ("gate-check-four-pairs", ["check", "four-pairs", "{gate}"]),
+        ("gate-family", ["family", "{gate}"]),
     ]
     for name in FIXTURES:
         fixture = bf.load_tangent_fixtures()[name]
@@ -89,8 +122,8 @@ CASES = _cases()
 
 
 def _prepare(directory: Path) -> dict:
-    """Write the diagonal and its altered copy (per setting) and the
-    altered document."""
+    """Write the diagonal and its altered copy (per setting), the altered
+    document and the gate document."""
     paths = {}
     for setting in GRID:
         diag = directory / f"diagonal-{setting}.json"
@@ -113,13 +146,19 @@ def _prepare(directory: Path) -> dict:
     altered = directory / "altered.json"
     altered.write_text(json.dumps(data))
     paths["altered"] = str(altered)
+    data = bf.load_bundled("corrected").to_dict()
+    for name, entries in GATE_ENTRIES.items():
+        data["compositions"][name]["entries"] += entries
+    gate = directory / "gate.json"
+    gate.write_text(json.dumps(data))
+    paths["gate"] = str(gate)
     return paths
 
 
 def _run(argv, setting, fmt, paths) -> dict:
     argv = [
         a.format(diag=paths.get(("diag", setting)), altered=paths["altered"],
-                 diag_altered=paths.get(("diag_altered", setting)))
+                 diag_altered=paths.get(("diag_altered", setting)), gate=paths["gate"])
         for a in argv
     ] + SETTINGS[setting] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
