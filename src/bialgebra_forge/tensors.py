@@ -4,8 +4,13 @@ Bracket constants C^k_ij live in a BracketTensor keyed (i, j, k); the
 cobracket constants D_i^jk of the dual side are keyed (i, j, k) as well,
 with (j, k) the wedge pair. Storage is sparse and keeps entries exactly
 as supplied (both orientations are allowed), so the antisymmetry defect
-is an observable rather than an enforced invariant: lookups fall back to
-the sign-flipped key only when the requested orientation is absent.
+is an observable rather than an enforced invariant.
+
+Every reading goes through one orientation rule (`oriented()`): a stored
+key wins, even when its duplicates summed to zero; an absent orientation
+reads as its stored flip, negated. The Jacobi, mixed and cocycle sums
+multiply only those oriented values, so they cost O(stored values) rather
+than O(n^5) for n generators.
 """
 
 from __future__ import annotations
@@ -75,16 +80,17 @@ class _ConstantTensor:
         if value:
             self.entries[(i, j, k)] = self.entries.get((i, j, k), self._zero()) + value
 
+    def oriented(self) -> dict:
+        """Every nonzero value(i, j, k), keyed (i, j, k): the flips of the
+        stored keys, negated, overlaid by the stored entries, so a stored
+        key hides its flip even when its value is zero. Diagonal keys are
+        kept."""
+        out = {self._flipped(key): -v for key, v in self.entries.items()}
+        out.update(self.entries)
+        return {key: v for key, v in out.items() if v}
+
     def value(self, i, j, k) -> ParamPoly:
-        """Entry with antisymmetry realised by sign when only the
-        opposite orientation is stored."""
-        got = self.entries.get((i, j, k))
-        if got is not None:
-            return got
-        got = self.entries.get(self._flipped((i, j, k)))
-        if got is not None:
-            return -got
-        return self._zero()
+        return self.oriented().get((i, j, k), self._zero())
 
     def is_zero(self) -> bool:
         return all(not v for v in self.entries.values())
@@ -117,13 +123,10 @@ class _ConstantTensor:
     def __eq__(self, other):
         if type(other) is not type(self) or self.basis != other.basis:
             return NotImplemented
-        n = len(self.basis)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.value(i, j, k) != other.value(i, j, k):
-                        return False
-        return True
+        return (
+            (self.params, self.order) == (other.params, other.order)
+            and self.oriented() == other.oriented()
+        )
 
     def __repr__(self):
         names = self.basis.names
@@ -152,15 +155,9 @@ class BracketTensor(_ConstantTensor):
         return f"C^{names[k]}_{names[i]},{names[j]}"
 
     def bracket(self, i, j) -> dict:
-        """[x_i, x_j] as a map generator index -> ParamPoly."""
-        out = {}
-        for (a, b, k) in self.entries:
-            if {a, b} == {i, j} and a != b:
-                # both stored orientations reach k; value() is one entry
-                v = self.value(i, j, k)
-                if v:
-                    out[k] = v
-        return out
+        """[x_i, x_j] as a map generator index -> ParamPoly; empty for
+        i == j, whatever a diagonal key stores."""
+        return {k: v for (a, b, k), v in self.oriented().items() if (a, b) == (i, j) and a != b}
 
 
 class CobracketTensor(_ConstantTensor):
@@ -182,19 +179,7 @@ class CobracketTensor(_ConstantTensor):
 
     def wedge_of(self, i) -> dict:
         """delta(x_i) as canonical wedge coefficients {(a<b): ParamPoly}."""
-        out = {}
-        seen = set()
-        for (m, a, b) in self.entries:
-            if m != i or a == b:
-                continue
-            lo, hi = (a, b) if a < b else (b, a)
-            if (lo, hi) in seen:
-                continue
-            seen.add((lo, hi))
-            v = self.value(i, lo, hi)
-            if v:
-                out[(lo, hi)] = v
-        return out
+        return {(a, b): v for (m, a, b), v in self.oriented().items() if m == i and a < b}
 
     def dual_bracket(self) -> BracketTensor:
         """The bracket on the dual space: C^i_jk := D_i^jk (raw keys
@@ -276,22 +261,22 @@ def antisymmetry_defect(tensor) -> dict:
 
 def _cyclic_defect(pairs) -> dict:
     """sum over (first, second) in pairs of the cyclic sum
-    sum_m F^m_ij S^l_mk + F^m_jk S^l_mi + F^m_ki S^l_mj, for i<j<k."""
-    zero = pairs[0][0]._zero()
-    n = len(pairs[0][0].basis)
+    sum_m F^m_ij S^l_mk + F^m_jk S^l_mi + F^m_ki S^l_mj, for i<j<k.
+
+    Only oriented values meet: F^m_ab S^l_mc is a term exactly when
+    (a, b, c) is a cyclic order of three distinct generators, and it
+    counts under (i, j, k, l) = (sorted(a, b, c), l)."""
     out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    acc = zero
-                    for m in range(n):
-                        for first, second in pairs:
-                            acc = acc + first.value(i, j, m) * second.value(m, k, l)
-                            acc = acc + first.value(j, k, m) * second.value(m, i, l)
-                            acc = acc + first.value(k, i, m) * second.value(m, j, l)
-                    if acc:
-                        out[(i, j, k, l)] = acc
+    for first, second in pairs:
+        by_m = {}
+        for (m, c, l), s in second.oriented().items():
+            by_m.setdefault(m, []).append((c, l, s))
+        for (a, b, m), f in first.oriented().items():
+            for c, l, s in by_m.get(m, ()):
+                if a < b < c or b < c < a or c < a < b:
+                    term = f * s
+                    if term:
+                        accumulate(out, (*sorted((a, b, c)), l), term)
     return out
 
 

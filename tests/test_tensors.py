@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -7,9 +8,10 @@ from bialgebra_forge.errors import HypothesisError
 from bialgebra_forge.params import ParamPoly, ScaleMonomial
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import (
-    BracketTensor, CobracketTensor, DeformationFamily, antisymmetry_defect,
+    Basis, BracketTensor, CobracketTensor, DeformationFamily, antisymmetry_defect,
     build_family, check_four_pairs, cocycle_defect, cocycle_monomial_split,
-    cojacobi_defect, jacobi_defect, mixed_jacobi_defect, rescale_basis,
+    cojacobi_defect, jacobi_defect, mixed_cojacobi_defect, mixed_jacobi_defect,
+    rescale_basis,
 )
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
@@ -414,3 +416,170 @@ def _safe_mu001(ctx):
     return BracketTensor(ctx.basis, ctx.params, ctx.order, {
         (P_Z, P_X, P_Y): I,
     })
+
+
+# -- sparse sums against dense references ------------------------------------------------------
+#
+# The references below read `entries` through their own copy of the
+# orientation rule (a stored key wins, even when its value is zero; an
+# absent orientation reads as its stored flip, negated) and loop over
+# every index tuple, so they share no code with the sums they check.
+
+_RANDOM_PARAMS = ("t", "h")
+_RANDOM_ORDER = 2
+
+
+def _random_poly(rng):
+    terms = {
+        (rng.randint(0, 2), rng.randint(0, 1)): Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+        for _ in range(rng.randint(1, 2))
+    }
+    poly = ParamPoly(_RANDOM_PARAMS, _RANDOM_ORDER, terms)
+    return poly or ParamPoly.const(_RANDOM_PARAMS, _RANDOM_ORDER, ONE)
+
+
+def _random_tensor(rng, cls, basis):
+    """Random constants stored through set_entry: both orientations,
+    consistent or not, diagonal keys, and duplicates that sum to zero
+    next to a stored flip."""
+    n = len(basis)
+    tensor = cls(basis, _RANDOM_PARAMS, _RANDOM_ORDER)
+
+    def key(a, b, single):   # (a, b) is the antisymmetric pair
+        return (a, b, single) if cls is BracketTensor else (single, a, b)
+
+    for _ in range(rng.randint(1, 2 * n)):
+        a, b, single = (rng.randrange(n) for _ in range(3))
+        if rng.random() < 0.2:
+            b = a
+        value = _random_poly(rng)
+        tensor.set_entry(key(a, b, single), value)
+        roll = rng.random()
+        if roll < 0.3:
+            flip = -value if rng.random() < 0.5 else _random_poly(rng)
+            tensor.set_entry(key(b, a, single), flip)
+        elif roll < 0.55:
+            tensor.set_entry(key(a, b, single), -value)
+            tensor.set_entry(key(b, a, single), _random_poly(rng))
+    return tensor
+
+
+def _rule(tensor, key):
+    i, j, k = key
+    flipped = (j, i, k) if isinstance(tensor, BracketTensor) else (i, k, j)
+    if key in tensor.entries:
+        return tensor.entries[key]
+    if flipped in tensor.entries:
+        return -tensor.entries[flipped]
+    return ParamPoly.zero(tensor.params, tensor.order)
+
+
+def _dense_cyclic(pairs):
+    n = len(pairs[0][0].basis)
+    out = {}
+    for i, j, k in combinations(range(n), 3):
+        for l in range(n):
+            acc = ParamPoly.zero(pairs[0][0].params, pairs[0][0].order)
+            for m, (first, second) in product(range(n), pairs):
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    acc = acc + _rule(first, (a, b, m)) * _rule(second, (m, c, l))
+            if acc:
+                out[(i, j, k, l)] = acc
+    return out
+
+
+def _dense_bracket(mu, i, j):
+    if i == j:
+        return {}
+    n = len(mu.basis)
+    return {k: _rule(mu, (i, j, k)) for k in range(n) if _rule(mu, (i, j, k))}
+
+
+def _dense_wedge(delta, i):
+    n = len(delta.basis)
+    return {
+        (a, b): _rule(delta, (i, a, b))
+        for a, b in combinations(range(n), 2) if _rule(delta, (i, a, b))
+    }
+
+
+def _dense_cocycle(mu, delta):
+    """delta([x_i, x_j]) - ad_xi delta(x_j) + ad_xj delta(x_i) per i<j."""
+    n = len(mu.basis)
+    out = {}
+    for i, j in combinations(range(n), 2):
+        acc = {}
+
+        def add(a, b, value):
+            if a != b:
+                if a > b:
+                    a, b, value = b, a, -value
+                acc[(a, b)] = acc.get((a, b), mu._zero()) + value
+
+        for m, c in _dense_bracket(mu, i, j).items():
+            for (a, b), w in _dense_wedge(delta, m).items():
+                add(a, b, w * c)
+        for x, y, sign in ((i, j, -1), (j, i, 1)):
+            for (a, b), w in _dense_wedge(delta, y).items():
+                for c, v in _dense_bracket(mu, x, a).items():
+                    add(c, b, (w * v).scale(Scalar(sign)))
+                for c, v in _dense_bracket(mu, x, b).items():
+                    add(a, c, (w * v).scale(Scalar(sign)))
+        acc = {key: value for key, value in acc.items() if value}
+        if acc:
+            out[(i, j)] = acc
+    return out
+
+
+def _dense_equal(x, y):
+    n = len(x.basis)
+    return all(_rule(x, key) == _rule(y, key) for key in product(range(n), repeat=3))
+
+
+def _restored(tensor):
+    """The same constants stored the other way round wherever only one
+    orientation is stored (a stored zero is dropped by set_entry)."""
+    out = type(tensor)(tensor.basis, tensor.params, tensor.order)
+    for key, value in tensor.entries.items():
+        flipped = tensor._flipped(key)
+        if flipped in tensor.entries:
+            out.set_entry(key, value)
+        else:
+            out.set_entry(flipped, -value)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sparse_sums_match_dense_references(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    basis = Basis(f"x{i}" for i in range(n))
+    mu_a, mu_b = (_random_tensor(rng, BracketTensor, basis) for _ in range(2))
+    d_a, d_b = (_random_tensor(rng, CobracketTensor, basis) for _ in range(2))
+    keys = list(product(range(n), repeat=3))
+    for tensor in (mu_a, mu_b, d_a, d_b):
+        values = {key: tensor.value(*key) for key in keys}
+        assert tensor.oriented() == {key: v for key, v in values.items() if v}
+    assert jacobi_defect(mu_a) == _dense_cyclic(((mu_a, mu_a),))
+    assert cojacobi_defect(d_a) == _dense_cyclic(((d_a.dual_bracket(),) * 2,))
+    assert mixed_jacobi_defect(mu_a, mu_b) == _dense_cyclic(((mu_a, mu_b), (mu_b, mu_a)))
+    dual_a, dual_b = d_a.dual_bracket(), d_b.dual_bracket()
+    assert mixed_cojacobi_defect(d_a, d_b) == _dense_cyclic(
+        ((dual_a, dual_b), (dual_b, dual_a))
+    )
+    for mu, delta in ((mu_a, d_a), (mu_b, d_b)):
+        assert cocycle_defect(mu, delta) == _dense_cocycle(mu, delta)
+        for i, j in product(range(n), repeat=2):
+            assert mu.bracket(i, j) == _dense_bracket(mu, i, j), (i, j)
+        for i in range(n):
+            assert delta.wedge_of(i) == _dense_wedge(delta, i), i
+    for x, y in ((mu_a, mu_b), (mu_a, _restored(mu_a)), (d_a, _restored(d_a)),
+                 (d_b, _restored(d_b)), (mu_b, mu_b)):
+        assert (x == y) is _dense_equal(x, y)
+
+
+def test_equality_compares_parameter_contexts():
+    basis = Basis(("a", "b", "c"))
+    assert BracketTensor(basis, ("t",), 2) == BracketTensor(basis, ("t",), 2)
+    assert BracketTensor(basis, ("t",), 2) != BracketTensor(basis, ("h",), 2)
+    assert BracketTensor(basis, ("t",), 2) != BracketTensor(basis, ("t",), 3)
