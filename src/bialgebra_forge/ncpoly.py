@@ -262,18 +262,22 @@ class NCPoly(_Terms):
         return cls(context, {(): coeff})
 
     def __pow__(self, n: int):
-        """A coefficient (only the empty word) is raised by squaring; a
-        word polynomial takes one factor at a time, so a word past the
-        cap raises, and stops once the product is zero."""
-        if self.terms.keys() <= {()}:
-            return NCPoly.from_coeff(self.context, self.coefficient(()) ** n)
+        """(C + N)^n = sum_k binom(n, k) C^(n-k) N^k, for the empty-word
+        coefficient C, which is central, and the word part N. N^k takes
+        one factor at a time, so a word past the cap raises, and the sum
+        stops once N^k is zero, at k <= cap + 1."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
-        out = NCPoly.unit(self.context)
-        for _ in range(n):
-            out = out * self
-            if not out:
+        constant = self.coefficient(())
+        words = self._like({w: c for w, c in self.terms.items() if w})
+        out = NCPoly.from_coeff(self.context, constant ** n)
+        power, binomial = NCPoly.unit(self.context), 1
+        for k in range(1, n + 1):
+            power = power * words
+            if not power:
                 break
+            binomial = binomial * (n + 1 - k) // k
+            out = out + power.scale((constant ** (n - k)).scale(Scalar(binomial)))
         return out
 
     def coefficient(self, word) -> ParamPoly:

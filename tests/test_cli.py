@@ -152,6 +152,22 @@ def test_huge_powers_of_units_and_roots_of_unity(tmp_path, capsys):
         assert reports[0][0] == 1 and reports[0][2] == "", rhs
 
 
+def test_huge_power_of_a_unit_plus_words(tmp_path, capsys):
+    # (1+t*p_x)^n is its binomial series: only the terms up to t^4 survive
+    # the order and the word cap, so the power costs a few products, not n
+    n = 100000
+    binomial = "+".join(f"{math.comb(n, k)}*t^{k + 1}*p_x^{k}*p_y" for k in range(5))
+    reports = []
+    for text in (f"(1+t*p_x)^{n}*t*p_y", binomial):
+        data = bf.load_bundled("corrected").to_dict()
+        data["presentation"]["brackets"][0]["rhs"] = text
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(data))
+        reports.append(run(capsys, "hopf", "jacobi", str(path)))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 1 and reports[0][2] == ""
+
+
 def test_json_format_parses_and_reports(capsys):
     code, out, _ = run(
         capsys, "check", "four-pairs", "@corrected", "--format", "json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from bialgebra_forge.errors import (
 from bialgebra_forge.ncpoly import (
     Context, NCPoly, TensorNCPoly, _series_coeffs, divide_param, series_apply, tensor,
 )
+from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import Basis
 
@@ -205,3 +207,40 @@ def test_word_power_stops_once_zero():
     assert (param("u") * gen(A)) ** 100000000 == NCPoly.zero(CTX)
     with pytest.raises(CapExceededError):
         gen(A) ** 9
+
+
+def _stepwise_power(p, n):
+    """p^n as n products, stopping once the product is zero."""
+    out = NCPoly.unit(p.context)
+    for _ in range(n):
+        out = out * p
+        if not out:
+            break
+    return out
+
+
+def _outcome(power):
+    try:
+        return "value", power()
+    except CapExceededError as error:
+        return "cap", str(error)
+
+
+def test_powers_match_stepwise_products_on_random_polynomials():
+    """Same value, or the same CapExceededError, as the step-by-step
+    product, for word polynomials with and without an empty-word term."""
+    rng = random.Random(7)
+    for _ in range(3000):
+        ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(2, 5),
+                      cap=rng.randint(2, 6), slack=0)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.randrange(2) for _ in range(rng.choice((0, 0, 1, 1, 2, 3))))
+            exps = (rng.randint(0, 2), rng.randint(0, 1))
+            coeff = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+            terms[word] = terms.get(word, ctx.zero_poly()) + ParamPoly(
+                ctx.params, ctx.order, {exps: coeff}
+            )
+        p = NCPoly(ctx, terms)
+        n = rng.randint(0, 2 * ctx.cap + 2)
+        assert _outcome(lambda: p ** n) == _outcome(lambda: _stepwise_power(p, n)), (p, n)
