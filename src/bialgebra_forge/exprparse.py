@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import ExprSyntaxError, UnknownIdentifierError
+from .errors import ExprSyntaxError, InexactDivisionError, UnknownIdentifierError
 from .ncpoly import Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor
 from .scalars import I, ONE, ZERO, Scalar, check_power
 
@@ -159,8 +159,9 @@ class Parser:
         monomial is exact only through d degrees less."""
         if not value.den:
             return value.poly
+        poly = divide_param(value.poly, value.den)
         self.loss += sum(value.den.values())
-        return divide_param(value.poly, value.den)
+        return poly
 
     # -- grammar --------------------------------------------------------------
 
@@ -279,7 +280,13 @@ class Parser:
                 ntok = self._expect("NUMBER")
                 if value.is_tensor():
                     self._fail("'^' cannot raise tensor expressions", ntok)
-                # the constant term, with the pending division applied
+                # a divisor that divides exactly costs its degree once,
+                # not once per factor of the power
+                try:
+                    value = _Value(self._resolve(value))
+                except InexactDivisionError:
+                    pass
+                # the constant term, with any pending division applied
                 exps = tuple(value.den.get(name, 0) for name in self.context.params)
                 constant = value.poly.coefficient(()).terms.get(exps, ZERO)
                 check_power(constant, ntok.value)

@@ -88,6 +88,17 @@ def test_power_and_unary_minus():
     assert p == NCPoly(CTX, {(px, px): want})
 
 
+def test_power_of_an_exact_quotient_divides_before_raising():
+    # (t+2*t^2)/t divides exactly, so the power raises 1+2*t and the
+    # division costs one degree, not one per factor of the power
+    for n in (3, 2000):
+        assert parse_expr(f"((t+2*t^2)/t)^{n}*t*p_y", CTX) == parse_expr(
+            f"(1+2*t)^{n}*t*p_y", CTX
+        )
+    # an inexact quotient stays pending until the term is expanded
+    assert parse_expr("(t/(z2*h))^2*z2^2*h^2*p_y", CTX) == parse_expr("t^2*p_y", CTX)
+
+
 def test_whitespace_insensitive():
     a = parse_expr("i * z1 * p_y", CTX)
     b = parse_expr("i*z1*p_y", CTX)
