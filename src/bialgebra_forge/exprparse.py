@@ -282,10 +282,11 @@ class Parser:
                     self._fail("'^' cannot raise tensor expressions", ntok)
                 # a divisor that divides exactly costs its degree once,
                 # not once per factor of the power
-                try:
-                    value = _Value(self._resolve(value))
-                except InexactDivisionError:
-                    pass
+                if value.den:
+                    try:
+                        value = _Value(self._resolve(value))
+                    except InexactDivisionError:
+                        pass
                 # the constant term, with any pending division applied
                 exps = tuple(value.den.get(name, 0) for name in self.context.params)
                 constant = value.poly.coefficient(()).terms.get(exps, ZERO)

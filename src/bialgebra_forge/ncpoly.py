@@ -271,6 +271,8 @@ class NCPoly(_Terms):
         constant = self.coefficient(())
         words = self._like({w: c for w, c in self.terms.items() if w})
         out = NCPoly.from_coeff(self.context, constant ** n)
+        if not words:
+            return out
         power, binomial = NCPoly.unit(self.context), 1
         for k in range(1, n + 1):
             power = power * words
