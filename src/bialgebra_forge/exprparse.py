@@ -12,9 +12,11 @@ Scalars are rationals with an optional i factor ('1/2', 'i', '-3*i/4',
 parameter monomial such as z2 or (z2*h); parameter divisions are kept
 pending for the enclosing additive term and applied only after the term
 has been fully expanded, so removable prefactor singularities like
-t/(z2*h) never require stored negative exponents. A quotient by a
-degree-d monomial is exact only through d degrees below the order the
-parse works at. parse_expr is the one place that works above the
+t/(z2*h) never require stored negative exponents. The one earlier point
+is the base of a power: a divisor that divides it exactly is applied
+there, so its degree is lost once rather than once per factor. A
+quotient by a degree-d monomial is exact only through d degrees below
+the order the parse works at. parse_expr is the one place that works above the
 context's order: it parses at order + slack, parses again at order + the
 summed divisor degrees when those exceed the slack, and cuts the result
 to the context's order, through which it is exact.

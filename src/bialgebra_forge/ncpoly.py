@@ -265,7 +265,7 @@ class NCPoly(_Terms):
         """(C + N)^n = sum_k binom(n, k) C^(n-k) N^k, for the empty-word
         coefficient C, which is central, and the word part N. N^k takes
         one factor at a time, so a word past the cap raises, and the sum
-        stops once N^k is zero, at k <= cap + 1."""
+        stops once N^k is zero, by k = cap + 1 at the latest."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
         constant = self.coefficient(())

@@ -8,9 +8,10 @@ is an observable rather than an enforced invariant.
 
 Every reading goes through one orientation rule (`oriented()`): a stored
 key wins, even when its duplicates summed to zero; an absent orientation
-reads as its stored flip, negated. The Jacobi, mixed and cocycle sums
-multiply only those oriented values, so they cost O(stored values) rather
-than O(n^5) for n generators.
+reads as its stored flip, negated. The Jacobi and mixed sums multiply
+only pairs of oriented values that share the summed index, so for n
+generators they cost O(stored values) on sparse tensors rather than
+O(n^5); the cocycle defect reads the same values once per generator pair.
 """
 
 from __future__ import annotations
@@ -81,15 +82,16 @@ class _ConstantTensor:
             self.entries[(i, j, k)] = self.entries.get((i, j, k), self._zero()) + value
 
     def oriented(self) -> dict:
-        """Every nonzero value(i, j, k), keyed (i, j, k): the flips of the
-        stored keys, negated, overlaid by the stored entries, so a stored
-        key hides its flip even when its value is zero. Diagonal keys are
-        kept."""
+        """The nonzero constants in both orientations, keyed (i, j, k):
+        the flips of the stored keys, negated, overlaid by the stored
+        entries, so a stored key hides its flip even when its value is
+        zero. Diagonal keys are kept."""
         out = {self._flipped(key): -v for key, v in self.entries.items()}
         out.update(self.entries)
         return {key: v for key, v in out.items() if v}
 
     def value(self, i, j, k) -> ParamPoly:
+        """The constant at (i, j, k) under the orientation rule."""
         return self.oriented().get((i, j, k), self._zero())
 
     def is_zero(self) -> bool:
