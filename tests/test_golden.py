@@ -11,8 +11,9 @@ on disk (the z1=z2=z diagonal, a copy of @corrected with one altered
 coproduct coefficient, a copy of the diagonal whose altered coproducts
 break the order-2 and order-3 expansion identities, and a copy of
 @corrected whose compositions gain entries that fail the Jacobi, mixed
-and cocycle checks) write it to a scratch directory first; no path
-appears in any pinned output.
+and cocycle checks, and a copy whose added entries fail both mixed
+checks) write it to a scratch directory first; no path appears in any
+pinned output.
 
 The expected outputs are the files under tests/golden/, one JSON object
 {"exit", "stdout", "stderr"} per case. After a deliberate change to the
@@ -73,11 +74,23 @@ GATE_ENTRIES = {
     ],
 }
 
+# Entries added to @corrected for the mixed gate document: each pencil's
+# ends stay Lie and co-Lie, but their cross terms do not vanish, so
+# mixed-jacobi and mixed-cojacobi FAIL.
+MIXED_ENTRIES = {
+    "mu_001": [
+        {"lower": ["l_y", "l_z"], "upper": "l_x", "coeff": "2*i"},
+    ],
+    "delta_001": [
+        {"lower": "l_y", "upper": ["l_x", "p_x"], "coeff": "t"},
+    ],
+}
+
 
 def _cases():
     """(case id, argv template, setting, format); '{diag}', '{altered}',
-    '{diag_altered}' and '{gate}' stand for the documents written by
-    _prepare."""
+    '{diag_altered}', '{gate}' and '{mixed}' stand for the documents
+    written by _prepare."""
     per_setting = [
         ("check-lie", ["check", "lie", "@corrected"]),
         ("check-colie", ["check", "colie", "@corrected"]),
@@ -98,6 +111,7 @@ def _cases():
          ["check", "bialgebra", "mu_001", "delta_001", "{gate}"]),
         ("gate-check-four-pairs", ["check", "four-pairs", "{gate}"]),
         ("gate-family", ["family", "{gate}"]),
+        ("gate-mixed-check-four-pairs", ["check", "four-pairs", "{mixed}"]),
     ]
     for name in FIXTURES:
         fixture = bf.load_tangent_fixtures()[name]
@@ -123,7 +137,7 @@ CASES = _cases()
 
 def _prepare(directory: Path) -> dict:
     """Write the diagonal and its altered copy (per setting), the altered
-    document and the gate document."""
+    document and the two gate documents."""
     paths = {}
     for setting in GRID:
         diag = directory / f"diagonal-{setting}.json"
@@ -146,19 +160,21 @@ def _prepare(directory: Path) -> dict:
     altered = directory / "altered.json"
     altered.write_text(json.dumps(data))
     paths["altered"] = str(altered)
-    data = bf.load_bundled("corrected").to_dict()
-    for name, entries in GATE_ENTRIES.items():
-        data["compositions"][name]["entries"] += entries
-    gate = directory / "gate.json"
-    gate.write_text(json.dumps(data))
-    paths["gate"] = str(gate)
+    for key, added in (("gate", GATE_ENTRIES), ("mixed", MIXED_ENTRIES)):
+        data = bf.load_bundled("corrected").to_dict()
+        for name, entries in added.items():
+            data["compositions"][name]["entries"] += entries
+        path = directory / f"{key}.json"
+        path.write_text(json.dumps(data))
+        paths[key] = str(path)
     return paths
 
 
 def _run(argv, setting, fmt, paths) -> dict:
     argv = [
         a.format(diag=paths.get(("diag", setting)), altered=paths["altered"],
-                 diag_altered=paths.get(("diag_altered", setting)), gate=paths["gate"])
+                 diag_altered=paths.get(("diag_altered", setting)), gate=paths["gate"],
+                 mixed=paths["mixed"])
         for a in argv
     ] + SETTINGS[setting] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
