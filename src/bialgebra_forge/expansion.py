@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import InputError
 from .hopf import DefectReport, HopfPresentation, specialize
 from .ncpoly import Context, NCPoly, TensorNCPoly
-from .params import ParamPoly
+from .params import ParamPoly, substitution
 from .rewrite import RelationTable, normalize
 from .scalars import Scalar, ZERO
 from .sparse import accumulate
@@ -300,14 +300,13 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     if not all(isinstance(value, Scalar) for value in base.values()):
         raise InputError("tangent base values must be scalars")
 
-    reduced = specialize(H, {direction: Scalar(0), **base})
+    images = {direction: 0, **base}
+    reduced = specialize(H, images)
     rcontext = reduced.context
-    rtarget = (rcontext.params, rcontext.order)
-    images = {name: rcontext.zero_poly() for name in (direction, *base)}
+    to_base = substitution(params, images, (rcontext.params, rcontext.order))
 
     def slice_coeff(poly: ParamPoly) -> ParamPoly:
-        sliced = poly.coefficient_of(dir_idx, 1)
-        return sliced.substitute(images, rtarget)
+        return to_base(poly.coefficient_of(dir_idx, 1))
 
     field_obj = TangentField(
         direction=direction, base=base, context=rcontext, base_table=reduced.rel

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 from .errors import AntipodeError, DocumentError, InputError
 from .ncpoly import Context, NCPoly, TensorNCPoly
+from .params import exact_image
 from .rewrite import RelationTable, commutator, normalize
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, ZERO
 from .sparse import accumulate
 
 
@@ -251,36 +252,21 @@ def class_f_check(H: HopfPresentation, antipode: dict) -> DefectReport:
 
 
 def specialize(H: HopfPresentation, assignment: dict) -> HopfPresentation:
-    """Substitute renamings or 0 into every coefficient; the
+    """Rename parameters or set them to 0 in every coefficient; the
     CONTRACTING property of the resulting table is re-checked.
-    assignment maps a parameter to a parameter name or to the Scalar 0.
-    A nonzero value is an input error: it lowers the degree of every term
-    it meets, so the terms cut off above the order would come back below
-    it, and no order of the result is exact."""
+    assignment maps a parameter to a parameter name or to 0; any other
+    value is an input error (params.exact_image)."""
     new_params = []
     for name in H.context.params:
-        image = assignment.get(name, name)
-        if isinstance(image, str):
-            if image not in new_params:
-                new_params.append(image)
-        elif not isinstance(image, Scalar):
-            raise InputError(f"bad specialization value for {name!r}")
-        elif image:
-            raise InputError(
-                f"cannot specialize {name!r} to {image}: a truncated series is "
-                "exact only at 0 or under a renaming"
-            )
-    new_context = H.context.with_params(new_params)
-    images = {}
-    for name, image in assignment.items():
+        image = exact_image(name, assignment.get(name, name))
+        if image is not None and image not in new_params:
+            new_params.append(image)
+    for name in assignment:
         if name not in H.context.params:
             raise InputError(f"unknown parameter {name!r} in specialization")
-        if isinstance(image, Scalar):
-            images[name] = new_context.zero_poly()
-        else:
-            images[name] = new_context.param_poly(image)
-    rel = H.rel.substitute(images, new_context)
+    new_context = H.context.with_params(new_params)
+    rel = H.rel.substitute(assignment, new_context)
     coproduct = {
-        g: cop.substitute(images, new_context) for g, cop in H.coproduct.items()
+        g: cop.substitute(assignment, new_context) for g, cop in H.coproduct.items()
     }
     return HopfPresentation(new_context, rel, coproduct, dict(H.counit))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import CapExceededError, InputError, NonTerminatingSeriesError
-from .params import ParamPoly
+from .params import ParamPoly, substitution
 from .scalars import ONE, Scalar
 from .sparse import accumulate
 from .tensors import Basis
@@ -182,9 +182,11 @@ class _Terms:
         return self.map_coeffs(lambda c: c.truncate(order))
 
     def substitute(self, images, target: Context = None):
+        """Every coefficient renamed or zeroed (params.substitution)."""
         ctx = self.context if target is None else target
-        tgt = (ctx.params, ctx.order)
-        return self.map_coeffs(lambda c: c.substitute(images, tgt), ctx)
+        return self.map_coeffs(
+            substitution(self.context.params, images, (ctx.params, ctx.order)), ctx
+        )
 
     def sorted_terms(self):
         split = self._factors

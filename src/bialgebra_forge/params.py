@@ -6,6 +6,10 @@ total degree <= order. Truncation at total degree N is a quotient of
 the coefficient ring, so sums and products are exact through N.
 Values are immutable, so a product by the unit may return the other
 operand itself rather than a copy.
+
+The only substitutions are exact ones: a parameter is renamed or set to
+0, and nothing else (`substitution`). Any other image, a nonzero value
+included, is an input error.
 """
 
 from __future__ import annotations
@@ -199,66 +203,13 @@ class ParamPoly:
                 out[e[:index] + (0,) + e[index + 1:]] = c
         return self._like(out)
 
-    def substitute(self, images: dict, target: "PolyContextLike" = None) -> "ParamPoly":
-        """Formal substitution of parameters.
-
-        images maps a parameter name to a ParamPoly over the target
-        context or to a ScaleMonomial (which may carry negative
-        exponents; exactness is then checked per term). Unmapped
-        parameters must exist in the target context.
-        """
+    def substitute(self, images: dict, target=None) -> "ParamPoly":
+        """This polynomial with parameters renamed or set to 0 (see
+        `substitution`), over target = (params, order), by default this
+        polynomial's own context."""
         if target is None:
-            tparams, torder = self.params, self.order
-        else:
-            tparams, torder = tuple(target[0]), target[1]
-        one = ParamPoly.const(tparams, torder, ONE)
-
-        # images are resolved lazily: a parameter that never occurs with
-        # a positive exponent need not exist in the target context
-        poly_images = [None] * len(self.params)
-        mono_images = [None] * len(self.params)
-
-        def resolve(idx):
-            name = self.params[idx]
-            img = images.get(name)
-            if img is None:
-                poly_images[idx] = ParamPoly.parameter(tparams, torder, name)
-            elif isinstance(img, ScaleMonomial):
-                mono_images[idx] = img.embed_exps(self.params, tparams)
-            elif isinstance(img, ParamPoly):
-                if img.params != tparams:
-                    img = ParamPoly(tparams, torder, {
-                        _re_key(e, img.params, tparams): c
-                        for e, c in img.terms.items()
-                    })
-                poly_images[idx] = img.with_order(torder)
-            elif isinstance(img, Scalar):
-                poly_images[idx] = ParamPoly.const(tparams, torder, img)
-            else:
-                raise InputError(f"bad substitution image for {name!r}")
-
-        resolved = [False] * len(self.params)
-        out = ParamPoly.zero(tparams, torder)
-        for e, c in self.terms.items():
-            term = one.scale(c)
-            shift = [0] * len(tparams)
-            for idx, power in enumerate(e):
-                if not power:
-                    continue
-                if not resolved[idx]:
-                    resolve(idx)
-                    resolved[idx] = True
-                if mono_images[idx] is not None:
-                    mcoeff, mexps = mono_images[idx]
-                    term = term.scale(mcoeff ** power)
-                    for j, a in enumerate(mexps):
-                        shift[j] += a * power
-                else:
-                    term = term * (poly_images[idx] ** power)
-            if any(shift):
-                term = term.mul_monomial(tuple(shift))
-            out = out + term
-        return out
+            target = (self.params, self.order)
+        return substitution(self.params, images, target)(self)
 
     # -- display -------------------------------------------------------------
 
@@ -296,19 +247,65 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
-def _re_key(exps, src, dst):
-    out = [0] * len(dst)
-    for name, p in zip(src, exps):
-        if p:
-            out[dst.index(name)] += p
-    return tuple(out)
+def exact_image(name, image):
+    """The substitution rule: `image` is a parameter name (a renaming) or
+    zero (0 or Scalar(0)); returns the name, or None for zero. Nothing else
+    is exact on a truncated series: a nonzero value, a polynomial or a
+    Laurent monomial lowers the degree of some term, so terms cut off above
+    the order would come back below it."""
+    if isinstance(image, str):
+        return image
+    if isinstance(image, (int, Scalar)) and not image:
+        return None
+    raise InputError(
+        f"cannot specialize {name!r} to {image}: a truncated series is "
+        "exact only at 0 or under a renaming"
+    )
+
+
+def substitution(params, images: dict, target):
+    """The one exact substitution, as a map from polynomials over `params`
+    to polynomials over target = (params, order).
+
+    images maps a parameter to an `exact_image`; an unmapped parameter
+    keeps its name. The exponent slots are remapped once per call: a term
+    that uses a zeroed parameter drops, and renamed terms that meet are
+    summed. A parameter that never occurs with a positive exponent need
+    not exist in the target.
+    """
+    tparams, torder = tuple(target[0]), target[1]
+    names = {name: exact_image(name, image) for name, image in images.items()}
+    # a slot is the target index, None for zero, or the missing name
+    slots = []
+    for name in params:
+        image = names.get(name, name)
+        slots.append(tparams.index(image) if image in tparams else image)
+    width = len(tparams)
+
+    def apply(poly):
+        out = {}
+        for exps, coeff in poly.terms.items():
+            new = [0] * width
+            for slot, power in zip(slots, exps):
+                if power:
+                    if slot is None:
+                        break
+                    if type(slot) is str:
+                        raise InputError(f"unknown parameter {slot!r}")
+                    new[slot] += power
+            else:
+                accumulate(out, tuple(new), coeff)
+        return ParamPoly(tparams, torder, out)
+
+    return apply
 
 
 class ScaleMonomial:
     """coeff * prod(param^exp) with possibly negative exponents.
 
-    Used for basis rescalings and for substitutions of the form
-    p -> h*t or h -> p/t, where exactness must be checked term by term.
+    A factor, not a substitution image: basis rescalings multiply tensor
+    entries by it, and exactness is checked term by term. A substitution
+    only renames a parameter or sets it to 0 (see `substitution`).
     """
 
     __slots__ = ("coeff", "exps", "params")
@@ -340,19 +337,15 @@ class ScaleMonomial:
             tuple(a + b for a, b in zip(self.exps, other.exps)),
         )
 
-    def embed_exps(self, src_params, dst_params):
-        """(coeff, exponent vector over dst_params) for this monomial."""
-        out = [0] * len(dst_params)
+    def apply_to(self, poly: ParamPoly) -> ParamPoly:
+        """poly times this monomial; exponents are matched by name."""
+        exps = [0] * len(poly.params)
         for name, p in zip(self.params, self.exps):
             if p:
-                if name not in dst_params:
+                if name not in poly.params:
                     raise InputError(f"parameter {name!r} missing from target")
-                out[dst_params.index(name)] += p
-        return self.coeff, tuple(out)
-
-    def apply_to(self, poly: ParamPoly) -> ParamPoly:
-        coeff, exps = self.embed_exps(self.params, poly.params)
-        return poly.mul_monomial(exps, coeff)
+                exps[poly.params.index(name)] += p
+        return poly.mul_monomial(tuple(exps), self.coeff)
 
     def __repr__(self):
         body = "*".join(

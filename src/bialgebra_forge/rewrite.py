@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .errors import CapExceededError, DocumentError, NonContractingError
 from .ncpoly import Context, NCPoly, outer, word_str
+from .params import substitution
 from .sparse import accumulate
 
 
@@ -77,10 +78,10 @@ class RelationTable:
 
     def substitute(self, images, target: Context = None) -> "RelationTable":
         ctx = self.context if target is None else target
-        entries = []
-        for (j, i), poly in self.rhs.items():
-            entries.append((j, i, poly.substitute(images, ctx)))
-        return RelationTable(ctx, entries)
+        fn = substitution(self.context.params, images, (ctx.params, ctx.order))
+        return RelationTable(ctx, [
+            (j, i, poly.map_coeffs(fn, ctx)) for (j, i), poly in self.rhs.items()
+        ])
 
     def pairs(self):
         """All unordered generator pairs (i<j) of the basis."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import HypothesisError, InputError, MismatchedBasesError
-from .params import ParamPoly, ScaleMonomial
+from .params import ParamPoly, ScaleMonomial, substitution
 from .scalars import Scalar
 from .sparse import accumulate
 
@@ -116,11 +116,10 @@ class _ConstantTensor:
         return out
 
     def substitute(self, images, target=None):
-        params = self.params if target is None else tuple(target[0])
-        order = self.order if target is None else target[1]
-        return self.map_entries(
-            lambda v: v.substitute(images, (params, order)), params, order
-        )
+        """Every entry renamed or zeroed (params.substitution)."""
+        params, order = (self.params, self.order) if target is None else target
+        fn = substitution(self.params, images, (params, order))
+        return self.map_entries(fn, tuple(params), order)
 
     def __eq__(self, other):
         if type(other) is not type(self) or self.basis != other.basis:

@@ -290,10 +290,7 @@ def test_criterion_7b_report():
 def test_criterion_7c_specialize_normalize_commute(p):
     H = presentation3()
     diag_ctx = H.context.with_params(("t", "h", "z"))
-    images = {
-        "z1": bf.ParamPoly.parameter(diag_ctx.params, diag_ctx.order, "z"),
-        "z2": bf.ParamPoly.parameter(diag_ctx.params, diag_ctx.order, "z"),
-    }
+    images = {"z1": "z", "z2": "z"}
     sub_rel = H.rel.substitute(images, diag_ctx)
     routed = normalize(p, H.rel).substitute(images, diag_ctx)
     direct = normalize(p.substitute(images, diag_ctx), sub_rel)

@@ -6,8 +6,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from bialgebra_forge.errors import InexactDivisionError, InputError
+from bialgebra_forge.ncpoly import NCPoly
 from bialgebra_forge.params import ParamPoly, ScaleMonomial
 from bialgebra_forge.scalars import I, ONE, Scalar
+from bialgebra_forge.tensors import BracketTensor
+
+from conftest import presentation5
 
 PARAMS = ("t", "h", "z")
 ORDER = 6
@@ -72,35 +76,41 @@ def test_monomial_division_exact():
         p.divide_monomial((0, 0, 1))
 
 
-def test_substitute_parameter_to_product():
-    # realizes the reparameterization p -> h*t at monomial level
-    ring = ("p", "t")
-    p = ParamPoly.parameter(ring, 6, "p") * ParamPoly.parameter(ring, 6, "t")
-    target = (("h", "t"), 6)
-    image = ParamPoly.parameter(target[0], 6, "h") * ParamPoly.parameter(target[0], 6, "t")
-    out = p.substitute({"p": image}, target)
-    expected = (
-        ParamPoly.parameter(target[0], 6, "h")
-        * ParamPoly.parameter(target[0], 6, "t") ** 2
-    )
-    assert out == expected
-
-
 def test_identity_substitution():
     p = mono("t") * mono("z") + const(I)
     assert p.substitute({}) == p
 
 
-def test_laurent_substitution_checks_exactness():
-    # h -> p/t succeeds only when every term carries enough powers of t
-    ring = ("h", "t")
-    h = ParamPoly.parameter(ring, 6, "h")
-    t = ParamPoly.parameter(ring, 6, "t")
-    image = ScaleMonomial(("p", "t"), ONE, (1, -1))
-    ok = (h * t).substitute({"h": image}, (("p", "t"), 6))
-    assert ok == ParamPoly.parameter(("p", "t"), 6, "p")
-    with pytest.raises(InexactDivisionError):
-        h.substitute({"h": image}, (("p", "t"), 6))
+def test_substitute_renames_and_zeroes():
+    # z -> t merges t*z into t^2; h -> 0 drops every term using h
+    p = mono("t") * mono("z") + mono("t") * mono("t") + mono("h") + const(I)
+    target = (("t",), ORDER)
+    out = p.substitute({"z": "t", "h": Scalar(0)}, target)
+    t = ParamPoly.parameter(("t",), ORDER, "t")
+    assert out == (t * t).scale(Scalar(2)) + ParamPoly.const(("t",), ORDER, I)
+    # a parameter absent from the target is fine until a term uses it
+    assert const(I).substitute({}, target) == ParamPoly.const(("t",), ORDER, I)
+    with pytest.raises(InputError, match="unknown parameter 'z'"):
+        mono("z").substitute({}, target)
+
+
+def test_substitution_refuses_inexact_images():
+    """A renaming or 0 is the only exact substitution on a truncated
+    series; every substitute entry point refuses anything else."""
+    H = presentation5()
+    ctx = H.context
+    t = ctx.param_poly("t")
+    targets = [
+        t,
+        NCPoly.from_coeff(ctx, t),
+        H.rel,
+        BracketTensor(ctx.basis, ctx.params, ctx.order, {(0, 1, 2): t}),
+    ]
+    images = [Scalar(1), ctx.param_poly("h"), ScaleMonomial.parameter(ctx.params, "h")]
+    for target in targets:
+        for image in images:
+            with pytest.raises(InputError, match="exact only at 0 or under a renaming"):
+                target.substitute({"t": image})
 
 
 def test_scale_monomial_requires_invertible():

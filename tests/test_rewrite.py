@@ -253,10 +253,7 @@ def test_reported_values_do_not_depend_on_slack():
 
 def test_substitution_commutes_with_normalize():
     target = CTX5.with_params(("t", "h", "z"))
-    images = {
-        "z1": bf.ParamPoly.parameter(target.params, target.order, "z"),
-        "z2": bf.ParamPoly.parameter(target.params, target.order, "z"),
-    }
+    images = {"z1": "z", "z2": "z"}
     sub_rel = REL5.substitute(images, target)
     for word in [(L_Z, L_X), (P_Z, P_X, L_X), (L_Y, L_X, L_Z), (P_Z, L_Y)]:
         direct = normalize(word_poly(target, *word), sub_rel)

@@ -270,11 +270,7 @@ def test_family_specializes_to_pencil_ends(comps, ctx):
         comps["mu_100"], comps["mu_001"], comps["delta_010"], comps["delta_001"],
         param_names=("z1", "t", "z2", "h"),
     )
-    zero = Scalar(0)
-    images = {
-        "z1": ParamPoly.const(ctx.params, ctx.order, zero),
-        "z2": ParamPoly.const(ctx.params, ctx.order, zero),
-    }
+    images = {"z1": 0, "z2": Scalar(0)}
     mu_end = family.mu.substitute(images)
     t = ParamPoly.parameter(ctx.params, ctx.order, "t")
     for (i, j, k), value in comps["mu_100"].entries.items():
@@ -395,10 +391,7 @@ def test_substitution_commutes_with_defects(comps, ctx):
         param_names=("z1", "t", "z2", "h"),
     )
     target = (("t", "h", "z"), ctx.order)
-    images = {
-        "z1": ParamPoly.parameter(target[0], target[1], "z"),
-        "z2": ParamPoly.parameter(target[0], target[1], "z"),
-    }
+    images = {"z1": "z", "z2": "z"}
     mu_sub = family.mu.substitute(images, target)
     direct = jacobi_defect(mu_sub)
     routed = {
