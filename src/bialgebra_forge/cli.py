@@ -329,7 +329,7 @@ def cmd_tangent(args) -> int:
     for g, value in sorted(field.delta.items()):
         report.note(f"delta({names[g]}) = {value}")
     if args.expect:
-        expected, mode = _load_expectation(args.expect)
+        expected, mode = _load_expectation(args.expect, names)
         diff = compare_field(field, expected, mode=mode)
         detail = ""
         if not diff.ok:
@@ -345,7 +345,7 @@ def cmd_tangent(args) -> int:
     return _emit(args, report)
 
 
-def _load_expectation(ref: str):
+def _load_expectation(ref: str, names):
     if ref.startswith("@"):
         fixtures = load_tangent_fixtures()
         case = ref[1:]
@@ -361,13 +361,24 @@ def _load_expectation(ref: str):
                 body = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read expectation {ref}: {exc}") from exc
-    expected = [
-        ExpectedEntry("mu", (e["left"], e["right"]), e["value"])
-        for e in body.get("mu", [])
-    ] + [
-        ExpectedEntry("delta", (e["generator"],), e["value"])
-        for e in body.get("delta", [])
-    ]
+    if not isinstance(body, dict):
+        raise InputError(f"expectation {ref} must be a JSON object")
+    expected = []
+    for kind, keys in (("mu", ("left", "right")), ("delta", ("generator",))):
+        entries = body.get(kind, [])
+        if not isinstance(entries, list):
+            raise InputError(f"expectation {kind} must be a JSON list")
+        for e in entries:
+            fields = [e.get(k) for k in (*keys, "value")] if isinstance(e, dict) else [e]
+            if not all(isinstance(f, str) for f in fields):
+                raise InputError(
+                    f"{kind} entry must have string {', '.join(keys)} and value: {e!r}"
+                )
+            *key, value = fields
+            for g in key:
+                if g not in names:
+                    raise InputError(f"unknown generator {g!r} in expectation {ref}")
+            expected.append(ExpectedEntry(kind, tuple(key), value))
     return expected, body.get("mode", "leading")
 
 

@@ -10,6 +10,7 @@ documents.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -24,6 +25,21 @@ from .tensors import Basis, BracketTensor, CobracketTensor
 
 SCHEMA = "bialgebra-forge/1"
 _RESERVED = {"i", "exp", "sinh", "cosh"}
+
+
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+
+
+def _typed(value, kind, what):
+    """value, when it has the JSON type kind; a DocumentError otherwise."""
+    if not isinstance(value, kind):
+        raise DocumentError(f"{what} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _strings(data, key) -> list:
+    """data[key] (default empty), a JSON list of strings."""
+    return [_typed(s, str, f"{key} item") for s in _typed(data.get(key, []), list, key)]
 
 
 @dataclass
@@ -45,15 +61,31 @@ class Document:
             raise DocumentError(
                 f"unsupported schema {data.get('schema')!r}; expected {SCHEMA!r}"
             )
-        if not isinstance(data.get("settings", {}), dict):
-            raise DocumentError("settings must be a JSON object")
+        # every field's JSON type is checked here, before any is read
+        compositions = _typed(data.get("compositions", {}), dict, "compositions")
+        for name, comp in compositions.items():
+            _typed(comp, dict, f"composition {name!r}")
+            for entry in _typed(comp.get("entries", []), list, f"composition {name!r} entries"):
+                if not isinstance(entry, dict) or not isinstance(entry.get("coeff"), str):
+                    raise DocumentError(f"composition {name!r} has a malformed entry {entry!r}")
+        presentation = data.get("presentation")
+        if presentation is not None:
+            _typed(presentation, dict, "presentation")
+            for item in _typed(presentation.get("brackets", []), list, "presentation.brackets"):
+                _typed(item, dict, "presentation.brackets item")
+                _typed(item.get("rhs"), str,
+                       f"rhs of bracket [{item.get('left')},{item.get('right')}]")
+            for part, label in (("coproducts", "coproduct"), ("counit", "counit")):
+                for g, text in _typed(presentation.get(part, {}), dict,
+                                      f"presentation.{part}").items():
+                    _typed(text, str, f"{label} of {g!r}")
         doc = cls(
-            parameters=list(data.get("parameters", [])),
-            generators=list(data.get("generators", [])),
-            compositions=dict(data.get("compositions", {})),
-            presentation=data.get("presentation"),
-            settings=dict(data.get("settings", {})),
-            notes=list(data.get("notes", [])),
+            parameters=_strings(data, "parameters"),
+            generators=_strings(data, "generators"),
+            compositions=dict(compositions),
+            presentation=presentation,
+            settings=dict(_typed(data.get("settings", {}), dict, "settings")),
+            notes=_strings(data, "notes"),
         )
         doc._validate_identifiers()
         doc._validate_structure()
@@ -99,7 +131,7 @@ class Document:
                     pair, single = upper, lower
                 if (
                     not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or any(g not in gens for g in pair) or single not in gens
+                    or not all(isinstance(g, str) and g in gens for g in (*pair, single))
                 ):
                     raise DocumentError(
                         f"composition {name!r} has a malformed entry {entry!r}"
@@ -111,7 +143,7 @@ class Document:
             pairs = set()
             for item in self.presentation.get("brackets", []):
                 left, right = item.get("left"), item.get("right")
-                if left not in gens or right not in gens:
+                if not all(isinstance(g, str) and g in gens for g in (left, right)):
                     raise DocumentError(
                         f"bracket pair ({left!r},{right!r}) uses undeclared generators"
                     )
@@ -203,6 +235,7 @@ class Document:
     # -- emission ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """A fresh copy: altering it leaves this document as it is."""
         out = {"schema": SCHEMA, "parameters": list(self.parameters),
                "generators": list(self.generators)}
         if self.compositions:
@@ -213,7 +246,7 @@ class Document:
             out["settings"] = self.settings
         if self.notes:
             out["notes"] = list(self.notes)
-        return out
+        return copy.deepcopy(out)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"

@@ -11,7 +11,8 @@ key wins, even when its duplicates summed to zero; an absent orientation
 reads as its stored flip, negated. The Jacobi and mixed sums multiply
 only pairs of oriented values that share the summed index, so for n
 generators they cost O(stored values) on sparse tensors rather than
-O(n^5); the cocycle defect reads the same values once per generator pair.
+O(n^5); the cocycle defect reads each tensor's oriented values once,
+grouped by generator pair (`brackets()`) and by generator (`wedges()`).
 """
 
 from __future__ import annotations
@@ -155,10 +156,19 @@ class BracketTensor(_ConstantTensor):
         i, j, k = key
         return f"C^{names[k]}_{names[i]},{names[j]}"
 
+    def brackets(self) -> dict:
+        """Every [x_i, x_j] with i != j, keyed (i, j), as a map generator
+        index -> ParamPoly; diagonal keys are skipped."""
+        out = {}
+        for (a, b, k), v in self.oriented().items():
+            if a != b:
+                out.setdefault((a, b), {})[k] = v
+        return out
+
     def bracket(self, i, j) -> dict:
         """[x_i, x_j] as a map generator index -> ParamPoly; empty for
         i == j, whatever a diagonal key stores."""
-        return {k: v for (a, b, k), v in self.oriented().items() if (a, b) == (i, j) and a != b}
+        return self.brackets().get((i, j), {})
 
 
 class CobracketTensor(_ConstantTensor):
@@ -178,9 +188,18 @@ class CobracketTensor(_ConstantTensor):
         i, j, k = key
         return f"D_{names[i]}^{names[j]},{names[k]}"
 
+    def wedges(self) -> dict:
+        """Every delta(x_i), keyed i, as canonical wedge coefficients
+        {(a<b): ParamPoly}."""
+        out = {}
+        for (m, a, b), v in self.oriented().items():
+            if a < b:
+                out.setdefault(m, {})[(a, b)] = v
+        return out
+
     def wedge_of(self, i) -> dict:
         """delta(x_i) as canonical wedge coefficients {(a<b): ParamPoly}."""
-        return {(a, b): v for (m, a, b), v in self.oriented().items() if m == i and a < b}
+        return self.wedges().get(i, {})
 
     def dual_bracket(self) -> BracketTensor:
         """The bracket on the dual space: C^i_jk := D_i^jk (raw keys
@@ -302,13 +321,14 @@ def mixed_cojacobi_defect(d_a: CobracketTensor, d_b: CobracketTensor) -> dict:
     return mixed_jacobi_defect(d_a.dual_bracket(), d_b.dual_bracket())
 
 
-def _ad_wedge(mu: BracketTensor, i, wedge) -> dict:
-    """(ad_xi (x) id + id (x) ad_xi) applied to a wedge element."""
+def _ad_wedge(brackets: dict, i, wedge) -> dict:
+    """(ad_xi (x) id + id (x) ad_xi) applied to a wedge element, with
+    brackets as read by BracketTensor.brackets."""
     out = {}
     for (a, b), w in wedge.items():
-        for c, v in mu.bracket(i, a).items():
+        for c, v in brackets.get((i, a), {}).items():
             _wedge_add(out, c, b, w * v)
-        for c, v in mu.bracket(i, b).items():
+        for c, v in brackets.get((i, b), {}).items():
             _wedge_add(out, a, c, w * v)
     return out
 
@@ -322,17 +342,18 @@ def cocycle_defect(mu: BracketTensor, delta: CobracketTensor) -> dict:
     Lie bialgebra.
     """
     mu.same_shape(delta)
+    brackets, wedges = mu.brackets(), delta.wedges()
     n = len(mu.basis)
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
             acc = {}
-            for m, c in mu.bracket(i, j).items():
-                for (a, b), w in delta.wedge_of(m).items():
+            for m, c in brackets.get((i, j), {}).items():
+                for (a, b), w in wedges.get(m, {}).items():
                     _wedge_add(acc, a, b, w * c)
-            for (a, b), w in _ad_wedge(mu, i, delta.wedge_of(j)).items():
+            for (a, b), w in _ad_wedge(brackets, i, wedges.get(j, {})).items():
                 _wedge_add(acc, a, b, -w)
-            for (a, b), w in _ad_wedge(mu, j, delta.wedge_of(i)).items():
+            for (a, b), w in _ad_wedge(brackets, j, wedges.get(i, {})).items():
                 _wedge_add(acc, a, b, w)
             if acc:
                 out[(i, j)] = acc

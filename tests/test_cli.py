@@ -118,6 +118,57 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "to 1: a truncated series is exact only at 0" in err
+    # fields of the wrong JSON type, each caught when the document loads
+    def entries(d):
+        return d["compositions"]["mu_100"]["entries"]
+
+    def brackets(d):
+        return d["presentation"]["brackets"]
+
+    for label, alter, message in (
+        ("entry without coeff", lambda d: entries(d)[0].pop("coeff"), "malformed entry"),
+        ("number coeff", lambda d: entries(d)[0].update(coeff=1), "malformed entry"),
+        ("number entry", lambda d: entries(d).append(5), "malformed entry"),
+        ("list composition", lambda d: d["compositions"].update(mu_100=[]),
+         "composition 'mu_100' must be a JSON object"),
+        ("number rhs", lambda d: brackets(d)[0].update(rhs=2), "must be a string"),
+        ("number bracket item", lambda d: brackets(d).append(3),
+         "presentation.brackets item must be a JSON object"),
+        ("number coproduct", lambda d: d["presentation"]["coproducts"].update(p_x=1),
+         "coproduct of 'p_x' must be a string"),
+        ("number counit", lambda d: d["presentation"]["counit"].update(p_x=0),
+         "counit of 'p_x' must be a string"),
+        ("list presentation", lambda d: d.update(presentation=[]),
+         "presentation must be a JSON object"),
+        ("number generators", lambda d: d.update(generators=[1, 2]),
+         "generators item must be a string"),
+        ("string parameters", lambda d: d.update(parameters="tz"),
+         "parameters must be a JSON list"),
+    ):
+        data = bf.load_bundled("corrected").to_dict()
+        alter(data)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        for argv in (["check", "four-pairs", str(path)], ["hopf", "counit", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (label, argv)
+            assert err.startswith("error: ") and message in err, (label, err)
+    # a malformed tangent expectation file
+    for label, body, message in (
+        ("top-level list", [], "must be a JSON object"),
+        ("entry without left", {"mu": [{"right": "l_y", "value": "t*l_z"}]},
+         "mu entry must have string"),
+        ("unknown generator", {"mu": [{"left": "q", "right": "l_y", "value": "t"}]},
+         "unknown generator 'q'"),
+        ("integer value", {"delta": [{"generator": "l_x", "value": 1}]},
+         "delta entry must have string"),
+    ):
+        path = tmp_path / "expect.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run(capsys, "tangent", str(diag), "--direction", "h",
+                             "--expect", str(path))
+        assert code == 2 and out == "", label
+        assert err.startswith("error: ") and message in err, (label, err)
 
 
 def test_huge_power_of_a_vanishing_term(tmp_path, capsys):

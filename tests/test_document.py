@@ -58,6 +58,16 @@ def test_missing_coproduct_rejected():
     assert "l_y" in str(err.value)
 
 
+def test_to_dict_is_a_copy():
+    doc = bf.load_bundled("corrected")
+    before = doc.dumps()
+    data = doc.to_dict()
+    data["presentation"]["brackets"][0]["rhs"] += "+p_x"
+    data["compositions"]["mu_100"]["entries"].pop()
+    data["settings"]["order"] = 9
+    assert doc.dumps() == before
+
+
 def test_round_trip_is_a_fixed_point():
     H = presentation5()
     emitted = bf.presentation_document(H)
