@@ -3,10 +3,12 @@
 Every case runs in process through `bialgebra_forge.cli.main`, in text
 and JSON format, at order 5 and at order 6 with cap 12 (where `hopf all`
 reports the known presentation-Jacobi FAIL). `hopf all` also runs at
-order 8 with cap 16 and at order 12 with cap 24: past order 5 the bracket
-table is not confluent, so normal forms there depend on the order in which
-products are normalised, and only these depths pin that order; order 12
-also carries the deepest rationals (factorial denominators). Cases that need a document
+order 8 with cap 16, at order 12 with cap 24 and at order 16 with cap 32:
+past order 5 the bracket table is not confluent, so normal forms there
+depend on the order in which products are normalised, and only these
+depths pin that order; orders 12 and 16 also carry the deepest rationals
+(factorial denominators), and order 16 is where most rewriting branches
+end below the order. Cases that need a document
 on disk (the z1=z2=z diagonal, a copy of @corrected with one altered
 coproduct coefficient, a copy of the diagonal whose altered coproducts
 break the order-2 and order-3 expansion identities, and a copy of
@@ -45,9 +47,10 @@ SETTINGS = {
     "o6c12": ["--order", "6", "--cap", "12"],
     "o8c16": ["--order", "8", "--cap", "16"],
     "o12c24": ["--order", "12", "--cap", "24"],
+    "o16c32": ["--order", "16", "--cap", "32"],
 }
 GRID = ("o5", "o6c12")   # settings every case runs at
-ORDER = {"o5": 5, "o6c12": 6, "o8c16": 8, "o12c24": 12}
+ORDER = {"o5": 5, "o6c12": 6, "o8c16": 8, "o12c24": 12, "o16c32": 16}
 FORMATS = ("text", "json")
 FIXTURES = ("h-field-at-z0", "t-field-at-z0", "h-field", "t-field")
 DIAGONAL = "z1=z,z2=z"
@@ -124,7 +127,7 @@ def _cases():
         for fmt in FORMATS:
             for case, argv in per_setting:
                 out.append((f"{case}.{setting}.{fmt}", argv, setting, fmt))
-    for setting in ("o8c16", "o12c24"):
+    for setting in ("o8c16", "o12c24", "o16c32"):
         for fmt in FORMATS:
             out.append((f"hopf-all.{setting}.{fmt}", ["hopf", "all", "@corrected"],
                         setting, fmt))
