@@ -5,9 +5,11 @@ The relation table stores, for every generator pair, the commutator
 replaces an out-of-order adjacent pair x_j x_i by x_i x_j + [x_j, x_i].
 Every right-hand-side term must carry at least one power of a
 deformation parameter (the CONTRACTING condition), so each correction
-strictly raises parameter degree and the worklist dies at the
-truncation order. A sorted word has no out-of-order pair, so it is its
-own normal form: normalize passes it through untouched.
+strictly raises parameter degree. A word is rewritten only through its
+degree budget, the order less its coefficient's lowest degree, since
+the product cuts off whatever lies above; so the worklist dies at the
+budget, not at the order. A sorted word has no out-of-order pair, so it
+is its own normal form: normalize passes it through untouched.
 """
 
 from __future__ import annotations
@@ -40,8 +42,18 @@ class RelationTable:
                 )
             self.rhs[(j, i)] = poly if left > right else -poly
         self._check_contracting()
-        self._nf_cache = {}
+        self._store(self.rhs)
         self._canonicalise_rhs()
+
+    def _store(self, rhs):
+        # the rewriting kernel reads each rhs term's lowest parameter
+        # degree; the normal-form cache holds only forms under this rhs
+        self.rhs = rhs
+        self._low = {
+            key: {w: c.min_degree() for w, c in poly.terms.items()}
+            for key, poly in rhs.items()
+        }
+        self._nf_cache = {}
 
     def _name(self, idx):
         return self.context.basis.names[idx]
@@ -60,11 +72,9 @@ class RelationTable:
         # l_x * exp(..p_x..)) are normalised against the table itself;
         # this keeps every stored rhs in normal form without changing
         # the two-sided ideal.
-        new = {
+        self._store({
             key: normalize(poly, self) for key, poly in self.rhs.items()
-        }
-        self.rhs = new
-        self._nf_cache = {}
+        })
 
     def bracket_poly(self, a: int, b: int) -> NCPoly:
         """[x_a, x_b] as an NCPoly (zero when the pair is undeclared)."""
@@ -107,32 +117,47 @@ def _descents(word):
     return [pos for pos in range(len(word) - 1) if word[pos] > word[pos + 1]]
 
 
-def normal_form_word(table: RelationTable, word, choose=None) -> NCPoly:
-    """Normal form of a single word as an NCPoly.
+def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NCPoly:
+    """Normal form of a single word as an NCPoly, exact through parameter
+    degree `budget` (default: the order).
+
+    The result equals the full-order normal form through degree budget;
+    it may carry terms above the budget, but only exact ones (a cached
+    entry computed for a larger budget serves a smaller one as it is).
+    A call with the default budget returns the full normal form, whatever
+    budgets were requested before. Each branch of the worklist carries
+    its room: the budget less its coefficient's lowest degree. Over a
+    field the lowest part of a product is the product of the lowest parts,
+    so a rewrite takes the lowest degree of the rhs term it inserts off
+    the room, and a branch whose room would go negative is dropped before
+    its coefficient is formed.
 
     choose, when given, picks which out-of-order adjacent pair to
     rewrite first (position index into the descent list); the default
     always takes the leftmost. Results for any choice agree whenever
     the presentation Jacobi defects vanish. Only the default strategy
-    is cached.
+    is cached, keyed by word, as (budget, normal form).
     """
     context = table.context
+    order = context.order
+    if budget is None:
+        budget = order
     use_cache = choose is None
+    cache = table._nf_cache
     if use_cache:
-        cached = table._nf_cache.get(word)
-        if cached is not None:
-            return cached
+        entry = cache.get(word)
+        if entry is not None and entry[0] >= budget:
+            return entry[1]
 
     result = {}
-    work = [(tuple(word), context.const_poly(1))]
+    low = table._low
+    work = [(tuple(word), context.const_poly(1), budget)]
     while work:
-        w, coeff = work.pop()
-        if not coeff:
-            continue
+        w, coeff, room = work.pop()
         if use_cache and w != word:
-            cached = table._nf_cache.get(w)
-            if cached is not None:
-                for u, c in cached.terms.items():
+            entry = cache.get(w)
+            if entry is not None and entry[0] >= room:
+                for u, c in entry[1].terms.items():
                     s = coeff * c
                     if s:
                         accumulate(result, u, s)
@@ -147,8 +172,12 @@ def normal_form_word(table: RelationTable, word, choose=None) -> NCPoly:
             continue
         a, b = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
-        work.append((head + (b, a) + tail, coeff))
+        work.append((head + (b, a) + tail, coeff, room))
+        lows = low.get((a, b))
         for rw, rc in table.bracket_poly(a, b).terms.items():
+            left = room - lows[rw]
+            if left < 0:
+                continue
             c = coeff * rc
             if not c:
                 continue
@@ -158,23 +187,46 @@ def normal_form_word(table: RelationTable, word, choose=None) -> NCPoly:
                     f"rewriting [{table._name(a)},{table._name(b)}] produced "
                     f"word {word_str(nw, context.basis)} beyond cap {context.cap}"
                 )
-            work.append((nw, c))
+            work.append((nw, c, left))
+    if budget < order:
+        result = _cut(result, budget)
     nf = NCPoly(context, result)
     if use_cache:
-        table._nf_cache[word] = nf
+        cache[word] = (budget, nf)
     return nf
+
+
+def _cut(result, budget):
+    """result without its terms above parameter degree budget; only the
+    coefficients that lose a term are rebuilt."""
+    out = {}
+    for w, coeff in result.items():
+        terms = coeff.terms
+        kept = {e: c for e, c in terms.items() if sum(e) <= budget}
+        if len(kept) == len(terms):
+            out[w] = coeff
+        elif kept:
+            out[w] = coeff._like(kept)
+    return out
 
 
 def normalize(a, table: RelationTable, choose=None):
     """Normal form of an NCPoly, or of each factor of a TensorNCPoly. A
     sorted factor word is irreducible, so it passes through as it is,
-    with no rewriting and no coefficient product, whatever `choose` is."""
+    with no rewriting and no coefficient product, whatever `choose` is.
+    An unsorted one is rewritten only through the degree its term's
+    coefficient leaves below the order: what lies above is cut off by
+    the product anyway."""
+    order = table.context.order
     out = {}
     for key, coeff in a.terms.items():
-        factors = [
-            w if _first_descent(w) is None else normal_form_word(table, w, choose)
-            for w in a._factors(key)
-        ]
+        factors, budget = [], None
+        for w in a._factors(key):
+            if _first_descent(w) is not None:
+                if budget is None:
+                    budget = order - min(map(sum, coeff.terms))
+                w = normal_form_word(table, w, choose, budget)
+            factors.append(w)
         for words, c in outer(factors, coeff).items():
             accumulate(out, a._key(words), c)
     return a._like(out)

@@ -1,8 +1,13 @@
+import contextlib
 import functools
+import io
+import sys
 
 import pytest
 
 import bialgebra_forge as bf
+from bialgebra_forge import rewrite
+from bialgebra_forge.cli import main
 
 
 @functools.cache
@@ -43,6 +48,28 @@ def compositions5():
         name: doc.composition_tensor(name, ctx)
         for name in ("mu_100", "mu_001", "delta_010", "delta_001")
     }
+
+
+def rewrite_steps(argv):
+    """Exit code of the CLI run argv, and its rewrite steps: the
+    bracket_poly lookups made by rewrite.normal_form_word itself."""
+    kernel = rewrite.normal_form_word.__code__
+    lookup = rewrite.RelationTable.bracket_poly
+    steps = 0
+
+    def counted(table, a, b):
+        nonlocal steps
+        if sys._getframe(1).f_code is kernel:
+            steps += 1
+        return lookup(table, a, b)
+
+    rewrite.RelationTable.bracket_poly = counted
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        rewrite.RelationTable.bracket_poly = lookup
+    return code, steps
 
 
 @pytest.fixture(scope="session")

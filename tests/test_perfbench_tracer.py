@@ -16,6 +16,8 @@ from pathlib import Path
 import bialgebra_forge as bf
 from bialgebra_forge.cli import main
 
+from conftest import rewrite_steps
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -47,3 +49,19 @@ def test_tracer_reports_every_declared_layer_metric():
     assert names <= set(metrics), sorted(names - set(metrics))
     for name in ("rewrite.nf_calls", "hopf.cop_calls", "params.mul_calls"):
         assert metrics[name][0] > 0, name
+
+
+def test_traced_rewrite_steps_are_the_kernel_lookups():
+    # rewrite.steps counts the bracket lookups that normal_form_word makes;
+    # a kernel that stopped making one per step would leave it stale
+    argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
+    tracer = _load_tracer_module().Tracer(bf)
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 1
+    finally:
+        tracer.uninstall()
+    steps = tracer.metrics(1)["rewrite.steps"][0]
+    assert steps > 0
+    assert steps == rewrite_steps(argv)[1]

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from bialgebra_forge.rewrite import (
 )
 from bialgebra_forge.scalars import Scalar
 
-from conftest import context3, presentation3, presentation5
+from conftest import (
+    context3, corrected_document, presentation3, presentation5, rewrite_steps,
+)
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
 
@@ -212,9 +215,9 @@ def test_normalize_matches_normal_forms_of_every_factor(p, seed):
 def test_normal_input_makes_no_normal_form_calls(monkeypatch):
     calls = []
 
-    def counted(table, word, choose=None):
+    def counted(table, word, choose=None, budget=None):
         calls.append(word)
-        return normal_form_word(table, word, choose)
+        return normal_form_word(table, word, choose, budget)
 
     monkeypatch.setattr(rewrite, "normal_form_word", counted)
     g = [NCPoly.generator(CTX5, i) for i in range(6)]
@@ -228,6 +231,86 @@ def test_normal_input_makes_no_normal_form_calls(monkeypatch):
     calls.clear()
     assert normalize(tensor(g[L_Z] * g[L_X], g[P_X] * g[L_Z]), REL5) == expected
     assert calls == [(L_Z, L_X)]
+
+
+# -- degree budgets -----------------------------------------------------------------
+
+
+@functools.cache
+def corrected_tables(order):
+    """Two tables of @corrected at order: one to request budgets of, and
+    one that only ever computes full normal forms."""
+    doc = corrected_document()
+    ctx = doc.make_context(order=order, cap=4 * order)
+    return doc.build_presentation(ctx).rel, doc.build_presentation(ctx).rel
+
+
+def terms_through(nf, degree):
+    """The terms of nf through parameter degree, keyed by (word, exponents)."""
+    return {
+        (w, e): c
+        for w, coeff in nf.terms.items() for e, c in coeff.terms.items()
+        if sum(e) <= degree
+    }
+
+
+def check_budgets(table, full, requests):
+    """Normal forms requested of table at (word, budget) in the given order
+    agree with full's through each budget, carry above it only terms of
+    the full form, and leave a later default call the full form."""
+    order = table.context.order
+    for word, budget in requests:
+        got = normal_form_word(table, word, budget=budget)
+        want = normal_form_word(full, word)
+        assert terms_through(got, budget) == terms_through(want, budget)
+        # an entry cached for a larger budget carries exact terms above this one
+        assert terms_through(got, order).items() <= terms_through(want, order).items()
+    for word, _ in requests:
+        assert normal_form_word(table, word) == normal_form_word(full, word)
+
+
+def budget_requests(letters, order, max_size):
+    return st.lists(
+        st.tuples(st.lists(st.integers(0, letters - 1), min_size=2, max_size=max_size)
+                  .map(tuple), st.integers(0, order)),
+        min_size=1, max_size=8,
+    )
+
+
+@given(st.sampled_from((5, 6, 8)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_budgeted_normal_forms_are_full_ones_through_the_budget(order, data):
+    table, full = corrected_tables(order)
+    table._nf_cache.clear()
+    check_budgets(table, full, data.draw(budget_requests(6, order, 5)))
+
+
+def test_a_budgeted_normal_form_is_cut_at_its_budget():
+    # one parameter and two-term coefficients: the branches of c*a*b kept
+    # at budget 1 reach (t+3*t^2)*a, while the full form's t^2
+    # coefficient on a is 5, so the t^2 term must be cut off
+    ctx = bf.Context(bf.Basis(("a", "b", "c")), ("t",), order=4, cap=12)
+    t = ctx.param_poly("t")
+    one, two, three = (ctx.const_poly(n) for n in (1, 2, 3))
+    entries = [
+        (1, 0, NCPoly(ctx, {(0,): t, (2,): t * (one + t)})),
+        (2, 0, NCPoly(ctx, {(0, 2): t * (two + three * t)})),
+        (2, 1, NCPoly(ctx, {(): t * (one + three * t)})),
+    ]
+    table, full = rewrite.RelationTable(ctx, entries), rewrite.RelationTable(ctx, entries)
+    assert normal_form_word(table, (2, 0, 1), budget=1) == NCPoly(
+        ctx, {(0,): t, (0, 1, 2): one + two * t})
+    table._nf_cache.clear()
+    check_budgets(table, full, [
+        ((2, 0, 1), 1), ((2, 2, 0, 1), 2), ((2, 0, 1), 3), ((1, 2, 0, 1), 0),
+        ((2, 0, 1), 2), ((2, 1, 1, 0), 1),
+    ])
+
+
+def test_budgets_pin_the_rewrite_steps_of_hopf_all_at_order_8():
+    # rewriting every word through the order takes 1,842 steps here
+    argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
+    assert rewrite_steps(argv) == (1, 677)
 
 
 def test_reported_values_do_not_depend_on_slack():
