@@ -267,11 +267,19 @@ class NCPoly(_Terms):
         """(C + N)^n = sum_k binom(n, k) C^(n-k) N^k, for the empty-word
         coefficient C, which is central, and the word part N. N^k takes
         one factor at a time, so a word past the cap raises, and the sum
-        stops once N^k is zero, by k = cap + 1 at the latest."""
+        stops once N^k is zero, by k = cap + 1 at the latest. With C = 0
+        only the k = n term is nonzero: the power is N^n."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
         constant = self.coefficient(())
         words = self._like({w: c for w, c in self.terms.items() if w})
+        if not constant:
+            power = NCPoly.unit(self.context)
+            for _ in range(n):
+                power = power * words
+                if not power:
+                    break
+            return power
         out = NCPoly.from_coeff(self.context, constant ** n)
         if not words:
             return out

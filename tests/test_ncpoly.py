@@ -201,6 +201,17 @@ def test_powers_match_repeated_products():
     assert NCPoly.zero(CTX) ** 3 == NCPoly.zero(CTX)
 
 
+def test_power_without_constant_term_is_the_word_power():
+    # with a zero empty-word coefficient only the last binomial term is
+    # nonzero; a constant term brings the others back
+    for words in (gen(A) + gen(B), param("u") * gen(A) + gen(B) * gen(C)):
+        for p in (words, words + param("v")):
+            for n in range(5):
+                assert p ** n == _stepwise_power(p, n), (p, n)
+    with pytest.raises(CapExceededError):
+        (gen(A) + gen(B)) ** 9
+
+
 def test_word_power_stops_once_zero():
     # u*a has parameter degree k in its k-th power: zero past the order,
     # before the word reaches the cap, however large the exponent
