@@ -4,7 +4,8 @@ The tracer patches the package's functions by name, so a renamed or
 merged function can break the traced benchmark run without touching any
 other test. Here it is installed in process, traces two short CLI runs,
 must report every per-layer metric that BENCHMARK.json declares, and
-must restore everything it patched.
+must restore everything it patched. A traced order-8 run must count as
+many rewrite steps as the kernel makes bracket lookups.
 """
 
 import contextlib

@@ -269,20 +269,16 @@ def check_budgets(table, full, requests):
         assert normal_form_word(table, word) == normal_form_word(full, word)
 
 
-def budget_requests(letters, order, max_size):
-    return st.lists(
-        st.tuples(st.lists(st.integers(0, letters - 1), min_size=2, max_size=max_size)
-                  .map(tuple), st.integers(0, order)),
-        min_size=1, max_size=8,
-    )
-
-
 @given(st.sampled_from((5, 6, 8)), st.data())
 @settings(max_examples=40, deadline=None)
 def test_budgeted_normal_forms_are_full_ones_through_the_budget(order, data):
     table, full = corrected_tables(order)
     table._nf_cache.clear()
-    check_budgets(table, full, data.draw(budget_requests(6, order, 5)))
+    check_budgets(table, full, data.draw(st.lists(
+        st.tuples(st.lists(st.integers(0, 5), min_size=2, max_size=5).map(tuple),
+                  st.integers(0, order)),
+        min_size=1, max_size=8,
+    )))
 
 
 def test_a_budgeted_normal_form_is_cut_at_its_budget():
