@@ -2,14 +2,14 @@
 parameter-dependent Hopf algebra presentations, over Gaussian rationals."""
 
 from .scalars import Scalar, I, ONE, ZERO
-from .params import ParamPoly, ScaleMonomial
+from .params import ParamPoly
 from .tensors import (
     Basis, BracketTensor, CobracketTensor, DeformationFamily, FourPairsReport,
     antisymmetry_defect, build_family, check_four_pairs, cocycle_defect,
     cocycle_monomial_split, cojacobi_defect, jacobi_defect, mixed_cojacobi_defect,
     mixed_jacobi_defect, rescale_basis,
 )
-from .ncpoly import Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor
+from .ncpoly import Context, NCPoly, TensorNCPoly, series_apply, tensor
 from .rewrite import (
     RelationTable, commutator, normal_form_word, normalize, normalize_tensor,
     presentation_jacobi_defect,

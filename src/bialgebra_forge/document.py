@@ -147,8 +147,12 @@ class Document:
                     raise DocumentError(
                         f"bracket pair ({left!r},{right!r}) uses undeclared generators"
                     )
+                if left == right:
+                    raise DocumentError(
+                        f"bracket [{left},{right}] of a generator with itself"
+                    )
                 key = frozenset((left, right))
-                if left == right or key in pairs:
+                if key in pairs:
                     raise DocumentError(
                         f"duplicate bracket key for pair ({left},{right})"
                     )

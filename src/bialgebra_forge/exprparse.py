@@ -31,9 +31,11 @@ raised before the power is computed (scalars.check_power).
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import sub
 
 from .errors import ExprSyntaxError, InexactDivisionError, UnknownIdentifierError
-from .ncpoly import Context, NCPoly, TensorNCPoly, divide_param, series_apply, tensor
+from .ncpoly import Context, NCPoly, TensorNCPoly, series_apply, tensor
+from .params import ParamPoly
 from .scalars import I, ONE, ZERO, Scalar, check_power
 
 _FUNCTIONS = ("exp", "sinh", "cosh")
@@ -124,6 +126,32 @@ class _Value:
         return isinstance(self.poly, TensorNCPoly)
 
 
+def _divide(value, den: dict):
+    """value (an NCPoly or TensorNCPoly) with every coefficient divided by
+    the parameter monomial den = {name: power}, term by term. The only
+    division by a parameter in the package: a term the monomial does not
+    divide raises InexactDivisionError, naming the divisor."""
+    params = value.context.params
+    exps = tuple(den.get(name, 0) for name in params)
+
+    def divide(coeff):
+        out = {}
+        for e, c in coeff.terms.items():
+            shifted = tuple(map(sub, e, exps))
+            if min(shifted) < 0:
+                divisor = "*".join(
+                    name if p == 1 else f"{name}^{p}" for name, p in den.items() if p
+                )
+                term = ParamPoly(params, coeff.order, {e: c})
+                raise InexactDivisionError(
+                    f"division by {divisor} is inexact: it does not divide {term}"
+                )
+            out[shifted] = c
+        return ParamPoly(params, coeff.order, out)
+
+    return value.map_coeffs(divide)
+
+
 class Parser:
     def __init__(self, context: Context, text: str):
         self.context = context
@@ -161,7 +189,7 @@ class Parser:
         monomial is exact only through d degrees less."""
         if not value.den:
             return value.poly
-        poly = divide_param(value.poly, value.den)
+        poly = _divide(value.poly, value.den)
         self.loss += sum(value.den.values())
         return poly
 

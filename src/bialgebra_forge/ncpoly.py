@@ -409,15 +409,3 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
             next_k += 1
         out = out + power.scale(coeff)
     return out
-
-
-def divide_param(a, monomial: dict):
-    """Exact division of every coefficient by prod(param^power)."""
-    if not isinstance(a, _Terms):
-        raise InputError("divide_param expects an NCPoly or TensorNCPoly")
-    params = a.context.params
-    missing = set(monomial) - set(params)
-    if missing:
-        raise InputError(f"unknown parameters {sorted(missing)} in divisor")
-    exps = tuple(monomial.get(p, 0) for p in params)
-    return a.map_coeffs(lambda c: c.divide_monomial(exps))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .errors import InexactDivisionError, InputError
+from .errors import InputError
 from .scalars import ONE, Scalar, ZERO, format_scalar
 from .sparse import accumulate
 
@@ -171,29 +171,6 @@ class ParamPoly:
         """The same terms carried at `order`; terms above it are dropped."""
         return ParamPoly(self.params, order, self.terms)
 
-    # -- monomial shifts -----------------------------------------------------
-
-    def mul_monomial(self, exps, coeff: Scalar = ONE) -> "ParamPoly":
-        """Multiply by coeff * prod(p_i^exps_i); exps may be negative
-        (formal Laurent factor), in which case every term must stay
-        in the polynomial ring."""
-        if not coeff:
-            return self._like({})
-        out = {}
-        for e, c in self.terms.items():
-            shifted = tuple(a + b for a, b in zip(e, exps))
-            if any(a < 0 for a in shifted):
-                raise InexactDivisionError(
-                    f"monomial shift {exps} leaves negative exponent on {e}"
-                )
-            if _degree(shifted) <= self.order:
-                out[shifted] = c * coeff
-        return self._like(out)
-
-    def divide_monomial(self, exps, coeff: Scalar = ONE) -> "ParamPoly":
-        neg = tuple(-a for a in exps)
-        return self.mul_monomial(neg, ONE / coeff)
-
     def coefficient_of(self, index: int, power: int) -> "ParamPoly":
         """Coefficient of params[index]**power, as a poly with that
         exponent slot zeroed (the parameter stays in the context)."""
@@ -250,9 +227,9 @@ class ParamPoly:
 def exact_image(name, image):
     """The substitution rule: `image` is a parameter name (a renaming) or
     zero (0 or Scalar(0)); returns the name, or None for zero. Nothing else
-    is exact on a truncated series: a nonzero value, a polynomial or a
-    Laurent monomial lowers the degree of some term, so terms cut off above
-    the order would come back below it."""
+    is exact on a truncated series: a nonzero value or a polynomial lowers
+    the degree of some term, so terms cut off above the order would come
+    back below it."""
     if isinstance(image, str):
         return image
     if isinstance(image, (int, Scalar)) and not image:
@@ -299,58 +276,3 @@ def substitution(params, images: dict, target):
 
     return apply
 
-
-class ScaleMonomial:
-    """coeff * prod(param^exp) with possibly negative exponents.
-
-    A factor, not a substitution image: basis rescalings multiply tensor
-    entries by it, and exactness is checked term by term. A substitution
-    only renames a parameter or sets it to 0 (see `substitution`).
-    """
-
-    __slots__ = ("coeff", "exps", "params")
-
-    def __init__(self, params, coeff: Scalar, exps):
-        self.params = tuple(params)
-        self.coeff = coeff
-        self.exps = tuple(exps)
-        if not coeff:
-            raise InputError("scale monomial must be invertible (nonzero)")
-
-    @classmethod
-    def constant(cls, params, coeff: Scalar):
-        return cls(params, coeff, (0,) * len(params))
-
-    @classmethod
-    def parameter(cls, params, name, power=1):
-        params = tuple(params)
-        if name not in params:
-            raise InputError(f"unknown parameter {name!r}")
-        return cls(params, ONE, tuple(power if p == name else 0 for p in params))
-
-    def inverse(self) -> "ScaleMonomial":
-        return ScaleMonomial(self.params, ONE / self.coeff, tuple(-a for a in self.exps))
-
-    def __mul__(self, other: "ScaleMonomial") -> "ScaleMonomial":
-        return ScaleMonomial(
-            self.params, self.coeff * other.coeff,
-            tuple(a + b for a, b in zip(self.exps, other.exps)),
-        )
-
-    def apply_to(self, poly: ParamPoly) -> ParamPoly:
-        """poly times this monomial; exponents are matched by name."""
-        exps = [0] * len(poly.params)
-        for name, p in zip(self.params, self.exps):
-            if p:
-                if name not in poly.params:
-                    raise InputError(f"parameter {name!r} missing from target")
-                exps[poly.params.index(name)] += p
-        return poly.mul_monomial(tuple(exps), self.coeff)
-
-    def __repr__(self):
-        body = "*".join(
-            name if p == 1 else f"{name}^{p}"
-            for name, p in zip(self.params, self.exps) if p
-        )
-        c = format_scalar(self.coeff)
-        return f"ScaleMonomial({c}{'*' + body if body else ''})"

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import HypothesisError, InputError, MismatchedBasesError
-from .params import ParamPoly, ScaleMonomial, substitution
-from .scalars import Scalar
+from .params import ParamPoly, substitution
+from .scalars import ONE, Scalar
 from .sparse import accumulate
 
 
@@ -210,36 +210,26 @@ class CobracketTensor(_ConstantTensor):
         return out
 
 
-def _normalise_scales(tensor, scales):
+def rescale_basis(tensor, scales):
+    """The tensor in the basis b_i = s_i * a_i, for one nonzero Q(i)
+    scalar s_i (a Scalar or an int) per generator: each entry is
+    multiplied by s_i*s_j/s_k (bracket) or s_i/(s_j*s_k) (cobracket),
+    each key slot contributing its generator's scale, inverted where the
+    tensor's inverted_slots says so."""
     if len(scales) != len(tensor.basis):
         raise InputError("one scale per generator required")
-    out = []
+    factors = []  # per generator: (s, 1/s), indexed by "inverted"
     for s in scales:
-        if isinstance(s, ScaleMonomial):
-            out.append(s)
-        elif isinstance(s, Scalar):
-            out.append(ScaleMonomial.constant(tensor.params, s))
-        elif isinstance(s, int):
-            out.append(ScaleMonomial.constant(tensor.params, Scalar(s)))
-        else:
-            raise InputError(f"bad scale {s!r}")
-    return out
-
-
-def rescale_basis(tensor, scales):
-    """B(t): a_i -> a_i / s_i on either tensor kind. Each key slot of an
-    entry contributes its generator's scale, inverted where the tensor's
-    inverted_slots says so."""
-    scales = _normalise_scales(tensor, scales)
+        if not isinstance(s, (Scalar, int)) or not s:
+            raise InputError(f"scale {s!r} is not a nonzero Q(i) scalar")
+        s = Scalar(s) if isinstance(s, int) else s
+        factors.append((s, ONE / s))
     out = type(tensor)(tensor.basis, tensor.params, tensor.order)
     for key, value in tensor.entries.items():
         a, b, c = (
-            scales[g].inverse() if inverted else scales[g]
-            for g, inverted in zip(key, tensor.inverted_slots)
+            factors[g][inverted] for g, inverted in zip(key, tensor.inverted_slots)
         )
-        new = (a * b * c).apply_to(value)
-        if new:
-            out.entries[key] = new
+        out.entries[key] = value.scale(a * b * c)
     return out
 
 
@@ -445,10 +435,10 @@ def build_family(
             raise InputError(f"family parameter {name!r} missing from context")
 
     def lift(tensor, cls, pname):
-        mono = ScaleMonomial.parameter(params, pname)
+        p = ParamPoly.parameter(params, order, pname)
         out = cls(tensor.basis, params, order)
         for key, value in tensor.entries.items():
-            out.entries[key] = mono.apply_to(value)
+            out.entries[key] = p * value
         return out
 
     mu = lift(mu_001, BracketTensor, zp)

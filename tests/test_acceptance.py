@@ -104,16 +104,14 @@ def test_criterion_2_family_identity():
 
 
 def _manual_family(mu_100, mu_001, delta_010, delta_001):
-    from bialgebra_forge.params import ScaleMonomial
-
     params, order = mu_100.params, mu_100.order
     names = ("z1", "t", "z2", "h")
 
     def lift(tensor, cls, pname):
-        mono = ScaleMonomial.parameter(params, pname)
+        p = bf.ParamPoly.parameter(params, order, pname)
         out = cls(tensor.basis, params, order)
         for key, value in tensor.entries.items():
-            out.set_entry(key, mono.apply_to(value))
+            out.set_entry(key, p * value)
         return out
 
     mu = lift(mu_001, BracketTensor, "z1")

@@ -89,6 +89,8 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         ("2^30000000*t*p_y", "a power would give a coefficient of more than"),
         ("((3+4*i)/5)^200000*t*p_y", "a power would give a coefficient of more than"),
         ("(2*t/t)^30000000*t*p_y", "a power would give a coefficient of more than"),
+        # an inexact parameter division names its divisor
+        ("(t/h)*l_x", "division by h is inexact"),
     ):
         data = bf.load_bundled("corrected").to_dict()
         data["presentation"]["brackets"][0]["rhs"] = rhs
@@ -98,6 +100,7 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         assert code == 2 and out == "", rhs
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+        assert "(0," not in err
     # expand bounds that are not integers, and one parameter in two roles
     for flag, value, message in (
         ("--up-to", "x,1,1", "--up-to needs three integer exponent bounds"),

@@ -40,6 +40,9 @@ def test_duplicate_detection_runs_before_expression_parsing():
     (lambda d: d.update(generators=["a", "a"]), "declared twice"),
     (lambda d: d.update(parameters=["exp"]), "reserved"),
     (lambda d: d.update(parameters=["2bad"]), "bad identifier"),
+    (lambda d: d["presentation"]["brackets"].append(
+        {"left": "p_y", "right": "p_y", "rhs": "0"}),
+     "bracket [p_y,p_y] of a generator with itself"),
 ])
 def test_validation_errors(mutate, fragment):
     data = corrected_document().to_dict()

@@ -7,8 +7,9 @@ import sympy
 from bialgebra_forge.errors import (
     CapExceededError, InexactDivisionError, InputError, NonTerminatingSeriesError,
 )
+from bialgebra_forge.exprparse import _divide
 from bialgebra_forge.ncpoly import (
-    Context, NCPoly, TensorNCPoly, _series_coeffs, divide_param, series_apply, tensor,
+    Context, NCPoly, TensorNCPoly, _series_coeffs, series_apply, tensor,
 )
 from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.scalars import I, ONE, Scalar
@@ -113,16 +114,15 @@ def test_series_requires_parameter_weight():
 def test_cosh_minus_one_divisible_by_square():
     arg = param("u") * param("v") * gen(C)
     value = series_apply("cosh", arg) - NCPoly.unit(CTX)
-    quotient = divide_param(value, {"u": 2, "v": 2})
-    back = NCPoly(CTX, {
-        w: coeff.mul_monomial((2, 2)) for w, coeff in quotient.terms.items()
-    })
+    quotient = _divide(value, {"u": 2, "v": 2})
+    u2v2 = (CTX.param_poly("u") * CTX.param_poly("v")) ** 2
+    back = NCPoly(CTX, {w: coeff * u2v2 for w, coeff in quotient.terms.items()})
     assert back == value
 
 
 def test_divide_param_sinh_example():
     arg = param("u") * gen(C)
-    quotient = divide_param(series_apply("sinh", arg), {"u": 1})
+    quotient = _divide(series_apply("sinh", arg), {"u": 1})
     expected = {}
     for k in (1, 3, 5, 7):
         if k <= CTX.order:
@@ -132,13 +132,13 @@ def test_divide_param_sinh_example():
 
 def test_divide_by_one_monomial_is_identity():
     p = param("u") * gen(A) + gen(B)
-    assert divide_param(p, {}) == p
+    assert _divide(p, {}) == p
 
 
 def test_divide_param_inexact():
     p = param("u") * gen(A)
     with pytest.raises(InexactDivisionError):
-        divide_param(p, {"v": 1})
+        _divide(p, {"v": 1})
 
 
 def test_series_identity_cosh_sq_minus_sinh_sq():

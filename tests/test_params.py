@@ -6,10 +6,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from bialgebra_forge.errors import InexactDivisionError, InputError
-from bialgebra_forge.ncpoly import NCPoly
-from bialgebra_forge.params import ParamPoly, ScaleMonomial
+import bialgebra_forge as bf
+from bialgebra_forge.exprparse import _divide, parse_coefficient
+from bialgebra_forge.ncpoly import Context, NCPoly
+from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.scalars import I, ONE, Scalar
-from bialgebra_forge.tensors import BracketTensor
+from bialgebra_forge.tensors import Basis, BracketTensor, rescale_basis
 
 from conftest import presentation5
 
@@ -69,11 +71,12 @@ def test_coefficient_slices():
 
 
 def test_monomial_division_exact():
-    p = mono("t") * mono("h") + mono("t") * mono("t")
-    q = p.divide_monomial((1, 0, 0))
-    assert q == mono("h") + mono("t")
+    ctx = Context(Basis(()), PARAMS, ORDER, cap=0, slack=0)
+    p = NCPoly.from_coeff(ctx, mono("t") * mono("h") + mono("t") * mono("t"))
+    q = _divide(p, {"t": 1})
+    assert q == NCPoly.from_coeff(ctx, mono("h") + mono("t"))
     with pytest.raises(InexactDivisionError):
-        p.divide_monomial((0, 0, 1))
+        _divide(p, {"z": 1})
 
 
 def test_identity_substitution():
@@ -106,16 +109,34 @@ def test_substitution_refuses_inexact_images():
         H.rel,
         BracketTensor(ctx.basis, ctx.params, ctx.order, {(0, 1, 2): t}),
     ]
-    images = [Scalar(1), ctx.param_poly("h"), ScaleMonomial.parameter(ctx.params, "h")]
+    images = [Scalar(1), ctx.param_poly("h")]
     for target in targets:
         for image in images:
             with pytest.raises(InputError, match="exact only at 0 or under a renaming"):
                 target.substitute({"t": image})
 
 
-def test_scale_monomial_requires_invertible():
-    with pytest.raises(Exception):
-        ScaleMonomial(PARAMS, Scalar(0), (0, 0, 0))
+def test_only_the_parser_divides_by_a_parameter():
+    """No Laurent factor is left in the library: a basis rescaling takes
+    nonzero Q(i) scalars only, and a quotient by a parameter is read by the
+    parser, which works far enough above the order to keep it exact."""
+    assert not hasattr(bf, "ScaleMonomial") and not hasattr(bf, "divide_param")
+    assert not hasattr(ParamPoly, "mul_monomial")
+    assert not hasattr(ParamPoly, "divide_monomial")
+    H = presentation5()
+    ctx = H.context
+    mu = BracketTensor(ctx.basis, ctx.params, ctx.order, {(0, 1, 2): ctx.param_poly("t")})
+    scales = [Scalar(1)] * len(ctx.basis)
+    for zero in (0, Scalar(0)):
+        scales[2] = zero
+        with pytest.raises(InputError, match="nonzero"):
+            rescale_basis(mu, scales)
+    scales[2] = ctx.param_poly("t")
+    with pytest.raises(InputError, match="nonzero"):
+        rescale_basis(mu, scales)
+    ctx3 = Context(Basis(()), ("t",), order=3, cap=0, slack=0)
+    value = parse_coefficient("(t*exp(t))/t", ctx3)
+    assert str(value) == "1+t+1/2*t^2+1/6*t^3"
 
 
 def test_string_form_is_canonical():
