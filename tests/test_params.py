@@ -5,8 +5,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bialgebra_forge.errors import InexactDivisionError, InputError
 import bialgebra_forge as bf
+from bialgebra_forge.errors import InexactDivisionError, InputError
 from bialgebra_forge.exprparse import _divide, parse_coefficient
 from bialgebra_forge.ncpoly import Context, NCPoly
 from bialgebra_forge.params import ParamPoly
