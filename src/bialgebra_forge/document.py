@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import DocumentError
-from .exprparse import parse_coefficient, parse_expr
+from .exprparse import IDENTIFIER, parse_coefficient, parse_expr
 from .hopf import HopfPresentation
 from .ncpoly import Context, NCPoly, TensorNCPoly
 from .rewrite import RelationTable
@@ -107,9 +107,7 @@ class Document:
             raise DocumentError("document declares no generators")
         seen = set()
         for name in list(self.parameters) + list(self.generators):
-            if not name or not all(c.isalnum() or c == "_" for c in name):
-                raise DocumentError(f"bad identifier {name!r}")
-            if name[0].isdigit():
+            if not IDENTIFIER.fullmatch(name):
                 raise DocumentError(f"bad identifier {name!r}")
             if name in _RESERVED:
                 raise DocumentError(f"identifier {name!r} is reserved")
@@ -210,9 +208,12 @@ class Document:
         if self.presentation is None:
             raise DocumentError("document has no presentation block")
         index = context.basis.index
+        # one series memo for this build: each distinct series is expanded
+        # once, and no expansion outlives the build
+        series = {}
         entries = []
         for item in self.presentation.get("brackets", []):
-            rhs = parse_expr(item["rhs"], context)
+            rhs = parse_expr(item["rhs"], context, _series=series)
             if isinstance(rhs, TensorNCPoly):
                 raise DocumentError(
                     f"bracket [{item['left']},{item['right']}] has a tensor rhs"
@@ -221,7 +222,7 @@ class Document:
         rel = RelationTable(context, entries)
         coproduct = {}
         for gname, text in self.presentation["coproducts"].items():
-            cop = parse_expr(text, context)
+            cop = parse_expr(text, context, _series=series)
             if isinstance(cop, NCPoly):
                 # primitive shorthand is not assumed; a plain expression
                 # is only valid when it is already a tensor

@@ -7,6 +7,13 @@
               | factor '/' divisor | '-' factor | factor '^' natural
     fn     := 'exp' | 'sinh' | 'cosh'
 
+An identifier (a parameter, generator or function name, or i) is an
+ASCII letter or underscore followed by ASCII letters, digits and
+underscores (IDENTIFIER, which document validation also uses). A number
+is a run of the ASCII digits 0-9; any other character, a superscript or
+fraction digit included, is an unexpected character. One compiled
+pattern lexes the whole text (_lex).
+
 Scalars are rationals with an optional i factor ('1/2', 'i', '-3*i/4',
 '-3i/4'). A divisor is either a number (exact scalar division) or a
 parameter monomial such as z2 or (z2*h); parameter divisions are kept
@@ -19,7 +26,12 @@ quotient by a degree-d monomial is exact only through d degrees below
 the order the parse works at. parse_expr is the one place that works above the
 context's order: it parses at order + slack, parses again at order + the
 summed divisor degrees when those exceed the slack, and cuts the result
-to the context's order, through which it is exact.
+to the context's order, through which it is exact. Both parses read one
+token list. A series of an argument already expanded at the same order
+is not expanded again: each parse_expr call holds a memo of its series,
+and Document.build_presentation shares one memo across a build.
+A product with a word-free factor scales the other factor's
+coefficients rather than multiplying word by word.
 '(x)' is always read as the tensor-join token, never as a parenthesised
 identifier.
 Parentheses, function calls and unary minus nest at most MAX_NESTING
@@ -30,10 +42,14 @@ raised before the power is computed (scalars.check_power).
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
-from operator import sub
+from operator import attrgetter, sub
+from types import MappingProxyType
 
-from .errors import ExprSyntaxError, InexactDivisionError, UnknownIdentifierError
+from .errors import (
+    CapExceededError, ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
+)
 from .ncpoly import Context, NCPoly, TensorNCPoly, series_apply, tensor
 from .params import ParamPoly
 from .scalars import I, ONE, ZERO, Scalar, check_power
@@ -42,75 +58,48 @@ _FUNCTIONS = ("exp", "sinh", "cosh")
 # deepest nesting of parentheses, function calls and unary minus; deeper
 # input would exhaust the interpreter stack of this recursive parser
 MAX_NESTING = 100
-_SYMBOLS = ("+", "-", "*", "/", "^", "(", ")")
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
+# the one identifier rule: document validation and the lexer both use it
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return f"{self.kind}:{self.value!r}@{self.pos}"
+# one alternative per token kind; finditer skips whitespace, which no
+# alternative matches, and a symbol (any other character) is one token
+_TOKEN = re.compile(
+    rf"(?P<TENSOR>\(\s*x\s*\))|(?P<NUMBER>[0-9]+)|(?P<IDENT>{IDENTIFIER.pattern})|\S"
+)
+_SYMBOLS = MappingProxyType({
+    "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
+    "^": "CARET", "(": "LPAREN", ")": "RPAREN",
+})
 
 
 def _lex(text: str):
-    tokens = []
-    n = len(text)
-    pos = 0
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "(":
-            # look ahead for the tensor-join token '(x)'
-            look = pos + 1
-            while look < n and text[look].isspace():
-                look += 1
-            if look < n and text[look] == "x":
-                close = look + 1
-                while close < n and text[close].isspace():
-                    close += 1
-                if close < n and text[close] == ")":
-                    tokens.append(_Token("TENSOR", "(x)", pos))
-                    pos = close + 1
-                    continue
-            tokens.append(_Token("LPAREN", "(", pos))
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
+    """The tokens of text as three lists, kinds, values and positions,
+    ending with END. The scan runs in C; only NUMBER and TENSOR values
+    are rewritten here, each to the value its kind carries."""
+    matches = list(_TOKEN.finditer(text))
+    values = list(map(re.Match.group, matches))
+    # a symbol's kind is named by its text, any other token's by its group
+    kinds = list(map(_SYMBOLS.get, values, map(attrgetter("lastgroup"), matches)))
+    positions = list(map(re.Match.start, matches))
+    for at, kind in enumerate(kinds):
+        if kind == "NUMBER":
             try:
-                value = int(text[start:pos])
+                values[at] = int(values[at])
             except ValueError:  # past the interpreter's digit limit
                 raise ExprSyntaxError(
-                    f"numeric literal of {pos - start} digits is too long", start
+                    f"numeric literal of {len(values[at])} digits is too long",
+                    positions[at],
                 ) from None
-            tokens.append(_Token("NUMBER", value, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(_Token("IDENT", text[start:pos], start))
-            continue
-        if ch in _SYMBOLS:
-            kind = {
-                "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-                "^": "CARET", "(": "LPAREN", ")": "RPAREN",
-            }[ch]
-            tokens.append(_Token(kind, ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("END", None, n))
-    return tokens
+        elif kind == "TENSOR":
+            values[at] = "(x)"
+        elif kind is None:
+            raise ExprSyntaxError(f"unexpected character {values[at]!r}", positions[at])
+    kinds.append("END")
+    values.append(None)
+    positions.append(len(text))
+    return kinds, values, positions
 
 
 class _Value:
@@ -152,36 +141,56 @@ def _divide(value, den: dict):
     return value.map_coeffs(divide)
 
 
+def _product(left, right):
+    """left * right for two NCPoly values. A word-free side multiplies
+    the other's coefficients, in the order the generic product would; no
+    word changes length, and every word read was checked against the cap
+    (Parser._atom) or made by a product that checked it."""
+    if len(left.terms) == 1 and () in left.terms:
+        k = left.terms[()]
+        return right.map_coeffs(lambda c: k * c)
+    if len(right.terms) == 1 and () in right.terms:
+        k = right.terms[()]
+        return left.map_coeffs(lambda c: c * k)
+    return left * right
+
+
 class Parser:
-    def __init__(self, context: Context, text: str):
+    """One parse of a lexed expression at context's order. series maps
+    (function, argument context, argument terms) to the expansion
+    already computed for that key; the caller owns it, and a key repeated
+    within its lifetime is expanded once."""
+
+    def __init__(self, context: Context, tokens, series: dict):
         self.context = context
-        self.text = text
-        self.tokens = _lex(text)
+        self.kinds, self.values, self.positions = tokens
+        self.series = series
         self.at = 0
         self.depth = 0
-        self.gen_index = context.basis.index
-        self.param_set = set(context.params)
+        self.atoms = {}  # name -> the value of i, a parameter or a generator
         self.loss = 0  # sum of the degrees of every applied divisor
 
     # -- token plumbing -------------------------------------------------------
 
     def _peek(self):
-        return self.tokens[self.at]
+        """The kind of the next token."""
+        return self.kinds[self.at]
 
     def _next(self):
-        tok = self.tokens[self.at]
+        """Consume the next token; its index."""
         self.at += 1
-        return tok
+        return self.at - 1
 
     def _expect(self, kind):
-        tok = self._next()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"expected {kind}, found {tok.value!r}", tok.pos)
-        return tok
+        """Consume the next token, which must be of kind; its index."""
+        at = self._next()
+        if self.kinds[at] != kind:
+            self._fail(f"expected {kind}, found {self.values[at]!r}", at)
+        return at
 
-    def _fail(self, message, tok=None):
-        tok = tok or self._peek()
-        raise ExprSyntaxError(message, tok.pos)
+    def _fail(self, message, at=None):
+        """Raise a syntax error at token at (default: the next one)."""
+        raise ExprSyntaxError(message, self.positions[self.at if at is None else at])
 
     def _resolve(self, value: _Value):
         """The numerator divided by the pending denominator. Every product
@@ -197,31 +206,30 @@ class Parser:
 
     def parse(self):
         value = self._expr()
-        end = self._peek()
-        if end.kind != "END":
-            self._fail(f"trailing input starting at {end.value!r}")
+        if self._peek() != "END":
+            self._fail(f"trailing input starting at {self.values[self.at]!r}")
         return self._resolve(value)
 
     def _expr(self) -> _Value:
         value = self._tterm()
-        if self._peek().kind not in ("PLUS", "MINUS"):
+        if self._peek() not in ("PLUS", "MINUS"):
             # single term: keep any pending division for the caller, so
             # prefactors like (t/(z2*h)) stay unresolved until the full
             # product is expanded
             return value
         total = self._resolve(value)
-        while self._peek().kind in ("PLUS", "MINUS"):
+        while (kind := self._peek()) in ("PLUS", "MINUS"):
             op = self._next()
             rhs = self._resolve(self._tterm())
             if isinstance(total, TensorNCPoly) != isinstance(rhs, TensorNCPoly):
                 self._fail("cannot add tensor and non-tensor terms", op)
-            total = total + rhs if op.kind == "PLUS" else total - rhs
+            total = total + rhs if kind == "PLUS" else total - rhs
         return _Value(total)
 
     def _tterm(self) -> _Value:
         value = self._term()
         factors = [value]
-        while self._peek().kind == "TENSOR":
+        while self._peek() == "TENSOR":
             self._next()
             factors.append(self._term())
         if len(factors) == 1:
@@ -239,7 +247,7 @@ class Parser:
 
     def _term(self) -> _Value:
         value = self._factor()
-        while self._peek().kind == "STAR":
+        while self._peek() == "STAR":
             self._next()
             rhs = self._factor()
             if value.is_tensor() or rhs.is_tensor():
@@ -247,69 +255,88 @@ class Parser:
             den = dict(value.den)
             for name, power in rhs.den.items():
                 den[name] = den.get(name, 0) + power
-            value = _Value(value.poly * rhs.poly, den)
+            value = _Value(_product(value.poly, rhs.poly), den)
         return value
 
     def _factor(self) -> _Value:
-        tok = self._peek()
+        kind = self._peek()
         if self.depth == MAX_NESTING:
             self._fail(f"expression nested more than {MAX_NESTING} levels deep")
         self.depth += 1
-        if tok.kind == "MINUS":
+        if kind == "MINUS":
             self._next()
             inner = self._factor()
             value = _Value(-inner.poly, inner.den)
-        elif tok.kind == "NUMBER":
+        elif kind == "NUMBER":
             value = self._scalar_literal()
-        elif tok.kind == "LPAREN":
+        elif kind == "LPAREN":
             self._next()
             value = self._expr()
             self._expect("RPAREN")
-        elif tok.kind == "IDENT":
+        elif kind == "IDENT":
             value = self._identifier()
         else:
-            self._fail(f"unexpected token {tok.value!r}")
+            self._fail(f"unexpected token {self.values[self.at]!r}")
         self.depth -= 1
         return self._postfix(value)
 
     def _scalar_literal(self) -> _Value:
-        tok = self._expect("NUMBER")
-        value = Scalar(tok.value)
-        if self._peek().kind == "IDENT" and self._peek().value == "i":
+        value = Scalar(self.values[self._expect("NUMBER")])
+        if self._peek() == "IDENT" and self.values[self.at] == "i":
             self._next()
             value = value * I
         return _Value(NCPoly.from_scalar(self.context, value))
 
     def _identifier(self) -> _Value:
-        tok = self._expect("IDENT")
-        name = tok.value
+        at = self._expect("IDENT")
+        name = self.values[at]
         if name in _FUNCTIONS:
             self._expect("LPAREN")
             arg = self._expr()
             self._expect("RPAREN")
             poly = self._resolve(arg)
             if isinstance(poly, TensorNCPoly):
-                self._fail("series functions take non-tensor arguments", tok)
-            return _Value(series_apply(name, poly))
+                self._fail("series functions take non-tensor arguments", at)
+            key = (name, poly.context, frozenset(poly.terms.items()))
+            series = self.series.get(key)
+            if series is None:
+                series = self.series[key] = series_apply(name, poly)
+            return _Value(series)
+        atom = self.atoms.get(name)
+        if atom is None:
+            atom = self.atoms[name] = self._atom(name, at)
+        return _Value(atom)
+
+    def _atom(self, name, at):
+        """The value of the identifier name, read at token at: i, a
+        parameter or a generator. Values are immutable, so one parse
+        shares each. A generator is a word of length 1, checked against
+        the cap here, as _product checks no word."""
+        context = self.context
         if name == "i":
-            return _Value(NCPoly.from_scalar(self.context, I))
-        if name in self.param_set:
-            coeff = self.context.param_poly(name)
-            return _Value(NCPoly.from_coeff(self.context, coeff))
-        if name in self.gen_index:
-            return _Value(NCPoly.generator(self.context, self.gen_index[name]))
-        raise UnknownIdentifierError(
-            f"unknown identifier {name!r} (at position {tok.pos})"
-        )
+            return NCPoly.from_scalar(context, I)
+        if name in context.params:
+            return NCPoly.from_coeff(context, context.param_poly(name))
+        index = context.basis.index.get(name)
+        if index is None:
+            raise UnknownIdentifierError(
+                f"unknown identifier {name!r} (at position {self.positions[at]})"
+            )
+        if context.cap < 1:
+            raise CapExceededError(
+                f"word {name} exceeds generator-degree cap {context.cap}"
+            )
+        return NCPoly.generator(context, index)
 
     def _postfix(self, value: _Value) -> _Value:
         while True:
-            kind = self._peek().kind
+            kind = self._peek()
             if kind == "CARET":
                 self._next()
-                ntok = self._expect("NUMBER")
+                at = self._expect("NUMBER")
+                n = self.values[at]
                 if value.is_tensor():
-                    self._fail("'^' cannot raise tensor expressions", ntok)
+                    self._fail("'^' cannot raise tensor expressions", at)
                 # a divisor that divides exactly costs its degree once,
                 # not once per factor of the power
                 if value.den:
@@ -320,9 +347,9 @@ class Parser:
                 # the constant term, with any pending division applied
                 exps = tuple(value.den.get(name, 0) for name in self.context.params)
                 constant = value.poly.coefficient(()).terms.get(exps, ZERO)
-                check_power(constant, ntok.value)
-                value = _Value(value.poly ** ntok.value, {
-                    name: power * ntok.value for name, power in value.den.items()
+                check_power(constant, n)
+                value = _Value(value.poly ** n, {
+                    name: power * n for name, power in value.den.items()
                 })
             elif kind == "SLASH":
                 self._next()
@@ -331,12 +358,11 @@ class Parser:
                 return value
 
     def _division(self, value: _Value) -> _Value:
-        tok = self._peek()
-        if tok.kind == "NUMBER":
-            self._next()
-            if tok.value == 0:
-                self._fail("division by zero", tok)
-            scaled = value.poly.scale(ONE / Scalar(tok.value))
+        if self._peek() == "NUMBER":
+            at = self._next()
+            if self.values[at] == 0:
+                self._fail("division by zero", at)
+            scaled = value.poly.scale(ONE / Scalar(self.values[at]))
             return _Value(scaled, value.den)
         den = dict(value.den)
         for name, power in self._divisor_monomial().items():
@@ -344,46 +370,46 @@ class Parser:
         return _Value(value.poly, den)
 
     def _divisor_monomial(self) -> dict:
-        tok = self._next()
-        if tok.kind == "IDENT":
-            return {self._require_param(tok): self._opt_power()}
-        if tok.kind == "LPAREN":
+        at = self._next()
+        if self.kinds[at] == "IDENT":
+            return {self._require_param(at): self._opt_power()}
+        if self.kinds[at] == "LPAREN":
             out = {}
             while True:
-                ident = self._expect("IDENT")
-                name = self._require_param(ident)
+                name = self._require_param(self._expect("IDENT"))
                 out[name] = out.get(name, 0) + self._opt_power()
-                nxt = self._next()
-                if nxt.kind == "RPAREN":
+                at = self._next()
+                if self.kinds[at] == "RPAREN":
                     return out
-                if nxt.kind != "STAR":
-                    raise ExprSyntaxError(
-                        "divisor must be a parameter monomial", nxt.pos
-                    )
-        raise ExprSyntaxError("divisor must be a parameter monomial", tok.pos)
+                if self.kinds[at] != "STAR":
+                    self._fail("divisor must be a parameter monomial", at)
+        self._fail("divisor must be a parameter monomial", at)
 
-    def _require_param(self, tok) -> str:
-        if tok.value not in self.param_set:
-            raise ExprSyntaxError(
-                f"divisor {tok.value!r} is not a parameter", tok.pos
-            )
-        return tok.value
+    def _require_param(self, at) -> str:
+        name = self.values[at]
+        if name not in self.context.params:
+            self._fail(f"divisor {name!r} is not a parameter", at)
+        return name
 
     def _opt_power(self) -> int:
-        if self._peek().kind == "CARET":
+        if self._peek() == "CARET":
             self._next()
-            return self._expect("NUMBER").value
+            return self.values[self._expect("NUMBER")]
         return 1
 
 
-def parse_expr(text: str, context: Context):
+def parse_expr(text: str, context: Context, *, _series=None):
     """Parse an expression into an NCPoly or (with '(x)') a TensorNCPoly
-    over context, exact through and cut at context.order."""
+    over context, exact through and cut at context.order. _series is the
+    series memo of Parser; a caller parsing many expressions may share
+    one among them (Document.build_presentation does, for one build)."""
     order, slack = context.order, context.slack
-    parser = Parser(replace(context, order=order + slack), text)
+    tokens = _lex(text)
+    series = {} if _series is None else _series
+    parser = Parser(replace(context, order=order + slack), tokens, series)
     poly = parser.parse()
     if parser.loss > slack:
-        poly = Parser(replace(context, order=order + parser.loss), text).parse()
+        poly = Parser(replace(context, order=order + parser.loss), tokens, series).parse()
     return poly.map_coeffs(lambda c: c.with_order(order), context)
 
 

@@ -22,7 +22,7 @@ from operator import add
 from .errors import CapExceededError, InputError, NonTerminatingSeriesError
 from .params import ParamPoly, substitution
 from .scalars import ONE, Scalar
-from .sparse import accumulate
+from .sparse import accumulate, deduct
 from .tensors import Basis
 
 _new = object.__new__
@@ -115,7 +115,11 @@ class _Terms:
         return self._like(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._same_arity(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            deduct(out, key, coeff)
+        return self._like(out)
 
     def __neg__(self):
         return self.map_coeffs(lambda c: -c)

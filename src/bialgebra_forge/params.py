@@ -19,7 +19,7 @@ from operator import add
 
 from .errors import InputError
 from .scalars import ONE, Scalar, ZERO, format_scalar
-from .sparse import accumulate
+from .sparse import accumulate, deduct
 
 
 _degree = sum   # total degree of an exponent vector
@@ -82,7 +82,11 @@ class ParamPoly:
         return self._like(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            deduct(out, exps, coeff)
+        return self._like(out)
 
     def __neg__(self):
         return self._like({e: -c for e, c in self.terms.items()})

@@ -95,7 +95,10 @@ class Scalar:
         return _coerce(other) / self
 
     def __neg__(self):
-        return _reduced(-self._a, -self._b, self._d)
+        # negation keeps the triple reduced
+        s = _new(Scalar)
+        s._a, s._b, s._d = -self._a, -self._b, self._d
+        return s
 
     def __pow__(self, n: int):
         if n < 0:

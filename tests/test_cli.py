@@ -85,6 +85,8 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
     # are computed (each would take seconds)
     for rhs, message in (
         ("1" * 5000 + "*t*p_y", "numeric literal of 5000 digits is too long"),
+        # a digit that is not decimal is no number
+        ("2*²*t*p_x", "unexpected character '²'"),
         ("2^15000*t*p_y", "a coefficient has more than"),
         ("2^30000000*t*p_y", "a power would give a coefficient of more than"),
         ("((3+4*i)/5)^200000*t*p_y", "a power would give a coefficient of more than"),

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
-from bialgebra_forge.errors import DocumentError
+from bialgebra_forge.document import SCHEMA
+from bialgebra_forge.errors import DocumentError, ExprSyntaxError
+from bialgebra_forge.exprparse import _lex
 
 from conftest import corrected_document, presentation5
 
@@ -40,6 +43,8 @@ def test_duplicate_detection_runs_before_expression_parsing():
     (lambda d: d.update(generators=["a", "a"]), "declared twice"),
     (lambda d: d.update(parameters=["exp"]), "reserved"),
     (lambda d: d.update(parameters=["2bad"]), "bad identifier"),
+    # a numeric character the lexer could not read as a letter
+    (lambda d: d.update(parameters=["½z"]), "bad identifier '½z'"),
     (lambda d: d["presentation"]["brackets"].append(
         {"left": "p_y", "right": "p_y", "rhs": "0"}),
      "bracket [p_y,p_y] of a generator with itself"),
@@ -51,6 +56,24 @@ def test_validation_errors(mutate, fragment):
     with pytest.raises(DocumentError) as err:
         bf.Document.from_dict(data)
     assert fragment in str(err.value)
+
+
+@given(st.one_of(st.text(max_size=5), st.text(alphabet="aZ_09½²٣é (x)+", max_size=5)))
+@settings(max_examples=300)
+def test_a_valid_name_lexes_as_one_identifier(name):
+    # validation and the lexer share one identifier rule; a reserved name
+    # lexes as one identifier but is refused
+    try:
+        kinds, values, _ = _lex(name)
+        one_identifier = kinds == ["IDENT", "END"] and values[0] == name
+    except ExprSyntaxError:
+        one_identifier = False
+    try:
+        bf.Document.from_dict({"schema": SCHEMA, "generators": [name]})
+        valid = True
+    except DocumentError:
+        valid = False
+    assert valid == (one_identifier and name not in ("i", "exp", "sinh", "cosh"))
 
 
 def test_missing_coproduct_rejected():

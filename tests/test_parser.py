@@ -2,13 +2,17 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from bialgebra_forge import exprparse, presentation_diff
 from bialgebra_forge.errors import (
     ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
 )
-from bialgebra_forge.exprparse import parse_expr
-from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly
+from bialgebra_forge.exprparse import parse_coefficient, parse_expr
+from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, series_apply
 from bialgebra_forge.scalars import I, Scalar
+from bialgebra_forge.tensors import Basis
 
 from conftest import context5, corrected_document
 
@@ -17,7 +21,6 @@ IDX = CTX.basis.index
 
 
 def coeff(text):
-    from bialgebra_forge.exprparse import parse_coefficient
     return parse_coefficient(text, CTX)
 
 
@@ -172,3 +175,94 @@ def test_round_trip_on_dataset_expressions():
 def test_printer_produces_grammar_conformant_scalars():
     p = parse_expr("(1/2 + 3*i/4)*p_x + (-1/2)*p_y - i*p_z", CTX)
     assert parse_expr(str(p), CTX) == p
+
+
+# -- independent oracle: sympy expansions truncated at the order -----------------
+
+ORACLE_PARAMS = ("t", "h", "z")
+ORACLE_SYMBOLS = sympy.symbols(ORACLE_PARAMS)
+ORACLE_ORDER = 4
+ORACLE_CTX = Context(Basis(("g",)), ORACLE_PARAMS, order=ORACLE_ORDER, cap=4, slack=2)
+_PARAM_PAIRS = list(zip(ORACLE_PARAMS, ORACLE_SYMBOLS))
+
+# (text, sympy expression) pairs of word-free expressions; every operand
+# is parenthesised, so the text needs no precedence
+_leaves = st.one_of(
+    st.integers(0, 5).map(lambda n: (str(n), sympy.Integer(n))),
+    st.just(("i", sympy.I)),
+    st.sampled_from(_PARAM_PAIRS),
+)
+
+
+def _compound(inner):
+    two = st.tuples(inner, inner)
+    return st.one_of(
+        two.map(lambda ab: (f"({ab[0][0]})+({ab[1][0]})", ab[0][1] + ab[1][1])),
+        two.map(lambda ab: (f"({ab[0][0]})-({ab[1][0]})", ab[0][1] - ab[1][1])),
+        two.map(lambda ab: (f"({ab[0][0]})*({ab[1][0]})", ab[0][1] * ab[1][1])),
+        inner.map(lambda a: (f"-({a[0]})", -a[1])),
+        st.tuples(inner, st.integers(1, 4)).map(
+            lambda an: (f"({an[0][0]})/{an[1]}", an[0][1] / an[1])),
+        st.tuples(inner, st.integers(0, 3)).map(
+            lambda an: (f"({an[0][0]})^{an[1]}", an[0][1] ** an[1])),
+        # a series of a parameter-weighted argument
+        st.tuples(st.sampled_from(("exp", "sinh", "cosh")),
+                  st.sampled_from(_PARAM_PAIRS), inner).map(
+            lambda f: (f"{f[0]}({f[1][0]}*({f[2][0]}))",
+                       getattr(sympy, f[0])(f[1][1] * f[2][1]))),
+    )
+
+
+def _truncated(expr):
+    """expr expanded through total degree ORACLE_ORDER: every parameter
+    is weighted by eps and the series in eps is cut above that order."""
+    eps = sympy.Symbol("eps")
+    weighted = expr.subs({s: eps * s for s in ORACLE_SYMBOLS}, simultaneous=True)
+    return sympy.series(weighted, eps, 0, ORACLE_ORDER + 1).removeO().subs(eps, 1)
+
+
+def _as_sympy(p):
+    return sum(
+        ((c.re + sympy.I * c.im) * sympy.Mul(*(s ** k for s, k in zip(ORACLE_SYMBOLS, e)))
+         for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+@given(st.recursive(_leaves, _compound, max_leaves=8))
+@settings(max_examples=100, deadline=None)
+def test_coefficients_match_sympy_truncated(pair):
+    text, expr = pair
+    got = _as_sympy(parse_coefficient(text, ORACLE_CTX))
+    assert sympy.expand(got - _truncated(expr)) == 0, text
+
+
+# -- one build, one series memo ------------------------------------------------------
+
+
+def test_a_build_expands_each_distinct_series_once(monkeypatch):
+    calls = []
+
+    def counted(fn, arg):
+        calls.append(fn)
+        return series_apply(fn, arg)
+
+    monkeypatch.setattr(exprparse, "series_apply", counted)
+    doc = corrected_document()
+    ctx = doc.make_context()
+    first = doc.build_presentation(ctx)
+    # 28 series in the text, 6 distinct: sinh(z2*p_x), sinh(z2*h*l_z),
+    # cosh(z2*h*l_z), exp(±(z2/2)*p_x) and sinh((z2/2)*p_x)
+    assert len(calls) == 6
+    # a second build expands them again: no memo outlives a build
+    second = doc.build_presentation(ctx)
+    assert len(calls) == 12
+    assert presentation_diff(first, second) == []
+
+
+def test_exprparse_keeps_no_module_level_mutable_state():
+    mutable = [
+        name for name, value in vars(exprparse).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray))
+    ]
+    assert mutable == []
