@@ -291,23 +291,19 @@ def cmd_expand(args) -> int:
         raise InputError("--up-to needs three exponent bounds")
     report = Report("expand", _settings(context))
     table = extract_coefficients(H, up_to=up_to, roles=roles)
-    basis = context.basis
-    for multi in sorted(table.m):
-        mu = table.mu(multi)
-        if mu:
-            entries = ", ".join(
-                f"({basis.names[i]},{basis.names[j]})->{v}*{basis.names[k]}"
-                for (i, j, k), v in sorted(mu.items()) if i < j
-            )
-            report.note(f"mu_{''.join(map(str, multi))}: {entries}")
-    for multi in sorted(table.q):
-        dl = table.delta(multi)
-        if dl:
-            entries = ", ".join(
-                f"{basis.names[i]}->{v}*{basis.names[a]}^{basis.names[b]}"
-                for (i, a, b), v in sorted(dl.items()) if a < b
-            )
-            report.note(f"delta_{''.join(map(str, multi))}: {entries}")
+    names = context.basis.names
+    for multi, mu in sorted(table.mu.items()):
+        entries = ", ".join(
+            f"({names[i]},{names[j]})->{v.constant_term()}*{names[k]}"
+            for (i, j, k), v in sorted(mu.oriented().items()) if i < j
+        )
+        report.note(f"mu_{''.join(map(str, multi))}: {entries}")
+    for multi, delta in sorted(table.delta.items()):
+        entries = ", ".join(
+            f"{names[i]}->{v.constant_term()}*{names[a]}^{names[b]}"
+            for (i, a, b), v in sorted(delta.oriented().items()) if a < b
+        )
+        report.note(f"delta_{''.join(map(str, multi))}: {entries}")
     violations = table.exclusion_violations()
     report.add(
         "expansion exclusions", not violations,
@@ -383,10 +379,7 @@ def _load_expectation(ref: str, names):
 
 
 def _settings(context) -> dict:
-    return {
-        "order": context.order, "cap": context.cap, "slack": context.slack,
-        "parameters": ",".join(context.params),
-    }
+    return {**context.settings(), "parameters": ",".join(context.params)}
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -397,7 +390,6 @@ def _common(sub):
     sub.add_argument("--order", type=int, default=None, help="truncation order N")
     sub.add_argument("--cap", type=int, default=None, help="generator-degree cap G")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--output", default=None, help="write emitted document here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="build the two-pencil deformation family")
     p.add_argument("names", nargs="*", help="mu_100 mu_001 delta_010 delta_001")
     _common(p)
+    p.add_argument("--output", default=None, help="write emitted document here")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("hopf", help="Hopf-axiom defect checks")
@@ -429,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[],
                    help="assignments, e.g. --set z1=0,z2=0 or --set z1=z")
     _common(p)
+    p.add_argument("--output", default=None, help="write emitted document here")
     p.set_defaults(func=cmd_specialize)
 
     p = sub.add_parser("expand", help="Taylor coefficients and deformation identities")

@@ -234,7 +234,13 @@ class Document:
         for gname, text in self.presentation.get("counit", {}).items():
             if gname not in index:
                 raise DocumentError(f"counit for undeclared generator {gname!r}")
-            counit[index[gname]] = parse_coefficient(text, context).constant_term()
+            value = parse_coefficient(text, context)
+            if any(map(sum, value.terms)):
+                raise DocumentError(
+                    f"counit of {gname} has a parameter term ({value}); "
+                    "a counit is a constant"
+                )
+            counit[index[gname]] = value.constant_term()
         return HopfPresentation(context, rel, coproduct, counit)
 
     # -- emission ------------------------------------------------------------------
@@ -275,7 +281,7 @@ def presentation_document(H: HopfPresentation, notes=()) -> Document:
         parameters=list(context.params),
         generators=list(names),
         presentation=presentation,
-        settings={"order": context.order, "cap": context.cap, "slack": context.slack},
+        settings=context.settings(),
         notes=list(notes),
     )
 
@@ -307,7 +313,7 @@ def composition_document(tensors: dict, context: Context, notes=()) -> Document:
         parameters=list(context.params),
         generators=list(names),
         compositions=compositions,
-        settings={"order": context.order, "cap": context.cap, "slack": context.slack},
+        settings=context.settings(),
         notes=list(notes),
     )
 

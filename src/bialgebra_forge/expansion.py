@@ -1,15 +1,16 @@
-"""Taylor data of a three-parameter presentation and the tangent fields.
+"""First-order data of a three-parameter presentation and the tangent fields.
 
-The multiplication is projected to the generator span: m(x_i (x) x_j) is
-the generator-degree-1 part of the normal form of x_i x_j. The coproduct
-is projected to V (x) V. Coefficients are collected per parameter
-monomial t^i h^j z^k. The antisymmetrised bracket data uses the full
-difference m(i,j) - m(j,i) (so the first-order bracket coefficients are
-the structure constants themselves), while cobracket data is reported as
-wedge coefficients, i.e. the antisymmetric part of the projected
-coproduct. Tangent fields keep the full factor difference instead, which
-is the normalisation under which the boundary fields reproduce the
-cobracket input data.
+Coefficients are collected per parameter monomial t^i h^j z^k as scalar
+constant tensors, the same BracketTensor and CobracketTensor that the
+composition checks read. The bracket at a monomial holds the linear part
+of each stored relation [x_i, x_j], i < j: the relation table keeps its
+right-hand sides in normal form, so that linear part is the
+generator-degree-1 part of the normal form of x_j x_i, and a sorted
+product x_i x_j has none. The cobracket holds, per generator, half the
+antisymmetric V (x) V part of its coproduct, as wedge coefficients.
+Tangent fields keep the full factor difference instead, which is the
+normalisation under which the boundary fields reproduce the cobracket
+input data.
 
 Every collected coefficient is exact: the presentation carries no
 degree above its order. The compatibility identities are cocycle
@@ -29,7 +30,7 @@ from .hopf import DefectReport, HopfPresentation, specialize
 from .ncpoly import Context, NCPoly, TensorNCPoly
 from .params import ParamPoly, substitution
 from .rewrite import RelationTable, normalize
-from .scalars import Scalar, ZERO
+from .scalars import Scalar
 from .sparse import accumulate
 from .tensors import Basis, BracketTensor, CobracketTensor, cocycle_defect
 
@@ -42,14 +43,8 @@ class CoefficientTable:
     roles: tuple                      # parameter names in (t, h, z) order
     bounds: tuple                     # per-parameter exponent bounds
     order: int                        # total degree through which entries are exact
-    m: dict = field(default_factory=dict)   # multi -> {(i, j, k): Scalar}
-    q: dict = field(default_factory=dict)   # multi -> {(i, a, b): Scalar}
-
-    def _m_at(self, multi) -> dict:
-        return self.m.get(multi, {})
-
-    def _q_at(self, multi) -> dict:
-        return self.q.get(multi, {})
+    mu: dict = field(default_factory=dict)     # multi -> scalar BracketTensor
+    delta: dict = field(default_factory=dict)  # multi -> scalar CobracketTensor
 
     def require(self, multis):
         for multi in multis:
@@ -64,77 +59,24 @@ class CoefficientTable:
                     f"its coefficients are not exact there"
                 )
 
-    # -- coefficient maps ------------------------------------------------------
-
-    # m is keyed like a BracketTensor (i, j, k) and q like a
-    # CobracketTensor (i, a, b); their _flipped swaps the antisymmetric pair
-
-    def mu(self, multi) -> dict:
-        """Antisymmetrised product coefficients, full difference, with
-        both orientations present."""
-        return _antisymmetric(self._m_at(multi), BracketTensor._flipped, None)
-
-    def delta(self, multi) -> dict:
-        """Antisymmetric part of the projected coproduct (wedge values),
-        with both orientations present."""
-        return _antisymmetric(self._q_at(multi), CobracketTensor._flipped, _HALF)
-
-    # -- tensor views ------------------------------------------------------------
-
-    def mu_tensor(self, multi) -> BracketTensor:
-        return _canonical_tensor(BracketTensor, self.basis, self.mu(multi))
-
-    def delta_tensor(self, multi) -> CobracketTensor:
-        return _canonical_tensor(CobracketTensor, self.basis, self.delta(multi))
-
     def exclusion_violations(self) -> dict:
-        """Entries that the expansion shape forbids: antisymmetrised
-        product coefficients at pure-h monomials (including the base
-        point) and cobracket coefficients at pure-t monomials."""
+        """Entries that the expansion shape forbids: bracket coefficients
+        at pure-h monomials (including the base point) and cobracket
+        coefficients at pure-t monomials."""
         bad = {}
-        for multi in self.m:
-            i, j, k = multi
-            if i == 0 and k == 0:
-                mu = self.mu(multi)
-                if mu:
-                    bad[("mu", multi)] = mu
-        for multi in self.q:
-            i, j, k = multi
-            if j == 0 and k == 0:
-                dl = self.delta(multi)
-                if dl:
-                    bad[("delta", multi)] = dl
+        # a pure-h monomial has no t and no z, a pure-t one no h and no z
+        for kind, tensors, slot in (("mu", self.mu, 0), ("delta", self.delta, 1)):
+            for multi, tensor in tensors.items():
+                if multi[slot] == multi[2] == 0 and not tensor.is_zero():
+                    bad[(kind, multi)] = tensor
         return bad
 
 
-def _antisymmetric(src: dict, swap, factor) -> dict:
-    """(v - v at the swapped key), times factor unless None; both
-    orientations present."""
-    out = {}
-    for key, v in src.items():
-        w = v - src.get(swap(key), ZERO)
-        if factor is not None:
-            w = w * factor
-        if w:
-            out[key] = w
-            out.setdefault(swap(key), -w)
-    return out
-
-
-def _canonical_tensor(cls, basis, values: dict):
-    """Scalar tensor holding the lower orientation of each entry pair."""
-    out = cls(basis, (), 0)
-    for key, v in values.items():
-        if key < cls._flipped(key):
-            out.set_entry(key, v)
-    return out
-
-
 def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", "z")) -> CoefficientTable:
-    """Collect m/Q coefficients of a 3-parameter presentation per
-    parameter monomial within the given per-parameter exponent bounds;
-    every coefficient has total degree at most the presentation's order,
-    through which it is exact."""
+    """Collect the bracket and cobracket coefficients of a 3-parameter
+    presentation per parameter monomial within the given per-parameter
+    exponent bounds; every coefficient has total degree at most the
+    presentation's order, through which it is exact."""
     params = H.context.params
     if len(set(roles)) != len(roles):
         raise InputError(f"roles {roles} name one parameter twice")
@@ -147,25 +89,26 @@ def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", 
         basis=basis, roles=tuple(roles), bounds=tuple(up_to), order=H.context.order
     )
 
-    def collect(poly: ParamPoly, sink, key):
+    def collect(poly: ParamPoly, tensors, cls, key):
         for exps, coeff in poly.terms.items():
             if any(exps[p] for p in range(len(params)) if p not in idx):
                 continue
             multi = tuple(exps[p] for p in idx)
             if any(e > b for e, b in zip(multi, up_to)):
                 continue
-            sink.setdefault(multi, {})[key] = coeff
+            if multi not in tensors:
+                tensors[multi] = cls(basis, (), 0)
+            tensors[multi].set_entry(key, coeff)
 
     for i in range(n):
-        gi = NCPoly.generator(H.context, i)
-        for j in range(n):
-            prod = normalize(gi * NCPoly.generator(H.context, j), H.rel)
-            for k, coeff in prod.v_part().items():
-                collect(coeff, table.m, (i, j, k))
+        for j in range(i + 1, n):
+            for k, coeff in H.rel.bracket_poly(i, j).v_part().items():
+                collect(coeff, table.mu, BracketTensor, (i, j, k))
     for i in range(n):
         d = H.coproduct_word((i,))
-        for (a, b), coeff in d.vv_part().items():
-            collect(coeff, table.q, (i, a, b))
+        for (a, b), coeff in (d - d.flip()).vv_part().items():
+            if a < b:
+                collect(coeff.scale(_HALF), table.delta, CobracketTensor, (i, a, b))
     return table
 
 
@@ -206,7 +149,9 @@ def order2_component_defect(table, mu_multi, delta_multi) -> dict:
     mu_multi and the cobracket at delta_multi (tensors.cocycle_defect),
     as {(x, y): {(a, b): Scalar}} with both orientations (a, b) -> v and
     (b, a) -> -v of each wedge entry."""
-    wedges = cocycle_defect(table.mu_tensor(mu_multi), table.delta_tensor(delta_multi))
+    mu = table.mu.get(mu_multi, BracketTensor(table.basis, (), 0))
+    delta = table.delta.get(delta_multi, CobracketTensor(table.basis, (), 0))
+    wedges = cocycle_defect(mu, delta)
     out = {}
     for pair, wedge in wedges.items():
         entries = out[pair] = {}
@@ -287,8 +232,9 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     direction = 0, with the base-point parameters set to their values
     (0, the one exact evaluation; see hopf.specialize).
 
-    mu-components are derivatives of the normalised commutators (full
-    generator degree retained); delta-components are derivatives of the
+    mu-components are derivatives of the stored commutators, which the
+    relation table keeps in normal form (full generator degree retained);
+    delta-components are derivatives of the
     factor-antisymmetrised V (x) V parts of the coproducts.
     """
     base = dict(base or {})
@@ -314,8 +260,7 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     n = len(H.context.basis)
     for i in range(n):
         for j in range(i + 1, n):
-            bracket = normalize(H.rel.bracket_poly(i, j), H.rel)
-            sliced = bracket.map_coeffs(slice_coeff, rcontext)
+            sliced = H.rel.bracket_poly(i, j).map_coeffs(slice_coeff, rcontext)
             if sliced:
                 field_obj.mu[(i, j)] = sliced
     for g in range(n):

@@ -27,6 +27,9 @@ from .tensors import Basis
 
 _new = object.__new__
 
+# the truncation settings a document carries, in the order it lists them
+SETTINGS = ("order", "cap", "slack")
+
 
 @dataclass(frozen=True)
 class Context:
@@ -41,12 +44,16 @@ class Context:
     slack: int = 2
 
     def __post_init__(self):
-        for name in ("order", "cap", "slack"):
+        for name in SETTINGS:
             value = getattr(self, name)
             if type(value) is not int or value < 0:
                 raise InputError(
                     f"{name} must be a non-negative integer, got {value!r}"
                 )
+
+    def settings(self) -> dict:
+        """The truncation settings, keyed as in a document's settings."""
+        return {name: getattr(self, name) for name in SETTINGS}
 
     def zero_poly(self) -> ParamPoly:
         return ParamPoly.zero(self.params, self.order)

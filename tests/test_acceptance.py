@@ -216,12 +216,11 @@ def test_criterion_6_deformation_identities():
 
     doc = corrected_document()
     ctx = context5()
-    for name, multi, view in (
-        ("mu_001", (0, 0, 1), table.mu_tensor),
-        ("delta_001", (0, 0, 1), table.delta_tensor),
+    for name, got in (
+        ("mu_001", table.mu[(0, 0, 1)]),
+        ("delta_001", table.delta[(0, 0, 1)]),
     ):
         reference = doc.composition_tensor(name, ctx)
-        got = view(multi)
         assert len(got.entries) == len(reference.entries)
         for key, value in reference.entries.items():
             assert got.value(*key).constant_term() == value.constant_term()

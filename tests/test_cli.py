@@ -496,3 +496,37 @@ def test_document_antipode_is_rejected(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == ("error: presentation.antipode is not read: the antipode is "
                    "solved from the coproduct\n")
+
+
+def _with_counit(tmp_path, text):
+    data = bf.load_bundled("corrected").to_dict()
+    data["presentation"]["counit"]["p_x"] = text
+    path = tmp_path / "counit.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_counit_with_a_parameter_term_is_input_error(tmp_path, capsys):
+    # read as its constant term, t would pass and 1+t report a defect of 1
+    for text in ("t", "1+t"):
+        code, out, err = run(capsys, "hopf", "counit", _with_counit(tmp_path, text))
+        assert code == 2 and out == "", text
+        assert err.startswith("error: counit of p_x has a parameter term"), err
+    # a zero scaled by a unit series, as a rescaled document writes it, is 0
+    code, out, _ = run(capsys, "hopf", "counit",
+                       _with_counit(tmp_path, "(1/2*(1-t+t^2))*(0)"))
+    assert code == 0 and "[pass] counit: 12 checked" in out
+
+
+def test_output_is_only_for_commands_that_emit_a_document(tmp_path, capsys):
+    diag = str(_diagonal(tmp_path, capsys))
+    target = tmp_path / "x.json"
+    for argv in (
+        ["check", "lie", "@corrected"],
+        ["hopf", "counit", "@corrected"],
+        ["expand", diag],
+        ["tangent", diag, "--direction", "h"],
+    ):
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == "", argv
+    assert not target.exists()

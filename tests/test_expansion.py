@@ -9,7 +9,7 @@ from bialgebra_forge.errors import InputError
 from bialgebra_forge.expansion import ExpectedEntry, order2_component_defect
 from bialgebra_forge.ncpoly import NCPoly
 from bialgebra_forge.scalars import I, Scalar, ZERO
-from bialgebra_forge.tensors import cocycle_defect
+from bialgebra_forge.tensors import BracketTensor, CobracketTensor, cocycle_defect
 
 from conftest import context5, corrected_document, diagonal5
 
@@ -19,39 +19,67 @@ TABLE = bf.extract_coefficients(diagonal5(), up_to=(2, 2, 2), roles=("t", "h", "
 
 
 def test_extraction_recovers_first_order_bracket():
-    mu = TABLE.mu((0, 0, 1))
-    assert mu[(P_Z, P_X, P_Y)] == I
-    assert mu[(P_X, P_Z, P_Y)] == -I
+    mu = TABLE.mu[(0, 0, 1)]
+    assert mu.value(P_Z, P_X, P_Y).constant_term() == I
+    assert mu.value(P_X, P_Z, P_Y).constant_term() == -I
 
 
 def test_extraction_recovers_first_order_cobracket():
-    delta = TABLE.delta((0, 0, 1))
+    delta = TABLE.delta[(0, 0, 1)]
     minus_half = Scalar(Fraction(-1, 2))
-    assert delta[(P_Y, P_X, P_Y)] == minus_half
-    assert delta[(P_Z, P_X, P_Z)] == minus_half
+    assert delta.value(P_Y, P_X, P_Y).constant_term() == minus_half
+    assert delta.value(P_Z, P_X, P_Z).constant_term() == minus_half
 
 
 def test_extracted_tensors_match_input_compositions():
     doc = corrected_document()
     ctx = context5()
     mu001 = doc.composition_tensor("mu_001", ctx)
-    got = TABLE.mu_tensor((0, 0, 1))
+    got = TABLE.mu[(0, 0, 1)]
     for (i, j, k), value in mu001.entries.items():
         assert got.value(i, j, k).constant_term() == value.constant_term()
     assert len(got.entries) == len(mu001.entries)
     delta001 = doc.composition_tensor("delta_001", ctx)
-    got_d = TABLE.delta_tensor((0, 0, 1))
+    got_d = TABLE.delta[(0, 0, 1)]
     for (i, j, k), value in delta001.entries.items():
         assert got_d.value(i, j, k).constant_term() == value.constant_term()
     assert len(got_d.entries) == len(delta001.entries)
 
 
-def test_base_multiplication_coefficients_recorded():
-    # m_100(l_x, l_y) and m_100(l_y, l_x) carry the sorted product's
-    # rewriting correction on one side only
-    m100 = TABLE._m_at((1, 0, 0))
-    assert m100[(L_Y, L_X, L_Y)] == Scalar(1)
-    assert (L_X, L_Y, L_Y) not in m100
+def _constants(tensor) -> dict:
+    return {key: value.constant_term() for key, value in tensor.oriented().items()}
+
+
+def test_first_order_slices_are_the_four_compositions():
+    """On the z1=z2=z diagonal the first-order coefficients are the
+    paper's four compositions, entry for entry in oriented constants."""
+    doc = corrected_document()
+    ctx = context5()
+    for name, got in (
+        ("mu_100", TABLE.mu[(1, 0, 0)]),
+        ("mu_001", TABLE.mu[(0, 0, 1)]),
+        ("delta_001", TABLE.delta[(0, 0, 1)]),
+    ):
+        assert _constants(got) == _constants(doc.composition_tensor(name, ctx)), name
+    # expand halves the antisymmetric part of each coproduct, while the
+    # tangent field keeps the full difference, so the h-slice is half of
+    # delta_010: -i/2 against -i on l_x -> l_y^l_z. Every check is
+    # homogeneous in each cobracket, so no verdict can show the factor.
+    half = Scalar(Fraction(1, 2))
+    delta010 = _constants(doc.composition_tensor("delta_010", ctx))
+    assert _constants(TABLE.delta[(0, 1, 0)]) == {
+        key: value * half for key, value in delta010.items()
+    }
+    assert delta010[(L_X, L_Y, L_Z)] == -I
+
+
+def test_base_bracket_coefficients_recorded():
+    # [l_y, l_x] = t*l_y is stored once, under the sorted pair: the
+    # (1,0,0) tensor holds [l_x, l_y] = -l_y and reads its flip as +l_y
+    mu100 = TABLE.mu[(1, 0, 0)]
+    assert mu100.value(L_Y, L_X, L_Y).constant_term() == Scalar(1)
+    assert mu100.entries[(L_X, L_Y, L_Y)].constant_term() == Scalar(-1)
+    assert (L_Y, L_X, L_Y) not in mu100.entries
 
 
 def test_expansion_exclusions_hold():
@@ -70,8 +98,7 @@ def test_abelian_presentation_extracts_nothing():
         bf.Document.from_dict(flat_doc).make_context()
     )
     table = bf.extract_coefficients(flat, up_to=(2, 2, 2), roles=("t", "h", "z"))
-    assert all(not table.mu(multi) for multi in table.m)
-    assert all(not table.delta(multi) for multi in table.q)
+    assert table.mu == {} and table.delta == {}
 
 
 def test_order2_components_zero():
@@ -85,16 +112,14 @@ def test_th_component_equals_cocycle_defect_two_code_paths():
     out with both orientations, both on the reference table (zero) and
     on a perturbed one (nonzero)."""
     defect = order2_component_defect(TABLE, (1, 0, 0), (0, 1, 0))
-    wedge = cocycle_defect(TABLE.mu_tensor((1, 0, 0)), TABLE.delta_tensor((0, 1, 0)))
+    wedge = cocycle_defect(TABLE.mu[(1, 0, 0)], TABLE.delta[(0, 1, 0)])
     assert defect == {} and wedge == {}
 
     perturbed = bf.extract_coefficients(
         _perturbed_diagonal(), up_to=(2, 2, 2), roles=("t", "h", "z")
     )
     defect = order2_component_defect(perturbed, (1, 0, 0), (0, 1, 0))
-    wedge = cocycle_defect(
-        perturbed.mu_tensor((1, 0, 0)), perturbed.delta_tensor((0, 1, 0))
-    )
+    wedge = cocycle_defect(perturbed.mu[(1, 0, 0)], perturbed.delta[(0, 1, 0)])
     assert defect and wedge
     for (x, y), entries in wedge.items():
         slot = defect[(x, y)]
@@ -128,12 +153,13 @@ def test_order3_thz_zero():
 
 
 def test_order3_identity_is_degenerate_on_reference_family():
-    # every coefficient the thz identity composes is zero here, so
-    # deleting whole slots must not flip the verdict
+    # each thz pair has a zero side here, so deleting whole slots must
+    # not flip the verdict
     table = bf.extract_coefficients(diagonal5(), up_to=(2, 2, 2), roles=("t", "h", "z"))
-    assert table.mu((1, 0, 1)) == {}
-    assert table.delta((0, 1, 1)) == {}
-    table.m.pop((1, 0, 1), None)
+    assert (1, 0, 1) not in table.mu
+    assert (0, 1, 1) not in table.delta
+    assert (1, 1, 0) not in table.mu and (1, 1, 0) not in table.delta
+    del table.mu[(1, 0, 0)], table.delta[(0, 0, 1)]
     assert bf.verify_order3_thz(table).ok
 
 
@@ -146,14 +172,13 @@ ORDER2_PAIRS = (((0, 0, 1), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)),
 
 
 def _random_table(rng, n=4):
-    """TABLE's bounds and order on n generators, with sparse random Q(i)
-    entries at every multi-index the identities read; keys are raw (one
-    orientation, both, or a repeated index), as extraction leaves them."""
-    table = dataclasses.replace(
-        TABLE, basis=bf.Basis([f"e{g}" for g in range(n)]), m={}, q={}
-    )
+    """TABLE's bounds and order on n generators, with sparse random scalar
+    tensors of Q(i) entries at every multi-index the identities read;
+    keys are raw (one orientation, both, or a repeated index)."""
+    basis = bf.Basis([f"e{g}" for g in range(n)])
+    table = dataclasses.replace(TABLE, basis=basis, mu={}, delta={})
     keys = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    for store in (table.m, table.q):
+    for tensors, cls in ((table.mu, BracketTensor), (table.delta, CobracketTensor)):
         for multi in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
             entries = {}
             for key in rng.sample(keys, rng.randint(0, 6)):
@@ -162,8 +187,30 @@ def _random_table(rng, n=4):
                 if value:
                     entries[key] = value
             if entries:
-                store[multi] = entries
+                tensors[multi] = cls(basis, (), 0, entries)
     return table
+
+
+def _read(tensor, key, flip):
+    """The orientation rule written out on raw entries: a stored key wins,
+    an absent one reads as its stored flip, negated, and a repeated
+    antisymmetric index reads zero; None marks a zero entry."""
+    if tensor is None or key == flip:
+        return None
+    if key in tensor.entries:
+        return tensor.entries[key].constant_term()
+    if flip in tensor.entries:
+        return -tensor.entries[flip].constant_term()
+    return None
+
+
+def _wedge(delta, i, a, b):
+    """delta(x_i) at a (x) b: a wedge, so it is the value read at the
+    lower orientation, negated when a > b."""
+    if a <= b:
+        return _read(delta, (i, a, b), (i, b, a))
+    value = _read(delta, (i, b, a), (i, a, b))
+    return None if value is None else -value
 
 
 def _dense_defect(table, pairs) -> dict:
@@ -173,10 +220,11 @@ def _dense_defect(table, pairs) -> dict:
     n = len(table.basis)
     sums = {}
     for mu_multi, delta_multi in pairs:
-        mu, delta = table.mu(mu_multi), table.delta(delta_multi)
-        # None marks a zero entry
-        C = [[[mu.get((i, j, k)) for k in range(n)] for j in range(n)] for i in range(n)]
-        D = [[[delta.get((i, a, b)) for b in range(n)] for a in range(n)] for i in range(n)]
+        mu, delta = table.mu.get(mu_multi), table.delta.get(delta_multi)
+        C = [[[_read(mu, (i, j, k), (j, i, k)) for k in range(n)]
+              for j in range(n)] for i in range(n)]
+        D = [[[_wedge(delta, i, a, b) for b in range(n)]
+              for a in range(n)] for i in range(n)]
         for x in range(n):
             for y in range(x + 1, n):
                 for a in range(n):
@@ -222,7 +270,9 @@ def test_order3_detects_spurious_coefficient():
     # a fake th-order cobracket on p_y makes the composition with the
     # first-order bracket inconsistent, localized at the (p_x, p_z) pair
     table = bf.extract_coefficients(diagonal5(), up_to=(2, 2, 2), roles=("t", "h", "z"))
-    table.q[(1, 1, 0)] = {(P_Y, L_Y, L_Z): Scalar(1)}
+    table.delta[(1, 1, 0)] = CobracketTensor(
+        table.basis, (), 0, {(P_Y, L_Y, L_Z): Scalar(Fraction(1, 2))}
+    )
     report = bf.verify_order3_thz(table)
     assert not report.ok
     payload = report.items[0].value
@@ -288,11 +338,13 @@ def test_compare_field_self_diff_empty():
 
 def test_extraction_is_stable_under_bounds_and_order():
     small = bf.extract_coefficients(diagonal5(), up_to=(1, 1, 1), roles=("t", "h", "z"))
-    for multi, entries in small.m.items():
-        assert TABLE.m[multi] == entries
+    for multi, tensor in small.mu.items():
+        assert TABLE.mu[multi] == tensor
+    for multi, tensor in small.delta.items():
+        assert TABLE.delta[multi] == tensor
     doc = corrected_document()
     low = doc.build_presentation(doc.make_context(order=3))
     low_diag = bf.specialize(low, {"z1": "z", "z2": "z"})
     low_table = bf.extract_coefficients(low_diag, up_to=(1, 1, 1), roles=("t", "h", "z"))
-    assert low_table.mu((0, 0, 1)) == TABLE.mu((0, 0, 1))
-    assert low_table.delta((0, 1, 0)) == TABLE.delta((0, 1, 0))
+    assert low_table.mu[(0, 0, 1)] == TABLE.mu[(0, 0, 1)]
+    assert low_table.delta[(0, 1, 0)] == TABLE.delta[(0, 1, 0)]
