@@ -4,7 +4,7 @@ parameter-dependent Hopf algebra presentations, over Gaussian rationals."""
 from .scalars import Scalar, I, ONE, ZERO
 from .params import ParamPoly
 from .tensors import (
-    Basis, BracketTensor, CobracketTensor, DeformationFamily, FourPairsReport,
+    FAMILY_PARAMS, Basis, BracketTensor, CobracketTensor, DeformationFamily,
     antisymmetry_defect, build_family, check_four_pairs, cocycle_defect,
     cocycle_monomial_split, cojacobi_defect, jacobi_defect, mixed_cojacobi_defect,
     mixed_jacobi_defect, rescale_basis,

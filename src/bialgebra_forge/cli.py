@@ -143,63 +143,70 @@ def _add_report(report, defect_report):
 
 # -- subcommands ----------------------------------------------------------------
 
+# the roles of `check four-pairs` and `family`: default names and kinds
+_FOUR_ROLES = ("mu_100", "mu_001", "delta_010", "delta_001")
+_FOUR_KINDS = ("bracket", "bracket", "cobracket", "cobracket")
+
 # check target -> (composition kind, Jacobi check name, Jacobi defect)
 _JACOBI = {"lie": ("bracket", "jacobi", jacobi_defect),
            "colie": ("cobracket", "cojacobi", cojacobi_defect)}
 
 
+def _compositions(doc, context, names, kinds, command) -> list:
+    """The named compositions as tensors, one per kind in kinds (a single
+    kind takes any positive number); a wrong count or kind exits 2."""
+    if isinstance(kinds, str):
+        if not names:
+            raise InputError(f"{command}: the document has no {kinds} composition")
+        kinds = (kinds,) * len(names)
+    if len(names) != len(kinds):
+        raise InputError(f"{command} needs {len(kinds)} composition names "
+                         f"({', '.join(kinds)}), got {len(names)}")
+    tensors = [doc.composition_tensor(name, context) for name in names]
+    for name, kind, tensor in zip(names, kinds, tensors):
+        if tensor.kind != kind:
+            raise InputError(f"{command}: composition {name!r} is a {tensor.kind}, "
+                             f"expected a {kind}")
+    return tensors
+
+
 def cmd_check(args) -> int:
     doc, context = _open(args)
-    report = Report(f"check {args.which}", _settings(context))
-    basis = context.basis
-    which = args.which
+    which, names, command = args.which, args.names, f"check {args.which}"
+    report = Report(command, _settings(context))
     if which in _JACOBI:
         kind, check, defect = _JACOBI[which]
-        for name in args.names or doc.composition_names(kind):
-            tensor = doc.composition_tensor(name, context)
-            _add_defect_check(report, basis, f"antisymmetry {name}", antisymmetry_defect(tensor))
-            _add_defect_check(report, basis, f"{check} {name}", defect(tensor))
+        names = names or doc.composition_names(kind)
+        checks = {}
+        for name, tensor in zip(names, _compositions(doc, context, names, kind, command)):
+            checks[f"antisymmetry {name}"] = antisymmetry_defect(tensor)
+            checks[f"{check} {name}"] = defect(tensor)
     elif which == "bialgebra":
-        if len(args.names) != 2:
-            raise InputError("check bialgebra needs exactly two composition names")
-        mu = doc.composition_tensor(args.names[0], context)
-        delta = doc.composition_tensor(args.names[1], context)
-        _add_defect_check(report, basis, f"jacobi {args.names[0]}", jacobi_defect(mu))
-        _add_defect_check(report, basis, f"cojacobi {args.names[1]}", cojacobi_defect(delta))
-        _add_defect_check(
-            report, basis, f"cocycle ({args.names[0]},{args.names[1]})",
-            cocycle_defect(mu, delta),
-        )
-    elif which == "four-pairs":
-        names = args.names or ["mu_100", "mu_001", "delta_010", "delta_001"]
-        if len(names) != 4:
-            raise InputError("check four-pairs needs four composition names")
-        tensors = [doc.composition_tensor(n, context) for n in names]
-        four = check_four_pairs(*tensors)
-        for comp, defects in sorted(four.jacobi.items()):
-            _add_defect_check(report, basis, f"jacobi {comp}", defects)
-        for comp, defects in sorted(four.cojacobi.items()):
-            _add_defect_check(report, basis, f"cojacobi {comp}", defects)
-        _add_defect_check(report, basis, "mixed-jacobi", four.mixed_mu)
-        _add_defect_check(report, basis, "mixed-cojacobi", four.mixed_delta)
-        for pair, defects in sorted(four.cocycle.items()):
-            _add_defect_check(report, basis, f"cocycle ({pair})", defects)
-        report.add("theorem hypotheses satisfied", four.ok)
+        mu, delta = _compositions(doc, context, names, ("bracket", "cobracket"), command)
+        checks = {
+            f"jacobi {names[0]}": jacobi_defect(mu),
+            f"cojacobi {names[1]}": cojacobi_defect(delta),
+            f"cocycle ({names[0]},{names[1]})": cocycle_defect(mu, delta),
+        }
     else:
-        raise InputError(f"unknown check target {which!r}")
+        names = names or _FOUR_ROLES
+        checks = check_four_pairs(*_compositions(doc, context, names, _FOUR_KINDS, command))
+    for label, defects in checks.items():
+        _add_defect_check(report, context.basis, label, defects)
+    if which == "four-pairs":
+        report.add("theorem hypotheses satisfied", not any(checks.values()))
     return _emit(args, report, doc.notes)
 
 
 def cmd_family(args) -> int:
     doc, context = _open(args)
     report = Report("family", _settings(context))
-    names = args.names or ["mu_100", "mu_001", "delta_010", "delta_001"]
-    tensors = [doc.composition_tensor(n, context) for n in names]
+    names = args.names or _FOUR_ROLES
     try:
-        family = build_family(*tensors, param_names=("z1", "t", "z2", "h"))
+        family = build_family(*_compositions(doc, context, names, _FOUR_KINDS, "family"))
     except HypothesisError as exc:
-        for check, name in exc.report.failing_checks():
-            report.add(f"{check} {name}", False)
+        for label in exc.failing:
+            report.add(label, False)
         return _emit(args, report)
     report.add("four-pair hypothesis", True)
     identity = cocycle_defect(family.mu, family.delta)
@@ -277,6 +284,16 @@ def cmd_specialize(args) -> int:
     return 0
 
 
+def _coefficients(kind, multi, tensor, names) -> str:
+    """`mu_<multi>: ...` or `delta_<multi>: ...`: the constant terms of a
+    scalar tensor, one per antisymmetric pair, in lower orientation."""
+    fmt = "({0},{1})->{c}*{2}" if tensor.kind == "bracket" else "{0}->{c}*{1}^{2}"
+    return f"{kind}_{''.join(map(str, multi))}: " + ", ".join(
+        fmt.format(*(names[g] for g in key), c=v.constant_term())
+        for key, v in sorted(tensor.oriented().items()) if key < tensor._flipped(key)
+    )
+
+
 def cmd_expand(args) -> int:
     doc, context = _open(args)
     H = doc.build_presentation(context)
@@ -292,23 +309,14 @@ def cmd_expand(args) -> int:
     report = Report("expand", _settings(context))
     table = extract_coefficients(H, up_to=up_to, roles=roles)
     names = context.basis.names
-    for multi, mu in sorted(table.mu.items()):
-        entries = ", ".join(
-            f"({names[i]},{names[j]})->{v.constant_term()}*{names[k]}"
-            for (i, j, k), v in sorted(mu.oriented().items()) if i < j
-        )
-        report.note(f"mu_{''.join(map(str, multi))}: {entries}")
-    for multi, delta in sorted(table.delta.items()):
-        entries = ", ".join(
-            f"{names[i]}->{v.constant_term()}*{names[a]}^{names[b]}"
-            for (i, a, b), v in sorted(delta.oriented().items()) if a < b
-        )
-        report.note(f"delta_{''.join(map(str, multi))}: {entries}")
+    for kind, tensors in (("mu", table.mu), ("delta", table.delta)):
+        for multi, tensor in sorted(tensors.items()):
+            report.note(_coefficients(kind, multi, tensor, names))
     violations = table.exclusion_violations()
-    report.add(
-        "expansion exclusions", not violations,
-        "" if not violations else str(sorted(violations)),
-    )
+    report.add("expansion exclusions", not violations, "; ".join(
+        _coefficients(kind, multi, tensor, names)
+        for (kind, multi), tensor in sorted(violations.items())
+    ))
     _add_report(report, verify_order2(table))
     _add_report(report, verify_order3_thz(table))
     return _emit(args, report, doc.notes)

@@ -59,8 +59,8 @@ class AntipodeError(EngineError):
 
 
 class HypothesisError(EngineError):
-    """A construction's precondition check failed; carries the report."""
+    """A construction's precondition failed; carries the failing check labels."""
 
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
+    def __init__(self, failing):
+        self.failing = failing
+        super().__init__("hypothesis fails: " + ", ".join(failing))

@@ -17,7 +17,7 @@ grouped by generator pair (`brackets()`) and by generator (`wedges()`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HypothesisError, InputError, MismatchedBasesError
 from .params import ParamPoly, substitution
@@ -350,117 +350,78 @@ def cocycle_defect(mu: BracketTensor, delta: CobracketTensor) -> dict:
     return out
 
 
-# -- four-pair hypothesis report and family builder ---------------------------
+# -- four-pair hypothesis and family builder -----------------------------------
+
+# the parameters of the pencils z1*mu_001 + t*mu_100, z2*delta_001 + h*delta_010
+FAMILY_PARAMS = ("z1", "t", "z2", "h")
 
 
-@dataclass
-class FourPairsReport:
-    basis: Basis
-    jacobi: dict = field(default_factory=dict)
-    cojacobi: dict = field(default_factory=dict)
-    mixed_mu: dict = field(default_factory=dict)
-    mixed_delta: dict = field(default_factory=dict)
-    cocycle: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failing_checks()
-
-    def failing_checks(self):
-        out = []
-        for name, defects in self.jacobi.items():
-            if defects:
-                out.append(("jacobi", name))
-        for name, defects in self.cojacobi.items():
-            if defects:
-                out.append(("cojacobi", name))
-        if self.mixed_mu:
-            out.append(("mixed-jacobi", "mu_100,mu_001"))
-        if self.mixed_delta:
-            out.append(("mixed-cojacobi", "delta_010,delta_001"))
-        for name, defects in self.cocycle.items():
-            if defects:
-                out.append(("cocycle", name))
-        return out
-
-
-def check_four_pairs(mu_100, mu_001, delta_010, delta_001) -> FourPairsReport:
+def check_four_pairs(mu_100, mu_001, delta_010, delta_001) -> dict:
     """Hypotheses of the two-deformation construction: both brackets Lie,
     both cobrackets co-Lie, the mixed defects zero, and all four
-    (bracket, cobracket) pairs compatible."""
-    mu_100.same_shape(mu_001)
-    delta_010.same_shape(delta_001)
-    mu_100.same_shape(delta_010)
-    report = FourPairsReport(basis=mu_100.basis)
-    report.jacobi["mu_100"] = jacobi_defect(mu_100)
-    report.jacobi["mu_001"] = jacobi_defect(mu_001)
-    report.cojacobi["delta_010"] = cojacobi_defect(delta_010)
-    report.cojacobi["delta_001"] = cojacobi_defect(delta_001)
-    report.mixed_mu = mixed_jacobi_defect(mu_100, mu_001)
-    report.mixed_delta = mixed_cojacobi_defect(delta_010, delta_001)
-    for name, mu, delta in (
-        ("mu_100,delta_010", mu_100, delta_010),
-        ("mu_001,delta_010", mu_001, delta_010),
-        ("mu_100,delta_001", mu_100, delta_001),
-        ("mu_001,delta_001", mu_001, delta_001),
-    ):
-        report.cocycle[name] = cocycle_defect(mu, delta)
-    return report
+    (bracket, cobracket) pairs compatible. Each check's label maps to its
+    defects, in report order; the hypothesis holds iff all are empty."""
+    for other in (mu_001, delta_010, delta_001):
+        mu_100.same_shape(other)
+    return {
+        "jacobi mu_001": jacobi_defect(mu_001),
+        "jacobi mu_100": jacobi_defect(mu_100),
+        "cojacobi delta_001": cojacobi_defect(delta_001),
+        "cojacobi delta_010": cojacobi_defect(delta_010),
+        "mixed-jacobi": mixed_jacobi_defect(mu_100, mu_001),
+        "mixed-cojacobi": mixed_cojacobi_defect(delta_010, delta_001),
+        "cocycle (mu_001,delta_001)": cocycle_defect(mu_001, delta_001),
+        "cocycle (mu_001,delta_010)": cocycle_defect(mu_001, delta_010),
+        "cocycle (mu_100,delta_001)": cocycle_defect(mu_100, delta_001),
+        "cocycle (mu_100,delta_010)": cocycle_defect(mu_100, delta_010),
+    }
 
 
 @dataclass
 class DeformationFamily:
-    mu: BracketTensor        # z' * mu_001 + t * mu_100
-    delta: CobracketTensor   # z'' * delta_001 + h * delta_010
-    param_names: tuple       # (z', t, z'', h)
-    report: FourPairsReport
+    mu: BracketTensor        # z1 * mu_001 + t * mu_100
+    delta: CobracketTensor   # z2 * delta_001 + h * delta_010
 
 
-def build_family(
-    mu_100, mu_001, delta_010, delta_001,
-    param_names=("z1", "t", "z2", "h"),
-) -> DeformationFamily:
-    """The two linear pencils of the construction, as one object.
-
-    param_names gives (z', t, z'', h), all four among the inputs'
-    parameters; the returned tensors live over the inputs' context.
-    """
-    report = check_four_pairs(mu_100, mu_001, delta_010, delta_001)
-    if not report.ok:
-        raise HypothesisError("four-pair hypothesis fails", report)
-    zp, t, zpp, h = param_names
+def build_family(mu_100, mu_001, delta_010, delta_001) -> DeformationFamily:
+    """The two linear pencils of the construction, as one object, over
+    the inputs' context, which must have the FAMILY_PARAMS."""
+    failing = [
+        label for label, defects in
+        check_four_pairs(mu_100, mu_001, delta_010, delta_001).items() if defects
+    ]
+    if failing:
+        raise HypothesisError(failing)
     params, order = mu_100.params, mu_100.order
-    for name in param_names:
+    for name in FAMILY_PARAMS:
         if name not in params:
             raise InputError(f"family parameter {name!r} missing from context")
 
-    def lift(tensor, cls, pname):
-        p = ParamPoly.parameter(params, order, pname)
-        out = cls(tensor.basis, params, order)
-        for key, value in tensor.entries.items():
-            out.entries[key] = p * value
+    def pencil(cls, terms):
+        # every stored key stays stored: one whose duplicates summed to
+        # zero still hides its flip
+        out = cls(mu_100.basis, params, order)
+        for pname, tensor in terms:
+            p = ParamPoly.parameter(params, order, pname)
+            for key, value in tensor.entries.items():
+                out.entries[key] = out.entries.get(key, out._zero()) + p * value
         return out
 
-    mu = lift(mu_001, BracketTensor, zp)
-    for key, value in lift(mu_100, BracketTensor, t).entries.items():
-        mu.set_entry(key, value)
-    delta = lift(delta_001, CobracketTensor, zpp)
-    for key, value in lift(delta_010, CobracketTensor, h).entries.items():
-        delta.set_entry(key, value)
-    return DeformationFamily(mu=mu, delta=delta, param_names=param_names, report=report)
+    terms = list(zip(FAMILY_PARAMS, (mu_001, mu_100, delta_001, delta_010)))
+    return DeformationFamily(pencil(BracketTensor, terms[:2]),
+                             pencil(CobracketTensor, terms[2:]))
 
 
 def cocycle_monomial_split(family: DeformationFamily) -> dict:
     """Collect the family's cocycle defect by parameter monomial in the
-    four family parameters; the four slots are the pairwise defects."""
+    FAMILY_PARAMS; the four slots are the pairwise defects."""
     defect = cocycle_defect(family.mu, family.delta)
-    zp, t, zpp, h = family.param_names
     params = family.mu.params
-    idx = {name: params.index(name) for name in family.param_names}
+    idx = [params.index(name) for name in FAMILY_PARAMS]
     split = {}
     for pair, wedge in defect.items():
         for key, poly in wedge.items():
             for exps, coeff in poly.terms.items():
-                mono = tuple(exps[idx[name]] for name in family.param_names)
+                mono = tuple(exps[i] for i in idx)
                 split.setdefault(mono, {}).setdefault(pair, {})[key] = coeff
     return split

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import math
+
+from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge import cli
@@ -530,3 +534,70 @@ def test_output_is_only_for_commands_that_emit_a_document(tmp_path, capsys):
         code, out, _ = run(capsys, *argv, "--output", str(target))
         assert code == 2 and out == "", argv
     assert not target.exists()
+
+
+def test_composition_of_the_wrong_kind_is_input_error(capsys):
+    # read unchecked, a cobracket in a bracket role passes `check lie`
+    # and a bracket in a cobracket role is an internal error
+    for argv, name, kind in (
+        (["check", "colie", "mu_100"], "mu_100", "cobracket"),
+        (["check", "lie", "delta_010"], "delta_010", "bracket"),
+        (["check", "bialgebra", "delta_010", "mu_100"], "delta_010", "bracket"),
+        (["check", "four-pairs", "delta_010", "mu_001", "delta_010", "delta_001"],
+         "delta_010", "bracket"),
+        (["family", "mu_100", "mu_001", "mu_100", "delta_001"], "mu_100", "cobracket"),
+    ):
+        code, out, err = run(capsys, *argv, "@corrected")
+        assert code == 2 and out == "", argv
+        assert f"composition {name!r} is a" in err and f"expected a {kind}" in err, err
+
+
+def test_family_needs_four_compositions(capsys):
+    for names in (["mu_100"], ["mu_100", "mu_001", "delta_010"],
+                  ["mu_100", "mu_001", "delta_010", "delta_001", "mu_100"]):
+        code, out, err = run(capsys, "family", *names, "@corrected")
+        assert code == 2 and out == "", names
+        assert err.startswith("error: family needs 4 composition names"), err
+    code, _, err = run(capsys, "check", "bialgebra", "mu_100", "@corrected")
+    assert code == 2 and "check bialgebra needs 2 composition names" in err
+
+
+def test_check_without_compositions_of_the_kind_is_input_error(tmp_path, capsys):
+    # zero checks would print result: PASS
+    diag = str(_diagonal(tmp_path, capsys))
+    for which, kind in (("lie", "bracket"), ("colie", "cobracket")):
+        code, out, err = run(capsys, "check", which, diag)
+        assert code == 2 and out == "", which
+        assert f"the document has no {kind} composition" in err, err
+
+
+def test_expand_exclusion_failure_names_the_entries(tmp_path, capsys):
+    data = json.loads(_diagonal(tmp_path, capsys).read_text())
+    presentation = data["presentation"]
+    for bracket in presentation["brackets"]:
+        if (bracket["left"], bracket["right"]) == ("p_z", "p_x"):
+            bracket["rhs"] += " + h*l_x"
+    presentation["coproducts"]["p_x"] += " + t*l_x (x) l_y"
+    path = tmp_path / "excluded.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "expand", str(path))
+    assert code == 1
+    assert ("[FAIL] expansion exclusions: delta_100: p_x->1/2*l_x^l_y; "
+            "mu_010: (p_x,p_z)->-1*l_x\n") in out
+
+
+_ROLE_NAMES = ["mu_100", "mu_001", "delta_010", "delta_001", "no_such"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from([["check", "lie"], ["check", "colie"], ["check", "bialgebra"],
+                             ["check", "four-pairs"], ["family"]]),
+    names=st.lists(st.sampled_from(_ROLE_NAMES), max_size=5),
+)
+def test_composition_arguments_never_fault(command, names):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, *names, "@corrected"])
+    assert code in (0, 1, 2), (command, names, err.getvalue())
+    assert "internal error" not in err.getvalue()

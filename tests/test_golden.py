@@ -201,6 +201,20 @@ def test_golden_set_is_complete():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(c[0] for c in CASES)
 
 
+def test_family_and_four_pairs_fail_the_same_labels(paths):
+    """On the gate document `family` names the checks that `check
+    four-pairs` FAILs, in the same order."""
+    failing = {}
+    for command in (["family"], ["check", "four-pairs"]):
+        result = _run([*command, "{gate}"], "o5", "json", paths)
+        assert result["exit"] == 1
+        checks = json.loads(result["stdout"])["checks"]
+        failing[command[-1]] = [c["check"] for c in checks if not c["pass"]]
+    assert failing["four-pairs"][-1] == "theorem hypotheses satisfied"
+    assert failing["family"] == failing["four-pairs"][:-1]
+    assert len(failing["family"]) == 4
+
+
 # a parameter of @corrected or of its diagonal, with an optional power
 _PARAM_FACTOR = re.compile(r"(?:t|h|z|z1|z2)(?:\^(\d+))?")
 

@@ -223,14 +223,14 @@ def test_four_pairs_pass(comps):
     report = check_four_pairs(
         comps["mu_100"], comps["mu_001"], comps["delta_010"], comps["delta_001"]
     )
-    assert report.ok
-    assert report.failing_checks() == []
+    assert not any(report.values())
+    assert [label for label, defects in report.items() if defects] == []
 
 
 def test_four_pairs_all_zero_tensors_pass(ctx):
     zero_mu = BracketTensor(ctx.basis, ctx.params, ctx.order)
     zero_delta = CobracketTensor(ctx.basis, ctx.params, ctx.order)
-    assert check_four_pairs(zero_mu, zero_mu, zero_delta, zero_delta).ok
+    assert not any(check_four_pairs(zero_mu, zero_mu, zero_delta, zero_delta).values())
 
 
 def test_four_pairs_sign_flip_localizes_to_delta001_pairs(ctx, comps):
@@ -241,13 +241,13 @@ def test_four_pairs_sign_flip_localizes_to_delta001_pairs(ctx, comps):
     report = check_four_pairs(
         comps["mu_100"], comps["mu_001"], comps["delta_010"], flipped
     )
-    assert not report.ok
-    failing = report.failing_checks()
+    assert any(report.values())
+    failing = [label for label, defects in report.items() if defects]
     assert failing
-    for check, name in failing:
-        assert "delta_001" in name
-    assert not report.cocycle["mu_100,delta_010"]
-    assert not report.cocycle["mu_001,delta_010"]
+    for label in failing:
+        assert "delta_001" in label
+    assert not report["cocycle (mu_100,delta_010)"]
+    assert not report["cocycle (mu_001,delta_010)"]
 
 
 # -- family builder -----------------------------------------------------------------------------
@@ -256,7 +256,6 @@ def test_four_pairs_sign_flip_localizes_to_delta001_pairs(ctx, comps):
 def test_family_entries(comps, ctx):
     family = build_family(
         comps["mu_100"], comps["mu_001"], comps["delta_010"], comps["delta_001"],
-        param_names=("z1", "t", "z2", "h"),
     )
     z1 = ParamPoly.parameter(ctx.params, ctx.order, "z1")
     t = ParamPoly.parameter(ctx.params, ctx.order, "t")
@@ -268,7 +267,6 @@ def test_family_entries(comps, ctx):
 def test_family_specializes_to_pencil_ends(comps, ctx):
     family = build_family(
         comps["mu_100"], comps["mu_001"], comps["delta_010"], comps["delta_001"],
-        param_names=("z1", "t", "z2", "h"),
     )
     images = {"z1": 0, "z2": Scalar(0)}
     mu_end = family.mu.substitute(images)
@@ -282,12 +280,32 @@ def test_family_specializes_to_pencil_ends(comps, ctx):
 
 
 def test_family_refuses_bad_hypotheses(ctx, comps):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError) as info:
         build_family(
             comps["mu_100"], _corrupted_mu001(ctx),
             comps["delta_010"], comps["delta_001"],
-            param_names=("z1", "t", "z2", "h"),
         )
+    report = check_four_pairs(
+        comps["mu_100"], _corrupted_mu001(ctx), comps["delta_010"], comps["delta_001"]
+    )
+    assert info.value.failing
+    assert info.value.failing == [label for label, defects in report.items() if defects]
+
+
+def test_family_keeps_stored_keys_of_both_pencils(ctx):
+    """A key of mu_100 whose duplicates sum to zero hides its stored flip
+    in mu_100, and so in the family: the family reads z1*mu_001 +
+    t*mu_100 under the orientation rule."""
+    mu_100 = BracketTensor(ctx.basis, ctx.params, ctx.order)
+    for key, value in (((L_X, L_Y, L_Z), 1), ((L_X, L_Y, L_Z), -1), ((L_Y, L_X, L_Z), 1)):
+        mu_100.set_entry(key, value)
+    zero_mu = BracketTensor(ctx.basis, ctx.params, ctx.order)
+    zero_delta = CobracketTensor(ctx.basis, ctx.params, ctx.order)
+    family = build_family(mu_100, zero_mu, zero_delta, zero_delta)
+    t = ParamPoly.parameter(ctx.params, ctx.order, "t")
+    for key in ((L_X, L_Y, L_Z), (L_Y, L_X, L_Z)):
+        assert family.mu.value(*key) == mu_100.value(*key) * t
+    assert not family.mu.value(L_X, L_Y, L_Z) and family.mu.value(L_Y, L_X, L_Z) == t
 
 
 def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
@@ -296,7 +314,6 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
     Checked on a corrupted input where the slots are nonzero; the pencil
     is lifted by hand so the hypothesis guard does not interfere."""
     mu001c = _corrupted_mu001(ctx)
-    names = ("z1", "t", "z2", "h")
 
     def lift(tensor, cls, pname):
         p = ParamPoly.parameter(ctx.params, ctx.order, pname)
@@ -311,7 +328,7 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
     delta_fam = lift(comps["delta_001"], CobracketTensor, "z2")
     for key, value in lift(comps["delta_010"], CobracketTensor, "h").entries.items():
         delta_fam.set_entry(key, value)
-    family = DeformationFamily(mu_fam, delta_fam, names, report=None)
+    family = DeformationFamily(mu_fam, delta_fam)
 
     split = cocycle_monomial_split(family)
     pairwise = {
@@ -378,7 +395,6 @@ def test_rescale_cocycle_covariance(comps, ctx):
 def test_substitution_commutes_with_defects(comps, ctx):
     family = build_family(
         comps["mu_100"], _safe_mu001(ctx), comps["delta_010"], comps["delta_001"],
-        param_names=("z1", "t", "z2", "h"),
     )
     target = (("t", "h", "z"), ctx.order)
     images = {"z1": "z", "z2": "z"}
