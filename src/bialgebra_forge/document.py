@@ -208,12 +208,12 @@ class Document:
         if self.presentation is None:
             raise DocumentError("document has no presentation block")
         index = context.basis.index
-        # one series memo for this build: each distinct series is expanded
-        # once, and no expansion outlives the build
-        series = {}
+        # one parse memo for this build: each distinct group and series
+        # call is parsed once per order, and nothing outlives the build
+        memo = {}
         entries = []
         for item in self.presentation.get("brackets", []):
-            rhs = parse_expr(item["rhs"], context, _series=series)
+            rhs = parse_expr(item["rhs"], context, _memo=memo)
             if isinstance(rhs, TensorNCPoly):
                 raise DocumentError(
                     f"bracket [{item['left']},{item['right']}] has a tensor rhs"
@@ -222,7 +222,7 @@ class Document:
         rel = RelationTable(context, entries)
         coproduct = {}
         for gname, text in self.presentation["coproducts"].items():
-            cop = parse_expr(text, context, _series=series)
+            cop = parse_expr(text, context, _memo=memo)
             if isinstance(cop, NCPoly):
                 # primitive shorthand is not assumed; a plain expression
                 # is only valid when it is already a tensor

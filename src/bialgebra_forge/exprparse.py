@@ -27,9 +27,12 @@ the order the parse works at. parse_expr is the one place that works above the
 context's order: it parses at order + slack, parses again at order + the
 summed divisor degrees when those exceed the slack, and cuts the result
 to the context's order, through which it is exact. Both parses read one
-token list. A series of an argument already expanded at the same order
-is not expanded again: each parse_expr call holds a memo of its series,
-and Document.build_presentation shares one memo across a build.
+token list and one memo, keyed by parse order and source text, of each
+identifier, parenthesised group and exp/sinh/cosh call read; a build
+shares one memo (Document.build_presentation). A repeated group or call
+skips to its ')' and adds to the loss the divisor degrees its first
+parse added, so the decision to parse again is unchanged. No error is
+stored, and a repeat nested too deep for its height is parsed again.
 A product with a word-free factor scales the other factor's
 coefficients rather than multiplying word by word.
 '(x)' is always read as the tensor-join token, never as a parenthesised
@@ -72,6 +75,17 @@ _SYMBOLS = MappingProxyType({
     "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
     "^": "CARET", "(": "LPAREN", ")": "RPAREN",
 })
+
+
+def _closing(kinds) -> dict:
+    """The index of the ')' closing each closed '(' of a token list."""
+    closing, opened = {}, []
+    for at, kind in enumerate(kinds):
+        if kind == "LPAREN":
+            opened.append(at)
+        elif kind == "RPAREN" and opened:
+            closing[opened.pop()] = at
+    return closing
 
 
 def _lex(text: str):
@@ -156,18 +170,19 @@ def _product(left, right):
 
 
 class Parser:
-    """One parse of a lexed expression at context's order. series maps
-    (function, argument context, argument terms) to the expansion
-    already computed for that key; the caller owns it, and a key repeated
-    within its lifetime is expanded once."""
+    """One parse of a lexed expression at context's order. source is the
+    text, its token lists and their _closing table. memo, which the
+    caller owns for one context, maps (order, text) of an identifier to
+    its value and of a group or call to (numerator, pending divisor,
+    loss, nesting height)."""
 
-    def __init__(self, context: Context, tokens, series: dict):
+    def __init__(self, context: Context, source, memo: dict):
         self.context = context
-        self.kinds, self.values, self.positions = tokens
-        self.series = series
+        self.text, self.kinds, self.values, self.positions, self.closing = source
+        self.memo = memo
         self.at = 0
         self.depth = 0
-        self.atoms = {}  # name -> the value of i, a parameter or a generator
+        self.peak = 0  # deepest depth reached, for the heights in memo
         self.loss = 0  # sum of the degrees of every applied divisor
 
     # -- token plumbing -------------------------------------------------------
@@ -201,6 +216,28 @@ class Parser:
         poly = _divide(value.poly, value.den)
         self.loss += sum(value.den.values())
         return poly
+
+    def _memoised(self, start, opened, parse) -> _Value:
+        """parse(), which reads from token start to the ')' closing the
+        '(' at token opened, or the memo's value for that text."""
+        close = self.closing.get(opened)
+        if close is None:  # unclosed: parse() raises
+            return parse()
+        text = self.text[self.positions[start]:self.positions[close] + 1]
+        key = (self.context.order, text)
+        entry = self.memo.get(key)
+        if entry is not None and self.depth + entry[3] <= MAX_NESTING:
+            poly, den, loss, height = entry
+            self.at = close + 1
+            self.loss += loss
+            self.peak = max(self.peak, self.depth + height)
+            return _Value(poly, den)
+        loss, peak = self.loss, self.peak
+        self.peak = self.depth
+        value = parse()
+        self.memo[key] = (value.poly, value.den, self.loss - loss, self.peak - self.depth)
+        self.peak = max(peak, self.peak)
+        return value
 
     # -- grammar --------------------------------------------------------------
 
@@ -263,6 +300,8 @@ class Parser:
         if self.depth == MAX_NESTING:
             self._fail(f"expression nested more than {MAX_NESTING} levels deep")
         self.depth += 1
+        if self.depth > self.peak:
+            self.peak = self.depth
         if kind == "MINUS":
             self._next()
             inner = self._factor()
@@ -270,15 +309,19 @@ class Parser:
         elif kind == "NUMBER":
             value = self._scalar_literal()
         elif kind == "LPAREN":
-            self._next()
-            value = self._expr()
-            self._expect("RPAREN")
+            value = self._memoised(self.at, self.at, self._group)
         elif kind == "IDENT":
             value = self._identifier()
         else:
             self._fail(f"unexpected token {self.values[self.at]!r}")
         self.depth -= 1
         return self._postfix(value)
+
+    def _group(self) -> _Value:
+        self._expect("LPAREN")
+        value = self._expr()
+        self._expect("RPAREN")
+        return value
 
     def _scalar_literal(self) -> _Value:
         value = Scalar(self.values[self._expect("NUMBER")])
@@ -291,25 +334,22 @@ class Parser:
         at = self._expect("IDENT")
         name = self.values[at]
         if name in _FUNCTIONS:
-            self._expect("LPAREN")
-            arg = self._expr()
-            self._expect("RPAREN")
-            poly = self._resolve(arg)
-            if isinstance(poly, TensorNCPoly):
-                self._fail("series functions take non-tensor arguments", at)
-            key = (name, poly.context, frozenset(poly.terms.items()))
-            series = self.series.get(key)
-            if series is None:
-                series = self.series[key] = series_apply(name, poly)
-            return _Value(series)
-        atom = self.atoms.get(name)
+            return self._memoised(at, at + 1, lambda: self._series(name, at))
+        key = (self.context.order, name)
+        atom = self.memo.get(key)
         if atom is None:
-            atom = self.atoms[name] = self._atom(name, at)
+            atom = self.memo[key] = self._atom(name, at)
         return _Value(atom)
+
+    def _series(self, name, at) -> _Value:
+        poly = self._resolve(self._group())
+        if isinstance(poly, TensorNCPoly):
+            self._fail("series functions take non-tensor arguments", at)
+        return _Value(series_apply(name, poly))
 
     def _atom(self, name, at):
         """The value of the identifier name, read at token at: i, a
-        parameter or a generator. Values are immutable, so one parse
+        parameter or a generator. Values are immutable, so the memo
         shares each. A generator is a word of length 1, checked against
         the cap here, as _product checks no word."""
         context = self.context
@@ -398,18 +438,19 @@ class Parser:
         return 1
 
 
-def parse_expr(text: str, context: Context, *, _series=None):
+def parse_expr(text: str, context: Context, *, _memo=None):
     """Parse an expression into an NCPoly or (with '(x)') a TensorNCPoly
-    over context, exact through and cut at context.order. _series is the
-    series memo of Parser; a caller parsing many expressions may share
-    one among them (Document.build_presentation does, for one build)."""
+    over context, exact through and cut at context.order. _memo is the
+    memo of Parser; a caller parsing many expressions over one context
+    may share one (Document.build_presentation does, for one build)."""
     order, slack = context.order, context.slack
-    tokens = _lex(text)
-    series = {} if _series is None else _series
-    parser = Parser(replace(context, order=order + slack), tokens, series)
+    kinds, values, positions = _lex(text)
+    source = (text, kinds, values, positions, _closing(kinds))
+    memo = {} if _memo is None else _memo
+    parser = Parser(replace(context, order=order + slack), source, memo)
     poly = parser.parse()
     if parser.loss > slack:
-        poly = Parser(replace(context, order=order + parser.loss), tokens, series).parse()
+        poly = Parser(replace(context, order=order + parser.loss), source, memo).parse()
     return poly.map_coeffs(lambda c: c.with_order(order), context)
 
 

@@ -251,17 +251,31 @@ def test_golden_prints_nothing_above_the_order(case, setting):
 
 
 def _verdicts(result) -> tuple:
-    """Exit code and verdicts of a result: each check's status and the
-    result line (text), or each (check, pass) pair and the overall pass
-    (JSON report)."""
+    """(verdicts, labels) of a result. The verdicts are the exit code,
+    each check's pass flag in report order and the overall result; the
+    labels name the checks in the same order (text or JSON report)."""
     stdout = result["stdout"]
     if stdout.startswith("{"):
         body, _ = json.JSONDecoder().raw_decode(stdout)
-        checks = [(c["check"], c["pass"]) for c in body.get("checks", [])]
-        return result["exit"], checks, body.get("pass")
+        checks = body.get("checks", [])
+        verdicts = result["exit"], [c["pass"] for c in checks], body.get("pass")
+        return verdicts, [c["check"] for c in checks]
     lines = stdout.splitlines()
-    statuses = [line[:6] for line in lines if line.startswith("[")]
-    return result["exit"], statuses, [line for line in lines if line.startswith("result: ")]
+    checks = [line for line in lines if line.startswith("[")]
+    verdicts = (result["exit"], [line[:6] for line in checks],
+                [line for line in lines if line.startswith("result: ")])
+    return verdicts, [line[7:].split(":")[0] for line in checks]
+
+
+def test_a_relabel_keeps_the_verdicts():
+    old = json.loads((GOLDEN / "gate-family.o5.json.json").read_text(encoding="utf-8"))
+    body = json.loads(old["stdout"])
+    body["checks"][0]["check"] = "relabelled"
+    relabelled = dict(old, stdout=json.dumps(body))
+    (verdicts, labels), (new_verdicts, new_labels) = map(_verdicts, (old, relabelled))
+    assert verdicts == new_verdicts and labels != new_labels
+    body["checks"][0]["pass"] = True
+    assert _verdicts(dict(old, stdout=json.dumps(body)))[0] != verdicts
 
 
 def _regenerate():
@@ -284,13 +298,17 @@ def _regenerate():
             if text == old:
                 continue
             changed += 1
+            verdicts, labels = _verdicts(result)
+            was, labelled = _verdicts(json.loads(old)) if old else (None, None)
             if old is None:
                 print(f"{case}: new, exit {result['exit']}")
-            elif _verdicts(json.loads(old)) == _verdicts(result):
-                print(f"{case}: changed, exit code and verdicts kept")
-            else:
+            elif verdicts != was:
                 moved += 1
                 print(f"{case}: changed, EXIT CODE OR VERDICT MOVED")
+            elif labels != labelled:
+                print(f"{case}: labels changed, verdicts kept")
+            else:
+                print(f"{case}: changed, exit code and verdicts kept")
             path.write_text(text, encoding="utf-8")
     print(f"{changed} of {len(CASES)} cases changed; "
           f"{moved} moved an exit code or a verdict")

@@ -1,11 +1,15 @@
+import importlib.util
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bialgebra_forge import exprparse, presentation_diff
+import bialgebra_forge as bf
+from bialgebra_forge import document, exprparse, presentation_diff
+from bialgebra_forge.document import SCHEMA
 from bialgebra_forge.errors import (
     ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
 )
@@ -237,7 +241,29 @@ def test_coefficients_match_sympy_truncated(pair):
     assert sympy.expand(got - _truncated(expr)) == 0, text
 
 
-# -- one build, one series memo ------------------------------------------------------
+@given(*[st.recursive(_leaves, _compound, max_leaves=3)] * 2, _leaves,
+       st.recursive(_leaves, _compound, max_leaves=3),
+       st.sampled_from(_PARAM_PAIRS), st.sampled_from(_PARAM_PAIRS),
+       st.sampled_from(("exp", "sinh", "cosh")), st.integers(0, 3))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_repeated_groups_match_sympy_truncated(a, b, c, d, p, q, fn, n):
+    # one group holding a pending parameter division, a power and a
+    # series, read three times: at top level, under a power (which
+    # resolves its division) and under one more parenthesis
+    group = f"(({p[0]}*({a[0]}))/{p[0]}*({b[0]})^{n}*{fn}({q[0]}*({c[0]})))"
+    value = (p[1] * a[1]) / p[1] * b[1] ** n * getattr(sympy, fn)(q[1] * c[1])
+    text = f"{group}*({d[0]}) + {group}^2 - ({group})"
+    got = _as_sympy(parse_coefficient(text, ORACLE_CTX))
+    # cutting at the order commutes with sums and products, so each
+    # operand is cut first and the sum of products is a polynomial
+    v, w = _truncated(value), _truncated(d[1])
+    whole = sympy.Poly(v * w + v ** 2 - v, *ORACLE_SYMBOLS)
+    want = sum((k * sympy.Mul(*(s ** e for s, e in zip(ORACLE_SYMBOLS, m)))
+                for m, k in whole.terms() if sum(m) <= ORACLE_ORDER), sympy.Integer(0))
+    assert sympy.expand(got - want) == 0, text
+
+
+# -- one build, one parse memo -------------------------------------------------------
 
 
 def test_a_build_expands_each_distinct_series_once(monkeypatch):
@@ -266,3 +292,101 @@ def test_exprparse_keeps_no_module_level_mutable_state():
         if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray))
     ]
     assert mutable == []
+
+
+def test_a_repeated_group_expands_its_series_once_per_build(monkeypatch):
+    calls = []
+
+    def counted(fn, arg):
+        calls.append(fn)
+        return series_apply(fn, arg)
+
+    monkeypatch.setattr(exprparse, "series_apply", counted)
+    group = "(t*sinh(z*c))"
+    doc = bf.Document.from_dict({
+        "schema": SCHEMA, "parameters": ["t", "z"], "generators": ["a", "b", "c"],
+        "presentation": {
+            "brackets": [
+                {"left": "a", "right": "b", "rhs": f"{group}*a"},
+                {"left": "a", "right": "c", "rhs": f"{group}*b - t*{group}"},
+                {"left": "b", "right": "c", "rhs": f"t*{group}^2"},
+            ],
+            "coproducts": {g: f"{g} (x) 1 + 1 (x) {g} + {group} (x) {g}" for g in "abc"},
+            "counit": {g: "0" for g in "abc"},
+        },
+    })
+    ctx = doc.make_context()
+    first = doc.build_presentation(ctx)
+    assert calls == ["sinh"]
+    second = doc.build_presentation(ctx)
+    assert calls == ["sinh", "sinh"]
+    assert presentation_diff(first, second) == []
+
+
+def _widegen():
+    # the benchmark's generator, read from its file and left as it is
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "widegen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_widegen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _memo_cases():
+    corrected = corrected_document()
+    for order in (5, 8, 12):
+        yield pytest.param(corrected, dict(order=order, cap=2 * order), id=f"corrected-o{order}")
+    for seed in (1, 2):
+        data = _widegen().wide_document(corrected.to_dict(), 2, seed)
+        yield pytest.param(bf.Document.from_dict(data), {}, id=f"wide-seed{seed}")
+
+
+@pytest.mark.parametrize("doc, settings_", list(_memo_cases()))
+def test_a_shared_memo_builds_what_fresh_parses_build(doc, settings_, monkeypatch):
+    ctx = doc.make_context(**settings_)
+    shared = doc.build_presentation(ctx)
+    with monkeypatch.context() as patch:
+        patch.setattr(document, "parse_expr",
+                      lambda text, context, _memo: parse_expr(text, context))
+        fresh = doc.build_presentation(ctx)
+    assert presentation_diff(shared, fresh) == []
+
+
+@pytest.mark.parametrize("before, group, levels, offset", [
+    # (t) opened at level MAX_NESTING puts its t one level past the limit
+    ("", "(t)", exprparse.MAX_NESTING - 1, 1),
+    # the t of (t+h) is the first factor of this group two levels down
+    ("", "(z1*(t+h))", exprparse.MAX_NESTING - 2, 5),
+    # the group's first read takes its inner (t) from the memo too
+    ("(t)*", "(h*(t))", exprparse.MAX_NESTING - 2, 4),
+])
+def test_a_repeat_nested_past_the_limit_raises_where_the_text_says(
+        before, group, levels, offset):
+    nested = "(" * levels + group + ")" * levels
+    for first in (f"{before}{group}*", "t*"):  # the group read before, or not
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(first + nested, CTX)
+        assert err.value.position == len(first) + levels + offset
+    # one level less parses, memo hit and all
+    shallower = "(" * (levels - 1) + group + ")" * (levels - 1)
+    assert parse_expr(f"{group}*{shallower}", CTX) == parse_expr(f"{group}^2", CTX)
+
+
+def test_a_repeated_group_adds_its_divisions_to_the_loss(monkeypatch):
+    # each (z2*t/z2 + h) resolves one division, so three of them cost three
+    # degrees, past the slack of 2: parsed again at order + 3, as if no
+    # repeat were read from the memo
+    orders = []
+
+    class Spy(exprparse.Parser):
+        def __init__(self, context, *rest):
+            orders.append(context.order)
+            super().__init__(context, *rest)
+
+    monkeypatch.setattr(exprparse, "Parser", Spy)
+    terms = [f"(z2*t/z2 + h)*{g}" for g in ("p_x", "p_y", "p_z")]
+    whole = parse_expr(" + ".join(terms), CTX)
+    assert orders == [CTX.order + CTX.slack, CTX.order + 3]
+    alone = [parse_expr(term, CTX) for term in terms]
+    assert orders[2:] == [CTX.order + CTX.slack] * 3
+    assert whole == alone[0] + alone[1] + alone[2]
