@@ -184,6 +184,8 @@ def cmd_check(args) -> int:
     elif which == "bialgebra":
         mu, delta = _compositions(doc, context, names, ("bracket", "cobracket"), command)
         checks = {
+            f"antisymmetry {names[0]}": antisymmetry_defect(mu),
+            f"antisymmetry {names[1]}": antisymmetry_defect(delta),
             f"jacobi {names[0]}": jacobi_defect(mu),
             f"cojacobi {names[1]}": cojacobi_defect(delta),
             f"cocycle ({names[0]},{names[1]})": cocycle_defect(mu, delta),
@@ -290,7 +292,7 @@ def _coefficients(kind, multi, tensor, names) -> str:
     fmt = "({0},{1})->{c}*{2}" if tensor.kind == "bracket" else "{0}->{c}*{1}^{2}"
     return f"{kind}_{''.join(map(str, multi))}: " + ", ".join(
         fmt.format(*(names[g] for g in key), c=v.constant_term())
-        for key, v in sorted(tensor.oriented().items()) if key < tensor._flipped(key)
+        for key, v in sorted(tensor.entries.items())
     )
 
 

@@ -186,18 +186,17 @@ class Document:
         if comp is None:
             raise DocumentError(f"no composition named {name!r}")
         cls = BracketTensor if comp["kind"] == "bracket" else CobracketTensor
-        tensor = cls(context.basis, context.params, context.order)
         index = context.basis.index
+        pairs = []
         for entry in comp.get("entries", []):
-            coeff = parse_coefficient(entry["coeff"], context)
             if comp["kind"] == "bracket":
                 a, b = entry["lower"]
                 key = (index[a], index[b], index[entry["upper"]])
             else:
                 a, b = entry["upper"]
                 key = (index[entry["lower"]], index[a], index[b])
-            tensor.set_entry(key, coeff)
-        return tensor
+            pairs.append((key, parse_coefficient(entry["coeff"], context)))
+        return cls(context.basis, context.params, context.order, pairs)
 
     def composition_names(self, kind: str):
         return sorted(
@@ -287,17 +286,14 @@ def presentation_document(H: HopfPresentation, notes=()) -> Document:
 
 
 def composition_document(tensors: dict, context: Context, notes=()) -> Document:
-    """Emit named bracket/cobracket tensors as a composition document."""
+    """Emit named bracket/cobracket tensors as a composition document,
+    each antisymmetric pair once, in lower orientation."""
     names = context.basis.names
     compositions = {}
     for name in sorted(tensors):
         tensor = tensors[name]
         entries = []
-        for key in sorted(tensor.entries):
-            value = tensor.entries[key]
-            if not value:
-                continue
-            i, j, k = key
+        for (i, j, k), value in sorted(tensor.entries.items()):
             if tensor.kind == "bracket":
                 entries.append({
                     "lower": [names[i], names[j]], "upper": names[k],

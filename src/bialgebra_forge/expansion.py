@@ -67,7 +67,7 @@ class CoefficientTable:
         # a pure-h monomial has no t and no z, a pure-t one no h and no z
         for kind, tensors, slot in (("mu", self.mu, 0), ("delta", self.delta, 1)):
             for multi, tensor in tensors.items():
-                if multi[slot] == multi[2] == 0 and not tensor.is_zero():
+                if multi[slot] == multi[2] == 0 and tensor.entries:
                     bad[(kind, multi)] = tensor
         return bad
 
@@ -85,31 +85,31 @@ def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", 
     idx = [params.index(r) for r in roles]
     basis = H.context.basis
     n = len(basis)
-    table = CoefficientTable(
-        basis=basis, roles=tuple(roles), bounds=tuple(up_to), order=H.context.order
-    )
+    mu, delta = {}, {}  # multi -> [(key, coefficient)]
 
-    def collect(poly: ParamPoly, tensors, cls, key):
+    def collect(poly: ParamPoly, pairs, key):
         for exps, coeff in poly.terms.items():
             if any(exps[p] for p in range(len(params)) if p not in idx):
                 continue
             multi = tuple(exps[p] for p in idx)
-            if any(e > b for e, b in zip(multi, up_to)):
-                continue
-            if multi not in tensors:
-                tensors[multi] = cls(basis, (), 0)
-            tensors[multi].set_entry(key, coeff)
+            if all(e <= b for e, b in zip(multi, up_to)):
+                pairs.setdefault(multi, []).append((key, coeff))
 
     for i in range(n):
         for j in range(i + 1, n):
             for k, coeff in H.rel.bracket_poly(i, j).v_part().items():
-                collect(coeff, table.mu, BracketTensor, (i, j, k))
+                collect(coeff, mu, (i, j, k))
     for i in range(n):
         d = H.coproduct_word((i,))
         for (a, b), coeff in (d - d.flip()).vv_part().items():
             if a < b:
-                collect(coeff.scale(_HALF), table.delta, CobracketTensor, (i, a, b))
-    return table
+                collect(coeff.scale(_HALF), delta, (i, a, b))
+    return CoefficientTable(
+        basis=basis, roles=tuple(roles), bounds=tuple(up_to), order=H.context.order,
+        mu={multi: BracketTensor(basis, (), 0, pairs) for multi, pairs in mu.items()},
+        delta={multi: CobracketTensor(basis, (), 0, pairs)
+               for multi, pairs in delta.items()},
+    )
 
 
 # -- the projected compatibility identities ------------------------------------

@@ -2,17 +2,24 @@
 
 Bracket constants C^k_ij live in a BracketTensor keyed (i, j, k); the
 cobracket constants D_i^jk of the dual side are keyed (i, j, k) as well,
-with (j, k) the wedge pair. Storage is sparse and keeps entries exactly
-as supplied (both orientations are allowed), so the antisymmetry defect
-is an observable rather than an enforced invariant.
+with (j, k) the wedge pair. A tensor keeps one value per antisymmetric
+pair, under its canonical key: i < j for a bracket, j < k for a
+cobracket. The constructor reads the raw (key, value) pairs once:
 
-Every reading goes through one orientation rule (`oriented()`): a stored
-key wins, even when its duplicates summed to zero; an absent orientation
-reads as its stored flip, negated. The Jacobi and mixed sums multiply
-only pairs of oriented values that share the summed index, so for n
-generators they cost O(stored values) on sparse tensors rather than
-O(n^5); the cocycle defect reads each tensor's oriented values once,
-grouped by generator pair (`brackets()`) and by generator (`wedges()`).
+- repeats add up, and a key whose values sum to zero still counts as
+  given;
+- a pair given in one orientation is antisymmetric by convention;
+- a pair given in both orientations keeps (v - v')/2 and records v + v'
+  as its antisymmetry defect;
+- a diagonal key reads zero and records 2v.
+
+So antisymmetry is a reported observable, and every other check reads
+the one antisymmetric tensor; `oriented()` is its plain +- view. The
+Jacobi and mixed sums multiply only pairs of oriented values that share
+the summed index, so for n generators they cost O(stored values) on
+sparse tensors rather than O(n^5); the cocycle defect reads each
+tensor's values once, grouped by generator pair (`brackets()`) and by
+generator (`wedges()`).
 """
 
 from __future__ import annotations
@@ -55,14 +62,31 @@ class _ConstantTensor:
 
     kind = "?"
 
-    def __init__(self, basis: Basis, params, order, entries=None):
+    def __init__(self, basis: Basis, params, order, entries=()):
+        """entries: raw (key, value) pairs, or a dict of them."""
         self.basis = basis
         self.params = tuple(params)
         self.order = order
-        self.entries = {}
-        if entries:
-            for key, value in entries.items():
-                self.set_entry(key, value)
+        given = {}  # canonical key -> [value given there, value given flipped]
+        for key, value in entries.items() if isinstance(entries, dict) else entries:
+            value = self._coerce(value)
+            if value:
+                flipped = self._flipped(key)
+                sides = given.setdefault(min(key, flipped), [None, None])
+                side = key > flipped
+                sides[side] = value if sides[side] is None else sides[side] + value
+        self.entries, self.antisymmetry = {}, {}
+        for key, (v, w) in given.items():
+            if key == self._flipped(key):
+                value, defect = None, v + v
+            elif v is None or w is None:
+                value, defect = -w if v is None else v, None
+            else:
+                value, defect = (v - w).scale(ONE / 2), v + w
+            if value:
+                self.entries[key] = value
+            if defect:
+                self.antisymmetry[key] = defect
 
     def _zero(self) -> ParamPoly:
         return ParamPoly.zero(self.params, self.order)
@@ -76,27 +100,15 @@ class _ConstantTensor:
             return ParamPoly.const(self.params, self.order, value)
         raise InputError(f"bad tensor entry {value!r}")
 
-    def set_entry(self, key, value):
-        i, j, k = key
-        value = self._coerce(value)
-        if value:
-            self.entries[(i, j, k)] = self.entries.get((i, j, k), self._zero()) + value
-
     def oriented(self) -> dict:
-        """The nonzero constants in both orientations, keyed (i, j, k):
-        the flips of the stored keys, negated, overlaid by the stored
-        entries, so a stored key hides its flip even when its value is
-        zero. Diagonal keys are kept."""
-        out = {self._flipped(key): -v for key, v in self.entries.items()}
-        out.update(self.entries)
-        return {key: v for key, v in out.items() if v}
+        """The nonzero constants in both orientations, keyed (i, j, k)."""
+        out = dict(self.entries)
+        out.update((self._flipped(key), -v) for key, v in self.entries.items())
+        return out
 
     def value(self, i, j, k) -> ParamPoly:
-        """The constant at (i, j, k) under the orientation rule."""
+        """The constant at (i, j, k), in either orientation."""
         return self.oriented().get((i, j, k), self._zero())
-
-    def is_zero(self) -> bool:
-        return all(not v for v in self.entries.values())
 
     def same_shape(self, other):
         if self.basis != other.basis:
@@ -105,29 +117,33 @@ class _ConstantTensor:
             raise InputError("tensors defined over different parameter contexts")
 
     def map_entries(self, fn, params=None, order=None):
+        """fn(key, value) in place of each canonical value and each
+        antisymmetry defect; fn must be linear in value."""
         out = type(self)(
             self.basis,
             self.params if params is None else params,
             self.order if order is None else order,
         )
-        for key, value in self.entries.items():
-            new = fn(value)
-            if new:
-                out.entries[key] = new
+        for mine, theirs in ((self.entries, out.entries),
+                             (self.antisymmetry, out.antisymmetry)):
+            for key, value in mine.items():
+                new = fn(key, value)
+                if new:
+                    theirs[key] = new
         return out
 
     def substitute(self, images, target=None):
         """Every entry renamed or zeroed (params.substitution)."""
         params, order = (self.params, self.order) if target is None else target
         fn = substitution(self.params, images, (params, order))
-        return self.map_entries(fn, tuple(params), order)
+        return self.map_entries(lambda key, value: fn(value), tuple(params), order)
 
     def __eq__(self, other):
         if type(other) is not type(self) or self.basis != other.basis:
             return NotImplemented
         return (
             (self.params, self.order) == (other.params, other.order)
-            and self.oriented() == other.oriented()
+            and self.entries == other.entries
         )
 
     def __repr__(self):
@@ -157,17 +173,15 @@ class BracketTensor(_ConstantTensor):
         return f"C^{names[k]}_{names[i]},{names[j]}"
 
     def brackets(self) -> dict:
-        """Every [x_i, x_j] with i != j, keyed (i, j), as a map generator
-        index -> ParamPoly; diagonal keys are skipped."""
+        """Every nonzero [x_i, x_j], keyed (i, j), as a map generator
+        index -> ParamPoly."""
         out = {}
         for (a, b, k), v in self.oriented().items():
-            if a != b:
-                out.setdefault((a, b), {})[k] = v
+            out.setdefault((a, b), {})[k] = v
         return out
 
     def bracket(self, i, j) -> dict:
-        """[x_i, x_j] as a map generator index -> ParamPoly; empty for
-        i == j, whatever a diagonal key stores."""
+        """[x_i, x_j] as a map generator index -> ParamPoly."""
         return self.brackets().get((i, j), {})
 
 
@@ -192,9 +206,8 @@ class CobracketTensor(_ConstantTensor):
         """Every delta(x_i), keyed i, as canonical wedge coefficients
         {(a<b): ParamPoly}."""
         out = {}
-        for (m, a, b), v in self.oriented().items():
-            if a < b:
-                out.setdefault(m, {})[(a, b)] = v
+        for (m, a, b), v in self.entries.items():
+            out.setdefault(m, {})[(a, b)] = v
         return out
 
     def wedge_of(self, i) -> dict:
@@ -202,12 +215,10 @@ class CobracketTensor(_ConstantTensor):
         return self.wedges().get(i, {})
 
     def dual_bracket(self) -> BracketTensor:
-        """The bracket on the dual space: C^i_jk := D_i^jk (raw keys
-        transposed, orientations preserved)."""
-        out = BracketTensor(self.basis, self.params, self.order)
-        for (i, j, k), value in self.entries.items():
-            out.entries[(j, k, i)] = value
-        return out
+        """The bracket on the dual space, C^i_jk := D_i^jk: the canonical
+        key (i, j<k) of each value becomes the canonical key (j<k, i)."""
+        return BracketTensor(self.basis, self.params, self.order,
+                             {(j, k, i): v for (i, j, k), v in self.entries.items()})
 
 
 def rescale_basis(tensor, scales):
@@ -224,13 +235,14 @@ def rescale_basis(tensor, scales):
             raise InputError(f"scale {s!r} is not a nonzero Q(i) scalar")
         s = Scalar(s) if isinstance(s, int) else s
         factors.append((s, ONE / s))
-    out = type(tensor)(tensor.basis, tensor.params, tensor.order)
-    for key, value in tensor.entries.items():
+
+    def scaled(key, value):
         a, b, c = (
             factors[g][inverted] for g, inverted in zip(key, tensor.inverted_slots)
         )
-        out.entries[key] = value.scale(a * b * c)
-    return out
+        return value.scale(a * b * c)
+
+    return tensor.map_entries(scaled)
 
 
 # -- wedge helpers -----------------------------------------------------------
@@ -249,24 +261,10 @@ def _wedge_add(acc, a, b, value):
 
 
 def antisymmetry_defect(tensor) -> dict:
-    """Entry (i,j,k) -> C^k_ij + C^k_ji over the stored support."""
-    out = {}
-    seen = set()
-    for key, a in tensor.entries.items():
-        flipped = tensor._flipped(key)
-        canon = min(key, flipped)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if key == flipped:
-            d = a + a  # diagonal entry: antisymmetry forces it to vanish
-        elif flipped in tensor.entries:
-            d = a + tensor.entries[flipped]
-        else:
-            continue
-        if d:
-            out[canon] = d
-    return out
+    """Canonical key -> C^k_ij + C^k_ji (D_i^jk + D_i^kj) of the input,
+    nonzero only where a pair was given in both orientations or on the
+    diagonal."""
+    return dict(tensor.antisymmetry)
 
 
 def _cyclic_defect(pairs) -> dict:
@@ -357,13 +355,18 @@ FAMILY_PARAMS = ("z1", "t", "z2", "h")
 
 
 def check_four_pairs(mu_100, mu_001, delta_010, delta_001) -> dict:
-    """Hypotheses of the two-deformation construction: both brackets Lie,
-    both cobrackets co-Lie, the mixed defects zero, and all four
-    (bracket, cobracket) pairs compatible. Each check's label maps to its
-    defects, in report order; the hypothesis holds iff all are empty."""
+    """Hypotheses of the two-deformation construction: all four inputs
+    antisymmetric, both brackets Lie, both cobrackets co-Lie, the mixed
+    defects zero, and all four (bracket, cobracket) pairs compatible. Each
+    check's label maps to its defects, in report order; the hypothesis
+    holds iff all are empty."""
     for other in (mu_001, delta_010, delta_001):
         mu_100.same_shape(other)
     return {
+        "antisymmetry mu_001": antisymmetry_defect(mu_001),
+        "antisymmetry mu_100": antisymmetry_defect(mu_100),
+        "antisymmetry delta_001": antisymmetry_defect(delta_001),
+        "antisymmetry delta_010": antisymmetry_defect(delta_010),
         "jacobi mu_001": jacobi_defect(mu_001),
         "jacobi mu_100": jacobi_defect(mu_100),
         "cojacobi delta_001": cojacobi_defect(delta_001),
@@ -398,14 +401,10 @@ def build_family(mu_100, mu_001, delta_010, delta_001) -> DeformationFamily:
             raise InputError(f"family parameter {name!r} missing from context")
 
     def pencil(cls, terms):
-        # every stored key stays stored: one whose duplicates summed to
-        # zero still hides its flip
-        out = cls(mu_100.basis, params, order)
-        for pname, tensor in terms:
-            p = ParamPoly.parameter(params, order, pname)
-            for key, value in tensor.entries.items():
-                out.entries[key] = out.entries.get(key, out._zero()) + p * value
-        return out
+        return cls(mu_100.basis, params, order, [
+            (key, ParamPoly.parameter(params, order, pname) * value)
+            for pname, tensor in terms for key, value in tensor.entries.items()
+        ])
 
     terms = list(zip(FAMILY_PARAMS, (mu_001, mu_100, delta_001, delta_010)))
     return DeformationFamily(pencil(BracketTensor, terms[:2]),

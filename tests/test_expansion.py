@@ -174,7 +174,7 @@ ORDER2_PAIRS = (((0, 0, 1), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)),
 def _random_table(rng, n=4):
     """TABLE's bounds and order on n generators, with sparse random scalar
     tensors of Q(i) entries at every multi-index the identities read;
-    keys are raw (one orientation, both, or a repeated index)."""
+    keys are given raw (one orientation, both, or a repeated index)."""
     basis = bf.Basis([f"e{g}" for g in range(n)])
     table = dataclasses.replace(TABLE, basis=basis, mu={}, delta={})
     keys = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
@@ -192,9 +192,9 @@ def _random_table(rng, n=4):
 
 
 def _read(tensor, key, flip):
-    """The orientation rule written out on raw entries: a stored key wins,
-    an absent one reads as its stored flip, negated, and a repeated
-    antisymmetric index reads zero; None marks a zero entry."""
+    """The stored value read in either orientation: the stored key, or
+    its stored flip negated, and a repeated antisymmetric index reads
+    zero; None marks a zero entry."""
     if tensor is None or key == flip:
         return None
     if key in tensor.entries:

@@ -12,8 +12,8 @@ end below the order. Cases that need a document
 on disk (the z1=z2=z diagonal, a copy of @corrected with one altered
 coproduct coefficient, a copy of the diagonal whose altered coproducts
 break the order-2 and order-3 expansion identities, and a copy of
-@corrected whose compositions gain entries that fail the Jacobi, mixed
-and cocycle checks, and a copy whose added entries fail both mixed
+@corrected whose compositions gain entries that fail the antisymmetry,
+Jacobi and cocycle checks, and a copy whose added entries fail both mixed
 checks) write it to a scratch directory first; no path appears in any
 pinned output.
 
@@ -24,7 +24,8 @@ reports, rewrite them with
     PYTHONPATH=src python tests/test_golden.py
 
 which lists every case whose output changed and says whether its exit
-code or any verdict moved; then review the diff.
+code or any verdict moved, or only checks were added; then review the
+diff.
 """
 
 import contextlib
@@ -56,10 +57,11 @@ FIXTURES = ("h-field-at-z0", "t-field-at-z0", "h-field", "t-field")
 DIAGONAL = "z1=z,z2=z"
 
 # Composition entries added to @corrected for the gate document: both
-# orientations stored consistently (mu_001), a key whose duplicates sum to
-# zero next to its stored flip, a diagonal key and a plain extra entry
-# (mu_100), and an orientation inconsistent with the stored one plus an
-# entry with a parameter coefficient (delta_001).
+# orientations listed consistently (mu_001), a key whose duplicates sum to
+# zero next to its listed flip, a diagonal key and a plain extra entry
+# (mu_100), and an orientation inconsistent with the listed one plus an
+# entry with a parameter coefficient (delta_001); so mu_100 and delta_001
+# fail antisymmetry.
 GATE_ENTRIES = {
     "mu_001": [
         {"lower": ["p_x", "p_z"], "upper": "p_y", "coeff": "-i"},
@@ -212,7 +214,7 @@ def test_family_and_four_pairs_fail_the_same_labels(paths):
         failing[command[-1]] = [c["check"] for c in checks if not c["pass"]]
     assert failing["four-pairs"][-1] == "theorem hypotheses satisfied"
     assert failing["family"] == failing["four-pairs"][:-1]
-    assert len(failing["family"]) == 4
+    assert len(failing["family"]) == 6
 
 
 # a parameter of @corrected or of its diagonal, with an optional power
@@ -267,6 +269,31 @@ def _verdicts(result) -> tuple:
     return verdicts, [line[7:].split(":")[0] for line in checks]
 
 
+def _change(result, old) -> str:
+    """How a changed case differs from its old golden: verdicts kept
+    (with or without relabelled checks), checks added with every other
+    verdict kept, or an exit code or verdict moved. Checks are only
+    added when the exit code and overall result are kept, no old label
+    is gone and each old label keeps its pass flags."""
+    (verdicts, labels), (was, was_labels) = _verdicts(result), _verdicts(old)
+    if verdicts == was:
+        if labels != was_labels:
+            return "labels changed, verdicts kept"
+        return "changed, exit code and verdicts kept"
+    flags, was_flags = ({}, {})
+    for table, (_, passes, _), names in ((flags, verdicts, labels),
+                                         (was_flags, was, was_labels)):
+        for label, flag in zip(names, passes):
+            table.setdefault(label, []).append(flag)
+    added = [label for label in flags if label not in was_flags]
+    kept = verdicts[::2] == was[::2] and all(
+        flags.get(label) == flag for label, flag in was_flags.items()
+    )
+    if kept and added:
+        return f"checks added: {', '.join(added)}, other verdicts kept"
+    return "changed, EXIT CODE OR VERDICT MOVED"
+
+
 def test_a_relabel_keeps_the_verdicts():
     old = json.loads((GOLDEN / "gate-family.o5.json.json").read_text(encoding="utf-8"))
     body = json.loads(old["stdout"])
@@ -274,13 +301,36 @@ def test_a_relabel_keeps_the_verdicts():
     relabelled = dict(old, stdout=json.dumps(body))
     (verdicts, labels), (new_verdicts, new_labels) = map(_verdicts, (old, relabelled))
     assert verdicts == new_verdicts and labels != new_labels
+    assert _change(relabelled, old) == "labels changed, verdicts kept"
     body["checks"][0]["pass"] = True
     assert _verdicts(dict(old, stdout=json.dumps(body)))[0] != verdicts
 
 
+def test_an_added_check_keeps_the_other_verdicts():
+    """A new check is reported as added, in text and JSON, unless it
+    moves the overall result or another check's flag moves with it."""
+    for fmt in ("json", "text"):
+        old = json.loads(
+            (GOLDEN / f"gate-family.o5.{fmt}.json").read_text(encoding="utf-8"))
+        if fmt == "json":
+            body = json.loads(old["stdout"])
+            body["checks"].insert(1, {"check": "added", "pass": True, "detail": ""})
+            added = dict(old, stdout=json.dumps(body))
+            body["checks"][0]["pass"] = True
+            moved = dict(old, stdout=json.dumps(body))
+        else:
+            first = old["stdout"].index("[FAIL]")
+            added = dict(old, stdout=old["stdout"][:first] + "[pass] added\n"
+                         + old["stdout"][first:])
+            moved = dict(added, stdout=added["stdout"].replace("[FAIL]", "[pass]", 1))
+        assert _change(added, old) == "checks added: added, other verdicts kept", fmt
+        assert _change(moved, old) == "changed, EXIT CODE OR VERDICT MOVED", fmt
+        assert _change(dict(added, exit=0), old) == "changed, EXIT CODE OR VERDICT MOVED"
+
+
 def _regenerate():
     """Rewrite every golden file; print each case whose file changed and
-    whether its exit code or a verdict moved."""
+    how its verdicts moved (_change)."""
     GOLDEN.mkdir(exist_ok=True)
     current = {f"{c[0]}.json" for c in CASES}
     for stale in GOLDEN.glob("*.json"):
@@ -298,17 +348,12 @@ def _regenerate():
             if text == old:
                 continue
             changed += 1
-            verdicts, labels = _verdicts(result)
-            was, labelled = _verdicts(json.loads(old)) if old else (None, None)
             if old is None:
                 print(f"{case}: new, exit {result['exit']}")
-            elif verdicts != was:
-                moved += 1
-                print(f"{case}: changed, EXIT CODE OR VERDICT MOVED")
-            elif labels != labelled:
-                print(f"{case}: labels changed, verdicts kept")
             else:
-                print(f"{case}: changed, exit code and verdicts kept")
+                change = _change(result, json.loads(old))
+                moved += "MOVED" in change
+                print(f"{case}: {change}")
             path.write_text(text, encoding="utf-8")
     print(f"{changed} of {len(CASES)} cases changed; "
           f"{moved} moved an exit code or a verdict")

@@ -136,12 +136,11 @@ def test_mixed_jacobi_matches_symbolic_pencil(ctx, comps):
     argument makes every slot substantive."""
     mu_a, mu_b = comps["mu_100"], _corrupted_mu001(ctx)
     ring = ("x", "y")
-    pencil = BracketTensor(mu_a.basis, ring, 4)
-    for source, name in ((mu_a, "x"), (mu_b, "y")):
-        p = ParamPoly.parameter(ring, 4, name)
-        for key, value in source.entries.items():
-            lifted = value.substitute({}, (ring, 4))
-            pencil.set_entry(key, p * lifted)
+    pencil = BracketTensor(mu_a.basis, ring, 4, [
+        (key, ParamPoly.parameter(ring, 4, name) * value.substitute({}, (ring, 4)))
+        for source, name in ((mu_a, "x"), (mu_b, "y"))
+        for key, value in source.entries.items()
+    ])
     full = jacobi_defect(pencil)
     cross = {}
     square_y = {}
@@ -196,16 +195,21 @@ def test_cocycle_detects_corruption(ctx, comps):
 
 
 def test_both_orientations_count_once(ctx, comps):
-    """A bracket stored in both orientations gives the same [x_i, x_j]
-    and cocycle defect as the one orientation alone."""
+    """A bracket given in both orientations consistently is stored once,
+    as the one orientation alone, with the same [x_i, x_j] and cocycle
+    defect; given inconsistently, it reads half the difference and
+    reports the sum."""
     small = BracketTensor(ctx.basis, (), 0, {(0, 1, 2): 1, (1, 0, 2): -1})
     assert small.bracket(0, 1) == {2: small.value(0, 1, 2)}
+    assert small.entries == BracketTensor(ctx.basis, (), 0, {(1, 0, 2): -1}).entries
+    skew = BracketTensor(ctx.basis, (), 0, {(0, 1, 2): 1, (1, 0, 2): 3})
+    assert skew.bracket(0, 1) == {2: ParamPoly.const((), 0, -1)}
+    assert antisymmetry_defect(skew) == {(0, 1, 2): ParamPoly.const((), 0, 4)}
     mu = comps["mu_100"]
-    both = BracketTensor(ctx.basis, ctx.params, ctx.order, mu.entries)
-    for (i, j, k), value in mu.entries.items():
-        if (j, i, k) not in mu.entries:
-            both.set_entry((j, i, k), -value)
-    assert len(both.entries) == 2 * len(mu.entries)
+    both = BracketTensor(ctx.basis, ctx.params, ctx.order, [
+        *mu.entries.items(), *(((j, i, k), -v) for (i, j, k), v in mu.entries.items())
+    ])
+    assert both.entries == mu.entries and antisymmetry_defect(both) == {}
     n = len(ctx.basis)
     for i, j in product(range(n), repeat=2):
         assert both.bracket(i, j) == mu.bracket(i, j), (i, j)
@@ -293,19 +297,54 @@ def test_family_refuses_bad_hypotheses(ctx, comps):
 
 
 def test_family_keeps_stored_keys_of_both_pencils(ctx):
-    """A key of mu_100 whose duplicates sum to zero hides its stored flip
-    in mu_100, and so in the family: the family reads z1*mu_001 +
-    t*mu_100 under the orientation rule."""
-    mu_100 = BracketTensor(ctx.basis, ctx.params, ctx.order)
-    for key, value in (((L_X, L_Y, L_Z), 1), ((L_X, L_Y, L_Z), -1), ((L_Y, L_X, L_Z), 1)):
-        mu_100.set_entry(key, value)
+    """A key of mu_100 whose duplicates sum to zero still counts as
+    given: next to its flip it makes mu_100 fail antisymmetry, and the
+    family is refused. Given consistently, both orientations read as one
+    value, and the family reads z1*mu_001 + t*mu_100 on it."""
     zero_mu = BracketTensor(ctx.basis, ctx.params, ctx.order)
     zero_delta = CobracketTensor(ctx.basis, ctx.params, ctx.order)
+    zero_sum = [((L_X, L_Y, L_Z), 1), ((L_X, L_Y, L_Z), -1), ((L_Y, L_X, L_Z), 1)]
+    mu_100 = BracketTensor(ctx.basis, ctx.params, ctx.order, zero_sum)
+    half = ParamPoly.const(ctx.params, ctx.order, Scalar(Fraction(-1, 2)))
+    assert mu_100.value(L_X, L_Y, L_Z) == half
+    with pytest.raises(HypothesisError) as info:
+        build_family(mu_100, zero_mu, zero_delta, zero_delta)
+    assert info.value.failing == ["antisymmetry mu_100"]
+    mu_100 = BracketTensor(ctx.basis, ctx.params, ctx.order,
+                           zero_sum + [((L_X, L_Y, L_Z), -1)])
     family = build_family(mu_100, zero_mu, zero_delta, zero_delta)
     t = ParamPoly.parameter(ctx.params, ctx.order, "t")
-    for key in ((L_X, L_Y, L_Z), (L_Y, L_X, L_Z)):
-        assert family.mu.value(*key) == mu_100.value(*key) * t
-    assert not family.mu.value(L_X, L_Y, L_Z) and family.mu.value(L_Y, L_X, L_Z) == t
+    assert family.mu.value(L_Y, L_X, L_Z) == t and family.mu.value(L_X, L_Y, L_Z) == -t
+
+
+def test_family_of_flipped_pencils_reads_their_sum(ctx):
+    """mu_001 = {[l_x,l_y] = l_z} and mu_100 = {[l_y,l_x] = l_z} give
+    the family z1*mu_001 + t*mu_100, which is z1 - t at [l_x,l_y]."""
+    mu_001 = BracketTensor(ctx.basis, ctx.params, ctx.order, {(L_X, L_Y, L_Z): 1})
+    mu_100 = BracketTensor(ctx.basis, ctx.params, ctx.order, {(L_Y, L_X, L_Z): 1})
+    zero_delta = CobracketTensor(ctx.basis, ctx.params, ctx.order)
+    assert not any(check_four_pairs(mu_100, mu_001, zero_delta, zero_delta).values())
+    family = build_family(mu_100, mu_001, zero_delta, zero_delta)
+    z1 = ParamPoly.parameter(ctx.params, ctx.order, "z1")
+    t = ParamPoly.parameter(ctx.params, ctx.order, "t")
+    assert family.mu.value(L_X, L_Y, L_Z) == z1 - t
+    assert family.mu.value(L_Y, L_X, L_Z) == t - z1
+
+
+def test_two_orientation_cobracket_fails_antisymmetry_and_reads_one_cobracket(ctx, comps):
+    """D_c^ab = D_c^ba = 1 reports 2 as its antisymmetry defect and reads
+    as the zero cobracket in co-Jacobi and in the cocycle alike."""
+    delta = CobracketTensor(ctx.basis, ctx.params, ctx.order,
+                            {(L_Z, P_X, P_Y): 1, (L_Z, P_Y, P_X): 1})
+    two = ParamPoly.const(ctx.params, ctx.order, 2)
+    assert antisymmetry_defect(delta) == {(L_Z, P_X, P_Y): two}
+    assert delta == CobracketTensor(ctx.basis, ctx.params, ctx.order)
+    assert cojacobi_defect(delta) == {} and delta.wedges() == {}
+    for name in ("mu_100", "mu_001"):
+        assert cocycle_defect(comps[name], delta) == {}
+    report = check_four_pairs(comps["mu_100"], comps["mu_001"], comps["delta_010"], delta)
+    assert [label for label, defects in report.items() if defects] == [
+        "antisymmetry delta_001"]
 
 
 def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
@@ -315,20 +354,16 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
     is lifted by hand so the hypothesis guard does not interfere."""
     mu001c = _corrupted_mu001(ctx)
 
-    def lift(tensor, cls, pname):
-        p = ParamPoly.parameter(ctx.params, ctx.order, pname)
-        out = cls(ctx.basis, ctx.params, ctx.order)
-        for key, value in tensor.entries.items():
-            out.set_entry(key, p * value)
-        return out
+    def pencil(cls, *terms):
+        return cls(ctx.basis, ctx.params, ctx.order, [
+            (key, ParamPoly.parameter(ctx.params, ctx.order, pname) * value)
+            for pname, tensor in terms for key, value in tensor.entries.items()
+        ])
 
-    mu_fam = lift(mu001c, BracketTensor, "z1")
-    for key, value in lift(comps["mu_100"], BracketTensor, "t").entries.items():
-        mu_fam.set_entry(key, value)
-    delta_fam = lift(comps["delta_001"], CobracketTensor, "z2")
-    for key, value in lift(comps["delta_010"], CobracketTensor, "h").entries.items():
-        delta_fam.set_entry(key, value)
-    family = DeformationFamily(mu_fam, delta_fam)
+    family = DeformationFamily(
+        pencil(BracketTensor, ("z1", mu001c), ("t", comps["mu_100"])),
+        pencil(CobracketTensor, ("z2", comps["delta_001"]), ("h", comps["delta_010"])),
+    )
 
     split = cocycle_monomial_split(family)
     pairwise = {
@@ -355,12 +390,15 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
 def test_identity_rescale(comps, ctx):
     scaled = rescale_basis(comps["mu_100"], [1] * 6)
     assert scaled == comps["mu_100"]
-    # a stored key whose duplicates summed to zero still hides its flip
-    mu = BracketTensor(ctx.basis, ctx.params, ctx.order)
-    for key, value in (((L_X, L_Y, L_Z), 1), ((L_X, L_Y, L_Z), -1), ((L_Y, L_X, L_Z), 5)):
-        mu.set_entry(key, value)
+    # a key whose duplicates summed to zero still counts as given next to
+    # its flip: the pair reads half the difference and reports the sum
+    mu = BracketTensor(ctx.basis, ctx.params, ctx.order, [
+        ((L_X, L_Y, L_Z), 1), ((L_X, L_Y, L_Z), -1), ((L_Y, L_X, L_Z), 5)])
     scaled = rescale_basis(mu, [1] * 6)
-    assert scaled == mu and not scaled.value(L_X, L_Y, L_Z)
+    assert scaled == mu and antisymmetry_defect(scaled) == antisymmetry_defect(mu)
+    five = ParamPoly.const(ctx.params, ctx.order, 5)
+    assert antisymmetry_defect(mu) == {(L_X, L_Y, L_Z): five}
+    assert scaled.value(L_X, L_Y, L_Z) == five.scale(Scalar(Fraction(-1, 2)))
 
 
 def test_rescale_round_trip(comps, ctx):
@@ -419,13 +457,16 @@ def _safe_mu001(ctx):
 
 # -- sparse sums against dense references ------------------------------------------------------
 #
-# The references below read `entries` through their own copy of the
-# orientation rule (a stored key wins, even when its value is zero; an
-# absent orientation reads as its stored flip, negated) and loop over
-# every index tuple, so they share no code with the sums they check.
+# The references below read the raw input pairs through their own copy of
+# the reading rule (repeats add up; a pair given in one orientation is
+# antisymmetric; one given in both keeps half the difference and reports
+# the sum; a diagonal key reads zero and reports twice its value) into a
+# dense table over every index tuple, and loop over every index tuple, so
+# they share no code with the sums they check.
 
 _RANDOM_PARAMS = ("t", "h")
 _RANDOM_ORDER = 2
+_HALF = Scalar(Fraction(1, 2))
 
 
 def _random_poly(rng):
@@ -437,12 +478,16 @@ def _random_poly(rng):
     return poly or ParamPoly.const(_RANDOM_PARAMS, _RANDOM_ORDER, ONE)
 
 
-def _random_tensor(rng, cls, basis):
-    """Random constants stored through set_entry: both orientations,
-    consistent or not, diagonal keys, and duplicates that sum to zero
-    next to a stored flip."""
-    n = len(basis)
-    tensor = cls(basis, _RANDOM_PARAMS, _RANDOM_ORDER)
+def _flip(cls, key):
+    i, j, k = key
+    return (j, i, k) if cls is BracketTensor else (i, k, j)
+
+
+def _random_pairs(rng, cls, n) -> list:
+    """Random raw (key, value) pairs: both orientations, consistent or
+    not, diagonal keys, and duplicates that sum to zero next to a given
+    flip."""
+    pairs = []
 
     def key(a, b, single):   # (a, b) is the antisymmetric pair
         return (a, b, single) if cls is BracketTensor else (single, a, b)
@@ -452,59 +497,72 @@ def _random_tensor(rng, cls, basis):
         if rng.random() < 0.2:
             b = a
         value = _random_poly(rng)
-        tensor.set_entry(key(a, b, single), value)
+        pairs.append((key(a, b, single), value))
         roll = rng.random()
         if roll < 0.3:
             flip = -value if rng.random() < 0.5 else _random_poly(rng)
-            tensor.set_entry(key(b, a, single), flip)
+            pairs.append((key(b, a, single), flip))
         elif roll < 0.55:
-            tensor.set_entry(key(a, b, single), -value)
-            tensor.set_entry(key(b, a, single), _random_poly(rng))
-    return tensor
+            pairs.append((key(a, b, single), -value))
+            pairs.append((key(b, a, single), _random_poly(rng)))
+    return pairs
 
 
-def _rule(tensor, key):
-    i, j, k = key
-    flipped = (j, i, k) if isinstance(tensor, BracketTensor) else (i, k, j)
-    if key in tensor.entries:
-        return tensor.entries[key]
-    if flipped in tensor.entries:
-        return -tensor.entries[flipped]
-    return ParamPoly.zero(tensor.params, tensor.order)
+def _dense(cls, n, pairs) -> tuple:
+    """(reading, antisymmetry defect) of raw pairs: full tables keyed by
+    every index tuple, the defect at the lower orientation only."""
+    zero = ParamPoly.zero(_RANDOM_PARAMS, _RANDOM_ORDER)
+
+    def given(key):
+        values = [v for k, v in pairs if k == key and v]
+        return (sum(values, zero),) if values else ()
+
+    reading, defect = {}, {}
+    for key in product(range(n), repeat=3):
+        flipped = _flip(cls, key)
+        here, there = given(key), given(flipped)
+        if key == flipped:
+            reading[key] = zero
+            defect[key] = here[0] + here[0] if here else zero
+        elif here and there:
+            reading[key] = (here[0] - there[0]).scale(_HALF)
+            defect[key] = here[0] + there[0] if key < flipped else zero
+        else:
+            reading[key] = here[0] if here else -there[0] if there else zero
+            defect[key] = zero
+    return reading, {key: v for key, v in defect.items() if v}
 
 
-def _dense_cyclic(pairs):
-    n = len(pairs[0][0].basis)
+def _dual(table):
+    """C^i_jk := D_i^jk on a dense table."""
+    return {(j, k, i): v for (i, j, k), v in table.items()}
+
+
+def _dense_cyclic(n, pairs):
+    zero = ParamPoly.zero(_RANDOM_PARAMS, _RANDOM_ORDER)
     out = {}
     for i, j, k in combinations(range(n), 3):
         for l in range(n):
-            acc = ParamPoly.zero(pairs[0][0].params, pairs[0][0].order)
+            acc = zero
             for m, (first, second) in product(range(n), pairs):
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    acc = acc + _rule(first, (a, b, m)) * _rule(second, (m, c, l))
+                    acc = acc + first[(a, b, m)] * second[(m, c, l)]
             if acc:
                 out[(i, j, k, l)] = acc
     return out
 
 
-def _dense_bracket(mu, i, j):
-    if i == j:
-        return {}
-    n = len(mu.basis)
-    return {k: _rule(mu, (i, j, k)) for k in range(n) if _rule(mu, (i, j, k))}
+def _dense_bracket(n, mu, i, j):
+    return {k: mu[(i, j, k)] for k in range(n) if mu[(i, j, k)]}
 
 
-def _dense_wedge(delta, i):
-    n = len(delta.basis)
-    return {
-        (a, b): _rule(delta, (i, a, b))
-        for a, b in combinations(range(n), 2) if _rule(delta, (i, a, b))
-    }
+def _dense_wedge(n, delta, i):
+    return {(a, b): delta[(i, a, b)] for a, b in combinations(range(n), 2)
+            if delta[(i, a, b)]}
 
 
-def _dense_cocycle(mu, delta):
+def _dense_cocycle(n, mu, delta):
     """delta([x_i, x_j]) - ad_xi delta(x_j) + ad_xj delta(x_i) per i<j."""
-    n = len(mu.basis)
     out = {}
     for i, j in combinations(range(n), 2):
         acc = {}
@@ -513,16 +571,16 @@ def _dense_cocycle(mu, delta):
             if a != b:
                 if a > b:
                     a, b, value = b, a, -value
-                acc[(a, b)] = acc.get((a, b), mu._zero()) + value
+                acc[(a, b)] = acc.get((a, b), ParamPoly.zero(value.params, value.order)) + value
 
-        for m, c in _dense_bracket(mu, i, j).items():
-            for (a, b), w in _dense_wedge(delta, m).items():
+        for m, c in _dense_bracket(n, mu, i, j).items():
+            for (a, b), w in _dense_wedge(n, delta, m).items():
                 add(a, b, w * c)
         for x, y, sign in ((i, j, -1), (j, i, 1)):
-            for (a, b), w in _dense_wedge(delta, y).items():
-                for c, v in _dense_bracket(mu, x, a).items():
+            for (a, b), w in _dense_wedge(n, delta, y).items():
+                for c, v in _dense_bracket(n, mu, x, a).items():
                     add(c, b, (w * v).scale(Scalar(sign)))
-                for c, v in _dense_bracket(mu, x, b).items():
+                for c, v in _dense_bracket(n, mu, x, b).items():
                     add(a, c, (w * v).scale(Scalar(sign)))
         acc = {key: value for key, value in acc.items() if value}
         if acc:
@@ -530,22 +588,16 @@ def _dense_cocycle(mu, delta):
     return out
 
 
-def _dense_equal(x, y):
-    n = len(x.basis)
-    return all(_rule(x, key) == _rule(y, key) for key in product(range(n), repeat=3))
-
-
-def _restored(tensor):
-    """The same constants stored the other way round wherever only one
-    orientation is stored (a stored zero is dropped by set_entry)."""
-    out = type(tensor)(tensor.basis, tensor.params, tensor.order)
-    for key, value in tensor.entries.items():
-        flipped = tensor._flipped(key)
-        if flipped in tensor.entries:
-            out.set_entry(key, value)
-        else:
-            out.set_entry(flipped, -value)
-    return out
+def _restored(cls, pairs) -> list:
+    """The same input with each pair given in one orientation given the
+    other way round, negated; pairs given in both orientations and
+    diagonal keys stay as they are."""
+    keys = {key for key, _ in pairs}
+    return [
+        (key, value) if key == _flip(cls, key) or _flip(cls, key) in keys
+        else (_flip(cls, key), -value)
+        for key, value in pairs
+    ]
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -553,28 +605,39 @@ def test_sparse_sums_match_dense_references(seed):
     rng = random.Random(seed)
     n = rng.randint(3, 6)
     basis = Basis(f"x{i}" for i in range(n))
-    mu_a, mu_b = (_random_tensor(rng, BracketTensor, basis) for _ in range(2))
-    d_a, d_b = (_random_tensor(rng, CobracketTensor, basis) for _ in range(2))
-    keys = list(product(range(n), repeat=3))
-    for tensor in (mu_a, mu_b, d_a, d_b):
-        values = {key: tensor.value(*key) for key in keys}
-        assert tensor.oriented() == {key: v for key, v in values.items() if v}
-    assert jacobi_defect(mu_a) == _dense_cyclic(((mu_a, mu_a),))
-    assert cojacobi_defect(d_a) == _dense_cyclic(((d_a.dual_bracket(),) * 2,))
-    assert mixed_jacobi_defect(mu_a, mu_b) == _dense_cyclic(((mu_a, mu_b), (mu_b, mu_a)))
-    dual_a, dual_b = d_a.dual_bracket(), d_b.dual_bracket()
+    raw = {name: (cls, _random_pairs(rng, cls, n)) for name, cls in (
+        ("mu_a", BracketTensor), ("mu_b", BracketTensor),
+        ("d_a", CobracketTensor), ("d_b", CobracketTensor))}
+    tensors, dense = {}, {}
+    for name, (cls, pairs) in raw.items():
+        tensors[name] = cls(basis, _RANDOM_PARAMS, _RANDOM_ORDER, pairs)
+        dense[name], defect = _dense(cls, n, pairs)
+        assert antisymmetry_defect(tensors[name]) == defect, name
+        values = {key: tensors[name].value(*key) for key in dense[name]}
+        assert values == dense[name], name
+        assert tensors[name].oriented() == {key: v for key, v in values.items() if v}
+    mu_a, mu_b, d_a, d_b = (tensors[name] for name in ("mu_a", "mu_b", "d_a", "d_b"))
+    dmu_a, dmu_b, dd_a, dd_b = (dense[name] for name in ("mu_a", "mu_b", "d_a", "d_b"))
+    assert jacobi_defect(mu_a) == _dense_cyclic(n, ((dmu_a, dmu_a),))
+    assert cojacobi_defect(d_a) == _dense_cyclic(n, ((_dual(dd_a),) * 2,))
+    assert mixed_jacobi_defect(mu_a, mu_b) == _dense_cyclic(
+        n, ((dmu_a, dmu_b), (dmu_b, dmu_a)))
+    dual_a, dual_b = _dual(dd_a), _dual(dd_b)
     assert mixed_cojacobi_defect(d_a, d_b) == _dense_cyclic(
-        ((dual_a, dual_b), (dual_b, dual_a))
-    )
-    for mu, delta in ((mu_a, d_a), (mu_b, d_b)):
-        assert cocycle_defect(mu, delta) == _dense_cocycle(mu, delta)
+        n, ((dual_a, dual_b), (dual_b, dual_a)))
+    for (mu, dmu), (delta, ddelta) in (((mu_a, dmu_a), (d_a, dd_a)),
+                                       ((mu_b, dmu_b), (d_b, dd_b))):
+        assert cocycle_defect(mu, delta) == _dense_cocycle(n, dmu, ddelta)
         for i, j in product(range(n), repeat=2):
-            assert mu.bracket(i, j) == _dense_bracket(mu, i, j), (i, j)
+            assert mu.bracket(i, j) == _dense_bracket(n, dmu, i, j), (i, j)
         for i in range(n):
-            assert delta.wedge_of(i) == _dense_wedge(delta, i), i
-    for x, y in ((mu_a, mu_b), (mu_a, _restored(mu_a)), (d_a, _restored(d_a)),
-                 (d_b, _restored(d_b)), (mu_b, mu_b)):
-        assert (x == y) is _dense_equal(x, y)
+            assert delta.wedge_of(i) == _dense_wedge(n, ddelta, i), i
+    for x, y in (("mu_a", "mu_b"), ("mu_b", "mu_b"), ("d_a", "d_b")):
+        assert (tensors[x] == tensors[y]) is (dense[x] == dense[y])
+    for name, (cls, pairs) in raw.items():
+        again = cls(basis, _RANDOM_PARAMS, _RANDOM_ORDER, _restored(cls, pairs))
+        assert again == tensors[name]
+        assert _dense(cls, n, _restored(cls, pairs))[0] == dense[name]
 
 
 def test_equality_compares_parameter_contexts():
