@@ -267,6 +267,8 @@ def _parse_assignments(pairs) -> dict:
                 raise InputError(f"bad assignment {piece!r}; expected name=value")
             name, value = piece.split("=", 1)
             name, value = name.strip(), value.strip()
+            if name in out:
+                raise InputError(f"parameter {name!r} is assigned twice")
             if value and (value[0].isalpha() or value[0] == "_") and all(
                 c.isalnum() or c == "_" for c in value
             ) and value != "i":

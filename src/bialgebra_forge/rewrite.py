@@ -10,14 +10,23 @@ degree budget, the order less its coefficient's lowest degree, since
 the product cuts off whatever lies above; so the worklist dies at the
 budget, not at the order. A sorted word has no out-of-order pair, so it
 is its own normal form: normalize passes it through untouched.
+
+A commutator forms each term pair's coefficient product once, for both
+orders of the words, and normalises the sum once. It skips a pair whose
+words commute as they stand, or are sorted and commute letter by letter:
+rewriting either product then only swaps letters of the two words past
+each other, so both reach the same sorted word and cancel exactly, at
+any order.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import CapExceededError, DocumentError, NonContractingError
 from .ncpoly import Context, NCPoly, outer, word_str
 from .params import substitution
-from .sparse import accumulate
+from .sparse import accumulate, deduct
 
 
 class RelationTable:
@@ -47,12 +56,20 @@ class RelationTable:
 
     def _store(self, rhs):
         # the rewriting kernel reads each rhs term's lowest parameter
-        # degree; the normal-form cache holds only forms under this rhs
+        # degree, and the commutator the bitmask of the letters each
+        # generator commutes with (itself included); the normal-form cache
+        # holds only forms under this rhs
         self.rhs = rhs
         self._low = {
             key: {w: c.min_degree() for w, c in poly.terms.items()}
             for key, poly in rhs.items()
         }
+        n = len(self.context.basis)
+        self._commuting = [(1 << n) - 1] * n
+        for (j, i), poly in rhs.items():
+            if poly:
+                self._commuting[j] &= ~(1 << i)
+                self._commuting[i] &= ~(1 << j)
         self._nf_cache = {}
 
     def _name(self, idx):
@@ -232,8 +249,76 @@ def normalize(a, table: RelationTable, choose=None):
     return a._like(out)
 
 
+def _shape(table, factors):
+    """(letters, commuting, lengths) of a term with the given factor words.
+    Factor p owns bits p*n to p*n+n-1 of both masks: `letters` marks the
+    letters of its word, `commuting` the generators that commute with each
+    of them. An unsorted word sets letters to -1 and commuting to 0, so
+    a pair with such a term passes the pure-swap test only against a term
+    of empty words, which commutes with it as it is."""
+    n = len(table._commuting)
+    lengths = tuple(map(len, factors))
+    letters = commuting = 0
+    for p, w in enumerate(factors):
+        if _first_descent(w) is not None:
+            return -1, 0, lengths
+        mine, common = 0, (1 << n) - 1
+        for g in w:
+            mine |= 1 << g
+            common &= table._commuting[g]
+        letters |= mine << p * n
+        commuting |= common << p * n
+    return letters, commuting, lengths
+
+
 def commutator(a, b, table: RelationTable):
-    return normalize(a * b - b * a, table)
+    """Normal form of a*b - b*a, in one pass over the term pairs of a and b.
+
+    Coefficients commute, so each pair (f1, f2) forms its coefficient
+    product c once and adds +c at the factorwise product f1*f2 and -c at
+    f2*f1; the sum is normalised once. A pair that adds exactly 0 to the
+    normal form is skipped, with no coefficient product and no rewriting:
+    (i) f1*f2 == f2*f1 in every factor, or
+    (ii) in every factor both words are sorted and every letter of one has
+    an empty bracket with every letter of the other.
+    Under (ii) every word on the way is a shuffle of f1 and f2 in which
+    adjacent letters of one word stand in order, so every out-of-order
+    adjacent pair joins a letter of f1 to one of f2, and its rewrite is a
+    pure swap that adds no term. Both products thus reach the same sorted
+    word with coefficient 1, at any order and whether or not the table is
+    confluent.
+
+    A pair whose product word passes the cap raises the CapExceededError
+    that a*b raises, at the same pair, whether it is skipped or not."""
+    a._same_arity(b)
+    cap = a.context.cap
+    split, join = a._factors, a._key
+    right = []
+    for k2, c2 in b.terms.items():
+        f2 = split(k2)
+        _, commuting, lengths = _shape(table, f2)
+        right.append((k2, c2, f2, commuting, lengths, max(lengths)))
+    out = {}
+    for k1, c1 in a.terms.items():
+        f1 = split(k1)
+        letters, _, lengths1 = _shape(table, f1)
+        top1 = max(lengths1)
+        for k2, c2, f2, commuting, lengths2, top2 in right:
+            if top1 + top2 > cap and any(x + y > cap for x, y in zip(lengths1, lengths2)):
+                # a*b stops here unless the product vanishes, and then
+                # the pair adds nothing
+                a._like({k1: c1}) * b._like({k2: c2})
+                continue
+            if not letters & ~commuting:
+                continue
+            ab, ba = tuple(map(add, f1, f2)), tuple(map(add, f2, f1))
+            if ab == ba:
+                continue
+            c = c1 * c2
+            if c:
+                accumulate(out, join(ab), c)
+                deduct(out, join(ba), c)
+    return normalize(a._like(out), table)
 
 
 normalize_tensor = normalize

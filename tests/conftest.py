@@ -1,7 +1,9 @@
 import contextlib
 import functools
+import importlib.util
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,17 @@ def compositions5():
         name: doc.composition_tensor(name, ctx)
         for name in ("mu_100", "mu_001", "delta_010", "delta_001")
     }
+
+
+@functools.cache
+def widegen():
+    """The benchmark's `wide` document generator, read from its file and
+    left as it is."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "widegen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_widegen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rewrite_steps(argv):

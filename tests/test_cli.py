@@ -127,6 +127,14 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "to 1: a truncated series is exact only at 0" in err
+    # a parameter named twice, in one chunk or across flags
+    for argv in (["specialize", "@corrected", "--set", "z1=0,z1=z2"],
+                 ["specialize", "@corrected", "--set", "z1=0", "--set", "z1=0"],
+                 ["tangent", "@corrected", "--direction", "h", "--at", "z1=1,z1=0"],
+                 ["tangent", "@corrected", "--direction", "h", "--at", "z1=0", "--at", "z1=z2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "parameter 'z1' is assigned twice" in err
     # fields of the wrong JSON type, each caught when the document loads
     def entries(d):
         return d["compositions"]["mu_100"]["entries"]

@@ -1,7 +1,5 @@
-import importlib.util
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -18,7 +16,7 @@ from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, series_apply
 from bialgebra_forge.scalars import I, Scalar
 from bialgebra_forge.tensors import Basis
 
-from conftest import context5, corrected_document
+from conftest import context5, corrected_document, widegen
 
 CTX = context5()
 IDX = CTX.basis.index
@@ -323,21 +321,12 @@ def test_a_repeated_group_expands_its_series_once_per_build(monkeypatch):
     assert presentation_diff(first, second) == []
 
 
-def _widegen():
-    # the benchmark's generator, read from its file and left as it is
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "widegen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_widegen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _memo_cases():
     corrected = corrected_document()
     for order in (5, 8, 12):
         yield pytest.param(corrected, dict(order=order, cap=2 * order), id=f"corrected-o{order}")
     for seed in (1, 2):
-        data = _widegen().wide_document(corrected.to_dict(), 2, seed)
+        data = widegen().wide_document(corrected.to_dict(), 2, seed)
         yield pytest.param(bf.Document.from_dict(data), {}, id=f"wide-seed{seed}")
 
 

@@ -1,12 +1,18 @@
+import contextlib
 import functools
+import io
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge import rewrite
+from bialgebra_forge.cli import main
+from bialgebra_forge.errors import CapExceededError
 from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly, outer, tensor
+from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.rewrite import (
     commutator, normal_form_word, normalize, presentation_jacobi_defect,
 )
@@ -14,6 +20,7 @@ from bialgebra_forge.scalars import Scalar
 
 from conftest import (
     context3, corrected_document, presentation3, presentation5, rewrite_steps,
+    widegen,
 )
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
@@ -233,6 +240,142 @@ def test_normal_input_makes_no_normal_form_calls(monkeypatch):
     assert calls == [(L_Z, L_X)]
 
 
+# -- the one-pass commutator ---------------------------------------------------------
+
+ORACLE_BASIS = bf.Basis(("a", "b", "c", "d"))
+short_words = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+def oracle_coeff(draw, ctx, low):
+    """A coefficient of lowest degree at least low: a scalar times a
+    monomial in t and h, plus at times a second such term."""
+    out = ctx.zero_poly()
+    for _ in range(draw(st.integers(1, 2))):
+        t, h = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        if t + h < low:
+            t = low
+        mono = ctx.param_poly("t") ** t * ctx.param_poly("h") ** h
+        out = out + mono.scale(draw(coeffs))
+    return out
+
+
+@st.composite
+def oracle_tables(draw):
+    """A relation table on four generators, each bracket empty or a short
+    contracting rhs. Rhs words have at most two letters, so rewriting
+    never lengthens a word, and only a product word can pass the cap."""
+    ctx = bf.Context(ORACLE_BASIS, ("t", "h"), order=3, cap=5)
+    entries = []
+    for j in range(4):
+        for i in range(j):
+            if draw(st.booleans()):
+                continue
+            terms = {
+                draw(short_words.map(lambda w: w[:2])): oracle_coeff(draw, ctx, 1)
+                for _ in range(draw(st.integers(1, 2)))
+            }
+            entries.append((j, i, NCPoly(ctx, terms)))
+    return rewrite.RelationTable(ctx, entries)
+
+
+def oracle_values(draw, ctx, arity):
+    """A word polynomial (arity 1) or tensor over ctx whose factor words
+    mix sorted and unsorted ones of up to three letters."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = tuple(
+            draw(st.one_of(short_words.map(lambda w: tuple(sorted(w))), short_words))
+            for _ in range(arity)
+        )
+        terms[key[0] if arity == 1 else key] = oracle_coeff(draw, ctx, 0)
+    return NCPoly(ctx, terms) if arity == 1 else TensorNCPoly(ctx, arity, terms)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A table and two values of one arity to take the commutator of."""
+    table = draw(oracle_tables())
+    arity = draw(st.integers(1, 3))
+    return (table, oracle_values(draw, table.context, arity),
+            oracle_values(draw, table.context, arity))
+
+
+def unsorted_case():
+    """b commutes with c and with a, but not with the d of [c,a] = t*d, so
+    c*a*b and b*c*a have different normal forms: letters that commute one
+    by one make a pair cancel only when its words are sorted."""
+    ctx = bf.Context(ORACLE_BASIS, ("t", "h"), order=3, cap=5)
+    t, one = ctx.param_poly("t"), ctx.const_poly(1)
+    table = rewrite.RelationTable(ctx, [
+        (2, 0, NCPoly(ctx, {(3,): t})), (3, 1, NCPoly(ctx, {(0,): t})),
+    ])
+    return table, NCPoly(ctx, {(2, 0): one}), NCPoly(ctx, {(1,): one})
+
+
+def outcome(fn):
+    """fn's value, or the type and message of the cap error it raises."""
+    try:
+        return fn()
+    except CapExceededError as exc:
+        return type(exc), str(exc)
+
+
+@given(oracle_cases())
+@example(unsorted_case())
+@settings(max_examples=120, deadline=None)
+def test_commutator_matches_the_two_product_formula(case):
+    table, a, b = case
+    assert outcome(lambda: commutator(a, b, table)) == outcome(
+        lambda: normalize(a * b - b * a, table))
+
+
+def test_a_skipped_pair_past_the_cap_raises_as_the_product_does():
+    # c^3 and d^3 commute letter by letter, and their product has six letters
+    ctx = bf.Context(ORACLE_BASIS, ("t",), order=3, cap=5)
+    table = rewrite.RelationTable(ctx, [(1, 0, NCPoly(ctx, {(2,): ctx.param_poly("t")}))])
+    one, t2 = ctx.const_poly(1), ctx.param_poly("t") ** 2
+    c3, d3 = (2, 2, 2), (3, 3, 3)
+    for make in (lambda w, c: NCPoly(ctx, {w: c}),
+                 lambda w, c: TensorNCPoly(ctx, 2, {(w, ()): c})):
+        # t^2 * t^2 is cut off at order 3: no product survives, so no error
+        assert commutator(make(c3, t2), make(d3, t2), table).is_zero()
+        left, right = make(c3, one), make(d3, t2)
+        with pytest.raises(CapExceededError) as direct:
+            left * right
+        with pytest.raises(CapExceededError) as routed:
+            commutator(left, right, table)
+        assert str(routed.value) == str(direct.value) == (
+            "word c^3*d^3 exceeds generator-degree cap 5")
+
+
+def test_a_commutator_of_commuting_words_does_no_work(monkeypatch):
+    # the coproducts of two generators from different copies of the wide
+    # document: every letter of one commutes with every letter of the other
+    data = widegen().wide_document(corrected_document().to_dict(), 2, 1)
+    doc = bf.Document.from_dict(data)
+    H = doc.build_presentation(doc.make_context())
+    names = H.names()
+    di = H.coproduct_word((names.index("l_x1"),))
+    dj = H.coproduct_word((names.index("l_x2"),))
+    calls = {"normal_form_word": 0, "ParamPoly.__mul__": 0}
+
+    def counting(fn, name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(rewrite, "normal_form_word",
+                        counting(normal_form_word, "normal_form_word"))
+    monkeypatch.setattr(ParamPoly, "__mul__",
+                        counting(ParamPoly.__mul__, "ParamPoly.__mul__"))
+    assert commutator(dj, di, H.rel).is_zero()
+    assert commutator(H.rel.bracket_poly(names.index("l_x1"), names.index("l_y1")),
+                      NCPoly.generator(H.context, names.index("l_z2")), H.rel).is_zero()
+    assert calls == {"normal_form_word": 0, "ParamPoly.__mul__": 0}
+    assert len(di.terms) > 1 and len(dj.terms) > 1
+
+
 # -- degree budgets -----------------------------------------------------------------
 
 
@@ -306,7 +449,20 @@ def test_a_budgeted_normal_form_is_cut_at_its_budget():
 def test_budgets_pin_the_rewrite_steps_of_hopf_all_at_order_8():
     # rewriting every word through the order takes 1,842 steps here
     argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
-    assert rewrite_steps(argv) == (1, 677)
+    assert rewrite_steps(argv) == (1, 656)
+
+
+@pytest.mark.parametrize("order, cap", [(5, 7), (6, 8), (8, 11), (10, 14), (12, 17)])
+def test_hopf_all_needs_its_cap_exactly(order, cap):
+    # the smallest cap that lets `hopf all @corrected` finish at order:
+    # one less, and a product word passes it
+    argv = ["hopf", "all", "@corrected", "--order", str(order)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--cap", str(cap - 1)]) == 2
+    assert f"exceeds generator-degree cap {cap - 1}" in err.getvalue()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--cap", str(cap)]) != 2
 
 
 def test_reported_values_do_not_depend_on_slack():
