@@ -20,12 +20,12 @@ from .hopf import (
     coproduct_hom_defect, counit_defect, solve_antipode, specialize,
 )
 from .expansion import (
-    CoefficientTable, ExpectedEntry, TangentField, compare_field,
-    extract_coefficients, tangent_field, verify_order2, verify_order3_thz,
+    CoefficientTable, TangentField, compare_field, extract_coefficients,
+    tangent_field, verify_order2, verify_order3_thz,
 )
 from .document import (
     Document, composition_document, load_boundary_fixtures, load_bundled,
-    load_tangent_fixtures, presentation_diff, presentation_document,
+    load_tangent_fixtures, presentation_diff, presentation_document, read_expectation,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from importlib import resources
 from .errors import DocumentError
 from .exprparse import IDENTIFIER, parse_coefficient, parse_expr
 from .hopf import HopfPresentation
-from .ncpoly import Context, NCPoly, TensorNCPoly
+from .ncpoly import SETTINGS, Context, NCPoly, TensorNCPoly
 from .rewrite import RelationTable
 from .scalars import format_scalar
 from .tensors import Basis, BracketTensor, CobracketTensor
@@ -155,9 +155,10 @@ class Document:
                         f"duplicate bracket key for pair ({left},{right})"
                     )
                 pairs.add(key)
-            for g in self.presentation.get("coproducts", {}):
-                if g not in gens:
-                    raise DocumentError(f"coproduct for undeclared generator {g!r}")
+            for part, label in (("coproducts", "coproduct"), ("counit", "counit")):
+                for g in self.presentation.get(part, {}):
+                    if g not in gens:
+                        raise DocumentError(f"{label} for undeclared generator {g!r}")
             if "antipode" in self.presentation:
                 raise DocumentError(
                     "presentation.antipode is not read: the antipode is solved "
@@ -172,14 +173,12 @@ class Document:
     # -- object construction -----------------------------------------------------
 
     def make_context(self, order=None, cap=None, slack=None) -> Context:
-        settings = self.settings
-        return Context(
-            basis=Basis(self.generators),
-            params=tuple(self.parameters),
-            order=settings.get("order", 5) if order is None else order,
-            cap=settings.get("cap", 10) if cap is None else cap,
-            slack=settings.get("slack", 2) if slack is None else slack,
-        )
+        """The document's context: each setting from the argument when one
+        is given, else from the document, else Context's default."""
+        given = {"order": order, "cap": cap, "slack": slack}
+        values = {name: self.settings[name] for name in SETTINGS if name in self.settings}
+        values.update((name, value) for name, value in given.items() if value is not None)
+        return Context(Basis(self.generators), tuple(self.parameters), **values)
 
     def composition_tensor(self, name: str, context: Context):
         comp = self.compositions.get(name)
@@ -231,8 +230,6 @@ class Document:
             coproduct[index[gname]] = cop
         counit = {}
         for gname, text in self.presentation.get("counit", {}).items():
-            if gname not in index:
-                raise DocumentError(f"counit for undeclared generator {gname!r}")
             value = parse_coefficient(text, context)
             if any(map(sum, value.terms)):
                 raise DocumentError(
@@ -377,3 +374,27 @@ def load_boundary_fixtures() -> dict:
 
 def load_tangent_fixtures() -> dict:
     return json.loads(_data_text("tangent_fixtures.json"))
+
+
+def read_expectation(body, names, ref) -> dict:
+    """A tangent expectation body, checked against the generator names:
+    {"mode": "leading" | "exact", "mu": [(left, right, text)],
+    "delta": [(generator, text)]}. The mode defaults to leading; ref names
+    the expectation in messages."""
+    _typed(body, dict, f"expectation {ref}")
+    out = {"mode": body.get("mode", "leading")}
+    if out["mode"] not in ("leading", "exact"):
+        raise DocumentError(f"unknown comparison mode {out['mode']!r}")
+    for kind, keys in (("mu", ("left", "right")), ("delta", ("generator",))):
+        rows = out[kind] = []
+        for e in _typed(body.get(kind, []), list, f"expectation {kind}"):
+            fields = [e.get(k) for k in (*keys, "value")] if isinstance(e, dict) else [e]
+            if not all(isinstance(f, str) for f in fields):
+                raise DocumentError(
+                    f"{kind} entry must have string {', '.join(keys)} and value: {e!r}"
+                )
+            for g in fields[:-1]:
+                if g not in names:
+                    raise DocumentError(f"unknown generator {g!r} in expectation {ref}")
+            rows.append(tuple(fields))
+    return out

@@ -206,25 +206,10 @@ class _DictDefect:
 
 @dataclass
 class TangentField:
-    direction: str
-    base: dict
     context: Context                  # reduced context (direction eliminated)
     base_table: RelationTable
     mu: dict = field(default_factory=dict)     # (i<j) -> NCPoly
     delta: dict = field(default_factory=dict)  # generator -> TensorNCPoly
-
-    def mu_component(self, a: int, b: int) -> NCPoly:
-        if a == b:
-            return NCPoly.zero(self.context)
-        if a < b:
-            got = self.mu.get((a, b))
-            return got if got is not None else NCPoly.zero(self.context)
-        got = self.mu.get((b, a))
-        return -got if got is not None else NCPoly.zero(self.context)
-
-    def delta_component(self, g: int) -> TensorNCPoly:
-        got = self.delta.get(g)
-        return got if got is not None else TensorNCPoly.zero(self.context, 2)
 
 
 def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> TangentField:
@@ -254,9 +239,7 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     def slice_coeff(poly: ParamPoly) -> ParamPoly:
         return to_base(poly.coefficient_of(dir_idx, 1))
 
-    field_obj = TangentField(
-        direction=direction, base=base, context=rcontext, base_table=reduced.rel
-    )
+    field_obj = TangentField(context=rcontext, base_table=reduced.rel)
     n = len(H.context.basis)
     for i in range(n):
         for j in range(i + 1, n):
@@ -276,39 +259,20 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
 
 
 @dataclass
-class ExpectedEntry:
-    kind: str          # "mu" | "delta"
-    key: tuple         # (left, right) names for mu, (gen,) for delta
-    text: str
-
-
-@dataclass
 class FieldDiff:
-    mode: str
-    mismatched: list = field(default_factory=list)   # (entry, actual, expected)
-    extra: list = field(default_factory=list)        # (label, actual)
+    mismatched: list = field(default_factory=list)   # (label, actual, expected)
+    extra: list = field(default_factory=list)        # (label, actual); exact mode only
 
     @property
     def ok(self) -> bool:
-        return not self.mismatched and (self.mode == "leading" or not self.extra)
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "pass": self.ok,
-            "mismatched": [
-                {"entry": label, "actual": str(a), "expected": str(e)}
-                for label, a, e in self.mismatched
-            ],
-            "extra": [{"entry": label, "actual": str(a)} for label, a in self.extra],
-        }
+        return not self.mismatched and not self.extra
 
 
-def compare_field(actual: TangentField, expected: list, mode: str = "leading") -> FieldDiff:
-    """Entrywise comparison against expected entries, through degree
-    order - 1: the field is a first-power coefficient of the direction
-    parameter, so it is exact one degree below the order and carries no
-    degree above that.
+def compare_field(actual: TangentField, expectation: dict) -> FieldDiff:
+    """Entrywise comparison against an expectation (document.read_expectation),
+    through degree order - 1: the field is a first-power coefficient of
+    the direction parameter, so it is exact one degree below the order
+    and carries no degree above that.
 
     In leading mode each entry is compared up to the highest parameter
     degree present in the corresponding expected value (at most
@@ -318,8 +282,7 @@ def compare_field(actual: TangentField, expected: list, mode: str = "leading") -
     """
     from .exprparse import parse_expr
 
-    if mode not in ("leading", "exact"):
-        raise InputError(f"unknown comparison mode {mode!r}")
+    leading = expectation["mode"] == "leading"
     context = actual.context
     exact = context.order - 1
     if exact < 0:
@@ -327,36 +290,33 @@ def compare_field(actual: TangentField, expected: list, mode: str = "leading") -
             "a tangent field is exact through order - 1; at order 0 there "
             "is nothing to compare"
         )
-    index = context.basis.index
-    diff = FieldDiff(mode=mode)
-    seen_mu = set()
-    seen_delta = set()
-    for entry in expected:
-        if entry.kind == "mu":
-            left, right = entry.key
-            a, b = index[left], index[right]
-            value = actual.mu_component(a, b)
-            want = parse_expr(entry.text, context)
-            if isinstance(want, TensorNCPoly):
-                raise InputError(f"mu entry {entry.key} given a tensor expression")
-            seen_mu.add((min(a, b), max(a, b)))
-            label = f"mu({left},{right})"
-        else:
-            (gen,) = entry.key
-            g = index[gen]
-            value = actual.delta_component(g)
-            want = parse_expr(entry.text, context)
-            if isinstance(want, NCPoly):
-                raise InputError(f"delta entry {entry.key} needs a tensor expression")
-            seen_delta.add(g)
-            label = f"delta({gen})"
+    diff = FieldDiff()
+
+    def check(label, value, text, tensor):
+        want = parse_expr(text, context)
+        if isinstance(want, TensorNCPoly) != tensor:
+            raise InputError(f"{label} " + ("needs a tensor expression" if tensor
+                                            else "given a tensor expression"))
         want = normalize(want, actual.base_table)
-        cut = min(_max_degree(want), exact) if mode == "leading" else exact
-        value = value.truncate(cut)
-        want = want.truncate(cut)
+        cut = min(_max_degree(want), exact) if leading else exact
+        value, want = value.truncate(cut), want.truncate(cut)
         if value != want:
             diff.mismatched.append((label, value, want))
-    if mode == "exact":
+
+    index = context.basis.index
+    seen_mu, seen_delta = set(), set()
+    for left, right, text in expectation["mu"]:
+        a, b = index[left], index[right]
+        pair = (min(a, b), max(a, b))
+        value = actual.mu.get(pair, NCPoly.zero(context))
+        check(f"mu({left},{right})", -value if a > b else value, text, False)
+        seen_mu.add(pair)
+    for gen, text in expectation["delta"]:
+        g = index[gen]
+        value = actual.delta.get(g, TensorNCPoly.zero(context, 2))
+        check(f"delta({gen})", value, text, True)
+        seen_delta.add(g)
+    if not leading:
         names = context.basis.names
         for (i, j), value in sorted(actual.mu.items()):
             if (i, j) not in seen_mu and value:

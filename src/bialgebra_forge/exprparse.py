@@ -1,7 +1,7 @@
 """Parser for the relation/coproduct expression grammar.
 
     expr   := tterm (('+'|'-') tterm)*
-    tterm  := term ('(x)' term)*          -- tensor join, coproducts only
+    tterm  := term ('(x)' term)?          -- tensor join, coproducts only
     term   := factor ('*' factor)*        -- juxtaposition is not allowed
     factor := scalar | param | generator | fn '(' expr ')' | '(' expr ')'
               | factor '/' divisor | '-' factor | factor '^' natural
@@ -264,23 +264,19 @@ class Parser:
         return _Value(total)
 
     def _tterm(self) -> _Value:
-        value = self._term()
-        factors = [value]
-        while self._peek() == "TENSOR":
-            self._next()
-            factors.append(self._term())
-        if len(factors) == 1:
-            return value
-        if len(factors) > 3:
-            self._fail("tensor products beyond cube are not supported")
-        for f in factors:
-            if f.is_tensor():
-                self._fail("nested tensor join")
-        den = {}
-        for f in factors:
-            for name, power in f.den.items():
-                den[name] = den.get(name, 0) + power
-        return _Value(tensor(*[f.poly for f in factors]), den)
+        left = self._term()
+        if self._peek() != "TENSOR":
+            return left
+        self._next()
+        right = self._term()
+        if self._peek() == "TENSOR":
+            self._fail("tensor products beyond a square are not supported")
+        if left.is_tensor() or right.is_tensor():
+            self._fail("nested tensor join")
+        den = dict(left.den)
+        for name, power in right.den.items():
+            den[name] = den.get(name, 0) + power
+        return _Value(tensor(left.poly, right.poly), den)
 
     def _term(self) -> _Value:
         value = self._factor()

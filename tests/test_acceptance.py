@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge.cli import main
-from bialgebra_forge.expansion import ExpectedEntry
 from bialgebra_forge.ncpoly import NCPoly
 from bialgebra_forge.rewrite import normal_form_word, normalize
 from bialgebra_forge.scalars import I, Scalar
@@ -183,15 +182,9 @@ def test_criterion_5_tangent_fields():
     for case, body in sorted(fixtures.items()):
         base = {name: Scalar(int(value)) for name, value in body["at"].items()}
         field = bf.tangent_field(diag, body["direction"], base)
-        expected = [
-            ExpectedEntry("mu", (e["left"], e["right"]), e["value"])
-            for e in body["mu"]
-        ] + [
-            ExpectedEntry("delta", (e["generator"],), e["value"])
-            for e in body["delta"]
-        ]
-        diff = bf.compare_field(field, expected, mode=body["mode"])
-        assert diff.ok, f"{case}: {diff.to_dict()}"
+        expectation = bf.read_expectation(body, diag.context.basis.names, f"@{case}")
+        diff = bf.compare_field(field, expectation)
+        assert diff.ok, f"{case}: {diff}"
         if body["direction"] == "t":
             assert field.delta == {}, "direction-t field must have no coproduct sector"
     _report(5, "tangent fields match every displayed entry (leading-terms mode), "

@@ -127,6 +127,12 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "to 1: a truncated series is exact only at 0" in err
+    # a parameter given no value is named, not reported as a parse error
+    for argv in (["specialize", "@corrected", "--set", "z1="],
+                 ["tangent", str(diag), "--direction", "h", "--at", "z="]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: parameter {argv[-1][:-1]!r} is assigned no value\n", err
     # a parameter named twice, in one chunk or across flags
     for argv in (["specialize", "@corrected", "--set", "z1=0,z1=z2"],
                  ["specialize", "@corrected", "--set", "z1=0", "--set", "z1=0"],
@@ -179,6 +185,11 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
          "unknown generator 'q'"),
         ("integer value", {"delta": [{"generator": "l_x", "value": 1}]},
          "delta entry must have string"),
+        ("unknown mode", {"mode": "loose"}, "unknown comparison mode 'loose'"),
+        ("cube delta value", {"delta": [{"generator": "l_x", "value": "l_x (x) 1 (x) 1"}]},
+         "tensor products beyond a square are not supported (at position 10)"),
+        ("tensor mu value", {"mu": [{"left": "l_x", "right": "l_y", "value": "l_x (x) 1"}]},
+         "mu(l_x,l_y) given a tensor expression"),
     ):
         path = tmp_path / "expect.json"
         path.write_text(json.dumps(body))
@@ -497,6 +508,60 @@ def test_tangent_mode_flag_is_gone(tmp_path, capsys):
                            "--at", "z=0", "--expect", "@h-field-at-z0",
                            "--mode", mode)
         assert code == 2 and out == ""
+
+
+def test_hopf_runs_each_check_once_in_first_requested_order(capsys):
+    # class-f reads the antipode, which it solves first; that antipode
+    # counts as requested
+    for checks, want in (
+        (["class-f", "antipode"], ["antipode", "class-f"]),
+        (["antipode", "class-f", "class-f"], ["antipode", "class-f"]),
+        (["hom", "hom"], ["coproduct-hom"]),
+        (["counit", "all", "counit"], ["counit", "presentation-jacobi", "coproduct-hom",
+                                       "coassociativity", "antipode", "class-f"]),
+    ):
+        code, out, _ = run(capsys, "hopf", *checks, "@corrected", "--format", "json")
+        assert code == 0, checks
+        assert [c["check"] for c in json.loads(out)["checks"]] == want, checks
+    code, out, err = run(capsys, "hopf", "counit", "bogus", "all", "@corrected")
+    assert code == 2 and out == "" and err == "error: unknown hopf check 'bogus'\n"
+
+
+# one presentation field of a document, each made hostile in one way
+_HOSTILE = {
+    "cube coproduct": lambda p: p["coproducts"].update(
+        p_x="p_x (x) 1 (x) 1 + 1 (x) p_x (x) 1"),
+    "non-tensor coproduct": lambda p: p["coproducts"].update(p_x="p_x"),
+    "tensor bracket rhs": lambda p: p["brackets"][0].update(rhs="p_x (x) p_y"),
+    "1 (x) 1 coproduct term": lambda p: p["coproducts"].update(
+        p_x=p["coproducts"]["p_x"] + " + 1 (x) 1"),
+    "undeclared counit key": lambda p: p["counit"].update(q="0"),
+}
+
+
+def test_hostile_presentations_are_input_errors(tmp_path, capsys):
+    """Every command that reads a presentation exits 2 with one error
+    line and no report; check four-pairs does not parse the presentation
+    but still refuses a counit key that names no generator."""
+    documents = {"@corrected": bf.load_bundled("corrected").to_dict(),
+                 "diagonal": json.loads(_diagonal(tmp_path, capsys).read_text())}
+    commands = [
+        ("@corrected", ["hopf", "all"]),
+        ("@corrected", ["hopf", "counit"]),
+        ("@corrected", ["specialize", "--set", "z1=0"]),
+        ("diagonal", ["expand"]),
+        ("diagonal", ["tangent", "--direction", "h"]),
+    ]
+    for label, alter in _HOSTILE.items():
+        extra = [("@corrected", ["check", "four-pairs"])] if "counit" in label else []
+        for source, argv in commands + extra:
+            data = json.loads(json.dumps(documents[source]))
+            alter(data["presentation"])
+            path = tmp_path / "hostile.json"
+            path.write_text(json.dumps(data))
+            code, out, err = run(capsys, *argv, str(path))
+            assert code == 2 and out == "", (label, argv, code)
+            assert err.startswith("error: ") and err.count("\n") == 1, (label, argv, err)
 
 
 def test_document_antipode_is_rejected(tmp_path, capsys):

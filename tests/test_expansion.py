@@ -6,8 +6,8 @@ import pytest
 
 import bialgebra_forge as bf
 from bialgebra_forge.errors import InputError
-from bialgebra_forge.expansion import ExpectedEntry, order2_component_defect
-from bialgebra_forge.ncpoly import NCPoly
+from bialgebra_forge.expansion import order2_component_defect
+from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly
 from bialgebra_forge.scalars import I, Scalar, ZERO
 from bialgebra_forge.tensors import BracketTensor, CobracketTensor, cocycle_defect
 
@@ -288,19 +288,14 @@ def test_order3_reports_missing_bounds():
 # -- tangent fields -------------------------------------------------------------------
 
 
-def _fixture_entries(body):
-    out = [ExpectedEntry("mu", (e["left"], e["right"]), e["value"]) for e in body["mu"]]
-    out += [ExpectedEntry("delta", (e["generator"],), e["value"]) for e in body["delta"]]
-    return out
-
-
 @pytest.mark.parametrize("case", ["h-field-at-z0", "t-field-at-z0", "h-field", "t-field"])
 def test_tangent_fields_match_fixtures(case):
     body = bf.load_tangent_fixtures()[case]
     base = {name: Scalar(int(value)) for name, value in body["at"].items()}
     field = bf.tangent_field(diagonal5(), body["direction"], base)
-    diff = bf.compare_field(field, _fixture_entries(body), mode=body["mode"])
-    assert diff.ok, diff.to_dict()
+    expectation = bf.read_expectation(body, field.context.basis.names, f"@{case}")
+    diff = bf.compare_field(field, expectation)
+    assert diff.ok, diff
 
 
 def test_t_field_has_no_coproduct_components():
@@ -314,25 +309,26 @@ def test_h_field_limit_matches_origin_field():
     free = bf.tangent_field(diagonal5(), "h", {})
     at_zero = bf.tangent_field(diagonal5(), "h", {"z": Scalar(0)})
     images = {"z": 0}
-    for key in set(free.mu) | set(at_zero.mu):
-        pushed = free.mu_component(*key).substitute(images, at_zero.context)
-        assert pushed == at_zero.mu_component(*key)
-    for g in set(free.delta) | set(at_zero.delta):
-        pushed = free.delta_component(g).substitute(images, at_zero.context)
-        assert pushed == at_zero.delta_component(g)
+    for part, limit, zero in (
+        (free.mu, at_zero.mu, NCPoly.zero(free.context)),
+        (free.delta, at_zero.delta, TensorNCPoly.zero(free.context, 2)),
+    ):
+        for key in set(part) | set(limit):
+            pushed = part.get(key, zero).substitute(images, at_zero.context)
+            assert pushed == limit[key] if key in limit else not pushed
 
 
 def test_compare_field_self_diff_empty():
     field = bf.tangent_field(diagonal5(), "h", {})
     names = field.context.basis.names
-    expected = [
-        ExpectedEntry("mu", (names[i], names[j]), str(value))
-        for (i, j), value in field.mu.items()
-    ] + [
-        ExpectedEntry("delta", (names[g],), str(value))
-        for g, value in field.delta.items()
-    ]
-    diff = bf.compare_field(field, expected, mode="exact")
+    body = {
+        "mode": "exact",
+        "mu": [{"left": names[i], "right": names[j], "value": str(value)}
+               for (i, j), value in field.mu.items()],
+        "delta": [{"generator": names[g], "value": str(value)}
+                  for g, value in field.delta.items()],
+    }
+    diff = bf.compare_field(field, bf.read_expectation(body, names, "self"))
     assert diff.ok
 
 

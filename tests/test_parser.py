@@ -159,6 +159,15 @@ def test_nested_tensor_rejected():
         parse_expr("(p_x (x) p_y) (x) p_z", CTX)
 
 
+def test_a_second_tensor_join_is_rejected_at_the_join():
+    # coproducts and tangent delta values are squares; no input reads a cube
+    text = "p_x (x) 1 (x) 1"
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, CTX)
+    assert err.value.position == text.rindex("(x)")
+    assert "beyond a square" in str(err.value)
+
+
 def test_mixed_arity_sum_rejected():
     with pytest.raises(ExprSyntaxError):
         parse_expr("p_x (x) p_y + p_z", CTX)
