@@ -37,6 +37,16 @@ def _typed(value, kind, what):
     return value
 
 
+def _known_keys(data: dict, known, what) -> None:
+    """A key of data outside known is an input error that names it: a
+    misspelt key would otherwise be ignored and its default used."""
+    for key in data:
+        if key not in known:
+            raise DocumentError(
+                f"unknown key {key!r} in {what}; expected one of {', '.join(known)}"
+            )
+
+
 def _strings(data, key) -> list:
     """data[key] (default empty), a JSON list of strings."""
     return [_typed(s, str, f"{key} item") for s in _typed(data.get(key, []), list, key)]
@@ -79,12 +89,14 @@ class Document:
                 for g, text in _typed(presentation.get(part, {}), dict,
                                       f"presentation.{part}").items():
                     _typed(text, str, f"{label} of {g!r}")
+        settings = _typed(data.get("settings", {}), dict, "settings")
+        _known_keys(settings, SETTINGS, "settings")
         doc = cls(
             parameters=_strings(data, "parameters"),
             generators=_strings(data, "generators"),
             compositions=dict(compositions),
             presentation=presentation,
-            settings=dict(_typed(data.get("settings", {}), dict, "settings")),
+            settings=dict(settings),
             notes=_strings(data, "notes"),
         )
         doc._validate_identifiers()
@@ -376,12 +388,19 @@ def load_tangent_fixtures() -> dict:
     return json.loads(_data_text("tangent_fixtures.json"))
 
 
+# the keys of an expectation body; direction and at describe the field
+# for a reader and are not compared
+EXPECTATION_KEYS = ("mode", "mu", "delta", "direction", "at")
+
+
 def read_expectation(body, names, ref) -> dict:
     """A tangent expectation body, checked against the generator names:
     {"mode": "leading" | "exact", "mu": [(left, right, text)],
-    "delta": [(generator, text)]}. The mode defaults to leading; ref names
-    the expectation in messages."""
+    "delta": [(generator, text)]}. The mode defaults to leading; any key
+    outside EXPECTATION_KEYS is an input error. ref names the expectation
+    in messages."""
     _typed(body, dict, f"expectation {ref}")
+    _known_keys(body, EXPECTATION_KEYS, f"expectation {ref}")
     out = {"mode": body.get("mode", "leading")}
     if out["mode"] not in ("leading", "exact"):
         raise DocumentError(f"unknown comparison mode {out['mode']!r}")

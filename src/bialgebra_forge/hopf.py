@@ -49,50 +49,72 @@ class _WordMap:
     check); reversed, it is image(w[1:]) * table[w[0]] (an anti-algebra
     map: the antipode). Past order 5 the bundled table is not
     confluent, so this product order is part of every reported normal
-    form."""
+    form.
+
+    An image is computed through a degree budget (default: the order)
+    and cached per word as (budget, image), like the normal-form cache:
+    an entry serves any budget up to its own, and a larger one replaces
+    it. The product and the normal form both run at the budget, so the
+    image equals the full image through it (its terms above are partial).
+    apply_slot and contract multiply a word's image by a coefficient of
+    lowest degree d and ask for it at budget - d, which cuts off exactly
+    what lies above."""
 
     def __init__(self, rel: RelationTable, table: dict, unit, reverse: bool = False):
         self.rel = rel
         self.table = table
         self.reverse = reverse
         self.arity = unit.arity
-        self.cache = {(): unit}
+        self.cache = {(): (rel.context.order, unit)}
 
-    def __call__(self, w):
+    def __call__(self, w, budget=None):
+        if budget is None:
+            budget = self.rel.context.order
         got = self.cache.get(w)
-        if got is None:
-            if len(w) == 1:
-                got = normalize(self.table[w[0]], self.rel)
-            elif self.reverse:
-                got = normalize(self(w[1:]) * self.table[w[0]], self.rel)
-            else:
-                got = normalize(self(w[:-1]) * self.table[w[-1]], self.rel)
-            self.cache[w] = got
-        return got
+        if got is not None and got[0] >= budget:
+            return got[1]
+        if len(w) == 1:
+            image = self.table[w[0]]
+        elif self.reverse:
+            image = self(w[1:], budget).times(self.table[w[0]], budget)
+        else:
+            image = self(w[:-1], budget).times(self.table[w[-1]], budget)
+        image = normalize(image, self.rel, budget=budget)
+        self.cache[w] = (budget, image)
+        return image
 
     def apply_slot(self, t, slot: int) -> TensorNCPoly:
         """t with factor `slot` replaced by its image."""
+        order = t.context.order
         out = {}
         for key, coeff in t.terms.items():
             words = t._factors(key)
             head, tail = words[:slot], words[slot + 1:]
-            image = self(words[slot])
+            room = order - coeff.min_degree()
+            image = self(words[slot], room)
             for mid, c in image.terms.items():
-                accumulate(out, head + image._factors(mid) + tail, coeff * c)
+                if c.min_degree() <= room:
+                    accumulate(out, head + image._factors(mid) + tail, coeff * c)
         return TensorNCPoly(t.context, t.arity - 1 + self.arity, out)
 
-    def contract(self, t2: TensorNCPoly, slot: int) -> NCPoly:
+    def contract(self, t2: TensorNCPoly, slot: int, budget=None) -> NCPoly:
         """m((F (x) id) t2) for slot 0, m((id (x) F) t2) for slot 1,
-        normalised; F is this map, with word-polynomial images."""
+        normalised through `budget` (default: the order); F is this map,
+        with word-polynomial images."""
         context = t2.context
+        if budget is None:
+            budget = context.order
         out = {}
         for key, coeff in t2.terms.items():
-            image = self(key[slot])
+            room = budget - coeff.min_degree()
+            if room < 0:
+                continue
+            image = self(key[slot], room)
             kept = NCPoly(context, {key[1 - slot]: coeff})
-            piece = image * kept if slot == 0 else kept * image
+            piece = image.times(kept, budget) if slot == 0 else kept.times(image, budget)
             for w, c in piece.terms.items():
                 accumulate(out, w, c)
-        return normalize(NCPoly(context, out), self.rel)
+        return normalize(NCPoly(context, out), self.rel, budget=budget)
 
 
 class HopfPresentation:
@@ -190,7 +212,10 @@ def solve_antipode(H: HopfPresentation):
     m(S (x) id) Delta g = eps(g) 1 through the presentation's order,
     with the residual of both antipode equations in the report. The
     solve is a fixed point: coproduct corrections carry parameter
-    degree >= 1, so iteration k pins degree k.
+    degree >= 1, so pass k pins degree k and reads the table only
+    through degree k - 1. Pass k therefore runs at budget k and keeps
+    its table cut at degree k; the last pass runs at the order, so the
+    table returned, the report and every printed image are full-order.
     """
     context = H.context
     names = H.names()
@@ -212,10 +237,11 @@ def solve_antipode(H: HopfPresentation):
                 "degree 0; order-by-order solve cannot start"
             )
         corrections[g] = corr
-    for _ in range(context.order):
+    for k in range(1, context.order + 1):
         S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
         table = {
-            g: -NCPoly.generator(context, g) - S.contract(corrections[g], 0)
+            g: (-NCPoly.generator(context, g)
+                - S.contract(corrections[g], 0, k)).truncate(k)
             for g in range(n)
         }
 

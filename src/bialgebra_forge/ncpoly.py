@@ -146,18 +146,32 @@ class _Terms:
 
     # -- free multiplication ----------------------------------------------------
 
-    def __mul__(self, other):
+    def times(self, other, budget=None):
+        """The product self*other, exact through parameter degree `budget`
+        (default: the order). Over Q(i) the lowest part of a product is
+        the product of the lowest parts, so a term pair whose coefficients'
+        lowest degrees sum above the budget adds nothing through it: the
+        pair is skipped before its coefficient product is formed, and its
+        word is neither formed nor held against the cap. Terms above the
+        budget may be partial; every caller cuts them off by the degree of
+        what it multiplies them by, or by its own cut."""
         self._same_arity(other)
         cap = self.context.cap
+        if budget is None:
+            budget = self.context.order
         split, join = self._factors, self._key
+        right = [(split(k2), c2, c2.min_degree()) for k2, c2 in other.terms.items()]
         out = {}
         for k1, c1 in self.terms.items():
             f1 = split(k1)
-            for k2, c2 in other.terms.items():
+            room = budget - c1.min_degree()
+            for f2, c2, low in right:
+                if low > room:
+                    continue
                 c = c1 * c2
                 if not c:
                     continue
-                words = tuple(map(add, f1, split(k2)))
+                words = tuple(map(add, f1, f2))
                 for w in words:
                     if len(w) > cap:
                         raise CapExceededError(
@@ -166,6 +180,8 @@ class _Terms:
                         )
                 accumulate(out, join(words), c)
         return self._like(out)
+
+    __mul__ = times
 
     # -- structure ---------------------------------------------------------------
 
@@ -358,10 +374,15 @@ class TensorNCPoly(_Terms):
         }
 
 
-def outer(factors, coeff=None) -> dict:
+def outer(factors, coeff=None, budget=None) -> dict:
     """Terms of coeff * (f1 (x) f2 (x) ...) for NCPoly factors, keyed by
     tuples of words; coeff None stands for 1, and a factor given as a
-    bare word stands for that word with coefficient 1."""
+    bare word stands for that word with coefficient 1. With a budget the
+    result is exact through that degree, as _Terms.times is: a partial
+    product whose coefficients' lowest degrees sum above it is dropped
+    before its coefficient is formed. With none, every one is formed."""
+    if budget is None:
+        budget = float("inf")
     partial = {(): coeff}
     for factor in factors:
         if type(factor) is tuple:
@@ -369,10 +390,12 @@ def outer(factors, coeff=None) -> dict:
             continue
         grown = {}
         for done, c in partial.items():
+            room = budget if c is None else budget - c.min_degree()
             for w, cw in factor.terms.items():
-                s = cw if c is None else c * cw
-                if s:
-                    grown[done + (w,)] = s
+                if cw.min_degree() <= room:
+                    s = cw if c is None else c * cw
+                    if s:
+                        grown[done + (w,)] = s
         partial = grown
     return partial
 

@@ -27,7 +27,9 @@ _new = object.__new__
 
 
 class ParamPoly:
-    __slots__ = ("params", "order", "terms")
+    # _low caches min_degree(): values are immutable, and the degree
+    # budgets ask for the lowest degree of one coefficient many times
+    __slots__ = ("params", "order", "terms", "_low")
 
     def __init__(self, params, order, terms=None):
         self.params = tuple(params)
@@ -38,6 +40,7 @@ class ParamPoly:
                 if coeff and _degree(exps) <= order:
                     clean[exps] = coeff
         self.terms = clean
+        self._low = None
 
     # -- constructors --------------------------------------------------------
 
@@ -65,7 +68,7 @@ class ParamPoly:
         caller yields nonzero coefficients within the order, so only the
         public constructor filters."""
         out = _new(ParamPoly)
-        out.params, out.order, out.terms = self.params, self.order, terms
+        out.params, out.order, out.terms, out._low = self.params, self.order, terms, None
         return out
 
     def _check(self, other):
@@ -157,9 +160,10 @@ class ParamPoly:
 
     def min_degree(self):
         """Smallest total degree among stored terms; None when zero."""
-        if not self.terms:
-            return None
-        return min(_degree(e) for e in self.terms)
+        low = self._low
+        if low is None and self.terms:
+            low = self._low = min(map(_degree, self.terms))
+        return low
 
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * len(self.params), ZERO)

@@ -11,6 +11,14 @@ the product cuts off whatever lies above; so the worklist dies at the
 budget, not at the order. A sorted word has no out-of-order pair, so it
 is its own normal form: normalize passes it through untouched.
 
+The same rule serves callers that need a whole polynomial only through
+a budget below the order (the Hopf word maps and antipode passes): normalize
+takes a budget and gives each term the room budget - lowest degree. This is
+exact: over Q(i) the lowest part of a product is the product of the lowest
+parts, no rewrite lowers degree and a normal form is linear, so a form
+computed through a budget equals the full one through it under the leftmost
+strategy, whether or not the table is confluent.
+
 A commutator forms each term pair's coefficient product once, for both
 orders of the words, and normalises the sum once. It skips a pair whose
 words commute as they stand, or are sorted and commute letter by letter:
@@ -227,24 +235,36 @@ def _cut(result, budget):
     return out
 
 
-def normalize(a, table: RelationTable, choose=None):
-    """Normal form of an NCPoly, or of each factor of a TensorNCPoly. A
-    sorted factor word is irreducible, so it passes through as it is,
-    with no rewriting and no coefficient product, whatever `choose` is.
-    An unsorted one is rewritten only through the degree its term's
-    coefficient leaves below the order: what lies above is cut off by
-    the product anyway."""
-    order = table.context.order
+def normalize(a, table: RelationTable, choose=None, budget=None):
+    """Normal form of an NCPoly, or of each factor of a TensorNCPoly,
+    exact through parameter degree `budget` (default: the order).
+
+    A term whose factor words are all sorted is irreducible, so it passes
+    through as it is, with no rewriting and no coefficient product,
+    whatever `choose` is. Any other term gets the room its coefficient
+    leaves below the budget, budget - lowest degree, and each unsorted
+    factor is rewritten only through that room: what lies above is cut
+    off by the product with the coefficient. A term with no room adds
+    nothing through the budget and is dropped. A normal form is linear
+    and no rewrite lowers degree, so the result equals the full normal
+    form through the budget under the leftmost strategy, whether or not
+    the table is confluent; above the budget it may be partial."""
+    if budget is None:
+        budget = table.context.order
     out = {}
     for key, coeff in a.terms.items():
-        factors, budget = [], None
-        for w in a._factors(key):
-            if _first_descent(w) is not None:
-                if budget is None:
-                    budget = order - min(map(sum, coeff.terms))
-                w = normal_form_word(table, w, choose, budget)
-            factors.append(w)
-        for words, c in outer(factors, coeff).items():
+        factors = a._factors(key)
+        unsorted = [p for p, w in enumerate(factors) if _first_descent(w) is not None]
+        if not unsorted:
+            accumulate(out, key, coeff)
+            continue
+        room = budget - coeff.min_degree()
+        if room < 0:
+            continue
+        factors = list(factors)
+        for p in unsorted:
+            factors[p] = normal_form_word(table, factors[p], choose, room)
+        for words, c in outer(factors, coeff, budget).items():
             accumulate(out, a._key(words), c)
     return a._like(out)
 
@@ -288,22 +308,28 @@ def commutator(a, b, table: RelationTable):
     word with coefficient 1, at any order and whether or not the table is
     confluent.
 
-    A pair whose product word passes the cap raises the CapExceededError
-    that a*b raises, at the same pair, whether it is skipped or not."""
+    A pair whose coefficients' lowest degrees sum above the order is
+    skipped first, as a*b skips it. Any other pair whose product word
+    passes the cap raises the CapExceededError that a*b raises, at the
+    same pair, whether it is skipped or not."""
     a._same_arity(b)
-    cap = a.context.cap
+    cap, order = a.context.cap, a.context.order
     split, join = a._factors, a._key
     right = []
     for k2, c2 in b.terms.items():
         f2 = split(k2)
         _, commuting, lengths = _shape(table, f2)
-        right.append((k2, c2, f2, commuting, lengths, max(lengths)))
+        right.append((k2, c2, c2.min_degree(), f2, commuting, lengths, max(lengths)))
     out = {}
     for k1, c1 in a.terms.items():
         f1 = split(k1)
         letters, _, lengths1 = _shape(table, f1)
         top1 = max(lengths1)
-        for k2, c2, f2, commuting, lengths2, top2 in right:
+        room = order - c1.min_degree()
+        for k2, c2, low2, f2, commuting, lengths2, top2 in right:
+            if low2 > room:
+                # the coefficient product vanishes; a*b skips the pair too
+                continue
             if top1 + top2 > cap and any(x + y > cap for x, y in zip(lengths1, lengths2)):
                 # a*b stops here unless the product vanishes, and then
                 # the pair adds nothing

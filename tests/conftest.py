@@ -10,6 +10,7 @@ import pytest
 import bialgebra_forge as bf
 from bialgebra_forge import rewrite
 from bialgebra_forge.cli import main
+from bialgebra_forge.params import ParamPoly
 
 
 @functools.cache
@@ -63,25 +64,50 @@ def widegen():
     return module
 
 
-def rewrite_steps(argv):
-    """Exit code of the CLI run argv, and its rewrite steps: the
-    bracket_poly lookups made by rewrite.normal_form_word itself."""
+def terms_through(poly, degree):
+    """The terms of a word or tensor polynomial through parameter degree,
+    keyed by (key, exponents)."""
+    return {
+        (k, e): c
+        for k, coeff in poly.terms.items() for e, c in coeff.terms.items()
+        if sum(e) <= degree
+    }
+
+
+def kernel_counts(argv):
+    """Exit code of the CLI run argv, its rewrite steps (the bracket_poly
+    lookups made by rewrite.normal_form_word itself) and its coefficient
+    multiplies (ParamPoly.__mul__ calls)."""
     kernel = rewrite.normal_form_word.__code__
     lookup = rewrite.RelationTable.bracket_poly
-    steps = 0
+    multiply = ParamPoly.__mul__
+    steps = multiplies = 0
 
-    def counted(table, a, b):
+    def counted_lookup(table, a, b):
         nonlocal steps
         if sys._getframe(1).f_code is kernel:
             steps += 1
         return lookup(table, a, b)
 
-    rewrite.RelationTable.bracket_poly = counted
+    def counted_multiply(a, b):
+        nonlocal multiplies
+        multiplies += 1
+        return multiply(a, b)
+
+    rewrite.RelationTable.bracket_poly = counted_lookup
+    ParamPoly.__mul__ = counted_multiply
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
     finally:
         rewrite.RelationTable.bracket_poly = lookup
+        ParamPoly.__mul__ = multiply
+    return code, steps, multiplies
+
+
+def rewrite_steps(argv):
+    """Exit code of the CLI run argv, and its rewrite steps (kernel_counts)."""
+    code, steps, _ = kernel_counts(argv)
     return code, steps
 
 

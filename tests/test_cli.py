@@ -75,6 +75,15 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         assert err.startswith("error: ")
         for key in settings if isinstance(settings, dict) else ():
             assert f"{key} must be a non-negative integer" in err
+    # ... and a settings key outside order, cap and slack is named, not
+    # ignored: a misspelt order would check at the default one
+    data = bf.load_bundled("corrected").to_dict()
+    data["settings"] = {"ordr": 6, "cap": 12}
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hopf", "jacobi", str(path))
+    assert code == 2 and out == ""
+    assert "unknown key 'ordr' in settings" in err
     # an expression nested past the parser's limit
     data = bf.load_bundled("corrected").to_dict()
     data["presentation"]["brackets"][1]["rhs"] = "(" * 3000 + "z1*p_y" + ")" * 3000
@@ -186,6 +195,8 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         ("integer value", {"delta": [{"generator": "l_x", "value": 1}]},
          "delta entry must have string"),
         ("unknown mode", {"mode": "loose"}, "unknown comparison mode 'loose'"),
+        ("misspelt mode key", {"Mode": "exact", "mu": []},
+         "unknown key 'Mode' in expectation"),
         ("cube delta value", {"delta": [{"generator": "l_x", "value": "l_x (x) 1 (x) 1"}]},
          "tensor products beyond a square are not supported (at position 10)"),
         ("tensor mu value", {"mu": [{"left": "l_x", "right": "l_y", "value": "l_x (x) 1"}]},

@@ -1,16 +1,21 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge.errors import InputError, NonContractingError
+from bialgebra_forge.hopf import _WordMap
 from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly
 from bialgebra_forge.params import ParamPoly
-from bialgebra_forge.rewrite import RelationTable
+from bialgebra_forge.rewrite import RelationTable, normalize
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import Basis
 
-from conftest import corrected_document, presentation3, presentation5
+from conftest import (
+    corrected_document, presentation3, presentation5, terms_through, widegen,
+)
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
 
@@ -113,6 +118,92 @@ def test_antipode_on_abelian_cocommutative_specialization():
     assert report.ok
     for g in range(6):
         assert table[g] == -NCPoly.generator(flat.context, g)
+
+
+# -- degree budgets ------------------------------------------------------------------
+
+
+@functools.cache
+def corrected_word_maps(order):
+    """The makings of @corrected's coproduct and antipode word maps at
+    order, as (relation table, generator table, unit, reverse) by kind,
+    and one map of each kind that only ever computes full images, on a
+    presentation of its own."""
+    doc = corrected_document()
+    ctx = doc.make_context(order=order, cap=4 * order)
+    H, full = doc.build_presentation(ctx), doc.build_presentation(ctx)
+    antipode, _ = bf.solve_antipode(H)
+    unit = NCPoly.unit(ctx)
+    makings = {
+        "coproduct": (H.rel, H.coproduct, TensorNCPoly.unit(ctx, 2), False),
+        "antipode": (H.rel, antipode, unit, True),
+    }
+    return makings, {
+        "coproduct": full._delta,
+        "antipode": _WordMap(full.rel, antipode, unit, reverse=True),
+    }
+
+
+@given(st.sampled_from((6, 7, 8)), st.sampled_from(("coproduct", "antipode")), st.data())
+@settings(max_examples=40, deadline=None)
+def test_budgeted_word_map_images_are_full_ones_through_the_budget(order, kind, data):
+    makings, full = corrected_word_maps(order)
+    rel = makings[kind][0]
+    rel._nf_cache.clear()
+    image = _WordMap(*makings[kind])
+    requests = data.draw(st.lists(
+        st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple),
+                  st.integers(0, order)),
+        min_size=1, max_size=6,
+    ))
+    for word, budget in requests:
+        got, want = image(word, budget), full[kind](word)
+        assert terms_through(got, budget) == terms_through(want, budget), (word, budget)
+    for word, _ in requests:
+        assert image(word) == full[kind](word), word
+
+
+def _unbudgeted_antipode(H):
+    """The antipode table by the fixed-point loop with every pass, product
+    and word image at the full order and no table cut."""
+    ctx, rel = H.context, H.rel
+    one = ctx.const_poly(ONE)
+    gens = [NCPoly.generator(ctx, g) for g in range(len(H.names()))]
+    corrections = [
+        H.coproduct_word((g,)) - TensorNCPoly(ctx, 2, {((g,), ()): one, ((), (g,)): one})
+        for g in range(len(gens))
+    ]
+    table = [-x for x in gens]
+    for _ in range(ctx.order):
+        images = {(): NCPoly.unit(ctx)}
+
+        def image(w):
+            if w not in images:
+                rest = image(w[1:]) if len(w) > 1 else NCPoly.unit(ctx)
+                images[w] = normalize(rest * table[w[0]], rel)
+            return images[w]
+
+        table = [
+            -gens[g] - normalize(sum(
+                (image(left) * NCPoly(ctx, {right: c})
+                 for (left, right), c in corrections[g].terms.items()),
+                NCPoly.zero(ctx),
+            ), rel)
+            for g in range(len(gens))
+        ]
+    return dict(enumerate(table))
+
+
+@pytest.mark.parametrize("source, order", [
+    ("corrected", 5), ("corrected", 8), ("wide", 5),
+])
+def test_budgeted_antipode_passes_solve_the_unbudgeted_loop(source, order):
+    doc = corrected_document()
+    if source == "wide":
+        doc = bf.Document.from_dict(widegen().wide_document(doc.to_dict(), 2, 1))
+    ctx = doc.make_context(order=order, cap=2 * order)
+    table, _ = bf.solve_antipode(doc.build_presentation(ctx))
+    assert table == _unbudgeted_antipode(doc.build_presentation(ctx))
 
 
 def test_class_f_passes_on_reference_presentation():

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from bialgebra_forge.errors import (
     CapExceededError, InexactDivisionError, InputError, NonTerminatingSeriesError,
 )
 from bialgebra_forge.exprparse import _divide
 from bialgebra_forge.ncpoly import (
-    Context, NCPoly, TensorNCPoly, _series_coeffs, series_apply, tensor,
+    Context, NCPoly, TensorNCPoly, _series_coeffs, outer, series_apply, tensor,
 )
 from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import Basis
+
+from conftest import terms_through
 
 CTX = Context(Basis(("a", "b", "c")), ("u", "v"), order=5, cap=8, slack=2)
 A, B, C = 0, 1, 2
@@ -255,3 +258,57 @@ def test_powers_match_stepwise_products_on_random_polynomials():
         p = NCPoly(ctx, terms)
         n = rng.randint(0, 2 * ctx.cap + 2)
         assert _outcome(lambda: p ** n) == _outcome(lambda: _stepwise_power(p, n)), (p, n)
+
+
+# -- degree budgets ------------------------------------------------------------------
+
+WIDE = Context(Basis(("a", "b", "c")), ("u", "v", "w"), order=6, cap=24, slack=0)
+
+
+@st.composite
+def _wide_coefficients(draw):
+    """A ParamPoly of one to four Gaussian terms of mixed degree, like the
+    coefficients of a rescaled tensor-product document."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(any),
+        min_size=1, max_size=4,
+    ))
+    return ParamPoly(WIDE.params, WIDE.order, {e: Scalar(*c) for e, c in terms.items()})
+
+
+def _wide_polys(arity):
+    word = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+    key = word if arity == 1 else st.tuples(*[word] * arity)
+    terms = st.dictionaries(key, _wide_coefficients(), max_size=4)
+    if arity == 1:
+        return terms.map(lambda t: NCPoly(WIDE, t))
+    return terms.map(lambda t: TensorNCPoly(WIDE, arity, t))
+
+
+def _every_pair(a, b):
+    """a*b as the sum of the products of every term pair, none skipped."""
+    out = a._like({})
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            key = a._key(tuple(u + v for u, v in zip(a._factors(k1), b._factors(k2))))
+            out = out + a._like({key: c1 * c2} if c1 * c2 else {})
+    return out
+
+
+@given(st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(_wide_polys(n), _wide_polys(n))),
+       st.integers(0, WIDE.order))
+@settings(max_examples=100, deadline=None)
+def test_a_budgeted_product_is_the_product_through_the_budget(pair, budget):
+    a, b = pair
+    full = _every_pair(a, b)
+    assert a * b == a.times(b, WIDE.order) == full
+    assert terms_through(a.times(b, budget), budget) == terms_through(full, budget)
+
+
+@given(_wide_polys(1), _wide_polys(1), _wide_coefficients(), st.integers(0, WIDE.order))
+@settings(max_examples=50, deadline=None)
+def test_a_budgeted_outer_product_is_the_tensor_product_through_the_budget(
+        a, b, coeff, budget):
+    got = TensorNCPoly(WIDE, 2, outer([a, b], coeff, budget))
+    assert terms_through(got, budget) == terms_through(tensor(a, b).scale(coeff), budget)

@@ -19,8 +19,8 @@ from bialgebra_forge.rewrite import (
 from bialgebra_forge.scalars import Scalar
 
 from conftest import (
-    context3, corrected_document, presentation3, presentation5, rewrite_steps,
-    widegen,
+    context3, corrected_document, kernel_counts, presentation3, presentation5,
+    rewrite_steps, terms_through, widegen,
 )
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
@@ -388,15 +388,6 @@ def corrected_tables(order):
     return doc.build_presentation(ctx).rel, doc.build_presentation(ctx).rel
 
 
-def terms_through(nf, degree):
-    """The terms of nf through parameter degree, keyed by (word, exponents)."""
-    return {
-        (w, e): c
-        for w, coeff in nf.terms.items() for e, c in coeff.terms.items()
-        if sum(e) <= degree
-    }
-
-
 def check_budgets(table, full, requests):
     """Normal forms requested of table at (word, budget) in the given order
     agree with full's through each budget, carry above it only terms of
@@ -449,13 +440,21 @@ def test_a_budgeted_normal_form_is_cut_at_its_budget():
 def test_budgets_pin_the_rewrite_steps_of_hopf_all_at_order_8():
     # rewriting every word through the order takes 1,842 steps here
     argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
-    assert rewrite_steps(argv) == (1, 656)
+    assert rewrite_steps(argv) == (1, 641)
 
 
-@pytest.mark.parametrize("order, cap", [(5, 7), (6, 8), (8, 11), (10, 14), (12, 17)])
+def test_budgets_pin_the_coefficient_multiplies_of_hopf_all_at_order_8():
+    # with no degree budgets (every product, word-map image and antipode
+    # pass through the order) this run takes 7,499 multiplies
+    argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
+    assert kernel_counts(argv) == (1, 641, 4601)
+
+
+@pytest.mark.parametrize("order, cap", [(5, 7), (6, 8), (8, 10), (10, 12), (12, 14)])
 def test_hopf_all_needs_its_cap_exactly(order, cap):
     # the smallest cap that lets `hopf all @corrected` finish at order:
-    # one less, and a product word passes it
+    # one less, and a word passes it (the parser's p_x^(order+2), read at
+    # order + slack)
     argv = ["hopf", "all", "@corrected", "--order", str(order)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
