@@ -376,11 +376,14 @@ class TensorNCPoly(_Terms):
 
 def outer(factors, coeff=None, budget=None) -> dict:
     """Terms of coeff * (f1 (x) f2 (x) ...) for NCPoly factors, keyed by
-    tuples of words; coeff None stands for 1, and a factor given as a
-    bare word stands for that word with coefficient 1. With a budget the
+    tuples of words; coeff None stands for 1, a zero coeff gives no
+    terms, and a factor given as a bare word stands for that word with
+    coefficient 1. With a budget the
     result is exact through that degree, as _Terms.times is: a partial
     product whose coefficients' lowest degrees sum above it is dropped
     before its coefficient is formed. With none, every one is formed."""
+    if coeff is not None and not coeff:
+        return {}
     if budget is None:
         budget = float("inf")
     partial = {(): coeff}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bialgebra_forge.errors import (
     CapExceededError, InexactDivisionError, InputError, NonTerminatingSeriesError,
@@ -307,6 +307,10 @@ def test_a_budgeted_product_is_the_product_through_the_budget(pair, budget):
 
 
 @given(_wide_polys(1), _wide_polys(1), _wide_coefficients(), st.integers(0, WIDE.order))
+@example(  # a coefficient truncated away entirely: no terms, not a crash
+    NCPoly.generator(WIDE, 0), NCPoly.generator(WIDE, 1),
+    ParamPoly(WIDE.params, WIDE.order, {(3, 2, 2): ONE}), 0,
+)
 @settings(max_examples=50, deadline=None)
 def test_a_budgeted_outer_product_is_the_tensor_product_through_the_budget(
         a, b, coeff, budget):
