@@ -5,6 +5,7 @@
     term   := factor ('*' factor)*        -- juxtaposition is not allowed
     factor := scalar | param | generator | fn '(' expr ')' | '(' expr ')'
               | factor '/' divisor | '-' factor | factor '^' natural
+    divisor := number ('^' natural)? | parameter monomial
     fn     := 'exp' | 'sinh' | 'cosh'
 
 An identifier (a parameter, generator or function name, or i) is an
@@ -15,11 +16,12 @@ fraction digit included, is an unexpected character. One compiled
 pattern lexes the whole text (_lex).
 
 Scalars are rationals with an optional i factor ('1/2', 'i', '-3*i/4',
-'-3i/4'). A divisor is either a number (exact scalar division) or a
-parameter monomial such as z2 or (z2*h); parameter divisions are kept
-pending for the enclosing additive term and applied only after the term
-has been fully expanded, so removable prefactor singularities like
-t/(z2*h) never require stored negative exponents. The one earlier point
+'-3i/4'). A divisor is either a number with an optional natural power
+(exact scalar division: t/2^3 is t/8) or a parameter monomial such as
+z2 or (z2*h); parameter divisions are kept pending for the enclosing
+additive term and applied only after the term has been fully expanded,
+so removable prefactor singularities like t/(z2*h) never require stored
+negative exponents. The one earlier point
 is the base of a power: a divisor that divides it exactly is applied
 there, so its degree is lost once rather than once per factor. A
 quotient by a degree-d monomial is exact only through d degrees below
@@ -396,10 +398,13 @@ class Parser:
     def _division(self, value: _Value) -> _Value:
         if self._peek() == "NUMBER":
             at = self._next()
-            if self.values[at] == 0:
+            number, power = Scalar(self.values[at]), self._opt_power()
+            if not number and power:
                 self._fail("division by zero", at)
-            scaled = value.poly.scale(ONE / Scalar(self.values[at]))
-            return _Value(scaled, value.den)
+            if power != 1:
+                check_power(number, power)
+                number = number ** power
+            return _Value(value.poly.scale(ONE / number), value.den)
         den = dict(value.den)
         for name, power in self._divisor_monomial().items():
             den[name] = den.get(name, 0) + power

@@ -19,22 +19,24 @@ parts, no rewrite lowers degree and a normal form is linear, so a form
 computed through a budget equals the full one through it under the leftmost
 strategy, whether or not the table is confluent.
 
-A commutator forms each term pair's coefficient product once, for both
-orders of the words, and normalises the sum once. It skips a pair whose
-words commute as they stand, or are sorted and commute letter by letter:
-rewriting either product then only swaps letters of the two words past
-each other, so both reach the same sorted word and cancel exactly, at
-any order.
+A commutator follows the Leibniz rule in each tensor factor,
+[a1 (x) a2, b1 (x) b2] = [a1, b1] (x) a2 b2 + b1 a1 (x) [a2, b2], with the
+word bracket [u, v] = nf(uv) - nf(vu) computed once per word pair and
+budget and cached on the table beside the normal forms, under the same
+budget rule. A factor whose words are sorted and commute letter by letter
+pure-swaps: both orders reach the same sorted word by swaps alone, so it
+adds no bracket term. A term pair forms its coefficient product only when
+some factor's bracket is nonzero through the room the coefficients leave.
+This regroups the same leftmost normal forms that normalising a*b - b*a
+sums, so it is exact whether or not the table is confluent.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 from .errors import CapExceededError, DocumentError, NonContractingError
 from .ncpoly import Context, NCPoly, outer, word_str
 from .params import substitution
-from .sparse import accumulate, deduct
+from .sparse import accumulate
 
 
 class RelationTable:
@@ -65,20 +67,23 @@ class RelationTable:
     def _store(self, rhs):
         # the rewriting kernel reads each rhs term's lowest parameter
         # degree, and the commutator the bitmask of the letters each
-        # generator commutes with (itself included); the normal-form cache
-        # holds only forms under this rhs
+        # generator commutes with (itself included); the normal-form,
+        # word-bracket and term-shape caches hold only values under this rhs
         self.rhs = rhs
         self._low = {
             key: {w: c.min_degree() for w, c in poly.terms.items()}
             for key, poly in rhs.items()
         }
         n = len(self.context.basis)
-        self._commuting = [(1 << n) - 1] * n
+        self._everything = (1 << n) - 1
+        self._commuting = [self._everything] * n
         for (j, i), poly in rhs.items():
             if poly:
                 self._commuting[j] &= ~(1 << i)
                 self._commuting[i] &= ~(1 << j)
         self._nf_cache = {}
+        self._bracket_cache = {}
+        self._shapes = {}
 
     def _name(self, idx):
         return self.context.basis.names[idx]
@@ -269,44 +274,89 @@ def normalize(a, table: RelationTable, choose=None, budget=None):
     return a._like(out)
 
 
-def _shape(table, factors):
-    """(letters, commuting, lengths) of a term with the given factor words.
-    Factor p owns bits p*n to p*n+n-1 of both masks: `letters` marks the
-    letters of its word, `commuting` the generators that commute with each
-    of them. An unsorted word sets letters to -1 and commuting to 0, so
-    a pair with such a term passes the pure-swap test only against a term
-    of empty words, which commutes with it as it is."""
+def _shape(table, key, words):
+    """(factors, letters, commuting, lengths, longest) of a term with
+    these factor words, cached on the table by its key. factors holds
+    (word, letters, commuting) per factor: bitmasks of the generators in
+    the word and of those that commute with each of them (an empty
+    bracket, or the same generator); an unsorted word has (-1, 0), so no
+    factor holding one pure-swaps. The term's letters and commuting masks
+    give factor p the bits from p*n up, n the number of generators; an
+    unsorted factor sets every letter bit from its own up."""
+    shape = table._shapes.get(key)
+    if shape is not None:
+        return shape
     n = len(table._commuting)
-    lengths = tuple(map(len, factors))
+    factors = []
     letters = commuting = 0
-    for p, w in enumerate(factors):
-        if _first_descent(w) is not None:
-            return -1, 0, lengths
-        mine, common = 0, (1 << n) - 1
-        for g in w:
-            mine |= 1 << g
-            common &= table._commuting[g]
-        letters |= mine << p * n
-        commuting |= common << p * n
-    return letters, commuting, lengths
+    for p, w in enumerate(words):
+        lw, cw = -1, 0
+        if _first_descent(w) is None:
+            lw, cw = 0, table._everything
+            for g in w:
+                lw |= 1 << g
+                cw &= table._commuting[g]
+        factors.append((w, lw, cw))
+        letters |= lw << p * n
+        commuting |= cw << p * n
+    lengths = tuple(map(len, words))
+    shape = table._shapes[key] = (factors, letters, commuting, lengths, max(lengths))
+    return shape
+
+
+def word_bracket(table: RelationTable, u, v, budget=None):
+    """(nf(uv) - nf(vu), its lowest parameter degree or None when it is
+    zero), exact through parameter degree `budget` (default: the order).
+
+    Both normal forms come from normal_form_word at the budget, so the
+    bracket equals the full-order one through it; terms above the budget
+    may be partial. It is cached on the table per (u, v) as (budget,
+    bracket, lowest degree), under the rule of the normal-form cache: an
+    entry serves any budget up to its own, and a larger one replaces it.
+    Words with uv == vu have a zero bracket, found without rewriting."""
+    if budget is None:
+        budget = table.context.order
+    entry = table._bracket_cache.get((u, v))
+    if entry is not None and entry[0] >= budget:
+        return entry[1], entry[2]
+    uv, vu = u + v, v + u
+    if uv == vu:
+        bracket = NCPoly.zero(table.context)
+    else:
+        bracket = (normal_form_word(table, uv, budget=budget)
+                   - normal_form_word(table, vu, budget=budget))
+    low = bracket.min_param_degree()
+    table._bracket_cache[(u, v)] = (budget, bracket, low)
+    return bracket, low
 
 
 def commutator(a, b, table: RelationTable):
-    """Normal form of a*b - b*a, in one pass over the term pairs of a and b.
+    """Normal form of a*b - b*a, by the Leibniz rule in each tensor factor.
 
-    Coefficients commute, so each pair (f1, f2) forms its coefficient
-    product c once and adds +c at the factorwise product f1*f2 and -c at
-    f2*f1; the sum is normalised once. A pair that adds exactly 0 to the
-    normal form is skipped, with no coefficient product and no rewriting:
-    (i) f1*f2 == f2*f1 in every factor, or
-    (ii) in every factor both words are sorted and every letter of one has
-    an empty bracket with every letter of the other.
-    Under (ii) every word on the way is a shuffle of f1 and f2 in which
-    adjacent letters of one word stand in order, so every out-of-order
-    adjacent pair joins a letter of f1 to one of f2, and its rewrite is a
-    pure swap that adds no term. Both products thus reach the same sorted
-    word with coefficient 1, at any order and whether or not the table is
-    confluent.
+    Coefficients commute, so a term pair (f1, f2) with coefficient product
+    c adds c * (nf(f1*f2) - nf(f2*f1)), f1*f2 taken factorwise. A normal
+    form acts factor by factor, so with u_p and v_p the factor words of f1
+    and f2 the difference telescopes into one term per factor p:
+        nf(v_1 u_1) (x) ... (x) [u_p, v_p] (x) nf(u_p+1 v_p+1) (x) ...,
+    where [u, v] = nf(uv) - nf(vu) is the word bracket (word_bracket,
+    cached per word pair on the table); for arity 2 this is
+    [a1 (x) a2, b1 (x) b2] = [a1, b1] (x) a2 b2 + b1 a1 (x) [a2, b2].
+    This only regroups the leftmost normal forms that normalize(a*b - b*a)
+    sums, so the result is the same exact one, whether or not the table
+    is confluent.
+
+    A factor pure-swaps when both its words are sorted and every letter of
+    one has an empty bracket with every letter of the other. Every word on
+    the way from uv or vu is then a shuffle that keeps each word's letters
+    in order, so every out-of-order adjacent pair joins a letter of u to
+    one of v, and its rewrite adds no term: both orders reach the sorted
+    merge of u and v with coefficient 1. Such a factor adds no bracket
+    term and stands as that merged word beside the others' brackets. A
+    pair adds its coefficient product only at the factors whose bracket is
+    nonzero through the room the coefficients leave, order - their lowest
+    degrees, and a pair with no such factor is skipped before the product
+    is formed. The other factors of a term are normalised through the
+    room that its bracket leaves in turn.
 
     A pair whose coefficients' lowest degrees sum above the order is
     skipped first, as a*b skips it. Any other pair whose product word
@@ -315,36 +365,53 @@ def commutator(a, b, table: RelationTable):
     a._same_arity(b)
     cap, order = a.context.cap, a.context.order
     split, join = a._factors, a._key
-    right = []
-    for k2, c2 in b.terms.items():
-        f2 = split(k2)
-        _, commuting, lengths = _shape(table, f2)
-        right.append((k2, c2, c2.min_degree(), f2, commuting, lengths, max(lengths)))
+    right = [(k, c, c.min_degree(), *_shape(table, k, split(k)))
+             for k, c in b.terms.items()]
     out = {}
     for k1, c1 in a.terms.items():
-        f1 = split(k1)
-        letters, _, lengths1 = _shape(table, f1)
-        top1 = max(lengths1)
-        room = order - c1.min_degree()
-        for k2, c2, low2, f2, commuting, lengths2, top2 in right:
-            if low2 > room:
+        f1, letters, _, lengths1, top1 = _shape(table, k1, split(k1))
+        room1 = order - c1.min_degree()
+        for k2, c2, low2, f2, _, commuting, lengths2, top2 in right:
+            room = room1 - low2
+            if room < 0:
                 # the coefficient product vanishes; a*b skips the pair too
                 continue
             if top1 + top2 > cap and any(x + y > cap for x, y in zip(lengths1, lengths2)):
-                # a*b stops here unless the product vanishes, and then
-                # the pair adds nothing
+                # a*b raises here, since the product does not vanish
                 a._like({k1: c1}) * b._like({k2: c2})
-                continue
             if not letters & ~commuting:
+                # every factor's bracket is zero: each pure-swaps, or pairs
+                # an empty word of a with any word
                 continue
-            ab, ba = tuple(map(add, f1, f2)), tuple(map(add, f2, f1))
-            if ab == ba:
+            factors = [(u, v, lu & ~cv or lv & ~cu)
+                       for (u, lu, cu), (v, lv, cv) in zip(f1, f2)]
+            brackets = []
+            for p, (u, v, moves) in enumerate(factors):
+                if moves:
+                    bracket, low = word_bracket(table, u, v, room)
+                    if low is not None and low <= room:
+                        brackets.append((p, bracket, room - low))
+            if not brackets:
                 continue
             c = c1 * c2
-            if c:
-                accumulate(out, join(ab), c)
-                deduct(out, join(ba), c)
-    return normalize(a._like(out), table)
+            for p, bracket, rest in brackets:
+                line = [_beside(table, v + u, moves, rest) for u, v, moves in factors[:p]]
+                line.append(bracket)
+                line += [_beside(table, u + v, moves, rest) for u, v, moves in factors[p + 1:]]
+                for words, s in outer(line, c, order).items():
+                    accumulate(out, join(words), s)
+    return a._like(out)
+
+
+def _beside(table, word, moves, budget):
+    """The normal form of a factor's product word beside a bracket,
+    through budget: the sorted merge when the factor pure-swaps, the word
+    itself when it is sorted."""
+    if not moves:
+        return tuple(sorted(word))
+    if _first_descent(word) is None:
+        return word
+    return normal_form_word(table, word, budget=budget)
 
 
 normalize_tensor = normalize

@@ -115,12 +115,30 @@ def test_scalar_division_binds_to_coefficient():
     assert coeff("3*i/4") == CTX.const_poly(Scalar(0, Fraction(3, 4)))
 
 
+@pytest.mark.parametrize("text, same", [
+    ("t/2^3", "1/8*t"),
+    ("t*l_x/2^2", "1/4*t*l_x"),
+    ("t/2^3*p_x", "1/8*t*p_x"),
+    ("t/2^0", "t"),
+    ("t/2^1", "1/2*t"),
+    ("3*i/4^2*t", "3*i/16*t"),
+    # the power binds to the number, as to a parameter divisor
+    ("t*z2^2/z2^2*p_y", "t*p_y"),
+    ("(t/2)^3", "1/8*t^3"),
+    ("t/2^2^2", "1/16*t^2"),
+])
+def test_a_numeric_divisor_takes_its_power(text, same):
+    assert parse_expr(text, CTX) == parse_expr(same, CTX)
+
+
 @pytest.mark.parametrize("text", [
     "i*z1*",          # dangling operator
     "(t",             # unbalanced paren
     "sinh t",         # function without parens
     "p_x p_y",        # juxtaposition is not multiplication
     "t ^ x",          # non-natural exponent
+    "t/2^x",          # non-natural exponent of a numeric divisor
+    "t/0^2",          # division by zero
     # nesting far beyond the parser's limit
     pytest.param("(" * 3000 + "t" + ")" * 3000, id="3000-parentheses"),
     pytest.param("-" * 3000 + "t", id="3000-unary-minuses"),
@@ -214,6 +232,9 @@ def _compound(inner):
         inner.map(lambda a: (f"-({a[0]})", -a[1])),
         st.tuples(inner, st.integers(1, 4)).map(
             lambda an: (f"({an[0][0]})/{an[1]}", an[0][1] / an[1])),
+        st.tuples(inner, st.integers(1, 4), st.integers(0, 3)).map(
+            lambda ank: (f"({ank[0][0]})/{ank[1]}^{ank[2]}",
+                         ank[0][1] / sympy.Integer(ank[1]) ** ank[2])),
         st.tuples(inner, st.integers(0, 3)).map(
             lambda an: (f"({an[0][0]})^{an[1]}", an[0][1] ** an[1])),
         # a series of a parameter-weighted argument
