@@ -218,8 +218,9 @@ class Document:
         if self.presentation is None:
             raise DocumentError("document has no presentation block")
         index = context.basis.index
-        # one parse memo for this build: each distinct group and series
-        # call is parsed once per order, and nothing outlives the build
+        # one parse memo for this build, shared by brackets, coproducts
+        # and counits: each distinct group and series call is parsed once
+        # per order, and nothing outlives the build
         memo = {}
         entries = []
         for item in self.presentation.get("brackets", []):
@@ -242,7 +243,7 @@ class Document:
             coproduct[index[gname]] = cop
         counit = {}
         for gname, text in self.presentation.get("counit", {}).items():
-            value = parse_coefficient(text, context)
+            value = parse_coefficient(text, context, _memo=memo)
             if any(map(sum, value.terms)):
                 raise DocumentError(
                     f"counit of {gname} has a parameter term ({value}); "

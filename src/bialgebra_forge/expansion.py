@@ -138,8 +138,8 @@ def verify_order2(table: CoefficientTable) -> DefectReport:
         defect = order2_component_defect(table, mu_multi, delta_multi)
         report.add(
             "order-2", name, _DictDefect(defect, table.basis),
-            location=f"mu_{''.join(map(str, mu_multi))} with "
-                     f"delta_{''.join(map(str, delta_multi))}",
+            location=lambda: f"mu_{''.join(map(str, mu_multi))} with "
+                             f"delta_{''.join(map(str, delta_multi))}",
         )
     return report
 

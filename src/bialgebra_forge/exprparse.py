@@ -455,9 +455,10 @@ def parse_expr(text: str, context: Context, *, _memo=None):
     return poly.map_coeffs(lambda c: c.with_order(order), context)
 
 
-def parse_coefficient(text: str, context: Context):
-    """Parse an expression that must reduce to a commuting coefficient."""
-    poly = parse_expr(text, context)
+def parse_coefficient(text: str, context: Context, *, _memo=None):
+    """Parse an expression that must reduce to a commuting coefficient;
+    _memo is parse_expr's."""
+    poly = parse_expr(text, context, _memo=_memo)
     if isinstance(poly, TensorNCPoly):
         raise ExprSyntaxError("expected a coefficient, found a tensor expression")
     for word in poly.terms:

@@ -35,10 +35,16 @@ class DefectReport:
     def ok(self) -> bool:
         return not self.items
 
-    def add(self, check, subject, value, location=""):
+    def add(self, check, subject, value, location=None):
+        """Record subject as checked, and value as a defect item when it
+        is nonzero. location, when given, is a zero-argument callable
+        rendering where the defect sits; it is called only for a nonzero
+        value, the only case that keeps it, so a passing subject renders
+        nothing."""
         self.checked.append(subject)
         if value:
-            self.items.append(DefectItem(check, subject, value, location))
+            self.items.append(DefectItem(check, subject, value,
+                                         location() if location else ""))
 
 
 class _WordMap:
@@ -169,7 +175,7 @@ def coproduct_hom_defect(H: HopfPresentation) -> DefectReport:
         defect = lhs - commutator(dj, di, H.rel)
         report.add(
             "hom", f"({names[j]},{names[i]})", defect,
-            location=f"[{names[j]},{names[i]}] = {rhs}",
+            location=lambda: f"[{names[j]},{names[i]}] = {rhs}",
         )
     return report
 
@@ -181,7 +187,7 @@ def coassociativity_defect(H: HopfPresentation) -> DefectReport:
     for g in range(len(names)):
         d = H.coproduct_word((g,))
         defect = H._delta.apply_slot(d, 0) - H._delta.apply_slot(d, 1)
-        report.add("coassoc", names[g], defect, location=f"Delta {names[g]} = {d}")
+        report.add("coassoc", names[g], defect, location=lambda: f"Delta {names[g]} = {d}")
     return report
 
 
@@ -252,7 +258,8 @@ def solve_antipode(H: HopfPresentation):
         eps_unit = NCPoly.from_scalar(context, H.counit[g])
         left = S.contract(d, 0) - eps_unit
         right = S.contract(d, 1) - eps_unit
-        report.add("antipode-left", names[g], left, location=f"S({names[g]}) = {table[g]}")
+        report.add("antipode-left", names[g], left,
+                   location=lambda: f"S({names[g]}) = {table[g]}")
         report.add("antipode-right", names[g], right)
     return table, report
 

@@ -29,6 +29,14 @@ adds no bracket term. A term pair forms its coefficient product only when
 some factor's bracket is nonzero through the room the coefficients leave.
 This regroups the same leftmost normal forms that normalising a*b - b*a
 sums, so it is exact whether or not the table is confluent.
+
+The pure-swap rule also holds for whole operands: when every letter of
+one commutes with every letter of the other, all their words are sorted
+and their longest words fit the cap together, every term pair would be
+skipped and none would raise, so the commutator is zero before its pair
+loop. The presentation Jacobi sum reads each stored bracket's reach (its
+letters and longest word) once, and skips the commutator of a bracket
+with a generator under the same rule.
 """
 
 from __future__ import annotations
@@ -361,9 +369,15 @@ def commutator(a, b, table: RelationTable):
     A pair whose coefficients' lowest degrees sum above the order is
     skipped first, as a*b skips it. Any other pair whose product word
     passes the cap raises the CapExceededError that a*b raises, at the
-    same pair, whether it is skipped or not."""
+    same pair, whether it is skipped or not. So whole operands that
+    pure-swap (_pure_swaps) give zero before any pair is formed, and
+    operands whose longest words pass the cap together go through the
+    pair loop, which raises where a*b does."""
     a._same_arity(b)
     cap, order = a.context.cap, a.context.order
+    if _pure_swaps(_reach(table, a), _reach(table, b), cap):
+        # every pair would be skipped below, and none would raise
+        return a._like({})
     split, join = a._factors, a._key
     right = [(k, c, c.min_degree(), *_shape(table, k, split(k)))
              for k, c in b.terms.items()]
@@ -403,6 +417,28 @@ def commutator(a, b, table: RelationTable):
     return a._like(out)
 
 
+def _reach(table, a):
+    """(letters, commuting, longest) of an operand: its term shapes'
+    letter masks OR-ed, their commuting masks AND-ed and its longest word
+    (_shape); a zero operand reaches (0, -1, 0)."""
+    letters, commuting, longest = 0, -1, 0
+    for key in a.terms:
+        _, lw, cw, _, top = _shape(table, key, a._factors(key))
+        letters |= lw
+        commuting &= cw
+        longest = max(longest, top)
+    return letters, commuting, longest
+
+
+def _pure_swaps(x, y, cap):
+    """Whether every term pair of operands reaching x and y (_reach)
+    pure-swaps and forms words within the cap: every letter of one
+    commutes with every letter of the other, with all words sorted (an
+    unsorted word sets every letter bit), and the longest words fit the
+    cap together. Their commutator is then zero."""
+    return not x[0] & ~y[1] and x[2] + y[2] <= cap
+
+
 def _beside(table, word, moves, budget):
     """The normal form of a factor's product word beside a bracket,
     through budget: the sorted merge when the factor pure-swaps, the word
@@ -420,21 +456,26 @@ normalize_tensor = normalize
 def presentation_jacobi_defect(table: RelationTable) -> dict:
     """Normal form of the Jacobi cyclic sum for every generator triple;
     nonzero entries only. An empty result certifies local confluence of
-    the rewriting through the table's order."""
+    the rewriting through the table's order.
+
+    Each stored bracket's reach (_reach) is read once; a commutator of a
+    bracket with a generator that pure-swaps (_pure_swaps) is zero and
+    is not formed."""
     context = table.context
     n = len(context.basis)
+    gens = [NCPoly.generator(context, g) for g in range(n)]
+    gen_reach = [_reach(table, g) for g in gens]
+    reach = {key: _reach(table, poly) for key, poly in table.rhs.items()}
+    nothing = (0, -1, 0)
     out = {}
     for i in range(n):
-        gi = NCPoly.generator(context, i)
         for j in range(i + 1, n):
-            gj = NCPoly.generator(context, j)
             for k in range(j + 1, n):
-                gk = NCPoly.generator(context, k)
-                total = (
-                    commutator(table.bracket_poly(i, j), gk, table)
-                    + commutator(table.bracket_poly(j, k), gi, table)
-                    + commutator(table.bracket_poly(k, i), gj, table)
-                )
+                total = NCPoly.zero(context)
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    if not _pure_swaps(reach.get((max(x, y), min(x, y)), nothing),
+                                       gen_reach[z], context.cap):
+                        total += commutator(table.bracket_poly(x, y), gens[z], table)
                 if total:
                     out[(i, j, k)] = total
     return out

@@ -4,6 +4,7 @@ Jacobi identity fails are exactly the labels check_four_pairs fails,
 antisymmetry aside."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge.tensors import BracketTensor, CobracketTensor, check_four_pairs
@@ -21,13 +22,38 @@ def _failing(roles) -> set:
     }
 
 
+def _roles(data):
+    doc = bf.Document.from_dict(data)
+    ctx = doc.make_context()
+    return [doc.composition_tensor(name, ctx) for name in double.ROLES]
+
+
 def _document_roles(added):
     data = bf.load_bundled("corrected").to_dict()
     for name, entries in added.items():
         data["compositions"][name]["entries"] += entries
-    doc = bf.Document.from_dict(data)
-    ctx = doc.make_context()
-    return [doc.composition_tensor(name, ctx) for name in double.ROLES]
+    return _roles(data)
+
+
+NAMES = ("p_x", "p_y", "p_z", "l_x", "l_y", "l_z")
+COEFFS = ("1", "-1", "i", "-1/2", "2*i", "t", "-z1", "h+z2")
+
+
+@st.composite
+def perturbed(draw):
+    """@corrected's document with one entry of one composition dropped,
+    or one entry added to it (any key, diagonal and flipped ones too)."""
+    data = bf.load_bundled("corrected").to_dict()
+    comp = data["compositions"][draw(st.sampled_from(double.ROLES))]
+    entries = comp["entries"]
+    if draw(st.booleans()):
+        del entries[draw(st.integers(0, len(entries) - 1))]
+    else:
+        pair = [draw(st.sampled_from(NAMES)) for _ in range(2)]
+        one = draw(st.sampled_from(NAMES))
+        lower, upper = (pair, one) if comp["kind"] == "bracket" else (one, pair)
+        entries.append({"lower": lower, "upper": upper, "coeff": draw(st.sampled_from(COEFFS))})
+    return data
 
 
 def test_the_double_of_corrected_is_a_lie_algebra():
@@ -41,6 +67,13 @@ def test_the_double_fails_the_golden_gate_labels(added):
     failing = _failing(roles)
     assert failing
     assert double.failing_labels(*roles) == failing
+
+
+@given(perturbed())
+@settings(max_examples=100, deadline=None)
+def test_the_double_fails_the_labels_of_a_perturbed_corrected(data):
+    roles = _roles(data)
+    assert double.failing_labels(*roles) == _failing(roles)
 
 
 def _gln_roles(n, dropped):
@@ -58,7 +91,7 @@ def _gln_roles(n, dropped):
 
 
 @pytest.mark.parametrize("dropped", [None, *double.ROLES])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_double_fails_the_gln_labels(n, dropped):
     """The coboundary instance passes; one dropped entry of any
     composition fails the same labels on the double as in the checks."""

@@ -1,15 +1,19 @@
+import contextlib
 import functools
+import io
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
+from bialgebra_forge.cli import main
 from bialgebra_forge.errors import InputError, NonContractingError
 from bialgebra_forge.hopf import _WordMap
-from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly
+from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, _Terms
 from bialgebra_forge.params import ParamPoly
-from bialgebra_forge.rewrite import RelationTable, normalize
+from bialgebra_forge.rewrite import RelationTable, normalize, presentation_jacobi_defect
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import Basis
 
@@ -71,6 +75,32 @@ def test_hom_defect_localizes_coefficient_corruption():
     assert not report.ok
     assert [item.subject for item in report.items] == ["(l_x,p_z)"]
     assert all(item.location for item in report.items)
+
+
+def test_passing_checks_render_no_polynomial(monkeypatch):
+    """A defect location is rendered only for a failing subject: hopf all
+    on @corrected at order 5 passes every check, so no polynomial is
+    turned into text inside a check function."""
+    checks = {fn.__code__ for fn in (
+        presentation_jacobi_defect, bf.coproduct_hom_defect, bf.coassociativity_defect,
+        bf.counit_defect, bf.solve_antipode, bf.class_f_check,
+    )}
+    rendered = []
+    to_text = _Terms.__str__
+
+    def counted(value):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in checks:
+                rendered.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+        return to_text(value)
+
+    monkeypatch.setattr(_Terms, "__str__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["hopf", "all", "@corrected", "--order", "5"]) == 0
+    assert rendered == []
 
 
 def test_defects_vanishing_at_high_order_vanish_truncated():

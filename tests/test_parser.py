@@ -1,3 +1,4 @@
+import collections
 from dataclasses import replace
 from fractions import Fraction
 
@@ -367,8 +368,37 @@ def test_a_shared_memo_builds_what_fresh_parses_build(doc, settings_, monkeypatc
     with monkeypatch.context() as patch:
         patch.setattr(document, "parse_expr",
                       lambda text, context, _memo: parse_expr(text, context))
+        patch.setattr(document, "parse_coefficient",
+                      lambda text, context, _memo: parse_coefficient(text, context))
         fresh = doc.build_presentation(ctx)
     assert presentation_diff(shared, fresh) == []
+
+
+def test_a_build_parses_each_distinct_group_once(monkeypatch):
+    """One build of a two-copy wide document misses the parse memo once
+    per distinct (order, group text), counits included: each counit is
+    its generator's unit-inverse group times a constant, and that group
+    was parsed for the coproduct already."""
+    doc = bf.Document.from_dict(
+        widegen().wide_document(corrected_document().to_dict(), 2, 1))
+    misses = collections.Counter()
+    memoised = exprparse.Parser._memoised
+
+    def counted(parser, start, opened, parse):
+        close = parser.closing.get(opened)
+        if close is not None:
+            text = parser.text[parser.positions[start]:parser.positions[close] + 1]
+            key = (parser.context.order, text)
+            if key not in parser.memo:
+                misses[key] += 1
+        return memoised(parser, start, opened, parse)
+
+    monkeypatch.setattr(exprparse.Parser, "_memoised", counted)
+    doc.build_presentation(doc.make_context())
+    assert set(misses.values()) == {1}
+    groups = {text for _, text in misses}
+    counits = doc.presentation["counit"].values()
+    assert all(text.rsplit("*", 1)[0] in groups for text in counits)
 
 
 @pytest.mark.parametrize("before, group, levels, offset", [

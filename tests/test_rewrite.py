@@ -341,6 +341,9 @@ def outcome(fn):
 @example(tensor_case(((), (2,)), ((2, 0), (0,))))
 # unsorted_case in the first factor of a square: no skip may fire
 @example(tensor_case(((2, 0), ()), ((1,), ())))
+# c and d commute: whole operands that pure-swap, within the cap and past it
+@example(tensor_case(((2,), (3,)), ((3,), (2, 2))))
+@example(tensor_case(((2, 2, 2), ()), ((3, 3, 3), ())))
 @settings(max_examples=120, deadline=None)
 def test_commutator_matches_the_two_product_formula(case):
     table, a, b = case
@@ -365,6 +368,56 @@ def test_a_skipped_pair_past_the_cap_raises_as_the_product_does():
             commutator(left, right, table)
         assert str(routed.value) == str(direct.value) == (
             "word c^3*d^3 exceeds generator-degree cap 5")
+
+
+def test_whole_operands_that_pure_swap_keep_the_cap_of_the_product(monkeypatch):
+    # c and d commute, so operands built from c's and from d's pure-swap as
+    # a whole; whether any pair raises depends on its words and coefficients
+    ctx = bf.Context(ORACLE_BASIS, ("t",), order=3, cap=5)
+    table = rewrite.RelationTable(ctx, [(1, 0, NCPoly(ctx, {(2,): ctx.param_poly("t")}))])
+    one, t2 = ctx.const_poly(1), ctx.param_poly("t") ** 2
+    for make in (lambda terms: NCPoly(ctx, terms),
+                 lambda terms: TensorNCPoly(ctx, 2, {(w, ()): c for w, c in terms.items()})):
+        left, right = make({(2,): one, (2, 2, 2): one}), make({(3,): one, (3, 3, 3): t2})
+        with pytest.raises(CapExceededError) as direct:
+            left * right
+        with pytest.raises(CapExceededError) as routed:
+            commutator(left, right, table)
+        assert str(routed.value) == str(direct.value) == (
+            "word c^3*d^3 exceeds generator-degree cap 5")
+        # the longest words pass the cap together, but their coefficients
+        # leave no room, so no pair raises, as in the product
+        quiet = make({(2,): one, (2, 2, 2): t2})
+        assert (quiet * right).terms
+        assert commutator(quiet, right, table).is_zero()
+        # words that fit the cap together: zero, with no product formed
+        fits = make({(2,): one, (2, 2): t2}), make({(3,): t2, (3, 3, 3): one})
+        calls = []
+        with monkeypatch.context() as patch:
+            for owner, name in ((rewrite, "normal_form_word"), (ParamPoly, "__mul__")):
+                fn = getattr(owner, name)
+                patch.setattr(owner, name,
+                              lambda *args, fn=fn: calls.append(args) or fn(*args))
+            assert commutator(*fits, table).is_zero()
+        assert calls == []
+
+
+def test_the_presentation_jacobi_sum_skips_copies_that_commute(monkeypatch):
+    # the wide document's two copies of @corrected commute: of its 220
+    # generator triples only the 2 * 20 within one copy can have a nonzero
+    # commutator; every other triple's three pure-swap
+    data = widegen().wide_document(corrected_document().to_dict(), 2, 1)
+    doc = bf.Document.from_dict(data)
+    table = doc.build_presentation(doc.make_context()).rel
+    calls = []
+
+    def counted(a, b, table):
+        calls.append((a, b))
+        return commutator(a, b, table)
+
+    monkeypatch.setattr(rewrite, "commutator", counted)
+    assert presentation_jacobi_defect(table) == {}
+    assert 0 < len(calls) <= 3 * 40
 
 
 def test_a_commutator_of_commuting_words_does_no_work(monkeypatch):
