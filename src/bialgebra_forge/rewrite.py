@@ -34,9 +34,9 @@ The pure-swap rule also holds for whole operands: when every letter of
 one commutes with every letter of the other, all their words are sorted
 and their longest words fit the cap together, every term pair would be
 skipped and none would raise, so the commutator is zero before its pair
-loop. The presentation Jacobi sum reads each stored bracket's reach (its
-letters and longest word) once, and skips the commutator of a bracket
-with a generator under the same rule.
+loop. The presentation Jacobi sum forms no commutator of an undeclared
+bracket, and the rule makes each of a bracket with a generator of a
+commuting copy zero at once.
 """
 
 from __future__ import annotations
@@ -370,13 +370,17 @@ def commutator(a, b, table: RelationTable):
     skipped first, as a*b skips it. Any other pair whose product word
     passes the cap raises the CapExceededError that a*b raises, at the
     same pair, whether it is skipped or not. So whole operands that
-    pure-swap (_pure_swaps) give zero before any pair is formed, and
-    operands whose longest words pass the cap together go through the
-    pair loop, which raises where a*b does."""
+    pure-swap give zero before any pair is formed, and operands whose
+    longest words pass the cap together go through the pair loop, which
+    raises where a*b does."""
     a._same_arity(b)
     cap, order = a.context.cap, a.context.order
-    if _pure_swaps(_reach(table, a), _reach(table, b), cap):
-        # every pair would be skipped below, and none would raise
+    a_letters, _, a_top = _reach(table, a)
+    _, b_commuting, b_top = _reach(table, b)
+    if not a_letters & ~b_commuting and a_top + b_top <= cap:
+        # every letter of a commutes with every letter of b and all words
+        # are sorted (an unsorted word sets every letter bit), so every
+        # pair would be skipped below, and none would raise
         return a._like({})
     split, join = a._factors, a._key
     right = [(k, c, c.min_degree(), *_shape(table, k, split(k)))
@@ -430,15 +434,6 @@ def _reach(table, a):
     return letters, commuting, longest
 
 
-def _pure_swaps(x, y, cap):
-    """Whether every term pair of operands reaching x and y (_reach)
-    pure-swaps and forms words within the cap: every letter of one
-    commutes with every letter of the other, with all words sorted (an
-    unsorted word sets every letter bit), and the longest words fit the
-    cap together. Their commutator is then zero."""
-    return not x[0] & ~y[1] and x[2] + y[2] <= cap
-
-
 def _beside(table, word, moves, budget):
     """The normal form of a factor's product word beside a bracket,
     through budget: the sorted merge when the factor pure-swaps, the word
@@ -458,24 +453,23 @@ def presentation_jacobi_defect(table: RelationTable) -> dict:
     nonzero entries only. An empty result certifies local confluence of
     the rewriting through the table's order.
 
-    Each stored bracket's reach (_reach) is read once; a commutator of a
-    bracket with a generator that pure-swaps (_pure_swaps) is zero and
-    is not formed."""
+    The stored brackets are read as they are: for i < j, [x_i, x_j] is
+    rhs[j, i] negated, so its commutator is subtracted instead, and an
+    undeclared (zero) bracket forms no commutator."""
     context = table.context
     n = len(context.basis)
+    rhs = table.rhs
     gens = [NCPoly.generator(context, g) for g in range(n)]
-    gen_reach = [_reach(table, g) for g in gens]
-    reach = {key: _reach(table, poly) for key, poly in table.rhs.items()}
-    nothing = (0, -1, 0)
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
+                # [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]
                 total = NCPoly.zero(context)
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    if not _pure_swaps(reach.get((max(x, y), min(x, y)), nothing),
-                                       gen_reach[z], context.cap):
-                        total += commutator(table.bracket_poly(x, y), gens[z], table)
+                for key, g, sign in (((j, i), k, -1), ((k, j), i, -1), ((k, i), j, 1)):
+                    if key in rhs:
+                        term = commutator(rhs[key], gens[g], table)
+                        total = total + term if sign > 0 else total - term
                 if total:
                     out[(i, j, k)] = total
     return out

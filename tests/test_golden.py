@@ -18,23 +18,20 @@ checks) write it to a scratch directory first; no path appears in any
 pinned output.
 
 The expected outputs are the files under tests/golden/, one JSON object
-{"exit", "stdout", "stderr"} per case. To compare every case with its
-golden file without writing anything, run
+{"exit", "stdout", "stderr"} per case. The exactness check is
 
-    PYTHONPATH=src python tests/test_golden.py --check
+    PYTHONPATH=src python -m pytest tests/test_golden.py
 
-which lists every case whose output changed (and every golden file no
-case reads) and exits 1 when there is any. After a deliberate change to
-the reports, rewrite them with
+which compares every case with its file and writes nothing. After a
+deliberate change to the reports, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which lists the same cases, says whether each one's exit code or any
-verdict moved, or only checks were added, and writes the new files; it
-exits 0 either way, so review the diff.
+which rewrites every changed file, lists each case whose output changed
+and says whether its exit code or any verdict moved, or only checks were
+added, and exits 1 when any moved; then review the diff.
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -335,25 +332,21 @@ def test_an_added_check_keeps_the_other_verdicts():
         assert _change(dict(added, exit=0), old) == "changed, EXIT CODE OR VERDICT MOVED"
 
 
-def _regenerate(check=False, golden=GOLDEN, cases=CASES):
-    """Compare each case with its file under golden and print each case
-    whose output changed and how its verdicts moved (_change). Unless
-    check is set, rewrite every changed file and remove every stale one.
-    Returns the exit status: with check, 1 when any case changed or any
-    file is stale, else 0."""
-    golden.mkdir(exist_ok=True)
-    current = {f"{c[0]}.json" for c in cases}
-    stale = [path for path in golden.glob("*.json") if path.name not in current]
-    for path in stale:
-        if not check:
-            path.unlink()
-        print(f"{path.stem}: {'stale' if check else 'removed'}")
+def _regenerate():
+    """Rewrite every golden file; print each case whose file changed and
+    how its verdicts moved (_change). Returns 1 when any moved, else 0."""
+    GOLDEN.mkdir(exist_ok=True)
+    current = {f"{c[0]}.json" for c in CASES}
+    for stale in GOLDEN.glob("*.json"):
+        if stale.name not in current:
+            stale.unlink()
+            print(f"{stale.stem}: removed")
     changed = moved = 0
     with tempfile.TemporaryDirectory() as scratch:
         paths = _prepare(Path(scratch))
-        for case, argv, setting, fmt in cases:
+        for case, argv, setting, fmt in CASES:
             result = _run(argv, setting, fmt, paths)
-            path = golden / f"{case}.json"
+            path = GOLDEN / f"{case}.json"
             text = json.dumps(result, indent=1) + "\n"
             old = path.read_text(encoding="utf-8") if path.exists() else None
             if text == old:
@@ -365,36 +358,11 @@ def _regenerate(check=False, golden=GOLDEN, cases=CASES):
                 change = _change(result, json.loads(old))
                 moved += "MOVED" in change
                 print(f"{case}: {change}")
-            if not check:
-                path.write_text(text, encoding="utf-8")
-    print(f"{changed} of {len(cases)} cases changed; "
+            path.write_text(text, encoding="utf-8")
+    print(f"{changed} of {len(CASES)} cases changed; "
           f"{moved} moved an exit code or a verdict")
-    return int(check and bool(changed or stale))
-
-
-def test_check_compares_and_writes_nothing(tmp_path, capsys):
-    cases = [c for c in CASES if c[0] in ("check-lie.o5.text", "check-colie.o5.text")]
-    for case, *_ in cases:
-        (tmp_path / f"{case}.json").write_bytes((GOLDEN / f"{case}.json").read_bytes())
-    assert _regenerate(check=True, golden=tmp_path, cases=cases) == 0
-    changed = tmp_path / "check-colie.o5.text.json"
-    changed.write_text(changed.read_text(encoding="utf-8").replace("[pass]", "[FAIL]"),
-                       encoding="utf-8")
-    (tmp_path / "gone.json").write_text("{}", encoding="utf-8")
-    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    assert _regenerate(check=True, golden=tmp_path, cases=cases) == 1
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
-    out = capsys.readouterr().out
-    assert "gone: stale" in out and "check-colie.o5.text: changed" in out
-    assert "1 of 2 cases changed" in out
-    assert _regenerate(golden=tmp_path, cases=cases) == 0
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-        f"{case}.json" for case, *_ in cases)
-    assert _regenerate(check=True, golden=tmp_path, cases=cases) == 0
+    return int(moved > 0)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Compare or rewrite the golden outputs.")
-    parser.add_argument("--check", action="store_true",
-                        help="compare only: write nothing, exit 1 when any case changed")
-    sys.exit(_regenerate(check=parser.parse_args().check))
+    sys.exit(_regenerate())

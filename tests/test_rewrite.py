@@ -402,22 +402,42 @@ def test_whole_operands_that_pure_swap_keep_the_cap_of_the_product(monkeypatch):
         assert calls == []
 
 
-def test_the_presentation_jacobi_sum_skips_copies_that_commute(monkeypatch):
-    # the wide document's two copies of @corrected commute: of its 220
-    # generator triples only the 2 * 20 within one copy can have a nonzero
-    # commutator; every other triple's three pure-swap
+def test_the_presentation_jacobi_sum_does_no_work_across_copies(monkeypatch):
+    # the wide document's two copies of @corrected commute: a commutator of
+    # a bracket with a generator of the other copy, or of a zero bracket,
+    # is zero and neither rewrites nor multiplies a coefficient
     data = widegen().wide_document(corrected_document().to_dict(), 2, 1)
     doc = bf.Document.from_dict(data)
     table = doc.build_presentation(doc.make_context()).rel
-    calls = []
+    copy = [name[-1] for name in table.context.basis.names]
+    calls, work, active = {"across": 0, "within": 0}, {"across": 0, "within": 0}, []
+
+    def copies(poly):
+        return {copy[g] for key in poly.terms for g in key}
 
     def counted(a, b, table):
-        calls.append((a, b))
-        return commutator(a, b, table)
+        side = "within" if copies(a) == copies(b) else "across"
+        calls[side] += 1
+        active.append(side)
+        try:
+            return commutator(a, b, table)
+        finally:
+            active.pop()
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            if active:
+                work[active[-1]] += 1
+            return fn(*args, **kwargs)
+        return counted
 
     monkeypatch.setattr(rewrite, "commutator", counted)
+    monkeypatch.setattr(rewrite, "normal_form_word", counting(normal_form_word))
+    monkeypatch.setattr(ParamPoly, "__mul__", counting(ParamPoly.__mul__))
     assert presentation_jacobi_defect(table) == {}
-    assert 0 < len(calls) <= 3 * 40
+    # of 220 triples, 2 * 20 lie within one copy
+    assert calls["across"] > 0 and calls["within"] <= 3 * 40
+    assert work["across"] == 0 and work["within"] > 0
 
 
 def test_a_commutator_of_commuting_words_does_no_work(monkeypatch):
