@@ -12,7 +12,7 @@ from bialgebra_forge.tensors import BracketTensor, CobracketTensor, check_four_p
 import double
 import gln
 from conftest import compositions5
-from test_golden import GATE_ENTRIES, MIXED_ENTRIES
+from test_golden import COJACOBI_ENTRIES, GATE_ENTRIES, MIXED_ENTRIES
 
 
 def _failing(roles) -> set:
@@ -61,7 +61,8 @@ def test_the_double_of_corrected_is_a_lie_algebra():
     assert double.failing_labels(*roles) == _failing(roles) == set()
 
 
-@pytest.mark.parametrize("added", [GATE_ENTRIES, MIXED_ENTRIES], ids=["gate", "mixed"])
+@pytest.mark.parametrize("added", [GATE_ENTRIES, MIXED_ENTRIES, COJACOBI_ENTRIES],
+                         ids=["gate", "mixed", "cojacobi"])
 def test_the_double_fails_the_golden_gate_labels(added):
     roles = _document_roles(added)
     failing = _failing(roles)

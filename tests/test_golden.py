@@ -13,9 +13,9 @@ on disk (the z1=z2=z diagonal, a copy of @corrected with one altered
 coproduct coefficient, a copy of the diagonal whose altered coproducts
 break the order-2 and order-3 expansion identities, and a copy of
 @corrected whose compositions gain entries that fail the antisymmetry,
-Jacobi and cocycle checks, and a copy whose added entries fail both mixed
-checks) write it to a scratch directory first; no path appears in any
-pinned output.
+Jacobi and cocycle checks, a copy whose added entries fail both mixed
+checks, and a copy whose one added delta_010 entry fails co-Jacobi) write
+it to a scratch directory first; no path appears in any pinned output.
 
 The expected outputs are the files under tests/golden/, one JSON object
 {"exit", "stdout", "stderr"} per case. The exactness check is
@@ -95,11 +95,20 @@ MIXED_ENTRIES = {
     ],
 }
 
+# One entry added to @corrected's delta_010: it stays antisymmetric but
+# fails co-Jacobi, mixed-cojacobi and both delta_010 cocycles, so the
+# co-Jacobi detail is pinned.
+COJACOBI_ENTRIES = {
+    "delta_010": [
+        {"lower": "p_x", "upper": ["p_x", "l_x"], "coeff": "1"},
+    ],
+}
+
 
 def _cases():
     """(case id, argv template, setting, format); '{diag}', '{altered}',
-    '{diag_altered}', '{gate}' and '{mixed}' stand for the documents
-    written by _prepare."""
+    '{diag_altered}', '{gate}', '{mixed}' and '{cojacobi}' stand for the
+    documents written by _prepare."""
     per_setting = [
         ("check-lie", ["check", "lie", "@corrected"]),
         ("check-colie", ["check", "colie", "@corrected"]),
@@ -121,6 +130,10 @@ def _cases():
         ("gate-check-four-pairs", ["check", "four-pairs", "{gate}"]),
         ("gate-family", ["family", "{gate}"]),
         ("gate-mixed-check-four-pairs", ["check", "four-pairs", "{mixed}"]),
+        ("gate-cojacobi-check-colie", ["check", "colie", "{cojacobi}"]),
+        ("gate-cojacobi-check-bialgebra-100-010",
+         ["check", "bialgebra", "mu_100", "delta_010", "{cojacobi}"]),
+        ("gate-cojacobi-check-four-pairs", ["check", "four-pairs", "{cojacobi}"]),
     ]
     for name in FIXTURES:
         fixture = bf.load_tangent_fixtures()[name]
@@ -146,7 +159,7 @@ CASES = _cases()
 
 def _prepare(directory: Path) -> dict:
     """Write the diagonal and its altered copy (per setting), the altered
-    document and the two gate documents."""
+    document and the three gate documents."""
     paths = {}
     for setting in GRID:
         diag = directory / f"diagonal-{setting}.json"
@@ -169,7 +182,8 @@ def _prepare(directory: Path) -> dict:
     altered = directory / "altered.json"
     altered.write_text(json.dumps(data))
     paths["altered"] = str(altered)
-    for key, added in (("gate", GATE_ENTRIES), ("mixed", MIXED_ENTRIES)):
+    for key, added in (("gate", GATE_ENTRIES), ("mixed", MIXED_ENTRIES),
+                       ("cojacobi", COJACOBI_ENTRIES)):
         data = bf.load_bundled("corrected").to_dict()
         for name, entries in added.items():
             data["compositions"][name]["entries"] += entries
@@ -183,7 +197,7 @@ def _run(argv, setting, fmt, paths) -> dict:
     argv = [
         a.format(diag=paths.get(("diag", setting)), altered=paths["altered"],
                  diag_altered=paths.get(("diag_altered", setting)), gate=paths["gate"],
-                 mixed=paths["mixed"])
+                 mixed=paths["mixed"], cojacobi=paths["cojacobi"])
         for a in argv
     ] + SETTINGS[setting] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
