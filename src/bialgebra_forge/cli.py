@@ -28,10 +28,7 @@ from .hopf import (
     solve_antipode, specialize,
 )
 from .rewrite import presentation_jacobi_defect
-from .tensors import (
-    antisymmetry_defect, build_family, check_four_pairs, cocycle_defect,
-    cojacobi_defect, jacobi_defect,
-)
+from .tensors import build_family, check_four_pairs, cocycle_defect, lie_checks
 
 _BUNDLED = {"@corrected": "corrected", "@verbatim": "verbatim"}
 
@@ -147,10 +144,6 @@ def _add_report(report, defect_report):
 _FOUR_ROLES = ("mu_100", "mu_001", "delta_010", "delta_001")
 _FOUR_KINDS = ("bracket", "bracket", "cobracket", "cobracket")
 
-# check target -> (composition kind, Jacobi check name, Jacobi defect)
-_JACOBI = {"lie": ("bracket", "jacobi", jacobi_defect),
-           "colie": ("cobracket", "cojacobi", cojacobi_defect)}
-
 
 def _compositions(doc, context, names, kinds, command) -> list:
     """The named compositions as tensors, one per kind in kinds (a single
@@ -174,22 +167,16 @@ def cmd_check(args) -> int:
     doc, context = _open(args)
     which, names, command = args.which, args.names, f"check {args.which}"
     report = Report(command, _settings(context))
-    if which in _JACOBI:
-        kind, check, defect = _JACOBI[which]
+    if which in ("lie", "colie"):
+        kind = "bracket" if which == "lie" else "cobracket"
         names = names or doc.composition_names(kind)
         checks = {}
-        for name, tensor in zip(names, _compositions(doc, context, names, kind, command)):
-            checks[f"antisymmetry {name}"] = antisymmetry_defect(tensor)
-            checks[f"{check} {name}"] = defect(tensor)
+        for labelled in zip(names, _compositions(doc, context, names, kind, command)):
+            checks.update(lie_checks([labelled], []) if which == "lie"
+                          else lie_checks([], [labelled]))
     elif which == "bialgebra":
         mu, delta = _compositions(doc, context, names, ("bracket", "cobracket"), command)
-        checks = {
-            f"antisymmetry {names[0]}": antisymmetry_defect(mu),
-            f"antisymmetry {names[1]}": antisymmetry_defect(delta),
-            f"jacobi {names[0]}": jacobi_defect(mu),
-            f"cojacobi {names[1]}": cojacobi_defect(delta),
-            f"cocycle ({names[0]},{names[1]})": cocycle_defect(mu, delta),
-        }
+        checks = lie_checks([(names[0], mu)], [(names[1], delta)])
     else:
         names = names or _FOUR_ROLES
         checks = check_four_pairs(*_compositions(doc, context, names, _FOUR_KINDS, command))
@@ -312,6 +299,8 @@ def cmd_expand(args) -> int:
         raise InputError(f"--up-to needs three integer exponent bounds, got {args.up_to!r}")
     if len(up_to) != 3:
         raise InputError("--up-to needs three exponent bounds")
+    if min(up_to) < 0:
+        raise InputError(f"--up-to bounds must not be negative, got {args.up_to!r}")
     report = Report("expand", _settings(context))
     table = extract_coefficients(H, up_to=up_to, roles=roles)
     names = context.basis.names

@@ -14,12 +14,18 @@ cobracket. The constructor reads the raw (key, value) pairs once:
 - a diagonal key reads zero and records 2v.
 
 So antisymmetry is a reported observable, and every other check reads
-the one antisymmetric tensor; `oriented()` is its plain +- view. The
-Jacobi and mixed sums multiply only pairs of oriented values that share
-the summed index, so for n generators they cost O(stored values) on
-sparse tensors rather than O(n^5); the cocycle defect reads each
-tensor's values once, grouped by generator pair (`brackets()`) and by
-generator (`wedges()`).
+the one antisymmetric tensor; `oriented()` is its plain +- view.
+
+Every other Lie-data check comes from one Jacobi pass (`lie_checks`).
+By Drinfeld's Manin-triple criterion, (g, delta) is a Lie bialgebra
+exactly when the double g + g* is a Lie algebra, so Jacobi, co-Jacobi,
+the mixed checks and the cocycle conditions are the parameter monomials
+of the double's Jacobi identity. The pass reads three of its blocks:
+e e e -> e (Jacobi), f f f -> f (co-Jacobi) and e e f -> e (the
+cocycle), the last with its wedge kept as a < b; the other blocks
+repeat these. It multiplies only values that share the summed index, so
+for n generators it costs O(stored values) on sparse tensors rather
+than O(n^5).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from .errors import HypothesisError, InputError, MismatchedBasesError
 from .params import ParamPoly, substitution
 from .scalars import ONE, Scalar
-from .sparse import accumulate
+from .sparse import accumulate, deduct
 
 
 class Basis:
@@ -172,18 +178,6 @@ class BracketTensor(_ConstantTensor):
         i, j, k = key
         return f"C^{names[k]}_{names[i]},{names[j]}"
 
-    def brackets(self) -> dict:
-        """Every nonzero [x_i, x_j], keyed (i, j), as a map generator
-        index -> ParamPoly."""
-        out = {}
-        for (a, b, k), v in self.oriented().items():
-            out.setdefault((a, b), {})[k] = v
-        return out
-
-    def bracket(self, i, j) -> dict:
-        """[x_i, x_j] as a map generator index -> ParamPoly."""
-        return self.brackets().get((i, j), {})
-
 
 class CobracketTensor(_ConstantTensor):
     """D_i^jk, antisymmetric in (j, k)."""
@@ -201,24 +195,6 @@ class CobracketTensor(_ConstantTensor):
     def _key_str(key, names):
         i, j, k = key
         return f"D_{names[i]}^{names[j]},{names[k]}"
-
-    def wedges(self) -> dict:
-        """Every delta(x_i), keyed i, as canonical wedge coefficients
-        {(a<b): ParamPoly}."""
-        out = {}
-        for (m, a, b), v in self.entries.items():
-            out.setdefault(m, {})[(a, b)] = v
-        return out
-
-    def wedge_of(self, i) -> dict:
-        """delta(x_i) as canonical wedge coefficients {(a<b): ParamPoly}."""
-        return self.wedges().get(i, {})
-
-    def dual_bracket(self) -> BracketTensor:
-        """The bracket on the dual space, C^i_jk := D_i^jk: the canonical
-        key (i, j<k) of each value becomes the canonical key (j<k, i)."""
-        return BracketTensor(self.basis, self.params, self.order,
-                             {(j, k, i): v for (i, j, k), v in self.entries.items()})
 
 
 def rescale_basis(tensor, scales):
@@ -245,19 +221,7 @@ def rescale_basis(tensor, scales):
     return tensor.map_entries(scaled)
 
 
-# -- wedge helpers -----------------------------------------------------------
-
-
-def _wedge_add(acc, a, b, value):
-    if a == b or not value:
-        return
-    if a > b:
-        a, b = b, a
-        value = -value
-    accumulate(acc, (a, b), value)
-
-
-# -- defect computations -----------------------------------------------------
+# -- Lie data: one Jacobi pass over the Drinfeld double -----------------------
 
 
 def antisymmetry_defect(tensor) -> dict:
@@ -267,58 +231,108 @@ def antisymmetry_defect(tensor) -> dict:
     return dict(tensor.antisymmetry)
 
 
-def _cyclic_defect(pairs) -> dict:
-    """sum over (first, second) in pairs of the cyclic sum
-    sum_m F^m_ij S^l_mk + F^m_jk S^l_mi + F^m_ki S^l_mj, for i<j<k.
+def _jacobi_to_g(brackets, cobrackets, n, out):
+    """Add the terms of the double's Jacobi sum with output in g to
+    out[(tag, tag)], for brackets C (tagged values (i<j, k) -> C^k_ij)
+    and cobrackets D (tagged values (a<b, m) -> D_m^ab).
 
-    Only oriented values meet: F^m_ab S^l_mc is a term exactly when
-    (a, b, c) is a cyclic order of three distinct generators, and it
-    counts under (i, j, k, l) = (sorted(a, b, c), l)."""
-    out = {}
-    for first, second in pairs:
-        by_m = {}
-        for (m, c, l), s in second.oriented().items():
-            by_m.setdefault(m, []).append((c, l, s))
-        for (a, b, m), f in first.oriented().items():
-            for c, l, s in by_m.get(m, ()):
-                if a < b < c or b < c < a or c < a < b:
-                    term = f * s
-                    if term:
-                        accumulate(out, (*sorted((a, b, c)), l), term)
-    return out
+    The double's generators are e_i (index i) and f^a (index n + a), and
+    its values [x, y] -> w are C^k_ij (e_i, e_j -> e_k), D_m^ab
+    (e_m, f^a -> e_b) and -C^k_ij (e_i, f^k -> f^j). A Jacobi term is
+    [x, y]^m [m, z]^l: the first factor is read canonical only (x < y),
+    and the term counts with the sign of the permutation (x, y, z) under
+    the sorted triple and l. Only the blocks e e e -> e and e e f -> e
+    are formed, the latter at f^a with a < l only; the other blocks
+    repeat them."""
+    firsts = []   # (x, y, m, tag, negated, value): [x, y] -> m, x < y
+    seconds = {}  # m -> [(z, l, tag, negated, value)]: [m, z] -> e_l
+    for tag, values in brackets:
+        for (i, j, k), c in values.items():
+            firsts.append((i, j, k, tag, False, c))
+            for a, b, negated in ((i, j, False), (j, i, True)):
+                seconds.setdefault(a, []).append((b, k, tag, negated, c))
+                if cobrackets:
+                    firsts.append((a, n + k, n + b, tag, not negated, c))
+    for tag, values in cobrackets:
+        for (a, b, m), d in values.items():
+            seconds.setdefault(m, []).append((n + a, b, tag, False, d))  # a < b
+            for p, q, negated in ((a, b, False), (b, a, True)):
+                firsts.append((m, n + p, q, tag, negated, d))
+                seconds.setdefault(n + p, []).append((m, q, tag, not negated, d))
+    for x, y, m, first_tag, first_negated, f in firsts:
+        for z, l, tag, negated, s in seconds.get(m, ()):
+            if z == x or z == y or y >= n and (z >= n or y - n >= l):
+                continue  # not three generators, two duals, or a reversed wedge
+            if z > y:
+                key = (x, y, z, l)
+            elif z > x:
+                key, negated = (x, z, y, l), not negated
+            else:
+                key = (z, x, y, l)
+            term = f * s  # zero when the degrees sum above the order
+            if term:
+                acc = out.setdefault((min(first_tag, tag), max(first_tag, tag)), {})
+                (deduct if negated is not first_negated else accumulate)(acc, key, term)
+
+
+def lie_checks(brackets, cobrackets) -> dict:
+    """Every Lie-data check of one or two brackets and one or two
+    cobrackets, each given as (label, tensor), mapped to its defects in
+    report order: antisymmetry of each; jacobi of each bracket, cojacobi
+    of each cobracket; mixed-jacobi (mixed-cojacobi) when there are two
+    brackets (cobrackets); the cocycle of each (bracket, cobracket) pair.
+
+    By Drinfeld's Manin-triple criterion these are the parameter
+    monomials of one identity: the Jacobi identity of the double g + g*
+    of the pencils sum p_mu mu and sum p_delta delta. Each composition
+    is tagged by its position, and a term's pencil monomial is the pair
+    of tags of its two factors. The defect of e e e -> e is the Jacobi
+    defect J^l_ijk (i<j<k), that of f f f -> f the co-Jacobi one, and the
+    e_l coefficient of J(e_i, e_j, f^a) is the (a, l) wedge component of
+    delta([x_i, x_j]) - ad_xi delta(x_j) + ad_xj delta(x_i)."""
+    labelled = [*brackets, *cobrackets]
+    for _, tensor in labelled[1:]:
+        labelled[0][1].same_shape(tensor)
+    n = len(labelled[0][1].basis) if labelled else 0
+    mu_values = [(p, tensor.entries) for p, (_, tensor) in enumerate(brackets)]
+    # a cobracket's values as its dual bracket's: D_m^ab keyed (a, b, m)
+    delta_values = [(q, {(a, b, m): d for (m, a, b), d in tensor.entries.items()})
+                    for q, (_, tensor) in enumerate(cobrackets, len(brackets))]
+    by_monomial = {}
+    _jacobi_to_g(mu_values, delta_values, n, by_monomial)
+    # f f f -> f is the e e e -> e block of the dual pair's double
+    _jacobi_to_g(delta_values, [], n, by_monomial)
+
+    def read(p, q):
+        return by_monomial.get((p, q), {})
+
+    names = [label for label, _ in labelled]
+    mus, deltas = range(len(brackets)), range(len(brackets), len(labelled))
+    checks = {f"antisymmetry {label}": antisymmetry_defect(t) for label, t in labelled}
+    checks.update((f"jacobi {names[p]}", read(p, p)) for p in mus)
+    checks.update((f"cojacobi {names[q]}", read(q, q)) for q in deltas)
+    if len(mus) == 2:
+        checks["mixed-jacobi"] = read(*mus)
+    if len(deltas) == 2:
+        checks["mixed-cojacobi"] = read(*deltas)
+    for p in mus:
+        for q in deltas:
+            cocycle = {}
+            for (i, j, a, b), value in read(p, q).items():
+                cocycle.setdefault((i, j), {})[(a - n, b)] = value
+            checks[f"cocycle ({names[p]},{names[q]})"] = cocycle
+    return checks
 
 
 def jacobi_defect(mu: BracketTensor) -> dict:
     """J^l_ijk = sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj,
     reported for i<j<k."""
-    return _cyclic_defect(((mu, mu),))
+    return lie_checks([("mu", mu)], [])["jacobi mu"]
 
 
 def cojacobi_defect(delta: CobracketTensor) -> dict:
     """Co-Jacobi defect: the Jacobi defect of the dual bracket."""
-    return jacobi_defect(delta.dual_bracket())
-
-
-def mixed_jacobi_defect(mu_a: BracketTensor, mu_b: BracketTensor) -> dict:
-    """Bilinear cross term: Jacobi(x*a + y*b) = x^2 J(a) + xy*this + y^2 J(b)."""
-    mu_a.same_shape(mu_b)
-    return _cyclic_defect(((mu_a, mu_b), (mu_b, mu_a)))
-
-
-def mixed_cojacobi_defect(d_a: CobracketTensor, d_b: CobracketTensor) -> dict:
-    return mixed_jacobi_defect(d_a.dual_bracket(), d_b.dual_bracket())
-
-
-def _ad_wedge(brackets: dict, i, wedge) -> dict:
-    """(ad_xi (x) id + id (x) ad_xi) applied to a wedge element, with
-    brackets as read by BracketTensor.brackets."""
-    out = {}
-    for (a, b), w in wedge.items():
-        for c, v in brackets.get((i, a), {}).items():
-            _wedge_add(out, c, b, w * v)
-        for c, v in brackets.get((i, b), {}).items():
-            _wedge_add(out, a, c, w * v)
-    return out
+    return lie_checks([], [("delta", delta)])["cojacobi delta"]
 
 
 def cocycle_defect(mu: BracketTensor, delta: CobracketTensor) -> dict:
@@ -326,26 +340,9 @@ def cocycle_defect(mu: BracketTensor, delta: CobracketTensor) -> dict:
 
         delta([x_i, x_j]) - ad_{x_i} delta(x_j) + ad_{x_j} delta(x_i)
 
-    with ad acting factorwise on wedges. All-zero iff (mu, delta) is a
-    Lie bialgebra.
-    """
-    mu.same_shape(delta)
-    brackets, wedges = mu.brackets(), delta.wedges()
-    n = len(mu.basis)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = {}
-            for m, c in brackets.get((i, j), {}).items():
-                for (a, b), w in wedges.get(m, {}).items():
-                    _wedge_add(acc, a, b, w * c)
-            for (a, b), w in _ad_wedge(brackets, i, wedges.get(j, {})).items():
-                _wedge_add(acc, a, b, -w)
-            for (a, b), w in _ad_wedge(brackets, j, wedges.get(i, {})).items():
-                _wedge_add(acc, a, b, w)
-            if acc:
-                out[(i, j)] = acc
-    return out
+    with ad acting factorwise on wedges, as canonical wedge components.
+    All-zero iff (mu, delta) is a Lie bialgebra."""
+    return lie_checks([("mu", mu)], [("delta", delta)])["cocycle (mu,delta)"]
 
 
 # -- four-pair hypothesis and family builder -----------------------------------
@@ -355,29 +352,12 @@ FAMILY_PARAMS = ("z1", "t", "z2", "h")
 
 
 def check_four_pairs(mu_100, mu_001, delta_010, delta_001) -> dict:
-    """Hypotheses of the two-deformation construction: all four inputs
-    antisymmetric, both brackets Lie, both cobrackets co-Lie, the mixed
-    defects zero, and all four (bracket, cobracket) pairs compatible. Each
-    check's label maps to its defects, in report order; the hypothesis
-    holds iff all are empty."""
-    for other in (mu_001, delta_010, delta_001):
-        mu_100.same_shape(other)
-    return {
-        "antisymmetry mu_001": antisymmetry_defect(mu_001),
-        "antisymmetry mu_100": antisymmetry_defect(mu_100),
-        "antisymmetry delta_001": antisymmetry_defect(delta_001),
-        "antisymmetry delta_010": antisymmetry_defect(delta_010),
-        "jacobi mu_001": jacobi_defect(mu_001),
-        "jacobi mu_100": jacobi_defect(mu_100),
-        "cojacobi delta_001": cojacobi_defect(delta_001),
-        "cojacobi delta_010": cojacobi_defect(delta_010),
-        "mixed-jacobi": mixed_jacobi_defect(mu_100, mu_001),
-        "mixed-cojacobi": mixed_cojacobi_defect(delta_010, delta_001),
-        "cocycle (mu_001,delta_001)": cocycle_defect(mu_001, delta_001),
-        "cocycle (mu_001,delta_010)": cocycle_defect(mu_001, delta_010),
-        "cocycle (mu_100,delta_001)": cocycle_defect(mu_100, delta_001),
-        "cocycle (mu_100,delta_010)": cocycle_defect(mu_100, delta_010),
-    }
+    """Hypotheses of the two-deformation construction (lie_checks): all
+    four inputs antisymmetric, both brackets Lie, both cobrackets co-Lie,
+    the mixed defects zero, and all four (bracket, cobracket) pairs
+    compatible. The hypothesis holds iff every defect is empty."""
+    return lie_checks([("mu_001", mu_001), ("mu_100", mu_100)],
+                      [("delta_001", delta_001), ("delta_010", delta_010)])
 
 
 @dataclass

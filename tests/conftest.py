@@ -80,8 +80,7 @@ def kernel_counts(argv):
     multiplies (ParamPoly.__mul__ calls)."""
     kernel = rewrite.normal_form_word.__code__
     lookup = rewrite.RelationTable.bracket_poly
-    multiply = ParamPoly.__mul__
-    steps = multiplies = 0
+    steps = 0
 
     def counted_lookup(table, a, b):
         nonlocal steps
@@ -89,20 +88,32 @@ def kernel_counts(argv):
             steps += 1
         return lookup(table, a, b)
 
+    rewrite.RelationTable.bracket_poly = counted_lookup
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, multiplies = coefficient_products(main, argv)
+    finally:
+        rewrite.RelationTable.bracket_poly = lookup
+    return code, steps, multiplies
+
+
+def coefficient_products(fn, *args):
+    """fn(*args) and the coefficient multiplies (ParamPoly.__mul__
+    calls) it made."""
+    multiply = ParamPoly.__mul__
+    multiplies = 0
+
     def counted_multiply(a, b):
         nonlocal multiplies
         multiplies += 1
         return multiply(a, b)
 
-    rewrite.RelationTable.bracket_poly = counted_lookup
     ParamPoly.__mul__ = counted_multiply
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+        result = fn(*args)
     finally:
-        rewrite.RelationTable.bracket_poly = lookup
         ParamPoly.__mul__ = multiply
-    return code, steps, multiplies
+    return result, multiplies
 
 
 def rewrite_steps(argv):

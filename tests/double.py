@@ -22,11 +22,12 @@ into the conditions of `check_four_pairs`:
     p_mu p_delta                cocycle (mu, delta)
 
 The double reads each tensor's canonical (antisymmetric) values, so the
-antisymmetry labels have no monomial.
+antisymmetry labels have no monomial. Its Jacobi sum is the plain cyclic
+sum below, not the library's, so it stays an independent oracle.
 """
 
 from bialgebra_forge.params import ParamPoly
-from bialgebra_forge.tensors import Basis, BracketTensor, jacobi_defect
+from bialgebra_forge.tensors import Basis, BracketTensor
 
 ROLES = ("mu_100", "mu_001", "delta_010", "delta_001")
 
@@ -79,10 +80,27 @@ def double(mu_100, mu_001, delta_010, delta_001) -> BracketTensor:
     return BracketTensor(basis, params, order, entries)
 
 
+def jacobi(bracket) -> dict:
+    """J^l_ijk = sum_m C^m_ij C^l_mk + C^m_jk C^l_mi + C^m_ki C^l_mj for
+    i<j<k: every pair of oriented values that share the summed index m,
+    kept when (a, b, c) is a cyclic order of three generators."""
+    values = bracket.oriented()
+    by_m = {}
+    for (m, c, l), s in values.items():
+        by_m.setdefault(m, []).append((c, l, s))
+    out = {}
+    for (a, b, m), f in values.items():
+        for c, l, s in by_m.get(m, ()):
+            if a < b < c or b < c < a or c < a < b:
+                key = (*sorted((a, b, c)), l)
+                out[key] = out[key] + f * s if key in out else f * s
+    return {key: value for key, value in out.items() if value}
+
+
 def failing_labels(mu_100, mu_001, delta_010, delta_001) -> set:
     """The check_four_pairs labels whose pencil monomial has a nonzero
     Jacobi defect on the double."""
-    defect = jacobi_defect(double(mu_100, mu_001, delta_010, delta_001))
+    defect = jacobi(double(mu_100, mu_001, delta_010, delta_001))
     out = set()
     for value in defect.values():
         for exps in value.terms:

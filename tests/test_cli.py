@@ -9,6 +9,8 @@ import bialgebra_forge as bf
 from bialgebra_forge import cli
 from bialgebra_forge.cli import main
 
+from test_golden import COJACOBI_ENTRIES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -21,6 +23,57 @@ def test_check_four_pairs_passes(capsys):
     assert code == 0
     assert "theorem hypotheses satisfied" in out
     assert "result: PASS" in out
+
+
+FOUR_PAIRS_REPEATED = """\
+# check four-pairs
+settings: cap=10, order=5, parameters=t,h,z1,z2, slack=2
+[pass] antisymmetry mu_001
+[pass] antisymmetry mu_100
+[pass] antisymmetry delta_001
+[pass] antisymmetry delta_010
+[pass] jacobi mu_001
+[pass] jacobi mu_100
+[pass] cojacobi delta_001
+[pass] cojacobi delta_010
+[pass] mixed-jacobi
+[pass] mixed-cojacobi
+[pass] cocycle (mu_001,delta_001)
+[pass] cocycle (mu_001,delta_010)
+[pass] cocycle (mu_100,delta_001)
+[pass] cocycle (mu_100,delta_010)
+[pass] theorem hypotheses satisfied
+note: corrected copy: the transcription source lists the bracket key [p_y,l_x] twice; \
+the second occurrence is stored here as [p_y,l_y] (confirmed by both tangent fields), \
+and its contraction 'tly' in [l_y,l_x] is stored as 't*l_y'
+result: PASS
+"""
+
+
+def test_four_pairs_tags_each_role_by_position(tmp_path, capsys):
+    """One composition named in two roles counts as two: on @corrected
+    the report keeps its role labels, and on the co-Jacobi gate document
+    (a delta_010 entry that fails co-Jacobi) delta_010 in both cobracket
+    roles fails mixed-cojacobi with twice its co-Jacobi defect."""
+    argv = ["check", "four-pairs", "mu_100", "mu_100", "delta_010", "delta_010"]
+    assert run(capsys, *argv, "@corrected") == (0, FOUR_PAIRS_REPEATED, "")
+    data = bf.load_bundled("corrected").to_dict()
+    for name, entries in COJACOBI_ENTRIES.items():
+        data["compositions"][name]["entries"] += entries
+    path = tmp_path / "cojacobi.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, *argv, str(path))
+    failing = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    cocycle = ("(p_x,p_y) -> {(p_x,p_y): -1}; (p_x,p_z) -> {(p_x,p_z): -1}; "
+               "(p_x,l_y) -> {(p_x,l_y): 1}; (p_x,l_z) -> {(p_x,l_z): 1}")
+    assert code == 1 and failing == [
+        "[FAIL] cojacobi delta_001: (p_x,l_y,l_z,p_x): i",
+        "[FAIL] cojacobi delta_010: (p_x,l_y,l_z,p_x): i",
+        "[FAIL] mixed-cojacobi: (p_x,l_y,l_z,p_x): 2*i",
+        *(f"[FAIL] cocycle ({mu},{delta}): {cocycle}"
+          for mu in ("mu_001", "mu_100") for delta in ("delta_001", "delta_010")),
+        "[FAIL] theorem hypotheses satisfied",
+    ]
 
 
 def test_check_lie_and_colie(capsys):
@@ -116,13 +169,15 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert "(0," not in err
-    # expand bounds that are not integers, and one parameter in two roles
-    for flag, value, message in (
-        ("--up-to", "x,1,1", "--up-to needs three integer exponent bounds"),
-        ("--roles", "t,t,h", "name one parameter twice"),
+    # expand bounds that are not integers or are negative, and one
+    # parameter in two roles
+    for flags, message in (
+        (["--up-to", "x,1,1"], "--up-to needs three integer exponent bounds"),
+        (["--up-to=-1,2,2"], "--up-to bounds must not be negative, got '-1,2,2'"),
+        (["--roles", "t,t,h"], "name one parameter twice"),
     ):
-        code, out, err = run(capsys, "expand", "@corrected", flag, value)
-        assert code == 2 and out == "", (flag, value)
+        code, out, err = run(capsys, "expand", "@corrected", *flags)
+        assert code == 2 and out == "", flags
         assert err.startswith("error: ") and message in err
     # a tangent base point that is not a scalar
     code, out, err = run(capsys, "tangent", "@corrected", "--direction", "h",

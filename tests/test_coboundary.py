@@ -15,7 +15,9 @@ from bialgebra_forge.tensors import (
     BracketTensor, CobracketTensor, build_family, check_four_pairs, cocycle_defect,
 )
 
+import double
 import gln
+from conftest import coefficient_products, compositions5
 
 SIZES = st.integers(2, 4)
 COCYCLE_LABELS = ("cocycle (mu_001,delta_001)", "cocycle (mu_001,delta_010)",
@@ -101,6 +103,21 @@ def test_an_off_diagonal_term_fails_cojacobi_but_no_cocycle():
         assert not any(report[label] for label in COCYCLE_LABELS)
 
 
+def test_the_four_pair_pass_reads_each_block_once():
+    """Coefficient products of check_four_pairs: 8 on @corrected, 1,320
+    on the gl_3 and 4,496 on the gl_4 instance. The separate defect
+    functions that the Jacobi pass over the double replaced took 9, 1,368
+    and 4,592; forming a block the pass leaves out (it repeats one it
+    reads) or a wedge in both orientations would raise them."""
+    corrected = [compositions5()[name] for name in double.ROLES]
+    report, products = coefficient_products(check_four_pairs, *corrected)
+    assert _failing(report) == [] and products == 8
+    for n, expected in ((3, 1320), (4, 4496)):
+        roles = _roles(n, gln.four_pairs(n, gln.cartan_r(n, {(0, 1): 3})))
+        report, products = coefficient_products(check_four_pairs, *roles)
+        assert _failing(report) == [] and products == expected, n
+
+
 def _check_bialgebra(n, mu, delta):
     """Exit code and pass flags of `check bialgebra mu delta` on a gl_n
     document."""
@@ -116,16 +133,55 @@ def _check_bialgebra(n, mu, delta):
     return code, {c["check"]: c["pass"] for c in checks}
 
 
+def _pair_double(n, mu, delta):
+    """The double of one pair, as the roles mu_100 and delta_010 of
+    tests/double.py with the other two zero."""
+    zero_mu, zero_delta = _tensor(n, "bracket", {}), _tensor(n, "cobracket", {})
+    return (_tensor(n, "bracket", mu), zero_mu, _tensor(n, "cobracket", delta), zero_delta)
+
+
+def _swapped(bracket) -> dict:
+    """A double's oriented values with g and g* exchanged: e_i and f^i
+    trade places, and so do the pencil parameters of mu_100 and
+    delta_010."""
+    n = len(bracket.basis) // 2
+    p, q = bracket.params.index("p_mu_100"), bracket.params.index("p_delta_010")
+
+    def swap(exps):
+        exps = list(exps)
+        exps[p], exps[q] = exps[q], exps[p]
+        return tuple(exps)
+
+    return {
+        tuple(g + n if g < n else g - n for g in key): {swap(e): c for e, c in v.terms.items()}
+        for key, v in bracket.oriented().items()
+    }
+
+
+# swapping g and g* exchanges these labels and keeps the cocycle
+_SWAP = {"jacobi mu_100": "cojacobi delta_010", "cojacobi delta_010": "jacobi mu_100"}
+
+
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(data=st.data(), n=SIZES, drop=st.booleans())
 def test_the_dual_pair_gets_the_same_verdict(data, n, drop):
-    """(mu, delta) and (delta^T, mu^T) are Lie bialgebras together; one
-    dropped cobracket entry makes both FAIL the cocycle label."""
+    """(mu, delta) and (delta^T, mu^T) have one double: exchanging g and
+    g* maps the one onto the other. So the dual pair fails the same
+    labels with jacobi and cojacobi exchanged and the cocycle in place,
+    and `check bialgebra` gives both the same verdict; one dropped
+    cobracket entry makes both FAIL the cocycle label."""
     mu = gln.bracket(n)
     delta = gln.coboundary(n, gln.wedge_sum(gln.standard_r(n), data.draw(_cartans(n))))
     if drop:
         dropped = data.draw(st.sampled_from(sorted(delta)))
         delta = {k: v for k, v in delta.items() if k != dropped}
+    pair = _pair_double(n, mu, delta)
+    dual_pair = _pair_double(n, gln.dual_bracket(delta), gln.dual_cobracket(mu))
+    assert _swapped(double.double(*dual_pair)) == {
+        key: v.terms for key, v in double.double(*pair).oriented().items()}
+    labels = double.failing_labels(*pair)
+    assert ("cocycle (mu_100,delta_010)" in labels) is drop
+    assert double.failing_labels(*dual_pair) == {_SWAP.get(label, label) for label in labels}
     code, checks = _check_bialgebra(n, mu, delta)
     dual_code, dual_checks = _check_bialgebra(
         n, gln.dual_bracket(delta), gln.dual_cobracket(mu))

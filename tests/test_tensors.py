@@ -10,8 +10,7 @@ from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import (
     Basis, BracketTensor, CobracketTensor, DeformationFamily, antisymmetry_defect,
     build_family, check_four_pairs, cocycle_defect, cocycle_monomial_split,
-    cojacobi_defect, jacobi_defect, mixed_cojacobi_defect, mixed_jacobi_defect,
-    rescale_basis,
+    cojacobi_defect, jacobi_defect, lie_checks, rescale_basis,
 )
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
@@ -36,8 +35,32 @@ def brute_jacobi(mu):
     return out
 
 
+def dual_bracket(delta):
+    """The bracket on the dual space, C^i_jk := D_i^jk."""
+    return BracketTensor(delta.basis, delta.params, delta.order,
+                         {(j, k, i): v for (i, j, k), v in delta.entries.items()})
+
+
 def brute_cojacobi(delta):
-    return brute_jacobi(delta.dual_bracket())
+    return brute_jacobi(dual_bracket(delta))
+
+
+def bracket(mu, i, j) -> dict:
+    """[x_i, x_j] as a map generator index -> value."""
+    return {k: v for (a, b, k), v in mu.oriented().items() if (a, b) == (i, j)}
+
+
+def wedge(delta, i) -> dict:
+    """delta(x_i) as canonical wedge coefficients {(a<b): value}."""
+    return {(a, b): v for (m, a, b), v in delta.entries.items() if m == i}
+
+
+def mixed_jacobi(mu_a, mu_b) -> dict:
+    return lie_checks([("a", mu_a), ("b", mu_b)], [])["mixed-jacobi"]
+
+
+def mixed_cojacobi(d_a, d_b) -> dict:
+    return lie_checks([], [("a", d_a), ("b", d_b)])["mixed-cojacobi"]
 
 
 # -- antisymmetry ---------------------------------------------------------------
@@ -119,7 +142,7 @@ def test_cojacobi_detects_corruption(ctx):
 
 def test_mixed_of_equal_arguments_is_twice_jacobi(ctx, comps):
     mu = _corrupted_mu001(ctx)
-    mixed = mixed_jacobi_defect(mu, mu)
+    mixed = mixed_jacobi(mu, mu)
     single = jacobi_defect(mu)
     assert set(mixed) == set(single)
     for key, value in mixed.items():
@@ -127,7 +150,7 @@ def test_mixed_of_equal_arguments_is_twice_jacobi(ctx, comps):
 
 
 def test_initial_pair_of_brackets_is_compatible(comps):
-    assert mixed_jacobi_defect(comps["mu_100"], comps["mu_001"]) == {}
+    assert mixed_jacobi(comps["mu_100"], comps["mu_001"]) == {}
 
 
 def test_mixed_jacobi_matches_symbolic_pencil(ctx, comps):
@@ -153,7 +176,7 @@ def test_mixed_jacobi_matches_symbolic_pencil(ctx, comps):
             square_y[key] = yy.constant_term()
     mixed = {
         key: value.constant_term()
-        for key, value in mixed_jacobi_defect(mu_a, mu_b).items()
+        for key, value in mixed_jacobi(mu_a, mu_b).items()
     }
     single = {
         key: value.constant_term() for key, value in jacobi_defect(mu_b).items()
@@ -163,7 +186,7 @@ def test_mixed_jacobi_matches_symbolic_pencil(ctx, comps):
 
 
 def test_mixed_jacobi_detects_corruption(ctx, comps):
-    mixed = mixed_jacobi_defect(comps["mu_100"], _corrupted_mu001(ctx))
+    mixed = mixed_jacobi(comps["mu_100"], _corrupted_mu001(ctx))
     assert mixed
 
 
@@ -175,8 +198,8 @@ def test_cocycle_worked_example(comps):
     -(i/2) p_x^p_y, so the defect vanishes."""
     mu, delta = comps["mu_001"], comps["delta_001"]
     lhs = {}
-    for m, c in mu.bracket(P_Z, P_X).items():
-        for (a, b), w in delta.wedge_of(m).items():
+    for m, c in bracket(mu, P_Z, P_X).items():
+        for (a, b), w in wedge(delta, m).items():
             lhs[(a, b)] = lhs.get((a, b), mu._zero()) + w * c
     half_i = ParamPoly.const(mu.params, mu.order, Scalar(0, Fraction(-1, 2)))
     assert lhs == {(P_X, P_Y): half_i}
@@ -200,10 +223,10 @@ def test_both_orientations_count_once(ctx, comps):
     defect; given inconsistently, it reads half the difference and
     reports the sum."""
     small = BracketTensor(ctx.basis, (), 0, {(0, 1, 2): 1, (1, 0, 2): -1})
-    assert small.bracket(0, 1) == {2: small.value(0, 1, 2)}
+    assert bracket(small, 0, 1) == {2: small.value(0, 1, 2)}
     assert small.entries == BracketTensor(ctx.basis, (), 0, {(1, 0, 2): -1}).entries
     skew = BracketTensor(ctx.basis, (), 0, {(0, 1, 2): 1, (1, 0, 2): 3})
-    assert skew.bracket(0, 1) == {2: ParamPoly.const((), 0, -1)}
+    assert bracket(skew, 0, 1) == {2: ParamPoly.const((), 0, -1)}
     assert antisymmetry_defect(skew) == {(0, 1, 2): ParamPoly.const((), 0, 4)}
     mu = comps["mu_100"]
     both = BracketTensor(ctx.basis, ctx.params, ctx.order, [
@@ -212,7 +235,7 @@ def test_both_orientations_count_once(ctx, comps):
     assert both.entries == mu.entries and antisymmetry_defect(both) == {}
     n = len(ctx.basis)
     for i, j in product(range(n), repeat=2):
-        assert both.bracket(i, j) == mu.bracket(i, j), (i, j)
+        assert bracket(both, i, j) == bracket(mu, i, j), (i, j)
     delta = CobracketTensor(ctx.basis, ctx.params, ctx.order, {
         (L_X, L_Z, L_Y): I, (P_Y, L_Y, L_Z): ONE,
     })
@@ -252,6 +275,24 @@ def test_four_pairs_sign_flip_localizes_to_delta001_pairs(ctx, comps):
         assert "delta_001" in label
     assert not report["cocycle (mu_100,delta_010)"]
     assert not report["cocycle (mu_001,delta_010)"]
+
+
+def test_lie_checks_reports_in_order(comps):
+    """Antisymmetry of each composition, then jacobi of each bracket,
+    cojacobi of each cobracket, the mixed checks of two of a kind and
+    the cocycle of each (bracket, cobracket) pair."""
+    mu, delta = comps["mu_100"], comps["delta_010"]
+    assert list(lie_checks([("m", mu)], [])) == ["antisymmetry m", "jacobi m"]
+    assert list(lie_checks([], [("d", delta)])) == ["antisymmetry d", "cojacobi d"]
+    assert list(lie_checks([("m", mu)], [("d", delta)])) == [
+        "antisymmetry m", "antisymmetry d", "jacobi m", "cojacobi d", "cocycle (m,d)"]
+    assert list(check_four_pairs(
+        comps["mu_100"], comps["mu_001"], comps["delta_010"], comps["delta_001"])) == [
+        "antisymmetry mu_001", "antisymmetry mu_100", "antisymmetry delta_001",
+        "antisymmetry delta_010", "jacobi mu_001", "jacobi mu_100", "cojacobi delta_001",
+        "cojacobi delta_010", "mixed-jacobi", "mixed-cojacobi",
+        "cocycle (mu_001,delta_001)", "cocycle (mu_001,delta_010)",
+        "cocycle (mu_100,delta_001)", "cocycle (mu_100,delta_010)"]
 
 
 # -- family builder -----------------------------------------------------------------------------
@@ -339,7 +380,7 @@ def test_two_orientation_cobracket_fails_antisymmetry_and_reads_one_cobracket(ct
     two = ParamPoly.const(ctx.params, ctx.order, 2)
     assert antisymmetry_defect(delta) == {(L_Z, P_X, P_Y): two}
     assert delta == CobracketTensor(ctx.basis, ctx.params, ctx.order)
-    assert cojacobi_defect(delta) == {} and delta.wedges() == {}
+    assert cojacobi_defect(delta) == {} and delta.entries == {}
     for name in ("mu_100", "mu_001"):
         assert cocycle_defect(comps[name], delta) == {}
     report = check_four_pairs(comps["mu_100"], comps["mu_001"], comps["delta_010"], delta)
@@ -620,18 +661,18 @@ def test_sparse_sums_match_dense_references(seed):
     dmu_a, dmu_b, dd_a, dd_b = (dense[name] for name in ("mu_a", "mu_b", "d_a", "d_b"))
     assert jacobi_defect(mu_a) == _dense_cyclic(n, ((dmu_a, dmu_a),))
     assert cojacobi_defect(d_a) == _dense_cyclic(n, ((_dual(dd_a),) * 2,))
-    assert mixed_jacobi_defect(mu_a, mu_b) == _dense_cyclic(
+    assert mixed_jacobi(mu_a, mu_b) == _dense_cyclic(
         n, ((dmu_a, dmu_b), (dmu_b, dmu_a)))
     dual_a, dual_b = _dual(dd_a), _dual(dd_b)
-    assert mixed_cojacobi_defect(d_a, d_b) == _dense_cyclic(
+    assert mixed_cojacobi(d_a, d_b) == _dense_cyclic(
         n, ((dual_a, dual_b), (dual_b, dual_a)))
     for (mu, dmu), (delta, ddelta) in (((mu_a, dmu_a), (d_a, dd_a)),
                                        ((mu_b, dmu_b), (d_b, dd_b))):
         assert cocycle_defect(mu, delta) == _dense_cocycle(n, dmu, ddelta)
         for i, j in product(range(n), repeat=2):
-            assert mu.bracket(i, j) == _dense_bracket(n, dmu, i, j), (i, j)
+            assert bracket(mu, i, j) == _dense_bracket(n, dmu, i, j), (i, j)
         for i in range(n):
-            assert delta.wedge_of(i) == _dense_wedge(n, ddelta, i), i
+            assert wedge(delta, i) == _dense_wedge(n, ddelta, i), i
     for x, y in (("mu_a", "mu_b"), ("mu_b", "mu_b"), ("d_a", "d_b")):
         assert (tensors[x] == tensors[y]) is (dense[x] == dense[y])
     for name, (cls, pairs) in raw.items():
