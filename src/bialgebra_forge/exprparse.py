@@ -30,11 +30,13 @@ context's order: it parses at order + slack, parses again at order + the
 summed divisor degrees when those exceed the slack, and cuts the result
 to the context's order, through which it is exact. Both parses read one
 token list and one memo, keyed by parse order and source text, of each
-identifier, parenthesised group and exp/sinh/cosh call read; a build
-shares one memo (Document.build_presentation). A repeated group or call
-skips to its ')' and adds to the loss the divisor degrees its first
-parse added, so the decision to parse again is unchanged. No error is
-stored, and a repeat nested too deep for its height is parsed again.
+identifier, parenthesised group and exp/sinh/cosh call read, and of each
+power: a factor's text through its '^' natural, such as t^2, p_x^3 or
+(t/z2)^2. A build shares one memo (Document.build_presentation). A
+repeated group or call skips to its ')' and a repeated power is not
+raised again; each adds to the loss the divisor degrees its first parse
+added, so the decision to parse again is unchanged. No error is stored,
+and a repeat nested too deep for its height is parsed again.
 A product with a word-free factor scales the other factor's
 coefficients rather than multiplying word by word.
 '(x)' is always read as the tensor-join token, never as a parenthesised
@@ -175,8 +177,9 @@ class Parser:
     """One parse of a lexed expression at context's order. source is the
     text, its token lists and their _closing table. memo, which the
     caller owns for one context, maps (order, text) of an identifier to
-    its value and of a group or call to (numerator, pending divisor,
-    loss, nesting height)."""
+    its value, of a group or call to (numerator, pending divisor, loss,
+    nesting height) and of a power to (numerator, pending divisor,
+    loss)."""
 
     def __init__(self, context: Context, source, memo: dict):
         self.context = context
@@ -219,14 +222,19 @@ class Parser:
         self.loss += sum(value.den.values())
         return poly
 
+    def _text_key(self, start, end):
+        """The memo key of the text from token start through token end:
+        the parse order and that text, without the blanks after it."""
+        return (self.context.order,
+                self.text[self.positions[start]:self.positions[end + 1]].rstrip())
+
     def _memoised(self, start, opened, parse) -> _Value:
         """parse(), which reads from token start to the ')' closing the
         '(' at token opened, or the memo's value for that text."""
         close = self.closing.get(opened)
         if close is None:  # unclosed: parse() raises
             return parse()
-        text = self.text[self.positions[start]:self.positions[close] + 1]
-        key = (self.context.order, text)
+        key = self._text_key(start, close)
         entry = self.memo.get(key)
         if entry is not None and self.depth + entry[3] <= MAX_NESTING:
             poly, den, loss, height = entry
@@ -294,6 +302,7 @@ class Parser:
         return value
 
     def _factor(self) -> _Value:
+        start = self.at
         kind = self._peek()
         if self.depth == MAX_NESTING:
             self._fail(f"expression nested more than {MAX_NESTING} levels deep")
@@ -313,7 +322,7 @@ class Parser:
         else:
             self._fail(f"unexpected token {self.values[self.at]!r}")
         self.depth -= 1
-        return self._postfix(value)
+        return self._postfix(start, value)
 
     def _group(self) -> _Value:
         self._expect("LPAREN")
@@ -366,34 +375,51 @@ class Parser:
             )
         return NCPoly.generator(context, index)
 
-    def _postfix(self, value: _Value) -> _Value:
+    def _postfix(self, start, value: _Value) -> _Value:
+        """value, the factor read from token start, with each '^' natural
+        and '/' divisor that follows applied in turn."""
         while True:
             kind = self._peek()
             if kind == "CARET":
                 self._next()
-                at = self._expect("NUMBER")
-                n = self.values[at]
-                if value.is_tensor():
-                    self._fail("'^' cannot raise tensor expressions", at)
-                # a divisor that divides exactly costs its degree once,
-                # not once per factor of the power
-                if value.den:
-                    try:
-                        value = _Value(self._resolve(value))
-                    except InexactDivisionError:
-                        pass
-                # the constant term, with any pending division applied
-                exps = tuple(value.den.get(name, 0) for name in self.context.params)
-                constant = value.poly.coefficient(()).terms.get(exps, ZERO)
-                check_power(constant, n)
-                value = _Value(value.poly ** n, {
-                    name: power * n for name, power in value.den.items()
-                })
+                value = self._power(start, self._expect("NUMBER"), value)
             elif kind == "SLASH":
                 self._next()
                 value = self._division(value)
             else:
                 return value
+
+    def _power(self, start, at, value: _Value) -> _Value:
+        """value, the factor read from token start, raised to the natural
+        at token at. The memo keys the power by (order, the factor's text
+        through its exponent) and keeps (numerator, pending divisor, loss
+        of the exact division applied here), so a repeat is raised once;
+        its base was read already, identifier or group memo hit and all."""
+        key = self._text_key(start, at)
+        entry = self.memo.get(key)
+        if entry is not None:
+            poly, den, loss = entry
+            self.loss += loss
+            return _Value(poly, den)
+        n = self.values[at]
+        if value.is_tensor():
+            self._fail("'^' cannot raise tensor expressions", at)
+        loss = self.loss
+        # a divisor that divides exactly costs its degree once, not once
+        # per factor of the power
+        if value.den:
+            try:
+                value = _Value(self._resolve(value))
+            except InexactDivisionError:
+                pass
+        # the constant term, with any pending division applied
+        exps = tuple(value.den.get(name, 0) for name in self.context.params)
+        constant = value.poly.coefficient(()).terms.get(exps, ZERO)
+        check_power(constant, n)
+        poly = value.poly ** n
+        den = {name: power * n for name, power in value.den.items()}
+        self.memo[key] = (poly, den, self.loss - loss)
+        return _Value(poly, den)
 
     def _division(self, value: _Value) -> _Value:
         if self._peek() == "NUMBER":

@@ -16,7 +16,6 @@ and by factorwise normalisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from operator import add
 
 from .errors import CapExceededError, InputError, NonTerminatingSeriesError
@@ -411,17 +410,25 @@ def tensor(*factors: NCPoly) -> TensorNCPoly:
 # -- elementary series -------------------------------------------------------
 
 
-def _series_coeffs(fn: str, max_k: int):
-    fact = Fraction(1)
-    for k in range(max_k + 1):
-        if k:
-            fact *= k
-        if fn == "exp":
-            yield k, Scalar(Fraction(1) / fact)
-        elif fn == "sinh" and k % 2 == 1:
-            yield k, Scalar(Fraction(1) / fact)
-        elif fn == "cosh" and k % 2 == 0:
-            yield k, Scalar(Fraction(1) / fact)
+# 1/k! at index k, exact; _series_coeffs replaces it by a longer tuple
+# on demand, so a reader never sees it half extended
+_INVERSE_FACTORIALS = (ONE,)
+# the (first k, step) of the nonzero Taylor terms of each series at 0
+_SERIES_TERMS = {"exp": (0, 1), "sinh": (1, 2), "cosh": (0, 2)}
+
+
+def _series_coeffs(fn: str, max_k: int) -> list:
+    """The (k, 1/k!) pairs of fn's Taylor series at 0 through degree
+    max_k: every k for exp, odd k for sinh, even k for cosh. Each 1/k!
+    is read from one module table of Scalars, which grows through max_k
+    the first time a larger max_k is asked for; no entry is rewritten."""
+    global _INVERSE_FACTORIALS
+    table = _INVERSE_FACTORIALS
+    for k in range(len(table), max_k + 1):
+        table += (table[-1] / k,)
+    _INVERSE_FACTORIALS = table
+    first, step = _SERIES_TERMS[fn]
+    return [(k, table[k]) for k in range(first, max_k + 1, step)]
 
 
 def series_apply(fn: str, arg: NCPoly) -> NCPoly:
@@ -430,7 +437,7 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
     Every term of arg must carry parameter degree >= 1 so that the
     series terminates at the context's order.
     """
-    if fn not in ("exp", "sinh", "cosh"):
+    if fn not in _SERIES_TERMS:
         raise InputError(f"unknown series function {fn!r}")
     if arg.terms and arg.min_param_degree() == 0:
         raise NonTerminatingSeriesError(

@@ -77,10 +77,13 @@ def terms_through(poly, degree):
 def kernel_counts(argv):
     """Exit code of the CLI run argv, its rewrite steps (the bracket_poly
     lookups made by rewrite.normal_form_word itself) and its coefficient
-    multiplies (ParamPoly.__mul__ calls)."""
+    multiplies (ParamPoly.__mul__ calls), counted apart: those made
+    inside Document.build_presentation, which parses the document, and
+    all the others, which the checks make."""
     kernel = rewrite.normal_form_word.__code__
     lookup = rewrite.RelationTable.bracket_poly
-    steps = 0
+    build = bf.Document.build_presentation
+    steps = built = 0
 
     def counted_lookup(table, a, b):
         nonlocal steps
@@ -88,13 +91,21 @@ def kernel_counts(argv):
             steps += 1
         return lookup(table, a, b)
 
+    def counted_build(doc, context):
+        nonlocal built
+        presentation, multiplies = coefficient_products(build, doc, context)
+        built += multiplies
+        return presentation
+
     rewrite.RelationTable.bracket_poly = counted_lookup
+    bf.Document.build_presentation = counted_build
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code, multiplies = coefficient_products(main, argv)
     finally:
         rewrite.RelationTable.bracket_poly = lookup
-    return code, steps, multiplies
+        bf.Document.build_presentation = build
+    return code, steps, built, multiplies - built
 
 
 def coefficient_products(fn, *args):
@@ -118,7 +129,7 @@ def coefficient_products(fn, *args):
 
 def rewrite_steps(argv):
     """Exit code of the CLI run argv, and its rewrite steps (kernel_counts)."""
-    code, steps, _ = kernel_counts(argv)
+    code, steps, *_ = kernel_counts(argv)
     return code, steps
 
 

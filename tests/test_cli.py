@@ -169,11 +169,14 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert "(0," not in err
-    # expand bounds that are not integers or are negative, and one
+    # expand bounds that are not integers or are below 1, and one
     # parameter in two roles
     for flags, message in (
         (["--up-to", "x,1,1"], "--up-to needs three integer exponent bounds"),
         (["--up-to=-1,2,2"], "--up-to bounds must not be negative, got '-1,2,2'"),
+        # the order-2 and order-3 checks read every role's degree-1 terms
+        (["--roles", "t,h,z1", "--up-to", "0,2,2"],
+         "--up-to bounds must be at least 1, got '0,2,2'"),
         (["--roles", "t,t,h"], "name one parameter twice"),
     ):
         code, out, err = run(capsys, "expand", "@corrected", *flags)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from bialgebra_forge import ncpoly
 from bialgebra_forge.errors import (
     CapExceededError, InexactDivisionError, InputError, NonTerminatingSeriesError,
 )
@@ -103,6 +105,28 @@ def test_series_coefficients_match_sympy(fn):
         if c:
             expected[k] = Scalar(Fraction(int(c.p), int(c.q)))
     assert dict(_series_coeffs(fn, 12)) == expected
+
+
+def _inverse_factorial(k):
+    return Scalar(Fraction(1, math.factorial(k)))
+
+
+def test_the_series_table_holds_inverse_factorials():
+    _series_coeffs("exp", 40)
+    assert ncpoly._INVERSE_FACTORIALS[:41] == tuple(map(_inverse_factorial, range(41)))
+
+
+def test_the_series_table_grows_on_demand(monkeypatch):
+    monkeypatch.setattr(ncpoly, "_INVERSE_FACTORIALS", (ONE,))
+    assert _series_coeffs("cosh", 3) == [(0, ONE), (2, _inverse_factorial(2))]
+    small = ncpoly._INVERSE_FACTORIALS
+    assert small == tuple(map(_inverse_factorial, range(4)))
+    assert _series_coeffs("sinh", 9) == [(k, _inverse_factorial(k)) for k in (1, 3, 5, 7, 9)]
+    grown = ncpoly._INVERSE_FACTORIALS
+    assert grown == tuple(map(_inverse_factorial, range(10)))
+    # a smaller request reads the table and leaves it as it is
+    assert _series_coeffs("exp", 2) == [(k, _inverse_factorial(k)) for k in range(3)]
+    assert ncpoly._INVERSE_FACTORIALS is grown
 
 
 def test_exp_of_zero_is_unit():

@@ -17,7 +17,7 @@ from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, series_apply
 from bialgebra_forge.scalars import I, Scalar
 from bialgebra_forge.tensors import Basis
 
-from conftest import context5, corrected_document, widegen
+from conftest import context5, corrected_document, diagonal5, widegen
 
 CTX = context5()
 IDX = CTX.basis.index
@@ -352,6 +352,13 @@ def test_a_repeated_group_expands_its_series_once_per_build(monkeypatch):
     assert presentation_diff(first, second) == []
 
 
+class _Unkept(dict):
+    """A parse memo that keeps nothing, so every read parses afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def _memo_cases():
     corrected = corrected_document()
     for order in (5, 8, 12):
@@ -359,6 +366,15 @@ def _memo_cases():
     for seed in (1, 2):
         data = widegen().wide_document(corrected.to_dict(), 2, seed)
         yield pytest.param(bf.Document.from_dict(data), {}, id=f"wide-seed{seed}")
+    # multi-term unit series raised to powers, at an order above the
+    # one they were written through
+    data = widegen().wide_document(corrected.to_dict(), 2, 3)
+    yield pytest.param(bf.Document.from_dict(data), dict(order=7, cap=14), id="wide-seed3-o7")
+    # emitted text: expanded polynomials full of parameter and generator
+    # powers
+    diagonal = bf.presentation_document(diagonal5())
+    for order in (5, 8):
+        yield pytest.param(diagonal, dict(order=order, cap=2 * order), id=f"diagonal-o{order}")
 
 
 @pytest.mark.parametrize("doc, settings_", list(_memo_cases()))
@@ -367,11 +383,79 @@ def test_a_shared_memo_builds_what_fresh_parses_build(doc, settings_, monkeypatc
     shared = doc.build_presentation(ctx)
     with monkeypatch.context() as patch:
         patch.setattr(document, "parse_expr",
-                      lambda text, context, _memo: parse_expr(text, context))
-        patch.setattr(document, "parse_coefficient",
-                      lambda text, context, _memo: parse_coefficient(text, context))
+                      lambda text, context, _memo: parse_expr(text, context, _memo=_Unkept()))
+        patch.setattr(document, "parse_coefficient", lambda text, context, _memo:
+                      parse_coefficient(text, context, _memo=_Unkept()))
         fresh = doc.build_presentation(ctx)
     assert presentation_diff(shared, fresh) == []
+
+
+def _parsed(text, context, memo):
+    """The value and the loss of one Parser pass over text at context's
+    order, reading and filling memo."""
+    kinds, values, positions = exprparse._lex(text)
+    source = (text, kinds, values, positions, exprparse._closing(kinds))
+    parser = exprparse.Parser(context, source, memo)
+    return parser.parse(), parser.loss
+
+
+POWER_TEXTS = [
+    # identifiers, a blank inside one repeat
+    "t^2*p_x + t^2*p_y - p_x^3 + h*p_x^3 + t ^ 2*l_x",
+    # a group whose pending division stays inexact through the power ...
+    "(t/z2)^2*z2^2*p_x + (t/z2)^2*z2^3*p_y",
+    # ... and one that divides exactly before it, a degree lost per read
+    "(t*z2/z2)^3*p_x + h*(t*z2/z2)^3 - (t*z2/z2)^3*l_y",
+    # groups without divisions
+    "(t+h*p_x)^2*p_y + p_y*(t+h*p_x)^2 - (2*t-i*l_z)^3",
+    # series calls
+    "exp(h*p_x)^2 - t*exp(h*p_x)^2 + sinh(z1*p_y)^3*cosh(z1*p_y)^2",
+    # chains, unary minus and a power after a divisor
+    "t^2^2*p_x + (t^2)^2*p_y - (-t)^2*l_x - -t^2*l_y + (h*p_x)/2^3^2",
+]
+
+
+def test_a_shared_memo_raises_what_an_unkept_memo_raises():
+    shared = {}
+    for ctx in (CTX, replace(CTX, order=CTX.order + CTX.slack)):
+        for text in POWER_TEXTS * 2:  # the second round reads every power from the memo
+            assert _parsed(text, ctx, shared) == _parsed(text, ctx, _Unkept()), text
+    for text in ("t^2", "(t/z2)^2", "(t*z2/z2)^3", "(t+h*p_x)^2", "exp(h*p_x)^2",
+                 "t^2^2", "(h*p_x)/2^3^2"):
+        assert (CTX.order, text) in shared, text
+    assert (CTX.order, "t ^ 2") in shared
+    # the exact division is a lost degree on every read, memo or not
+    _, loss = _parsed("(t*z2/z2)^3*p_x + (t*z2/z2)^3*p_y", CTX, shared)
+    assert loss == 2
+
+
+def test_a_build_raises_each_distinct_power_once(monkeypatch):
+    """One build of the emitted z1=z2=z diagonal document raises each
+    distinct (order, power text) once, however often it is read."""
+    doc = bf.presentation_document(diagonal5())
+    reads, raised = collections.Counter(), collections.Counter()
+    power, raise_ = exprparse.Parser._power, NCPoly.__pow__
+    calls = 0
+
+    def counted_raise(poly, n):
+        nonlocal calls
+        calls += 1
+        return raise_(poly, n)
+
+    def counted_power(parser, start, at, value):
+        key = parser._text_key(start, at)
+        reads[key] += 1
+        before = calls
+        value = power(parser, start, at, value)
+        raised[key] += calls - before
+        return value
+
+    monkeypatch.setattr(NCPoly, "__pow__", counted_raise)
+    monkeypatch.setattr(exprparse.Parser, "_power", counted_power)
+    doc.build_presentation(doc.make_context())
+    assert dict(raised) == dict.fromkeys(reads, 1)
+    assert calls == len(reads)
+    assert sum(reads.values()) > 2 * len(reads)
 
 
 def test_a_build_parses_each_distinct_group_once(monkeypatch):
