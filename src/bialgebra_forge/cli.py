@@ -19,7 +19,7 @@ from .document import (
 )
 from .errors import ForgeError, HypothesisError, InputError
 from .expansion import (
-    compare_field, extract_coefficients, tangent_field, verify_order2,
+    check_roles, compare_field, extract_coefficients, tangent_field, verify_order2,
     verify_order3_thz,
 )
 from .exprparse import parse_scalar_text
@@ -289,7 +289,6 @@ def _coefficients(kind, multi, tensor, names) -> str:
 
 def cmd_expand(args) -> int:
     doc, context = _open(args)
-    H = doc.build_presentation(context)
     roles = tuple(args.roles.split(","))
     if len(roles) != 3:
         raise InputError("--roles needs three parameter names (t,h,z order)")
@@ -304,6 +303,8 @@ def cmd_expand(args) -> int:
     if min(up_to) == 0:
         # the order-2 and order-3 checks read each role's degree-1 terms
         raise InputError(f"--up-to bounds must be at least 1, got {args.up_to!r}")
+    check_roles(roles, context.params)
+    H = doc.build_presentation(context)
     report = Report("expand", _settings(context))
     table = extract_coefficients(H, up_to=up_to, roles=roles)
     names = context.basis.names

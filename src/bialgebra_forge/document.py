@@ -47,6 +47,13 @@ def _known_keys(data: dict, known, what) -> None:
             )
 
 
+def _pair_and_single(kind, entry) -> tuple:
+    """The (pair, single) sides of a composition entry: a bracket
+    [x, y] -> z holds its pair as lower, a cobracket z -> x ^ y as upper."""
+    lower, upper = entry.get("lower"), entry.get("upper")
+    return (lower, upper) if kind == "bracket" else (upper, lower)
+
+
 def _strings(data, key) -> list:
     """data[key] (default empty), a JSON list of strings."""
     return [_typed(s, str, f"{key} item") for s in _typed(data.get(key, []), list, key)]
@@ -134,11 +141,7 @@ class Document:
             if kind not in ("bracket", "cobracket"):
                 raise DocumentError(f"composition {name!r} has bad kind {kind!r}")
             for entry in comp.get("entries", []):
-                lower, upper = entry.get("lower"), entry.get("upper")
-                if kind == "bracket":
-                    pair, single = lower, upper
-                else:
-                    pair, single = upper, lower
+                pair, single = _pair_and_single(kind, entry)
                 if (
                     not isinstance(pair, (list, tuple)) or len(pair) != 2
                     or not all(isinstance(g, str) and g in gens for g in (*pair, single))
@@ -200,12 +203,9 @@ class Document:
         index = context.basis.index
         pairs = []
         for entry in comp.get("entries", []):
-            if comp["kind"] == "bracket":
-                a, b = entry["lower"]
-                key = (index[a], index[b], index[entry["upper"]])
-            else:
-                a, b = entry["upper"]
-                key = (index[entry["lower"]], index[a], index[b])
+            (a, b), single = _pair_and_single(comp["kind"], entry)
+            i, j, k = index[a], index[b], index[single]
+            key = (i, j, k) if cls is BracketTensor else (k, i, j)
             pairs.append((key, parse_coefficient(entry["coeff"], context)))
         return cls(context.basis, context.params, context.order, pairs)
 

@@ -72,16 +72,22 @@ class CoefficientTable:
         return bad
 
 
+def check_roles(roles, params) -> None:
+    """roles must name distinct parameters of params; an input error
+    names the fault."""
+    if len(set(roles)) != len(roles):
+        raise InputError(f"roles {roles} name one parameter twice")
+    if set(roles) - set(params):
+        raise InputError(f"presentation lacks parameters {roles}")
+
+
 def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", "z")) -> CoefficientTable:
     """Collect the bracket and cobracket coefficients of a 3-parameter
     presentation per parameter monomial within the given per-parameter
     exponent bounds; every coefficient has total degree at most the
     presentation's order, through which it is exact."""
     params = H.context.params
-    if len(set(roles)) != len(roles):
-        raise InputError(f"roles {roles} name one parameter twice")
-    if set(roles) - set(params):
-        raise InputError(f"presentation lacks parameters {roles}")
+    check_roles(roles, params)
     idx = [params.index(r) for r in roles]
     basis = H.context.basis
     n = len(basis)
@@ -97,11 +103,11 @@ def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", 
 
     for i in range(n):
         for j in range(i + 1, n):
-            for k, coeff in H.rel.bracket_poly(i, j).v_part().items():
+            for (k,), coeff in H.rel.bracket_poly(i, j).linear_part().terms.items():
                 collect(coeff, mu, (i, j, k))
     for i in range(n):
         d = H.coproduct_word((i,))
-        for (a, b), coeff in (d - d.flip()).vv_part().items():
+        for ((a,), (b,)), coeff in (d - d.flip()).linear_part().terms.items():
             if a < b:
                 collect(coeff.scale(_HALF), delta, (i, a, b))
     return CoefficientTable(
@@ -135,25 +141,33 @@ def verify_order2(table: CoefficientTable) -> DefectReport:
         "hz": ((0, 0, 1), (0, 1, 0)),
     }
     for name, (mu_multi, delta_multi) in components.items():
-        defect = order2_component_defect(table, mu_multi, delta_multi)
+        defect = order2_component_defect(table, [(mu_multi, delta_multi)])
         report.add(
-            "order-2", name, _DictDefect(defect, table.basis),
+            name, _DictDefect(defect, table.basis),
             location=lambda: f"mu_{''.join(map(str, mu_multi))} with "
                              f"delta_{''.join(map(str, delta_multi))}",
         )
     return report
 
 
-def order2_component_defect(table, mu_multi, delta_multi) -> dict:
-    """delta([x,y]) - ad_x delta(y) + ad_y delta(x) for the bracket at
-    mu_multi and the cobracket at delta_multi (tensors.cocycle_defect),
-    as {(x, y): {(a, b): Scalar}} with both orientations (a, b) -> v and
-    (b, a) -> -v of each wedge entry."""
-    mu = table.mu.get(mu_multi, BracketTensor(table.basis, (), 0))
-    delta = table.delta.get(delta_multi, CobracketTensor(table.basis, (), 0))
-    wedges = cocycle_defect(mu, delta)
+def order2_component_defect(table, pairs) -> dict:
+    """The sum of delta([x,y]) - ad_x delta(y) + ad_y delta(x) over the
+    (mu multi, delta multi) pairs, each for the bracket at mu multi and
+    the cobracket at delta multi (tensors.cocycle_defect), as
+    {(x, y): {(a, b): Scalar}} with both orientations (a, b) -> v and
+    (b, a) -> -v of each nonzero wedge entry of the sum."""
+    wedges = {}
+    for mu_multi, delta_multi in pairs:
+        mu = table.mu.get(mu_multi, BracketTensor(table.basis, (), 0))
+        delta = table.delta.get(delta_multi, CobracketTensor(table.basis, (), 0))
+        for pair, wedge in cocycle_defect(mu, delta).items():
+            summed = wedges.setdefault(pair, {})
+            for key, value in wedge.items():
+                accumulate(summed, key, value)
     out = {}
     for pair, wedge in wedges.items():
+        if not wedge:
+            continue
         entries = out[pair] = {}
         for (a, b), value in wedge.items():
             entries[(a, b)] = value.constant_term()
@@ -166,15 +180,9 @@ def verify_order3_thz(table: CoefficientTable) -> DefectReport:
     defects of the (mu, delta) pairs (110, 001), (101, 010), (001, 110)
     and (100, 011)."""
     table.require([multi for pair in _THZ_PAIRS for multi in pair])
-    out = {}
-    for mu_multi, delta_multi in _THZ_PAIRS:
-        for pair, entries in order2_component_defect(table, mu_multi, delta_multi).items():
-            acc = out.setdefault(pair, {})
-            for key, value in entries.items():
-                accumulate(acc, key, value)
-    out = {pair: entries for pair, entries in out.items() if entries}
     report = DefectReport("order-3-thz")
-    report.add("order-3", "thz", _DictDefect(out, table.basis))
+    defect = order2_component_defect(table, _THZ_PAIRS)
+    report.add("thz", _DictDefect(defect, table.basis))
     return report
 
 
@@ -248,10 +256,7 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
                 field_obj.mu[(i, j)] = sliced
     for g in range(n):
         d = H.coproduct_word((g,))
-        vv = TensorNCPoly(H.context, 2, {
-            (w1, w2): c for (w1, w2), c in d.terms.items()
-            if len(w1) == 1 and len(w2) == 1
-        })
+        vv = d.linear_part()
         sliced = (vv - vv.flip()).map_coeffs(slice_coeff, rcontext)
         if sliced:
             field_obj.delta[g] = sliced

@@ -54,10 +54,8 @@ from dataclasses import replace
 from operator import attrgetter, sub
 from types import MappingProxyType
 
-from .errors import (
-    CapExceededError, ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
-)
-from .ncpoly import Context, NCPoly, TensorNCPoly, series_apply, tensor
+from .errors import ExprSyntaxError, InexactDivisionError, UnknownIdentifierError
+from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error, series_apply, tensor
 from .params import ParamPoly
 from .scalars import I, ONE, ZERO, Scalar, check_power
 
@@ -159,6 +157,15 @@ def _divide(value, den: dict):
     return value.map_coeffs(divide)
 
 
+def _monomial_product(left: dict, right: dict) -> dict:
+    """The product of two parameter monomials {name: power}, left's
+    names first: the one merge of pending divisors."""
+    out = dict(left)
+    for name, power in right.items():
+        out[name] = out.get(name, 0) + power
+    return out
+
+
 def _product(left, right):
     """left * right for two NCPoly values. A word-free side multiplies
     the other's coefficients, in the order the generic product would; no
@@ -177,9 +184,8 @@ class Parser:
     """One parse of a lexed expression at context's order. source is the
     text, its token lists and their _closing table. memo, which the
     caller owns for one context, maps (order, text) of an identifier to
-    its value, of a group or call to (numerator, pending divisor, loss,
-    nesting height) and of a power to (numerator, pending divisor,
-    loss)."""
+    its value and of a group, call or power to (numerator, pending
+    divisor, loss, nesting height) (_memoised)."""
 
     def __init__(self, context: Context, source, memo: dict):
         self.context = context
@@ -228,23 +234,26 @@ class Parser:
         return (self.context.order,
                 self.text[self.positions[start]:self.positions[end + 1]].rstrip())
 
-    def _memoised(self, start, opened, parse) -> _Value:
-        """parse(), which reads from token start to the ')' closing the
-        '(' at token opened, or the memo's value for that text."""
-        close = self.closing.get(opened)
-        if close is None:  # unclosed: parse() raises
-            return parse()
-        key = self._text_key(start, close)
+    def _memoised(self, start, end, parse, *args) -> _Value:
+        """parse(*args), which reads from token start through token end,
+        or the memo's value for that text. end is the ')' closing a group
+        or call (None when unclosed: parse raises) or the exponent of a
+        power, whose parse only raises its base, read already. An entry
+        is (numerator, pending divisor, loss, nesting height), height 0
+        for a power; a repeat adds the loss its first parse added."""
+        if end is None:
+            return parse(*args)
+        key = self._text_key(start, end)
         entry = self.memo.get(key)
         if entry is not None and self.depth + entry[3] <= MAX_NESTING:
             poly, den, loss, height = entry
-            self.at = close + 1
+            self.at = end + 1
             self.loss += loss
             self.peak = max(self.peak, self.depth + height)
             return _Value(poly, den)
         loss, peak = self.loss, self.peak
         self.peak = self.depth
-        value = parse()
+        value = parse(*args)
         self.memo[key] = (value.poly, value.den, self.loss - loss, self.peak - self.depth)
         self.peak = max(peak, self.peak)
         return value
@@ -283,10 +292,8 @@ class Parser:
             self._fail("tensor products beyond a square are not supported")
         if left.is_tensor() or right.is_tensor():
             self._fail("nested tensor join")
-        den = dict(left.den)
-        for name, power in right.den.items():
-            den[name] = den.get(name, 0) + power
-        return _Value(tensor(left.poly, right.poly), den)
+        return _Value(tensor(left.poly, right.poly),
+                      _monomial_product(left.den, right.den))
 
     def _term(self) -> _Value:
         value = self._factor()
@@ -295,10 +302,8 @@ class Parser:
             rhs = self._factor()
             if value.is_tensor() or rhs.is_tensor():
                 self._fail("'*' cannot multiply tensor expressions")
-            den = dict(value.den)
-            for name, power in rhs.den.items():
-                den[name] = den.get(name, 0) + power
-            value = _Value(_product(value.poly, rhs.poly), den)
+            value = _Value(_product(value.poly, rhs.poly),
+                           _monomial_product(value.den, rhs.den))
         return value
 
     def _factor(self) -> _Value:
@@ -316,7 +321,7 @@ class Parser:
         elif kind == "NUMBER":
             value = self._scalar_literal()
         elif kind == "LPAREN":
-            value = self._memoised(self.at, self.at, self._group)
+            value = self._memoised(self.at, self.closing.get(self.at), self._group)
         elif kind == "IDENT":
             value = self._identifier()
         else:
@@ -341,7 +346,7 @@ class Parser:
         at = self._expect("IDENT")
         name = self.values[at]
         if name in _FUNCTIONS:
-            return self._memoised(at, at + 1, lambda: self._series(name, at))
+            return self._memoised(at, self.closing.get(at + 1), self._series, name, at)
         key = (self.context.order, name)
         atom = self.memo.get(key)
         if atom is None:
@@ -370,9 +375,7 @@ class Parser:
                 f"unknown identifier {name!r} (at position {self.positions[at]})"
             )
         if context.cap < 1:
-            raise CapExceededError(
-                f"word {name} exceeds generator-degree cap {context.cap}"
-            )
+            raise cap_error((index,), context)
         return NCPoly.generator(context, index)
 
     def _postfix(self, start, value: _Value) -> _Value:
@@ -382,29 +385,22 @@ class Parser:
             kind = self._peek()
             if kind == "CARET":
                 self._next()
-                value = self._power(start, self._expect("NUMBER"), value)
+                at = self._expect("NUMBER")
+                value = self._memoised(start, at, self._power, value, at)
             elif kind == "SLASH":
                 self._next()
                 value = self._division(value)
             else:
                 return value
 
-    def _power(self, start, at, value: _Value) -> _Value:
-        """value, the factor read from token start, raised to the natural
-        at token at. The memo keys the power by (order, the factor's text
-        through its exponent) and keeps (numerator, pending divisor, loss
-        of the exact division applied here), so a repeat is raised once;
-        its base was read already, identifier or group memo hit and all."""
-        key = self._text_key(start, at)
-        entry = self.memo.get(key)
-        if entry is not None:
-            poly, den, loss = entry
-            self.loss += loss
-            return _Value(poly, den)
+    def _power(self, value: _Value, at) -> _Value:
+        """value, a factor read already (identifier or group memo hit and
+        all), raised to the natural at token at. _postfix reads it through
+        _memoised, keyed by the factor's text through its exponent, so
+        each distinct power is raised once per order."""
         n = self.values[at]
         if value.is_tensor():
             self._fail("'^' cannot raise tensor expressions", at)
-        loss = self.loss
         # a divisor that divides exactly costs its degree once, not once
         # per factor of the power
         if value.den:
@@ -416,10 +412,8 @@ class Parser:
         exps = tuple(value.den.get(name, 0) for name in self.context.params)
         constant = value.poly.coefficient(()).terms.get(exps, ZERO)
         check_power(constant, n)
-        poly = value.poly ** n
         den = {name: power * n for name, power in value.den.items()}
-        self.memo[key] = (poly, den, self.loss - loss)
-        return _Value(poly, den)
+        return _Value(value.poly ** n, den)
 
     def _division(self, value: _Value) -> _Value:
         if self._peek() == "NUMBER":
@@ -431,10 +425,7 @@ class Parser:
                 check_power(number, power)
                 number = number ** power
             return _Value(value.poly.scale(ONE / number), value.den)
-        den = dict(value.den)
-        for name, power in self._divisor_monomial().items():
-            den[name] = den.get(name, 0) + power
-        return _Value(value.poly, den)
+        return _Value(value.poly, _monomial_product(value.den, self._divisor_monomial()))
 
     def _divisor_monomial(self) -> dict:
         at = self._next()

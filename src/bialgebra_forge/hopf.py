@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import AntipodeError, DocumentError, InputError
-from .ncpoly import Context, NCPoly, TensorNCPoly
+from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error
 from .params import exact_image
 from .rewrite import RelationTable, commutator, normalize
 from .scalars import ONE, ZERO
@@ -19,7 +19,6 @@ from .sparse import accumulate
 
 @dataclass
 class DefectItem:
-    check: str
     subject: str
     value: object          # NCPoly or TensorNCPoly, nonzero
     location: str = ""
@@ -35,7 +34,7 @@ class DefectReport:
     def ok(self) -> bool:
         return not self.items
 
-    def add(self, check, subject, value, location=None):
+    def add(self, subject, value, location=None):
         """Record subject as checked, and value as a defect item when it
         is nonzero. location, when given, is a zero-argument callable
         rendering where the defect sits; it is called only for a nonzero
@@ -43,8 +42,7 @@ class DefectReport:
         nothing."""
         self.checked.append(subject)
         if value:
-            self.items.append(DefectItem(check, subject, value,
-                                         location() if location else ""))
+            self.items.append(DefectItem(subject, value, location() if location else ""))
 
 
 class _WordMap:
@@ -89,14 +87,20 @@ class _WordMap:
         self.cache[w] = (budget, image)
         return image
 
-    def apply_slot(self, t, slot: int) -> TensorNCPoly:
-        """t with factor `slot` replaced by its image."""
-        order = t.context.order
+    def apply_slot(self, t, slot: int, budget=None) -> TensorNCPoly:
+        """t with factor `slot` replaced by its image, exact through
+        `budget` (default: the order): a term whose coefficient lies
+        above the budget is skipped, and each image is cut by the degree
+        of the coefficient it multiplies."""
+        if budget is None:
+            budget = t.context.order
         out = {}
         for key, coeff in t.terms.items():
+            room = budget - coeff.min_degree()
+            if room < 0:
+                continue
             words = t._factors(key)
             head, tail = words[:slot], words[slot + 1:]
-            room = order - coeff.min_degree()
             image = self(words[slot], room)
             for mid, c in image.terms.items():
                 if c.min_degree() <= room:
@@ -106,20 +110,16 @@ class _WordMap:
     def contract(self, t2: TensorNCPoly, slot: int, budget=None) -> NCPoly:
         """m((F (x) id) t2) for slot 0, m((id (x) F) t2) for slot 1,
         normalised through `budget` (default: the order); F is this map,
-        with word-polynomial images."""
+        with word-polynomial images. The factor words of apply_slot's
+        terms are concatenated, each held against the cap as a product's
+        word is (NCPoly.times)."""
         context = t2.context
-        if budget is None:
-            budget = context.order
         out = {}
-        for key, coeff in t2.terms.items():
-            room = budget - coeff.min_degree()
-            if room < 0:
-                continue
-            image = self(key[slot], room)
-            kept = NCPoly(context, {key[1 - slot]: coeff})
-            piece = image.times(kept, budget) if slot == 0 else kept.times(image, budget)
-            for w, c in piece.terms.items():
-                accumulate(out, w, c)
+        for (left, right), c in self.apply_slot(t2, slot, budget).terms.items():
+            w = left + right
+            if len(w) > context.cap:
+                raise cap_error(w, context)
+            accumulate(out, w, c)
         return normalize(NCPoly(context, out), self.rel, budget=budget)
 
 
@@ -174,7 +174,7 @@ def coproduct_hom_defect(H: HopfPresentation) -> DefectReport:
         dj = H.coproduct_word((j,))
         defect = lhs - commutator(dj, di, H.rel)
         report.add(
-            "hom", f"({names[j]},{names[i]})", defect,
+            f"({names[j]},{names[i]})", defect,
             location=lambda: f"[{names[j]},{names[i]}] = {rhs}",
         )
     return report
@@ -187,7 +187,7 @@ def coassociativity_defect(H: HopfPresentation) -> DefectReport:
     for g in range(len(names)):
         d = H.coproduct_word((g,))
         defect = H._delta.apply_slot(d, 0) - H._delta.apply_slot(d, 1)
-        report.add("coassoc", names[g], defect, location=lambda: f"Delta {names[g]} = {d}")
+        report.add(names[g], defect, location=lambda: f"Delta {names[g]} = {d}")
     return report
 
 
@@ -204,7 +204,7 @@ def counit_defect(H: HopfPresentation) -> DefectReport:
         gen = NCPoly.generator(context, g)
         for side, label in ((0, "eps(x)id"), (1, "id(x)eps")):
             defect = eps.contract(d, side) - gen
-            report.add("counit", f"{label} on {names[g]}", defect)
+            report.add(f"{label} on {names[g]}", defect)
     return report
 
 
@@ -258,9 +258,9 @@ def solve_antipode(H: HopfPresentation):
         eps_unit = NCPoly.from_scalar(context, H.counit[g])
         left = S.contract(d, 0) - eps_unit
         right = S.contract(d, 1) - eps_unit
-        report.add("antipode-left", names[g], left,
+        report.add(f"S(x)id on {names[g]}", left,
                    location=lambda: f"S({names[g]}) = {table[g]}")
-        report.add("antipode-right", names[g], right)
+        report.add(f"id(x)S on {names[g]}", right)
     return table, report
 
 
@@ -277,7 +277,7 @@ def class_f_check(H: HopfPresentation, antipode: dict) -> DefectReport:
         d = H.coproduct_word((g,))
         for slot, label in ((0, "S(x)id"), (1, "id(x)S")):
             defect = homo.apply_slot(d, slot) - anti.apply_slot(d, slot)
-            report.add("class-f", f"{label} on {names[g]}", defect)
+            report.add(f"{label} on {names[g]}", defect)
     return report
 
 

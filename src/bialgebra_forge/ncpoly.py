@@ -84,6 +84,13 @@ def word_str(word, basis: Basis) -> str:
     )
 
 
+def cap_error(word, context: Context) -> CapExceededError:
+    """The error of a word longer than context's generator-degree cap."""
+    return CapExceededError(
+        f"word {word_str(word, context.basis)} exceeds generator-degree cap {context.cap}"
+    )
+
+
 class _Terms:
     """The single implementation behind NCPoly and TensorNCPoly: a sparse
     map from keys to nonzero ParamPoly coefficients. The two classes
@@ -173,19 +180,13 @@ class _Terms:
                 words = tuple(map(add, f1, f2))
                 for w in words:
                     if len(w) > cap:
-                        raise CapExceededError(
-                            f"word {word_str(w, self.context.basis)} exceeds "
-                            f"generator-degree cap {cap}"
-                        )
+                        raise cap_error(w, self.context)
                 accumulate(out, join(words), c)
         return self._like(out)
 
     __mul__ = times
 
     # -- structure ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -198,6 +199,14 @@ class _Terms:
             and self.arity == other.arity
             and self.terms == other.terms
         )
+
+    def linear_part(self):
+        """The terms whose factor words all have generator degree 1, as a
+        value of this kind: the V part of a word polynomial, the V (x) V
+        part of a tensor."""
+        split = self._factors
+        return self._like({key: c for key, c in self.terms.items()
+                           if all(len(w) == 1 for w in split(key))})
 
     def min_param_degree(self):
         degrees = [c.min_degree() for c in self.terms.values()]
@@ -321,10 +330,6 @@ class NCPoly(_Terms):
     def coefficient(self, word) -> ParamPoly:
         return self.terms.get(tuple(word), self.context.zero_poly())
 
-    def v_part(self) -> dict:
-        """Generator-degree-1 component, as {generator index: ParamPoly}."""
-        return {w[0]: c for w, c in self.terms.items() if len(w) == 1}
-
 
 class TensorNCPoly(_Terms):
     """Tensor square / cube of the word algebra: keys are tuples of words;
@@ -362,15 +367,6 @@ class TensorNCPoly(_Terms):
         if self.arity != 2:
             raise InputError("flip needs arity 2")
         return self._like({(k[1], k[0]): c for k, c in self.terms.items()})
-
-    def vv_part(self) -> dict:
-        """Component with every factor of generator degree 1, keyed by
-        generator index tuples."""
-        return {
-            tuple(w[0] for w in key): c
-            for key, c in self.terms.items()
-            if all(len(w) == 1 for w in key)
-        }
 
 
 def outer(factors, coeff=None, budget=None) -> dict:

@@ -140,9 +140,6 @@ class ParamPoly:
 
     # -- structure -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

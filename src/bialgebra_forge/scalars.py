@@ -131,9 +131,6 @@ class Scalar:
     def __bool__(self):
         return self._a != 0 or self._b != 0
 
-    def is_zero(self) -> bool:
-        return not self
-
     # -- display -------------------------------------------------------------
 
     def __repr__(self):

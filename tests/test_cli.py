@@ -101,7 +101,7 @@ def test_exit_code_1_on_defect(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_exit_code_2_on_input_error(tmp_path, capsys):
+def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "check", "four-pairs", "@verbatim")
     assert code == 2
     assert "duplicate bracket key" in err
@@ -169,8 +169,13 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert "(0," not in err
-    # expand bounds that are not integers or are below 1, and one
-    # parameter in two roles
+    # expand bounds that are not integers or are below 1, one parameter
+    # in two roles and a role that is no parameter, each refused before
+    # the presentation is built
+    def unbuilt(self, context):
+        raise AssertionError("expand built the presentation before checking its flags")
+
+    monkeypatch.setattr(bf.Document, "build_presentation", unbuilt)
     for flags, message in (
         (["--up-to", "x,1,1"], "--up-to needs three integer exponent bounds"),
         (["--up-to=-1,2,2"], "--up-to bounds must not be negative, got '-1,2,2'"),
@@ -178,10 +183,13 @@ def test_exit_code_2_on_input_error(tmp_path, capsys):
         (["--roles", "t,h,z1", "--up-to", "0,2,2"],
          "--up-to bounds must be at least 1, got '0,2,2'"),
         (["--roles", "t,t,h"], "name one parameter twice"),
+        (["--roles", "t,h,w"], "presentation lacks parameters ('t', 'h', 'w')"),
+        (["--roles", "t,h"], "--roles needs three parameter names"),
     ):
         code, out, err = run(capsys, "expand", "@corrected", *flags)
         assert code == 2 and out == "", flags
         assert err.startswith("error: ") and message in err
+    monkeypatch.undo()
     # a tangent base point that is not a scalar
     code, out, err = run(capsys, "tangent", "@corrected", "--direction", "h",
                          "--at", "z1=w")

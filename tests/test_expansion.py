@@ -111,14 +111,14 @@ def test_th_component_equals_cocycle_defect_two_code_paths():
     """The component payload is the wedge-keyed cocycle defect written
     out with both orientations, both on the reference table (zero) and
     on a perturbed one (nonzero)."""
-    defect = order2_component_defect(TABLE, (1, 0, 0), (0, 1, 0))
+    defect = order2_component_defect(TABLE, [((1, 0, 0), (0, 1, 0))])
     wedge = cocycle_defect(TABLE.mu[(1, 0, 0)], TABLE.delta[(0, 1, 0)])
     assert defect == {} and wedge == {}
 
     perturbed = bf.extract_coefficients(
         _perturbed_diagonal(), up_to=(2, 2, 2), roles=("t", "h", "z")
     )
-    defect = order2_component_defect(perturbed, (1, 0, 0), (0, 1, 0))
+    defect = order2_component_defect(perturbed, [((1, 0, 0), (0, 1, 0))])
     wedge = cocycle_defect(perturbed.mu[(1, 0, 0)], perturbed.delta[(0, 1, 0)])
     assert defect and wedge
     for (x, y), entries in wedge.items():
@@ -255,7 +255,7 @@ def test_identities_match_dense_cocycle_oracle():
     for _ in range(100):
         table = _random_table(rng)
         for mu_multi, delta_multi in ORDER2_PAIRS:
-            got = order2_component_defect(table, mu_multi, delta_multi)
+            got = order2_component_defect(table, [(mu_multi, delta_multi)])
             assert got == _dense_defect(table, [(mu_multi, delta_multi)])
             nonzero["order-2"] += bool(got)
         report = bf.verify_order3_thz(table)

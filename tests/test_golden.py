@@ -121,6 +121,7 @@ def _cases():
         ("expand-diagonal", ["expand", "{diag}"]),
         ("expand-altered", ["expand", "{diag_altered}"]),
         ("hopf-altered-coproduct", ["hopf", "hom", "coassoc", "{altered}"]),
+        ("hopf-altered-antipode", ["hopf", "antipode", "{altered}"]),
         ("gate-check-lie", ["check", "lie", "{gate}"]),
         ("gate-check-colie", ["check", "colie", "{gate}"]),
         ("gate-check-bialgebra-100-010",

@@ -434,7 +434,7 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
     distinct (order, power text) once, however often it is read."""
     doc = bf.presentation_document(diagonal5())
     reads, raised = collections.Counter(), collections.Counter()
-    power, raise_ = exprparse.Parser._power, NCPoly.__pow__
+    memoised, raise_ = exprparse.Parser._memoised, NCPoly.__pow__
     calls = 0
 
     def counted_raise(poly, n):
@@ -442,16 +442,18 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
         calls += 1
         return raise_(poly, n)
 
-    def counted_power(parser, start, at, value):
-        key = parser._text_key(start, at)
+    def counted_power(parser, start, end, parse, *args):
+        if parse != parser._power:
+            return memoised(parser, start, end, parse, *args)
+        key = parser._text_key(start, end)
         reads[key] += 1
         before = calls
-        value = power(parser, start, at, value)
+        value = memoised(parser, start, end, parse, *args)
         raised[key] += calls - before
         return value
 
     monkeypatch.setattr(NCPoly, "__pow__", counted_raise)
-    monkeypatch.setattr(exprparse.Parser, "_power", counted_power)
+    monkeypatch.setattr(exprparse.Parser, "_memoised", counted_power)
     doc.build_presentation(doc.make_context())
     assert dict(raised) == dict.fromkeys(reads, 1)
     assert calls == len(reads)
@@ -460,22 +462,20 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
 
 def test_a_build_parses_each_distinct_group_once(monkeypatch):
     """One build of a two-copy wide document misses the parse memo once
-    per distinct (order, group text), counits included: each counit is
-    its generator's unit-inverse group times a constant, and that group
-    was parsed for the coproduct already."""
+    per distinct (order, group, call or power text), counits included:
+    each counit is its generator's unit-inverse group times a constant,
+    and that group was parsed for the coproduct already."""
     doc = bf.Document.from_dict(
         widegen().wide_document(corrected_document().to_dict(), 2, 1))
     misses = collections.Counter()
     memoised = exprparse.Parser._memoised
 
-    def counted(parser, start, opened, parse):
-        close = parser.closing.get(opened)
-        if close is not None:
-            text = parser.text[parser.positions[start]:parser.positions[close] + 1]
-            key = (parser.context.order, text)
+    def counted(parser, start, end, parse, *args):
+        if end is not None:
+            key = parser._text_key(start, end)
             if key not in parser.memo:
                 misses[key] += 1
-        return memoised(parser, start, opened, parse)
+        return memoised(parser, start, end, parse, *args)
 
     monkeypatch.setattr(exprparse.Parser, "_memoised", counted)
     doc.build_presentation(doc.make_context())
