@@ -11,6 +11,7 @@ import bialgebra_forge as bf
 from bialgebra_forge import rewrite
 from bialgebra_forge.cli import main
 from bialgebra_forge.params import ParamPoly
+from bialgebra_forge.scalars import Scalar
 
 
 @functools.cache
@@ -76,14 +77,17 @@ def terms_through(poly, degree):
 
 def kernel_counts(argv):
     """Exit code of the CLI run argv, its rewrite steps (the bracket_poly
-    lookups made by rewrite.normal_form_word itself) and its coefficient
-    multiplies (ParamPoly.__mul__ calls), counted apart: those made
-    inside Document.build_presentation, which parses the document, and
-    all the others, which the checks make."""
+    lookups made by rewrite.normal_form_word itself), and its coefficient
+    multiplies (ParamPoly.__mul__ calls) and Scalar products
+    (Scalar.__mul__ calls), each counted apart: those made inside
+    Document.build_presentation, which parses the document, and all the
+    others, which the checks make. A Scalar product is one product of two
+    Q(i) numbers, whatever holds the coefficients around it."""
     kernel = rewrite.normal_form_word.__code__
     lookup = rewrite.RelationTable.bracket_poly
     build = bf.Document.build_presentation
-    steps = built = 0
+    steps = 0
+    built = [0, 0]
 
     def counted_lookup(table, a, b):
         nonlocal steps
@@ -91,40 +95,52 @@ def kernel_counts(argv):
             steps += 1
         return lookup(table, a, b)
 
-    def counted_build(doc, context):
-        nonlocal built
-        presentation, multiplies = coefficient_products(build, doc, context)
-        built += multiplies
-        return presentation
+    with _counted(ParamPoly, "__mul__") as multiplies, \
+            _counted(Scalar, "__mul__") as products:
 
-    rewrite.RelationTable.bracket_poly = counted_lookup
-    bf.Document.build_presentation = counted_build
+        def counted_build(doc, context):
+            before = multiplies[0], products[0]
+            presentation = build(doc, context)
+            built[0] += multiplies[0] - before[0]
+            built[1] += products[0] - before[1]
+            return presentation
+
+        rewrite.RelationTable.bracket_poly = counted_lookup
+        bf.Document.build_presentation = counted_build
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            rewrite.RelationTable.bracket_poly = lookup
+            bf.Document.build_presentation = build
+    return (code, steps, built[0], multiplies[0] - built[0],
+            built[1], products[0] - built[1])
+
+
+@contextlib.contextmanager
+def _counted(owner, name):
+    """Count the calls of owner.name while the block runs; yields a
+    one-item list holding the count."""
+    original = vars(owner)[name]
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    setattr(owner, name, counted)
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code, multiplies = coefficient_products(main, argv)
+        yield count
     finally:
-        rewrite.RelationTable.bracket_poly = lookup
-        bf.Document.build_presentation = build
-    return code, steps, built, multiplies - built
+        setattr(owner, name, original)
 
 
 def coefficient_products(fn, *args):
     """fn(*args) and the coefficient multiplies (ParamPoly.__mul__
     calls) it made."""
-    multiply = ParamPoly.__mul__
-    multiplies = 0
-
-    def counted_multiply(a, b):
-        nonlocal multiplies
-        multiplies += 1
-        return multiply(a, b)
-
-    ParamPoly.__mul__ = counted_multiply
-    try:
+    with _counted(ParamPoly, "__mul__") as multiplies:
         result = fn(*args)
-    finally:
-        ParamPoly.__mul__ = multiply
-    return result, multiplies
+    return result, multiplies[0]
 
 
 def rewrite_steps(argv):
