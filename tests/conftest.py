@@ -124,15 +124,25 @@ def _counted(owner, name):
     original = vars(owner)[name]
     count = [0]
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         count[0] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     setattr(owner, name, counted)
     try:
         yield count
     finally:
         setattr(owner, name, original)
+
+
+def call_counts(argv, module, *names):
+    """Exit code of the CLI run argv and the calls it made of each named
+    function of module, looked up by the module's own calls."""
+    with contextlib.ExitStack() as stack:
+        counts = [stack.enter_context(_counted(module, name)) for name in names]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return (code, *(count[0] for count in counts))
 
 
 def coefficient_products(fn, *args):

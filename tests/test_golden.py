@@ -14,8 +14,12 @@ coproduct coefficient, a copy of the diagonal whose altered coproducts
 break the order-2 and order-3 expansion identities, and a copy of
 @corrected whose compositions gain entries that fail the antisymmetry,
 Jacobi and cocycle checks, a copy whose added entries fail both mixed
-checks, and a copy whose one added delta_010 entry fails co-Jacobi) write
+checks, a copy whose one added delta_010 entry fails co-Jacobi, and a
+copy of the wide document with one coproduct coefficient altered) write
 it to a scratch directory first; no path appears in any pinned output.
+The wide document, tests/data/wide.json, is the tensor product of two
+rescaled copies of @corrected (perfbench/widegen.py, seed 1), written out
+once, so its coefficients are multi-term Gaussian rationals.
 
 The expected outputs are the files under tests/golden/, one JSON object
 {"exit", "stdout", "stderr"} per case. The exactness check is
@@ -46,6 +50,7 @@ import bialgebra_forge as bf
 from bialgebra_forge.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+WIDE = Path(__file__).resolve().parent / "data" / "wide.json"
 
 SETTINGS = {
     "o5": ["--order", "5"],
@@ -107,8 +112,8 @@ COJACOBI_ENTRIES = {
 
 def _cases():
     """(case id, argv template, setting, format); '{diag}', '{altered}',
-    '{diag_altered}', '{gate}', '{mixed}' and '{cojacobi}' stand for the
-    documents written by _prepare."""
+    '{diag_altered}', '{gate}', '{mixed}', '{cojacobi}', '{wide}' and
+    '{wide_altered}' stand for the documents _prepare names."""
     per_setting = [
         ("check-lie", ["check", "lie", "@corrected"]),
         ("check-colie", ["check", "colie", "@corrected"]),
@@ -135,6 +140,9 @@ def _cases():
         ("gate-cojacobi-check-bialgebra-100-010",
          ["check", "bialgebra", "mu_100", "delta_010", "{cojacobi}"]),
         ("gate-cojacobi-check-four-pairs", ["check", "four-pairs", "{cojacobi}"]),
+        ("hopf-wide", ["hopf", "all", "{wide}"]),
+        ("hopf-wide-altered", ["hopf", "all", "{wide_altered}"]),
+        ("specialize-wide", ["specialize", "{wide}", "--set", DIAGONAL]),
     ]
     for name in FIXTURES:
         fixture = bf.load_tangent_fixtures()[name]
@@ -160,7 +168,8 @@ CASES = _cases()
 
 def _prepare(directory: Path) -> dict:
     """Write the diagonal and its altered copy (per setting), the altered
-    document and the three gate documents."""
+    document, the three gate documents and the altered wide document;
+    name the wide document."""
     paths = {}
     for setting in GRID:
         diag = directory / f"diagonal-{setting}.json"
@@ -191,6 +200,15 @@ def _prepare(directory: Path) -> dict:
         path = directory / f"{key}.json"
         path.write_text(json.dumps(data))
         paths[key] = str(path)
+    paths["wide"] = str(WIDE)
+    data = json.loads(WIDE.read_text(encoding="utf-8"))
+    coproducts = data["presentation"]["coproducts"]
+    altered_px = coproducts["p_x1"].replace("(1)*h^2", "(2)*h^2", 1)
+    assert altered_px != coproducts["p_x1"]
+    coproducts["p_x1"] = altered_px
+    wide_altered = directory / "wide-altered.json"
+    wide_altered.write_text(json.dumps(data))
+    paths["wide_altered"] = str(wide_altered)
     return paths
 
 
@@ -198,7 +216,8 @@ def _run(argv, setting, fmt, paths) -> dict:
     argv = [
         a.format(diag=paths.get(("diag", setting)), altered=paths["altered"],
                  diag_altered=paths.get(("diag_altered", setting)), gate=paths["gate"],
-                 mixed=paths["mixed"], cojacobi=paths["cojacobi"])
+                 mixed=paths["mixed"], cojacobi=paths["cojacobi"], wide=paths["wide"],
+                 wide_altered=paths["wide_altered"])
         for a in argv
     ] + SETTINGS[setting] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()

@@ -3,6 +3,7 @@ import functools
 import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,8 +20,8 @@ from bialgebra_forge.rewrite import (
 from bialgebra_forge.scalars import Scalar
 
 from conftest import (
-    context3, corrected_document, kernel_counts, presentation3, presentation5,
-    rewrite_steps, terms_through, widegen,
+    call_counts, context3, corrected_document, kernel_counts, presentation3,
+    presentation5, rewrite_steps, terms_through, widegen,
 )
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
@@ -567,6 +568,15 @@ def test_budgets_pin_the_coefficient_multiplies_of_hopf_all_at_order_8():
     # numbers are the Scalar products of the build and of the checks
     argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
     assert kernel_counts(argv) == (1, 635, 288, 3318, 184, 1584)
+
+
+def test_the_wide_document_normalises_each_word_once_per_key():
+    # every coefficient of the wide document (tests/data/wide.json) is a
+    # multi-term Gaussian rational; a word's normal form and a word
+    # bracket depend only on the words, so their calls do not grow with
+    # the terms of the coefficients around them
+    argv = ["hopf", "all", str(Path(__file__).resolve().parent / "data" / "wide.json")]
+    assert call_counts(argv, rewrite, "normal_form_word", "word_bracket") == (0, 440, 554)
 
 
 @pytest.mark.parametrize("order, cap", [(5, 7), (6, 8), (8, 10), (10, 12), (12, 14)])
