@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import InputError
 from .hopf import DefectReport, HopfPresentation, specialize
 from .ncpoly import Context, NCPoly, TensorNCPoly
-from .params import ParamPoly, substitution
+from .params import ParamPoly, exponent_map
 from .rewrite import RelationTable, normalize
 from .scalars import Scalar
 from .sparse import accumulate
@@ -103,11 +103,11 @@ def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", 
 
     for i in range(n):
         for j in range(i + 1, n):
-            for (k,), coeff in H.rel.bracket_poly(i, j).linear_part().terms.items():
+            for (k,), coeff in H.rel.bracket_poly(i, j).linear_part().coefficients().items():
                 collect(coeff, mu, (i, j, k))
     for i in range(n):
         d = H.coproduct_word((i,))
-        for ((a,), (b,)), coeff in (d - d.flip()).linear_part().terms.items():
+        for ((a,), (b,)), coeff in (d - d.flip()).linear_part().coefficients().items():
             if a < b:
                 collect(coeff.scale(_HALF), delta, (i, a, b))
     return CoefficientTable(
@@ -242,22 +242,25 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
     images = {direction: 0, **base}
     reduced = specialize(H, images)
     rcontext = reduced.context
-    to_base = substitution(params, images, (rcontext.params, rcontext.order))
+    to_base = exponent_map(params, images, rcontext.params)
 
-    def slice_coeff(poly: ParamPoly) -> ParamPoly:
-        return to_base(poly.coefficient_of(dir_idx, 1))
+    def slice_exponents(exps):
+        # the coefficient of direction^1, at the base point
+        if exps[dir_idx] != 1:
+            return None
+        return to_base(exps[:dir_idx] + (0,) + exps[dir_idx + 1:])
 
     field_obj = TangentField(context=rcontext, base_table=reduced.rel)
     n = len(H.context.basis)
     for i in range(n):
         for j in range(i + 1, n):
-            sliced = H.rel.bracket_poly(i, j).map_coeffs(slice_coeff, rcontext)
+            sliced = H.rel.bracket_poly(i, j).repack(rcontext, slice_exponents)
             if sliced:
                 field_obj.mu[(i, j)] = sliced
     for g in range(n):
         d = H.coproduct_word((g,))
         vv = d.linear_part()
-        sliced = (vv - vv.flip()).map_coeffs(slice_coeff, rcontext)
+        sliced = (vv - vv.flip()).repack(rcontext, slice_exponents)
         if sliced:
             field_obj.delta[g] = sliced
     return field_obj
@@ -333,9 +336,4 @@ def compare_field(actual: TangentField, expectation: dict) -> FieldDiff:
 
 
 def _max_degree(value) -> int:
-    degrees = [
-        sum(exps)
-        for coeff in value.terms.values()
-        for exps in coeff.terms.keys()
-    ]
-    return max(degrees, default=0)
+    return value.context.monomials.degree(max((m for _, m in value.terms), default=0))

@@ -28,7 +28,8 @@ quotient by a degree-d monomial is exact only through d degrees below
 the order the parse works at. parse_expr is the one place that works above the
 context's order: it parses at order + slack, parses again at order + the
 summed divisor degrees when those exceed the slack, and cuts the result
-to the context's order, through which it is exact. Both parses read one
+to the context's order, through which it is exact, repacking each
+monomial once into the context's packing (ncpoly). Both parses read one
 token list and one memo, keyed by parse order and source text, of each
 identifier, parenthesised group and exp/sinh/cosh call read, and of each
 power: a factor's text through its '^' natural, such as t^2, p_x^3 or
@@ -136,25 +137,23 @@ def _divide(value, den: dict):
     the parameter monomial den = {name: power}, term by term. The only
     division by a parameter in the package: a term the monomial does not
     divide raises InexactDivisionError, naming the divisor."""
-    params = value.context.params
+    context = value.context
+    params, monomials = context.params, context.monomials
     exps = tuple(den.get(name, 0) for name in params)
-
-    def divide(coeff):
-        out = {}
-        for e, c in coeff.terms.items():
-            shifted = tuple(map(sub, e, exps))
-            if min(shifted) < 0:
-                divisor = "*".join(
-                    name if p == 1 else f"{name}^{p}" for name, p in den.items() if p
-                )
-                term = ParamPoly(params, coeff.order, {e: c})
-                raise InexactDivisionError(
-                    f"division by {divisor} is inexact: it does not divide {term}"
-                )
-            out[shifted] = c
-        return ParamPoly(params, coeff.order, out)
-
-    return value.map_coeffs(divide)
+    out = {}
+    for (key, m), c in value.terms.items():
+        e = monomials.unpack(m)
+        shifted = tuple(map(sub, e, exps))
+        if min(shifted) < 0:
+            divisor = "*".join(
+                name if p == 1 else f"{name}^{p}" for name, p in den.items() if p
+            )
+            term = ParamPoly(params, context.order, {e: c})
+            raise InexactDivisionError(
+                f"division by {divisor} is inexact: it does not divide {term}"
+            )
+        out[(key, monomials.pack(shifted))] = c
+    return value._like(out)
 
 
 def _monomial_product(left: dict, right: dict) -> dict:
@@ -168,15 +167,13 @@ def _monomial_product(left: dict, right: dict) -> dict:
 
 def _product(left, right):
     """left * right for two NCPoly values. A word-free side multiplies
-    the other's coefficients, in the order the generic product would; no
-    word changes length, and every word read was checked against the cap
-    (Parser._atom) or made by a product that checked it."""
-    if len(left.terms) == 1 and () in left.terms:
-        k = left.terms[()]
-        return right.map_coeffs(lambda c: k * c)
-    if len(right.terms) == 1 and () in right.terms:
-        k = right.terms[()]
-        return left.map_coeffs(lambda c: c * k)
+    the other's coefficients; no word changes length, and every word read
+    was checked against the cap (Parser._atom) or made by a product that
+    checked it."""
+    for side, other in ((left, right), (right, left)):
+        groups = side.groups()
+        if len(groups) == 1 and () in groups:
+            return other.scaled(groups[()])
     return left * right
 
 
@@ -408,9 +405,14 @@ class Parser:
                 value = _Value(self._resolve(value))
             except InexactDivisionError:
                 pass
-        # the constant term, with any pending division applied
+        # the constant term, with any pending division applied: the term
+        # of the empty word at the divisor's monomial, if its degree is
+        # within the order
         exps = tuple(value.den.get(name, 0) for name in self.context.params)
-        constant = value.poly.coefficient(()).terms.get(exps, ZERO)
+        constant = ZERO
+        if sum(exps) <= self.context.order:
+            term = ((), self.context.monomials.pack(exps))
+            constant = value.poly.terms.get(term, ZERO)
         check_power(constant, n)
         den = {name: power * n for name, power in value.den.items()}
         return _Value(value.poly ** n, den)
@@ -469,7 +471,7 @@ def parse_expr(text: str, context: Context, *, _memo=None):
     poly = parser.parse()
     if parser.loss > slack:
         poly = Parser(replace(context, order=order + parser.loss), source, memo).parse()
-    return poly.map_coeffs(lambda c: c.with_order(order), context)
+    return poly.repack(context)
 
 
 def parse_coefficient(text: str, context: Context, *, _memo=None):
@@ -478,7 +480,7 @@ def parse_coefficient(text: str, context: Context, *, _memo=None):
     poly = parse_expr(text, context, _memo=_memo)
     if isinstance(poly, TensorNCPoly):
         raise ExprSyntaxError("expected a coefficient, found a tensor expression")
-    for word in poly.terms:
+    for word in poly.groups():
         if word:
             raise ExprSyntaxError(
                 f"expected a coefficient, found generator word in {text!r}"

@@ -3,6 +3,11 @@
 Every check works at the presentation's order, where truncated
 arithmetic is exact, so each reported defect is exact through it.
 A presentation passes when every reported defect is identically zero.
+
+The word maps act once per key of what they map: a word's image, held
+in a cache, is formed once however many terms its coefficient has, and
+is then multiplied into that packed coefficient (ncpoly), term by term,
+through the budget.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import AntipodeError, DocumentError, InputError
-from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error
+from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error, coefficient_product
 from .params import exact_image
 from .rewrite import RelationTable, commutator, normalize
 from .scalars import ONE, ZERO
@@ -59,10 +64,10 @@ class _WordMap:
     and cached per word as (budget, image), like the normal-form cache:
     an entry serves any budget up to its own, and a larger one replaces
     it. The product and the normal form both run at the budget, so the
-    image equals the full image through it (its terms above are partial).
-    apply_slot and contract multiply a word's image by a coefficient of
-    lowest degree d and ask for it at budget - d, which cuts off exactly
-    what lies above."""
+    image equals the full image through it (a cached image may carry
+    exact terms above it). apply_slot and contract multiply a word's image
+    by a coefficient of lowest degree d and ask for it at budget - d, once
+    per key, and the packed product cuts off exactly what lies above."""
 
     def __init__(self, rel: RelationTable, table: dict, unit, reverse: bool = False):
         self.rel = rel
@@ -89,23 +94,27 @@ class _WordMap:
 
     def apply_slot(self, t, slot: int, budget=None) -> TensorNCPoly:
         """t with factor `slot` replaced by its image, exact through
-        `budget` (default: the order): a term whose coefficient lies
-        above the budget is skipped, and each image is cut by the degree
-        of the coefficient it multiplies."""
+        `budget` (default: the order), with no term above it: a key whose
+        coefficient lies above the budget is skipped, and each image, read
+        once per key, is cut by the degree of the coefficient it
+        multiplies."""
+        monomials = t.context.monomials
         if budget is None:
             budget = t.context.order
+        shift, limit = monomials.shift, monomials.limit(budget)
         out = {}
-        for key, coeff in t.terms.items():
-            room = budget - coeff.min_degree()
+        for key, pairs in t.groups().items():
+            room = budget - (pairs[0][0] >> shift)
             if room < 0:
                 continue
             words = t._factors(key)
             head, tail = words[:slot], words[slot + 1:]
             image = self(words[slot], room)
-            for mid, c in image.terms.items():
-                if c.min_degree() <= room:
-                    accumulate(out, head + image._factors(mid) + tail, coeff * c)
-        return TensorNCPoly(t.context, t.arity - 1 + self.arity, out)
+            for mid, image_pairs in image.groups().items():
+                joined = head + image._factors(mid) + tail
+                for m, c in coefficient_product(pairs, image_pairs, limit):
+                    accumulate(out, (joined, m), c)
+        return TensorNCPoly._of(t.context, out, t.arity - 1 + self.arity)
 
     def contract(self, t2: TensorNCPoly, slot: int, budget=None) -> NCPoly:
         """m((F (x) id) t2) for slot 0, m((id (x) F) t2) for slot 1,
@@ -115,12 +124,13 @@ class _WordMap:
         word is (NCPoly.times)."""
         context = t2.context
         out = {}
-        for (left, right), c in self.apply_slot(t2, slot, budget).terms.items():
+        for (left, right), pairs in self.apply_slot(t2, slot, budget).groups().items():
             w = left + right
             if len(w) > context.cap:
                 raise cap_error(w, context)
-            accumulate(out, w, c)
-        return normalize(NCPoly(context, out), self.rel, budget=budget)
+            for m, c in pairs:
+                accumulate(out, (w, m), c)
+        return normalize(NCPoly._of(context, out), self.rel, budget=budget)
 
 
 class HopfPresentation:
@@ -139,8 +149,7 @@ class HopfPresentation:
                 raise DocumentError(
                     f"missing coproduct for generator {context.basis.names[g]}"
                 )
-            unit_part = cop.terms.get(((), ()))
-            if unit_part:
+            if ((), ()) in cop.groups():
                 raise DocumentError(
                     f"coproduct of {context.basis.names[g]} has a 1(x)1 component"
                 )
@@ -219,9 +228,10 @@ def solve_antipode(H: HopfPresentation):
     with the residual of both antipode equations in the report. The
     solve is a fixed point: coproduct corrections carry parameter
     degree >= 1, so pass k pins degree k and reads the table only
-    through degree k - 1. Pass k therefore runs at budget k and keeps
-    its table cut at degree k; the last pass runs at the order, so the
-    table returned, the report and every printed image are full-order.
+    through degree k - 1. Pass k therefore runs at budget k, and its
+    table, made by word maps at that budget, has no term above degree k;
+    the last pass runs at the order, so the table returned, the report
+    and every printed image are full-order.
     """
     context = H.context
     names = H.names()
@@ -235,9 +245,7 @@ def solve_antipode(H: HopfPresentation):
             ((), (g,)): context.const_poly(ONE),
         })
         corr = d - prim
-        if corr.terms and min(
-            c.min_degree() or 0 for c in corr.terms.values()
-        ) == 0:
+        if corr.terms and corr.min_param_degree() == 0:
             raise AntipodeError(
                 f"coproduct of {names[g]} deviates from primitive at parameter "
                 "degree 0; order-by-order solve cannot start"
@@ -246,8 +254,7 @@ def solve_antipode(H: HopfPresentation):
     for k in range(1, context.order + 1):
         S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
         table = {
-            g: (-NCPoly.generator(context, g)
-                - S.contract(corrections[g], 0, k)).truncate(k)
+            g: -NCPoly.generator(context, g) - S.contract(corrections[g], 0, k)
             for g in range(n)
         }
 

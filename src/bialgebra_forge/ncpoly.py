@@ -1,7 +1,7 @@
 """Truncated noncommutative polynomials over the generator alphabet.
 
 Words are tuples of generator indices; the empty word is the unit.
-Coefficients are ParamPoly values carried at the context's order, where
+Coefficients lie in Q(i)[params] truncated at the context's order, where
 truncated arithmetic is exact. Generator degree is capped: a product whose
 coefficient survives truncation but whose word exceeds the cap is a
 hard error, so runaway rewriting cannot pass silently.
@@ -11,15 +11,28 @@ cubes (TensorNCPoly, keyed by tuples of words) share one implementation
 of every operation; the two classes only say how a key splits into its
 factor words. outer() is the one outer-product loop, used by tensor()
 and by factorwise normalisation.
+
+The terms are flat: one map (key, m) -> Scalar, where m is a parameter
+monomial packed into one int by the context's params.Monomials. The
+product of two monomials is m1 + m2, with no carry between the exponent
+fields, and the test m < limit(budget) says whether its degree is within
+a budget; so a coefficient product is one int add, one comparison and
+one Scalar multiply. Work that depends only on a key (a word product, a
+cap check, a normal form) is done once per key: groups() gives each
+key's packed coefficient, its (m, Scalar) pairs by ascending m, so the
+first pair holds the lowest degree. A ParamPoly appears only at the
+edges: the public constructors take {key: ParamPoly}, coefficients()
+and coefficient() give them back, and printing groups each key's terms
+into one, so every value prints as a ParamPoly-valued map would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import add
 
 from .errors import CapExceededError, InputError, NonTerminatingSeriesError
-from .params import ParamPoly, substitution
+from .params import Monomials, ParamPoly, exponent_map
 from .scalars import ONE, Scalar
 from .sparse import accumulate, deduct
 from .tensors import Basis
@@ -29,18 +42,23 @@ _new = object.__new__
 # the truncation settings a document carries, in the order it lists them
 SETTINGS = ("order", "cap", "slack")
 
+# the packed coefficient 1: the constant monomial, packed to 0, with value 1
+_UNIT = ((0, ONE),)
+
 
 @dataclass(frozen=True)
 class Context:
     """Shared computation settings: basis, parameters, truncation. Every
     value lives at `order`; `slack` is only the parser's first-pass
-    headroom (exprparse.parse_expr)."""
+    headroom (exprparse.parse_expr). `monomials` packs the parameter
+    monomials through the order."""
 
     basis: Basis
     params: tuple
     order: int = 5
     cap: int = 10
     slack: int = 2
+    monomials: Monomials = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in SETTINGS:
@@ -49,6 +67,7 @@ class Context:
                 raise InputError(
                     f"{name} must be a non-negative integer, got {value!r}"
                 )
+        object.__setattr__(self, "monomials", Monomials(self.params, self.order))
 
     def settings(self) -> dict:
         """The truncation settings, keyed as in a document's settings."""
@@ -65,6 +84,35 @@ class Context:
 
     def with_params(self, params) -> "Context":
         return replace(self, params=tuple(params))
+
+
+def coefficient_product(left, right, limit: int):
+    """The product of two packed coefficients, each a sequence of (m,
+    Scalar) pairs, as a list of such pairs, without the terms whose
+    monomial is at or past limit. The unit _UNIT, and a factor 1 of a
+    monomial times a monomial, cost no Scalar product. Two nonzero
+    coefficients whose lowest degrees fit under limit have a nonzero
+    product: Q(i)[params] is an integral domain, so the lowest part of a
+    product is the product of the lowest parts."""
+    if left is _UNIT:
+        return [pair for pair in right if pair[0] < limit]
+    if len(left) == 1 == len(right):
+        [(m1, c1)], [(m2, c2)] = left, right
+        m = m1 + m2
+        if m >= limit:
+            return []
+        return [(m, c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2)]
+    if len(left) == 1 or len(right) == 1:
+        # no two pairs meet on one monomial
+        return [(m1 + m2, c1 * c2) for m1, c1 in left for m2, c2 in right
+                if m1 + m2 < limit]
+    out = {}
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = m1 + m2
+            if m < limit:
+                accumulate(out, m, c1 * c2)
+    return list(out.items())
 
 
 def word_str(word, basis: Basis) -> str:
@@ -93,26 +141,50 @@ def cap_error(word, context: Context) -> CapExceededError:
 
 class _Terms:
     """The single implementation behind NCPoly and TensorNCPoly: a sparse
-    map from keys to nonzero ParamPoly coefficients. The two classes
-    differ only in how a key splits into its tensor factor words
-    (_factors) and how factor words join back into a key (_key);
-    multiplication acts factorwise."""
+    map (key, packed monomial) -> nonzero Scalar. The two classes differ
+    only in how a key splits into its tensor factor words (_factors) and
+    how factor words join back into a key (_key); multiplication acts
+    factorwise."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "_groups")
 
-    def __init__(self, context: Context, terms=None):
+    def __init__(self, context: Context, coefficients=None):
+        """The value over context with these coefficients, a map from
+        keys to ParamPoly over context's params; terms above the order
+        drop."""
         self.context = context
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+        self._groups = None
+        pairs = context.monomials.pairs
+        self.terms = {(key, m): c for key, coeff in (coefficients or {}).items()
+                      for m, c in pairs(coeff)}
 
     def _like(self, terms, context=None):
         """A value of this kind over context (default: this one) holding
-        terms as they are: sums, products and normal forms yield only
-        nonzero coefficients, so only the public constructors and
-        map_coeffs filter."""
-        out = _new(type(self))
-        out.context = self.context if context is None else context
-        out.terms = terms
-        return out
+        terms as they are (_of)."""
+        return self._of(self.context if context is None else context, terms, self.arity)
+
+    def groups(self) -> dict:
+        """The terms by key, {key: [(m, Scalar), ...]} with m ascending, so
+        each key's lowest degree is that of its first pair; values are
+        immutable, so the map is made once per value."""
+        groups = self._groups
+        if groups is None:
+            groups = {}
+            for (key, m), c in self.terms.items():
+                got = groups.get(key)
+                if got is None:
+                    groups[key] = [(m, c)]
+                else:
+                    got.append((m, c))
+            for pairs in groups.values():
+                pairs.sort()  # by m: no two pairs of a key share one
+            self._groups = groups
+        return groups
+
+    def coefficients(self) -> dict:
+        """{key: ParamPoly}, the coefficient of every key."""
+        poly = self.context.monomials.poly
+        return {key: poly(pairs) for key, pairs in self.groups().items()}
 
     # -- linear structure ------------------------------------------------------
 
@@ -123,65 +195,88 @@ class _Terms:
     def __add__(self, other):
         self._same_arity(other)
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            accumulate(out, key, coeff)
+        for term, coeff in other.terms.items():
+            accumulate(out, term, coeff)
         return self._like(out)
 
     def __sub__(self, other):
         self._same_arity(other)
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            deduct(out, key, coeff)
+        for term, coeff in other.terms.items():
+            deduct(out, term, coeff)
         return self._like(out)
 
     def __neg__(self):
-        return self.map_coeffs(lambda c: -c)
+        return self._like({term: -c for term, c in self.terms.items()})
 
     def scale(self, factor):
-        """Multiply by a commuting coefficient (ParamPoly or Scalar)."""
+        """Multiply by a commuting coefficient, a Scalar or a ParamPoly."""
         if isinstance(factor, Scalar):
-            return self.map_coeffs(lambda c: c.scale(factor))
-        return self.map_coeffs(lambda c: c * factor)
+            return self.scaled([(0, factor)] if factor else [])
+        return self.scaled(self.context.monomials.pairs(factor))
 
-    def map_coeffs(self, fn, context: Context = None):
-        """fn applied to every coefficient; the result lives over context
-        (default: this one)."""
-        return self._like(
-            {k: v for k, c in self.terms.items() if (v := fn(c))}, context
-        )
+    def scaled(self, pairs):
+        """This value times the packed coefficient pairs, through the
+        order; no word changes."""
+        limit = self.context.monomials.limit(self.context.order)
+        out = {}
+        for (key, m2), c2 in self.terms.items():
+            for m1, c1 in pairs:
+                m = m1 + m2
+                if m < limit:
+                    accumulate(out, (key, m), c1 * c2)
+        return self._like(out)
+
+    def repack(self, context: Context, exponents=None):
+        """This value over context, whose params or order may differ, with
+        each monomial's exponent vector e sent to exponents(e) (default:
+        e itself), a vector over context's params, or to None to drop the
+        term; terms above context's order drop. The one change of
+        context: each distinct monomial is unpacked and packed once."""
+        unpack = self.context.monomials.unpack
+        target = context.monomials
+        pack, order = target.pack, target.order
+        seen = {}
+        out = {}
+        for (key, m), c in self.terms.items():
+            new = seen.get(m, -1)
+            if new == -1:
+                e = unpack(m)
+                if exponents is not None:
+                    e = exponents(e)
+                new = seen[m] = None if e is None or sum(e) > order else pack(e)
+            if new is not None:
+                accumulate(out, (key, new), c)
+        return self._like(out, context)
 
     # -- free multiplication ----------------------------------------------------
 
     def times(self, other, budget=None):
         """The product self*other, exact through parameter degree `budget`
-        (default: the order). Over Q(i) the lowest part of a product is
-        the product of the lowest parts, so a term pair whose coefficients'
-        lowest degrees sum above the budget adds nothing through it: the
-        pair is skipped before its coefficient product is formed, and its
-        word is neither formed nor held against the cap. Terms above the
-        budget may be partial; every caller cuts them off by the degree of
-        what it multiplies them by, or by its own cut."""
+        (default: the order), with no term above it. A key pair's word is
+        formed, and held against the cap, only when its coefficient
+        product has a term through the budget: that is, when the lowest
+        degrees of the two coefficients sum to at most the budget."""
         self._same_arity(other)
-        cap = self.context.cap
-        if budget is None:
-            budget = self.context.order
+        context = self.context
+        cap = context.cap
+        limit = context.monomials.limit(context.order if budget is None else budget)
         split, join = self._factors, self._key
-        right = [(split(k2), c2, c2.min_degree()) for k2, c2 in other.terms.items()]
+        right = [(split(k2), pairs2) for k2, pairs2 in other.groups().items()]
         out = {}
-        for k1, c1 in self.terms.items():
+        for k1, pairs1 in self.groups().items():
             f1 = split(k1)
-            room = budget - c1.min_degree()
-            for f2, c2, low in right:
-                if low > room:
-                    continue
-                c = c1 * c2
-                if not c:
+            for f2, pairs2 in right:
+                product = coefficient_product(pairs1, pairs2, limit)
+                if not product:
                     continue
                 words = tuple(map(add, f1, f2))
                 for w in words:
                     if len(w) > cap:
-                        raise cap_error(w, self.context)
-                accumulate(out, join(words), c)
+                        raise cap_error(w, context)
+                key = join(words)
+                for m, c in product:
+                    accumulate(out, (key, m), c)
         return self._like(out)
 
     __mul__ = times
@@ -205,28 +300,28 @@ class _Terms:
         value of this kind: the V part of a word polynomial, the V (x) V
         part of a tensor."""
         split = self._factors
-        return self._like({key: c for key, c in self.terms.items()
-                           if all(len(w) == 1 for w in split(key))})
+        linear = {key for key in self.groups() if all(len(w) == 1 for w in split(key))}
+        return self._like({term: c for term, c in self.terms.items() if term[0] in linear})
 
     def min_param_degree(self):
-        degrees = [c.min_degree() for c in self.terms.values()]
-        degrees = [d for d in degrees if d is not None]
-        return min(degrees) if degrees else None
+        if not self.terms:
+            return None
+        return self.context.monomials.degree(min(m for _, m in self.terms))
 
     def truncate(self, order: int):
-        return self.map_coeffs(lambda c: c.truncate(order))
+        limit = self.context.monomials.limit(order)
+        return self._like({term: c for term, c in self.terms.items() if term[1] < limit})
 
     def substitute(self, images, target: Context = None):
-        """Every coefficient renamed or zeroed (params.substitution)."""
+        """Every coefficient renamed or zeroed (params.exponent_map)."""
         ctx = self.context if target is None else target
-        return self.map_coeffs(
-            substitution(self.context.params, images, (ctx.params, ctx.order)), ctx
-        )
+        return self.repack(ctx, exponent_map(self.context.params, images, ctx.params))
 
     def sorted_terms(self):
+        """(key, ParamPoly) by factor word lengths, then key."""
         split = self._factors
         return sorted(
-            self.terms.items(),
+            self.coefficients().items(),
             key=lambda kv: (tuple(len(w) for w in split(kv[0])), kv[0]),
         )
 
@@ -274,25 +369,35 @@ class NCPoly(_Terms):
     def _key(words):
         return words[0]
 
+    @classmethod
+    def _of(cls, context, terms, arity=1):
+        """The value over context holding the flat terms as they are:
+        sums, products and normal forms yield only nonzero coefficients
+        within the order, so only the public constructors filter."""
+        out = _new(cls)
+        out.context, out.terms, out._groups = context, terms, None
+        return out
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, context):
-        return cls(context)
+        return cls._of(context, {})
 
     @classmethod
     def unit(cls, context):
-        return cls(context, {(): context.const_poly(ONE)})
+        return cls._of(context, {((), 0): ONE})
 
     @classmethod
     def generator(cls, context, index):
         if not 0 <= index < len(context.basis):
             raise InputError(f"generator index {index} out of range")
-        return cls(context, {(index,): context.const_poly(ONE)})
+        return cls._of(context, {((index,), 0): ONE})
 
     @classmethod
     def from_scalar(cls, context, value):
-        return cls(context, {(): context.const_poly(value)})
+        value = value if isinstance(value, Scalar) else Scalar(value)
+        return cls._of(context, {((), 0): value} if value else {})
 
     @classmethod
     def from_coeff(cls, context, coeff: ParamPoly):
@@ -306,8 +411,8 @@ class NCPoly(_Terms):
         only the k = n term is nonzero: the power is N^n."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
-        constant = self.coefficient(())
-        words = self._like({w: c for w, c in self.terms.items() if w})
+        constant = self.groups().get(())
+        words = self._like({term: c for term, c in self.terms.items() if term[0]})
         if not constant:
             power = NCPoly.unit(self.context)
             for _ in range(n):
@@ -315,7 +420,8 @@ class NCPoly(_Terms):
                 if not power:
                     break
             return power
-        out = NCPoly.from_coeff(self.context, constant ** n)
+        limit = self.context.monomials.limit(self.context.order)
+        out = self._like({((), m): c for m, c in _coefficient_power(constant, n, limit)})
         if not words:
             return out
         power, binomial = NCPoly.unit(self.context), 1
@@ -324,22 +430,38 @@ class NCPoly(_Terms):
             if not power:
                 break
             binomial = binomial * (n + 1 - k) // k
-            out = out + power.scale((constant ** (n - k)).scale(Scalar(binomial)))
+            scale = Scalar(binomial)
+            out = out + power.scaled([
+                (m, c * scale) for m, c in _coefficient_power(constant, n - k, limit)
+            ])
         return out
 
     def coefficient(self, word) -> ParamPoly:
-        return self.terms.get(tuple(word), self.context.zero_poly())
+        return self.context.monomials.poly(self.groups().get(tuple(word), ()))
+
+
+def _coefficient_power(pairs, n: int, limit: int):
+    """pairs**n for a packed coefficient, by squaring, without the terms
+    at or past limit."""
+    out, base = _UNIT, pairs
+    while n:
+        if n & 1:
+            out = coefficient_product(out, base, limit)
+        n >>= 1
+        if n:
+            base = coefficient_product(base, base, limit)
+    return out
 
 
 class TensorNCPoly(_Terms):
     """Tensor square / cube of the word algebra: keys are tuples of words;
-    coefficients are global ParamPoly values."""
+    coefficients are global ones."""
 
     __slots__ = ("arity",)
 
-    def __init__(self, context: Context, arity: int, terms=None):
+    def __init__(self, context: Context, arity: int, coefficients=None):
         self.arity = arity
-        super().__init__(context, terms)
+        super().__init__(context, coefficients)
 
     @staticmethod
     def _factors(key):
@@ -349,58 +471,58 @@ class TensorNCPoly(_Terms):
     def _key(words):
         return words
 
-    def _like(self, terms, context=None):
-        out = super()._like(terms, context)
-        out.arity = self.arity
+    @classmethod
+    def _of(cls, context, terms, arity):
+        """The value of this arity over context holding the flat terms as
+        they are (NCPoly._of)."""
+        out = _new(cls)
+        out.context, out.terms, out._groups, out.arity = context, terms, None, arity
         return out
 
     @classmethod
     def zero(cls, context, arity):
-        return cls(context, arity)
+        return cls._of(context, {}, arity)
 
     @classmethod
     def unit(cls, context, arity):
-        return cls(context, arity, {((),) * arity: context.const_poly(ONE)})
+        return cls._of(context, {(((),) * arity, 0): ONE}, arity)
 
     def flip(self) -> "TensorNCPoly":
         """Swap the two factors (arity 2 only)."""
         if self.arity != 2:
             raise InputError("flip needs arity 2")
-        return self._like({(k[1], k[0]): c for k, c in self.terms.items()})
+        return self._like({((k[1], k[0]), m): c for (k, m), c in self.terms.items()})
 
 
-def outer(factors, coeff=None, budget=None) -> dict:
-    """Terms of coeff * (f1 (x) f2 (x) ...) for NCPoly factors, keyed by
-    tuples of words; coeff None stands for 1, a zero coeff gives no
-    terms, and a factor given as a bare word stands for that word with
-    coefficient 1. With a budget the
-    result is exact through that degree, as _Terms.times is: a partial
-    product whose coefficients' lowest degrees sum above it is dropped
-    before its coefficient is formed. With none, every one is formed."""
-    if coeff is not None and not coeff:
-        return {}
-    if budget is None:
-        budget = float("inf")
-    partial = {(): coeff}
+def outer(factors, limit: int, coeff=_UNIT) -> dict:
+    """Terms of coeff * (f1 (x) f2 (x) ...) for NCPoly factors, as a flat
+    map (tuple of words, m) -> Scalar, without the terms at or past the
+    packed monomial limit; coeff is a packed coefficient (default 1) and
+    a factor given as a bare word stands for that word with coefficient
+    1. A partial product is formed once per tuple of words, and one whose
+    coefficient has no term under limit is dropped before the next
+    factor."""
+    partial = [((), coeff)]
     for factor in factors:
         if type(factor) is tuple:
-            partial = {done + (factor,): c for done, c in partial.items()}
+            partial = [(done + (factor,), c) for done, c in partial]
             continue
-        grown = {}
-        for done, c in partial.items():
-            room = budget if c is None else budget - c.min_degree()
-            for w, cw in factor.terms.items():
-                if cw.min_degree() <= room:
-                    s = cw if c is None else c * cw
-                    if s:
-                        grown[done + (w,)] = s
+        grown = []
+        groups = factor.groups().items()
+        for done, c in partial:
+            for w, pairs in groups:
+                s = coefficient_product(c, pairs, limit)
+                if s:
+                    grown.append((done + (w,), s))
         partial = grown
-    return partial
+    return {(words, m): c for words, pairs in partial for m, c in pairs}
 
 
 def tensor(*factors: NCPoly) -> TensorNCPoly:
     """Outer tensor product of 2 or 3 NCPoly factors."""
-    return TensorNCPoly(factors[0].context, len(factors), outer(factors))
+    context = factors[0].context
+    terms = outer(factors, context.monomials.limit(context.order))
+    return TensorNCPoly._of(context, terms, len(factors))
 
 
 # -- elementary series -------------------------------------------------------

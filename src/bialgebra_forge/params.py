@@ -5,17 +5,20 @@ over a fixed ordered tuple of parameter names, with every stored term of
 total degree <= order. Truncation at total degree N is a quotient of
 the coefficient ring, so sums and products are exact through N.
 Values are immutable, so a product by the unit may return the other
-operand itself rather than a copy.
+operand itself rather than a copy. ParamPoly is the coefficient of the
+constant tensors and the form in which a word polynomial's coefficients
+are given and printed; word and tensor polynomials store their terms
+flat, each monomial packed into one int (Monomials).
 
 The only substitutions are exact ones: a parameter is renamed or set to
-0, and nothing else (`substitution`). Any other image, a nonzero value
-included, is an input error.
+0, and nothing else (`exponent_map`, `substitution`). Any other image, a
+nonzero value included, is an input error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import InputError
 from .scalars import ONE, Scalar, ZERO, format_scalar
@@ -27,9 +30,7 @@ _new = object.__new__
 
 
 class ParamPoly:
-    # _low caches min_degree(): values are immutable, and the degree
-    # budgets ask for the lowest degree of one coefficient many times
-    __slots__ = ("params", "order", "terms", "_low")
+    __slots__ = ("params", "order", "terms")
 
     def __init__(self, params, order, terms=None):
         self.params = tuple(params)
@@ -40,7 +41,6 @@ class ParamPoly:
                 if coeff and _degree(exps) <= order:
                     clean[exps] = coeff
         self.terms = clean
-        self._low = None
 
     # -- constructors --------------------------------------------------------
 
@@ -68,7 +68,7 @@ class ParamPoly:
         caller yields nonzero coefficients within the order, so only the
         public constructor filters."""
         out = _new(ParamPoly)
-        out.params, out.order, out.terms, out._low = self.params, self.order, terms, None
+        out.params, out.order, out.terms = self.params, self.order, terms
         return out
 
     def _check(self, other):
@@ -155,13 +155,6 @@ class ParamPoly:
     def __hash__(self):
         return hash((self.params, self.order, frozenset(self.terms.items())))
 
-    def min_degree(self):
-        """Smallest total degree among stored terms; None when zero."""
-        low = self._low
-        if low is None and self.terms:
-            low = self._low = min(map(_degree, self.terms))
-        return low
-
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * len(self.params), ZERO)
 
@@ -171,10 +164,6 @@ class ParamPoly:
             self.params, self.order,
             {e: c for e, c in self.terms.items() if _degree(e) <= order},
         )
-
-    def with_order(self, order: int) -> "ParamPoly":
-        """The same terms carried at `order`; terms above it are dropped."""
-        return ParamPoly(self.params, order, self.terms)
 
     def coefficient_of(self, index: int, power: int) -> "ParamPoly":
         """Coefficient of params[index]**power, as a poly with that
@@ -245,17 +234,17 @@ def exact_image(name, image):
     )
 
 
-def substitution(params, images: dict, target):
-    """The one exact substitution, as a map from polynomials over `params`
-    to polynomials over target = (params, order).
+def exponent_map(params, images: dict, tparams):
+    """The one exact substitution, as a map from an exponent vector over
+    params to one over tparams, or to None for a term that drops.
 
     images maps a parameter to an `exact_image`; an unmapped parameter
     keeps its name. The exponent slots are remapped once per call: a term
-    that uses a zeroed parameter drops, and renamed terms that meet are
-    summed. A parameter that never occurs with a positive exponent need
-    not exist in the target.
+    that uses a zeroed parameter drops, and the exponents of parameters
+    renamed to one name add up. A parameter that never occurs with a
+    positive exponent need not exist in the target.
     """
-    tparams, torder = tuple(target[0]), target[1]
+    tparams = tuple(tparams)
     names = {name: exact_image(name, image) for name, image in images.items()}
     # a slot is the target index, None for zero, or the missing name
     slots = []
@@ -264,20 +253,88 @@ def substitution(params, images: dict, target):
         slots.append(tparams.index(image) if image in tparams else image)
     width = len(tparams)
 
+    def apply(exps):
+        new = [0] * width
+        for slot, power in zip(slots, exps):
+            if power:
+                if slot is None:
+                    return None
+                if type(slot) is str:
+                    raise InputError(f"unknown parameter {slot!r}")
+                new[slot] += power
+        return tuple(new)
+
+    return apply
+
+
+def substitution(params, images: dict, target):
+    """exponent_map as a map from polynomials over `params` to polynomials
+    over target = (params, order); renamed terms that meet are summed."""
+    tparams, torder = tuple(target[0]), target[1]
+    remap = exponent_map(params, images, tparams)
+
     def apply(poly):
         out = {}
         for exps, coeff in poly.terms.items():
-            new = [0] * width
-            for slot, power in zip(slots, exps):
-                if power:
-                    if slot is None:
-                        break
-                    if type(slot) is str:
-                        raise InputError(f"unknown parameter {slot!r}")
-                    new[slot] += power
-            else:
-                accumulate(out, tuple(new), coeff)
+            new = remap(exps)
+            if new is not None:
+                accumulate(out, new, coeff)
         return ParamPoly(tparams, torder, out)
 
     return apply
 
+
+class Monomials:
+    """The packing of the exponent vectors over params of total degree at
+    most order into ints, the monomial keys of the word and tensor
+    polynomials (ncpoly).
+
+    With width = bits(order) + 1, bits j*width up hold the exponent of
+    params[j], and the bits from shift = len(params)*width up hold the
+    total degree; the constant monomial packs to 0. A stored exponent is
+    at most the order, and two of them add up to at most 2*order <
+    2**width, so the product of two monomials is the sum m1 + m2 of their
+    ints, with no carry between fields, and its degree is the sum of
+    theirs, in the top field. That field orders the ints by degree, so
+    m < limit(budget) = (budget + 1) << shift holds exactly when the
+    degree of m is at most budget: one int comparison is the degree test.
+    """
+
+    __slots__ = ("params", "order", "width", "shift", "_units")
+
+    def __init__(self, params, order: int):
+        self.params, self.order = tuple(params), order
+        self.width = order.bit_length() + 1
+        self.shift = len(self.params) * self.width
+        # the packed monomial of each parameter
+        self._units = tuple(
+            (1 << self.shift) | (1 << j * self.width) for j in range(len(self.params))
+        )
+
+    def pack(self, exps) -> int:
+        """The int of an exponent vector of degree at most the order."""
+        return sum(map(mul, exps, self._units))
+
+    def unpack(self, m: int) -> tuple:
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple((m >> j * width) & mask for j in range(len(self.params)))
+
+    def limit(self, budget: int) -> int:
+        """The least int of degree budget + 1: m < limit(budget) exactly
+        when the degree of m is at most budget."""
+        return (budget + 1) << self.shift
+
+    def degree(self, m: int) -> int:
+        return m >> self.shift
+
+    def poly(self, pairs) -> ParamPoly:
+        """The ParamPoly of (packed monomial, Scalar) pairs."""
+        unpack = self.unpack
+        return ParamPoly(self.params, self.order, {unpack(m): c for m, c in pairs})
+
+    def pairs(self, coeff: ParamPoly) -> list:
+        """The (packed monomial, Scalar) pairs of a ParamPoly over these
+        params, without its terms above the order."""
+        pack, order = self.pack, self.order
+        return [(pack(e), c) for e, c in coeff.terms.items() if _degree(e) <= order]

@@ -13,11 +13,18 @@ is its own normal form: normalize passes it through untouched.
 
 The same rule serves callers that need a whole polynomial only through
 a budget below the order (the Hopf word maps and antipode passes): normalize
-takes a budget and gives each term the room budget - lowest degree. This is
-exact: over Q(i) the lowest part of a product is the product of the lowest
-parts, no rewrite lowers degree and a normal form is linear, so a form
-computed through a budget equals the full one through it under the leftmost
-strategy, whether or not the table is confluent.
+takes a budget and gives each key the room budget - lowest degree of its
+coefficient. This is exact: over Q(i) the lowest part of a product is the
+product of the lowest parts, no rewrite lowers degree and a normal form is
+linear, so a form computed through a budget equals the full one through it
+under the leftmost strategy, whether or not the table is confluent.
+
+Coefficients are packed (ncpoly): a term's monomial is one int m, a
+product of monomials is m1 + m2, and m < limit(budget) is the degree
+test, so no result carries a term above its budget and none needs a cut.
+Work that depends only on the words (a normal form, a word bracket, a
+term shape, a pure-swap test) is done once per key, whatever the number
+of terms in its coefficient.
 
 A commutator follows the Leibniz rule in each tensor factor,
 [a1 (x) a2, b1 (x) b2] = [a1, b1] (x) a2 b2 + b1 a1 (x) [a2, b2], with the
@@ -41,9 +48,10 @@ commuting copy zero at once.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import CapExceededError, DocumentError, NonContractingError
-from .ncpoly import Context, NCPoly, outer, word_str
-from .params import substitution
+from .ncpoly import _UNIT, Context, NCPoly, cap_error, coefficient_product, outer, word_str
 from .sparse import accumulate
 
 
@@ -73,15 +81,10 @@ class RelationTable:
         self._canonicalise_rhs()
 
     def _store(self, rhs):
-        # the rewriting kernel reads each rhs term's lowest parameter
-        # degree, and the commutator the bitmask of the letters each
-        # generator commutes with (itself included); the normal-form,
-        # word-bracket and term-shape caches hold only values under this rhs
+        # the commutator reads the bitmask of the letters each generator
+        # commutes with (itself included); the normal-form, word-bracket
+        # and term-shape caches hold only values under this rhs
         self.rhs = rhs
-        self._low = {
-            key: {w: c.min_degree() for w, c in poly.terms.items()}
-            for key, poly in rhs.items()
-        }
         n = len(self.context.basis)
         self._everything = (1 << n) - 1
         self._commuting = [self._everything] * n
@@ -97,9 +100,10 @@ class RelationTable:
         return self.context.basis.names[idx]
 
     def _check_contracting(self):
+        constant = self.context.monomials.limit(0)
         for (j, i), poly in self.rhs.items():
-            for word, coeff in poly.terms.items():
-                if coeff.min_degree() == 0:
+            for word, pairs in poly.groups().items():
+                if pairs[0][0] < constant:
                     raise NonContractingError(
                         f"relation [{self._name(j)},{self._name(i)}] has a "
                         f"parameter-free term on word {word_str(word, self.context.basis)}"
@@ -126,9 +130,8 @@ class RelationTable:
 
     def substitute(self, images, target: Context = None) -> "RelationTable":
         ctx = self.context if target is None else target
-        fn = substitution(self.context.params, images, (ctx.params, ctx.order))
         return RelationTable(ctx, [
-            (j, i, poly.map_coeffs(fn, ctx)) for (j, i), poly in self.rhs.items()
+            (j, i, poly.substitute(images, ctx)) for (j, i), poly in self.rhs.items()
         ])
 
     def pairs(self):
@@ -157,18 +160,17 @@ def _descents(word):
 
 def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NCPoly:
     """Normal form of a single word as an NCPoly, exact through parameter
-    degree `budget` (default: the order).
+    degree `budget` (default: the order), with no term above it.
 
-    The result equals the full-order normal form through degree budget;
-    it may carry terms above the budget, but only exact ones (a cached
-    entry computed for a larger budget serves a smaller one as it is).
+    A cached entry computed for a larger budget serves a smaller one as
+    it is, so a result may carry exact terms above the budget asked for.
     A call with the default budget returns the full normal form, whatever
-    budgets were requested before. Each branch of the worklist carries
-    its room: the budget less its coefficient's lowest degree. Over a
-    field the lowest part of a product is the product of the lowest parts,
-    so a rewrite takes the lowest degree of the rhs term it inserts off
-    the room, and a branch whose room would go negative is dropped before
-    its coefficient is formed.
+    budgets were requested before. Each branch of the worklist carries its
+    packed coefficient and its room: the budget less the coefficient's
+    lowest degree. Over a field the lowest part of a product is the
+    product of the lowest parts, so a rewrite takes the lowest degree of
+    the rhs coefficient it inserts off the room, and a branch whose room
+    would go negative is dropped before its coefficient is formed.
 
     choose, when given, picks which out-of-order adjacent pair to
     rewrite first (position index into the descent list); the default
@@ -177,9 +179,8 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
     is cached, keyed by word, as (budget, normal form).
     """
     context = table.context
-    order = context.order
     if budget is None:
-        budget = order
+        budget = context.order
     use_cache = choose is None
     cache = table._nf_cache
     if use_cache:
@@ -187,18 +188,18 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
         if entry is not None and entry[0] >= budget:
             return entry[1]
 
+    shift = context.monomials.shift
+    limit = context.monomials.limit(budget)
     result = {}
-    low = table._low
-    work = [(tuple(word), context.const_poly(1), budget)]
+    work = [(tuple(word), _UNIT, budget)]
     while work:
         w, coeff, room = work.pop()
         if use_cache and w != word:
             entry = cache.get(w)
             if entry is not None and entry[0] >= room:
-                for u, c in entry[1].terms.items():
-                    s = coeff * c
-                    if s:
-                        accumulate(result, u, s)
+                for u, pairs in entry[1].groups().items():
+                    for m, c in coefficient_product(coeff, pairs, limit):
+                        accumulate(result, (u, m), c)
                 continue
         if choose is None:
             pos = _first_descent(w)
@@ -206,18 +207,15 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
             ds = _descents(w)
             pos = ds[choose(w, ds)] if ds else None
         if pos is None:
-            accumulate(result, w, coeff)
+            for m, c in coeff:
+                accumulate(result, (w, m), c)
             continue
         a, b = w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
         work.append((head + (b, a) + tail, coeff, room))
-        lows = low.get((a, b))
-        for rw, rc in table.bracket_poly(a, b).terms.items():
-            left = room - lows[rw]
+        for rw, pairs in table.bracket_poly(a, b).groups().items():
+            left = room - (pairs[0][0] >> shift)
             if left < 0:
-                continue
-            c = coeff * rc
-            if not c:
                 continue
             nw = head + rw + tail
             if len(nw) > context.cap:
@@ -225,60 +223,50 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
                     f"rewriting [{table._name(a)},{table._name(b)}] produced "
                     f"word {word_str(nw, context.basis)} beyond cap {context.cap}"
                 )
-            work.append((nw, c, left))
-    if budget < order:
-        result = _cut(result, budget)
-    nf = NCPoly(context, result)
+            work.append((nw, coefficient_product(coeff, pairs, limit), left))
+    nf = NCPoly._of(context, result)
     if use_cache:
         cache[word] = (budget, nf)
     return nf
 
 
-def _cut(result, budget):
-    """result without its terms above parameter degree budget; only the
-    coefficients that lose a term are rebuilt."""
-    out = {}
-    for w, coeff in result.items():
-        terms = coeff.terms
-        kept = {e: c for e, c in terms.items() if sum(e) <= budget}
-        if len(kept) == len(terms):
-            out[w] = coeff
-        elif kept:
-            out[w] = coeff._like(kept)
-    return out
-
-
 def normalize(a, table: RelationTable, choose=None, budget=None):
     """Normal form of an NCPoly, or of each factor of a TensorNCPoly,
-    exact through parameter degree `budget` (default: the order).
+    exact through parameter degree `budget` (default: the order), with no
+    term above it.
 
-    A term whose factor words are all sorted is irreducible, so it passes
-    through as it is, with no rewriting and no coefficient product,
-    whatever `choose` is. Any other term gets the room its coefficient
-    leaves below the budget, budget - lowest degree, and each unsorted
-    factor is rewritten only through that room: what lies above is cut
-    off by the product with the coefficient. A term with no room adds
-    nothing through the budget and is dropped. A normal form is linear
-    and no rewrite lowers degree, so the result equals the full normal
-    form through the budget under the leftmost strategy, whether or not
-    the table is confluent; above the budget it may be partial."""
+    A key whose factor words are all sorted is irreducible, so its terms
+    through the budget pass through as they are, with no rewriting and no
+    coefficient product, whatever `choose` is. Any other key gets the room
+    its coefficient leaves below the budget, budget - lowest degree, and
+    each unsorted factor is rewritten once, only through that room: what
+    lies above is cut off by the product with the coefficient. A key with
+    no room adds nothing through the budget and is dropped. A normal form
+    is linear and no rewrite lowers degree, so the result equals the full
+    normal form through the budget under the leftmost strategy, whether
+    or not the table is confluent."""
+    monomials = table.context.monomials
     if budget is None:
         budget = table.context.order
+    shift, limit = monomials.shift, monomials.limit(budget)
+    split, join = a._factors, a._key
     out = {}
-    for key, coeff in a.terms.items():
-        factors = a._factors(key)
+    for key, pairs in a.groups().items():
+        factors = split(key)
         unsorted = [p for p, w in enumerate(factors) if _first_descent(w) is not None]
         if not unsorted:
-            accumulate(out, key, coeff)
+            for m, c in pairs:
+                if m < limit:
+                    accumulate(out, (key, m), c)
             continue
-        room = budget - coeff.min_degree()
+        room = budget - (pairs[0][0] >> shift)
         if room < 0:
             continue
         factors = list(factors)
         for p in unsorted:
             factors[p] = normal_form_word(table, factors[p], choose, room)
-        for words, c in outer(factors, coeff, budget).items():
-            accumulate(out, a._key(words), c)
+        for (words, m), c in outer(factors, limit, pairs).items():
+            accumulate(out, (join(words), m), c)
     return a._like(out)
 
 
@@ -374,7 +362,9 @@ def commutator(a, b, table: RelationTable):
     longest words pass the cap together go through the pair loop, which
     raises where a*b does."""
     a._same_arity(b)
-    cap, order = a.context.cap, a.context.order
+    context = a.context
+    cap, order = context.cap, context.order
+    shift, limit = context.monomials.shift, context.monomials.limit(order)
     a_letters, _, a_top = _reach(table, a)
     _, b_commuting, b_top = _reach(table, b)
     if not a_letters & ~b_commuting and a_top + b_top <= cap:
@@ -383,20 +373,22 @@ def commutator(a, b, table: RelationTable):
         # pair would be skipped below, and none would raise
         return a._like({})
     split, join = a._factors, a._key
-    right = [(k, c, c.min_degree(), *_shape(table, k, split(k)))
-             for k, c in b.terms.items()]
+    right = [(k, pairs, pairs[0][0] >> shift, *_shape(table, k, split(k)))
+             for k, pairs in b.groups().items()]
     out = {}
-    for k1, c1 in a.terms.items():
+    for k1, pairs1 in a.groups().items():
         f1, letters, _, lengths1, top1 = _shape(table, k1, split(k1))
-        room1 = order - c1.min_degree()
-        for k2, c2, low2, f2, _, commuting, lengths2, top2 in right:
+        room1 = order - (pairs1[0][0] >> shift)
+        for k2, pairs2, low2, f2, _, commuting, lengths2, top2 in right:
             room = room1 - low2
             if room < 0:
                 # the coefficient product vanishes; a*b skips the pair too
                 continue
             if top1 + top2 > cap and any(x + y > cap for x, y in zip(lengths1, lengths2)):
-                # a*b raises here, since the product does not vanish
-                a._like({k1: c1}) * b._like({k2: c2})
+                # a*b raises here, at its first factor word past the cap
+                for w in map(add, split(k1), split(k2)):
+                    if len(w) > cap:
+                        raise cap_error(w, context)
             if not letters & ~commuting:
                 # every factor's bracket is zero: each pure-swaps, or pairs
                 # an empty word of a with any word
@@ -411,13 +403,13 @@ def commutator(a, b, table: RelationTable):
                         brackets.append((p, bracket, room - low))
             if not brackets:
                 continue
-            c = c1 * c2
+            c = coefficient_product(pairs1, pairs2, limit)
             for p, bracket, rest in brackets:
                 line = [_beside(table, v + u, moves, rest) for u, v, moves in factors[:p]]
                 line.append(bracket)
                 line += [_beside(table, u + v, moves, rest) for u, v, moves in factors[p + 1:]]
-                for words, s in outer(line, c, order).items():
-                    accumulate(out, join(words), s)
+                for (words, m), s in outer(line, limit, c).items():
+                    accumulate(out, (join(words), m), s)
     return a._like(out)
 
 
@@ -426,7 +418,7 @@ def _reach(table, a):
     letter masks OR-ed, their commuting masks AND-ed and its longest word
     (_shape); a zero operand reaches (0, -1, 0)."""
     letters, commuting, longest = 0, -1, 0
-    for key in a.terms:
+    for key in a.groups():
         _, lw, cw, _, top = _shape(table, key, a._factors(key))
         letters |= lw
         commuting &= cw

@@ -70,24 +70,22 @@ def terms_through(poly, degree):
     keyed by (key, exponents)."""
     return {
         (k, e): c
-        for k, coeff in poly.terms.items() for e, c in coeff.terms.items()
+        for k, coeff in poly.coefficients().items() for e, c in coeff.terms.items()
         if sum(e) <= degree
     }
 
 
 def kernel_counts(argv):
     """Exit code of the CLI run argv, its rewrite steps (the bracket_poly
-    lookups made by rewrite.normal_form_word itself), and its coefficient
-    multiplies (ParamPoly.__mul__ calls) and Scalar products
-    (Scalar.__mul__ calls), each counted apart: those made inside
+    lookups made by rewrite.normal_form_word itself) and its Scalar
+    products (Scalar.__mul__ calls), counted apart: those made inside
     Document.build_presentation, which parses the document, and all the
     others, which the checks make. A Scalar product is one product of two
     Q(i) numbers, whatever holds the coefficients around it."""
     kernel = rewrite.normal_form_word.__code__
     lookup = rewrite.RelationTable.bracket_poly
     build = bf.Document.build_presentation
-    steps = 0
-    built = [0, 0]
+    steps = built = 0
 
     def counted_lookup(table, a, b):
         nonlocal steps
@@ -95,14 +93,13 @@ def kernel_counts(argv):
             steps += 1
         return lookup(table, a, b)
 
-    with _counted(ParamPoly, "__mul__") as multiplies, \
-            _counted(Scalar, "__mul__") as products:
+    with _counted(Scalar, "__mul__") as products:
 
         def counted_build(doc, context):
-            before = multiplies[0], products[0]
+            nonlocal built
+            before = products[0]
             presentation = build(doc, context)
-            built[0] += multiplies[0] - before[0]
-            built[1] += products[0] - before[1]
+            built += products[0] - before
             return presentation
 
         rewrite.RelationTable.bracket_poly = counted_lookup
@@ -113,8 +110,7 @@ def kernel_counts(argv):
         finally:
             rewrite.RelationTable.bracket_poly = lookup
             bf.Document.build_presentation = build
-    return (code, steps, built[0], multiplies[0] - built[0],
-            built[1], products[0] - built[1])
+    return code, steps, built, products[0] - built
 
 
 @contextlib.contextmanager

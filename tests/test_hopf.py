@@ -217,7 +217,7 @@ def _unbudgeted_antipode(H):
         table = [
             -gens[g] - normalize(sum(
                 (image(left) * NCPoly(ctx, {right: c})
-                 for (left, right), c in corrections[g].terms.items()),
+                 for (left, right), c in corrections[g].coefficients().items()),
                 NCPoly.zero(ctx),
             ), rel)
             for g in range(len(gens))
@@ -243,14 +243,14 @@ def _product_loop_contract(word_map, t2, slot, budget):
     form, all through the budget."""
     context = t2.context
     out = {}
-    for key, coeff in t2.terms.items():
-        room = budget - coeff.min_degree()
+    for key, coeff in t2.coefficients().items():
+        room = budget - min(map(sum, coeff.terms))
         if room < 0:
             continue
         image = word_map(key[slot], room)
         kept = NCPoly(context, {key[1 - slot]: coeff})
         piece = image.times(kept, budget) if slot == 0 else kept.times(image, budget)
-        for w, c in piece.terms.items():
+        for w, c in piece.coefficients().items():
             accumulate(out, w, c)
     return normalize(NCPoly(context, out), word_map.rel, budget=budget)
 

@@ -43,7 +43,7 @@ def test_context_rejects_bad_settings(setting, value):
 
 def test_multiply_concatenates_words():
     p = gen(A) * gen(B)
-    assert list(p.terms) == [(A, B)]
+    assert list(p.coefficients()) == [(A, B)]
     assert p.coefficient((A, B)) == CTX.const_poly(ONE)
 
 
@@ -143,7 +143,7 @@ def test_cosh_minus_one_divisible_by_square():
     value = series_apply("cosh", arg) - NCPoly.unit(CTX)
     quotient = _divide(value, {"u": 2, "v": 2})
     u2v2 = (CTX.param_poly("u") * CTX.param_poly("v")) ** 2
-    back = NCPoly(CTX, {w: coeff * u2v2 for w, coeff in quotient.terms.items()})
+    back = NCPoly(CTX, {w: coeff * u2v2 for w, coeff in quotient.coefficients().items()})
     assert back == value
 
 
@@ -190,7 +190,7 @@ def test_tensor_product_is_factorwise():
         ((), (B,)): CTX.const_poly(ONE),
     })
     square = t * t
-    assert ((A, A), (B, B)) in square.terms
+    assert ((A, A), (B, B)) in square.coefficients()
 
 
 def test_tensor_flip():
@@ -200,7 +200,7 @@ def test_tensor_flip():
 
 def test_linear_part():
     t = tensor(gen(A) * gen(A) + gen(B), gen(C))
-    assert t.linear_part().terms == {((B,), (C,)): CTX.const_poly(ONE)}
+    assert t.linear_part().coefficients() == {((B,), (C,)): CTX.const_poly(ONE)}
 
 
 def test_truncate_acts_on_coefficients():
@@ -312,11 +312,16 @@ def _wide_polys(arity):
 
 def _every_pair(a, b):
     """a*b as the sum of the products of every term pair, none skipped."""
-    out = a._like({})
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
+    def value(coefficients):
+        if a.arity == 1:
+            return NCPoly(a.context, coefficients)
+        return TensorNCPoly(a.context, a.arity, coefficients)
+
+    out = value({})
+    for k1, c1 in a.coefficients().items():
+        for k2, c2 in b.coefficients().items():
             key = a._key(tuple(u + v for u, v in zip(a._factors(k1), b._factors(k2))))
-            out = out + a._like({key: c1 * c2} if c1 * c2 else {})
+            out = out + value({key: c1 * c2})
     return out
 
 
@@ -338,5 +343,7 @@ def test_a_budgeted_product_is_the_product_through_the_budget(pair, budget):
 @settings(max_examples=50, deadline=None)
 def test_a_budgeted_outer_product_is_the_tensor_product_through_the_budget(
         a, b, coeff, budget):
-    got = TensorNCPoly(WIDE, 2, outer([a, b], coeff, budget))
+    monomials = WIDE.monomials
+    got = TensorNCPoly._of(WIDE, outer([a, b], monomials.limit(budget),
+                                       monomials.pairs(coeff)), 2)
     assert terms_through(got, budget) == terms_through(tensor(a, b).scale(coeff), budget)

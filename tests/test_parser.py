@@ -30,7 +30,7 @@ def coeff(text):
 def test_simple_bracket_rhs():
     p = parse_expr("i*z1*p_y", CTX)
     assert isinstance(p, NCPoly)
-    assert list(p.terms) == [(IDX["p_y"],)]
+    assert list(p.coefficients()) == [(IDX["p_y"],)]
     assert p.coefficient((IDX["p_y"],)) == CTX.param_poly("z1").scale(I)
 
 
@@ -48,7 +48,7 @@ def test_prefactor_division_expands_before_dividing():
     # the quotient is cut at the order: t*(z2*h)^2/6 on l_z^3 has degree
     # 5 and stays, t*(z2*h)^4/120 on l_z^5 has degree 9 and goes
     assert p == NCPoly(CTX, {
-        w: c for w, c in expected.terms.items() if len(w) <= 5
+        w: c for w, c in expected.coefficients().items() if len(w) <= 5
     })
 
 
@@ -59,12 +59,12 @@ def test_division_beyond_slack_stays_exact_through_order():
     narrow = replace(CTX, slack=0)
     p = parse_expr(text, narrow)
     assert p.context == narrow
-    assert all(c.order == narrow.order for c in p.terms.values())
+    assert all(c.order == narrow.order for c in p.coefficients().values())
     want = parse_expr(text, CTX).truncate(CTX.order)
-    assert {w: c.terms for w, c in p.truncate(CTX.order).terms.items()} == {
-        w: c.terms for w, c in want.terms.items()
+    assert {w: c.terms for w, c in p.truncate(CTX.order).coefficients().items()} == {
+        w: c.terms for w, c in want.coefficients().items()
     }
-    assert (IDX["l_z"],) * 3 in p.terms
+    assert (IDX["l_z"],) * 3 in p.coefficients()
 
 
 def test_tensor_expression_for_coproduct():
@@ -73,7 +73,7 @@ def test_tensor_expression_for_coproduct():
     px, py = IDX["p_x"], IDX["p_y"]
     half = Scalar(Fraction(1, 2))
     for k in range(CTX.order + 1):
-        left = p.terms.get(((px,) * k, (py,)))
+        left = p.coefficients().get(((px,) * k, (py,)))
         want = (CTX.param_poly("z2").scale(-half) ** k).scale(
             Scalar(Fraction(1, _fact(k)))
         )

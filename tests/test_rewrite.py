@@ -13,11 +13,11 @@ from bialgebra_forge import rewrite
 from bialgebra_forge.cli import main
 from bialgebra_forge.errors import CapExceededError
 from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly, outer, tensor
-from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.rewrite import (
     commutator, normal_form_word, normalize, presentation_jacobi_defect,
 )
 from bialgebra_forge.scalars import Scalar
+from bialgebra_forge.sparse import accumulate
 
 from conftest import (
     call_counts, context3, corrected_document, kernel_counts, presentation3,
@@ -202,15 +202,14 @@ def tensor_polys(draw):
 def normalize_every_factor(a, table, choose):
     """The normaliser with no pass-through: normal_form_word on every
     factor word, then the outer product of the factors' normal forms."""
-    ctx = a.context
+    limit = a.context.monomials.limit(a.context.order)
     out = {}
-    for key, coeff in a.terms.items():
+    for key, pairs in a.groups().items():
         factors = (key,) if a.arity == 1 else key
         nfs = [normal_form_word(table, w, choose) for w in factors]
-        for ws, c in outer(nfs, coeff).items():
-            k = ws[0] if a.arity == 1 else ws
-            out[k] = out.get(k, ctx.zero_poly()) + c
-    return NCPoly(ctx, out) if a.arity == 1 else TensorNCPoly(ctx, a.arity, out)
+        for (ws, m), c in outer(nfs, limit, pairs).items():
+            accumulate(out, (ws[0] if a.arity == 1 else ws, m), c)
+    return a._like(out)
 
 
 @given(tensor_polys(), st.one_of(st.none(), st.integers(0, 2 ** 31 - 1)))
@@ -395,7 +394,7 @@ def test_whole_operands_that_pure_swap_keep_the_cap_of_the_product(monkeypatch):
         fits = make({(2,): one, (2, 2): t2}), make({(3,): t2, (3, 3, 3): one})
         calls = []
         with monkeypatch.context() as patch:
-            for owner, name in ((rewrite, "normal_form_word"), (ParamPoly, "__mul__")):
+            for owner, name in ((rewrite, "normal_form_word"), (Scalar, "__mul__")):
                 fn = getattr(owner, name)
                 patch.setattr(owner, name,
                               lambda *args, fn=fn: calls.append(args) or fn(*args))
@@ -414,7 +413,7 @@ def test_the_presentation_jacobi_sum_does_no_work_across_copies(monkeypatch):
     calls, work, active = {"across": 0, "within": 0}, {"across": 0, "within": 0}, []
 
     def copies(poly):
-        return {copy[g] for key in poly.terms for g in key}
+        return {copy[g] for key in poly.groups() for g in key}
 
     def counted(a, b, table):
         side = "within" if copies(a) == copies(b) else "across"
@@ -434,7 +433,7 @@ def test_the_presentation_jacobi_sum_does_no_work_across_copies(monkeypatch):
 
     monkeypatch.setattr(rewrite, "commutator", counted)
     monkeypatch.setattr(rewrite, "normal_form_word", counting(normal_form_word))
-    monkeypatch.setattr(ParamPoly, "__mul__", counting(ParamPoly.__mul__))
+    monkeypatch.setattr(Scalar, "__mul__", counting(Scalar.__mul__))
     assert presentation_jacobi_defect(table) == {}
     # of 220 triples, 2 * 20 lie within one copy
     assert calls["across"] > 0 and calls["within"] <= 3 * 40
@@ -450,7 +449,7 @@ def test_a_commutator_of_commuting_words_does_no_work(monkeypatch):
     names = H.names()
     di = H.coproduct_word((names.index("l_x1"),))
     dj = H.coproduct_word((names.index("l_x2"),))
-    calls = {"normal_form_word": 0, "ParamPoly.__mul__": 0}
+    calls = {"normal_form_word": 0, "Scalar.__mul__": 0}
 
     def counting(fn, name):
         def counted(*args, **kwargs):
@@ -460,13 +459,12 @@ def test_a_commutator_of_commuting_words_does_no_work(monkeypatch):
 
     monkeypatch.setattr(rewrite, "normal_form_word",
                         counting(normal_form_word, "normal_form_word"))
-    monkeypatch.setattr(ParamPoly, "__mul__",
-                        counting(ParamPoly.__mul__, "ParamPoly.__mul__"))
+    monkeypatch.setattr(Scalar, "__mul__", counting(Scalar.__mul__, "Scalar.__mul__"))
     assert not commutator(dj, di, H.rel)
     assert not commutator(H.rel.bracket_poly(names.index("l_x1"), names.index("l_y1")),
                           NCPoly.generator(H.context, names.index("l_z2")), H.rel)
-    assert calls == {"normal_form_word": 0, "ParamPoly.__mul__": 0}
-    assert len(di.terms) > 1 and len(dj.terms) > 1
+    assert calls == {"normal_form_word": 0, "Scalar.__mul__": 0}
+    assert len(di.groups()) > 1 and len(dj.groups()) > 1
 
 
 # -- degree budgets -----------------------------------------------------------------
@@ -559,15 +557,16 @@ def test_budgets_pin_the_rewrite_steps_of_hopf_all_at_order_8():
 
 
 def test_budgets_pin_the_coefficient_multiplies_of_hopf_all_at_order_8():
-    # the build's multiplies and the checks' multiplies, pinned apart so
-    # that a parser change cannot move the checks' pin: the build took
-    # 304 before it raised each repeated power once. With no degree
-    # budgets (every product, word-map image and antipode pass through
-    # the order) the run took 7,499 multiplies in all, and with budgets
-    # but commutators that normalise both products 4,601. The last two
-    # numbers are the Scalar products of the build and of the checks
+    # the build's Scalar products and the checks' Scalar products, pinned
+    # apart so that a parser change cannot move the checks' pin. While
+    # coefficients were ParamPoly values, the run took 184 and 1,584
+    # Scalar products in 288 and 3,318 ParamPoly multiplies; the build
+    # took 304 multiplies before it raised each repeated power once. With
+    # no degree budgets (every product, word-map image and antipode pass
+    # through the order) the run took 7,499 multiplies in all, and with
+    # budgets but commutators that normalise both products 4,601
     argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
-    assert kernel_counts(argv) == (1, 635, 288, 3318, 184, 1584)
+    assert kernel_counts(argv) == (1, 635, 173, 1462)
 
 
 def test_the_wide_document_normalises_each_word_once_per_key():
@@ -603,14 +602,14 @@ def test_reported_values_do_not_depend_on_slack():
         for i, j in wide.rel.pairs():
             a = wide.rel.bracket_poly(j, i).truncate(4)
             b = narrow.rel.bracket_poly(j, i).truncate(4)
-            assert {w: c.terms for w, c in a.terms.items()} == {
-                w: c.terms for w, c in b.terms.items()
+            assert {w: c.terms for w, c in a.coefficients().items()} == {
+                w: c.terms for w, c in b.coefficients().items()
             }, (slack, i, j)
         for g in range(6):
             a = wide.coproduct_word((g,)).truncate(4)
             b = narrow.coproduct_word((g,)).truncate(4)
-            assert {k: c.terms for k, c in a.terms.items()} == {
-                k: c.terms for k, c in b.terms.items()
+            assert {k: c.terms for k, c in a.coefficients().items()} == {
+                k: c.terms for k, c in b.coefficients().items()
             }, (slack, g)
 
 
