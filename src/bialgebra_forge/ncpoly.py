@@ -13,11 +13,13 @@ factor words. outer() is the one outer-product loop, used by tensor()
 and by factorwise normalisation.
 
 The terms are flat: one map (key, m) -> Scalar, where m is a parameter
-monomial packed into one int by the context's params.Monomials. The
-product of two monomials is m1 + m2, with no carry between the exponent
-fields, and the test m < limit(budget) says whether its degree is within
-a budget; so a coefficient product is one int add, one comparison and
-one Scalar multiply. Work that depends only on a key (a word product, a
+monomial packed into one int by the context's params.Monomials, in
+fields of width bits(order) + 1 with the total degree in the top field.
+A stored exponent is at most the order, and a sum of two is at most
+2*order < 2**(bits(order) + 1), so the product of two monomials is
+m1 + m2, with no carry between fields, and the test m < limit(budget)
+says whether its degree is within a budget; a coefficient product is one
+int add, one comparison and one Scalar multiply. Work that depends only on a key (a word product, a
 cap check, a normal form) is done once per key: groups() gives each
 key's packed coefficient, its (m, Scalar) pairs by ascending m, so the
 first pair holds the lowest degree. A ParamPoly appears only at the
@@ -43,7 +45,7 @@ _new = object.__new__
 SETTINGS = ("order", "cap", "slack")
 
 # the packed coefficient 1: the constant monomial, packed to 0, with value 1
-_UNIT = ((0, ONE),)
+PACKED_ONE = ((0, ONE),)
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,12 @@ class Context:
 def coefficient_product(left, right, limit: int):
     """The product of two packed coefficients, each a sequence of (m,
     Scalar) pairs, as a list of such pairs, without the terms whose
-    monomial is at or past limit. The unit _UNIT, and a factor 1 of a
+    monomial is at or past limit. The unit PACKED_ONE, and a factor 1 of a
     monomial times a monomial, cost no Scalar product. Two nonzero
     coefficients whose lowest degrees fit under limit have a nonzero
     product: Q(i)[params] is an integral domain, so the lowest part of a
     product is the product of the lowest parts."""
-    if left is _UNIT:
+    if left is PACKED_ONE:
         return [pair for pair in right if pair[0] < limit]
     if len(left) == 1 == len(right):
         [(m1, c1)], [(m2, c2)] = left, right
@@ -443,7 +445,7 @@ class NCPoly(_Terms):
 def _coefficient_power(pairs, n: int, limit: int):
     """pairs**n for a packed coefficient, by squaring, without the terms
     at or past limit."""
-    out, base = _UNIT, pairs
+    out, base = PACKED_ONE, pairs
     while n:
         if n & 1:
             out = coefficient_product(out, base, limit)
@@ -494,7 +496,7 @@ class TensorNCPoly(_Terms):
         return self._like({((k[1], k[0]), m): c for (k, m), c in self.terms.items()})
 
 
-def outer(factors, limit: int, coeff=_UNIT) -> dict:
+def outer(factors, limit: int, coeff=PACKED_ONE) -> dict:
     """Terms of coeff * (f1 (x) f2 (x) ...) for NCPoly factors, as a flat
     map (tuple of words, m) -> Scalar, without the terms at or past the
     packed monomial limit; coeff is a packed coefficient (default 1) and

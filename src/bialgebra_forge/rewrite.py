@@ -19,9 +19,11 @@ product of the lowest parts, no rewrite lowers degree and a normal form is
 linear, so a form computed through a budget equals the full one through it
 under the leftmost strategy, whether or not the table is confluent.
 
-Coefficients are packed (ncpoly): a term's monomial is one int m, a
-product of monomials is m1 + m2, and m < limit(budget) is the degree
-test, so no result carries a term above its budget and none needs a cut.
+Terms are flat (ncpoly): a term's parameter monomial is one int m, in
+fields wide enough that a sum of two exponents, at most 2*order, cannot
+carry into the next, so a product of monomials is m1 + m2, and
+m < limit(budget) is the degree test; no result carries a term above its
+budget and none needs a cut.
 Work that depends only on the words (a normal form, a word bracket, a
 term shape, a pure-swap test) is done once per key, whatever the number
 of terms in its coefficient.
@@ -51,7 +53,9 @@ from __future__ import annotations
 from operator import add
 
 from .errors import CapExceededError, DocumentError, NonContractingError
-from .ncpoly import _UNIT, Context, NCPoly, cap_error, coefficient_product, outer, word_str
+from .ncpoly import (
+    PACKED_ONE, Context, NCPoly, cap_error, coefficient_product, outer, word_str,
+)
 from .sparse import accumulate
 
 
@@ -160,11 +164,11 @@ def _descents(word):
 
 def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NCPoly:
     """Normal form of a single word as an NCPoly, exact through parameter
-    degree `budget` (default: the order), with no term above it.
+    degree `budget` (default: the order).
 
-    A cached entry computed for a larger budget serves a smaller one as
-    it is, so a result may carry exact terms above the budget asked for.
-    A call with the default budget returns the full normal form, whatever
+    A form computed here has no term above the budget, but a cached entry
+    computed for a larger budget serves a smaller one as it is, so a
+    result may carry exact terms above the budget asked for. A call with the default budget returns the full normal form, whatever
     budgets were requested before. Each branch of the worklist carries its
     packed coefficient and its room: the budget less the coefficient's
     lowest degree. Over a field the lowest part of a product is the
@@ -191,7 +195,7 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
     shift = context.monomials.shift
     limit = context.monomials.limit(budget)
     result = {}
-    work = [(tuple(word), _UNIT, budget)]
+    work = [(tuple(word), PACKED_ONE, budget)]
     while work:
         w, coeff, room = work.pop()
         if use_cache and w != word:
