@@ -7,10 +7,11 @@ A presentation passes when every reported defect is identically zero.
 Values hold flat terms, (key, packed monomial) -> Scalar (ncpoly): a
 monomial product is one int add, which cannot carry between exponent
 fields, since a field of bits(order) + 1 bits holds the largest sum of
-two exponents, 2*order; one int comparison is the degree test. The word maps act once per key of what they map: a word's
-image, held in a cache, is formed once however many terms its
-coefficient has, and is then multiplied into that packed coefficient,
-term by term, through the budget.
+two exponents, 2*order; one int comparison is the degree test. The word
+maps act once per key of what they map: a word's image, held in a
+cache, is formed once however many terms its coefficient has, and is
+then multiplied into that packed coefficient, term by term, through the
+budget.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ A stored exponent is at most the order, and a sum of two is at most
 2*order < 2**(bits(order) + 1), so the product of two monomials is
 m1 + m2, with no carry between fields, and the test m < limit(budget)
 says whether its degree is within a budget; a coefficient product is one
-int add, one comparison and one Scalar multiply. Work that depends only on a key (a word product, a
-cap check, a normal form) is done once per key: groups() gives each
-key's packed coefficient, its (m, Scalar) pairs by ascending m, so the
-first pair holds the lowest degree. A ParamPoly appears only at the
+int add, one comparison and one Scalar multiply. Work that depends only
+on a key (a word product, a cap check, a normal form) is done once per
+key: groups() gives each key's packed coefficient, its (m, Scalar) pairs
+by ascending m, so the first pair holds the lowest degree. A ParamPoly appears only at the
 edges: the public constructors take {key: ParamPoly}, coefficients()
 and coefficient() give them back, and printing groups each key's terms
 into one, so every value prints as a ParamPoly-valued map would.
@@ -91,8 +91,8 @@ class Context:
 def coefficient_product(left, right, limit: int):
     """The product of two packed coefficients, each a sequence of (m,
     Scalar) pairs, as a list of such pairs, without the terms whose
-    monomial is at or past limit. The unit PACKED_ONE, and a factor 1 of a
-    monomial times a monomial, cost no Scalar product. Two nonzero
+    monomial is at or past limit. The unit PACKED_ONE costs no Scalar
+    product, nor does a value 1 in a monomial times a monomial. Two nonzero
     coefficients whose lowest degrees fit under limit have a nonzero
     product: Q(i)[params] is an integral domain, so the lowest part of a
     product is the product of the lowest parts."""

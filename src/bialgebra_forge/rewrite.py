@@ -168,13 +168,14 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
 
     A form computed here has no term above the budget, but a cached entry
     computed for a larger budget serves a smaller one as it is, so a
-    result may carry exact terms above the budget asked for. A call with the default budget returns the full normal form, whatever
-    budgets were requested before. Each branch of the worklist carries its
-    packed coefficient and its room: the budget less the coefficient's
-    lowest degree. Over a field the lowest part of a product is the
-    product of the lowest parts, so a rewrite takes the lowest degree of
-    the rhs coefficient it inserts off the room, and a branch whose room
-    would go negative is dropped before its coefficient is formed.
+    result may carry exact terms above the budget asked for. A call with
+    the default budget returns the full normal form, whatever budgets
+    were requested before. Each branch of the worklist carries its packed
+    coefficient and its room: the budget less the coefficient's lowest
+    degree. Over a field the lowest part of a product is the product of
+    the lowest parts, so a rewrite takes the lowest degree of the rhs
+    coefficient it inserts off the room, and a branch whose room would go
+    negative is dropped before its coefficient is formed.
 
     choose, when given, picks which out-of-order adjacent pair to
     rewrite first (position index into the descent list); the default
