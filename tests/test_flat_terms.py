@@ -20,6 +20,7 @@ from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, outer
 from bialgebra_forge.params import Monomials, ParamPoly
 from bialgebra_forge.rewrite import RelationTable, commutator, normalize
 from bialgebra_forge.scalars import Scalar
+from bialgebra_forge.sparse import accumulate
 from bialgebra_forge.tensors import Basis
 
 PARAMS = ("p", "q", "r", "s", "u")
@@ -84,14 +85,6 @@ def test_the_limit_is_the_degree_test(order):
 # -- the reference: the same arithmetic on ParamPoly coefficients ------------------
 
 
-def _add(out, key, coeff):
-    total = out[key] + coeff if key in out else coeff
-    if total:
-        out[key] = total
-    else:
-        out.pop(key, None)
-
-
 def _value(context, arity, coefficients):
     coefficients = {k: c for k, c in coefficients.items() if c}
     if arity == 1:
@@ -103,7 +96,7 @@ def ref_times(a, b, budget):
     out = {}
     for (k1, c1), (k2, c2) in product(a.coefficients().items(), b.coefficients().items()):
         words = tuple(map(add, a._factors(k1), b._factors(k2)))
-        _add(out, a._key(words), (c1 * c2).truncate(budget))
+        accumulate(out, a._key(words), (c1 * c2).truncate(budget))
     return _value(a.context, a.arity, out)
 
 
@@ -117,7 +110,7 @@ def ref_normal_form(rhs, word, ctx):
         w, c = work.pop()
         pos = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), None)
         if pos is None:
-            _add(out, w, c)
+            accumulate(out, w, c)
             continue
         head, tail = w[:pos], w[pos + 2:]
         work.append((head + (w[pos + 1], w[pos]) + tail, c))
@@ -137,7 +130,7 @@ def ref_normalize(a, rhs, budget):
             c = coeff
             for _, cw in line:
                 c = c * cw
-            _add(out, a._key(tuple(w for w, _ in line)), c.truncate(budget))
+            accumulate(out, a._key(tuple(w for w, _ in line)), c.truncate(budget))
     return _value(a.context, a.arity, out)
 
 
@@ -213,7 +206,7 @@ def test_flat_outer_is_the_param_poly_tensor_product(data):
         ctx, outer([a, b], monomials.limit(budget), monomials.pairs(coeff)), 2)
     want = {}
     for (w1, c1), (w2, c2) in product(a.coefficients().items(), b.coefficients().items()):
-        _add(want, (w1, w2), (coeff * c1 * c2).truncate(budget))
+        accumulate(want, (w1, w2), (coeff * c1 * c2).truncate(budget))
     assert got == _value(ctx, 2, want)
 
 
@@ -264,6 +257,6 @@ def test_flat_substitute_is_the_param_poly_substitution(data):
             for name, power in zip(ctx.params, exps):
                 if power:
                     new[target.params.index(images[name])] += power
-            _add(terms, tuple(new), c)
+            accumulate(terms, tuple(new), c)
         want[key] = ParamPoly(target.params, target.order, terms)
     assert a.substitute(images, target) == _value(target, a.arity, want)
