@@ -201,12 +201,13 @@ class Document:
             raise DocumentError(f"no composition named {name!r}")
         cls = BracketTensor if comp["kind"] == "bracket" else CobracketTensor
         index = context.basis.index
+        memo = {}  # one parse memo for the composition's entries
         pairs = []
         for entry in comp.get("entries", []):
             (a, b), single = _pair_and_single(comp["kind"], entry)
             i, j, k = index[a], index[b], index[single]
             key = (i, j, k) if cls is BracketTensor else (k, i, j)
-            pairs.append((key, parse_coefficient(entry["coeff"], context)))
+            pairs.append((key, parse_coefficient(entry["coeff"], context, _memo=memo)))
         return cls(context.basis, context.params, context.order, pairs)
 
     def composition_names(self, kind: str):

@@ -13,7 +13,8 @@ ASCII letter or underscore followed by ASCII letters, digits and
 underscores (IDENTIFIER, which document validation also uses). A number
 is a run of the ASCII digits 0-9; any other character, a superscript or
 fraction digit included, is an unexpected character. One compiled
-pattern lexes the whole text (_lex).
+pattern lexes the whole text, and one pass over its tokens converts the
+numbers and pairs each '(' with its ')' (_lex).
 
 Scalars are rationals with an optional i factor ('1/2', 'i', '-3*i/4',
 '-3i/4'). A divisor is either a number with an optional natural power
@@ -33,13 +34,28 @@ monomial once into the context's packing (ncpoly). Both parses read one
 token list and one memo, keyed by parse order and source text, of each
 identifier, parenthesised group and exp/sinh/cosh call read, and of each
 power: a factor's text through its '^' natural, such as t^2, p_x^3 or
-(t/z2)^2. A build shares one memo (Document.build_presentation). A
+(t/z2)^2. The memo also holds the one working Context of each parse
+order, so a build makes one per order, not one per expression. A build
+shares one memo (Document.build_presentation), as do the entries of one
+composition (Document.composition_tensor). A
 repeated group or call skips to its ')' and a repeated power is not
 raised again; each adds to the loss the divisor degrees its first parse
 added, so the decision to parse again is unchanged. No error is stored,
 and a repeat nested too deep for its height is parsed again.
-A product with a word-free factor scales the other factor's
-coefficients rather than multiplying word by word.
+
+A value is worked on as its flat term map (ncpoly), and an emitted
+document is mostly single-term products such as -1/2*t*h^2*z*l_z^2. So
+the product of two single-term values (a number, i, a parameter, a
+generator, a power of one, a memo hit holding one term) is formed
+directly as one term: the packed monomials add, the term drops when its
+degree passes the parse order, and only a term that stays has its word
+held against the cap, as NCPoly.times holds it. Under the same rules a
+power of a single term is one term (Parser._power) and its series a sum
+of such powers (Parser._series). Any other product with a word-free factor scales the
+other factor's coefficients, and the rest multiply word by word. A sum
+adds each term into one map in place, and a pending divisor is shared,
+never copied, while none is added to it. An error at the end of the
+text names the end of expression.
 '(x)' is always read as the tensor-join token, never as a parenthesised
 identifier.
 Parentheses, function calls and unary minus nest at most MAX_NESTING
@@ -56,9 +72,13 @@ from operator import attrgetter, sub
 from types import MappingProxyType
 
 from .errors import ExprSyntaxError, InexactDivisionError, UnknownIdentifierError
-from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error, series_apply, tensor
+from .ncpoly import (
+    Context, NCPoly, TensorNCPoly, _coefficient_power, _series_coeffs, cap_error,
+    series_apply, tensor,
+)
 from .params import ParamPoly
 from .scalars import I, ONE, ZERO, Scalar, check_power
+from .sparse import accumulate, deduct
 
 _FUNCTIONS = ("exp", "sinh", "cosh")
 # deepest nesting of parentheses, function calls and unary minus; deeper
@@ -69,39 +89,40 @@ MAX_NESTING = 100
 # the one identifier rule: document validation and the lexer both use it
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# one alternative per token kind; finditer skips whitespace, which no
-# alternative matches, and a symbol (any other character) is one token
+# one named alternative per token kind, so a match's lastgroup is its
+# kind; finditer skips whitespace, which no alternative matches, and any
+# other character is one token of no kind. '(x)' is tried before '('
 _TOKEN = re.compile(
-    rf"(?P<TENSOR>\(\s*x\s*\))|(?P<NUMBER>[0-9]+)|(?P<IDENT>{IDENTIFIER.pattern})|\S"
+    rf"(?P<IDENT>{IDENTIFIER.pattern})|(?P<NUMBER>[0-9]+)|(?P<STAR>\*)"
+    r"|(?P<TENSOR>\(\s*x\s*\))|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<PLUS>\+)"
+    r"|(?P<MINUS>-)|(?P<SLASH>/)|(?P<CARET>\^)|\S"
 )
-_SYMBOLS = MappingProxyType({
-    "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-    "^": "CARET", "(": "LPAREN", ")": "RPAREN",
-})
-
-
-def _closing(kinds) -> dict:
-    """The index of the ')' closing each closed '(' of a token list."""
-    closing, opened = {}, []
-    for at, kind in enumerate(kinds):
-        if kind == "LPAREN":
-            opened.append(at)
-        elif kind == "RPAREN" and opened:
-            closing[opened.pop()] = at
-    return closing
+# the token kinds that _lex leaves as they are
+_PLAIN = frozenset(("IDENT", "STAR", "PLUS", "MINUS", "SLASH", "CARET"))
+# the pending divisor of a value with none, shared by every such value
+_NO_DIVISOR = MappingProxyType({})
 
 
 def _lex(text: str):
     """The tokens of text as three lists, kinds, values and positions,
-    ending with END. The scan runs in C; only NUMBER and TENSOR values
-    are rewritten here, each to the value its kind carries."""
+    ending with END, and the index of the ')' closing each closed '('.
+    The scan runs in C; one pass over the kinds rewrites each NUMBER and
+    TENSOR value to the value its kind carries and pairs the
+    parentheses."""
     matches = list(_TOKEN.finditer(text))
     values = list(map(re.Match.group, matches))
-    # a symbol's kind is named by its text, any other token's by its group
-    kinds = list(map(_SYMBOLS.get, values, map(attrgetter("lastgroup"), matches)))
+    kinds = list(map(attrgetter("lastgroup"), matches))
     positions = list(map(re.Match.start, matches))
+    closing, opened = {}, []
     for at, kind in enumerate(kinds):
-        if kind == "NUMBER":
+        if kind in _PLAIN:
+            continue
+        if kind == "LPAREN":
+            opened.append(at)
+        elif kind == "RPAREN":
+            if opened:
+                closing[opened.pop()] = at
+        elif kind == "NUMBER":
             try:
                 values[at] = int(values[at])
             except ValueError:  # past the interpreter's digit limit
@@ -111,25 +132,12 @@ def _lex(text: str):
                 ) from None
         elif kind == "TENSOR":
             values[at] = "(x)"
-        elif kind is None:
+        else:
             raise ExprSyntaxError(f"unexpected character {values[at]!r}", positions[at])
     kinds.append("END")
     values.append(None)
     positions.append(len(text))
-    return kinds, values, positions
-
-
-class _Value:
-    """A pending fraction: poly numerator and parameter-monomial denominator."""
-
-    __slots__ = ("poly", "den")
-
-    def __init__(self, poly, den=None):
-        self.poly = poly
-        self.den = dict(den) if den else {}
-
-    def is_tensor(self):
-        return isinstance(self.poly, TensorNCPoly)
+    return kinds, values, positions, closing
 
 
 def _divide(value, den: dict):
@@ -156,9 +164,12 @@ def _divide(value, den: dict):
     return value._like(out)
 
 
-def _monomial_product(left: dict, right: dict) -> dict:
+def _monomial_product(left, right):
     """The product of two parameter monomials {name: power}, left's
-    names first: the one merge of pending divisors."""
+    names first: the one merge of pending divisors. A side with no
+    divisor returns the other as it is; divisors are never altered."""
+    if not left:
+        return right
     out = dict(left)
     for name, power in right.items():
         out[name] = out.get(name, 0) + power
@@ -179,13 +190,20 @@ def _product(left, right):
 
 class Parser:
     """One parse of a lexed expression at context's order. source is the
-    text, its token lists and their _closing table. memo, which the
+    text and the token lists and closing table of _lex. memo, which the
     caller owns for one context, maps (order, text) of an identifier to
-    its value and of a group, call or power to (numerator, pending
-    divisor, loss, nesting height) (_memoised)."""
+    its value and of a group, call or power to (value, loss, nesting
+    height) (_memoised), and a parse order to its working context
+    (_working).
+
+    A value is a tuple (terms, arity, den): a flat term map {(key, m):
+    Scalar} over context, never altered once made, so the memo may share
+    it; the arity, 1 for a word polynomial and 2 for a tensor square; and
+    the pending parameter-monomial divisor {name: power}."""
 
     def __init__(self, context: Context, source, memo: dict):
         self.context = context
+        self.limit = context.monomials.limit(context.order)
         self.text, self.kinds, self.values, self.positions, self.closing = source
         self.memo = memo
         self.at = 0
@@ -195,35 +213,36 @@ class Parser:
 
     # -- token plumbing -------------------------------------------------------
 
-    def _peek(self):
-        """The kind of the next token."""
-        return self.kinds[self.at]
-
-    def _next(self):
-        """Consume the next token; its index."""
-        self.at += 1
-        return self.at - 1
-
     def _expect(self, kind):
         """Consume the next token, which must be of kind; its index."""
-        at = self._next()
+        at = self.at
+        self.at = at + 1
         if self.kinds[at] != kind:
-            self._fail(f"expected {kind}, found {self.values[at]!r}", at)
+            found = ("end of expression" if self.kinds[at] == "END"
+                     else repr(self.values[at]))
+            self._fail(f"expected {kind}, found {found}", at)
         return at
 
     def _fail(self, message, at=None):
         """Raise a syntax error at token at (default: the next one)."""
         raise ExprSyntaxError(message, self.positions[self.at if at is None else at])
 
-    def _resolve(self, value: _Value):
-        """The numerator divided by the pending denominator. Every product
+    def _poly(self, terms, arity):
+        """The NCPoly (arity 1) or TensorNCPoly holding terms."""
+        if arity == 1:
+            return NCPoly._of(self.context, terms)
+        return TensorNCPoly._of(self.context, terms, arity)
+
+    def _resolve(self, value):
+        """The terms of value divided by its pending divisor. Every product
         was truncated at the parser's order, so a quotient by a degree-d
         monomial is exact only through d degrees less."""
-        if not value.den:
-            return value.poly
-        poly = _divide(value.poly, value.den)
-        self.loss += sum(value.den.values())
-        return poly
+        terms, arity, den = value
+        if not den:
+            return terms
+        terms = _divide(self._poly(terms, arity), den).terms
+        self.loss += sum(den.values())
+        return terms
 
     def _text_key(self, start, end):
         """The memo key of the text from token start through token end:
@@ -231,27 +250,27 @@ class Parser:
         return (self.context.order,
                 self.text[self.positions[start]:self.positions[end + 1]].rstrip())
 
-    def _memoised(self, start, end, parse, *args) -> _Value:
+    def _memoised(self, start, end, parse, *args):
         """parse(*args), which reads from token start through token end,
         or the memo's value for that text. end is the ')' closing a group
         or call (None when unclosed: parse raises) or the exponent of a
         power, whose parse only raises its base, read already. An entry
-        is (numerator, pending divisor, loss, nesting height), height 0
-        for a power; a repeat adds the loss its first parse added."""
+        is (value, loss, nesting height), height 0 for a power; a repeat
+        adds the loss its first parse added."""
         if end is None:
             return parse(*args)
         key = self._text_key(start, end)
         entry = self.memo.get(key)
-        if entry is not None and self.depth + entry[3] <= MAX_NESTING:
-            poly, den, loss, height = entry
+        if entry is not None and self.depth + entry[2] <= MAX_NESTING:
+            value, loss, height = entry
             self.at = end + 1
             self.loss += loss
             self.peak = max(self.peak, self.depth + height)
-            return _Value(poly, den)
+            return value
         loss, peak = self.loss, self.peak
         self.peak = self.depth
         value = parse(*args)
-        self.memo[key] = (value.poly, value.den, self.loss - loss, self.peak - self.depth)
+        self.memo[key] = (value, self.loss - loss, self.peak - self.depth)
         self.peak = max(peak, self.peak)
         return value
 
@@ -259,113 +278,174 @@ class Parser:
 
     def parse(self):
         value = self._expr()
-        if self._peek() != "END":
+        if self.kinds[self.at] != "END":
             self._fail(f"trailing input starting at {self.values[self.at]!r}")
-        return self._resolve(value)
+        return self._poly(self._resolve(value), value[1])
 
-    def _expr(self) -> _Value:
+    def _expr(self):
         value = self._tterm()
-        if self._peek() not in ("PLUS", "MINUS"):
+        kinds = self.kinds
+        kind = kinds[self.at]
+        if kind != "PLUS" and kind != "MINUS":
             # single term: keep any pending division for the caller, so
             # prefactors like (t/(z2*h)) stay unresolved until the full
             # product is expanded
             return value
-        total = self._resolve(value)
-        while (kind := self._peek()) in ("PLUS", "MINUS"):
-            op = self._next()
-            rhs = self._resolve(self._tterm())
-            if isinstance(total, TensorNCPoly) != isinstance(rhs, TensorNCPoly):
+        arity = value[1]
+        total = dict(self._resolve(value))
+        while kind == "PLUS" or kind == "MINUS":
+            op = self.at
+            self.at = op + 1
+            rhs = self._tterm()
+            terms = self._resolve(rhs)
+            if rhs[1] != arity:
                 self._fail("cannot add tensor and non-tensor terms", op)
-            total = total + rhs if kind == "PLUS" else total - rhs
-        return _Value(total)
+            update = accumulate if kind == "PLUS" else deduct
+            for term, c in terms.items():
+                update(total, term, c)
+            kind = kinds[self.at]
+        return total, arity, _NO_DIVISOR
 
-    def _tterm(self) -> _Value:
+    def _tterm(self):
         left = self._term()
-        if self._peek() != "TENSOR":
+        if self.kinds[self.at] != "TENSOR":
             return left
-        self._next()
+        self.at += 1
         right = self._term()
-        if self._peek() == "TENSOR":
+        if self.kinds[self.at] == "TENSOR":
             self._fail("tensor products beyond a square are not supported")
-        if left.is_tensor() or right.is_tensor():
+        (lterms, larity, lden), (rterms, rarity, rden) = left, right
+        if larity != 1 or rarity != 1:
             self._fail("nested tensor join")
-        return _Value(tensor(left.poly, right.poly),
-                      _monomial_product(left.den, right.den))
+        if len(lterms) == 1 == len(rterms):
+            [((w1, m1), c1)] = lterms.items()
+            [((w2, m2), c2)] = rterms.items()
+            m = m1 + m2
+            terms = {}
+            if m < self.limit:
+                terms[((w1, w2), m)] = c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
+        else:
+            terms = tensor(self._poly(lterms, 1), self._poly(rterms, 1)).terms
+        return terms, 2, _monomial_product(lden, rden)
 
-    def _term(self) -> _Value:
-        value = self._factor()
-        while self._peek() == "STAR":
-            self._next()
-            rhs = self._factor()
-            if value.is_tensor() or rhs.is_tensor():
+    def _term(self):
+        terms, arity, den = self._factor()
+        kinds = self.kinds
+        while kinds[self.at] == "STAR":
+            self.at += 1
+            rterms, rarity, rden = self._factor()
+            if arity != 1 or rarity != 1:
                 self._fail("'*' cannot multiply tensor expressions")
-            value = _Value(_product(value.poly, rhs.poly),
-                           _monomial_product(value.den, rhs.den))
-        return value
+            terms = self._times(terms, rterms)
+            if rden:
+                den = _monomial_product(den, rden)
+        return terms, arity, den
 
-    def _factor(self) -> _Value:
+    def _times(self, left, right):
+        """The terms of left * right for two word term maps. Two single
+        terms make at most one, under the rules of NCPoly.times: it drops
+        when the monomials' degrees sum past the order, and otherwise its
+        word must be within the cap."""
+        if len(left) == 1 == len(right):
+            [((w1, m1), c1)] = left.items()
+            [((w2, m2), c2)] = right.items()
+            m = m1 + m2
+            if m >= self.limit:
+                return {}
+            word = w1 + w2
+            if len(word) > self.context.cap:
+                raise cap_error(word, self.context)
+            return {(word, m): c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2}
+        return _product(self._poly(left, 1), self._poly(right, 1)).terms
+
+    def _factor(self):
         start = self.at
-        kind = self._peek()
-        if self.depth == MAX_NESTING:
+        kind = self.kinds[start]
+        depth = self.depth
+        if depth == MAX_NESTING:
             self._fail(f"expression nested more than {MAX_NESTING} levels deep")
-        self.depth += 1
-        if self.depth > self.peak:
-            self.peak = self.depth
-        if kind == "MINUS":
-            self._next()
-            inner = self._factor()
-            value = _Value(-inner.poly, inner.den)
+        self.depth = depth + 1
+        if depth >= self.peak:
+            self.peak = depth + 1
+        if kind == "IDENT":
+            value = self._identifier()
         elif kind == "NUMBER":
             value = self._scalar_literal()
         elif kind == "LPAREN":
-            value = self._memoised(self.at, self.closing.get(self.at), self._group)
-        elif kind == "IDENT":
-            value = self._identifier()
+            value = self._memoised(start, self.closing.get(start), self._group)
+        elif kind == "MINUS":
+            self.at = start + 1
+            terms, arity, den = self._factor()
+            value = {term: -c for term, c in terms.items()}, arity, den
+        elif kind == "END":
+            self._fail("unexpected end of expression")
         else:
-            self._fail(f"unexpected token {self.values[self.at]!r}")
-        self.depth -= 1
-        return self._postfix(start, value)
+            self._fail(f"unexpected token {self.values[start]!r}")
+        self.depth = depth
+        kind = self.kinds[self.at]
+        if kind == "CARET" or kind == "SLASH":
+            return self._postfix(start, value)
+        return value
 
-    def _group(self) -> _Value:
+    def _group(self):
         self._expect("LPAREN")
         value = self._expr()
         self._expect("RPAREN")
         return value
 
-    def _scalar_literal(self) -> _Value:
-        value = Scalar(self.values[self._expect("NUMBER")])
-        if self._peek() == "IDENT" and self.values[self.at] == "i":
-            self._next()
+    def _scalar_literal(self):
+        at = self.at
+        value = Scalar(self.values[at])
+        at += 1
+        if self.kinds[at] == "IDENT" and self.values[at] == "i":
+            at += 1
             value = value * I
-        return _Value(NCPoly.from_scalar(self.context, value))
+        self.at = at
+        return ({((), 0): value} if value else {}), 1, _NO_DIVISOR
 
-    def _identifier(self) -> _Value:
-        at = self._expect("IDENT")
+    def _identifier(self):
+        at = self.at
+        self.at = at + 1
         name = self.values[at]
         if name in _FUNCTIONS:
             return self._memoised(at, self.closing.get(at + 1), self._series, name, at)
         key = (self.context.order, name)
-        atom = self.memo.get(key)
-        if atom is None:
-            atom = self.memo[key] = self._atom(name, at)
-        return _Value(atom)
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = (self._atom(name, at), 1, _NO_DIVISOR)
+        return value
 
-    def _series(self, name, at) -> _Value:
-        poly = self._resolve(self._group())
-        if isinstance(poly, TensorNCPoly):
+    def _series(self, name, at):
+        value = self._group()
+        terms = self._resolve(value)
+        if value[1] != 1:
             self._fail("series functions take non-tensor arguments", at)
-        return _Value(series_apply(name, poly))
+        context = self.context
+        if len(terms) != 1 or next(iter(terms))[1] < context.monomials.limit(0):
+            return series_apply(name, self._poly(terms, 1)).terms, 1, _NO_DIVISOR
+        # one term of degree >= 1: as series_apply sums it, but each power
+        # is the one term of a product of single terms (_times)
+        out, power, next_k = {}, {((), 0): ONE}, 0
+        for k, coeff in _series_coeffs(name, context.order):
+            while next_k < k and power:
+                power = self._times(power, terms)
+                next_k += 1
+            if not power:
+                break
+            [(term, c)] = power.items()
+            out[term] = coeff * c
+        return out, 1, _NO_DIVISOR
 
     def _atom(self, name, at):
-        """The value of the identifier name, read at token at: i, a
-        parameter or a generator. Values are immutable, so the memo
-        shares each. A generator is a word of length 1, checked against
-        the cap here, as _product checks no word."""
+        """The terms of the identifier name, read at token at: i, a
+        parameter or a generator. A generator is a word of length 1,
+        checked against the cap here, as _times checks only the words
+        that products make."""
         context = self.context
         if name == "i":
-            return NCPoly.from_scalar(context, I)
+            return NCPoly.from_scalar(context, I).terms
         if name in context.params:
-            return NCPoly.from_coeff(context, context.param_poly(name))
+            return NCPoly.from_coeff(context, context.param_poly(name)).terms
         index = context.basis.index.get(name)
         if index is None:
             raise UnknownIdentifierError(
@@ -373,64 +453,82 @@ class Parser:
             )
         if context.cap < 1:
             raise cap_error((index,), context)
-        return NCPoly.generator(context, index)
+        return NCPoly.generator(context, index).terms
 
-    def _postfix(self, start, value: _Value) -> _Value:
+    def _postfix(self, start, value):
         """value, the factor read from token start, with each '^' natural
         and '/' divisor that follows applied in turn."""
         while True:
-            kind = self._peek()
+            kind = self.kinds[self.at]
             if kind == "CARET":
-                self._next()
+                self.at += 1
                 at = self._expect("NUMBER")
                 value = self._memoised(start, at, self._power, value, at)
             elif kind == "SLASH":
-                self._next()
+                self.at += 1
                 value = self._division(value)
             else:
                 return value
 
-    def _power(self, value: _Value, at) -> _Value:
+    def _power(self, value, at):
         """value, a factor read already (identifier or group memo hit and
         all), raised to the natural at token at. _postfix reads it through
         _memoised, keyed by the factor's text through its exponent, so
         each distinct power is raised once per order."""
         n = self.values[at]
-        if value.is_tensor():
+        terms, arity, den = value
+        if arity != 1:
             self._fail("'^' cannot raise tensor expressions", at)
         # a divisor that divides exactly costs its degree once, not once
         # per factor of the power
-        if value.den:
+        if den:
             try:
-                value = _Value(self._resolve(value))
+                terms, den = self._resolve(value), _NO_DIVISOR
             except InexactDivisionError:
                 pass
         # the constant term, with any pending division applied: the term
         # of the empty word at the divisor's monomial, if its degree is
         # within the order
-        exps = tuple(value.den.get(name, 0) for name in self.context.params)
+        context = self.context
+        exps = tuple(den.get(name, 0) for name in context.params)
         constant = ZERO
-        if sum(exps) <= self.context.order:
-            term = ((), self.context.monomials.pack(exps))
-            constant = value.poly.terms.get(term, ZERO)
+        if sum(exps) <= context.order:
+            constant = terms.get(((), context.monomials.pack(exps)), ZERO)
         check_power(constant, n)
-        den = {name: power * n for name, power in value.den.items()}
-        return _Value(value.poly ** n, den)
+        if den:
+            den = {name: power * n for name, power in den.items()}
+        if len(terms) != 1:
+            return (self._poly(terms, 1) ** n).terms, 1, den
+        # one term c*w: its power is one term, under the rules of
+        # NCPoly.__pow__, which multiplies by w once per factor: the first
+        # factor whose word passes the cap raises unless its degree passes
+        # the order, and the power drops when its degree passes the order
+        [((word, m), c)] = terms.items()
+        if word:
+            k = context.cap // len(word) + 1
+            if k <= n and k * context.monomials.degree(m) <= context.order:
+                raise cap_error(word * k, context)
+        power = _coefficient_power(((m, c),), n, self.limit)
+        return {(word * n, mn): cn for mn, cn in power}, 1, den
 
-    def _division(self, value: _Value) -> _Value:
-        if self._peek() == "NUMBER":
-            at = self._next()
+    def _division(self, value):
+        terms, arity, den = value
+        if self.kinds[self.at] == "NUMBER":
+            at = self.at
+            self.at = at + 1
             number, power = Scalar(self.values[at]), self._opt_power()
             if not number and power:
                 self._fail("division by zero", at)
             if power != 1:
                 check_power(number, power)
                 number = number ** power
-            return _Value(value.poly.scale(ONE / number), value.den)
-        return _Value(value.poly, _monomial_product(value.den, self._divisor_monomial()))
+            inverse = ONE / number
+            return {term: c * inverse for term, c in terms.items()}, arity, den
+        return terms, arity, _monomial_product(den, self._divisor_monomial())
 
     def _divisor_monomial(self) -> dict:
-        at = self._next()
+        at = self.at
+        self.at = at + 1
         if self.kinds[at] == "IDENT":
             return {self._require_param(at): self._opt_power()}
         if self.kinds[at] == "LPAREN":
@@ -438,7 +536,8 @@ class Parser:
             while True:
                 name = self._require_param(self._expect("IDENT"))
                 out[name] = out.get(name, 0) + self._opt_power()
-                at = self._next()
+                at = self.at
+                self.at = at + 1
                 if self.kinds[at] == "RPAREN":
                     return out
                 if self.kinds[at] != "STAR":
@@ -452,10 +551,21 @@ class Parser:
         return name
 
     def _opt_power(self) -> int:
-        if self._peek() == "CARET":
-            self._next()
+        if self.kinds[self.at] == "CARET":
+            self.at += 1
             return self.values[self._expect("NUMBER")]
         return 1
+
+
+def _working(context: Context, order: int, memo: dict) -> Context:
+    """context at the parse order order: context itself at its own order,
+    else the one copy the memo keeps for that order."""
+    if order == context.order:
+        return context
+    working = memo.get(order)
+    if working is None:
+        working = memo[order] = replace(context, order=order)
+    return working
 
 
 def parse_expr(text: str, context: Context, *, _memo=None):
@@ -464,13 +574,13 @@ def parse_expr(text: str, context: Context, *, _memo=None):
     memo of Parser; a caller parsing many expressions over one context
     may share one (Document.build_presentation does, for one build)."""
     order, slack = context.order, context.slack
-    kinds, values, positions = _lex(text)
-    source = (text, kinds, values, positions, _closing(kinds))
+    source = (text, *_lex(text))
     memo = {} if _memo is None else _memo
-    parser = Parser(replace(context, order=order + slack), source, memo)
+    parser = Parser(_working(context, order + slack, memo), source, memo)
     poly = parser.parse()
     if parser.loss > slack:
-        poly = Parser(replace(context, order=order + parser.loss), source, memo).parse()
+        parser = Parser(_working(context, order + parser.loss, memo), source, memo)
+        poly = parser.parse()
     return poly.repack(context)
 
 

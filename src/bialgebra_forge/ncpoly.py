@@ -234,9 +234,15 @@ class _Terms:
         each monomial's exponent vector e sent to exponents(e) (default:
         e itself), a vector over context's params, or to None to drop the
         term; terms above context's order drop. The one change of
-        context: each distinct monomial is unpacked and packed once."""
-        unpack = self.context.monomials.unpack
-        target = context.monomials
+        context: each distinct monomial is unpacked and packed once, and
+        not at all when the two contexts pack alike."""
+        source, target = self.context.monomials, context.monomials
+        if (exponents is None and source.params == target.params
+                and source.width == target.width):
+            limit = target.limit(target.order)
+            kept = {term: c for term, c in self.terms.items() if term[1] < limit}
+            return self._like(kept, context)
+        unpack = source.unpack
         pack, order = target.pack, target.order
         seen = {}
         out = {}
@@ -564,12 +570,13 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
             f"{fn} argument has a parameter-degree-0 term; series would not terminate"
         )
     max_k = arg.context.order
-    out = NCPoly.zero(arg.context)
+    out = {}  # the sum, added to in place
     power = NCPoly.unit(arg.context)
     next_k = 0
     for k, coeff in _series_coeffs(fn, max_k):
-        while next_k < k:
+        while next_k < k and power:
             power = power * arg
             next_k += 1
-        out = out + power.scale(coeff)
-    return out
+        for term, c in power.terms.items():
+            accumulate(out, term, coeff * c)
+    return NCPoly._of(arg.context, out)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bialgebra_forge as bf
-from bialgebra_forge import rewrite
+from bialgebra_forge import ncpoly, rewrite
 from bialgebra_forge.cli import main
 from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.scalars import Scalar
@@ -139,6 +139,28 @@ def call_counts(argv, module, *names):
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
     return (code, *(count[0] for count in counts))
+
+
+def build_work(doc, context):
+    """The polynomial work of doc.build_presentation(context), as counts
+    of its NCPoly.times calls (through * too), _Terms.scaled calls,
+    ncpoly.outer calls (wherever a package module imported it) and
+    Context constructions. The parser forms a product of single terms
+    and a sum without any of these, so per-factor polynomial work shows
+    in the counts."""
+    holders = [
+        module for name, module in list(sys.modules.items())
+        if name.startswith("bialgebra_forge.") and vars(module).get("outer") is ncpoly.outer
+    ]
+    with contextlib.ExitStack() as stack:
+        enter = stack.enter_context
+        times = [enter(_counted(ncpoly._Terms, name)) for name in ("times", "__mul__")]
+        scaled = enter(_counted(ncpoly._Terms, "scaled"))
+        outers = [enter(_counted(module, "outer")) for module in holders]
+        contexts = enter(_counted(ncpoly.Context, "__post_init__"))
+        doc.build_presentation(context)
+    return (sum(count[0] for count in times), scaled[0],
+            sum(count[0] for count in outers), contexts[0])
 
 
 def coefficient_products(fn, *args):

@@ -159,6 +159,8 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
         ("(2*t/t)^30000000*t*p_y", "a power would give a coefficient of more than"),
         # an inexact parameter division names its divisor
         ("(t/h)*l_x", "division by h is inexact"),
+        # an expression that ends too soon names the end
+        ("", "unexpected end of expression (at position 0)"),
     ):
         data = bf.load_bundled("corrected").to_dict()
         data["presentation"]["brackets"][0]["rhs"] = rhs

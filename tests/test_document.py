@@ -64,7 +64,7 @@ def test_a_valid_name_lexes_as_one_identifier(name):
     # validation and the lexer share one identifier rule; a reserved name
     # lexes as one identifier but is refused
     try:
-        kinds, values, _ = _lex(name)
+        kinds, values, *_ = _lex(name)
         one_identifier = kinds == ["IDENT", "END"] and values[0] == name
     except ExprSyntaxError:
         one_identifier = False

@@ -1,4 +1,5 @@
 import collections
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,14 +11,16 @@ import bialgebra_forge as bf
 from bialgebra_forge import document, exprparse, presentation_diff
 from bialgebra_forge.document import SCHEMA
 from bialgebra_forge.errors import (
-    ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
+    CapExceededError, ExprSyntaxError, InexactDivisionError, NonTerminatingSeriesError,
+    UnknownIdentifierError,
 )
 from bialgebra_forge.exprparse import parse_coefficient, parse_expr
-from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, series_apply
-from bialgebra_forge.scalars import I, Scalar
+from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, series_apply, word_str
+from bialgebra_forge.params import ParamPoly
+from bialgebra_forge.scalars import I, ONE, Scalar, format_scalar
 from bialgebra_forge.tensors import Basis
 
-from conftest import context5, corrected_document, diagonal5, widegen
+from conftest import build_work, context5, corrected_document, diagonal5, widegen
 
 CTX = context5()
 IDX = CTX.basis.index
@@ -163,6 +166,20 @@ def test_syntax_error_carries_position():
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of expression"),
+    ("   ", "unexpected end of expression"),
+    ("p_x +", "unexpected end of expression"),
+    ("2^", "expected NUMBER, found end of expression"),
+    ("p_x (x)", "unexpected end of expression"),
+])
+def test_an_error_at_the_end_of_the_text_names_the_end(text, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, CTX)
+    assert err.value.position == len(text)
+    assert str(err.value) == f"{message} (at position {len(text)})"
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError):
         parse_expr("i*zz*p_y", CTX)
@@ -292,17 +309,125 @@ def test_repeated_groups_match_sympy_truncated(a, b, c, d, p, q, fn, n):
     assert sympy.expand(got - want) == 0, text
 
 
+# -- single-term products: emitted-document-shaped sums -------------------------------
+
+# words of up to 3 letters over a, b against a cap of 2; the first parse
+# works at SINGLE_ORDER, above the cut at ORACLE_ORDER (no divisor here)
+SINGLE_CTX = Context(Basis(("a", "b")), ORACLE_PARAMS, order=ORACLE_ORDER, cap=2, slack=2)
+SINGLE_ORDER = ORACLE_ORDER + SINGLE_CTX.slack
+
+_gaussian = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 4)).filter(
+    lambda abd: abd[0] or abd[1]).map(
+    lambda abd: Scalar(Fraction(abd[0], abd[2]), Fraction(abd[1], abd[2])))
+# exponents of t, h, z: total degrees 0-9, so some pass SINGLE_ORDER
+_exponents = st.tuples(*[st.integers(0, 3)] * len(ORACLE_PARAMS))
+_word = st.lists(st.integers(0, 1), max_size=3).map(tuple)
+
+
+def _side_text(coeff, exps, word):
+    """A product as an emitted document prints it: coefficient,
+    parameter powers, then the word with its runs as powers."""
+    parts = [] if coeff == ONE else [format_scalar(coeff)]
+    parts += [name if p == 1 else f"{name}^{p}"
+              for name, p in zip(ORACLE_PARAMS, exps) if p]
+    if word:
+        parts.append(word_str(word, SINGLE_CTX.basis))
+    return "*".join(parts) or "1"
+
+
+def _side_raises(exps, word):
+    """Whether reading this side passes the cap: a run power longer than
+    the cap always does; otherwise the word's factors, read after the
+    parameters, pass it when the word is longer and the coefficient has
+    a term within the parse order. A word-free side never does."""
+    runs = (len(list(run)) for _, run in itertools.groupby(word))
+    return max(runs, default=0) > SINGLE_CTX.cap or (
+        len(word) > SINGLE_CTX.cap and sum(exps) <= SINGLE_ORDER)
+
+
+def _monomial(exps):
+    return sympy.Mul(*(s ** k for s, k in zip(ORACLE_SYMBOLS, exps)))
+
+
+@given(st.lists(st.tuples(_gaussian, _exponents, _word, _exponents, _word),
+                min_size=1, max_size=5), st.booleans())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_single_term_sums_match_sympy_truncated(terms, joined):
+    texts, want, raises = [], collections.defaultdict(lambda: sympy.Integer(0)), False
+    for coeff, exps, word, right_exps, right_word in terms:
+        text = _side_text(coeff, exps, word)
+        value = (coeff.re + sympy.I * coeff.im) * _monomial(exps)
+        key = word
+        raises |= _side_raises(exps, word)
+        if joined:
+            text += " (x) " + _side_text(ONE, right_exps, right_word)
+            value *= _monomial(right_exps)
+            key = (word, right_word)
+            raises |= _side_raises(right_exps, right_word)
+        texts.append(text)
+        want[key] += value
+    text = "".join(t if i == 0 or t.startswith("-") else "+" + t for i, t in enumerate(texts))
+    if raises:
+        with pytest.raises(CapExceededError):
+            parse_expr(text, SINGLE_CTX)
+        return
+    got = parse_expr(text, SINGLE_CTX)
+    assert isinstance(got, TensorNCPoly) == joined, text
+    coefficients = got.coefficients()
+    for key in set(want) | set(coefficients):
+        whole = sympy.Poly(want.get(key, sympy.Integer(0)), *ORACLE_SYMBOLS)
+        cut = sum((k * _monomial(m) for m, k in whole.terms() if sum(m) <= ORACLE_ORDER),
+                  sympy.Integer(0))
+        have = coefficients.get(key, ParamPoly.zero(ORACLE_PARAMS, ORACLE_ORDER))
+        assert sympy.expand(_as_sympy(have) - cut) == 0, (text, key)
+
+
+@given(_gaussian, _exponents, st.lists(st.integers(0, 1), max_size=2).map(tuple),
+       st.integers(0, 7), st.sampled_from(("exp", "sinh", "cosh")))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_single_term_powers_and_series_are_those_of_ncpoly(coeff, exps, word, n, fn):
+    # the parser raises a single term to a power and expands its series
+    # term by term; NCPoly.__pow__ and series_apply multiply word by word
+    ctx = replace(SINGLE_CTX, order=SINGLE_ORDER)
+    text = _side_text(coeff, exps, word)
+    base = NCPoly(ctx, {word: ParamPoly(ORACLE_PARAMS, SINGLE_ORDER, {exps: coeff})})
+    for expr, reference in ((f"({text})^{n}", lambda: base ** n),
+                            (f"{fn}({text})", lambda: series_apply(fn, base))):
+        parser = exprparse.Parser(ctx, (expr, *exprparse._lex(expr)), {})
+        try:
+            want = reference()
+        except (CapExceededError, NonTerminatingSeriesError) as err:
+            with pytest.raises(type(err)) as got:
+                parser.parse()
+            assert str(got.value) == str(err), expr
+        else:
+            assert parser.parse() == want, expr
+
+
+def test_a_build_does_no_per_factor_polynomial_work():
+    # (NCPoly.times, _Terms.scaled, ncpoly.outer, Context) calls of one
+    # build. A factor that became a polynomial, a sum that copied its
+    # total or a Context made per expression showed here as
+    # (50, 86, 18, 27) on @corrected and (25, 153, 37, 23) on the
+    # emitted diagonal, whose expressions are sums of single terms
+    corrected = corrected_document()
+    assert build_work(corrected, corrected.make_context()) == (9, 10, 12, 1)
+    diagonal = bf.presentation_document(diagonal5())
+    assert build_work(diagonal, diagonal.make_context()) == (0, 0, 0, 1)
+
+
 # -- one build, one parse memo -------------------------------------------------------
 
 
 def test_a_build_expands_each_distinct_series_once(monkeypatch):
     calls = []
+    expand = exprparse.Parser._series
 
-    def counted(fn, arg):
+    def counted(parser, fn, at):
         calls.append(fn)
-        return series_apply(fn, arg)
+        return expand(parser, fn, at)
 
-    monkeypatch.setattr(exprparse, "series_apply", counted)
+    monkeypatch.setattr(exprparse.Parser, "_series", counted)
     doc = corrected_document()
     ctx = doc.make_context()
     first = doc.build_presentation(ctx)
@@ -325,12 +450,13 @@ def test_exprparse_keeps_no_module_level_mutable_state():
 
 def test_a_repeated_group_expands_its_series_once_per_build(monkeypatch):
     calls = []
+    expand = exprparse.Parser._series
 
-    def counted(fn, arg):
+    def counted(parser, fn, at):
         calls.append(fn)
-        return series_apply(fn, arg)
+        return expand(parser, fn, at)
 
-    monkeypatch.setattr(exprparse, "series_apply", counted)
+    monkeypatch.setattr(exprparse.Parser, "_series", counted)
     group = "(t*sinh(z*c))"
     doc = bf.Document.from_dict({
         "schema": SCHEMA, "parameters": ["t", "z"], "generators": ["a", "b", "c"],
@@ -393,9 +519,7 @@ def test_a_shared_memo_builds_what_fresh_parses_build(doc, settings_, monkeypatc
 def _parsed(text, context, memo):
     """The value and the loss of one Parser pass over text at context's
     order, reading and filling memo."""
-    kinds, values, positions = exprparse._lex(text)
-    source = (text, kinds, values, positions, exprparse._closing(kinds))
-    parser = exprparse.Parser(context, source, memo)
+    parser = exprparse.Parser(context, (text, *exprparse._lex(text)), memo)
     return parser.parse(), parser.loss
 
 
@@ -434,13 +558,13 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
     distinct (order, power text) once, however often it is read."""
     doc = bf.presentation_document(diagonal5())
     reads, raised = collections.Counter(), collections.Counter()
-    memoised, raise_ = exprparse.Parser._memoised, NCPoly.__pow__
+    memoised, raise_ = exprparse.Parser._memoised, exprparse.Parser._power
     calls = 0
 
-    def counted_raise(poly, n):
+    def counted_raise(parser, value, at):
         nonlocal calls
         calls += 1
-        return raise_(poly, n)
+        return raise_(parser, value, at)
 
     def counted_power(parser, start, end, parse, *args):
         if parse != parser._power:
@@ -452,7 +576,7 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
         raised[key] += calls - before
         return value
 
-    monkeypatch.setattr(NCPoly, "__pow__", counted_raise)
+    monkeypatch.setattr(exprparse.Parser, "_power", counted_raise)
     monkeypatch.setattr(exprparse.Parser, "_memoised", counted_power)
     doc.build_presentation(doc.make_context())
     assert dict(raised) == dict.fromkeys(reads, 1)
