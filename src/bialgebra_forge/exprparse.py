@@ -421,10 +421,11 @@ class Parser:
         if value[1] != 1:
             self._fail("series functions take non-tensor arguments", at)
         context = self.context
-        if len(terms) != 1 or next(iter(terms))[1] < context.monomials.limit(0):
+        # series_apply also raises for an argument of degree 0
+        if len(terms) != 1 or not context.monomials.degree(next(iter(terms))[1]):
             return series_apply(name, self._poly(terms, 1)).terms, 1, _NO_DIVISOR
-        # one term of degree >= 1: as series_apply sums it, but each power
-        # is the one term of a product of single terms (_times)
+        # one term: summed as series_apply sums it, but each power is the
+        # one term of a product of single terms (_times)
         out, power, next_k = {}, {((), 0): ONE}, 0
         for k, coeff in _series_coeffs(name, context.order):
             while next_k < k and power:
