@@ -176,18 +176,6 @@ def _monomial_product(left, right):
     return out
 
 
-def _product(left, right):
-    """left * right for two NCPoly values. A word-free side multiplies
-    the other's coefficients; no word changes length, and every word read
-    was checked against the cap (Parser._atom) or made by a product that
-    checked it."""
-    for side, other in ((left, right), (right, left)):
-        groups = side.groups()
-        if len(groups) == 1 and () in groups:
-            return other.scaled(groups[()])
-    return left * right
-
-
 class Parser:
     """One parse of a lexed expression at context's order. source is the
     text and the token lists and closing table of _lex. memo, which the
@@ -345,7 +333,10 @@ class Parser:
         """The terms of left * right for two word term maps. Two single
         terms make at most one, under the rules of NCPoly.times: it drops
         when the monomials' degrees sum past the order, and otherwise its
-        word must be within the cap."""
+        word must be within the cap. Otherwise a word-free side multiplies
+        the other's coefficients; no word changes length, and every word
+        read was checked against the cap (_atom) or made by a product
+        that checked it."""
         if len(left) == 1 == len(right):
             [((w1, m1), c1)] = left.items()
             [((w2, m2), c2)] = right.items()
@@ -356,7 +347,12 @@ class Parser:
             if len(word) > self.context.cap:
                 raise cap_error(word, self.context)
             return {(word, m): c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2}
-        return _product(self._poly(left, 1), self._poly(right, 1)).terms
+        left, right = self._poly(left, 1), self._poly(right, 1)
+        for side, other in ((left, right), (right, left)):
+            groups = side.groups()
+            if len(groups) == 1 and () in groups:
+                return other.scaled(groups[()]).terms
+        return (left * right).terms
 
     def _factor(self):
         start = self.at

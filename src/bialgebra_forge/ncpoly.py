@@ -570,7 +570,7 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
             f"{fn} argument has a parameter-degree-0 term; series would not terminate"
         )
     max_k = arg.context.order
-    out = {}  # the sum, added to in place
+    out = {}
     power = NCPoly.unit(arg.context)
     next_k = 0
     for k, coeff in _series_coeffs(fn, max_k):
