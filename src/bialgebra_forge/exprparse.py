@@ -47,11 +47,11 @@ A value is worked on as its flat term map (ncpoly), and an emitted
 document is mostly single-term products such as -1/2*t*h^2*z*l_z^2. So
 the product of two single-term values (a number, i, a parameter, a
 generator, a power of one, a memo hit holding one term) is formed
-directly as one term: the packed monomials add, the term drops when its
-degree passes the parse order, and only a term that stays has its word
-held against the cap, as NCPoly.times holds it. Under the same rules a
-power of a single term is one term (Parser._power) and its series a sum
-of such powers (Parser._series). Any other product with a word-free factor scales the
+directly as one term by ncpoly.term_product: the packed monomials add,
+the term drops when its degree passes the parse order, and only a term
+that stays has its word held against the cap, as NCPoly.times holds it.
+NCPoly.__pow__ and series_apply form the powers of a single term the
+same way. Any other product with a word-free factor scales the
 other factor's coefficients, and the rest multiply word by word. A sum
 adds each term into one map in place, and a pending divisor is shared,
 never copied, while none is added to it. An error at the end of the
@@ -73,8 +73,8 @@ from types import MappingProxyType
 
 from .errors import ExprSyntaxError, InexactDivisionError, UnknownIdentifierError
 from .ncpoly import (
-    Context, NCPoly, TensorNCPoly, _coefficient_power, _series_coeffs, cap_error,
-    series_apply, tensor,
+    Context, NCPoly, TensorNCPoly, cap_error, coefficient_product, series_apply, tensor,
+    term_product,
 )
 from .params import ParamPoly
 from .scalars import I, ONE, ZERO, Scalar, check_power
@@ -308,10 +308,8 @@ class Parser:
         if len(lterms) == 1 == len(rterms):
             [((w1, m1), c1)] = lterms.items()
             [((w2, m2), c2)] = rterms.items()
-            m = m1 + m2
-            terms = {}
-            if m < self.limit:
-                terms[((w1, w2), m)] = c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
+            product = coefficient_product(((m1, c1),), ((m2, c2),), self.limit)
+            terms = {((w1, w2), m): c for m, c in product}
         else:
             terms = tensor(self._poly(lterms, 1), self._poly(rterms, 1)).terms
         return terms, 2, _monomial_product(lden, rden)
@@ -331,22 +329,16 @@ class Parser:
 
     def _times(self, left, right):
         """The terms of left * right for two word term maps. Two single
-        terms make at most one, under the rules of NCPoly.times: it drops
-        when the monomials' degrees sum past the order, and otherwise its
-        word must be within the cap. Otherwise a word-free side multiplies
-        the other's coefficients; no word changes length, and every word
-        read was checked against the cap (_atom) or made by a product
-        that checked it."""
+        terms make at most one (ncpoly.term_product, under the rules of
+        NCPoly.times). Otherwise a word-free side multiplies the other's
+        coefficients; no word changes length, and every word read was
+        checked against the cap (_atom) or made by a product that checked
+        it."""
         if len(left) == 1 == len(right):
-            [((w1, m1), c1)] = left.items()
-            [((w2, m2), c2)] = right.items()
-            m = m1 + m2
-            if m >= self.limit:
-                return {}
-            word = w1 + w2
-            if len(word) > self.context.cap:
-                raise cap_error(word, self.context)
-            return {(word, m): c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2}
+            [term] = left.items()
+            [other] = right.items()
+            term = term_product(term, other, self.context, self.limit)
+            return {} if term is None else {term[0]: term[1]}
         left, right = self._poly(left, 1), self._poly(right, 1)
         for side, other in ((left, right), (right, left)):
             groups = side.groups()
@@ -416,22 +408,7 @@ class Parser:
         terms = self._resolve(value)
         if value[1] != 1:
             self._fail("series functions take non-tensor arguments", at)
-        context = self.context
-        # series_apply also raises for an argument of degree 0
-        if len(terms) != 1 or not context.monomials.degree(next(iter(terms))[1]):
-            return series_apply(name, self._poly(terms, 1)).terms, 1, _NO_DIVISOR
-        # one term: summed as series_apply sums it, but each power is the
-        # one term of a product of single terms (_times)
-        out, power, next_k = {}, {((), 0): ONE}, 0
-        for k, coeff in _series_coeffs(name, context.order):
-            while next_k < k and power:
-                power = self._times(power, terms)
-                next_k += 1
-            if not power:
-                break
-            [(term, c)] = power.items()
-            out[term] = coeff * c
-        return out, 1, _NO_DIVISOR
+        return series_apply(name, self._poly(terms, 1)).terms, 1, _NO_DIVISOR
 
     def _atom(self, name, at):
         """The terms of the identifier name, read at token at: i, a
@@ -494,19 +471,7 @@ class Parser:
         check_power(constant, n)
         if den:
             den = {name: power * n for name, power in den.items()}
-        if len(terms) != 1:
-            return (self._poly(terms, 1) ** n).terms, 1, den
-        # one term c*w: its power is one term, under the rules of
-        # NCPoly.__pow__, which multiplies by w once per factor: the first
-        # factor whose word passes the cap raises unless its degree passes
-        # the order, and the power drops when its degree passes the order
-        [((word, m), c)] = terms.items()
-        if word:
-            k = context.cap // len(word) + 1
-            if k <= n and k * context.monomials.degree(m) <= context.order:
-                raise cap_error(word * k, context)
-        power = _coefficient_power(((m, c),), n, self.limit)
-        return {(word * n, mn): cn for mn, cn in power}, 1, den
+        return (self._poly(terms, 1) ** n).terms, 1, den
 
     def _division(self, value):
         terms, arity, den = value

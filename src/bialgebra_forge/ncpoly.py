@@ -46,6 +46,8 @@ SETTINGS = ("order", "cap", "slack")
 
 # the packed coefficient 1: the constant monomial, packed to 0, with value 1
 PACKED_ONE = ((0, ONE),)
+# the unit as a term ((empty word, constant monomial), 1)
+UNIT_TERM = (((), 0), ONE)
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,24 @@ def coefficient_product(left, right, limit: int):
             if m < limit:
                 accumulate(out, m, c1 * c2)
     return list(out.items())
+
+
+def term_product(left, right, context: Context, limit: int):
+    """The product of two word terms ((word, m), Scalar), as NCPoly.times
+    forms it for two single-term values: None when the monomial is at or
+    past limit, else the one term, whose word (the two words joined) must
+    be within context's cap (cap_error). The coefficient is that of
+    coefficient_product's single-pair rule, which the word kernel keeps
+    inline."""
+    (w1, m1), c1 = left
+    (w2, m2), c2 = right
+    m = m1 + m2
+    if m >= limit:
+        return None
+    word = w1 + w2
+    if len(word) > context.cap:
+        raise cap_error(word, context)
+    return (word, m), c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
 
 
 def word_str(word, basis: Basis) -> str:
@@ -416,9 +436,22 @@ class NCPoly(_Terms):
         coefficient C, which is central, and the word part N. N^k takes
         one factor at a time, so a word past the cap raises, and the sum
         stops once N^k is zero, by k = cap + 1 at the latest. With C = 0
-        only the k = n term is nonzero: the power is N^n."""
+        only the k = n term is nonzero: the power is N^n, and for a
+        single term c*w that is n term_products."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
+        if len(self.terms) == 1:
+            [term] = self.terms.items()
+            if term[0][0]:
+                context = self.context
+                limit = context.monomials.limit(context.order)
+                power = UNIT_TERM
+                for _ in range(n):
+                    power = term_product(power, term, context, limit)
+                    if power is None:
+                        return self._like({})
+                key, c = power
+                return self._like({key: c})
         constant = self.groups().get(())
         words = self._like({term: c for term, c in self.terms.items() if term[0]})
         if not constant:
@@ -561,7 +594,8 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
     """Taylor series of exp/sinh/cosh at a parameter-weighted argument.
 
     Every term of arg must carry parameter degree >= 1 so that the
-    series terminates at the context's order.
+    series terminates at the context's order. Each power is the last
+    times arg, one term_product when arg is a single term.
     """
     if fn not in _SERIES_TERMS:
         raise InputError(f"unknown series function {fn!r}")
@@ -569,14 +603,26 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
         raise NonTerminatingSeriesError(
             f"{fn} argument has a parameter-degree-0 term; series would not terminate"
         )
-    max_k = arg.context.order
+    context = arg.context
+    max_k = context.order
+    if len(arg.terms) == 1:
+        [single] = arg.terms.items()
+        limit = context.monomials.limit(max_k)
+
+        def step(power):
+            [last] = power.items()
+            got = term_product(last, single, context, limit)
+            return {} if got is None else {got[0]: got[1]}
+    else:
+        def step(power):
+            return (NCPoly._of(context, power) * arg).terms
     out = {}
-    power = NCPoly.unit(arg.context)
+    power = dict([UNIT_TERM])
     next_k = 0
     for k, coeff in _series_coeffs(fn, max_k):
         while next_k < k and power:
-            power = power * arg
+            power = step(power)
             next_k += 1
-        for term, c in power.terms.items():
+        for term, c in power.items():
             accumulate(out, term, coeff * c)
-    return NCPoly._of(arg.context, out)
+    return NCPoly._of(context, out)

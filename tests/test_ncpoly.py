@@ -284,6 +284,36 @@ def test_powers_match_stepwise_products_on_random_polynomials():
         assert _outcome(lambda: p ** n) == _outcome(lambda: _stepwise_power(p, n)), (p, n)
 
 
+def _stepwise_series(fn, arg):
+    """fn(arg) as series_apply sums it, each power one NCPoly.times."""
+    out, power, done = NCPoly.zero(arg.context), NCPoly.unit(arg.context), 0
+    for k, coeff in _series_coeffs(fn, arg.context.order):
+        while done < k:
+            power = power * arg
+            done += 1
+        out = out + power.scale(coeff)
+    return out
+
+
+def test_single_term_series_match_stepwise_products():
+    """series_apply forms each power of a single-term argument as one
+    term_product: the same value, or the same CapExceededError, as the
+    powers formed by NCPoly.times."""
+    rng = random.Random(11)
+    for _ in range(1000):
+        ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(1, 6),
+                      cap=rng.randint(1, 5), slack=0)
+        word = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
+        exps = (rng.randint(0, 2), rng.randint(0, 2))
+        if not sum(exps):
+            exps = (1, 0)
+        coeff = Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) or ONE
+        arg = NCPoly(ctx, {word: ParamPoly(ctx.params, ctx.order, {exps: coeff})})
+        fn = rng.choice(("exp", "sinh", "cosh"))
+        assert (_outcome(lambda: series_apply(fn, arg))
+                == _outcome(lambda: _stepwise_series(fn, arg))), (fn, arg)
+
+
 # -- degree budgets ------------------------------------------------------------------
 
 WIDE = Context(Basis(("a", "b", "c")), ("u", "v", "w"), order=6, cap=24, slack=0)

@@ -11,8 +11,7 @@ import bialgebra_forge as bf
 from bialgebra_forge import document, exprparse, presentation_diff
 from bialgebra_forge.document import SCHEMA
 from bialgebra_forge.errors import (
-    CapExceededError, ExprSyntaxError, InexactDivisionError, NonTerminatingSeriesError,
-    UnknownIdentifierError,
+    CapExceededError, ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
 )
 from bialgebra_forge.exprparse import parse_coefficient, parse_expr
 from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, series_apply, word_str
@@ -382,28 +381,6 @@ def test_single_term_sums_match_sympy_truncated(terms, joined):
         assert sympy.expand(_as_sympy(have) - cut) == 0, (text, key)
 
 
-@given(_gaussian, _exponents, st.lists(st.integers(0, 1), max_size=2).map(tuple),
-       st.integers(0, 7), st.sampled_from(("exp", "sinh", "cosh")))
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_single_term_powers_and_series_are_those_of_ncpoly(coeff, exps, word, n, fn):
-    # the parser raises a single term to a power and expands its series
-    # term by term; NCPoly.__pow__ and series_apply multiply word by word
-    ctx = replace(SINGLE_CTX, order=SINGLE_ORDER)
-    text = _side_text(coeff, exps, word)
-    base = NCPoly(ctx, {word: ParamPoly(ORACLE_PARAMS, SINGLE_ORDER, {exps: coeff})})
-    for expr, reference in ((f"({text})^{n}", lambda: base ** n),
-                            (f"{fn}({text})", lambda: series_apply(fn, base))):
-        parser = exprparse.Parser(ctx, (expr, *exprparse._lex(expr)), {})
-        try:
-            want = reference()
-        except (CapExceededError, NonTerminatingSeriesError) as err:
-            with pytest.raises(type(err)) as got:
-                parser.parse()
-            assert str(got.value) == str(err), expr
-        else:
-            assert parser.parse() == want, expr
-
-
 def test_a_build_does_no_per_factor_polynomial_work():
     # (NCPoly.times, _Terms.scaled, ncpoly.outer, Context) calls of one
     # build. A factor that became a polynomial, a sum that copied its
@@ -421,13 +398,12 @@ def test_a_build_does_no_per_factor_polynomial_work():
 
 def test_a_build_expands_each_distinct_series_once(monkeypatch):
     calls = []
-    expand = exprparse.Parser._series
 
-    def counted(parser, fn, at):
+    def counted(fn, arg):
         calls.append(fn)
-        return expand(parser, fn, at)
+        return series_apply(fn, arg)
 
-    monkeypatch.setattr(exprparse.Parser, "_series", counted)
+    monkeypatch.setattr(exprparse, "series_apply", counted)
     doc = corrected_document()
     ctx = doc.make_context()
     first = doc.build_presentation(ctx)
@@ -450,13 +426,12 @@ def test_exprparse_keeps_no_module_level_mutable_state():
 
 def test_a_repeated_group_expands_its_series_once_per_build(monkeypatch):
     calls = []
-    expand = exprparse.Parser._series
 
-    def counted(parser, fn, at):
+    def counted(fn, arg):
         calls.append(fn)
-        return expand(parser, fn, at)
+        return series_apply(fn, arg)
 
-    monkeypatch.setattr(exprparse.Parser, "_series", counted)
+    monkeypatch.setattr(exprparse, "series_apply", counted)
     group = "(t*sinh(z*c))"
     doc = bf.Document.from_dict({
         "schema": SCHEMA, "parameters": ["t", "z"], "generators": ["a", "b", "c"],
@@ -558,13 +533,13 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
     distinct (order, power text) once, however often it is read."""
     doc = bf.presentation_document(diagonal5())
     reads, raised = collections.Counter(), collections.Counter()
-    memoised, raise_ = exprparse.Parser._memoised, exprparse.Parser._power
+    memoised, raise_ = exprparse.Parser._memoised, NCPoly.__pow__
     calls = 0
 
-    def counted_raise(parser, value, at):
+    def counted_raise(poly, n):
         nonlocal calls
         calls += 1
-        return raise_(parser, value, at)
+        return raise_(poly, n)
 
     def counted_power(parser, start, end, parse, *args):
         if parse != parser._power:
@@ -576,7 +551,7 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
         raised[key] += calls - before
         return value
 
-    monkeypatch.setattr(exprparse.Parser, "_power", counted_raise)
+    monkeypatch.setattr(NCPoly, "__pow__", counted_raise)
     monkeypatch.setattr(exprparse.Parser, "_memoised", counted_power)
     doc.build_presentation(doc.make_context())
     assert dict(raised) == dict.fromkeys(reads, 1)
