@@ -49,10 +49,11 @@ the product of two single-term values (a number, i, a parameter, a
 generator, a power of one, a memo hit holding one term) is formed
 directly as one term by ncpoly.term_product: the packed monomials add,
 the term drops when its degree passes the parse order, and only a term
-that stays has its word held against the cap, as NCPoly.times holds it.
-NCPoly.__pow__ and series_apply form the powers of a single term the
-same way. Any other product with a word-free factor scales the
-other factor's coefficients, and the rest multiply word by word. A sum
+that stays has its word held against the cap. NCPoly.times forms a
+product of two single terms by the same rule, so each factor of a power
+or series of a single term is one term too. Any other product with a
+word-free factor scales the other factor's coefficients, and the rest
+multiply word by word. A sum
 adds each term into one map in place, and a pending divisor is shared,
 never copied, while none is added to it. An error at the end of the
 text names the end of expression.

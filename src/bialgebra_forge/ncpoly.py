@@ -46,8 +46,6 @@ SETTINGS = ("order", "cap", "slack")
 
 # the packed coefficient 1: the constant monomial, packed to 0, with value 1
 PACKED_ONE = ((0, ONE),)
-# the unit as a term ((empty word, constant monomial), 1)
-UNIT_TERM = (((), 0), ONE)
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,12 @@ def coefficient_product(left, right, limit: int):
 
 
 def term_product(left, right, context: Context, limit: int):
-    """The product of two word terms ((word, m), Scalar), as NCPoly.times
-    forms it for two single-term values: None when the monomial is at or
-    past limit, else the one term, whose word (the two words joined) must
-    be within context's cap (cap_error). The coefficient is that of
-    coefficient_product's single-pair rule, which the word kernel keeps
-    inline."""
+    """The product of two word terms ((word, m), Scalar): None when the
+    monomial is at or past limit, else the one term, whose word (the two
+    words joined) must be within context's cap (cap_error). NCPoly.times
+    forms a product of two single-term values by it; the coefficient is
+    that of coefficient_product's single-pair rule, which the word kernel
+    keeps inline."""
     (w1, m1), c1 = left
     (w2, m2), c2 = right
     m = m1 + m2
@@ -284,11 +282,16 @@ class _Terms:
         (default: the order), with no term above it. A key pair's word is
         formed, and held against the cap, only when its coefficient
         product has a term through the budget: that is, when the lowest
-        degrees of the two coefficients sum to at most the budget."""
+        degrees of the two coefficients sum to at most the budget. Two
+        single-term word polynomials make one term_product."""
         self._same_arity(other)
         context = self.context
         cap = context.cap
         limit = context.monomials.limit(context.order if budget is None else budget)
+        if self.arity == 1 and len(self.terms) == 1 == len(other.terms):
+            [left], [right] = self.terms.items(), other.terms.items()
+            term = term_product(left, right, context, limit)
+            return self._like({} if term is None else {term[0]: term[1]})
         split, join = self._factors, self._key
         right = [(split(k2), pairs2) for k2, pairs2 in other.groups().items()]
         out = {}
@@ -436,22 +439,9 @@ class NCPoly(_Terms):
         coefficient C, which is central, and the word part N. N^k takes
         one factor at a time, so a word past the cap raises, and the sum
         stops once N^k is zero, by k = cap + 1 at the latest. With C = 0
-        only the k = n term is nonzero: the power is N^n, and for a
-        single term c*w that is n term_products."""
+        only the k = n term is nonzero: the power is N^n."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
-        if len(self.terms) == 1:
-            [term] = self.terms.items()
-            if term[0][0]:
-                context = self.context
-                limit = context.monomials.limit(context.order)
-                power = UNIT_TERM
-                for _ in range(n):
-                    power = term_product(power, term, context, limit)
-                    if power is None:
-                        return self._like({})
-                key, c = power
-                return self._like({key: c})
         constant = self.groups().get(())
         words = self._like({term: c for term, c in self.terms.items() if term[0]})
         if not constant:
@@ -594,8 +584,7 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
     """Taylor series of exp/sinh/cosh at a parameter-weighted argument.
 
     Every term of arg must carry parameter degree >= 1 so that the
-    series terminates at the context's order. Each power is the last
-    times arg, one term_product when arg is a single term.
+    series terminates at the context's order.
     """
     if fn not in _SERIES_TERMS:
         raise InputError(f"unknown series function {fn!r}")
@@ -603,26 +592,14 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
         raise NonTerminatingSeriesError(
             f"{fn} argument has a parameter-degree-0 term; series would not terminate"
         )
-    context = arg.context
-    max_k = context.order
-    if len(arg.terms) == 1:
-        [single] = arg.terms.items()
-        limit = context.monomials.limit(max_k)
-
-        def step(power):
-            [last] = power.items()
-            got = term_product(last, single, context, limit)
-            return {} if got is None else {got[0]: got[1]}
-    else:
-        def step(power):
-            return (NCPoly._of(context, power) * arg).terms
+    max_k = arg.context.order
     out = {}
-    power = dict([UNIT_TERM])
+    power = NCPoly.unit(arg.context)
     next_k = 0
     for k, coeff in _series_coeffs(fn, max_k):
         while next_k < k and power:
-            power = step(power)
+            power = power * arg
             next_k += 1
-        for term, c in power.items():
+        for term, c in power.terms.items():
             accumulate(out, term, coeff * c)
-    return NCPoly._of(context, out)
+    return NCPoly._of(arg.context, out)

@@ -284,36 +284,6 @@ def test_powers_match_stepwise_products_on_random_polynomials():
         assert _outcome(lambda: p ** n) == _outcome(lambda: _stepwise_power(p, n)), (p, n)
 
 
-def _stepwise_series(fn, arg):
-    """fn(arg) as series_apply sums it, each power one NCPoly.times."""
-    out, power, done = NCPoly.zero(arg.context), NCPoly.unit(arg.context), 0
-    for k, coeff in _series_coeffs(fn, arg.context.order):
-        while done < k:
-            power = power * arg
-            done += 1
-        out = out + power.scale(coeff)
-    return out
-
-
-def test_single_term_series_match_stepwise_products():
-    """series_apply forms each power of a single-term argument as one
-    term_product: the same value, or the same CapExceededError, as the
-    powers formed by NCPoly.times."""
-    rng = random.Random(11)
-    for _ in range(1000):
-        ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(1, 6),
-                      cap=rng.randint(1, 5), slack=0)
-        word = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
-        exps = (rng.randint(0, 2), rng.randint(0, 2))
-        if not sum(exps):
-            exps = (1, 0)
-        coeff = Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) or ONE
-        arg = NCPoly(ctx, {word: ParamPoly(ctx.params, ctx.order, {exps: coeff})})
-        fn = rng.choice(("exp", "sinh", "cosh"))
-        assert (_outcome(lambda: series_apply(fn, arg))
-                == _outcome(lambda: _stepwise_series(fn, arg))), (fn, arg)
-
-
 # -- degree budgets ------------------------------------------------------------------
 
 WIDE = Context(Basis(("a", "b", "c")), ("u", "v", "w"), order=6, cap=24, slack=0)
@@ -363,6 +333,33 @@ def test_a_budgeted_product_is_the_product_through_the_budget(pair, budget):
     full = _every_pair(a, b)
     assert a * b == a.times(b, WIDE.order) == full
     assert terms_through(a.times(b, budget), budget) == terms_through(full, budget)
+
+
+def test_a_product_of_single_terms_is_one_term_product():
+    """times forms the product of two single-term word polynomials as one
+    term_product: the term pair's product through the budget, and a
+    CapExceededError exactly when that product keeps a term and its word
+    is past the cap."""
+    rng = random.Random(11)
+    for _ in range(2000):
+        ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(0, 5),
+                      cap=rng.randint(0, 4), slack=0)
+        single = []
+        for _ in range(2):
+            word = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
+            u = rng.randint(0, ctx.order)
+            exps = (u, rng.randint(0, ctx.order - u))
+            coeff = Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) or ONE
+            single.append(NCPoly(ctx, {word: ParamPoly(ctx.params, ctx.order, {exps: coeff})}))
+        a, b = single
+        budget = rng.randint(0, ctx.order)
+        want = terms_through(_every_pair(a, b), budget)
+        [(wa, _)], [(wb, _)] = a.coefficients().items(), b.coefficients().items()
+        if want and len(wa + wb) > ctx.cap:
+            with pytest.raises(CapExceededError, match="exceeds generator-degree cap"):
+                a.times(b, budget)
+        else:
+            assert terms_through(a.times(b, budget), budget) == want, (a, b, budget)
 
 
 @given(_wide_polys(1), _wide_polys(1), _wide_coefficients(), st.integers(0, WIDE.order))
