@@ -22,7 +22,7 @@ from .expansion import (
     check_roles, compare_field, extract_coefficients, tangent_field, verify_order2,
     verify_order3_thz,
 )
-from .exprparse import parse_scalar_text
+from .exprparse import IDENTIFIER, parse_scalar_text
 from .hopf import (
     class_f_check, coassociativity_defect, coproduct_hom_defect, counit_defect,
     solve_antipode, specialize,
@@ -258,12 +258,11 @@ def _parse_assignments(pairs) -> dict:
                 raise InputError(f"parameter {name!r} is assigned twice")
             if not value:
                 raise InputError(f"parameter {name!r} is assigned no value")
-            if (value[0].isalpha() or value[0] == "_") and all(
-                c.isalnum() or c == "_" for c in value
-            ) and value != "i":
-                out[name] = value
-            else:
-                out[name] = parse_scalar_text(value)
+            try:
+                is_name = IDENTIFIER.fullmatch(value) and value != "i"
+                out[name] = value if is_name else parse_scalar_text(value)
+            except InputError as exc:
+                raise InputError(f"{name}={value} gives no name or scalar: {exc}") from None
     return out
 
 
@@ -310,7 +309,8 @@ def cmd_expand(args) -> int:
     names = context.basis.names
     for kind, tensors in (("mu", table.mu), ("delta", table.delta)):
         for multi, tensor in sorted(tensors.items()):
-            report.note(_coefficients(kind, multi, tensor, names))
+            if table.within(multi):
+                report.note(_coefficients(kind, multi, tensor, names))
     violations = table.exclusion_violations()
     report.add("expansion exclusions", not violations, "; ".join(
         _coefficients(kind, multi, tensor, names)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import DocumentError
-from .exprparse import IDENTIFIER, parse_coefficient, parse_expr
+from .exprparse import check_names, parse_coefficient, parse_expr
 from .hopf import HopfPresentation
 from .ncpoly import SETTINGS, Context, NCPoly, TensorNCPoly
 from .rewrite import RelationTable
@@ -24,7 +24,6 @@ from .scalars import format_scalar
 from .tensors import Basis, BracketTensor, CobracketTensor
 
 SCHEMA = "bialgebra-forge/1"
-_RESERVED = {"i", "exp", "sinh", "cosh"}
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
@@ -124,15 +123,7 @@ class Document:
     def _validate_identifiers(self):
         if not self.generators:
             raise DocumentError("document declares no generators")
-        seen = set()
-        for name in list(self.parameters) + list(self.generators):
-            if not IDENTIFIER.fullmatch(name):
-                raise DocumentError(f"bad identifier {name!r}")
-            if name in _RESERVED:
-                raise DocumentError(f"identifier {name!r} is reserved")
-            if name in seen:
-                raise DocumentError(f"identifier {name!r} declared twice")
-            seen.add(name)
+        check_names([*self.parameters, *self.generators])
 
     def _validate_structure(self):
         gens = set(self.generators)

@@ -1,14 +1,19 @@
 """First-order data of a three-parameter presentation and the tangent fields.
 
-Coefficients are collected per parameter monomial t^i h^j z^k as scalar
-constant tensors, the same BracketTensor and CobracketTensor that the
-composition checks read. The bracket at a monomial holds the linear part
-of each stored relation [x_i, x_j], i < j: the relation table keeps its
-right-hand sides in normal form, so that linear part is the
-generator-degree-1 part of the normal form of x_j x_i, and a sorted
-product x_i x_j has none. The cobracket holds, per generator, half the
-antisymmetric V (x) V part of its coproduct, as wedge coefficients.
-Tangent fields keep the full factor difference instead, which is the
+Both read one pair of first-order slices off the presentation
+(first_order_slices): each stored relation [x_i, x_j], i < j, and the
+V (x) V part of Delta - Delta^op of each generator, with every
+parameter monomial sent through one exponent map.
+
+The expansion collects those slices per role monomial t^i h^j z^k as
+scalar constant tensors, the same BracketTensor and CobracketTensor that
+the composition checks read. The bracket at a monomial holds the linear
+part of each stored relation: the relation table keeps its right-hand
+sides in normal form, so that linear part is the generator-degree-1 part
+of the normal form of x_j x_i, and a sorted product x_i x_j has none. The
+cobracket holds half the Delta - Delta^op slice, its wedge coefficients.
+A tangent field keeps the whole slice at the direction's first power:
+every stored relation, and the full difference, which is the
 normalisation under which the boundary fields reproduce the cobracket
 input data.
 
@@ -28,7 +33,7 @@ from fractions import Fraction
 from .errors import InputError
 from .hopf import DefectReport, HopfPresentation, specialize
 from .ncpoly import Context, NCPoly, TensorNCPoly
-from .params import ParamPoly, exponent_map
+from .params import exponent_map
 from .rewrite import RelationTable, normalize
 from .scalars import Scalar
 from .sparse import accumulate
@@ -46,9 +51,13 @@ class CoefficientTable:
     mu: dict = field(default_factory=dict)     # multi -> scalar BracketTensor
     delta: dict = field(default_factory=dict)  # multi -> scalar CobracketTensor
 
+    def within(self, multi) -> bool:
+        """Whether multi lies within the exponent bounds."""
+        return all(e <= b for e, b in zip(multi, self.bounds))
+
     def require(self, multis):
         for multi in multis:
-            if any(e > b for e, b in zip(multi, self.bounds)):
+            if not self.within(multi):
                 raise InputError(
                     f"coefficient table missing multi-index {multi}; "
                     f"extracted bounds are {self.bounds}"
@@ -60,9 +69,10 @@ class CoefficientTable:
                 )
 
     def exclusion_violations(self) -> dict:
-        """Entries that the expansion shape forbids: bracket coefficients
-        at pure-h monomials (including the base point) and cobracket
-        coefficients at pure-t monomials."""
+        """Entries that the expansion shape forbids, at every role
+        monomial through the order whatever the bounds: bracket
+        coefficients at pure-h monomials (including the base point) and
+        cobracket coefficients at pure-t monomials."""
         bad = {}
         # a pure-h monomial has no t and no z, a pure-t one no h and no z
         for kind, tensors, slot in (("mu", self.mu, 0), ("delta", self.delta, 1)):
@@ -81,35 +91,57 @@ def check_roles(roles, params) -> None:
         raise InputError(f"presentation lacks parameters {roles}")
 
 
+def first_order_slices(H: HopfPresentation, context: Context, exponents):
+    """The first-order data of H over context, as (brackets, cobrackets):
+    brackets maps each pair i < j to the stored relation [x_i, x_j] and
+    cobrackets each generator g to the V (x) V part of Delta(x_g) -
+    Delta^op(x_g), each with every monomial's exponent vector e sent to
+    exponents(e), or dropped where that is None (NCPoly.repack). Zero
+    slices are left out."""
+    n = len(H.context.basis)
+    brackets, cobrackets = {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            sliced = H.rel.bracket_poly(i, j).repack(context, exponents)
+            if sliced:
+                brackets[(i, j)] = sliced
+    for g in range(n):
+        vv = H.coproduct_word((g,)).linear_part()
+        sliced = (vv - vv.flip()).repack(context, exponents)
+        if sliced:
+            cobrackets[g] = sliced
+    return brackets, cobrackets
+
+
 def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", "z")) -> CoefficientTable:
     """Collect the bracket and cobracket coefficients of a 3-parameter
-    presentation per parameter monomial within the given per-parameter
-    exponent bounds; every coefficient has total degree at most the
-    presentation's order, through which it is exact."""
+    presentation per role monomial, at every one through the
+    presentation's order, through which each is exact. up_to bounds the
+    exponents that the table's readers may ask for (require)."""
     params = H.context.params
     check_roles(roles, params)
     idx = [params.index(r) for r in roles]
-    basis = H.context.basis
-    n = len(basis)
+
+    def role_exponents(exps):
+        multi = tuple(exps[p] for p in idx)
+        # a monomial with a parameter outside the roles is no role monomial
+        return multi if sum(multi) == sum(exps) else None
+
+    brackets, cobrackets = first_order_slices(
+        H, H.context.with_params(roles), role_exponents
+    )
     mu, delta = {}, {}  # multi -> [(key, coefficient)]
-
-    def collect(poly: ParamPoly, pairs, key):
-        for exps, coeff in poly.terms.items():
-            if any(exps[p] for p in range(len(params)) if p not in idx):
-                continue
-            multi = tuple(exps[p] for p in idx)
-            if all(e <= b for e, b in zip(multi, up_to)):
-                pairs.setdefault(multi, []).append((key, coeff))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for (k,), coeff in H.rel.bracket_poly(i, j).linear_part().coefficients().items():
-                collect(coeff, mu, (i, j, k))
-    for i in range(n):
-        d = H.coproduct_word((i,))
-        for ((a,), (b,)), coeff in (d - d.flip()).linear_part().coefficients().items():
+    for (i, j), poly in brackets.items():
+        for (k,), coeff in poly.linear_part().coefficients().items():
+            for multi, c in coeff.terms.items():
+                mu.setdefault(multi, []).append(((i, j, k), c))
+    for g, poly in cobrackets.items():
+        for ((a,), (b,)), coeff in poly.coefficients().items():
             if a < b:
-                collect(coeff.scale(_HALF), delta, (i, a, b))
+                for multi, c in coeff.terms.items():
+                    # the difference holds a ^ b as a (x) b - b (x) a
+                    delta.setdefault(multi, []).append(((g, a, b), c * _HALF))
+    basis = H.context.basis
     return CoefficientTable(
         basis=basis, roles=tuple(roles), bounds=tuple(up_to), order=H.context.order,
         mu={multi: BracketTensor(basis, (), 0, pairs) for multi, pairs in mu.items()},
@@ -227,8 +259,8 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
 
     mu-components are derivatives of the stored commutators, which the
     relation table keeps in normal form (full generator degree retained);
-    delta-components are derivatives of the
-    factor-antisymmetrised V (x) V parts of the coproducts.
+    delta-components are derivatives of the V (x) V parts of
+    Delta - Delta^op (first_order_slices).
     """
     base = dict(base or {})
     base.pop(direction, None)
@@ -250,20 +282,8 @@ def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> Tan
             return None
         return to_base(exps[:dir_idx] + (0,) + exps[dir_idx + 1:])
 
-    field_obj = TangentField(context=rcontext, base_table=reduced.rel)
-    n = len(H.context.basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sliced = H.rel.bracket_poly(i, j).repack(rcontext, slice_exponents)
-            if sliced:
-                field_obj.mu[(i, j)] = sliced
-    for g in range(n):
-        d = H.coproduct_word((g,))
-        vv = d.linear_part()
-        sliced = (vv - vv.flip()).repack(rcontext, slice_exponents)
-        if sliced:
-            field_obj.delta[g] = sliced
-    return field_obj
+    return TangentField(rcontext, reduced.rel,
+                        *first_order_slices(H, rcontext, slice_exponents))
 
 
 @dataclass

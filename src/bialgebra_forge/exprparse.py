@@ -10,11 +10,12 @@
 
 An identifier (a parameter, generator or function name, or i) is an
 ASCII letter or underscore followed by ASCII letters, digits and
-underscores (IDENTIFIER, which document validation also uses). A number
-is a run of the ASCII digits 0-9; any other character, a superscript or
-fraction digit included, is an unexpected character. One compiled
-pattern lexes the whole text, and one pass over its tokens converts the
-numbers and pairs each '(' with its ')' (_lex).
+underscores (IDENTIFIER). A declared or substituted parameter or
+generator name is neither i nor a function name (RESERVED, check_names).
+A number is a run of the ASCII digits 0-9; any other character, a
+superscript or fraction digit included, is an unexpected character. One
+compiled pattern lexes the whole text, and one pass over its tokens
+converts the numbers and pairs each '(' with its ')' (_lex).
 
 Scalars are rationals with an optional i factor ('1/2', 'i', '-3*i/4',
 '-3i/4'). A divisor is either a number with an optional natural power
@@ -72,23 +73,43 @@ from dataclasses import replace
 from operator import attrgetter, sub
 from types import MappingProxyType
 
-from .errors import ExprSyntaxError, InexactDivisionError, UnknownIdentifierError
+from .errors import (
+    DocumentError, ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
+)
 from .ncpoly import (
-    Context, NCPoly, TensorNCPoly, cap_error, coefficient_product, series_apply, tensor,
-    term_product,
+    SERIES_TERMS, Context, NCPoly, TensorNCPoly, cap_error, coefficient_product,
+    series_apply, tensor, term_product,
 )
 from .params import ParamPoly
 from .scalars import I, ONE, ZERO, Scalar, check_power
 from .sparse import accumulate, deduct
 
-_FUNCTIONS = ("exp", "sinh", "cosh")
 # deepest nesting of parentheses, function calls and unary minus; deeper
 # input would exhaust the interpreter stack of this recursive parser
 MAX_NESTING = 100
 
 
-# the one identifier rule: document validation and the lexer both use it
+# the one identifier rule: the lexer reads it, and check_names holds
+# every declared or substituted name to it
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the identifiers the grammar gives a meaning: i and the series functions
+RESERVED = frozenset(("i", *SERIES_TERMS))
+
+
+def check_names(names) -> None:
+    """Raise DocumentError naming the first of names (the parameters and
+    generators of one document) that is not an IDENTIFIER, is RESERVED
+    or repeats an earlier one."""
+    seen = set()
+    for name in names:
+        if not IDENTIFIER.fullmatch(name):
+            raise DocumentError(f"bad identifier {name!r}")
+        if name in RESERVED:
+            raise DocumentError(f"identifier {name!r} is reserved")
+        if name in seen:
+            raise DocumentError(f"identifier {name!r} declared twice")
+        seen.add(name)
+
 
 # one named alternative per token kind, so a match's lastgroup is its
 # kind; finditer skips whitespace, which no alternative matches, and any
@@ -396,7 +417,7 @@ class Parser:
         at = self.at
         self.at = at + 1
         name = self.values[at]
-        if name in _FUNCTIONS:
+        if name in SERIES_TERMS:
             return self._memoised(at, self.closing.get(at + 1), self._series, name, at)
         key = (self.context.order, name)
         value = self.memo.get(key)

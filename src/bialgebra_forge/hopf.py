@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import AntipodeError, DocumentError, InputError
+from .exprparse import check_names
 from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error, coefficient_product
 from .params import exact_image
 from .rewrite import RelationTable, commutator, normalize
@@ -299,7 +300,9 @@ def specialize(H: HopfPresentation, assignment: dict) -> HopfPresentation:
     """Rename parameters or set them to 0 in every coefficient; the
     CONTRACTING property of the resulting table is re-checked.
     assignment maps a parameter to a parameter name or to 0; any other
-    value is an input error (params.exact_image)."""
+    value is an input error (params.exact_image), as is a name that the
+    identifier rule refuses or that names a generator
+    (exprparse.check_names)."""
     new_params = []
     for name in H.context.params:
         image = exact_image(name, assignment.get(name, name))
@@ -308,6 +311,8 @@ def specialize(H: HopfPresentation, assignment: dict) -> HopfPresentation:
     for name in assignment:
         if name not in H.context.params:
             raise InputError(f"unknown parameter {name!r} in specialization")
+    # each image is a parameter of the result, which a document emits
+    check_names([*new_params, *H.context.basis.names])
     new_context = H.context.with_params(new_params)
     rel = H.rel.substitute(assignment, new_context)
     coproduct = {

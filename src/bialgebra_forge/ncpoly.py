@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import add
+from types import MappingProxyType
 
 from .errors import CapExceededError, InputError, NonTerminatingSeriesError
 from .params import Monomials, ParamPoly, exponent_map
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, power
 from .sparse import accumulate, deduct
 from .tensors import Basis
 
@@ -472,16 +473,10 @@ class NCPoly(_Terms):
 
 
 def _coefficient_power(pairs, n: int, limit: int):
-    """pairs**n for a packed coefficient, by squaring, without the terms
-    at or past limit."""
-    out, base = PACKED_ONE, pairs
-    while n:
-        if n & 1:
-            out = coefficient_product(out, base, limit)
-        n >>= 1
-        if n:
-            base = coefficient_product(base, base, limit)
-    return out
+    """pairs**n for a packed coefficient whose terms lie under limit,
+    without the terms at or past limit."""
+    return power(pairs, n, lambda left, right: coefficient_product(left, right, limit),
+                 PACKED_ONE)
 
 
 class TensorNCPoly(_Terms):
@@ -562,8 +557,9 @@ def tensor(*factors: NCPoly) -> TensorNCPoly:
 # 1/k! at index k, exact; _series_coeffs replaces it by a longer tuple
 # on demand, so a reader never sees it half extended
 _INVERSE_FACTORIALS = (ONE,)
-# the (first k, step) of the nonzero Taylor terms of each series at 0
-_SERIES_TERMS = {"exp": (0, 1), "sinh": (1, 2), "cosh": (0, 2)}
+# the (first k, step) of the nonzero Taylor terms of each series at 0,
+# keyed by the function's name: the one table of the series names
+SERIES_TERMS = MappingProxyType({"exp": (0, 1), "sinh": (1, 2), "cosh": (0, 2)})
 
 
 def _series_coeffs(fn: str, max_k: int) -> list:
@@ -576,7 +572,7 @@ def _series_coeffs(fn: str, max_k: int) -> list:
     for k in range(len(table), max_k + 1):
         table += (table[-1] / k,)
     _INVERSE_FACTORIALS = table
-    first, step = _SERIES_TERMS[fn]
+    first, step = SERIES_TERMS[fn]
     return [(k, table[k]) for k in range(first, max_k + 1, step)]
 
 
@@ -586,7 +582,7 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
     Every term of arg must carry parameter degree >= 1 so that the
     series terminates at the context's order.
     """
-    if fn not in _SERIES_TERMS:
+    if fn not in SERIES_TERMS:
         raise InputError(f"unknown series function {fn!r}")
     if arg.terms and arg.min_param_degree() == 0:
         raise NonTerminatingSeriesError(

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import InputError
-from .scalars import ONE, Scalar, ZERO, format_scalar
+from .scalars import ONE, Scalar, ZERO, format_scalar, power
 from .sparse import accumulate, deduct
 
 
@@ -128,15 +128,7 @@ class ParamPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
-        out = ParamPoly.const(self.params, self.order, ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, mul, ParamPoly.const(self.params, self.order, ONE))
 
     # -- structure -----------------------------------------------------------
 

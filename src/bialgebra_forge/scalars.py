@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, log10
+from operator import mul
 
 from .errors import InputError
 
@@ -103,14 +104,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return ONE / (self ** (-n))
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, mul, ONE)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -152,6 +146,22 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     s = _new(Scalar)
     s._a, s._b, s._d = a, b, d
     return s
+
+
+def power(base, n: int, times, one):
+    """base**n for n >= 0 by square-and-multiply, where times(x, y) is
+    the product x*y and one the unit: for n >= 1 it makes
+    n.bit_length() - 1 squarings and popcount(n) - 1 further products,
+    and for n = 0 or 1 none. The one power rule of Scalars, ParamPolys
+    and packed coefficients."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else times(out, base)
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        base = times(base, base)
 
 
 def _coerce(value) -> Scalar:

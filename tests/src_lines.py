@@ -1,13 +1,15 @@
 """Line counts of the package source: raw lines and code lines per module.
 
-    python tests/src_lines.py [SRC]
+    python tests/src_lines.py [SRC [BASE_SRC]]
 
 SRC is the source directory (default: the src/ beside this tests/
 directory); every .py file under it is counted. A code line holds a
 token other than a comment, and no line of a docstring (the string
 literal that opens a module, class or function body) is a code line, so
 blank, comment-only and docstring lines are not counted. The last row
-is the total.
+is the total. Given a second source directory BASE_SRC, such as the src/
+of a checkout of the parent commit, two more rows follow: its total, and
+the net change from it to SRC.
 """
 
 import ast
@@ -44,14 +46,24 @@ def counts(text: str) -> tuple:
     return len(text.splitlines()), len(code - docstring_lines(ast.parse(text)))
 
 
+def rows(src: Path) -> list:
+    """(module, raw, code) per .py file under src, then the total row."""
+    out = [(str(path.relative_to(src)), *counts(path.read_text(encoding="utf-8")))
+           for path in sorted(src.rglob("*.py"))]
+    out.append(("total", sum(r[1] for r in out), sum(r[2] for r in out)))
+    return out
+
+
 def main(argv) -> int:
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    rows = [(str(path.relative_to(src)), *counts(path.read_text(encoding="utf-8")))
-            for path in sorted(src.rglob("*.py"))]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(r[0]) for r in rows)
+    table = rows(src)
+    if len(argv) > 1:
+        _, raw, code = rows(Path(argv[1]))[-1]
+        table += [("base total", raw, code),
+                  ("change", f"{table[-1][1] - raw:+d}", f"{table[-1][2] - code:+d}")]
+    width = max(len(r[0]) for r in table)
     print(f"{'module':<{width}}  {'raw':>6}  {'code':>6}")
-    for name, raw, code in rows:
+    for name, raw, code in table:
         print(f"{name:<{width}}  {raw:>6}  {code:>6}")
     return 0
 

@@ -218,6 +218,14 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "parameter 'z1' is assigned twice" in err
+    # an image names a parameter of the emitted document, which the
+    # document's identifier rule must accept
+    for image, message in (("exp", "identifier 'exp' is reserved"),
+                           ("p_x", "identifier 'p_x' declared twice"),
+                           ("zé", "z1=zé gives no name or scalar: unexpected character 'é'")):
+        code, out, err = run(capsys, "specialize", "@corrected", "--set", f"z1={image}")
+        assert code == 2 and out == "", image
+        assert err.startswith("error: ") and message in err, err
     # fields of the wrong JSON type, each caught when the document loads
     def entries(d):
         return d["compositions"]["mu_100"]["entries"]
@@ -736,6 +744,22 @@ def test_expand_exclusion_failure_names_the_entries(tmp_path, capsys):
     assert code == 1
     assert ("[FAIL] expansion exclusions: delta_100: p_x->1/2*l_x^l_y; "
             "mu_010: (p_x,p_z)->-1*l_x\n") in out
+
+
+def test_expand_exclusions_do_not_depend_on_the_bounds(tmp_path, capsys):
+    """A bracket coefficient at h^3 fails the exclusions at every --up-to:
+    the bounds choose the printed coefficients, not the ones judged."""
+    data = json.loads(_diagonal(tmp_path, capsys).read_text())
+    for bracket in data["presentation"]["brackets"]:
+        if (bracket["left"], bracket["right"]) == ("l_y", "l_x"):
+            bracket["rhs"] += " + h^3*l_z"
+    path = tmp_path / "pure-h.json"
+    path.write_text(json.dumps(data))
+    for bounds in ("1,1,1", "2,2,2", "3,3,3"):
+        code, out, _ = run(capsys, "expand", str(path), "--up-to", bounds)
+        assert code == 1, bounds
+        assert "[FAIL] expansion exclusions: mu_030: (l_x,l_y)->-1*l_z\n" in out, bounds
+        assert ("note: mu_030: " in out) == (bounds == "3,3,3"), bounds
 
 
 _ROLE_NAMES = ["mu_100", "mu_001", "delta_010", "delta_001", "no_such"]

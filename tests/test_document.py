@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge.document import SCHEMA
-from bialgebra_forge.errors import DocumentError, ExprSyntaxError
+from bialgebra_forge.errors import DocumentError, ExprSyntaxError, InputError
 from bialgebra_forge.exprparse import _lex
 
-from conftest import corrected_document, presentation5
+from conftest import corrected_document, presentation3, presentation5
 
 
 def test_bundled_corrected_loads():
@@ -35,6 +35,31 @@ def test_duplicate_detection_runs_before_expression_parsing():
     with pytest.raises(DocumentError) as err:
         bf.Document.from_dict(raw)
     assert "duplicate" in str(err.value)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(["t", "h", "z1", "z2"]),
+    image=st.one_of(
+        st.sampled_from(["z", "t", "z2", "_", "w9", "i", "exp", "cosh", "p_x", "l_z"]),
+        st.text(alphabet="az_9é½ -", max_size=4),
+    ),
+)
+def test_every_name_specialize_accepts_loads_and_builds(name, image):
+    """A name image becomes a parameter of the emitted document, so
+    specialize accepts exactly what the document rule accepts."""
+    try:
+        specialized = bf.specialize(presentation3(), {name: image})
+    except InputError:
+        data = corrected_document().to_dict()
+        renamed = [image if p == name else p for p in data["parameters"]]
+        data["parameters"] = list(dict.fromkeys(renamed))
+        with pytest.raises(DocumentError):
+            bf.Document.from_dict(data)
+        return
+    doc = bf.Document.from_dict(bf.presentation_document(specialized).to_dict())
+    assert image in doc.parameters
+    doc.build_presentation(doc.make_context())
 
 
 @pytest.mark.parametrize("mutate, fragment", [

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import bialgebra_forge as bf
 from bialgebra_forge.errors import InexactDivisionError, InputError
 from bialgebra_forge.exprparse import _divide, parse_coefficient
-from bialgebra_forge.ncpoly import Context, NCPoly
-from bialgebra_forge.params import ParamPoly
+from bialgebra_forge.ncpoly import Context, NCPoly, _coefficient_power
+from bialgebra_forge.params import Monomials, ParamPoly
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import Basis, BracketTensor, rescale_basis
 
@@ -249,10 +249,15 @@ def test_negative_power_is_an_input_error():
 
 
 def test_powers_by_squaring_match_repeated_products():
+    """ParamPoly powers and packed-coefficient powers (the parser's
+    constant parts) both equal repeated products."""
     p = const(Scalar(1, 1)) + mono("t").scale(Scalar(Fraction(1, 2))) + mono("h")
+    packing = Monomials(PARAMS, ORDER)
+    limit = packing.limit(ORDER)
     expected = const(ONE)
-    for n in range(9):
+    for n in range(10):
         assert p ** n == expected
+        assert packing.poly(_coefficient_power(packing.pairs(p), n, limit)) == expected
         expected = expected * p
     assert mono("t") ** 100000000 == poly({})
     assert const(Scalar(2)) ** 40 == const(Scalar(2 ** 40))

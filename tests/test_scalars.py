@@ -39,6 +39,24 @@ def test_powers():
     assert Scalar(2) ** 10 == Scalar(1024)
 
 
+def test_powers_square_and_multiply(monkeypatch):
+    """Scalar(3)**k makes k.bit_length() - 1 squarings and popcount(k) - 1
+    further products, counted through Scalar.__mul__: none for k = 0 or 1."""
+    products = 0
+    product = Scalar.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    for k in range(40):
+        products = 0
+        assert Scalar(3) ** k == Scalar(3 ** k)
+        assert products == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+
+
 def test_equality_is_canonical():
     assert Scalar(Fraction(2, 4)) == Scalar(Fraction(1, 2))
     assert hash(Scalar(Fraction(2, 4))) == hash(Scalar(Fraction(1, 2)))
