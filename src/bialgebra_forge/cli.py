@@ -10,6 +10,7 @@ settings produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -93,12 +94,18 @@ def _emit(args, report: Report, notes=()) -> int:
     return 0 if report.ok else 1
 
 
-def _write_output(args, payload: str):
-    if args.output:
+def _write_output(args, payload: str) -> str:
+    """Write an emitted document to --output; what is left for stdout:
+    nothing then, else the document. A path that cannot be written is an
+    input error (exit 2), raised before the caller prints anything."""
+    if not args.output:
+        return payload
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc}") from exc
+    return ""
 
 
 def _names(basis, key):
@@ -204,8 +211,9 @@ def cmd_family(args) -> int:
         {"mu_family": family.mu, "delta_family": family.delta}, context,
         notes=["family built from " + ", ".join(names)],
     )
+    rest = _write_output(args, out_doc.dumps())
     code = _emit(args, report)
-    _write_output(args, out_doc.dumps())
+    sys.stdout.write(rest)
     return code
 
 
@@ -272,7 +280,7 @@ def cmd_specialize(args) -> int:
     assignment = _parse_assignments(args.set or [])
     specialized = specialize(H, assignment)
     out_doc = presentation_document(specialized, notes=doc.notes)
-    _write_output(args, out_doc.dumps())
+    sys.stdout.write(_write_output(args, out_doc.dumps()))
     return 0
 
 
@@ -381,7 +389,12 @@ def _common(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process and shared by every
+    `main` call. It holds no command function: `main` looks `cmd_<command>`
+    up on this module when it runs, so a function replaced after the tree
+    was built is the one called."""
     parser = argparse.ArgumentParser(
         prog="bialgebra-forge",
         description="Exact symbolic checks for Lie bialgebra deformation families "
@@ -393,26 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("lie", "colie", "bialgebra", "four-pairs"))
     p.add_argument("names", nargs="*", help="composition names")
     _common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("family", help="build the two-pencil deformation family")
     p.add_argument("names", nargs="*", help="mu_100 mu_001 delta_010 delta_001")
     _common(p)
     p.add_argument("--output", default=None, help="write emitted document here")
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("hopf", help="Hopf-axiom defect checks")
     p.add_argument("checks", nargs="*",
                    help="any of: jacobi hom coassoc counit antipode class-f all")
     _common(p)
-    p.set_defaults(func=cmd_hopf)
 
     p = sub.add_parser("specialize", help="substitute parameters and re-emit")
     p.add_argument("--set", action="append", default=[],
                    help="assignments, e.g. --set z1=0,z2=0 or --set z1=z")
     _common(p)
     p.add_argument("--output", default=None, help="write emitted document here")
-    p.set_defaults(func=cmd_specialize)
 
     p = sub.add_parser("expand", help="Taylor coefficients and deformation identities")
     p.add_argument("--up-to", dest="up_to", default="2,2,2",
@@ -420,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roles", default="t,h,z",
                    help="parameter names playing the (t,h,z) roles")
     _common(p)
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("tangent", help="boundary tangent fields")
     p.add_argument("--direction", required=True, help="derivative direction parameter")
@@ -429,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", default=None,
                    help="expectation fixture: @name (bundled) or a JSON path")
     _common(p)
-    p.set_defaults(func=cmd_tangent)
     return parser
 
 
@@ -440,7 +447,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ForgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

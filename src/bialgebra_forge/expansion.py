@@ -255,15 +255,15 @@ class TangentField:
 def tangent_field(H: HopfPresentation, direction: str, base: dict = None) -> TangentField:
     """First derivative of the structure maps along `direction` at
     direction = 0, with the base-point parameters set to their values
-    (0, the one exact evaluation; see hopf.specialize).
+    (0, the one exact evaluation; see hopf.specialize). A base value for
+    direction itself passes the same rule, so only 0 is accepted.
 
     mu-components are derivatives of the stored commutators, which the
     relation table keeps in normal form (full generator degree retained);
     delta-components are derivatives of the V (x) V parts of
     Delta - Delta^op (first_order_slices).
     """
-    base = dict(base or {})
-    base.pop(direction, None)
+    base = base or {}
     params = H.context.params
     if direction not in params:
         raise InputError(f"unknown direction parameter {direction!r}")

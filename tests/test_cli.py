@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -107,6 +108,13 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
     assert "duplicate bracket key" in err
     code, _, err = run(capsys, "check", "four-pairs", "/no/such/file.json")
     assert code == 2
+    # an emitted document that cannot be written: named like an unreadable
+    # input, and nothing, not even family's report, goes to stdout
+    for command in ("family", "specialize"):
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(capsys, command, "@corrected", "--output", str(target))
+            assert code == 2 and out == "", (command, target)
+            assert err.startswith(f"error: cannot write {target}: "), err
     # order and cap must be non-negative integers, from flags ...
     for flag, value in (("--order", "-1"), ("--cap", "-3")):
         code, out, err = run(
@@ -192,11 +200,21 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
         assert code == 2 and out == "", flags
         assert err.startswith("error: ") and message in err
     monkeypatch.undo()
-    # a tangent base point that is not a scalar
-    code, out, err = run(capsys, "tangent", "@corrected", "--direction", "h",
-                         "--at", "z1=w")
-    assert code == 2 and out == ""
-    assert "tangent base values must be scalars" in err
+    # a tangent base point that is not a scalar, or a nonzero value for the
+    # direction itself, is refused by the rules of any other base value
+    for direction, at, message in (
+        ("h", "z1=w", "tangent base values must be scalars"),
+        ("t", "t=z", "tangent base values must be scalars"),
+        ("t", "t=1", "cannot specialize 't' to 1: a truncated series is exact only at 0"),
+    ):
+        code, out, err = run(capsys, "tangent", "@corrected", "--direction", direction,
+                             "--at", at)
+        assert code == 2 and out == "", at
+        assert err.startswith("error: ") and message in err, err
+    # ... and the direction at 0 is the field with no base value
+    at_zero = run(capsys, "tangent", "@corrected", "--direction", "t", "--at", "t=0")
+    assert at_zero == run(capsys, "tangent", "@corrected", "--direction", "t")
+    assert at_zero[0] == 0
     # a nonzero value evaluates a truncated series: exact at no order
     diag = _diagonal(tmp_path, capsys)
     for argv in (["specialize", "@corrected", "--set", "z2=1"],
@@ -694,6 +712,68 @@ def test_output_is_only_for_commands_that_emit_a_document(tmp_path, capsys):
         code, out, _ = run(capsys, *argv, "--output", str(target))
         assert code == 2 and out == "", argv
     assert not target.exists()
+
+
+def test_later_calls_reuse_the_argument_tree(capsys, monkeypatch):
+    """The argument tree is built once per process: after a first call,
+    `main` constructs no ArgumentParser."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *a, **kw):
+        built.append(kw.get("prog"))
+        init(self, *a, **kw)
+
+    run(capsys, "check", "colie", "@corrected")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argparse.ArgumentParser(prog="probe")
+    assert built == ["probe"]
+    for argv in (["check", "colie", "@corrected"], ["specialize", "@corrected"],
+                 ["hopf", "--help"], ["nope"]):
+        run(capsys, *argv)
+    assert built == ["probe"]
+
+
+def test_assignments_do_not_carry_into_the_next_call(capsys):
+    """--set and --at append to fresh lists on each call: each report of a
+    pair of calls equals the one it gives when run first."""
+    for first, second in (
+        (["specialize", "@corrected", "--set", "z1=0"],
+         ["specialize", "@corrected", "--set", "z2=0"]),
+        (["tangent", "@corrected", "--direction", "h", "--at", "z1=0"],
+         ["tangent", "@corrected", "--direction", "h", "--at", "z2=0"]),
+    ):
+        a_first, b_second = run(capsys, *first), run(capsys, *second)
+        b_first, a_second = run(capsys, *second), run(capsys, *first)
+        assert a_first == a_second and b_first == b_second
+        assert a_first[0] == 0 and a_first != b_first
+
+
+def test_usage_errors_and_help_leave_the_next_report_unchanged(capsys):
+    argv = ["check", "four-pairs", "@corrected", "--format", "json"]
+    before = run(capsys, *argv)
+    for bad, code in ((["check", "nope", "@corrected"], 2), (["hopf", "--order"], 2),
+                      (["--help"], 0), (["tangent", "--help"], 0)):
+        assert run(capsys, *bad)[0] == code, bad
+    assert run(capsys, *argv) == before and before[0] == 0
+
+
+def test_main_runs_the_command_function_of_the_module_at_call_time(capsys, monkeypatch):
+    """A cmd_* replaced after the tree was built (as a tracer does while it
+    is installed) is the one called, and the original again once restored."""
+    run(capsys, "check", "lie", "@corrected")
+    seen = []
+
+    def replacement(args):
+        seen.append(args.which)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_check", replacement)
+    assert run(capsys, "check", "lie", "@corrected") == (7, "", "")
+    assert seen == ["lie"]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "check", "lie", "@corrected")
+    assert code == 0 and "jacobi mu_100" in out and seen == ["lie"]
 
 
 def test_composition_of_the_wrong_kind_is_input_error(capsys):

@@ -8,6 +8,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge.cli import main
@@ -18,6 +19,9 @@ import twist
 
 # a Cartan r with an integer, a rational and a Gaussian rational entry
 R3 = {(0, 1): 1, (0, 2): Scalar(-2, 1), (1, 2): "1/2"}
+# a nonzero Gaussian rational with small numerators and denominators
+GAUSSIAN = st.builds(Scalar, st.fractions(-3, 3, max_denominator=4),
+                     st.fractions(-3, 3, max_denominator=4)).filter(bool)
 
 
 def _hopf_failures(tmp_path, data, order=5) -> tuple:
@@ -37,6 +41,17 @@ def _hopf_failures(tmp_path, data, order=5) -> tuple:
 @pytest.mark.parametrize("n, r", [(2, {(0, 1): Scalar(1, -3)}), (3, R3)])
 def test_twisted_gln_passes_every_hopf_check(tmp_path, n, r):
     assert _hopf_failures(tmp_path, twist.twisted_gln(n, r, "ht2")) == (0, [])
+
+
+def test_twisted_gl3_passes_every_hopf_check_at_order_6(tmp_path):
+    assert _hopf_failures(tmp_path, twist.twisted_gln(3, R3, "ht2"), order=6) == (0, [])
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(entry=GAUSSIAN, scale=st.sampled_from(sorted(twist.SCALES)))
+def test_a_drawn_twist_of_gl2_passes_every_hopf_check(tmp_path_factory, entry, scale):
+    data = twist.twisted_gln(2, {(0, 1): entry}, scale)
+    assert _hopf_failures(tmp_path_factory.mktemp("drawn"), data) == (0, []), entry
 
 
 def _bracket(data, left, right) -> dict:
