@@ -32,6 +32,8 @@ from .rewrite import presentation_jacobi_defect
 from .tensors import build_family, check_four_pairs, cocycle_defect, lie_checks
 
 _BUNDLED = {"@corrected": "corrected", "@verbatim": "verbatim"}
+# the most defects a check's detail lists; "..." stands for the rest
+_SHOWN_DEFECTS = 8
 
 
 class Report:
@@ -114,9 +116,9 @@ def _names(basis, key):
     return basis.names[key]
 
 
-def _render_defects(basis, defects: dict, limit: int = 8) -> str:
+def _render_defects(basis, defects: dict) -> str:
     parts = []
-    for key in sorted(defects):
+    for key in sorted(defects)[:_SHOWN_DEFECTS]:
         value = defects[key]
         if isinstance(value, dict):
             inner = ", ".join(
@@ -125,9 +127,8 @@ def _render_defects(basis, defects: dict, limit: int = 8) -> str:
             parts.append(f"{_names(basis, key)} -> {{{inner}}}")
         else:
             parts.append(f"{_names(basis, key)}: {value}")
-        if len(parts) >= limit:
-            parts.append("...")
-            break
+    if len(defects) > _SHOWN_DEFECTS:
+        parts.append("...")
     return "; ".join(parts)
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
+from .exprparse import parse_expr
 from .hopf import DefectReport, HopfPresentation, specialize
 from .ncpoly import Context, NCPoly, TensorNCPoly
 from .params import exponent_map
@@ -308,8 +309,6 @@ def compare_field(actual: TangentField, expectation: dict) -> FieldDiff:
     must agree through order - 1 and no unlisted entry may be nonzero
     there.
     """
-    from .exprparse import parse_expr
-
     leading = expectation["mode"] == "leading"
     context = actual.context
     exact = context.order - 1

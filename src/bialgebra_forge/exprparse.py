@@ -83,6 +83,7 @@ from .ncpoly import (
 from .params import ParamPoly
 from .scalars import I, ONE, ZERO, Scalar, check_power
 from .sparse import accumulate, deduct
+from .tensors import Basis
 
 # deepest nesting of parentheses, function calls and unary minus; deeper
 # input would exhaust the interpreter stack of this recursive parser
@@ -582,13 +583,7 @@ def parse_coefficient(text: str, context: Context, *, _memo=None):
     return poly.coefficient(())
 
 
-def parse_scalar_text(text: str, params=()) -> Scalar:
+def parse_scalar_text(text: str) -> Scalar:
     """Parse a bare scalar literal such as '-3i/4' or '1/2'."""
-    from .tensors import Basis
-
-    context = Context(Basis(()), tuple(params), order=0, cap=0, slack=0)
-    coeff = parse_coefficient(text, context)
-    constant = coeff.constant_term()
-    if coeff.terms and list(coeff.terms) != [(0,) * len(coeff.params)]:
-        raise ExprSyntaxError(f"expected a scalar, found parameters in {text!r}")
-    return constant
+    context = Context(Basis(()), (), order=0, cap=0, slack=0)
+    return parse_coefficient(text, context).constant_term()

@@ -4,11 +4,10 @@ A ParamPoly is a sparse map from exponent vectors to Scalar coefficients,
 over a fixed ordered tuple of parameter names, with every stored term of
 total degree <= order. Truncation at total degree N is a quotient of
 the coefficient ring, so sums and products are exact through N.
-Values are immutable, so a product by the unit may return the other
-operand itself rather than a copy. ParamPoly is the coefficient of the
-constant tensors and the form in which a word polynomial's coefficients
-are given and printed; word and tensor polynomials store their terms
-flat, each monomial packed into one int (Monomials).
+ParamPoly is the coefficient of the constant tensors and the form in
+which a word polynomial's coefficients are given and printed; word and
+tensor polynomials store their terms flat, each monomial packed into one
+int (Monomials).
 
 The only substitutions are exact ones: a parameter is renamed or set to
 0, and nothing else (`exponent_map`, `substitution`). Any other image, a
@@ -99,18 +98,6 @@ class ParamPoly:
             return self.scale(other)
         self._check(other)
         order = self.order
-        if len(self.terms) == 1 == len(other.terms):
-            # monomial x monomial: the degree decides before any arithmetic
-            [(e1, c1)] = self.terms.items()
-            [(e2, c2)] = other.terms.items()
-            d1, d2 = _degree(e1), _degree(e2)
-            if d1 + d2 > order:
-                return self._like({})
-            if not d1 and c1 == ONE:
-                return other
-            if not d2 and c2 == ONE:
-                return self
-            return self._like({tuple(map(add, e1, e2)): c1 * c2})
         right = [(e2, c2, _degree(e2)) for e2, c2 in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():

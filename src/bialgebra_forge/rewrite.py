@@ -19,6 +19,13 @@ product of the lowest parts, no rewrite lowers degree and a normal form is
 linear, so a form computed through a budget equals the full one through it
 under the leftmost strategy, whether or not the table is confluent.
 
+There is one rewriting strategy: the leftmost out-of-order pair of a
+word is rewritten first, and every normal form goes through
+normal_form_word's cached, budgeted worklist. Where the presentation
+Jacobi defects vanish, every strategy reaches the same normal form
+(Bergman's diamond lemma); past that degree the leftmost strategy is
+part of each reported normal form.
+
 Terms are flat (ncpoly): a term's parameter monomial is one int m, in
 fields wide enough that a sum of two exponents, at most 2*order, cannot
 carry into the next, so a product of monomials is m1 + m2, and
@@ -158,13 +165,10 @@ def _first_descent(word):
     return None
 
 
-def _descents(word):
-    return [pos for pos in range(len(word) - 1) if word[pos] > word[pos + 1]]
-
-
-def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NCPoly:
-    """Normal form of a single word as an NCPoly, exact through parameter
-    degree `budget` (default: the order).
+def normal_form_word(table: RelationTable, word, *, budget=None) -> NCPoly:
+    """Normal form of a single word as an NCPoly under the leftmost
+    strategy, exact through parameter degree `budget` (default: the
+    order).
 
     A form computed here has no term above the budget, but a cached entry
     computed for a larger budget serves a smaller one as it is, so a
@@ -175,23 +179,16 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
     degree. Over a field the lowest part of a product is the product of
     the lowest parts, so a rewrite takes the lowest degree of the rhs
     coefficient it inserts off the room, and a branch whose room would go
-    negative is dropped before its coefficient is formed.
-
-    choose, when given, picks which out-of-order adjacent pair to
-    rewrite first (position index into the descent list); the default
-    always takes the leftmost. Results for any choice agree whenever
-    the presentation Jacobi defects vanish. Only the default strategy
-    is cached, keyed by word, as (budget, normal form).
+    negative is dropped before its coefficient is formed. Forms are cached
+    on the table, keyed by word, as (budget, normal form).
     """
     context = table.context
     if budget is None:
         budget = context.order
-    use_cache = choose is None
     cache = table._nf_cache
-    if use_cache:
-        entry = cache.get(word)
-        if entry is not None and entry[0] >= budget:
-            return entry[1]
+    entry = cache.get(word)
+    if entry is not None and entry[0] >= budget:
+        return entry[1]
 
     shift = context.monomials.shift
     limit = context.monomials.limit(budget)
@@ -199,18 +196,14 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
     work = [(tuple(word), PACKED_ONE, budget)]
     while work:
         w, coeff, room = work.pop()
-        if use_cache and w != word:
+        if w != word:
             entry = cache.get(w)
             if entry is not None and entry[0] >= room:
                 for u, pairs in entry[1].groups().items():
                     for m, c in coefficient_product(coeff, pairs, limit):
                         accumulate(result, (u, m), c)
                 continue
-        if choose is None:
-            pos = _first_descent(w)
-        else:
-            ds = _descents(w)
-            pos = ds[choose(w, ds)] if ds else None
+        pos = _first_descent(w)
         if pos is None:
             for m, c in coeff:
                 accumulate(result, (w, m), c)
@@ -230,26 +223,25 @@ def normal_form_word(table: RelationTable, word, choose=None, budget=None) -> NC
                 )
             work.append((nw, coefficient_product(coeff, pairs, limit), left))
     nf = NCPoly._of(context, result)
-    if use_cache:
-        cache[word] = (budget, nf)
+    cache[word] = (budget, nf)
     return nf
 
 
-def normalize(a, table: RelationTable, choose=None, budget=None):
+def normalize(a, table: RelationTable, *, budget=None):
     """Normal form of an NCPoly, or of each factor of a TensorNCPoly,
     exact through parameter degree `budget` (default: the order), with no
     term above it.
 
     A key whose factor words are all sorted is irreducible, so its terms
     through the budget pass through as they are, with no rewriting and no
-    coefficient product, whatever `choose` is. Any other key gets the room
-    its coefficient leaves below the budget, budget - lowest degree, and
-    each unsorted factor is rewritten once, only through that room: what
-    lies above is cut off by the product with the coefficient. A key with
-    no room adds nothing through the budget and is dropped. A normal form
-    is linear and no rewrite lowers degree, so the result equals the full
-    normal form through the budget under the leftmost strategy, whether
-    or not the table is confluent."""
+    coefficient product. Any other key gets the room its coefficient
+    leaves below the budget, budget - lowest degree, and each unsorted
+    factor is rewritten once, only through that room: what lies above is
+    cut off by the product with the coefficient. A key with no room adds
+    nothing through the budget and is dropped. A normal form is linear
+    and no rewrite lowers degree, so the result equals the full normal
+    form through the budget under the leftmost strategy, whether or not
+    the table is confluent."""
     monomials = table.context.monomials
     if budget is None:
         budget = table.context.order
@@ -269,7 +261,7 @@ def normalize(a, table: RelationTable, choose=None, budget=None):
             continue
         factors = list(factors)
         for p in unsorted:
-            factors[p] = normal_form_word(table, factors[p], choose, room)
+            factors[p] = normal_form_word(table, factors[p], budget=room)
         for (words, m), c in outer(factors, limit, pairs).items():
             accumulate(out, (join(words), m), c)
     return a._like(out)
@@ -313,19 +305,14 @@ def word_bracket(table: RelationTable, u, v, budget=None):
     bracket equals the full-order one through it; terms above the budget
     may be partial. It is cached on the table per (u, v) as (budget,
     bracket, lowest degree), under the rule of the normal-form cache: an
-    entry serves any budget up to its own, and a larger one replaces it.
-    Words with uv == vu have a zero bracket, found without rewriting."""
+    entry serves any budget up to its own, and a larger one replaces it."""
     if budget is None:
         budget = table.context.order
     entry = table._bracket_cache.get((u, v))
     if entry is not None and entry[0] >= budget:
         return entry[1], entry[2]
-    uv, vu = u + v, v + u
-    if uv == vu:
-        bracket = NCPoly.zero(table.context)
-    else:
-        bracket = (normal_form_word(table, uv, budget=budget)
-                   - normal_form_word(table, vu, budget=budget))
+    bracket = (normal_form_word(table, u + v, budget=budget)
+               - normal_form_word(table, v + u, budget=budget))
     low = bracket.min_param_degree()
     table._bracket_cache[(u, v)] = (budget, bracket, low)
     return bracket, low

@@ -175,7 +175,6 @@ def _coerce(value) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
-MINUS_ONE = Scalar(-1)
 
 
 def _int_str(n: int) -> str:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
@@ -100,6 +101,19 @@ def test_exit_code_1_on_defect(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "four-pairs", str(bad))
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("count, shown, elided", [
+    (1, 1, False), (8, 8, False), (9, 8, True), (12, 8, True),
+])
+def test_defect_details_elide_only_what_they_leave_out(count, shown, elided):
+    """A check's detail lists its first eight defects by key, then "..."
+    only when a defect is left out."""
+    basis = bf.Basis(tuple(f"x{k}" for k in range(count)))
+    defects = {(k, k): f"v{k}" for k in reversed(range(count))}
+    parts = cli._render_defects(basis, defects).split("; ")
+    listed = [f"(x{k},x{k}): v{k}" for k in range(shown)]
+    assert parts == listed + ["..."] * elided
 
 
 def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,8 @@ from bialgebra_forge.scalars import Scalar
 from bialgebra_forge.sparse import accumulate
 from bialgebra_forge.tensors import Basis
 
+import hopfref
+
 PARAMS = ("p", "q", "r", "s", "u")
 
 
@@ -100,32 +102,14 @@ def ref_times(a, b, budget):
     return _value(a.context, a.arity, out)
 
 
-def ref_normal_form(rhs, word, ctx):
-    """{word: ParamPoly}, the normal form of word by leftmost rewriting
-    with the brackets rhs = {(j, i): {word: ParamPoly}}, every branch
-    carried at the order."""
-    out = {}
-    work = [(word, ctx.const_poly(1))]
-    while work:
-        w, c = work.pop()
-        pos = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), None)
-        if pos is None:
-            accumulate(out, w, c)
-            continue
-        head, tail = w[:pos], w[pos + 2:]
-        work.append((head + (w[pos + 1], w[pos]) + tail, c))
-        for rw, rc in rhs.get((w[pos], w[pos + 1]), {}).items():
-            if c * rc:
-                work.append((head + rw + tail, c * rc))
-    return out
-
-
-def ref_normalize(a, rhs, budget):
-    """Each factor word's normal form (ref_normal_form), times the
-    coefficient."""
+def ref_normalize(a, rhs, budget, rng=None):
+    """Each factor word's normal form under the brackets rhs = {(j, i):
+    {word: ParamPoly}} (hopfref.normal_form: leftmost, or by rng), times
+    the coefficient."""
+    one = a.context.const_poly(1)
     out = {}
     for key, coeff in a.coefficients().items():
-        forms = [ref_normal_form(rhs, w, a.context).items() for w in a._factors(key)]
+        forms = [hopfref.normal_form(rhs, {w: one}, rng).items() for w in a._factors(key)]
         for line in product(*forms):
             c = coeff
             for _, cw in line:

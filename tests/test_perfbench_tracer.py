@@ -50,6 +50,9 @@ def test_tracer_reports_every_declared_layer_metric():
     assert names <= set(metrics), sorted(names - set(metrics))
     for name in ("rewrite.nf_calls", "hopf.cop_calls", "params.mul_calls"):
         assert metrics[name][0] > 0, name
+    # the tracer reads a third positional argument of normal_form_word as
+    # a strategy and counts no cache lookup for such a call
+    assert metrics["rewrite.nf_hit_ratio"][0] > 0
 
 
 def test_traced_rewrite_steps_are_the_kernel_lookups():

@@ -12,17 +12,20 @@ import bialgebra_forge as bf
 from bialgebra_forge import rewrite
 from bialgebra_forge.cli import main
 from bialgebra_forge.errors import CapExceededError
-from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly, outer, tensor
+from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly, tensor
 from bialgebra_forge.rewrite import (
     commutator, normal_form_word, normalize, presentation_jacobi_defect,
 )
 from bialgebra_forge.scalars import Scalar
-from bialgebra_forge.sparse import accumulate
 
+import hopfref
+import twist
 from conftest import (
     call_counts, context3, corrected_document, kernel_counts, presentation3,
     presentation5, rewrite_steps, terms_through, widegen,
 )
+from test_flat_terms import ref_normalize
+from test_twist import R3, _jacobi as perturb_jacobi
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
 
@@ -103,6 +106,39 @@ def test_presentation_jacobi_is_exact_through_the_order():
     assert presentation_jacobi_defect(REL5) == {}
 
 
+def _twisted(n, r, perturb=None):
+    """A twisted U(gl_n) document (tests/twist.py), perturbed in place by
+    perturb when given."""
+    data = twist.twisted_gln(n, r)
+    if perturb is not None:
+        perturb(data)
+    return bf.Document.from_dict(data)
+
+
+@pytest.mark.parametrize("document, order, cap, triples", [
+    # @corrected's cyclic sums start at degree 6, where rewriting stops
+    # being confluent: past it the defects are the leftmost forms
+    (corrected_document, 5, 10, 0),
+    (corrected_document, 6, 12, 3),
+    (corrected_document, 8, 16, 4),
+    (lambda: _twisted(2, {(0, 1): Scalar(1, -3)}), 5, 12, 0),
+    (lambda: _twisted(3, R3), 5, 12, 0),
+    (lambda: _twisted(3, R3, perturb_jacobi), 5, 12, 4),
+], ids=["corrected-o5", "corrected-o6", "corrected-o8", "twisted-gl2", "twisted-gl3",
+        "perturbed-gl3"])
+def test_presentation_jacobi_defect_is_the_reference_cyclic_sum(document, order, cap,
+                                                                triples):
+    """Each defect value equals the reference's: the cyclic sum of
+    commutators formed in full from the stored brackets, cut at the order
+    and normalised leftmost (hopfref.jacobi_defect)."""
+    doc = document()
+    table = doc.build_presentation(doc.make_context(order=order, cap=cap)).rel
+    got = {key: value.coefficients()
+           for key, value in presentation_jacobi_defect(table).items()}
+    assert got == hopfref.jacobi_defect(table)
+    assert len(got) == triples
+
+
 def test_sign_flip_of_the_z1_relation_is_a_reparameterization():
     # z1 appears in [p_z,p_x] only, so flipping that sign is the change
     # of parameters z1 -> -z1: the table stays consistent at any order
@@ -172,12 +208,11 @@ def test_normalize_multiplicative(a, b):
        st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=50, deadline=None)
 def test_rewriting_strategy_confluence(word, seed):
-    rng = random.Random(seed)
-    fixed = normal_form_word(REL3, word)
-    randomized = normal_form_word(
-        REL3, word, choose=lambda w, ds: rng.randrange(len(ds))
-    )
-    assert randomized == fixed
+    # the kernel's leftmost form is the one the reference reaches by
+    # rewriting a randomly drawn out-of-order pair at each step
+    randomized = hopfref.normal_form(
+        hopfref.rules(REL3), {word: CTX3.const_poly(1)}, random.Random(seed))
+    assert normal_form_word(REL3, word).coefficients() == randomized
 
 
 # -- sorted words pass through the normaliser ---------------------------------------
@@ -199,32 +234,22 @@ def tensor_polys(draw):
     return NCPoly(ctx, terms) if arity == 1 else TensorNCPoly(ctx, arity, terms)
 
 
-def normalize_every_factor(a, table, choose):
-    """The normaliser with no pass-through: normal_form_word on every
-    factor word, then the outer product of the factors' normal forms."""
-    limit = a.context.monomials.limit(a.context.order)
-    out = {}
-    for key, pairs in a.groups().items():
-        factors = (key,) if a.arity == 1 else key
-        nfs = [normal_form_word(table, w, choose) for w in factors]
-        for (ws, m), c in outer(nfs, limit, pairs).items():
-            accumulate(out, (ws[0] if a.arity == 1 else ws, m), c)
-    return a._like(out)
-
-
 @given(tensor_polys(), st.one_of(st.none(), st.integers(0, 2 ** 31 - 1)))
 @settings(max_examples=60, deadline=None)
 def test_normalize_matches_normal_forms_of_every_factor(p, seed):
-    choose = None if seed is None else (lambda w, ds: hash((seed, w)) % len(ds))
-    assert normalize(p, REL3, choose) == normalize_every_factor(p, REL3, choose)
+    """normalize, which passes sorted factors through, equals the
+    reference normal form of every factor word, rewriting leftmost (no
+    seed) or a drawn out-of-order pair at each step."""
+    rng = None if seed is None else random.Random(seed)
+    assert normalize(p, REL3) == ref_normalize(p, hopfref.rules(REL3), CTX3.order, rng)
 
 
 def test_normal_input_makes_no_normal_form_calls(monkeypatch):
     calls = []
 
-    def counted(table, word, choose=None, budget=None):
+    def counted(table, word, *, budget=None):
         calls.append(word)
-        return normal_form_word(table, word, choose, budget)
+        return normal_form_word(table, word, budget=budget)
 
     monkeypatch.setattr(rewrite, "normal_form_word", counted)
     g = [NCPoly.generator(CTX5, i) for i in range(6)]
