@@ -12,6 +12,12 @@ maps act once per key of what they map: a word's image, held in a
 cache, is formed once however many terms its coefficient has, and is
 then multiplied into that packed coefficient, term by term, through the
 budget.
+
+The antipode is the convolution inverse of the identity, fixed one
+parameter degree at a time; solve_antipode settles each degree in one
+incremental pass over one word map, whose cached images take each new
+degree of the table as a change (_WordMap.extend), so each degree of
+each image is normalised once.
 """
 
 from __future__ import annotations
@@ -72,7 +78,14 @@ class _WordMap:
     image equals the full image through it (a cached image may carry
     exact terms above it). apply_slot and contract multiply a word's image
     by a coefficient of lowest degree d and ask for it at budget - d, once
-    per key, and the packed product cuts off exactly what lies above."""
+    per key, and the packed product cuts off exactly what lies above.
+
+    The table may grow after images are cached: extend adds terms of
+    some degree and up to its entries and adds to each cached image its
+    change, computed at that entry's budget, so no image is rebuilt and
+    every entry stays the image of the current table through its budget. A normal form is linear under the leftmost strategy, so the
+    sum of the changes' normal forms is the normal form of the sum, in
+    this product order and whether or not the table is confluent."""
 
     def __init__(self, rel: RelationTable, table: dict, unit, reverse: bool = False):
         self.rel = rel
@@ -87,22 +100,57 @@ class _WordMap:
         got = self.cache.get(w)
         if got is not None and got[0] >= budget:
             return got[1]
-        if len(w) == 1:
-            image = self.table[w[0]]
-        elif self.reverse:
-            image = self(w[1:], budget).times(self.table[w[0]], budget)
-        else:
-            image = self(w[:-1], budget).times(self.table[w[-1]], budget)
+        rest, letter = self._split(w)
+        image = self.table[letter]
+        if rest:
+            image = self(rest, budget).times(image, budget)
         image = normalize(image, self.rel, budget=budget)
         self.cache[w] = (budget, image)
         return image
 
-    def apply_slot(self, t, slot: int, budget=None) -> TensorNCPoly:
+    def _split(self, w):
+        """(rest, letter) of a nonempty word: its image is image(rest) *
+        table[letter]."""
+        return (w[1:], w[0]) if self.reverse else (w[:-1], w[-1])
+
+    def extend(self, extra: dict, low: int) -> dict:
+        """Add extra[g] to each generator's table entry, every term of
+        extra having parameter degree >= low, and bring each cached image
+        up to date, shortest word first and at its own budget. Returns the
+        nonzero changes {word: change of its image}; a word cached at a
+        budget below low cannot change through it.
+
+        With old entries T, new ones T + D and old images I, the change of
+        a word's image is nf(change(rest) * (T + D)(letter) + I(rest) *
+        D(letter)), by linearity of normal forms under the leftmost
+        strategy, in this map's product order; a cached rest has a budget
+        at least the word's, so both products are exact through it."""
+        for g, poly in extra.items():
+            self.table[g] = self.table[g] + poly
+        changes = {}
+        for w in sorted(self.cache, key=len):
+            budget = self.cache[w][0]
+            if not w or budget < low:
+                continue
+            rest, letter = self._split(w)
+            change = self.cache[rest][1].times(extra[letter], budget)
+            if rest in changes:
+                change = change + changes[rest].times(self.table[letter], budget)
+            change = normalize(change, self.rel, budget=budget)
+            if change:
+                changes[w] = change
+        for w, change in changes.items():
+            budget, image = self.cache[w]
+            self.cache[w] = (budget, image + change)
+        return changes
+
+    def apply_slot(self, t, slot: int, budget=None, images=None) -> TensorNCPoly:
         """t with factor `slot` replaced by its image, exact through
         `budget` (default: the order), with no term above it: a key whose
         coefficient lies above the budget is skipped, and each image, read
         once per key, is cut by the degree of the coefficient it
-        multiplies."""
+        multiplies. images, when given, is read instead of this map's
+        images, a word it lacks having image zero (extend's changes)."""
         monomials = t.context.monomials
         if budget is None:
             budget = t.context.order
@@ -114,22 +162,24 @@ class _WordMap:
                 continue
             words = t._factors(key)
             head, tail = words[:slot], words[slot + 1:]
-            image = self(words[slot], room)
+            image = self(words[slot], room) if images is None else images.get(words[slot])
+            if image is None:
+                continue
             for mid, image_pairs in image.groups().items():
                 joined = head + image._factors(mid) + tail
                 for m, c in coefficient_product(pairs, image_pairs, limit):
                     accumulate(out, (joined, m), c)
         return TensorNCPoly._of(t.context, out, t.arity - 1 + self.arity)
 
-    def contract(self, t2: TensorNCPoly, slot: int, budget=None) -> NCPoly:
+    def contract(self, t2: TensorNCPoly, slot: int, budget=None, images=None) -> NCPoly:
         """m((F (x) id) t2) for slot 0, m((id (x) F) t2) for slot 1,
         normalised through `budget` (default: the order); F is this map,
-        with word-polynomial images. The factor words of apply_slot's
-        terms are concatenated, each held against the cap as a product's
-        word is (NCPoly.times)."""
+        with word-polynomial images, or images (apply_slot). The factor
+        words of apply_slot's terms are concatenated, each held against
+        the cap as a product's word is (NCPoly.times)."""
         context = t2.context
         out = {}
-        for (left, right), pairs in self.apply_slot(t2, slot, budget).groups().items():
+        for (left, right), pairs in self.apply_slot(t2, slot, budget, images).groups().items():
             w = left + right
             if len(w) > context.cap:
                 raise cap_error(w, context)
@@ -230,13 +280,21 @@ def solve_antipode(H: HopfPresentation):
 
     Returns (table, report): the generator antipode table satisfying
     m(S (x) id) Delta g = eps(g) 1 through the presentation's order,
-    with the residual of both antipode equations in the report. The
-    solve is a fixed point: coproduct corrections carry parameter
-    degree >= 1, so pass k pins degree k and reads the table only
-    through degree k - 1. Pass k therefore runs at budget k, and its
-    table, made by word maps at that budget, has no term above degree k;
-    the last pass runs at the order, so the table returned, the report
-    and every printed image are full-order.
+    with the residual of both antipode equations in the report.
+
+    With corr g = Delta g - g (x) 1 - 1 (x) g, the table solves S(g) =
+    -g - C_g, where C_g = m(S (x) id) corr g, and the solve is one pass
+    over one reversed word map. C_g starts as the contraction through
+    the seed, at the order, which caches every image it reads at the
+    room its coefficient leaves. Step k = 1 ... order adds minus the
+    degree-k part of C_g to each entry; _WordMap.extend changes each
+    cached image to match, and C_g gains the contraction of corr g
+    through those changes. This is exact: corr's coefficients have
+    degree >= 1, so the degree-k part of C_g reads images only through
+    degree k - 1, where the table is already final; and a normal form
+    is linear, so C_g summed over the changes is the contraction through
+    the whole table. The report reads the same map, so the table
+    returned, the report and every printed image are full-order.
     """
     context = H.context
     names = H.names()
@@ -256,15 +314,21 @@ def solve_antipode(H: HopfPresentation):
                 "degree 0; order-by-order solve cannot start"
             )
         corrections[g] = corr
+    S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
+    contracted = {g: S.contract(corrections[g], 0) for g in range(n)}
+    limit = context.monomials.limit
     for k in range(1, context.order + 1):
-        S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
-        table = {
-            g: -NCPoly.generator(context, g) - S.contract(corrections[g], 0, k)
-            for g in range(n)
-        }
+        low, high = limit(k - 1), limit(k)
+        changes = S.extend({
+            g: NCPoly._of(context, {(w, m): -c for (w, m), c in poly.terms.items()
+                                    if low <= m < high})
+            for g, poly in contracted.items()
+        }, k)
+        if changes:
+            for g in range(n):
+                contracted[g] += S.contract(corrections[g], 0, images=changes)
 
     report = DefectReport("antipode")
-    S = _WordMap(H.rel, table, NCPoly.unit(context), reverse=True)
     for g in range(n):
         d = H.coproduct_word((g,))
         eps_unit = NCPoly.from_scalar(context, H.counit[g])

@@ -12,7 +12,7 @@ budget, not at the order. A sorted word has no out-of-order pair, so it
 is its own normal form: normalize passes it through untouched.
 
 The same rule serves callers that need a whole polynomial only through
-a budget below the order (the Hopf word maps and antipode passes): normalize
+a budget below the order (the Hopf word maps and the antipode solve): normalize
 takes a budget and gives each key the room budget - lowest degree of its
 coefficient. This is exact: over Q(i) the lowest part of a product is the
 product of the lowest parts, no rewrite lowers degree and a normal form is

@@ -90,3 +90,50 @@ def jacobi_defect(table) -> dict:
                 if form:
                     out[(i, j, k)] = form
     return out
+
+
+def antipode(table, coproducts) -> dict:
+    """{g: {word: ParamPoly}}, the antipode solved order by order from
+    S = -id. coproducts maps each generator g to its coproduct, read only
+    through coefficients() as {(u, v): ParamPoly}; Delta g is that with
+    each factor normalised, as the stored coproduct need not be. With
+    corr g = Delta g - g (x) 1 - 1 (x) g, pass k sets S(g) = -g - nf(sum of
+    c S(u) v over corr g's terms c u (x) v); every such c has degree >= 1,
+    so pass k fixes degree k, and the last pass is at the order. S extends
+    to words in reverse, S(u) = nf(S(u[1:]) S(u[0])), each product formed
+    in full and normalised leftmost, so past the degree where the table
+    is confluent the forms are the leftmost ones in that product order."""
+    rhs = rules(table)
+    context = table.context
+    one = context.const_poly(1)
+    corrections = {}
+    for g, cop in coproducts.items():
+        corr = {}
+        for (u, v), c in cop.coefficients().items():
+            for x, cx in normal_form(rhs, {u: c}).items():
+                for y, cy in normal_form(rhs, {v: one}).items():
+                    accumulate(corr, (x, y), cx * cy)
+        for key in (((g,), ()), ((), (g,))):
+            accumulate(corr, key, -one)
+        corrections[g] = corr
+    solved = {g: {(g,): -one} for g in coproducts}
+    for _ in range(context.order):
+        images = {(): {(): one}}
+
+        def image(w):
+            if w not in images:
+                images[w] = normal_form(rhs, product(image(w[1:]), solved[w[0]]))
+            return images[w]
+
+        contracted = {g: {} for g in coproducts}
+        for g, corr in corrections.items():
+            for (u, v), c in corr.items():
+                for w, d in product(image(u), {v: c}).items():
+                    accumulate(contracted[g], w, d)
+        solved = {}
+        for g, total in contracted.items():
+            entry = {(g,): -one}
+            for w, c in normal_form(rhs, total).items():
+                accumulate(entry, w, -c)
+            solved[g] = entry
+    return solved

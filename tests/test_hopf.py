@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import json
 import sys
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
 from bialgebra_forge.cli import main
-from bialgebra_forge.errors import CapExceededError, InputError, NonContractingError
+from bialgebra_forge.errors import (
+    AntipodeError, CapExceededError, InputError, NonContractingError,
+)
 from bialgebra_forge.hopf import _WordMap
 from bialgebra_forge.ncpoly import Context, NCPoly, TensorNCPoly, _Terms
 from bialgebra_forge.params import ParamPoly
@@ -18,9 +21,12 @@ from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.sparse import accumulate
 from bialgebra_forge.tensors import Basis
 
+import hopfref
+import twist
 from conftest import (
     corrected_document, presentation3, presentation5, terms_through, widegen,
 )
+from test_twist import R3, _coproduct_term
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
 
@@ -225,16 +231,133 @@ def _unbudgeted_antipode(H):
     return dict(enumerate(table))
 
 
-@pytest.mark.parametrize("source, order", [
-    ("corrected", 5), ("corrected", 8), ("wide", 5),
-])
-def test_budgeted_antipode_passes_solve_the_unbudgeted_loop(source, order):
+def _source_presentation(source, order):
+    """A presentation by name at order: @corrected, its z1=z2=z diagonal,
+    one `wide` document, twisted gl_2 and gl_3 (tests/twist.py, s = h*t^2)
+    or gl_3 with a coproduct term that breaks its antipode."""
     doc = corrected_document()
     if source == "wide":
         doc = bf.Document.from_dict(widegen().wide_document(doc.to_dict(), 2, 1))
-    ctx = doc.make_context(order=order, cap=2 * order)
-    table, _ = bf.solve_antipode(doc.build_presentation(ctx))
-    assert table == _unbudgeted_antipode(doc.build_presentation(ctx))
+    elif source == "twisted-gl2":
+        doc = bf.Document.from_dict(twist.twisted_gln(2, {(0, 1): Scalar(1, -3)}))
+    elif source in ("twisted-gl3", "perturbed-gl3"):
+        data = twist.twisted_gln(3, R3)
+        if source == "perturbed-gl3":
+            _coproduct_term(data)
+        doc = bf.Document.from_dict(data)
+    H = doc.build_presentation(doc.make_context(order=order, cap=2 * order + 2))
+    return bf.specialize(H, {"z1": "z", "z2": "z"}) if source == "diagonal" else H
+
+
+ANTIPODE_SOURCES = [
+    ("corrected", 5), ("corrected", 8), ("corrected", 12), ("wide", 5), ("diagonal", 8),
+    ("twisted-gl3", 6), ("perturbed-gl3", 5),
+]
+
+
+@pytest.mark.parametrize("source, order", ANTIPODE_SOURCES)
+def test_incremental_antipode_solves_the_unbudgeted_loop(source, order):
+    table, _ = bf.solve_antipode(_source_presentation(source, order))
+    assert table == _unbudgeted_antipode(_source_presentation(source, order))
+
+
+@pytest.mark.parametrize("source, order", [
+    ("corrected", 5), ("corrected", 6), ("corrected", 7), ("twisted-gl2", 5),
+    ("twisted-gl3", 5), ("perturbed-gl3", 5),
+])
+def test_antipode_is_the_reference_recursion(source, order):
+    """The whole table equals the plain order-by-order recursion's
+    (hopfref.antipode), past the degree where @corrected's rewriting stops
+    being confluent too, and where the antipode check fails."""
+    H = _source_presentation(source, order)
+    table, _ = bf.solve_antipode(H)
+    got = {g: image.coefficients() for g, image in table.items()}
+    assert got == hopfref.antipode(H.rel, H.coproduct)
+
+
+_WORDS = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+# a coefficient of parameter degree 1 or 2: a nonzero Gaussian rational
+# times c, d, c^2, c*d or d^2
+_COEFFS = st.tuples(
+    st.sampled_from(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))),
+    st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1)).filter(bool),
+)
+
+
+@st.composite
+def _drawn_presentations(draw):
+    """A PBW-type presentation on a < b < g over c, d: each bracket and
+    each coproduct correction a few terms whose coefficients carry a
+    parameter, so the antipode solve can start; the brackets need not be
+    consistent."""
+    order = draw(st.integers(3, 4))
+    ctx = Context(Basis(("a", "b", "g")), ("c", "d"), order=order, cap=4 * order, slack=0)
+
+    def coefficient(exponents, value):
+        return ParamPoly(ctx.params, order, {exponents: value})
+
+    entries = []
+    for j, i in ((1, 0), (2, 0), (2, 1)):
+        terms = draw(st.dictionaries(_WORDS, _COEFFS, max_size=2))
+        entries.append((j, i, NCPoly(ctx, {w: coefficient(*c) for w, c in terms.items()})))
+    one = ctx.const_poly(ONE)
+    coproduct = {}
+    for g in range(3):
+        terms = draw(st.dictionaries(st.tuples(_WORDS, _WORDS).filter(any), _COEFFS,
+                                     max_size=3))
+        corr = {key: coefficient(*c) for key, c in terms.items()}
+        for key in (((g,), ()), ((), (g,))):
+            corr[key] = corr.get(key, ctx.zero_poly()) + one
+        coproduct[g] = TensorNCPoly(ctx, 2, corr)
+    return bf.HopfPresentation(ctx, RelationTable(ctx, entries), coproduct,
+                               {g: Scalar(0) for g in range(3)})
+
+
+@given(_drawn_presentations())
+@settings(max_examples=60, deadline=None)
+def test_antipode_is_the_reference_recursion_on_drawn_presentations(H):
+    """Drawn coproducts put corrected letters past the first of a word,
+    so each image's change reaches the longer words that end in it."""
+    table, _ = bf.solve_antipode(H)
+    got = {g: image.coefficients() for g, image in table.items()}
+    assert got == hopfref.antipode(H.rel, H.coproduct)
+
+
+@pytest.mark.parametrize("order", [5, 12])
+def test_the_antipode_solve_makes_one_word_map(monkeypatch, order):
+    """One reversed word map serves every degree of the solve and its
+    report; a solve by passes made a map per pass and one for the report."""
+    H = _source_presentation("corrected", order)
+    made = []
+    init = _WordMap.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_WordMap, "__init__", counted)
+    bf.solve_antipode(H)
+    assert len(made) == 1
+
+
+GUARD = ("error: coproduct of p_x deviates from primitive at parameter degree 0; "
+         "order-by-order solve cannot start\n")
+
+
+@pytest.mark.parametrize("checks", [["antipode"], ["class-f"], ["all"]])
+def test_a_group_like_coproduct_stops_the_antipode_solve(tmp_path, capsys, checks):
+    """Delta p_x = p_x (x) p_x is not primitive at degree 0, so the solve
+    cannot start: every request that solves the antipode exits 2 with the
+    guard's message and prints no report."""
+    data = corrected_document().to_dict()
+    data["presentation"]["coproducts"]["p_x"] = "p_x (x) p_x"
+    path = tmp_path / "group_like.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", *checks, str(path)]) == 2
+    assert capsys.readouterr() == ("", GUARD)
+    doc = bf.Document.from_dict(data)
+    with pytest.raises(AntipodeError, match=GUARD.removeprefix("error: ").rstrip()):
+        bf.solve_antipode(doc.build_presentation(doc.make_context()))
 
 
 def _product_loop_contract(word_map, t2, slot, budget):
