@@ -249,13 +249,10 @@ def _source_presentation(source, order):
     return bf.specialize(H, {"z1": "z", "z2": "z"}) if source == "diagonal" else H
 
 
-ANTIPODE_SOURCES = [
+@pytest.mark.parametrize("source, order", [
     ("corrected", 5), ("corrected", 8), ("corrected", 12), ("wide", 5), ("diagonal", 8),
     ("twisted-gl3", 6), ("perturbed-gl3", 5),
-]
-
-
-@pytest.mark.parametrize("source, order", ANTIPODE_SOURCES)
+])
 def test_incremental_antipode_solves_the_unbudgeted_loop(source, order):
     table, _ = bf.solve_antipode(_source_presentation(source, order))
     assert table == _unbudgeted_antipode(_source_presentation(source, order))
@@ -340,8 +337,8 @@ def test_the_antipode_solve_makes_one_word_map(monkeypatch, order):
     assert len(made) == 1
 
 
-GUARD = ("error: coproduct of p_x deviates from primitive at parameter degree 0; "
-         "order-by-order solve cannot start\n")
+GUARD = ("coproduct of p_x deviates from primitive at parameter degree 0; "
+         "order-by-order solve cannot start")
 
 
 @pytest.mark.parametrize("checks", [["antipode"], ["class-f"], ["all"]])
@@ -354,9 +351,9 @@ def test_a_group_like_coproduct_stops_the_antipode_solve(tmp_path, capsys, check
     path = tmp_path / "group_like.json"
     path.write_text(json.dumps(data))
     assert main(["hopf", *checks, str(path)]) == 2
-    assert capsys.readouterr() == ("", GUARD)
+    assert capsys.readouterr() == ("", f"error: {GUARD}\n")
     doc = bf.Document.from_dict(data)
-    with pytest.raises(AntipodeError, match=GUARD.removeprefix("error: ").rstrip()):
+    with pytest.raises(AntipodeError, match=f"^{GUARD}$"):
         bf.solve_antipode(doc.build_presentation(doc.make_context()))
 
 
