@@ -80,12 +80,13 @@ class _WordMap:
     by a coefficient of lowest degree d and ask for it at budget - d, once
     per key, and the packed product cuts off exactly what lies above.
 
-    The table may grow after images are cached: extend adds terms of
-    some degree and up to its entries and adds to each cached image its
+    The table may grow after images are cached: extend adds to its
+    entries terms from some degree up, and to each cached image its
     change, computed at that entry's budget, so no image is rebuilt and
-    every entry stays the image of the current table through its budget. A normal form is linear under the leftmost strategy, so the
-    sum of the changes' normal forms is the normal form of the sum, in
-    this product order and whether or not the table is confluent."""
+    every entry stays the image of the current table through its budget.
+    A normal form is linear under the leftmost strategy, so the sum of
+    the changes' normal forms is the normal form of the sum, in this
+    product order and whether or not the table is confluent."""
 
     def __init__(self, rel: RelationTable, table: dict, unit, reverse: bool = False):
         self.rel = rel
