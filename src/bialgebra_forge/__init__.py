@@ -6,7 +6,7 @@ from .params import ParamPoly
 from .tensors import (
     FAMILY_PARAMS, Basis, BracketTensor, CobracketTensor, DeformationFamily,
     antisymmetry_defect, build_family, check_four_pairs, cocycle_defect,
-    cocycle_monomial_split, cojacobi_defect, jacobi_defect, lie_checks, rescale_basis,
+    cojacobi_defect, jacobi_defect, lie_checks,
 )
 from .ncpoly import Context, NCPoly, TensorNCPoly, series_apply, tensor
 from .rewrite import (

@@ -77,10 +77,10 @@ from .errors import (
     DocumentError, ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
 )
 from .ncpoly import (
-    SERIES_TERMS, Context, NCPoly, TensorNCPoly, cap_error, coefficient_product,
-    series_apply, tensor, term_product,
+    SERIES_TERMS, Context, NCPoly, TensorNCPoly, cap_error, series_apply, tensor,
+    term_product,
 )
-from .params import ParamPoly
+from .params import ParamPoly, coefficient_product
 from .scalars import I, ONE, ZERO, Scalar, check_power
 from .sparse import accumulate, deduct
 from .tensors import Basis

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .errors import AntipodeError, DocumentError, InputError
 from .exprparse import check_names
-from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error, coefficient_product
-from .params import exact_image
+from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error
+from .params import coefficient_product, exact_image
 from .rewrite import RelationTable, commutator, normalize
 from .scalars import ONE, ZERO
 from .sparse import accumulate

@@ -18,14 +18,16 @@ fields of width bits(order) + 1 with the total degree in the top field.
 A stored exponent is at most the order, and a sum of two is at most
 2*order < 2**(bits(order) + 1), so the product of two monomials is
 m1 + m2, with no carry between fields, and the test m < limit(budget)
-says whether its degree is within a budget; a coefficient product is one
-int add, one comparison and one Scalar multiply. Work that depends only
-on a key (a word product, a cap check, a normal form) is done once per
-key: groups() gives each key's packed coefficient, its (m, Scalar) pairs
-by ascending m, so the first pair holds the lowest degree. A ParamPoly appears only at the
-edges: the public constructors take {key: ParamPoly}, coefficients()
-and coefficient() give them back, and printing groups each key's terms
-into one, so every value prints as a ParamPoly-valued map would.
+says whether its degree is within a budget. So a coefficient product,
+params.coefficient_product (the one product rule, which the Lie-data
+pass shares), is one int add, one comparison and one Scalar multiply
+per pair. Work that depends only on a key (a word product, a cap check,
+a normal form) is done once per key: groups() gives each key's packed
+coefficient, its (m, Scalar) pairs by ascending m, so the first pair
+holds the lowest degree. A ParamPoly appears only at the edges: the
+public constructors take {key: ParamPoly}, coefficients() and
+coefficient() give them back, and printing groups each key's terms into
+one, so every value prints as a ParamPoly-valued map would.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from operator import add
 from types import MappingProxyType
 
 from .errors import CapExceededError, InputError, NonTerminatingSeriesError
-from .params import Monomials, ParamPoly, exponent_map
+from .params import PACKED_ONE, Monomials, ParamPoly, coefficient_product, exponent_map
 from .scalars import ONE, Scalar, power
 from .sparse import accumulate, deduct
 from .tensors import Basis
@@ -44,10 +46,6 @@ _new = object.__new__
 
 # the truncation settings a document carries, in the order it lists them
 SETTINGS = ("order", "cap", "slack")
-
-# the packed coefficient 1: the constant monomial, packed to 0, with value 1
-PACKED_ONE = ((0, ONE),)
-
 
 @dataclass(frozen=True)
 class Context:
@@ -87,35 +85,6 @@ class Context:
 
     def with_params(self, params) -> "Context":
         return replace(self, params=tuple(params))
-
-
-def coefficient_product(left, right, limit: int):
-    """The product of two packed coefficients, each a sequence of (m,
-    Scalar) pairs, as a list of such pairs, without the terms whose
-    monomial is at or past limit. The unit PACKED_ONE costs no Scalar
-    product, nor does a value 1 in a monomial times a monomial. Two nonzero
-    coefficients whose lowest degrees fit under limit have a nonzero
-    product: Q(i)[params] is an integral domain, so the lowest part of a
-    product is the product of the lowest parts."""
-    if left is PACKED_ONE:
-        return [pair for pair in right if pair[0] < limit]
-    if len(left) == 1 == len(right):
-        [(m1, c1)], [(m2, c2)] = left, right
-        m = m1 + m2
-        if m >= limit:
-            return []
-        return [(m, c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2)]
-    if len(left) == 1 or len(right) == 1:
-        # no two pairs meet on one monomial
-        return [(m1 + m2, c1 * c2) for m1, c1 in left for m2, c2 in right
-                if m1 + m2 < limit]
-    out = {}
-    for m1, c1 in left:
-        for m2, c2 in right:
-            m = m1 + m2
-            if m < limit:
-                accumulate(out, m, c1 * c2)
-    return list(out.items())
 
 
 def term_product(left, right, context: Context, limit: int):

@@ -4,10 +4,15 @@ A ParamPoly is a sparse map from exponent vectors to Scalar coefficients,
 over a fixed ordered tuple of parameter names, with every stored term of
 total degree <= order. Truncation at total degree N is a quotient of
 the coefficient ring, so sums and products are exact through N.
-ParamPoly is the coefficient of the constant tensors and the form in
-which a word polynomial's coefficients are given and printed; word and
-tensor polynomials store their terms flat, each monomial packed into one
-int (Monomials).
+ParamPoly is the edge and reference form: the form in which a constant
+tensor's entries and a word polynomial's coefficients are given, stored
+at the edges and printed, and the independent reference that the tests
+compare against. The checks multiply packed coefficients instead: lists
+of (m, Scalar) pairs, each monomial m packed into one int (Monomials),
+multiplied by the one rule coefficient_product. The word and tensor
+polynomials store their terms that way, and the Lie-data pass packs the
+constant tensors' entries once per call; only a family's pencils
+(tensors.build_family) still form ParamPoly products at run time.
 
 The only substitutions are exact ones: a parameter is renamed or set to
 0, and nothing else (`exponent_map`, `substitution`). Any other image, a
@@ -144,15 +149,6 @@ class ParamPoly:
             {e: c for e, c in self.terms.items() if _degree(e) <= order},
         )
 
-    def coefficient_of(self, index: int, power: int) -> "ParamPoly":
-        """Coefficient of params[index]**power, as a poly with that
-        exponent slot zeroed (the parameter stays in the context)."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[index] == power:
-                out[e[:index] + (0,) + e[index + 1:]] = c
-        return self._like(out)
-
     def substitute(self, images: dict, target=None) -> "ParamPoly":
         """This polynomial with parameters renamed or set to 0 (see
         `substitution`), over target = (params, order), by default this
@@ -266,7 +262,7 @@ def substitution(params, images: dict, target):
 class Monomials:
     """The packing of the exponent vectors over params of total degree at
     most order into ints, the monomial keys of the word and tensor
-    polynomials (ncpoly).
+    polynomials (ncpoly) and of the Lie-data pass (tensors.lie_checks).
 
     With width = bits(order) + 1, bits j*width up hold the exponent of
     params[j], and the bits from shift = len(params)*width up hold the
@@ -317,3 +313,36 @@ class Monomials:
         params, without its terms above the order."""
         pack, order = self.pack, self.order
         return [(pack(e), c) for e, c in coeff.terms.items() if _degree(e) <= order]
+
+
+# the packed coefficient 1: the constant monomial, packed to 0, with value 1
+PACKED_ONE = ((0, ONE),)
+
+
+def coefficient_product(left, right, limit: int):
+    """The product of two packed coefficients, each a sequence of (m,
+    Scalar) pairs, as a list of such pairs, without the terms whose
+    monomial is at or past limit. The unit PACKED_ONE costs no Scalar
+    product, nor does a value 1 in a monomial times a monomial. Two nonzero
+    coefficients whose lowest degrees fit under limit have a nonzero
+    product: Q(i)[params] is an integral domain, so the lowest part of a
+    product is the product of the lowest parts."""
+    if left is PACKED_ONE:
+        return [pair for pair in right if pair[0] < limit]
+    if len(left) == 1 == len(right):
+        [(m1, c1)], [(m2, c2)] = left, right
+        m = m1 + m2
+        if m >= limit:
+            return []
+        return [(m, c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2)]
+    if len(left) == 1 or len(right) == 1:
+        # no two pairs meet on one monomial
+        return [(m1 + m2, c1 * c2) for m1, c1 in left for m2, c2 in right
+                if m1 + m2 < limit]
+    out = {}
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = m1 + m2
+            if m < limit:
+                accumulate(out, m, c1 * c2)
+    return list(out.items())

@@ -60,9 +60,8 @@ from __future__ import annotations
 from operator import add
 
 from .errors import CapExceededError, DocumentError, NonContractingError
-from .ncpoly import (
-    PACKED_ONE, Context, NCPoly, cap_error, coefficient_product, outer, word_str,
-)
+from .ncpoly import Context, NCPoly, cap_error, outer, word_str
+from .params import PACKED_ONE, coefficient_product
 from .sparse import accumulate
 
 

@@ -25,7 +25,10 @@ e e e -> e (Jacobi), f f f -> f (co-Jacobi) and e e f -> e (the
 cocycle), the last with its wedge kept as a < b; the other blocks
 repeat these. It multiplies only values that share the summed index, so
 for n generators it costs O(stored values) on sparse tensors rather
-than O(n^5).
+than O(n^5). It packs each entry once (params.Monomials), forms every
+term with params.coefficient_product, and turns each defect back into
+a ParamPoly once at the end, so the tensors hold ParamPoly entries only
+at the edges: construction, substitution and printing.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisError, InputError, MismatchedBasesError
-from .params import ParamPoly, substitution
+from .params import Monomials, ParamPoly, coefficient_product, substitution
 from .scalars import ONE, Scalar
 from .sparse import accumulate, deduct
 
@@ -122,27 +125,19 @@ class _ConstantTensor:
         if self.params != other.params or self.order != other.order:
             raise InputError("tensors defined over different parameter contexts")
 
-    def map_entries(self, fn, params=None, order=None):
-        """fn(key, value) in place of each canonical value and each
-        antisymmetry defect; fn must be linear in value."""
-        out = type(self)(
-            self.basis,
-            self.params if params is None else params,
-            self.order if order is None else order,
-        )
+    def substitute(self, images, target=None):
+        """Every canonical value and antisymmetry defect renamed or zeroed
+        (params.substitution), over target = (params, order)."""
+        params, order = (self.params, self.order) if target is None else target
+        fn = substitution(self.params, images, (params, order))
+        out = type(self)(self.basis, params, order)
         for mine, theirs in ((self.entries, out.entries),
                              (self.antisymmetry, out.antisymmetry)):
             for key, value in mine.items():
-                new = fn(key, value)
+                new = fn(value)
                 if new:
                     theirs[key] = new
         return out
-
-    def substitute(self, images, target=None):
-        """Every entry renamed or zeroed (params.substitution)."""
-        params, order = (self.params, self.order) if target is None else target
-        fn = substitution(self.params, images, (params, order))
-        return self.map_entries(lambda key, value: fn(value), tuple(params), order)
 
     def __eq__(self, other):
         if type(other) is not type(self) or self.basis != other.basis:
@@ -165,8 +160,6 @@ class BracketTensor(_ConstantTensor):
     """C^k_ij, antisymmetric in (i, j)."""
 
     kind = "bracket"
-    # a_i -> a_i / s_i multiplies C^k_ij by s_i * s_j / s_k
-    inverted_slots = (False, False, True)
 
     @staticmethod
     def _flipped(key):
@@ -183,8 +176,6 @@ class CobracketTensor(_ConstantTensor):
     """D_i^jk, antisymmetric in (j, k)."""
 
     kind = "cobracket"
-    # a_i -> a_i / s_i multiplies D_i^jk by s_i / (s_j * s_k)
-    inverted_slots = (False, True, True)
 
     @staticmethod
     def _flipped(key):
@@ -197,30 +188,6 @@ class CobracketTensor(_ConstantTensor):
         return f"D_{names[i]}^{names[j]},{names[k]}"
 
 
-def rescale_basis(tensor, scales):
-    """The tensor in the basis b_i = s_i * a_i, for one nonzero Q(i)
-    scalar s_i (a Scalar or an int) per generator: each entry is
-    multiplied by s_i*s_j/s_k (bracket) or s_i/(s_j*s_k) (cobracket),
-    each key slot contributing its generator's scale, inverted where the
-    tensor's inverted_slots says so."""
-    if len(scales) != len(tensor.basis):
-        raise InputError("one scale per generator required")
-    factors = []  # per generator: (s, 1/s), indexed by "inverted"
-    for s in scales:
-        if not isinstance(s, (Scalar, int)) or not s:
-            raise InputError(f"scale {s!r} is not a nonzero Q(i) scalar")
-        s = Scalar(s) if isinstance(s, int) else s
-        factors.append((s, ONE / s))
-
-    def scaled(key, value):
-        a, b, c = (
-            factors[g][inverted] for g, inverted in zip(key, tensor.inverted_slots)
-        )
-        return value.scale(a * b * c)
-
-    return tensor.map_entries(scaled)
-
-
 # -- Lie data: one Jacobi pass over the Drinfeld double -----------------------
 
 
@@ -231,10 +198,12 @@ def antisymmetry_defect(tensor) -> dict:
     return dict(tensor.antisymmetry)
 
 
-def _jacobi_to_g(brackets, cobrackets, n, out):
+def _jacobi_to_g(brackets, cobrackets, n, limit, out):
     """Add the terms of the double's Jacobi sum with output in g to
-    out[(tag, tag)], for brackets C (tagged values (i<j, k) -> C^k_ij)
-    and cobrackets D (tagged values (a<b, m) -> D_m^ab).
+    out[(tag, tag)], a flat map (key, packed monomial) -> Scalar, for
+    brackets C (tagged values (i<j, k) -> C^k_ij) and cobrackets D
+    (tagged values (a<b, m) -> D_m^ab), each value a packed coefficient;
+    a term's monomials at or past limit drop (coefficient_product).
 
     The double's generators are e_i (index i) and f^a (index n + a), and
     its values [x, y] -> w are C^k_ij (e_i, e_j -> e_k), D_m^ab
@@ -269,10 +238,12 @@ def _jacobi_to_g(brackets, cobrackets, n, out):
                 key, negated = (x, z, y, l), not negated
             else:
                 key = (z, x, y, l)
-            term = f * s  # zero when the degrees sum above the order
+            term = coefficient_product(f, s, limit)
             if term:
                 acc = out.setdefault((min(first_tag, tag), max(first_tag, tag)), {})
-                (deduct if negated is not first_negated else accumulate)(acc, key, term)
+                update = deduct if negated is not first_negated else accumulate
+                for m, c in term:
+                    update(acc, (key, m), c)
 
 
 def lie_checks(brackets, cobrackets) -> dict:
@@ -291,20 +262,31 @@ def lie_checks(brackets, cobrackets) -> dict:
     e_l coefficient of J(e_i, e_j, f^a) is the (a, l) wedge component of
     delta([x_i, x_j]) - ad_xi delta(x_j) + ad_xj delta(x_i)."""
     labelled = [*brackets, *cobrackets]
+    if not labelled:
+        return {}
+    first = labelled[0][1]
     for _, tensor in labelled[1:]:
-        labelled[0][1].same_shape(tensor)
-    n = len(labelled[0][1].basis) if labelled else 0
-    mu_values = [(p, tensor.entries) for p, (_, tensor) in enumerate(brackets)]
+        first.same_shape(tensor)
+    n = len(first.basis)
+    monomials = Monomials(first.params, first.order)
+    pack = monomials.pairs
+    mu_values = [(p, {key: pack(c) for key, c in tensor.entries.items()})
+                 for p, (_, tensor) in enumerate(brackets)]
     # a cobracket's values as its dual bracket's: D_m^ab keyed (a, b, m)
-    delta_values = [(q, {(a, b, m): d for (m, a, b), d in tensor.entries.items()})
+    delta_values = [(q, {(a, b, m): pack(d) for (m, a, b), d in tensor.entries.items()})
                     for q, (_, tensor) in enumerate(cobrackets, len(brackets))]
+    limit = monomials.limit(first.order)
     by_monomial = {}
-    _jacobi_to_g(mu_values, delta_values, n, by_monomial)
+    _jacobi_to_g(mu_values, delta_values, n, limit, by_monomial)
     # f f f -> f is the e e e -> e block of the dual pair's double
-    _jacobi_to_g(delta_values, [], n, by_monomial)
+    _jacobi_to_g(delta_values, [], n, limit, by_monomial)
 
     def read(p, q):
-        return by_monomial.get((p, q), {})
+        """The defect of the pencil monomial p_p p_q, {key: ParamPoly}."""
+        grouped = {}
+        for (key, m), c in by_monomial.get((p, q), {}).items():
+            grouped.setdefault(key, []).append((m, c))
+        return {key: monomials.poly(pairs) for key, pairs in grouped.items()}
 
     names = [label for label, _ in labelled]
     mus, deltas = range(len(brackets)), range(len(brackets), len(labelled))
@@ -390,17 +372,3 @@ def build_family(mu_100, mu_001, delta_010, delta_001) -> DeformationFamily:
     return DeformationFamily(pencil(BracketTensor, terms[:2]),
                              pencil(CobracketTensor, terms[2:]))
 
-
-def cocycle_monomial_split(family: DeformationFamily) -> dict:
-    """Collect the family's cocycle defect by parameter monomial in the
-    FAMILY_PARAMS; the four slots are the pairwise defects."""
-    defect = cocycle_defect(family.mu, family.delta)
-    params = family.mu.params
-    idx = [params.index(name) for name in FAMILY_PARAMS]
-    split = {}
-    for pair, wedge in defect.items():
-        for key, poly in wedge.items():
-            for exps, coeff in poly.terms.items():
-                mono = tuple(exps[i] for i in idx)
-                split.setdefault(mono, {}).setdefault(pair, {})[key] = coeff
-    return split

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 import bialgebra_forge as bf
-from bialgebra_forge import ncpoly, rewrite
+from bialgebra_forge import ncpoly, rewrite, tensors
 from bialgebra_forge.cli import main
-from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.scalars import Scalar
 
 
@@ -164,11 +163,12 @@ def build_work(doc, context):
 
 
 def coefficient_products(fn, *args):
-    """fn(*args) and the coefficient multiplies (ParamPoly.__mul__
-    calls) it made."""
-    with _counted(ParamPoly, "__mul__") as multiplies:
+    """fn(*args) and the coefficient products that the Lie-data pass
+    (tensors.lie_checks) made in it: its coefficient_product calls, one
+    per term of the double's Jacobi sum that it forms."""
+    with _counted(tensors, "coefficient_product") as products:
         result = fn(*args)
-    return result, multiplies[0]
+    return result, products[0]
 
 
 def rewrite_steps(argv):

@@ -11,7 +11,7 @@ from bialgebra_forge.exprparse import _divide, parse_coefficient
 from bialgebra_forge.ncpoly import Context, NCPoly, _coefficient_power
 from bialgebra_forge.params import Monomials, ParamPoly
 from bialgebra_forge.scalars import I, ONE, Scalar
-from bialgebra_forge.tensors import Basis, BracketTensor, rescale_basis
+from bialgebra_forge.tensors import Basis, BracketTensor
 
 from conftest import presentation5
 
@@ -63,13 +63,6 @@ def test_multiplication_example():
     assert p == mono("t") * mono("t") - mono("h") * mono("h")
 
 
-def test_coefficient_slices():
-    p = mono("t") * mono("h").scale(I) + const(Scalar(2))
-    sliced = p.coefficient_of(0, 1)
-    assert sliced == mono("h").scale(I)
-    assert p.coefficient_of(0, 0) == const(Scalar(2))
-
-
 def test_monomial_division_exact():
     ctx = Context(Basis(()), PARAMS, ORDER, cap=0, slack=0)
     p = NCPoly.from_coeff(ctx, mono("t") * mono("h") + mono("t") * mono("t"))
@@ -117,23 +110,12 @@ def test_substitution_refuses_inexact_images():
 
 
 def test_only_the_parser_divides_by_a_parameter():
-    """No Laurent factor is left in the library: a basis rescaling takes
-    nonzero Q(i) scalars only, and a quotient by a parameter is read by the
-    parser, which works far enough above the order to keep it exact."""
+    """No Laurent factor is left in the library: a quotient by a parameter
+    is read by the parser, which works far enough above the order to keep
+    it exact."""
     assert not hasattr(bf, "ScaleMonomial") and not hasattr(bf, "divide_param")
     assert not hasattr(ParamPoly, "mul_monomial")
     assert not hasattr(ParamPoly, "divide_monomial")
-    H = presentation5()
-    ctx = H.context
-    mu = BracketTensor(ctx.basis, ctx.params, ctx.order, {(0, 1, 2): ctx.param_poly("t")})
-    scales = [Scalar(1)] * len(ctx.basis)
-    for zero in (0, Scalar(0)):
-        scales[2] = zero
-        with pytest.raises(InputError, match="nonzero"):
-            rescale_basis(mu, scales)
-    scales[2] = ctx.param_poly("t")
-    with pytest.raises(InputError, match="nonzero"):
-        rescale_basis(mu, scales)
     ctx3 = Context(Basis(()), ("t",), order=3, cap=0, slack=0)
     value = parse_coefficient("(t*exp(t))/t", ctx3)
     assert str(value) == "1+t+1/2*t^2+1/6*t^3"

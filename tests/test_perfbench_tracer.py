@@ -2,7 +2,7 @@
 
 The tracer patches the package's functions by name, so a renamed or
 merged function can break the traced benchmark run without touching any
-other test. Here it is installed in process, traces two short CLI runs,
+other test. Here it is installed in process, traces three short CLI runs,
 must report every per-layer metric that BENCHMARK.json declares, and
 must restore everything it patched. A traced order-8 run must count as
 many rewrite steps as the kernel makes bracket lookups.
@@ -38,6 +38,8 @@ def test_tracer_reports_every_declared_layer_metric():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["hopf", "all", "@corrected", "--order", "3"]) == 0
             assert main(["check", "four-pairs", "@corrected", "--order", "3"]) == 0
+            # family's pencils make the only ParamPoly products left at run time
+            assert main(["family", "@corrected", "--order", "3"]) == 0
     finally:
         tracer.uninstall()
 

@@ -8,9 +8,9 @@ from bialgebra_forge.errors import HypothesisError
 from bialgebra_forge.params import ParamPoly
 from bialgebra_forge.scalars import I, ONE, Scalar
 from bialgebra_forge.tensors import (
-    Basis, BracketTensor, CobracketTensor, DeformationFamily, antisymmetry_defect,
-    build_family, check_four_pairs, cocycle_defect, cocycle_monomial_split,
-    cojacobi_defect, jacobi_defect, lie_checks, rescale_basis,
+    FAMILY_PARAMS, Basis, BracketTensor, CobracketTensor, DeformationFamily,
+    antisymmetry_defect, build_family, check_four_pairs, cocycle_defect,
+    cojacobi_defect, jacobi_defect, lie_checks,
 )
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
@@ -91,6 +91,16 @@ def test_antisymmetry_zero_tensor(ctx):
     assert antisymmetry_defect(mu) == {}
 
 
+def test_identity_rescale(ctx):
+    """A key whose duplicates summed to zero still counts as given next to
+    its flip: the pair reads half the difference and reports the sum."""
+    mu = BracketTensor(ctx.basis, ctx.params, ctx.order, [
+        ((L_X, L_Y, L_Z), 1), ((L_X, L_Y, L_Z), -1), ((L_Y, L_X, L_Z), 5)])
+    five = ParamPoly.const(ctx.params, ctx.order, 5)
+    assert antisymmetry_defect(mu) == {(L_X, L_Y, L_Z): five}
+    assert mu.value(L_X, L_Y, L_Z) == five.scale(Scalar(Fraction(-1, 2)))
+
+
 # -- Jacobi / co-Jacobi ------------------------------------------------------------
 
 
@@ -168,12 +178,11 @@ def test_mixed_jacobi_matches_symbolic_pencil(ctx, comps):
     cross = {}
     square_y = {}
     for key, value in full.items():
-        xy = value.coefficient_of(0, 1).coefficient_of(1, 1)
-        if xy:
-            cross[key] = xy.constant_term()
-        yy = value.coefficient_of(0, 0).coefficient_of(1, 2)
-        if yy:
-            square_y[key] = yy.constant_term()
+        # the x*y and y^2 coefficients, by (x, y) exponents
+        if (1, 1) in value.terms:
+            cross[key] = value.terms[(1, 1)]
+        if (0, 2) in value.terms:
+            square_y[key] = value.terms[(0, 2)]
     mixed = {
         key: value.constant_term()
         for key, value in mixed_jacobi(mu_a, mu_b).items()
@@ -282,6 +291,7 @@ def test_lie_checks_reports_in_order(comps):
     cojacobi of each cobracket, the mixed checks of two of a kind and
     the cocycle of each (bracket, cobracket) pair."""
     mu, delta = comps["mu_100"], comps["delta_010"]
+    assert lie_checks([], []) == {}
     assert list(lie_checks([("m", mu)], [])) == ["antisymmetry m", "jacobi m"]
     assert list(lie_checks([], [("d", delta)])) == ["antisymmetry d", "cojacobi d"]
     assert list(lie_checks([("m", mu)], [("d", delta)])) == [
@@ -406,7 +416,13 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
         pencil(CobracketTensor, ("z2", comps["delta_001"]), ("h", comps["delta_010"])),
     )
 
-    split = cocycle_monomial_split(family)
+    slots = [ctx.params.index(name) for name in FAMILY_PARAMS]
+    split = {}
+    for pair, wedge in cocycle_defect(family.mu, family.delta).items():
+        for key, poly in wedge.items():
+            for exps, coeff in poly.terms.items():
+                mono = tuple(exps[i] for i in slots)
+                split.setdefault(mono, {}).setdefault(pair, {})[key] = coeff
     pairwise = {
         (1, 0, 1, 0): cocycle_defect(mu001c, comps["delta_001"]),
         (1, 0, 0, 1): cocycle_defect(mu001c, comps["delta_010"]),
@@ -423,49 +439,6 @@ def test_family_monomial_split_reproduces_pairwise_defects(ctx, comps):
         for pair, wedge in per_pair.items():
             for key, coeff in wedge.items():
                 assert want[pair][key].constant_term() == coeff
-
-
-# -- rescaling ----------------------------------------------------------------------------------
-
-
-def test_identity_rescale(comps, ctx):
-    scaled = rescale_basis(comps["mu_100"], [1] * 6)
-    assert scaled == comps["mu_100"]
-    # a key whose duplicates summed to zero still counts as given next to
-    # its flip: the pair reads half the difference and reports the sum
-    mu = BracketTensor(ctx.basis, ctx.params, ctx.order, [
-        ((L_X, L_Y, L_Z), 1), ((L_X, L_Y, L_Z), -1), ((L_Y, L_X, L_Z), 5)])
-    scaled = rescale_basis(mu, [1] * 6)
-    assert scaled == mu and antisymmetry_defect(scaled) == antisymmetry_defect(mu)
-    five = ParamPoly.const(ctx.params, ctx.order, 5)
-    assert antisymmetry_defect(mu) == {(L_X, L_Y, L_Z): five}
-    assert scaled.value(L_X, L_Y, L_Z) == five.scale(Scalar(Fraction(-1, 2)))
-
-
-def test_rescale_round_trip(comps, ctx):
-    scales = [Scalar(2), Scalar(3), Scalar(1, 2), I, Scalar(5), Scalar(-7)]
-    inverse = [ONE / s for s in scales]
-    scaled = rescale_basis(comps["mu_100"], scales)
-    back = rescale_basis(scaled, inverse)
-    assert back == comps["mu_100"]
-
-
-def test_rescale_cocycle_covariance(comps, ctx):
-    """cocycle_defect(rescaled pair) equals the rescaled defect with the
-    per-entry factor s_i s_j / (s_a s_b)."""
-    scales = [Scalar(2), Scalar(3), Scalar(5), Scalar(7), Scalar(11), Scalar(13)]
-    mu = comps["mu_100"]
-    delta = CobracketTensor(ctx.basis, ctx.params, ctx.order, {
-        (L_X, L_Z, L_Y): I, (P_Y, L_Y, L_Z): ONE,
-    })
-    base = cocycle_defect(mu, delta)
-    assert base
-    scaled = cocycle_defect(rescale_basis(mu, scales), rescale_basis(delta, scales))
-    assert set(scaled) == set(base)
-    for (i, j), wedge in base.items():
-        for (a, b), value in wedge.items():
-            factor = scales[i] * scales[j] / (scales[a] * scales[b])
-            assert scaled[(i, j)][(a, b)] == value.scale(factor)
 
 
 # -- substitution commutes with the defect ops ----------------------------------------------------
