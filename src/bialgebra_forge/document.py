@@ -6,6 +6,15 @@ bracket/cobracket constant lists, and an optional Hopf presentation
 algebraic right-hand sides are expression strings in the nc-engine
 grammar. Emission is canonical: identical objects produce byte-identical
 documents.
+
+Loading checks a document once (Document.from_dict), section by section
+in document order, before any expression parses: a key outside its
+level's keys, a field of the wrong JSON type, an undeclared generator and
+a broken structural rule are each an input error. The bracket-key rule
+(rewrite.bracket_keys) and the coproduct-coverage rule
+(hopf.require_coproducts) are the engine's own, so a document and a
+library caller building a RelationTable or HopfPresentation get one
+message for one fault.
 """
 
 from __future__ import annotations
@@ -17,13 +26,21 @@ from importlib import resources
 
 from .errors import DocumentError
 from .exprparse import check_names, parse_coefficient, parse_expr
-from .hopf import HopfPresentation
+from .hopf import HopfPresentation, require_coproducts
 from .ncpoly import SETTINGS, Context, NCPoly, TensorNCPoly
-from .rewrite import RelationTable
+from .rewrite import RelationTable, bracket_keys
 from .scalars import format_scalar
 from .tensors import Basis, BracketTensor, CobracketTensor
 
 SCHEMA = "bialgebra-forge/1"
+# the keys of each level of the schema (settings: ncpoly.SETTINGS); any
+# other key is an input error
+DOCUMENT_KEYS = ("schema", "parameters", "generators", "compositions",
+                 "presentation", "settings", "notes")
+COMPOSITION_KEYS = ("kind", "entries")
+PRESENTATION_KEYS = ("brackets", "coproducts", "counit")
+BRACKET_KEYS = ("left", "right", "rhs")
+ENTRY_KEYS = frozenset(("lower", "upper", "coeff"))
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
@@ -58,6 +75,63 @@ def _strings(data, key) -> list:
     return [_typed(s, str, f"{key} item") for s in _typed(data.get(key, []), list, key)]
 
 
+def _check_composition(name, comp, index) -> None:
+    """A composition is a JSON object of COMPOSITION_KEYS, a kind and a
+    list of entries; each entry holds only ENTRY_KEYS, a string coeff, and
+    a pair and a single of the generators in index."""
+    what = f"composition {name!r}"
+    _typed(comp, dict, what)
+    _known_keys(comp, COMPOSITION_KEYS, what)
+    kind = comp.get("kind")
+    if kind not in ("bracket", "cobracket"):
+        raise DocumentError(f"{what} has bad kind {kind!r}")
+    for entry in _typed(comp.get("entries", []), list, f"{what} entries"):
+        if (isinstance(entry, dict) and entry.keys() <= ENTRY_KEYS
+                and isinstance(entry.get("coeff"), str)):
+            pair, single = _pair_and_single(kind, entry)
+            if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+                isinstance(g, str) and g in index for g in (*pair, single)
+            ):
+                continue
+        raise DocumentError(f"{what} has a malformed entry {entry!r}")
+
+
+def _bracket_pairs(presentation, index):
+    """The (left, right) index pair of each bracket item, in order, once
+    the item is a JSON object of BRACKET_KEYS naming generators in index
+    and a string rhs."""
+    for item in _typed(presentation.get("brackets", []), list, "presentation.brackets"):
+        _typed(item, dict, "presentation.brackets item")
+        _known_keys(item, BRACKET_KEYS, "presentation.brackets item")
+        left, right = item.get("left"), item.get("right")
+        if not all(isinstance(g, str) and g in index for g in (left, right)):
+            raise DocumentError(
+                f"bracket pair ({left!r},{right!r}) uses undeclared generators"
+            )
+        _typed(item.get("rhs"), str, f"rhs of bracket [{left},{right}]")
+        yield index[left], index[right]
+
+
+def _check_presentation(presentation, generators, index) -> None:
+    """A presentation is a JSON object of PRESENTATION_KEYS, an antipode
+    refused first; its bracket items obey the bracket-key rule and its
+    coproducts and counits are strings of declared generators, a
+    coproduct for each."""
+    _typed(presentation, dict, "presentation")
+    if "antipode" in presentation:
+        raise DocumentError("presentation.antipode is not read: the antipode is "
+                            "solved from the coproduct")
+    _known_keys(presentation, PRESENTATION_KEYS, "presentation")
+    bracket_keys(_bracket_pairs(presentation, index), generators)
+    for part, label in (("coproducts", "coproduct"), ("counit", "counit")):
+        for g, text in _typed(presentation.get(part, {}), dict,
+                              f"presentation.{part}").items():
+            if g not in index:
+                raise DocumentError(f"{label} for undeclared generator {g!r}")
+            _typed(text, str, f"{label} of {g!r}")
+    require_coproducts(generators, {index[g] for g in presentation.get("coproducts", {})})
+
+
 @dataclass
 class Document:
     parameters: list
@@ -71,43 +145,34 @@ class Document:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Document":
-        if not isinstance(data, dict):
-            raise DocumentError("document must be a JSON object")
+        """Check data in one pass and make its Document. The sections are
+        checked in document order: the schema and the top-level keys, the
+        identifiers, the compositions, the presentation, the settings and
+        the notes. Each field's JSON type is checked just before it is
+        read and every key is checked against its level's keys, and no
+        expression is parsed: every structural rule holds before
+        build_presentation or composition_tensor parses a right-hand side."""
+        _typed(data, dict, "document")
         if data.get("schema") != SCHEMA:
             raise DocumentError(
                 f"unsupported schema {data.get('schema')!r}; expected {SCHEMA!r}"
             )
-        # every field's JSON type is checked here, before any is read
+        _known_keys(data, DOCUMENT_KEYS, "document")
+        parameters, generators = _strings(data, "parameters"), _strings(data, "generators")
+        if not generators:
+            raise DocumentError("document declares no generators")
+        check_names([*parameters, *generators])
+        index = {g: k for k, g in enumerate(generators)}
         compositions = _typed(data.get("compositions", {}), dict, "compositions")
         for name, comp in compositions.items():
-            _typed(comp, dict, f"composition {name!r}")
-            for entry in _typed(comp.get("entries", []), list, f"composition {name!r} entries"):
-                if not isinstance(entry, dict) or not isinstance(entry.get("coeff"), str):
-                    raise DocumentError(f"composition {name!r} has a malformed entry {entry!r}")
+            _check_composition(name, comp, index)
         presentation = data.get("presentation")
         if presentation is not None:
-            _typed(presentation, dict, "presentation")
-            for item in _typed(presentation.get("brackets", []), list, "presentation.brackets"):
-                _typed(item, dict, "presentation.brackets item")
-                _typed(item.get("rhs"), str,
-                       f"rhs of bracket [{item.get('left')},{item.get('right')}]")
-            for part, label in (("coproducts", "coproduct"), ("counit", "counit")):
-                for g, text in _typed(presentation.get(part, {}), dict,
-                                      f"presentation.{part}").items():
-                    _typed(text, str, f"{label} of {g!r}")
+            _check_presentation(presentation, generators, index)
         settings = _typed(data.get("settings", {}), dict, "settings")
         _known_keys(settings, SETTINGS, "settings")
-        doc = cls(
-            parameters=_strings(data, "parameters"),
-            generators=_strings(data, "generators"),
-            compositions=dict(compositions),
-            presentation=presentation,
-            settings=dict(settings),
-            notes=_strings(data, "notes"),
-        )
-        doc._validate_identifiers()
-        doc._validate_structure()
-        return doc
+        return cls(parameters, generators, dict(compositions), presentation,
+                   dict(settings), _strings(data, "notes"))
 
     @classmethod
     def load(cls, path) -> "Document":
@@ -119,62 +184,6 @@ class Document:
         except json.JSONDecodeError as exc:
             raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    def _validate_identifiers(self):
-        if not self.generators:
-            raise DocumentError("document declares no generators")
-        check_names([*self.parameters, *self.generators])
-
-    def _validate_structure(self):
-        gens = set(self.generators)
-        for name, comp in self.compositions.items():
-            kind = comp.get("kind")
-            if kind not in ("bracket", "cobracket"):
-                raise DocumentError(f"composition {name!r} has bad kind {kind!r}")
-            for entry in comp.get("entries", []):
-                pair, single = _pair_and_single(kind, entry)
-                if (
-                    not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(g, str) and g in gens for g in (*pair, single))
-                ):
-                    raise DocumentError(
-                        f"composition {name!r} has a malformed entry {entry!r}"
-                    )
-        if self.presentation is not None:
-            # structural checks run before any expression is parsed, so a
-            # duplicated bracket key is reported even when right-hand
-            # sides would not parse
-            pairs = set()
-            for item in self.presentation.get("brackets", []):
-                left, right = item.get("left"), item.get("right")
-                if not all(isinstance(g, str) and g in gens for g in (left, right)):
-                    raise DocumentError(
-                        f"bracket pair ({left!r},{right!r}) uses undeclared generators"
-                    )
-                if left == right:
-                    raise DocumentError(
-                        f"bracket [{left},{right}] of a generator with itself"
-                    )
-                key = frozenset((left, right))
-                if key in pairs:
-                    raise DocumentError(
-                        f"duplicate bracket key for pair ({left},{right})"
-                    )
-                pairs.add(key)
-            for part, label in (("coproducts", "coproduct"), ("counit", "counit")):
-                for g in self.presentation.get(part, {}):
-                    if g not in gens:
-                        raise DocumentError(f"{label} for undeclared generator {g!r}")
-            if "antipode" in self.presentation:
-                raise DocumentError(
-                    "presentation.antipode is not read: the antipode is solved "
-                    "from the coproduct"
-                )
-            missing = gens - set(self.presentation.get("coproducts", {}))
-            if missing:
-                raise DocumentError(
-                    f"missing coproducts for generators {sorted(missing)}"
-                )
 
     # -- object construction -----------------------------------------------------
 

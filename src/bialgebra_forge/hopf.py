@@ -189,6 +189,15 @@ class _WordMap:
         return normalize(NCPoly._of(context, out), self.rel, budget=budget)
 
 
+def require_coproducts(names, given) -> None:
+    """The one coproduct-coverage rule, shared by a document and
+    HopfPresentation: given holds the index of every generator of names,
+    or a DocumentError names, sorted, the generators it lacks."""
+    missing = [name for g, name in enumerate(names) if g not in given]
+    if missing:
+        raise DocumentError(f"missing coproducts for generators {sorted(missing)}")
+
+
 class HopfPresentation:
     """Generators, bracket relations, coproduct and counit tables."""
 
@@ -198,14 +207,9 @@ class HopfPresentation:
         self.rel = rel
         self.coproduct = dict(coproduct)
         self.counit = dict(counit)
-        n = len(context.basis)
-        for g in range(n):
-            cop = self.coproduct.get(g)
-            if cop is None:
-                raise DocumentError(
-                    f"missing coproduct for generator {context.basis.names[g]}"
-                )
-            if ((), ()) in cop.groups():
+        require_coproducts(context.basis.names, self.coproduct)
+        for g in range(len(context.basis)):
+            if ((), ()) in self.coproduct[g].groups():
                 raise DocumentError(
                     f"coproduct of {context.basis.names[g]} has a 1(x)1 component"
                 )

@@ -335,10 +335,6 @@ def coefficient_product(left, right, limit: int):
         if m >= limit:
             return []
         return [(m, c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2)]
-    if len(left) == 1 or len(right) == 1:
-        # no two pairs meet on one monomial
-        return [(m1 + m2, c1 * c2) for m1, c1 in left for m2, c2 in right
-                if m1 + m2 < limit]
     out = {}
     for m1, c1 in left:
         for m2, c2 in right:

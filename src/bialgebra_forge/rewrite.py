@@ -65,27 +65,39 @@ from .params import PACKED_ONE, coefficient_product
 from .sparse import accumulate
 
 
+def bracket_keys(pairs, names) -> list:
+    """The canonical (later, earlier) key of each (left, right) index pair
+    of pairs, in order: the one bracket-key rule, shared by a document and
+    RelationTable. A generator bracketed with itself, or a pair given twice
+    in either orientation, is a DocumentError naming it by names, a
+    duplicate in index order."""
+    keys = {}
+    for left, right in pairs:
+        if left == right:
+            raise DocumentError(
+                f"bracket [{names[left]},{names[right]}] of a generator with itself"
+            )
+        key = (left, right) if left > right else (right, left)
+        if key in keys:
+            raise DocumentError(
+                f"duplicate bracket key for pair ({names[key[1]]},{names[key[0]]})"
+            )
+        keys[key] = None
+    return list(keys)
+
+
 class RelationTable:
     def __init__(self, context: Context, entries):
         """entries: iterable of (left index, right index, NCPoly rhs)
         declaring [x_left, x_right] = rhs. Each unordered pair may be
-        declared once; the canonical orientation kept is [later, earlier].
+        declared once (bracket_keys); the canonical orientation kept is
+        [later, earlier].
         """
         self.context = context
-        self.rhs = {}
-        for left, right, poly in entries:
-            if left == right:
-                raise DocumentError(
-                    f"bracket [{self._name(left)},{self._name(right)}] of a "
-                    "generator with itself"
-                )
-            j, i = (left, right) if left > right else (right, left)
-            if (j, i) in self.rhs:
-                raise DocumentError(
-                    f"duplicate bracket key for pair "
-                    f"({self._name(i)},{self._name(j)})"
-                )
-            self.rhs[(j, i)] = poly if left > right else -poly
+        entries = list(entries)
+        keys = bracket_keys([entry[:2] for entry in entries], context.basis.names)
+        self.rhs = {key: poly if key[0] == left else -poly
+                    for key, (left, _, poly) in zip(keys, entries)}
         self._check_contracting()
         self._store(self.rhs)
         self._canonicalise_rhs()

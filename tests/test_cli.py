@@ -284,6 +284,22 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
          "generators item must be a string"),
         ("string parameters", lambda d: d.update(parameters="tz"),
          "parameters must be a JSON list"),
+        # a key outside its level's keys is named at every level, not
+        # ignored: each of these loaded, and checked, at the defaults
+        ("misspelt entries", lambda d: d["compositions"]["mu_100"].update(
+            entires=d["compositions"]["mu_100"].pop("entries")),
+         "unknown key 'entires' in composition 'mu_100'; expected one of kind, entries"),
+        ("misspelt counit", lambda d: d["presentation"].update(
+            counits=d["presentation"].pop("counit")),
+         "unknown key 'counits' in presentation; expected one of brackets, coproducts, "
+         "counit"),
+        ("top-level note", lambda d: d.update(note="a note"),
+         "unknown key 'note' in document; expected one of schema, parameters, "
+         "generators, compositions, presentation, settings, notes"),
+        ("second rhs", lambda d: brackets(d)[0].update(rhs2="0"),
+         "unknown key 'rhs2' in presentation.brackets item; expected one of left, "
+         "right, rhs"),
+        ("entry with coef", lambda d: entries(d)[0].update(coef="1"), "malformed entry"),
     ):
         data = bf.load_bundled("corrected").to_dict()
         alter(data)

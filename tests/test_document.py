@@ -109,6 +109,41 @@ def test_missing_coproduct_rejected():
     assert "l_y" in str(err.value)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("self-bracket", "bracket [p_y,p_y] of a generator with itself"),
+    ("same orientation", "duplicate bracket key for pair (p_x,p_y)"),
+    ("reverse orientation", "duplicate bracket key for pair (p_x,p_y)"),
+    ("missing coproduct", "missing coproducts for generators ['l_y']"),
+])
+def test_a_structural_fault_has_one_message_in_the_document_and_the_engine(fault, message):
+    """The bracket-key and coproduct-coverage rules are the engine's own:
+    a document and a library caller building a RelationTable or a
+    HopfPresentation directly are refused with the same message."""
+    data = json.loads(json.dumps(corrected_document().to_dict()))
+    H = presentation3()
+    ctx, index = H.context, H.context.basis.index
+    brackets, coproduct = data["presentation"]["brackets"], dict(H.coproduct)
+    # the corrected document's first bracket is [p_x,p_y]
+    extra = {"self-bracket": ("p_y", "p_y"), "same orientation": ("p_x", "p_y"),
+             "reverse orientation": ("p_y", "p_x")}.get(fault)
+    if extra:
+        brackets.append({"left": extra[0], "right": extra[1], "rhs": "0"})
+    else:
+        del data["presentation"]["coproducts"]["l_y"]
+        del coproduct[index["l_y"]]
+    with pytest.raises(DocumentError) as from_document:
+        bf.Document.from_dict(data)
+    with pytest.raises(DocumentError) as from_engine:
+        if extra:
+            bf.RelationTable(ctx, [
+                (index[item["left"]], index[item["right"]], bf.NCPoly.zero(ctx))
+                for item in brackets
+            ])
+        else:
+            bf.HopfPresentation(ctx, H.rel, coproduct, H.counit)
+    assert str(from_document.value) == str(from_engine.value) == message
+
+
 def test_to_dict_is_a_copy():
     doc = bf.load_bundled("corrected")
     before = doc.dumps()
