@@ -17,7 +17,10 @@ The antipode is the convolution inverse of the identity, fixed one
 parameter degree at a time; solve_antipode settles each degree in one
 incremental pass over one word map, whose cached images take each new
 degree of the table as a change (_WordMap.extend), so each degree of
-each image is normalised once.
+each image is normalised once. That map is the solved antipode: the
+report contracts through it only the id (x) S half, the S (x) id half
+being zero by the solve (less the counit), and class_f_check reads the
+in-order extension off it too, so neither builds a map of its own.
 """
 
 from __future__ import annotations
@@ -65,11 +68,13 @@ class _WordMap:
     """A generator table extended to words, every image normalised and
     cached. A generator's image is its table entry. Forward, the image
     of a longer word w is image(w[:-1]) * table[w[-1]] (an algebra map:
-    the coproduct, the counit, the in-order antipode of the class-F
-    check); reversed, it is image(w[1:]) * table[w[0]] (an anti-algebra
-    map: the antipode). Past order 5 the bundled table is not
-    confluent, so this product order is part of every reported normal
-    form.
+    the coproduct, the counit); reversed, it is image(w[1:]) *
+    table[w[0]] (an anti-algebra map: the antipode). Past order 5 the
+    bundled table is not confluent, so this product order is part of
+    every reported normal form. A map's image of a word reversed is the
+    word's image under the opposite extension of the same table, formed
+    through the same products and normal forms, so one map serves both
+    (apply_slot's opposite).
 
     An image is computed through a degree budget (default: the order)
     and cached per word as (budget, image), like the normal-form cache:
@@ -145,13 +150,16 @@ class _WordMap:
             self.cache[w] = (budget, image + change)
         return changes
 
-    def apply_slot(self, t, slot: int, budget=None, images=None) -> TensorNCPoly:
+    def apply_slot(self, t, slot: int, budget=None, images=None,
+                   opposite=False) -> TensorNCPoly:
         """t with factor `slot` replaced by its image, exact through
         `budget` (default: the order), with no term above it: a key whose
         coefficient lies above the budget is skipped, and each image, read
         once per key, is cut by the degree of the coefficient it
         multiplies. images, when given, is read instead of this map's
-        images, a word it lacks having image zero (extend's changes)."""
+        images, a word it lacks having image zero (extend's changes).
+        With opposite, each factor word is read reversed, which maps it
+        by the opposite extension of the table."""
         monomials = t.context.monomials
         if budget is None:
             budget = t.context.order
@@ -163,7 +171,8 @@ class _WordMap:
                 continue
             words = t._factors(key)
             head, tail = words[:slot], words[slot + 1:]
-            image = self(words[slot], room) if images is None else images.get(words[slot])
+            word = words[slot][::-1] if opposite else words[slot]
+            image = self(word, room) if images is None else images.get(word)
             if image is None:
                 continue
             for mid, image_pairs in image.groups().items():
@@ -283,9 +292,11 @@ def counit_defect(H: HopfPresentation) -> DefectReport:
 def solve_antipode(H: HopfPresentation):
     """Order-by-order antipode solve from the seed S0 = -id.
 
-    Returns (table, report): the generator antipode table satisfying
-    m(S (x) id) Delta g = eps(g) 1 through the presentation's order,
-    with the residual of both antipode equations in the report.
+    Returns (S, report): S is the solved antipode as the solve's own
+    reversed word map, S.table its generator table and S(word) a word's
+    image, satisfying m(S (x) id) Delta g = 0 through the presentation's
+    order; the report holds the residual of both antipode equations,
+    m(S (x) id) Delta g - eps(g) 1 and m(id (x) S) Delta g - eps(g) 1.
 
     With corr g = Delta g - g (x) 1 - 1 (x) g, the table solves S(g) =
     -g - C_g, where C_g = m(S (x) id) corr g, and the solve is one pass
@@ -298,8 +309,11 @@ def solve_antipode(H: HopfPresentation):
     degree >= 1, so the degree-k part of C_g reads images only through
     degree k - 1, where the table is already final; and a normal form
     is linear, so C_g summed over the changes is the contraction through
-    the whole table. The report reads the same map, so the table
-    returned, the report and every printed image are full-order.
+    the whole table. So m(S (x) id) Delta g = S(g) + g + C_g is zero, and
+    the S (x) id residual is read off the solve as -eps(g) 1 (the tests
+    check it against the contraction). The id (x) S half is contracted
+    through the same map, so the table, the report and every printed
+    image are full-order.
     """
     context = H.context
     names = H.names()
@@ -335,29 +349,31 @@ def solve_antipode(H: HopfPresentation):
 
     report = DefectReport("antipode")
     for g in range(n):
-        d = H.coproduct_word((g,))
         eps_unit = NCPoly.from_scalar(context, H.counit[g])
-        left = S.contract(d, 0) - eps_unit
-        right = S.contract(d, 1) - eps_unit
-        report.add(f"S(x)id on {names[g]}", left,
-                   location=lambda: f"S({names[g]}) = {table[g]}")
-        report.add(f"id(x)S on {names[g]}", right)
-    return table, report
+        right = S.contract(H.coproduct_word((g,)), 1) - eps_unit
+        location = lambda: f"S({names[g]}) = {table[g]}"
+        report.add(f"S(x)id on {names[g]}", -eps_unit, location=location)
+        report.add(f"id(x)S on {names[g]}", right, location=location)
+    return S, report
 
 
-def class_f_check(H: HopfPresentation, antipode: dict) -> DefectReport:
+def class_f_check(H: HopfPresentation, antipode: _WordMap) -> DefectReport:
     """Membership test for the class fixed by the antipode conditions:
     the homomorphic extension of the generator antipode must act on
-    generator coproducts exactly like the anti-multiplicative one."""
+    generator coproducts exactly like the anti-multiplicative one.
+
+    antipode is solve_antipode's word map, the anti-multiplicative
+    extension, read with the images that the solve and its report have
+    cached. The homomorphic extension is its opposite: its image of a
+    word is the map's image of the word reversed (apply_slot's
+    opposite), so the check builds no word map."""
     report = DefectReport("class-f")
     names = H.names()
-    unit = NCPoly.unit(H.context)
-    anti = _WordMap(H.rel, antipode, unit, reverse=True)
-    homo = _WordMap(H.rel, antipode, unit)
     for g in range(len(names)):
         d = H.coproduct_word((g,))
         for slot, label in ((0, "S(x)id"), (1, "id(x)S")):
-            defect = homo.apply_slot(d, slot) - anti.apply_slot(d, slot)
+            defect = (antipode.apply_slot(d, slot, opposite=True)
+                      - antipode.apply_slot(d, slot))
             report.add(f"{label} on {names[g]}", defect)
     return report
 

@@ -104,8 +104,9 @@ class RelationTable:
 
     def _store(self, rhs):
         # the commutator reads the bitmask of the letters each generator
-        # commutes with (itself included); the normal-form, word-bracket
-        # and term-shape caches hold only values under this rhs
+        # commutes with (itself included); the normal-form, word-bracket,
+        # term-shape and operand-reach caches hold only values under this
+        # rhs
         self.rhs = rhs
         n = len(self.context.basis)
         self._everything = (1 << n) - 1
@@ -117,6 +118,7 @@ class RelationTable:
         self._nf_cache = {}
         self._bracket_cache = {}
         self._shapes = {}
+        self._reaches = {}
 
     def _name(self, idx):
         return self.context.basis.names[idx]
@@ -419,14 +421,20 @@ def commutator(a, b, table: RelationTable):
 def _reach(table, a):
     """(letters, commuting, longest) of an operand: its term shapes'
     letter masks OR-ed, their commuting masks AND-ed and its longest word
-    (_shape); a zero operand reaches (0, -1, 0)."""
-    letters, commuting, longest = 0, -1, 0
-    for key in a.groups():
-        _, lw, cw, _, top = _shape(table, key, a._factors(key))
-        letters |= lw
-        commuting &= cw
-        longest = max(longest, top)
-    return letters, commuting, longest
+    (_shape); a zero operand reaches (0, -1, 0). It depends only on the
+    operand's keys, so it is cached on the table by them, and the keys of
+    an operand met again are scanned only to be hashed."""
+    keys = tuple(a.groups())
+    reach = table._reaches.get(keys)
+    if reach is None:
+        letters, commuting, longest = 0, -1, 0
+        for key in keys:
+            _, lw, cw, _, top = _shape(table, key, a._factors(key))
+            letters |= lw
+            commuting &= cw
+            longest = max(longest, top)
+        reach = table._reaches[keys] = (letters, commuting, longest)
+    return reach
 
 
 def _beside(table, word, moves, budget):

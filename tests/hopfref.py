@@ -10,7 +10,9 @@ ParamPoly cuts each coefficient at the order, so a branch ends when its
 coefficient does. The leftmost out-of-order pair is rewritten first, or
 one drawn at random when an rng is given; where the presentation Jacobi
 defects vanish, every strategy reaches the same normal form (Bergman's
-diamond lemma).
+diamond lemma). On the same terms it solves the antipode (`antipode`)
+and recomputes the class-F defects from a solved one (`class_f`),
+sharing no code with bialgebra_forge.hopf or bialgebra_forge.ncpoly.
 """
 
 from bialgebra_forge.sparse import accumulate
@@ -92,6 +94,18 @@ def jacobi_defect(table) -> dict:
     return out
 
 
+def coproduct(brackets, cop, one) -> dict:
+    """{(u, v): ParamPoly}, a stored coproduct read only through
+    coefficients() with each factor normalised under brackets; one is
+    the coefficient 1."""
+    out = {}
+    for (u, v), c in cop.coefficients().items():
+        for x, cx in normal_form(brackets, {u: c}).items():
+            for y, cy in normal_form(brackets, {v: one}).items():
+                accumulate(out, (x, y), cx * cy)
+    return out
+
+
 def antipode(table, coproducts) -> dict:
     """{g: {word: ParamPoly}}, the antipode solved order by order from
     S = -id. coproducts maps each generator g to its coproduct, read only
@@ -108,11 +122,7 @@ def antipode(table, coproducts) -> dict:
     one = context.const_poly(1)
     corrections = {}
     for g, cop in coproducts.items():
-        corr = {}
-        for (u, v), c in cop.coefficients().items():
-            for x, cx in normal_form(rhs, {u: c}).items():
-                for y, cy in normal_form(rhs, {v: one}).items():
-                    accumulate(corr, (x, y), cx * cy)
+        corr = coproduct(rhs, cop, one)
         for key in (((g,), ()), ((), (g,))):
             accumulate(corr, key, -one)
         corrections[g] = corr
@@ -137,3 +147,40 @@ def antipode(table, coproducts) -> dict:
                 accumulate(entry, w, -c)
             solved[g] = entry
     return solved
+
+
+def class_f(table, coproducts, solved) -> dict:
+    """{(g, slot): {(u, v): ParamPoly}}, the nonzero class-F defects: for
+    each generator g and slot 0 (S (x) id) or 1 (id (x) S), the in-order
+    extension of the solved antipode applied to that factor of Delta g,
+    less the reversed extension applied to it. solved is {g: {word:
+    ParamPoly}}, as `antipode` returns it, and Delta g is read as there,
+    each factor normalised. In order, S(u) = nf(S(u[:-1]) S(u[-1])); in
+    reverse, S(u) = nf(S(u[1:]) S(u[0])); each product is formed in full
+    and normalised leftmost, so past the degree where the table is
+    confluent the forms are the leftmost ones in that product order."""
+    rhs = rules(table)
+    one = table.context.const_poly(1)
+    images = {False: {(): {(): one}}, True: {(): {(): one}}}
+
+    def image(w, reverse):
+        done = images[reverse]
+        if w not in done:
+            rest, letter = (w[1:], w[0]) if reverse else (w[:-1], w[-1])
+            done[w] = normal_form(rhs, product(image(rest, reverse), solved[letter]))
+        return done[w]
+
+    out = {}
+    for g, cop in coproducts.items():
+        delta = coproduct(rhs, cop, one)
+        for slot in (0, 1):
+            defect = {}
+            for key, c in delta.items():
+                for reverse in (False, True):
+                    for w, d in image(key[slot], reverse).items():
+                        joined = (w, key[1]) if slot == 0 else (key[0], w)
+                        accumulate(defect, joined, -(c * d) if reverse else c * d)
+            defect = {key: c for key, c in defect.items() if c}
+            if defect:
+                out[(g, slot)] = defect
+    return out

@@ -122,9 +122,10 @@ def test_defects_vanishing_at_high_order_vanish_truncated():
 
 def test_antipode_on_primitives_is_minus_id():
     H = presentation5()
-    table, report = bf.solve_antipode(H)
+    antipode, report = bf.solve_antipode(H)
     assert report.ok
     ctx = H.context
+    table = antipode.table
     assert table[P_X] == -NCPoly.generator(ctx, P_X)
     assert table[L_Z] == -NCPoly.generator(ctx, L_Z)
 
@@ -134,8 +135,9 @@ def test_antipode_solved_values_match_hand_oracle():
     exp((z2/2) p_x) adds (i/2) z1 z2 p_y."""
     H = presentation5()
     ctx = H.context
-    table, report = bf.solve_antipode(H)
+    antipode, report = bf.solve_antipode(H)
     assert report.ok
+    table = antipode.table
     assert table[P_Y] == -NCPoly.generator(ctx, P_Y)
     correction = ctx.param_poly("z1") * ctx.param_poly("z2")
     expected_pz = NCPoly(ctx, {
@@ -151,10 +153,10 @@ def test_antipode_on_abelian_cocommutative_specialization():
     flat = bf.specialize(
         H, {"t": zero, "h": zero, "z1": zero, "z2": zero}
     )
-    table, report = bf.solve_antipode(flat)
+    antipode, report = bf.solve_antipode(flat)
     assert report.ok
     for g in range(6):
-        assert table[g] == -NCPoly.generator(flat.context, g)
+        assert antipode.table[g] == -NCPoly.generator(flat.context, g)
 
 
 # -- degree budgets ------------------------------------------------------------------
@@ -169,7 +171,7 @@ def corrected_word_maps(order):
     doc = corrected_document()
     ctx = doc.make_context(order=order, cap=4 * order)
     H, full = doc.build_presentation(ctx), doc.build_presentation(ctx)
-    antipode, _ = bf.solve_antipode(H)
+    antipode = bf.solve_antipode(H)[0].table
     unit = NCPoly.unit(ctx)
     makings = {
         "coproduct": (H.rel, H.coproduct, TensorNCPoly.unit(ctx, 2), False),
@@ -254,22 +256,68 @@ def _source_presentation(source, order):
     ("twisted-gl3", 6), ("perturbed-gl3", 5),
 ])
 def test_incremental_antipode_solves_the_unbudgeted_loop(source, order):
-    table, _ = bf.solve_antipode(_source_presentation(source, order))
+    table = bf.solve_antipode(_source_presentation(source, order))[0].table
     assert table == _unbudgeted_antipode(_source_presentation(source, order))
 
 
-@pytest.mark.parametrize("source, order", [
+REFERENCE_SOURCES = pytest.mark.parametrize("source, order", [
     ("corrected", 5), ("corrected", 6), ("corrected", 7), ("twisted-gl2", 5),
     ("twisted-gl3", 5), ("perturbed-gl3", 5),
 ])
+
+
+@functools.cache
+def _reference_solve(source, order):
+    """The presentation by name at order, its solved antipode map and
+    report, and the reference recursion's table (hopfref.antipode)."""
+    H = _source_presentation(source, order)
+    antipode, report = bf.solve_antipode(H)
+    return H, antipode, report, hopfref.antipode(H.rel, H.coproduct)
+
+
+@REFERENCE_SOURCES
 def test_antipode_is_the_reference_recursion(source, order):
     """The whole table equals the plain order-by-order recursion's
     (hopfref.antipode), past the degree where @corrected's rewriting stops
     being confluent too, and where the antipode check fails."""
-    H = _source_presentation(source, order)
-    table, _ = bf.solve_antipode(H)
-    got = {g: image.coefficients() for g, image in table.items()}
-    assert got == hopfref.antipode(H.rel, H.coproduct)
+    _, antipode, _, reference = _reference_solve(source, order)
+    got = {g: image.coefficients() for g, image in antipode.table.items()}
+    assert got == reference
+
+
+def _assert_left_residual_is_the_contraction(H, antipode, report):
+    """The S(x)id residual that the solve reads off its own table,
+    -eps(g) 1, is the contraction m(S (x) id) Delta g through the solved
+    map, less eps(g) 1."""
+    values = {item.subject: item.value for item in report.items}
+    for g, name in enumerate(H.names()):
+        contracted = antipode.contract(H.coproduct_word((g,)), 0)
+        want = contracted - NCPoly.from_scalar(H.context, H.counit[g])
+        assert values.get(f"S(x)id on {name}", NCPoly.zero(H.context)) == want, name
+
+
+@REFERENCE_SOURCES
+def test_the_left_antipode_residual_is_the_contraction(source, order):
+    H, antipode, report, _ = _reference_solve(source, order)
+    _assert_left_residual_is_the_contraction(H, antipode, report)
+
+
+def _assert_class_f_is_the_reference(H, antipode, reference):
+    """class_f_check's defect values, by generator and slot, are the
+    definitional ones (hopfref.class_f) over the reference table."""
+    names = H.names()
+    labels = ("S(x)id", "id(x)S")
+    got = {item.subject: item.value.coefficients()
+           for item in bf.class_f_check(H, antipode).items}
+    want = {f"{labels[slot]} on {names[g]}": value
+            for (g, slot), value in hopfref.class_f(H.rel, H.coproduct, reference).items()}
+    assert got == want
+
+
+@REFERENCE_SOURCES
+def test_class_f_is_the_reference_check(source, order):
+    H, antipode, _, reference = _reference_solve(source, order)
+    _assert_class_f_is_the_reference(H, antipode, reference)
 
 
 _WORDS = st.lists(st.integers(0, 2), max_size=2).map(tuple)
@@ -315,9 +363,27 @@ def _drawn_presentations(draw):
 def test_antipode_is_the_reference_recursion_on_drawn_presentations(H):
     """Drawn coproducts put corrected letters past the first of a word,
     so each image's change reaches the longer words that end in it."""
-    table, _ = bf.solve_antipode(H)
+    table = bf.solve_antipode(H)[0].table
     got = {g: image.coefficients() for g, image in table.items()}
     assert got == hopfref.antipode(H.rel, H.coproduct)
+
+
+@given(_drawn_presentations())
+@settings(max_examples=60, deadline=None)
+def test_the_left_antipode_residual_is_the_contraction_on_drawn_presentations(H):
+    """Only drawn inputs change the cached image of a word the solve
+    reads, so only here does a map whose images miss their changes
+    contract to other than the solved residual."""
+    _assert_left_residual_is_the_contraction(H, *bf.solve_antipode(H))
+
+
+@given(_drawn_presentations())
+@settings(max_examples=60, deadline=None)
+def test_class_f_is_the_reference_check_on_drawn_presentations(H):
+    """Drawn inputs need not be consistent, so their class-F defects
+    need not vanish."""
+    antipode, _ = bf.solve_antipode(H)
+    _assert_class_f_is_the_reference(H, antipode, hopfref.antipode(H.rel, H.coproduct))
 
 
 @pytest.mark.parametrize("order", [5, 12])
@@ -335,6 +401,28 @@ def test_the_antipode_solve_makes_one_word_map(monkeypatch, order):
     monkeypatch.setattr(_WordMap, "__init__", counted)
     bf.solve_antipode(H)
     assert len(made) == 1
+
+
+def test_hopf_all_builds_three_word_maps(monkeypatch):
+    """hopf all builds the coproduct, counit and antipode maps, and the
+    class-F check reads the in-order extension off the antipode map, on
+    reversed words. It built five: class-F made an in-order map and a
+    second reversed one over the solved table."""
+    made = []
+    init = _WordMap.__init__
+    check = bf.class_f_check.__code__
+
+    def counted(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not check:
+            frame = frame.f_back
+        made.append(frame is not None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_WordMap, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["hopf", "all", "@corrected"]) == 0
+    assert made == [False] * 3
 
 
 GUARD = ("coproduct of p_x deviates from primitive at parameter degree 0; "
@@ -382,7 +470,7 @@ def corrected_contraction_maps(order):
     doc = corrected_document()
     ctx = doc.make_context(order=order, cap=4 * order)
     H = doc.build_presentation(ctx)
-    antipode, _ = bf.solve_antipode(H)
+    antipode = bf.solve_antipode(H)[0].table
     unit = NCPoly.unit(ctx)
     counit = {g: NCPoly.from_scalar(ctx, e) for g, e in H.counit.items()}
     return H, {
@@ -422,8 +510,8 @@ def test_contract_holds_each_joined_word_against_the_cap():
 def test_class_f_passes_on_reference_presentation():
     doc = corrected_document()
     H = doc.build_presentation(doc.make_context(order=4))
-    table, _ = bf.solve_antipode(H)
-    report = bf.class_f_check(H, table)
+    antipode, _ = bf.solve_antipode(H)
+    report = bf.class_f_check(H, antipode)
     assert report.ok
 
 
@@ -450,8 +538,8 @@ def test_class_f_violation_on_noncommuting_word():
     H = _toy_presentation(
         lambda ctx: TensorNCPoly(ctx, 2, {((0, 1), (2,)): ctx.param_poly("c")})
     )
-    table, _ = bf.solve_antipode(H)
-    report = bf.class_f_check(H, table)
+    antipode, _ = bf.solve_antipode(H)
+    report = bf.class_f_check(H, antipode)
     assert not report.ok
 
 
@@ -461,9 +549,16 @@ def test_class_f_holds_for_single_generator_words():
     H = _toy_presentation(
         lambda ctx: TensorNCPoly(ctx, 2, {((2,), (2,)): ctx.param_poly("c")})
     )
-    table, _ = bf.solve_antipode(H)
-    report = bf.class_f_check(H, table)
+    antipode, _ = bf.solve_antipode(H)
+    report = bf.class_f_check(H, antipode)
     assert report.ok
+
+
+@pytest.mark.parametrize("extra", [((0, 1), (2,)), ((2,), (2,))])
+def test_class_f_is_the_reference_check_on_toy_presentations(extra):
+    H = _toy_presentation(lambda ctx: TensorNCPoly(ctx, 2, {extra: ctx.param_poly("c")}))
+    antipode, _ = bf.solve_antipode(H)
+    _assert_class_f_is_the_reference(H, antipode, hopfref.antipode(H.rel, H.coproduct))
 
 
 def test_four_parameter_table_is_diagonal_exact_beyond_order_5():

@@ -2,6 +2,8 @@ import contextlib
 import functools
 import io
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +28,8 @@ from conftest import (
 )
 from test_flat_terms import ref_normalize
 from test_twist import R3, _jacobi as perturb_jacobi
+
+WIDE = Path(__file__).resolve().parent / "data" / "wide.json"
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
 
@@ -594,9 +598,12 @@ def test_budgets_pin_the_coefficient_multiplies_of_hopf_all_at_order_8():
     # budgets but commutators that normalise both products 4,601. The
     # build took 173 Scalar products while the parser multiplied a value
     # 1 through like any other coefficient. The checks took 1,462 while
-    # the antipode was solved by passes, each rebuilding every image
+    # the antipode was solved by passes, each rebuilding every image, and
+    # 1,282 while the antipode report contracted m(S (x) id) Delta g again
+    # and class-F extended S to words in a second reversed map and an
+    # in-order one
     argv = ["hopf", "all", "@corrected", "--order", "8", "--cap", "16"]
-    assert kernel_counts(argv) == (1, 551, 138, 1282)
+    assert kernel_counts(argv) == (1, 551, 138, 1213)
 
 
 def test_the_wide_document_normalises_each_word_once_per_key():
@@ -605,9 +612,39 @@ def test_the_wide_document_normalises_each_word_once_per_key():
     # bracket depend only on the words, so their calls do not grow with
     # the terms of the coefficients around them. The antipode solved by
     # passes made 440 normal-form calls, each pass normalising its images
-    # anew
-    argv = ["hopf", "all", str(Path(__file__).resolve().parent / "data" / "wide.json")]
-    assert call_counts(argv, rewrite, "normal_form_word", "word_bracket") == (0, 400, 554)
+    # anew, and 400 while class-F extended the antipode to words in maps
+    # of its own
+    argv = ["hopf", "all", str(WIDE)]
+    assert call_counts(argv, rewrite, "normal_form_word", "word_bracket") == (0, 374, 554)
+
+
+def test_the_wide_document_scans_each_commutator_operand_once():
+    # the commutator's whole-operand test reads each operand's reach, which
+    # depends only on its keys and is cached on the table by them; the 732
+    # commutators of hopf all on the wide document take 39 operands, whose
+    # 120 keys are each scanned once. Rescanning every operand on every
+    # call scanned 1,534 keys
+    reach, shape = rewrite._reach, rewrite._shape
+    operands, scanned = [], []
+
+    def counted_reach(table, a):
+        operands.append((table, tuple(a.groups())))
+        return reach(table, a)
+
+    def counted_shape(table, key, words):
+        if sys._getframe(1).f_code is reach.__code__:
+            scanned.append((table, key))
+        return shape(table, key, words)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "_reach", counted_reach)
+        patch.setattr(rewrite, "_shape", counted_shape)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["hopf", "all", str(WIDE)]) == 0
+    distinct = {(id(table), keys): keys for table, keys in operands}
+    assert (len(operands), len(distinct), len(scanned)) == (732, 39, 120)
+    assert Counter((id(table), key) for table, key in scanned) == Counter(
+        (table, key) for table, keys in distinct for key in keys)
 
 
 @pytest.mark.parametrize("order, cap", [(5, 7), (6, 8), (8, 10), (10, 12), (12, 14)])
