@@ -52,7 +52,8 @@ and their longest words fit the cap together, every term pair would be
 skipped and none would raise, so the commutator is zero before its pair
 loop. The presentation Jacobi sum forms no commutator of an undeclared
 bracket, and the rule makes each of a bracket with a generator of a
-commuting copy zero at once.
+commuting copy zero at once. What the rule reads of an operand depends
+only on its keys, so it is cached on the table by them (_reach).
 """
 
 from __future__ import annotations
