@@ -386,7 +386,7 @@ def _settings(context) -> dict:
 def _common(sub):
     sub.add_argument("file", help="input document path, or @corrected/@verbatim")
     sub.add_argument("--order", type=int, default=None, help="truncation order N")
-    sub.add_argument("--cap", type=int, default=None, help="generator-degree cap G")
+    sub.add_argument("--cap", type=int, default=None, help="ceiling on the word-length bound")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 

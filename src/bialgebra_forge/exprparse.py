@@ -50,7 +50,7 @@ the product of two single-term values (a number, i, a parameter, a
 generator, a power of one, a memo hit holding one term) is formed
 directly as one term by ncpoly.term_product: the packed monomials add,
 the term drops when its degree passes the parse order, and only a term
-that stays has its word held against the cap. NCPoly.times forms a
+that stays has its word held to the guard. NCPoly.times forms a
 product of two single terms by the same rule, so each factor of a power
 or series of a single term is one term too. Any other product with a
 word-free factor scales the other factor's coefficients, and the rest
@@ -63,7 +63,15 @@ identifier.
 Parentheses, function calls and unary minus nest at most MAX_NESTING
 levels deep; deeper input is a syntax error. A power whose constant term
 would outgrow the digits a coefficient may print is an input error,
-raised before the power is computed (scalars.check_power).
+raised before the power is computed (scalars.check_power). Every product
+holds its words to a guard (Parser.longest): the cap when one is given,
+else 3 + the parse order and at least MIN_GUARD, so a word such as
+p_x^200 is refused at its first letter past the guard, before a power or
+series builds more.
+
+word_bound is the one check of word length after the parse: it derives
+from a presentation's tables the longest word its checks can form and
+holds that to the cap, or to MAX_WORD_LENGTH when no cap is given.
 """
 
 from __future__ import annotations
@@ -74,11 +82,12 @@ from operator import attrgetter, sub
 from types import MappingProxyType
 
 from .errors import (
-    DocumentError, ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
+    CapExceededError, DocumentError, ExprSyntaxError, InexactDivisionError,
+    UnknownIdentifierError,
 )
 from .ncpoly import (
-    SERIES_TERMS, Context, NCPoly, TensorNCPoly, cap_error, series_apply, tensor,
-    term_product,
+    SERIES_TERMS, Context, NCPoly, TensorNCPoly, series_apply, tensor, term_product,
+    word_str,
 )
 from .params import ParamPoly, coefficient_product
 from .scalars import I, ONE, ZERO, Scalar, check_power
@@ -88,6 +97,16 @@ from .tensors import Basis
 # deepest nesting of parentheses, function calls and unary minus; deeper
 # input would exhaust the interpreter stack of this recursive parser
 MAX_NESTING = 100
+# the largest word bound (word_bound) a build may derive when no cap is
+# given: a resource guard, like MAX_NESTING, and not a setting
+MAX_WORD_LENGTH = 64
+# the generator units a check multiplies at most: presentation-Jacobi
+# forms a relation term (two units) times a generator (word_bound)
+_UNITS = 3
+# the fewest letters the parser's guard allows at any order
+# (Parser.longest): a document written at the default order and slack,
+# whose words reach 10 letters, reads at every lower order too
+MIN_GUARD = 10
 
 
 # the one identifier rule: the lexer reads it, and check_names holds
@@ -215,6 +234,11 @@ class Parser:
     def __init__(self, context: Context, source, memo: dict):
         self.context = context
         self.limit = context.monomials.limit(context.order)
+        # the longest word a product may form: the cap when one is given,
+        # else the bound of a presentation that gains one letter per
+        # degree, at this parse's order (word_bound), or MIN_GUARD
+        self.longest = (max(MIN_GUARD, _UNITS + context.order) if context.cap is None
+                        else context.cap)
         self.text, self.kinds, self.values, self.positions, self.closing = source
         self.memo = memo
         self.at = 0
@@ -351,23 +375,23 @@ class Parser:
         return terms, arity, den
 
     def _times(self, left, right):
-        """The terms of left * right for two word term maps. Two single
-        terms make at most one (ncpoly.term_product, under the rules of
-        NCPoly.times). Otherwise a word-free side multiplies the other's
-        coefficients; no word changes length, and every word read was
-        checked against the cap (_atom) or made by a product that checked
-        it."""
+        """The terms of left * right for two word term maps, every word
+        held to the guard. Two single terms make at most one
+        (ncpoly.term_product, under the rules of NCPoly.times). Otherwise
+        a word-free side multiplies the other's coefficients; no word
+        changes length, and every longer word was made by a product that
+        held it to the guard."""
         if len(left) == 1 == len(right):
             [term] = left.items()
             [other] = right.items()
-            term = term_product(term, other, self.context, self.limit)
+            term = term_product(term, other, self.context, self.limit, self.longest)
             return {} if term is None else {term[0]: term[1]}
         left, right = self._poly(left, 1), self._poly(right, 1)
         for side, other in ((left, right), (right, left)):
             groups = side.groups()
             if len(groups) == 1 and () in groups:
                 return other.scaled(groups[()]).terms
-        return (left * right).terms
+        return left.times(right, longest=self.longest).terms
 
     def _factor(self):
         start = self.at
@@ -431,13 +455,11 @@ class Parser:
         terms = self._resolve(value)
         if value[1] != 1:
             self._fail("series functions take non-tensor arguments", at)
-        return series_apply(name, self._poly(terms, 1)).terms, 1, _NO_DIVISOR
+        return series_apply(name, self._poly(terms, 1), self.longest).terms, 1, _NO_DIVISOR
 
     def _atom(self, name, at):
         """The terms of the identifier name, read at token at: i, a
-        parameter or a generator. A generator is a word of length 1,
-        checked against the cap here, as _times checks only the words
-        that products make."""
+        parameter or a generator."""
         context = self.context
         if name == "i":
             return NCPoly.from_scalar(context, I).terms
@@ -448,8 +470,6 @@ class Parser:
             raise UnknownIdentifierError(
                 f"unknown identifier {name!r} (at position {self.positions[at]})"
             )
-        if context.cap < 1:
-            raise cap_error((index,), context)
         return NCPoly.generator(context, index).terms
 
     def _postfix(self, start, value):
@@ -494,7 +514,7 @@ class Parser:
         check_power(constant, n)
         if den:
             den = {name: power * n for name, power in den.items()}
-        return (self._poly(terms, 1) ** n).terms, 1, den
+        return self._poly(terms, 1).raised(n, self.longest).terms, 1, den
 
     def _division(self, value):
         terms, arity, den = value
@@ -585,5 +605,61 @@ def parse_coefficient(text: str, context: Context, *, _memo=None):
 
 def parse_scalar_text(text: str) -> Scalar:
     """Parse a bare scalar literal such as '-3i/4' or '1/2'."""
-    context = Context(Basis(()), (), order=0, cap=0, slack=0)
+    context = Context(Basis(()), (), order=0, slack=0)
     return parse_coefficient(text, context).constant_term()
+
+
+def word_bound(context: Context, relations, coproducts) -> int:
+    """B, the longest word that the checks of a presentation over context
+    can form, from its relation right-hand sides and its coproducts
+    (NCPoly and TensorNCPoly values). B is held to context's cap, or to
+    MAX_WORD_LENGTH when no cap is given: a larger B is a
+    CapExceededError that names it.
+
+    The rate rho is the largest (letters - base) / degree over the terms
+    of these values, a term's letters summed over its tensor factors and
+    its degree its parameter degree. The base is 2 for a relation term,
+    which takes the place of two letters, and 1 for a coproduct term, the
+    image of one. No term below its base counts, so rho >= 0. Call a
+    term's letters less rho times its parameter degree its excess; every
+    relation term has excess at most 2 and every coproduct term at most
+    1. Then:
+    - a rewrite never raises the excess: it puts two letters in sorted
+      order, or puts a relation term of degree d, at most 2 + rho*d
+      letters, in the place of two letters at d degrees more;
+    - a product adds the excesses of its factors;
+    - a word map keeps it: each generator's image has excess at most 1
+      (its coproduct, its counit, 0, or its antipode), so the image of a
+      term has excess at most the term's. For the antipode this holds by
+      induction on degree: the degree-k part of S(g) is minus that of
+      m(S (x) id) applied to Delta g less its primitive part, whose terms
+      have degree >= 1 and excess at most 1, through the parts of the
+      table below degree k.
+    So a term that a check forms has excess at most the generator units
+    that the check multiplies, _UNITS: presentation-Jacobi multiplies the
+    most, a relation term by a generator. No term is kept past the order,
+    so no word that a check forms has more than 3 + rho * order letters:
+    B = 3 + floor(rho * order), the largest 3 + floor(extra * order /
+    degree) over the terms.
+
+    A coproduct term of degree 0 with more than one letter has no rate
+    (a relation term of degree 0 is refused by RelationTable): each
+    product of coproducts would lengthen words at no cost in degree, so
+    it is refused."""
+    shift, order, bound = context.monomials.shift, context.order, _UNITS
+    for base, values in ((2, relations), (1, coproducts)):
+        for value in values:
+            split = value._factors
+            for key, m in value.terms:
+                extra = sum(map(len, split(key))) - base
+                if extra > 0:
+                    if m >> shift == 0:
+                        term = " (x) ".join(word_str(w, context.basis) for w in split(key))
+                        raise CapExceededError(f"coproduct term {term} has parameter degree 0 "
+                                               "and more than one letter: no bound on word length")
+                    bound = max(bound, _UNITS + extra * order // (m >> shift))
+    cap = context.cap
+    if bound > (MAX_WORD_LENGTH if cap is None else cap):
+        raise CapExceededError(f"word-length bound {bound} at order {context.order} exceeds "
+                               + (f"the limit {MAX_WORD_LENGTH}" if cap is None else f"cap {cap}"))
+    return bound

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import AntipodeError, DocumentError, InputError
-from .exprparse import check_names
-from .ncpoly import Context, NCPoly, TensorNCPoly, cap_error
+from .exprparse import check_names, word_bound
+from .ncpoly import Context, NCPoly, TensorNCPoly
 from .params import coefficient_product, exact_image
 from .rewrite import RelationTable, commutator, normalize
 from .scalars import ONE, ZERO
@@ -185,17 +185,11 @@ class _WordMap:
         """m((F (x) id) t2) for slot 0, m((id (x) F) t2) for slot 1,
         normalised through `budget` (default: the order); F is this map,
         with word-polynomial images, or images (apply_slot). The factor
-        words of apply_slot's terms are concatenated, each held against
-        the cap as a product's word is (NCPoly.times)."""
-        context = t2.context
+        words of apply_slot's terms are concatenated."""
         out = {}
-        for (left, right), pairs in self.apply_slot(t2, slot, budget, images).groups().items():
-            w = left + right
-            if len(w) > context.cap:
-                raise cap_error(w, context)
-            for m, c in pairs:
-                accumulate(out, (w, m), c)
-        return normalize(NCPoly._of(context, out), self.rel, budget=budget)
+        for ((left, right), m), c in self.apply_slot(t2, slot, budget, images).terms.items():
+            accumulate(out, (left + right, m), c)
+        return normalize(NCPoly._of(t2.context, out), self.rel, budget=budget)
 
 
 def require_coproducts(names, given) -> None:
@@ -208,7 +202,10 @@ def require_coproducts(names, given) -> None:
 
 
 class HopfPresentation:
-    """Generators, bracket relations, coproduct and counit tables."""
+    """Generators, bracket relations, coproduct and counit tables. The
+    tables are held once to the word bound that they prove
+    (exprparse.word_bound): within the cap, or a fixed limit when no cap
+    is given; no check holds a word to a length after that."""
 
     def __init__(self, context: Context, rel: RelationTable, coproduct: dict,
                  counit: dict):
@@ -223,6 +220,7 @@ class HopfPresentation:
                     f"coproduct of {context.basis.names[g]} has a 1(x)1 component"
                 )
             self.counit.setdefault(g, ZERO)
+        word_bound(context, rel.rhs.values(), self.coproduct.values())
         self._delta = _WordMap(rel, self.coproduct, TensorNCPoly.unit(context, 2))
 
     def names(self):

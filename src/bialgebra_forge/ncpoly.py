@@ -2,9 +2,11 @@
 
 Words are tuples of generator indices; the empty word is the unit.
 Coefficients lie in Q(i)[params] truncated at the context's order, where
-truncated arithmetic is exact. Generator degree is capped: a product whose
-coefficient survives truncation but whose word exceeds the cap is a
-hard error, so runaway rewriting cannot pass silently.
+truncated arithmetic is exact. A product holds its words to a longest
+word only when it is given one (the parser's guard, exprparse): a product
+whose coefficient survives truncation but whose word is longer is then a
+hard error. Word length needs no other check: a built presentation proves
+one bound on every word its checks form (exprparse.word_bound).
 
 Word polynomials (NCPoly, keyed by words) and their tensor squares and
 cubes (TensorNCPoly, keyed by tuples of words) share one implementation
@@ -21,8 +23,8 @@ m1 + m2, with no carry between fields, and the test m < limit(budget)
 says whether its degree is within a budget. So a coefficient product,
 params.coefficient_product (the one product rule, which the Lie-data
 pass shares), is one int add, one comparison and one Scalar multiply
-per pair. Work that depends only on a key (a word product, a cap check,
-a normal form) is done once per key: groups() gives each key's packed
+per pair. Work that depends only on a key (a word product, a guard
+check, a normal form) is done once per key: groups() gives each key's packed
 coefficient, its (m, Scalar) pairs by ascending m, so the first pair
 holds the lowest degree. A ParamPoly appears only at the edges: the
 public constructors take {key: ParamPoly}, coefficients() and
@@ -51,19 +53,20 @@ SETTINGS = ("order", "cap", "slack")
 class Context:
     """Shared computation settings: basis, parameters, truncation. Every
     value lives at `order`; `slack` is only the parser's first-pass
-    headroom (exprparse.parse_expr). `monomials` packs the parameter
-    monomials through the order."""
+    headroom (exprparse.parse_expr). `cap`, when given, is a ceiling on
+    word length that a presentation's derived word bound must fit under
+    (exprparse.word_bound); None, the default, derives the bound alone.
+    `monomials` packs the parameter monomials through the order."""
 
     basis: Basis
     params: tuple
     order: int = 5
-    cap: int = 10
+    cap: int | None = None
     slack: int = 2
     monomials: Monomials = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in SETTINGS:
-            value = getattr(self, name)
+        for name, value in self.settings().items():
             if type(value) is not int or value < 0:
                 raise InputError(
                     f"{name} must be a non-negative integer, got {value!r}"
@@ -71,8 +74,10 @@ class Context:
         object.__setattr__(self, "monomials", Monomials(self.params, self.order))
 
     def settings(self) -> dict:
-        """The truncation settings, keyed as in a document's settings."""
-        return {name: getattr(self, name) for name in SETTINGS}
+        """The truncation settings, keyed as in a document's settings; no
+        cap when none is given."""
+        return {name: getattr(self, name) for name in SETTINGS
+                if name != "cap" or self.cap is not None}
 
     def zero_poly(self) -> ParamPoly:
         return ParamPoly.zero(self.params, self.order)
@@ -87,21 +92,21 @@ class Context:
         return replace(self, params=tuple(params))
 
 
-def term_product(left, right, context: Context, limit: int):
+def term_product(left, right, context: Context, limit: int, longest=None):
     """The product of two word terms ((word, m), Scalar): None when the
     monomial is at or past limit, else the one term, whose word (the two
-    words joined) must be within context's cap (cap_error). NCPoly.times
-    forms a product of two single-term values by it; the coefficient is
-    that of coefficient_product's single-pair rule, which the word kernel
-    keeps inline."""
+    words joined) must be at most longest letters when longest is given
+    (long_word_error). NCPoly.times forms a product of two single-term
+    values by it; the coefficient is that of coefficient_product's
+    single-pair rule, which the word kernel keeps inline."""
     (w1, m1), c1 = left
     (w2, m2), c2 = right
     m = m1 + m2
     if m >= limit:
         return None
     word = w1 + w2
-    if len(word) > context.cap:
-        raise cap_error(word, context)
+    if longest is not None and len(word) > longest:
+        raise long_word_error(word, context, longest)
     return (word, m), c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
 
 
@@ -122,10 +127,10 @@ def word_str(word, basis: Basis) -> str:
     )
 
 
-def cap_error(word, context: Context) -> CapExceededError:
-    """The error of a word longer than context's generator-degree cap."""
+def long_word_error(word, context: Context, longest: int) -> CapExceededError:
+    """The error of a word longer than the longest word a product may form."""
     return CapExceededError(
-        f"word {word_str(word, context.basis)} exceeds generator-degree cap {context.cap}"
+        f"word {word_str(word, context.basis)} exceeds word-length limit {longest}"
     )
 
 
@@ -247,20 +252,20 @@ class _Terms:
 
     # -- free multiplication ----------------------------------------------------
 
-    def times(self, other, budget=None):
+    def times(self, other, budget=None, longest=None):
         """The product self*other, exact through parameter degree `budget`
         (default: the order), with no term above it. A key pair's word is
-        formed, and held against the cap, only when its coefficient
-        product has a term through the budget: that is, when the lowest
-        degrees of the two coefficients sum to at most the budget. Two
-        single-term word polynomials make one term_product."""
+        formed, and held to `longest` letters when that is given, only
+        when its coefficient product has a term through the budget: that
+        is, when the lowest degrees of the two coefficients sum to at most
+        the budget. Two single-term word polynomials make one
+        term_product."""
         self._same_arity(other)
         context = self.context
-        cap = context.cap
         limit = context.monomials.limit(context.order if budget is None else budget)
         if self.arity == 1 and len(self.terms) == 1 == len(other.terms):
             [left], [right] = self.terms.items(), other.terms.items()
-            term = term_product(left, right, context, limit)
+            term = term_product(left, right, context, limit, longest)
             return self._like({} if term is None else {term[0]: term[1]})
         split, join = self._factors, self._key
         right = [(split(k2), pairs2) for k2, pairs2 in other.groups().items()]
@@ -272,9 +277,8 @@ class _Terms:
                 if not product:
                     continue
                 words = tuple(map(add, f1, f2))
-                for w in words:
-                    if len(w) > cap:
-                        raise cap_error(w, context)
+                if longest is not None and max(map(len, words)) > longest:
+                    raise long_word_error(max(words, key=len), context, longest)
                 key = join(words)
                 for m, c in product:
                     accumulate(out, (key, m), c)
@@ -404,12 +408,13 @@ class NCPoly(_Terms):
     def from_coeff(cls, context, coeff: ParamPoly):
         return cls(context, {(): coeff})
 
-    def __pow__(self, n: int):
+    def raised(self, n: int, longest=None):
         """(C + N)^n = sum_k binom(n, k) C^(n-k) N^k, for the empty-word
         coefficient C, which is central, and the word part N. N^k takes
-        one factor at a time, so a word past the cap raises, and the sum
-        stops once N^k is zero, by k = cap + 1 at the latest. With C = 0
-        only the k = n term is nonzero: the power is N^n."""
+        one factor at a time, so a word past `longest` (when given)
+        raises, and the sum stops once N^k is zero, by k = longest + 1 at
+        the latest. With C = 0 only the k = n term is nonzero: the power
+        is N^n."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
         constant = self.groups().get(())
@@ -417,7 +422,7 @@ class NCPoly(_Terms):
         if not constant:
             power = NCPoly.unit(self.context)
             for _ in range(n):
-                power = power * words
+                power = power.times(words, longest=longest)
                 if not power:
                     break
             return power
@@ -427,7 +432,7 @@ class NCPoly(_Terms):
             return out
         power, binomial = NCPoly.unit(self.context), 1
         for k in range(1, n + 1):
-            power = power * words
+            power = power.times(words, longest=longest)
             if not power:
                 break
             binomial = binomial * (n + 1 - k) // k
@@ -436,6 +441,8 @@ class NCPoly(_Terms):
                 (m, c * scale) for m, c in _coefficient_power(constant, n - k, limit)
             ])
         return out
+
+    __pow__ = raised
 
     def coefficient(self, word) -> ParamPoly:
         return self.context.monomials.poly(self.groups().get(tuple(word), ()))
@@ -545,8 +552,9 @@ def _series_coeffs(fn: str, max_k: int) -> list:
     return [(k, table[k]) for k in range(first, max_k + 1, step)]
 
 
-def series_apply(fn: str, arg: NCPoly) -> NCPoly:
-    """Taylor series of exp/sinh/cosh at a parameter-weighted argument.
+def series_apply(fn: str, arg: NCPoly, longest=None) -> NCPoly:
+    """Taylor series of exp/sinh/cosh at a parameter-weighted argument,
+    each power's words held to `longest` letters when that is given.
 
     Every term of arg must carry parameter degree >= 1 so that the
     series terminates at the context's order.
@@ -563,7 +571,7 @@ def series_apply(fn: str, arg: NCPoly) -> NCPoly:
     next_k = 0
     for k, coeff in _series_coeffs(fn, max_k):
         while next_k < k and power:
-            power = power * arg
+            power = power.times(arg, longest=longest)
             next_k += 1
         for term, c in power.terms.items():
             accumulate(out, term, coeff * c)

@@ -47,21 +47,23 @@ This regroups the same leftmost normal forms that normalising a*b - b*a
 sums, so it is exact whether or not the table is confluent.
 
 The pure-swap rule also holds for whole operands: when every letter of
-one commutes with every letter of the other, all their words are sorted
-and their longest words fit the cap together, every term pair would be
-skipped and none would raise, so the commutator is zero before its pair
-loop. The presentation Jacobi sum forms no commutator of an undeclared
-bracket, and the rule makes each of a bracket with a generator of a
-commuting copy zero at once. What the rule reads of an operand depends
-only on its keys, so it is cached on the table by them (_reach).
+one commutes with every letter of the other and all their words are
+sorted, every term pair would be skipped, so the commutator is zero
+before its pair loop. The presentation Jacobi sum forms no commutator of
+an undeclared bracket, and the rule makes each of a bracket with a
+generator of a commuting copy zero at once. What the rule reads of an
+operand depends only on its keys, so it is cached on the table by them
+(_reach).
+
+No word is held to a length here: rewriting ends, as each rewrite adds a
+parameter degree, and a built presentation proves one bound on every
+word its checks form (exprparse.word_bound).
 """
 
 from __future__ import annotations
 
-from operator import add
-
-from .errors import CapExceededError, DocumentError, NonContractingError
-from .ncpoly import Context, NCPoly, cap_error, outer, word_str
+from .errors import DocumentError, NonContractingError
+from .ncpoly import Context, NCPoly, outer, word_str
 from .params import PACKED_ONE, coefficient_product
 from .sparse import accumulate
 
@@ -229,13 +231,7 @@ def normal_form_word(table: RelationTable, word, *, budget=None) -> NCPoly:
             left = room - (pairs[0][0] >> shift)
             if left < 0:
                 continue
-            nw = head + rw + tail
-            if len(nw) > context.cap:
-                raise CapExceededError(
-                    f"rewriting [{table._name(a)},{table._name(b)}] produced "
-                    f"word {word_str(nw, context.basis)} beyond cap {context.cap}"
-                )
-            work.append((nw, coefficient_product(coeff, pairs, limit), left))
+            work.append((head + rw + tail, coefficient_product(coeff, pairs, limit), left))
     nf = NCPoly._of(context, result)
     cache[word] = (budget, nf)
     return nf
@@ -282,12 +278,12 @@ def normalize(a, table: RelationTable, *, budget=None):
 
 
 def _shape(table, key, words):
-    """(factors, letters, commuting, lengths, longest) of a term with
-    these factor words, cached on the table by its key. factors holds
-    (word, letters, commuting) per factor: bitmasks of the generators in
-    the word and of those that commute with each of them (an empty
-    bracket, or the same generator); an unsorted word has (-1, 0), so no
-    factor holding one pure-swaps. The term's letters and commuting masks
+    """(factors, letters, commuting) of a term with these factor words,
+    cached on the table by its key. factors holds (word, letters,
+    commuting) per factor: bitmasks of the generators in the word and of
+    those that commute with each of them (an empty bracket, or the same
+    generator); an unsorted word has (-1, 0), so no factor holding one
+    pure-swaps. The term's letters and commuting masks
     give factor p the bits from p*n up, n the number of generators; an
     unsorted factor sets every letter bit from its own up."""
     shape = table._shapes.get(key)
@@ -306,9 +302,7 @@ def _shape(table, key, words):
         factors.append((w, lw, cw))
         letters |= lw << p * n
         commuting |= cw << p * n
-    lengths = tuple(map(len, words))
-    shape = table._shapes[key] = (factors, letters, commuting, lengths, max(lengths))
-    return shape
+    return table._shapes.setdefault(key, (factors, letters, commuting))
 
 
 def word_bracket(table: RelationTable, u, v, budget=None):
@@ -358,43 +352,28 @@ def commutator(a, b, table: RelationTable):
     nonzero through the room the coefficients leave, order - their lowest
     degrees, and a pair with no such factor is skipped before the product
     is formed. The other factors of a term are normalised through the
-    room that its bracket leaves in turn.
-
-    A pair whose coefficients' lowest degrees sum above the order is
-    skipped first, as a*b skips it. Any other pair whose product word
-    passes the cap raises the CapExceededError that a*b raises, at the
-    same pair, whether it is skipped or not. So whole operands that
-    pure-swap give zero before any pair is formed, and operands whose
-    longest words pass the cap together go through the pair loop, which
-    raises where a*b does."""
+    room that its bracket leaves in turn. So whole operands that
+    pure-swap give zero before any pair is formed."""
     a._same_arity(b)
-    context = a.context
-    cap, order = context.cap, context.order
-    shift, limit = context.monomials.shift, context.monomials.limit(order)
-    a_letters, _, a_top = _reach(table, a)
-    _, b_commuting, b_top = _reach(table, b)
-    if not a_letters & ~b_commuting and a_top + b_top <= cap:
+    order, monomials = a.context.order, a.context.monomials
+    shift, limit = monomials.shift, monomials.limit(order)
+    if not _reach(table, a)[0] & ~_reach(table, b)[1]:
         # every letter of a commutes with every letter of b and all words
         # are sorted (an unsorted word sets every letter bit), so every
-        # pair would be skipped below, and none would raise
+        # pair would be skipped below
         return a._like({})
     split, join = a._factors, a._key
     right = [(k, pairs, pairs[0][0] >> shift, *_shape(table, k, split(k)))
              for k, pairs in b.groups().items()]
     out = {}
     for k1, pairs1 in a.groups().items():
-        f1, letters, _, lengths1, top1 = _shape(table, k1, split(k1))
+        f1, letters, _ = _shape(table, k1, split(k1))
         room1 = order - (pairs1[0][0] >> shift)
-        for k2, pairs2, low2, f2, _, commuting, lengths2, top2 in right:
+        for k2, pairs2, low2, f2, _, commuting in right:
             room = room1 - low2
             if room < 0:
                 # the coefficient product vanishes; a*b skips the pair too
                 continue
-            if top1 + top2 > cap and any(x + y > cap for x, y in zip(lengths1, lengths2)):
-                # a*b raises here, at its first factor word past the cap
-                for w in map(add, split(k1), split(k2)):
-                    if len(w) > cap:
-                        raise cap_error(w, context)
             if not letters & ~commuting:
                 # every factor's bracket is zero: each pure-swaps, or pairs
                 # an empty word of a with any word
@@ -420,21 +399,20 @@ def commutator(a, b, table: RelationTable):
 
 
 def _reach(table, a):
-    """(letters, commuting, longest) of an operand: its term shapes'
-    letter masks OR-ed, their commuting masks AND-ed and its longest word
-    (_shape); a zero operand reaches (0, -1, 0). It depends only on the
-    operand's keys, so it is cached on the table by them, and the keys of
-    an operand met again are scanned only to be hashed."""
+    """(letters, commuting) of an operand: its term shapes' letter masks
+    OR-ed and their commuting masks AND-ed (_shape); a zero operand
+    reaches (0, -1). It depends only on the operand's keys, so it is
+    cached on the table by them, and the keys of an operand met again are
+    scanned only to be hashed."""
     keys = tuple(a.groups())
     reach = table._reaches.get(keys)
     if reach is None:
-        letters, commuting, longest = 0, -1, 0
+        letters, commuting = 0, -1
         for key in keys:
-            _, lw, cw, _, top = _shape(table, key, a._factors(key))
+            _, lw, cw = _shape(table, key, a._factors(key))
             letters |= lw
             commuting &= cw
-            longest = max(longest, top)
-        reach = table._reaches[keys] = (letters, commuting, longest)
+        reach = table._reaches[keys] = (letters, commuting)
     return reach
 
 

@@ -11,7 +11,8 @@ import bialgebra_forge as bf
 from bialgebra_forge import cli
 from bialgebra_forge.cli import main
 
-from test_golden import COJACOBI_ENTRIES
+import twist
+from test_golden import COJACOBI_ENTRIES, GOLDEN
 
 
 def run(capsys, *argv):
@@ -29,7 +30,7 @@ def test_check_four_pairs_passes(capsys):
 
 FOUR_PAIRS_REPEATED = """\
 # check four-pairs
-settings: cap=10, order=5, parameters=t,h,z1,z2, slack=2
+settings: order=5, parameters=t,h,z1,z2, slack=2
 [pass] antisymmetry mu_001
 [pass] antisymmetry mu_100
 [pass] antisymmetry delta_001
@@ -382,6 +383,29 @@ def test_huge_power_of_a_unit_plus_words(tmp_path, capsys):
     assert reports[0][0] == 1 and reports[0][2] == ""
 
 
+def test_hopf_all_needs_no_cap_at_any_order(tmp_path, capsys):
+    """With no --cap the build derives the word bound: order 10 reports
+    the presentation-Jacobi FAIL, orders 8, 12 and 16 print the reports
+    pinned with --cap 16, 24 and 32 but for their settings line, and
+    twisted gl_4 passes at order 5."""
+    code, out, err = run(capsys, "hopf", "all", "@corrected", "--order", "10")
+    assert code == 1 and err == "" and "[FAIL] presentation-jacobi" in out
+    for order, setting in ((8, "o8c16"), (12, "o12c24"), (16, "o16c32")):
+        golden = json.loads((GOLDEN / f"hopf-all.{setting}.text.json").read_text())
+        code, out, err = run(capsys, "hopf", "all", "@corrected", "--order", str(order))
+        assert (code, err) == (golden["exit"], golden["stderr"]), order
+        head, settings, *rest = out.splitlines()
+        want_head, want_settings, *want_rest = golden["stdout"].splitlines()
+        assert (head, rest) == (want_head, want_rest), order
+        assert want_settings == settings.replace("order=", f"cap={2 * order}, order=")
+    r4 = {(0, 1): 1, (0, 2): bf.Scalar(-2, 1), (1, 2): "1/2", (0, 3): 2, (1, 3): -1,
+          (2, 3): bf.Scalar(0, 1)}
+    path = tmp_path / "gl4.json"
+    path.write_text(json.dumps(twist.twisted_gln(4, r4)))
+    code, out, err = run(capsys, "hopf", "all", str(path), "--order", "5")
+    assert code == 0 and err == "" and "settings: order=5, parameters=t,h, slack=2" in out
+
+
 def test_json_format_parses_and_reports(capsys):
     code, out, _ = run(
         capsys, "check", "four-pairs", "@corrected", "--format", "json"
@@ -671,6 +695,11 @@ _HOSTILE = {
     "1 (x) 1 coproduct term": lambda p: p["coproducts"].update(
         p_x=p["coproducts"]["p_x"] + " + 1 (x) 1"),
     "undeclared counit key": lambda p: p["counit"].update(q="0"),
+    # words past the parser's guard, refused at their first letter past
+    # it: a power of a generator, and a power of a sum, before it builds
+    # every word of the sum's power
+    "long power bracket rhs": lambda p: p["brackets"][0].update(rhs="t*p_x^200"),
+    "long sum power bracket rhs": lambda p: p["brackets"][0].update(rhs="t*(p_x+p_y)^40"),
 }
 
 

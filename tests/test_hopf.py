@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
+from bialgebra_forge import exprparse
 from bialgebra_forge.cli import main
 from bialgebra_forge.errors import (
     AntipodeError, CapExceededError, InputError, NonContractingError,
@@ -26,6 +27,7 @@ import twist
 from conftest import (
     corrected_document, presentation3, presentation5, terms_through, widegen,
 )
+from test_rewrite import oracle_tables, primitive_presentation
 from test_twist import R3, _coproduct_term
 
 P_X, P_Y, P_Z, L_X, L_Y, L_Z = range(6)
@@ -431,11 +433,12 @@ GUARD = ("coproduct of p_x deviates from primitive at parameter degree 0; "
 
 @pytest.mark.parametrize("checks", [["antipode"], ["class-f"], ["all"]])
 def test_a_group_like_coproduct_stops_the_antipode_solve(tmp_path, capsys, checks):
-    """Delta p_x = p_x (x) p_x is not primitive at degree 0, so the solve
-    cannot start: every request that solves the antipode exits 2 with the
-    guard's message and prints no report."""
+    """Delta p_x = p_x (x) 1 + 1 (x) p_x + p_y (x) 1 is not primitive at
+    degree 0, so the solve cannot start: every request that solves the
+    antipode exits 2 with the guard's message and prints no report. (A
+    group-like p_x (x) p_x is refused before, by the build's word bound.)"""
     data = corrected_document().to_dict()
-    data["presentation"]["coproducts"]["p_x"] = "p_x (x) p_x"
+    data["presentation"]["coproducts"]["p_x"] = "p_x (x) 1 + 1 (x) p_x + p_y (x) 1"
     path = tmp_path / "group_like.json"
     path.write_text(json.dumps(data))
     assert main(["hopf", *checks, str(path)]) == 2
@@ -443,6 +446,21 @@ def test_a_group_like_coproduct_stops_the_antipode_solve(tmp_path, capsys, check
     doc = bf.Document.from_dict(data)
     with pytest.raises(AntipodeError, match=f"^{GUARD}$"):
         bf.solve_antipode(doc.build_presentation(doc.make_context()))
+
+
+@pytest.mark.parametrize("checks", [["hom"], ["coassoc"], ["all"]])
+def test_a_group_like_coproduct_has_no_word_bound(tmp_path, capsys, checks):
+    """Delta p_x = p_x (x) p_x has two letters at degree 0: each coproduct
+    of a word would double its letters at no cost in degree, so no bound
+    on word length holds and every check exits 2 at the build."""
+    data = corrected_document().to_dict()
+    data["presentation"]["coproducts"]["p_x"] = "p_x (x) p_x"
+    path = tmp_path / "group_like.json"
+    path.write_text(json.dumps(data))
+    assert main(["hopf", *checks, str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: coproduct term p_x (x) p_x has parameter "
+                                   "degree 0 and more than one letter: no bound on word "
+                                   "length\n")
 
 
 def _product_loop_contract(word_map, t2, slot, budget):
@@ -492,19 +510,107 @@ def test_contract_is_the_product_loop_through_the_budget(order, kind, word, slot
     assert terms_through(got, budget) == terms_through(want, budget), (word, budget)
 
 
-def test_contract_holds_each_joined_word_against_the_cap():
-    """Each factor of a (x) b^2 fits the cap 3, and so does the image a*b
-    of a; the joined word a*b^3 does not, so contract raises as the
-    product loop does."""
-    ctx = Context(Basis(("a", "b")), ("c",), order=2, cap=3, slack=0)
+def _long_coproduct(cap, order=2):
+    """a < b over c at order, with no relation and Delta a = a (x) 1 +
+    1 (x) a + c * a (x) b^2: three letters at degree 1, rate 2, so the
+    word bound is 3 + 2*order, 7 at order 2."""
+    ctx = Context(Basis(("a", "b")), ("c",), order=order, cap=cap, slack=0)
     one = ctx.const_poly(ONE)
-    word_map = _WordMap(RelationTable(ctx, []), {0: NCPoly(ctx, {(0, 1): one}),
-                                                 1: NCPoly.generator(ctx, 1)},
-                        NCPoly.unit(ctx))
-    t2 = TensorNCPoly(ctx, 2, {((0,), (1, 1)): one})
-    for contract in (word_map.contract, functools.partial(_product_loop_contract, word_map)):
-        with pytest.raises(CapExceededError, match=r"^word a\*b\^3 exceeds generator-degree cap 3$"):
-            contract(t2, 0, 2)
+    coproduct = {g: TensorNCPoly(ctx, 2, {((g,), ()): one, ((), (g,)): one}) for g in (0, 1)}
+    coproduct[0] += TensorNCPoly(ctx, 2, {((0,), (1, 1)): ctx.param_poly("c")})
+    return bf.HopfPresentation(ctx, RelationTable(ctx, []), coproduct, {})
+
+
+def test_a_presentation_whose_word_bound_passes_the_cap_is_refused():
+    """The build holds the word bound to the cap once, naming the bound,
+    the order and the cap; a cap the bound fits under, or none, builds,
+    and the checks then hold no word to a length: the contraction joins
+    a*b (x) b^2, the antipode's image of a (x) b^2, into a*b^3 as the
+    product loop does."""
+    for cap in (3, 6):
+        with pytest.raises(CapExceededError,
+                           match=f"^word-length bound 7 at order 2 exceeds cap {cap}$"):
+            _long_coproduct(cap)
+    # with no cap the bound is held to the fixed limit
+    assert exprparse.MAX_WORD_LENGTH == 64
+    assert _long_coproduct(None, order=30).context.order == 30
+    with pytest.raises(CapExceededError,
+                       match="^word-length bound 65 at order 31 exceeds the limit 64$"):
+        _long_coproduct(None, order=31)
+    for cap in (7, None):
+        H = _long_coproduct(cap)
+        ctx, one = H.context, H.context.const_poly(ONE)
+        assert exprparse.word_bound(ctx, H.rel.rhs.values(), H.coproduct.values()) == 7
+        word_map = _WordMap(H.rel, {0: NCPoly(ctx, {(0, 1): one}), 1: NCPoly.generator(ctx, 1)},
+                            NCPoly.unit(ctx))
+        t2 = TensorNCPoly(ctx, 2, {((0,), (1, 1)): one})
+        want = NCPoly(ctx, {(0, 1, 1, 1): one})
+        assert word_map.contract(t2, 0, 2) == _product_loop_contract(word_map, t2, 0, 2) == want
+
+
+def test_the_word_bound_is_three_more_than_the_rate_times_the_order():
+    """@corrected gains one letter per degree, so its bound is order + 3,
+    under the explicit caps the goldens and the benchmark pass (12 at
+    order 6, 16 at 8, 24 at 12, 32 at 16); twisted gl_3 gains one letter
+    per two degrees, from exp(h*t*X) (x) ..., so its bound is 3 +
+    floor(order / 2)."""
+    def bound(doc, order):
+        H = doc.build_presentation(doc.make_context(order=order))
+        assert H.context.cap is None
+        return exprparse.word_bound(H.context, H.rel.rhs.values(), H.coproduct.values())
+
+    doc = corrected_document()
+    assert {order: bound(doc, order) for order in (5, 6, 8, 10, 12, 16)} == {
+        5: 8, 6: 9, 8: 11, 10: 13, 12: 15, 16: 19}
+    gl3 = bf.Document.from_dict(twist.twisted_gln(3, R3))
+    assert {order: bound(gl3, order) for order in (4, 5, 6)} == {4: 5, 5: 5, 6: 6}
+
+
+def _longest_word_formed(H):
+    """The most letters, summed over tensor factors, of any key of any
+    value that hopf all's checks make on H, as every value made passes
+    through NCPoly._of or TensorNCPoly._of."""
+    longest = 0
+
+    def watched(kind):
+        make = kind._of.__func__
+
+        def _of(cls, context, terms, *arity):
+            nonlocal longest
+            for key, _ in terms:
+                longest = max(longest, sum(map(len, cls._factors(key))))
+            return make(cls, context, terms, *arity)
+        return classmethod(_of)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for kind in (NCPoly, TensorNCPoly):
+            patch.setattr(kind, "_of", watched(kind))
+        presentation_jacobi_defect(H.rel)
+        bf.coproduct_hom_defect(H)
+        bf.coassociativity_defect(H)
+        bf.counit_defect(H)
+        bf.class_f_check(H, bf.solve_antipode(H)[0])
+    return longest
+
+
+def _bound_of(H):
+    return exprparse.word_bound(H.context, H.rel.rhs.values(), H.coproduct.values())
+
+
+@given(_drawn_presentations())
+@settings(max_examples=40, deadline=None)
+def test_no_check_forms_a_word_past_the_bound_on_drawn_presentations(H):
+    """Drawn coproduct terms of up to four letters at degree 1 make the
+    rate 3: the words of products of coproducts grow with it."""
+    assert _longest_word_formed(H) <= _bound_of(H)
+
+
+@given(oracle_tables().map(primitive_presentation))
+@settings(max_examples=40, deadline=None)
+def test_no_check_forms_a_word_past_the_bound_on_drawn_tables(H):
+    """Rhs words of at most two letters make the rate 0 and the bound 3:
+    presentation-Jacobi forms a generator times a two-letter rhs word."""
+    assert _longest_word_formed(H) <= _bound_of(H)
 
 
 def test_class_f_passes_on_reference_presentation():
@@ -518,7 +624,7 @@ def test_class_f_passes_on_reference_presentation():
 def _toy_presentation(delta_g_extra):
     """Three generators a < b < g with [b, a] = c*1 and a coproduct on g
     carrying the given extra term."""
-    ctx = Context(Basis(("a", "b", "g")), ("c",), order=4, cap=8, slack=2)
+    ctx = Context(Basis(("a", "b", "g")), ("c",), order=4, slack=2)
     one = ctx.const_poly(ONE)
     c = ctx.param_poly("c")
     rel = RelationTable(ctx, [

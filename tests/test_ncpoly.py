@@ -61,18 +61,21 @@ def test_coefficients_multiply():
 
 
 def test_cap_exceeded_is_reported():
+    # a product given a longest word (the parser's guard) holds its words
+    # to it; a product given none forms any word
     word = gen(A)
     for _ in range(7):
-        word = word * gen(A)
-    with pytest.raises(CapExceededError):
-        word * gen(A)
+        word = word.times(gen(A), longest=CTX.cap)
+    with pytest.raises(CapExceededError, match=r"^word a\^9 exceeds word-length limit 8$"):
+        word.times(gen(A), longest=CTX.cap)
+    assert list((word * gen(A)).coefficients()) == [(A,) * 9]
 
 
 def test_cap_not_triggered_by_truncated_coefficients():
     # both factors carry parameter degree 4; the product's coefficient
     # truncates to zero before the word-length check fires
     p = NCPoly(CTX, {(A,) * 4: CTX.param_poly("u") ** 4})
-    assert not (p * p)
+    assert not p.times(p, longest=CTX.cap)
 
 
 # -- series ---------------------------------------------------------------------
@@ -236,22 +239,23 @@ def test_power_without_constant_term_is_the_word_power():
             for n in range(5):
                 assert p ** n == _stepwise_power(p, n), (p, n)
     with pytest.raises(CapExceededError):
-        (gen(A) + gen(B)) ** 9
+        (gen(A) + gen(B)).raised(9, CTX.cap)
 
 
 def test_word_power_stops_once_zero():
     # u*a has parameter degree k in its k-th power: zero past the order,
     # before the word reaches the cap, however large the exponent
-    assert (param("u") * gen(A)) ** 100000000 == NCPoly.zero(CTX)
+    assert (param("u") * gen(A)).raised(100000000, CTX.cap) == NCPoly.zero(CTX)
     with pytest.raises(CapExceededError):
-        gen(A) ** 9
+        gen(A).raised(9, CTX.cap)
 
 
-def _stepwise_power(p, n):
-    """p^n as n products, stopping once the product is zero."""
+def _stepwise_power(p, n, longest=None):
+    """p^n as n products, each holding its words to longest when that is
+    given, stopping once the product is zero."""
     out = NCPoly.unit(p.context)
     for _ in range(n):
-        out = out * p
+        out = out.times(p, longest=longest)
         if not out:
             break
     return out
@@ -266,7 +270,8 @@ def _outcome(power):
 
 def test_powers_match_stepwise_products_on_random_polynomials():
     """Same value, or the same CapExceededError, as the step-by-step
-    product, for word polynomials with and without an empty-word term."""
+    product, each holding words to the cap, for word polynomials with and
+    without an empty-word term."""
     rng = random.Random(7)
     for _ in range(3000):
         ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(2, 5),
@@ -281,7 +286,11 @@ def test_powers_match_stepwise_products_on_random_polynomials():
             )
         p = NCPoly(ctx, terms)
         n = rng.randint(0, 2 * ctx.cap + 2)
-        assert _outcome(lambda: p ** n) == _outcome(lambda: _stepwise_power(p, n)), (p, n)
+        got = _outcome(lambda: p.raised(n, ctx.cap))
+        assert got == _outcome(lambda: _stepwise_power(p, n, ctx.cap)), (p, n)
+        if got[0] == "value":
+            # within the guard, a power given no longest word is the same
+            assert p ** n == got[1], (p, n)
 
 
 # -- degree budgets ------------------------------------------------------------------
@@ -339,7 +348,7 @@ def test_a_product_of_single_terms_is_one_term_product():
     """times forms the product of two single-term word polynomials as one
     term_product: the term pair's product through the budget, and a
     CapExceededError exactly when that product keeps a term and its word
-    is past the cap."""
+    is past the longest word it is given."""
     rng = random.Random(11)
     for _ in range(2000):
         ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(0, 5),
@@ -356,10 +365,11 @@ def test_a_product_of_single_terms_is_one_term_product():
         want = terms_through(_every_pair(a, b), budget)
         [(wa, _)], [(wb, _)] = a.coefficients().items(), b.coefficients().items()
         if want and len(wa + wb) > ctx.cap:
-            with pytest.raises(CapExceededError, match="exceeds generator-degree cap"):
-                a.times(b, budget)
+            with pytest.raises(CapExceededError, match="exceeds word-length limit"):
+                a.times(b, budget, longest=ctx.cap)
         else:
-            assert terms_through(a.times(b, budget), budget) == want, (a, b, budget)
+            assert terms_through(a.times(b, budget, ctx.cap), budget) == want, (a, b, budget)
+        assert terms_through(a.times(b, budget), budget) == want, (a, b, budget)
 
 
 @given(_wide_polys(1), _wide_polys(1), _wide_coefficients(), st.integers(0, WIDE.order))

@@ -159,6 +159,29 @@ def test_nesting_up_to_the_limit_parses():
     assert coeff("-" * (MAX_NESTING - 1) + "t") == -CTX.param_poly("t")
 
 
+@pytest.mark.parametrize("order, slack, cap, guard", [
+    (5, 2, None, 10), (5, 0, None, 10), (2, 2, None, 10), (12, 2, None, 17),
+    (16, 2, None, 21), (5, 2, 7, 7), (12, 2, 24, 24),
+])
+def test_the_parser_holds_each_word_to_a_guard_that_grows_with_its_order(
+        order, slack, cap, guard):
+    """The guard is the cap when one is given, else 3 + the working order
+    (order + slack) and at least 10: at the default order and slack the
+    10 letters the old default cap allowed. A word one letter past it is
+    refused, however it is formed. (A power of a sum of two letters
+    forms 2^guard words before the guard refuses it, so it is tried only
+    at the guard 10.)"""
+    ctx = replace(context5(), order=order, slack=slack, cap=cap)
+    assert parse_expr(f"t*p_x^{guard}", ctx).terms
+    texts = [f"t*p_x^{guard + 1}", "t*p_x^200", f"t*p_x^{guard}*p_y",
+             f"t*exp(t*p_x)*p_x^{guard}"]
+    if guard == 10:
+        texts += ["t*(p_x+p_y)^11", "t*(p_x+p_y)^40"]
+    for text in texts:
+        with pytest.raises(CapExceededError, match=f"exceeds word-length limit {guard}$"):
+            parse_expr(text, ctx)
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("i*z1*)p_y", CTX)
@@ -401,9 +424,9 @@ def test_a_build_does_no_per_factor_polynomial_work():
 def test_a_build_expands_each_distinct_series_once(monkeypatch):
     calls = []
 
-    def counted(fn, arg):
+    def counted(fn, arg, longest):
         calls.append(fn)
-        return series_apply(fn, arg)
+        return series_apply(fn, arg, longest)
 
     monkeypatch.setattr(exprparse, "series_apply", counted)
     doc = corrected_document()
@@ -429,9 +452,9 @@ def test_exprparse_keeps_no_module_level_mutable_state():
 def test_a_repeated_group_expands_its_series_once_per_build(monkeypatch):
     calls = []
 
-    def counted(fn, arg):
+    def counted(fn, arg, longest):
         calls.append(fn)
-        return series_apply(fn, arg)
+        return series_apply(fn, arg, longest)
 
     monkeypatch.setattr(exprparse, "series_apply", counted)
     group = "(t*sinh(z*c))"
@@ -535,13 +558,13 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
     distinct (order, power text) once, however often it is read."""
     doc = bf.presentation_document(diagonal5())
     reads, raised = collections.Counter(), collections.Counter()
-    memoised, raise_ = exprparse.Parser._memoised, NCPoly.__pow__
+    memoised, raise_ = exprparse.Parser._memoised, NCPoly.raised
     calls = 0
 
-    def counted_raise(poly, n):
+    def counted_raise(poly, n, longest):
         nonlocal calls
         calls += 1
-        return raise_(poly, n)
+        return raise_(poly, n, longest)
 
     def counted_power(parser, start, end, parse, *args):
         if parse != parser._power:
@@ -553,7 +576,7 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
         raised[key] += calls - before
         return value
 
-    monkeypatch.setattr(NCPoly, "__pow__", counted_raise)
+    monkeypatch.setattr(NCPoly, "raised", counted_raise)
     monkeypatch.setattr(exprparse.Parser, "_memoised", counted_power)
     doc.build_presentation(doc.make_context())
     assert dict(raised) == dict.fromkeys(reads, 1)

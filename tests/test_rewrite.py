@@ -14,6 +14,7 @@ import bialgebra_forge as bf
 from bialgebra_forge import rewrite
 from bialgebra_forge.cli import main
 from bialgebra_forge.errors import CapExceededError
+from bialgebra_forge.exprparse import word_bound
 from bialgebra_forge.ncpoly import NCPoly, TensorNCPoly, tensor
 from bialgebra_forge.rewrite import (
     commutator, normal_form_word, normalize, presentation_jacobi_defect,
@@ -292,8 +293,8 @@ def oracle_coeff(draw, ctx, low):
 def oracle_tables(draw):
     """A relation table on four generators, each bracket empty or a short
     contracting rhs. Rhs words have at most two letters, so rewriting
-    never lengthens a word, and only a product word can pass the cap."""
-    ctx = bf.Context(ORACLE_BASIS, ("t", "h"), order=3, cap=5)
+    never lengthens a word."""
+    ctx = bf.Context(ORACLE_BASIS, ("t", "h"), order=3)
     entries = []
     for j in range(4):
         for i in range(j):
@@ -333,7 +334,7 @@ def unsorted_case():
     """b commutes with c and with a, but not with the d of [c,a] = t*d, so
     c*a*b and b*c*a have different normal forms: letters that commute one
     by one make a pair cancel only when its words are sorted."""
-    ctx = bf.Context(ORACLE_BASIS, ("t", "h"), order=3, cap=5)
+    ctx = bf.Context(ORACLE_BASIS, ("t", "h"), order=3)
     t, one = ctx.param_poly("t"), ctx.const_poly(1)
     table = rewrite.RelationTable(ctx, [
         (2, 0, NCPoly(ctx, {(3,): t})), (3, 1, NCPoly(ctx, {(0,): t})),
@@ -351,12 +352,15 @@ def tensor_case(first, second):
             TensorNCPoly(ctx, 2, {second: t}))
 
 
-def outcome(fn):
-    """fn's value, or the type and message of the cap error it raises."""
-    try:
-        return fn()
-    except CapExceededError as exc:
-        return type(exc), str(exc)
+def primitive_presentation(table):
+    """The presentation of table's relations with every generator
+    primitive and of counit 0."""
+    ctx = table.context
+    one = ctx.const_poly(1)
+    return bf.HopfPresentation(ctx, table, {
+        g: TensorNCPoly(ctx, 2, {((g,), ()): one, ((), (g,)): one})
+        for g in range(len(ctx.basis))
+    }, {})
 
 
 @given(oracle_cases())
@@ -370,65 +374,64 @@ def outcome(fn):
 @example(tensor_case(((), (2,)), ((2, 0), (0,))))
 # unsorted_case in the first factor of a square: no skip may fire
 @example(tensor_case(((2, 0), ()), ((1,), ())))
-# c and d commute: whole operands that pure-swap, within the cap and past it
+# c and d commute: whole operands that pure-swap, short words and long
 @example(tensor_case(((2,), (3,)), ((3,), (2, 2))))
 @example(tensor_case(((2, 2, 2), ()), ((3, 3, 3), ())))
 @settings(max_examples=120, deadline=None)
 def test_commutator_matches_the_two_product_formula(case):
     table, a, b = case
-    assert outcome(lambda: commutator(a, b, table)) == outcome(
-        lambda: normalize(a * b - b * a, table))
+    assert commutator(a, b, table) == normalize(a * b - b * a, table)
 
 
-def test_a_skipped_pair_past_the_cap_raises_as_the_product_does():
-    # c^3 and d^3 commute letter by letter, and their product has six letters
+def test_a_presentation_whose_word_bound_passes_the_cap_is_refused_at_the_build():
+    # c^3 and d^3 commute letter by letter, and their product has six
+    # letters: no product or commutator holds it to the cap 5 any more
     ctx = bf.Context(ORACLE_BASIS, ("t",), order=3, cap=5)
-    table = rewrite.RelationTable(ctx, [(1, 0, NCPoly(ctx, {(2,): ctx.param_poly("t")}))])
-    one, t2 = ctx.const_poly(1), ctx.param_poly("t") ** 2
+    t = ctx.param_poly("t")
+    table = rewrite.RelationTable(ctx, [(1, 0, NCPoly(ctx, {(2,): t}))])
+    one, t2 = ctx.const_poly(1), t ** 2
     c3, d3 = (2, 2, 2), (3, 3, 3)
     for make in (lambda w, c: NCPoly(ctx, {w: c}),
                  lambda w, c: TensorNCPoly(ctx, 2, {(w, ()): c})):
-        # t^2 * t^2 is cut off at order 3: no product survives, so no error
-        assert not commutator(make(c3, t2), make(d3, t2), table)
         left, right = make(c3, one), make(d3, t2)
-        with pytest.raises(CapExceededError) as direct:
-            left * right
-        with pytest.raises(CapExceededError) as routed:
-            commutator(left, right, table)
-        assert str(routed.value) == str(direct.value) == (
-            "word c^3*d^3 exceeds generator-degree cap 5")
+        product = left * right
+        assert [sum(map(len, product._factors(key))) for key in product.groups()] == [6]
+        assert not commutator(left, right, table)
+    # the build holds the presentation's word bound to the cap once: a
+    # bracket t*c^3 gains one letter per degree, so the bound at order 3
+    # is 3 + 3 = 6, past the cap 5, and fits under the cap 6
+    long = [(1, 0, NCPoly(ctx, {c3: t}))]
+    with pytest.raises(CapExceededError,
+                       match=r"^word-length bound 6 at order 3 exceeds cap 5$"):
+        primitive_presentation(rewrite.RelationTable(ctx, long))
+    ctx6 = bf.Context(ORACLE_BASIS, ("t",), order=3, cap=6)
+    long = [(1, 0, NCPoly(ctx6, {c3: ctx6.param_poly("t")}))]
+    assert primitive_presentation(rewrite.RelationTable(ctx6, long)).rel.rhs
 
 
-def test_whole_operands_that_pure_swap_keep_the_cap_of_the_product(monkeypatch):
+def test_whole_operands_that_pure_swap_form_no_product(monkeypatch):
     # c and d commute, so operands built from c's and from d's pure-swap as
-    # a whole; whether any pair raises depends on its words and coefficients
-    ctx = bf.Context(ORACLE_BASIS, ("t",), order=3, cap=5)
+    # a whole, however long their words: zero, with no product formed
+    ctx = bf.Context(ORACLE_BASIS, ("t",), order=3)
     table = rewrite.RelationTable(ctx, [(1, 0, NCPoly(ctx, {(2,): ctx.param_poly("t")}))])
     one, t2 = ctx.const_poly(1), ctx.param_poly("t") ** 2
     for make in (lambda terms: NCPoly(ctx, terms),
                  lambda terms: TensorNCPoly(ctx, 2, {(w, ()): c for w, c in terms.items()})):
-        left, right = make({(2,): one, (2, 2, 2): one}), make({(3,): one, (3, 3, 3): t2})
-        with pytest.raises(CapExceededError) as direct:
-            left * right
-        with pytest.raises(CapExceededError) as routed:
-            commutator(left, right, table)
-        assert str(routed.value) == str(direct.value) == (
-            "word c^3*d^3 exceeds generator-degree cap 5")
-        # the longest words pass the cap together, but their coefficients
-        # leave no room, so no pair raises, as in the product
-        quiet = make({(2,): one, (2, 2, 2): t2})
-        assert (quiet * right).terms
-        assert not commutator(quiet, right, table)
-        # words that fit the cap together: zero, with no product formed
-        fits = make({(2,): one, (2, 2): t2}), make({(3,): t2, (3, 3, 3): one})
+        pairs = [
+            (make({(2,): one, (2, 2, 2): one}), make({(3,): one, (3, 3, 3): t2})),
+            (make({(2,): one, (2, 2): t2}), make({(3,): t2, (3, 3, 3): one})),
+        ]
         calls = []
         with monkeypatch.context() as patch:
             for owner, name in ((rewrite, "normal_form_word"), (Scalar, "__mul__")):
                 fn = getattr(owner, name)
                 patch.setattr(owner, name,
                               lambda *args, fn=fn: calls.append(args) or fn(*args))
-            assert not commutator(*fits, table)
+            for left, right in pairs:
+                assert not commutator(left, right, table)
         assert calls == []
+        for left, right in pairs:
+            assert (left * right).terms
 
 
 def test_the_presentation_jacobi_sum_does_no_work_across_copies(monkeypatch):
@@ -649,16 +652,21 @@ def test_the_wide_document_scans_each_commutator_operand_once():
 
 @pytest.mark.parametrize("order, cap", [(5, 7), (6, 8), (8, 10), (10, 12), (12, 14)])
 def test_hopf_all_needs_its_cap_exactly(order, cap):
-    # the smallest cap that lets `hopf all @corrected` finish at order:
-    # one less, and a word passes it (the parser's p_x^(order+2), read at
-    # order + slack)
-    argv = ["hopf", "all", "@corrected", "--order", str(order)]
+    # cap was the smallest cap that let `hopf all @corrected` finish at
+    # order (the parser forms p_x^(order+2) at order + slack). The word
+    # bound that the build derives is at least it, and a cap one below the
+    # bound exits 2 at the build, naming the bound, the order and the cap
+    doc = corrected_document()
+    H = doc.build_presentation(doc.make_context(order=order))
+    bound = word_bound(H.context, H.rel.rhs.values(), H.coproduct.values())
+    assert bound == order + 3 >= cap
     err = io.StringIO()
+    argv = ["hopf", "all", "@corrected", "--order", str(order), "--cap", str(bound - 1)]
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["--cap", str(cap - 1)]) == 2
-    assert f"exceeds generator-degree cap {cap - 1}" in err.getvalue()
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["--cap", str(cap)]) != 2
+        assert main(argv) == 2
+    assert err.getvalue() == (
+        f"error: word-length bound {bound} at order {order} exceeds cap {bound - 1}\n")
+    assert doc.build_presentation(doc.make_context(order=order, cap=bound)).context.cap == bound
 
 
 def test_reported_values_do_not_depend_on_slack():
