@@ -540,12 +540,17 @@ def test_a_presentation_whose_word_bound_passes_the_cap_is_refused():
     for cap in (7, None):
         H = _long_coproduct(cap)
         ctx, one = H.context, H.context.const_poly(ONE)
-        assert exprparse.word_bound(ctx, H.rel.rhs.values(), H.coproduct.values()) == 7
+        assert _bound_of(H) == 7
         word_map = _WordMap(H.rel, {0: NCPoly(ctx, {(0, 1): one}), 1: NCPoly.generator(ctx, 1)},
                             NCPoly.unit(ctx))
         t2 = TensorNCPoly(ctx, 2, {((0,), (1, 1)): one})
         want = NCPoly(ctx, {(0, 1, 1, 1): one})
         assert word_map.contract(t2, 0, 2) == _product_loop_contract(word_map, t2, 0, 2) == want
+
+
+def _bound_of(H):
+    """The word bound of H's tables (exprparse.word_bound)."""
+    return exprparse.word_bound(H.context, H.rel.rhs.values(), H.coproduct.values())
 
 
 def test_the_word_bound_is_three_more_than_the_rate_times_the_order():
@@ -557,7 +562,7 @@ def test_the_word_bound_is_three_more_than_the_rate_times_the_order():
     def bound(doc, order):
         H = doc.build_presentation(doc.make_context(order=order))
         assert H.context.cap is None
-        return exprparse.word_bound(H.context, H.rel.rhs.values(), H.coproduct.values())
+        return _bound_of(H)
 
     doc = corrected_document()
     assert {order: bound(doc, order) for order in (5, 6, 8, 10, 12, 16)} == {
@@ -591,10 +596,6 @@ def _longest_word_formed(H):
         bf.counit_defect(H)
         bf.class_f_check(H, bf.solve_antipode(H)[0])
     return longest
-
-
-def _bound_of(H):
-    return exprparse.word_bound(H.context, H.rel.rhs.values(), H.coproduct.values())
 
 
 @given(_drawn_presentations())
