@@ -64,10 +64,11 @@ Parentheses, function calls and unary minus nest at most MAX_NESTING
 levels deep; deeper input is a syntax error. A power whose constant term
 would outgrow the digits a coefficient may print is an input error,
 raised before the power is computed (scalars.check_power). Every product
-holds its words to a guard (Parser.longest): the cap when one is given,
-else 3 + the parse order and at least MIN_GUARD, so a word such as
-p_x^200 is refused at its first letter past the guard, before a power or
-series builds more.
+holds its words to a guard (Parser.longest), fixed once per parse_expr
+call: the cap when one is given, else 3 + the context's order + slack and
+at least MIN_GUARD. The parse again at order + loss keeps it, so no
+divisor in the text widens it. A word such as p_x^200 is refused at its
+first letter past the guard, before a power or series builds more.
 
 word_bound is the one check of word length after the parse: it derives
 from a presentation's tables the longest word its checks can form and
@@ -220,7 +221,8 @@ def _monomial_product(left, right):
 
 class Parser:
     """One parse of a lexed expression at context's order. source is the
-    text and the token lists and closing table of _lex. memo, which the
+    text and the token lists and closing table of _lex, and longest the
+    guard that parse_expr fixes for its call. memo, which the
     caller owns for one context, maps (order, text) of an identifier to
     its value and of a group, call or power to (value, loss, nesting
     height) (_memoised), and a parse order to its working context
@@ -231,14 +233,10 @@ class Parser:
     it; the arity, 1 for a word polynomial and 2 for a tensor square; and
     the pending parameter-monomial divisor {name: power}."""
 
-    def __init__(self, context: Context, source, memo: dict):
+    def __init__(self, context: Context, source, memo: dict, longest: int):
         self.context = context
         self.limit = context.monomials.limit(context.order)
-        # the longest word a product may form: the cap when one is given,
-        # else the bound of a presentation that gains one letter per
-        # degree, at this parse's order (word_bound), or MIN_GUARD
-        self.longest = (max(MIN_GUARD, _UNITS + context.order) if context.cap is None
-                        else context.cap)
+        self.longest = longest  # the guard: the longest word a product may form
         self.text, self.kinds, self.values, self.positions, self.closing = source
         self.memo = memo
         self.at = 0
@@ -581,11 +579,13 @@ def parse_expr(text: str, context: Context, *, _memo=None):
     order, slack = context.order, context.slack
     source = (text, *_lex(text))
     memo = {} if _memo is None else _memo
-    parser = Parser(_working(context, order + slack, memo), source, memo)
+    # the guard is fixed here, from the caller's order and slack: the loss,
+    # which the text sets, raises the parse order again but not the guard
+    longest = max(MIN_GUARD, _UNITS + order + slack) if context.cap is None else context.cap
+    parser = Parser(_working(context, order + slack, memo), source, memo, longest)
     poly = parser.parse()
     if parser.loss > slack:
-        parser = Parser(_working(context, order + parser.loss, memo), source, memo)
-        poly = parser.parse()
+        poly = Parser(_working(context, order + parser.loss, memo), source, memo, longest).parse()
     return poly.repack(context)
 
 
@@ -650,14 +650,16 @@ def word_bound(context: Context, relations, coproducts) -> int:
     for base, values in ((2, relations), (1, coproducts)):
         for value in values:
             split = value._factors
-            for key, m in value.terms:
+            # a key's rate is largest at its lowest degree, its first pair's
+            for key, pairs in value.groups().items():
                 extra = sum(map(len, split(key))) - base
                 if extra > 0:
-                    if m >> shift == 0:
+                    degree = pairs[0][0] >> shift
+                    if degree == 0:
                         term = " (x) ".join(word_str(w, context.basis) for w in split(key))
                         raise CapExceededError(f"coproduct term {term} has parameter degree 0 "
                                                "and more than one letter: no bound on word length")
-                    bound = max(bound, _UNITS + extra * order // (m >> shift))
+                    bound = max(bound, _UNITS + extra * order // degree)
     cap = context.cap
     if bound > (MAX_WORD_LENGTH if cap is None else cap):
         raise CapExceededError(f"word-length bound {bound} at order {context.order} exceeds "

@@ -700,6 +700,9 @@ _HOSTILE = {
     # every word of the sum's power
     "long power bracket rhs": lambda p: p["brackets"][0].update(rhs="t*p_x^200"),
     "long sum power bracket rhs": lambda p: p["brackets"][0].update(rhs="t*(p_x+p_y)^40"),
+    # a divisor raises the order of the parse again, but not the guard
+    "divided power bracket rhs": lambda p: p["brackets"][0].update(
+        rhs="t*(t*p_x+t*p_y)^30/t^30"),
 }
 
 

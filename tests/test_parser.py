@@ -165,18 +165,19 @@ def test_nesting_up_to_the_limit_parses():
 ])
 def test_the_parser_holds_each_word_to_a_guard_that_grows_with_its_order(
         order, slack, cap, guard):
-    """The guard is the cap when one is given, else 3 + the working order
-    (order + slack) and at least 10: at the default order and slack the
-    10 letters the old default cap allowed. A word one letter past it is
-    refused, however it is formed. (A power of a sum of two letters
-    forms 2^guard words before the guard refuses it, so it is tried only
-    at the guard 10.)"""
+    """The guard is the cap when one is given, else 3 + order + slack and
+    at least 10: at the default order and slack the 10 letters the old
+    default cap allowed. A word one letter past it is refused, however it
+    is formed, and a divisor that makes the text parse again at a higher
+    order does not widen it. (A power of a sum of two letters forms
+    2^guard words before the guard refuses it, so it is tried only at the
+    guard 10.)"""
     ctx = replace(context5(), order=order, slack=slack, cap=cap)
     assert parse_expr(f"t*p_x^{guard}", ctx).terms
     texts = [f"t*p_x^{guard + 1}", "t*p_x^200", f"t*p_x^{guard}*p_y",
-             f"t*exp(t*p_x)*p_x^{guard}"]
+             f"t*exp(t*p_x)*p_x^{guard}", f"t*(t*p_x)^{guard + 1}/t^{guard + 1}"]
     if guard == 10:
-        texts += ["t*(p_x+p_y)^11", "t*(p_x+p_y)^40"]
+        texts += ["t*(p_x+p_y)^11", "t*(p_x+p_y)^40", "t*(t*p_x+t*p_y)^30/t^30"]
     for text in texts:
         with pytest.raises(CapExceededError, match=f"exceeds word-length limit {guard}$"):
             parse_expr(text, ctx)
@@ -518,8 +519,9 @@ def test_a_shared_memo_builds_what_fresh_parses_build(doc, settings_, monkeypatc
 
 def _parsed(text, context, memo):
     """The value and the loss of one Parser pass over text at context's
-    order, reading and filling memo."""
-    parser = exprparse.Parser(context, (text, *exprparse._lex(text)), memo)
+    order, reading and filling memo, under the guard MIN_GUARD."""
+    parser = exprparse.Parser(context, (text, *exprparse._lex(text)), memo,
+                              exprparse.MIN_GUARD)
     return parser.parse(), parser.loss
 
 
