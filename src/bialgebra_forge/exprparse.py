@@ -650,16 +650,14 @@ def word_bound(context: Context, relations, coproducts) -> int:
     for base, values in ((2, relations), (1, coproducts)):
         for value in values:
             split = value._factors
-            # a key's rate is largest at its lowest degree, its first pair's
-            for key, pairs in value.groups().items():
+            for key, m in value.terms:
                 extra = sum(map(len, split(key))) - base
                 if extra > 0:
-                    degree = pairs[0][0] >> shift
-                    if degree == 0:
+                    if m >> shift == 0:
                         term = " (x) ".join(word_str(w, context.basis) for w in split(key))
                         raise CapExceededError(f"coproduct term {term} has parameter degree 0 "
                                                "and more than one letter: no bound on word length")
-                    bound = max(bound, _UNITS + extra * order // degree)
+                    bound = max(bound, _UNITS + extra * order // (m >> shift))
     cap = context.cap
     if bound > (MAX_WORD_LENGTH if cap is None else cap):
         raise CapExceededError(f"word-length bound {bound} at order {context.order} exceeds "
