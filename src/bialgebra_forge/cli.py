@@ -308,9 +308,6 @@ def cmd_expand(args) -> int:
         raise InputError("--up-to needs three exponent bounds")
     if min(up_to) < 0:
         raise InputError(f"--up-to bounds must not be negative, got {args.up_to!r}")
-    if min(up_to) == 0:
-        # the order-2 and order-3 checks read each role's degree-1 terms
-        raise InputError(f"--up-to bounds must be at least 1, got {args.up_to!r}")
     check_roles(roles, context.params)
     H = doc.build_presentation(context)
     report = Report("expand", _settings(context))

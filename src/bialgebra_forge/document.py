@@ -399,8 +399,8 @@ def read_expectation(body, names, ref) -> dict:
     """A tangent expectation body, checked against the generator names:
     {"mode": "leading" | "exact", "mu": [(left, right, text)],
     "delta": [(generator, text)]}. The mode defaults to leading; any key
-    outside EXPECTATION_KEYS is an input error. ref names the expectation
-    in messages."""
+    outside EXPECTATION_KEYS, or outside an entry's names and value, is
+    an input error. ref names the expectation in messages."""
     _typed(body, dict, f"expectation {ref}")
     _known_keys(body, EXPECTATION_KEYS, f"expectation {ref}")
     out = {"mode": body.get("mode", "leading")}
@@ -409,6 +409,8 @@ def read_expectation(body, names, ref) -> dict:
     for kind, keys in (("mu", ("left", "right")), ("delta", ("generator",))):
         rows = out[kind] = []
         for e in _typed(body.get(kind, []), list, f"expectation {kind}"):
+            if isinstance(e, dict):
+                _known_keys(e, (*keys, "value"), f"expectation {kind} entry")
             fields = [e.get(k) for k in (*keys, "value")] if isinstance(e, dict) else [e]
             if not all(isinstance(f, str) for f in fields):
                 raise DocumentError(

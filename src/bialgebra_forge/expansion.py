@@ -57,12 +57,10 @@ class CoefficientTable:
         return all(e <= b for e, b in zip(multi, self.bounds))
 
     def require(self, multis):
+        """Each of multis lies within the order, through which the table
+        holds every role monomial whatever its bounds; else an input
+        error."""
         for multi in multis:
-            if not self.within(multi):
-                raise InputError(
-                    f"coefficient table missing multi-index {multi}; "
-                    f"extracted bounds are {self.bounds}"
-                )
             if sum(multi) > self.order:
                 raise InputError(
                     f"multi-index {multi} lies above order {self.order}; "
@@ -117,8 +115,8 @@ def first_order_slices(H: HopfPresentation, context: Context, exponents):
 def extract_coefficients(H: HopfPresentation, up_to=(2, 2, 2), roles=("t", "h", "z")) -> CoefficientTable:
     """Collect the bracket and cobracket coefficients of a 3-parameter
     presentation per role monomial, at every one through the
-    presentation's order, through which each is exact. up_to bounds the
-    exponents that the table's readers may ask for (require)."""
+    presentation's order, through which each is exact. up_to bounds only
+    the exponents that a report prints (within)."""
     params = H.context.params
     check_roles(roles, params)
     idx = [params.index(r) for r in roles]

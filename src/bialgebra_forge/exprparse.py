@@ -50,8 +50,8 @@ the product of two single-term values (a number, i, a parameter, a
 generator, a power of one, a memo hit holding one term) is formed
 directly as one term by ncpoly.term_product: the packed monomials add,
 the term drops when its degree passes the parse order, and only a term
-that stays has its word held to the guard. NCPoly.times forms a
-product of two single terms by the same rule, so each factor of a power
+that stays has its word held to the word-length limit. NCPoly.times
+forms a product of two single terms by the same rule, so each factor of a power
 or series of a single term is one term too. Any other product with a
 word-free factor scales the other factor's coefficients, and the rest
 multiply word by word. A sum
@@ -63,16 +63,23 @@ identifier.
 Parentheses, function calls and unary minus nest at most MAX_NESTING
 levels deep; deeper input is a syntax error. A power whose constant term
 would outgrow the digits a coefficient may print is an input error,
-raised before the power is computed (scalars.check_power). Every product
-holds its words to a guard (Parser.longest), fixed once per parse_expr
-call: the cap when one is given, else 3 + the context's order + slack and
-at least MIN_GUARD. The parse again at order + loss keeps it, so no
-divisor in the text widens it. A word such as p_x^200 is refused at its
-first letter past the guard, before a power or series builds more.
+raised before the power is computed (scalars.check_power).
+
+The parser bounds each value before it forms it, against two numbers:
+the word-length limit (word_limit: the cap when one is given, else
+MAX_WORD_LENGTH) and the term limit MAX_TERMS. A product or tensor join
+of an a-term and a b-term operand is refused when a*b passes MAX_TERMS,
+and a product word that survives truncation and passes the word-length
+limit is refused. A power or series whose base has T terms and a
+longest word of l letters can multiply at most k word factors, k the
+most whose degrees fit under the parse order (Parser._check_growth); it
+is refused when k*l passes the word-length limit or T^k passes
+MAX_TERMS. So p_x^200 and (p_x+p_y)^40 stop before any product is
+formed. Neither number reads the order or the slack.
 
 word_bound is the one check of word length after the parse: it derives
 from a presentation's tables the longest word its checks can form and
-holds that to the cap, or to MAX_WORD_LENGTH when no cap is given.
+holds that to the same word-length limit.
 """
 
 from __future__ import annotations
@@ -98,16 +105,24 @@ from .tensors import Basis
 # deepest nesting of parentheses, function calls and unary minus; deeper
 # input would exhaust the interpreter stack of this recursive parser
 MAX_NESTING = 100
-# the largest word bound (word_bound) a build may derive when no cap is
-# given: a resource guard, like MAX_NESTING, and not a setting
+# the longest word a parse may form and the largest word bound
+# (word_bound) a build may derive when no cap is given (word_limit): a
+# resource guard, like MAX_NESTING, and not a setting
 MAX_WORD_LENGTH = 64
+# the most terms a product, tensor join, power or series of the parser
+# may form: a resource guard, like MAX_NESTING, and not a setting. The
+# largest value a bundled or tested presentation forms holds 21,845 terms
+MAX_TERMS = 2 ** 18
 # the generator units a check multiplies at most: presentation-Jacobi
 # forms a relation term (two units) times a generator (word_bound)
 _UNITS = 3
-# the fewest letters the parser's guard allows at any order
-# (Parser.longest): a document written at the default order and slack,
-# whose words reach 10 letters, reads at every lower order too
-MIN_GUARD = 10
+
+
+def word_limit(context: Context) -> int:
+    """The longest word a parse over context may form and the largest
+    word bound its build may derive: the cap when one is given, else
+    MAX_WORD_LENGTH."""
+    return MAX_WORD_LENGTH if context.cap is None else context.cap
 
 
 # the one identifier rule: the lexer reads it, and check_names holds
@@ -221,8 +236,7 @@ def _monomial_product(left, right):
 
 class Parser:
     """One parse of a lexed expression at context's order. source is the
-    text and the token lists and closing table of _lex, and longest the
-    guard that parse_expr fixes for its call. memo, which the
+    text and the token lists and closing table of _lex. memo, which the
     caller owns for one context, maps (order, text) of an identifier to
     its value and of a group, call or power to (value, loss, nesting
     height) (_memoised), and a parse order to its working context
@@ -233,10 +247,10 @@ class Parser:
     it; the arity, 1 for a word polynomial and 2 for a tensor square; and
     the pending parameter-monomial divisor {name: power}."""
 
-    def __init__(self, context: Context, source, memo: dict, longest: int):
+    def __init__(self, context: Context, source, memo: dict):
         self.context = context
         self.limit = context.monomials.limit(context.order)
-        self.longest = longest  # the guard: the longest word a product may form
+        self.longest = word_limit(context)  # the longest word a product may form
         self.text, self.kinds, self.values, self.positions, self.closing = source
         self.memo = memo
         self.at = 0
@@ -259,6 +273,43 @@ class Parser:
     def _fail(self, message, at=None):
         """Raise a syntax error at token at (default: the next one)."""
         raise ExprSyntaxError(message, self.positions[self.at if at is None else at])
+
+    def _check_terms(self, what, a, b):
+        """Refuse a product or tensor join of an a-term and a b-term
+        operand when it can form more than MAX_TERMS terms."""
+        if a * b > MAX_TERMS:
+            raise CapExceededError(f"{what} of {a} and {b} terms exceeds the "
+                                   f"term limit {MAX_TERMS}")
+
+    def _check_growth(self, start, terms, n=None):
+        """Refuse the power (n factors) or series (n None) of the base
+        terms, read from token start through the last token read, before
+        it is formed, when it can form a word past the word-length limit
+        or more than MAX_TERMS terms. Each factor from the word part has
+        at least its lowest degree d, so a product keeps at most k =
+        order // d of them, and a power takes at most n (any number when
+        d = 0). So no word formed has more than k*l letters, l the
+        base's longest word, and no product more than T^k terms, T the
+        base's terms. A base with no word forms none, and series_apply
+        refuses a series of a degree-0 argument."""
+        degrees = [m for w, m in terms if w]
+        if not degrees:
+            return
+        low = self.context.monomials.degree(min(degrees))
+        k = self.context.order // low if low else n
+        if k is None:
+            return
+        if n is not None:
+            k = min(k, n)
+        text = self._text_key(start, self.at - 1)[1]
+        letters = k * max(len(w) for w, _ in terms)
+        if letters > self.longest:
+            raise CapExceededError(f"{text!r} can form words of {letters} letters, past "
+                                   f"the word-length limit {self.longest}")
+        # past MAX_TERMS' bit length, k factors of any T > 1 pass it already
+        if len(terms) ** min(k, MAX_TERMS.bit_length()) > MAX_TERMS:
+            raise CapExceededError(f"{text!r} can form {len(terms)}^{k} terms, past the "
+                                   f"term limit {MAX_TERMS}")
 
     def _poly(self, terms, arity):
         """The NCPoly (arity 1) or TensorNCPoly holding terms."""
@@ -350,6 +401,7 @@ class Parser:
         (lterms, larity, lden), (rterms, rarity, rden) = left, right
         if larity != 1 or rarity != 1:
             self._fail("nested tensor join")
+        self._check_terms("tensor join", len(lterms), len(rterms))
         if len(lterms) == 1 == len(rterms):
             [((w1, m1), c1)] = lterms.items()
             [((w2, m2), c2)] = rterms.items()
@@ -373,23 +425,32 @@ class Parser:
         return terms, arity, den
 
     def _times(self, left, right):
-        """The terms of left * right for two word term maps, every word
-        held to the guard. Two single terms make at most one
+        """The terms of left * right for two word term maps, each operand
+        pair counted against MAX_TERMS and every kept word held to the
+        word-length limit. Two single terms make at most one
         (ncpoly.term_product, under the rules of NCPoly.times). Otherwise
-        a word-free side multiplies the other's coefficients; no word
-        changes length, and every longer word was made by a product that
-        held it to the guard."""
+        a word-free side multiplies the other's coefficients, and no word
+        changes length."""
         if len(left) == 1 == len(right):
             [term] = left.items()
             [other] = right.items()
-            term = term_product(term, other, self.context, self.limit, self.longest)
-            return {} if term is None else {term[0]: term[1]}
-        left, right = self._poly(left, 1), self._poly(right, 1)
-        for side, other in ((left, right), (right, left)):
-            groups = side.groups()
-            if len(groups) == 1 and () in groups:
-                return other.scaled(groups[()]).terms
-        return left.times(right, longest=self.longest).terms
+            term = term_product(term, other, self.limit)
+            if term is None:
+                return {}
+            word, terms = term[0][0], {term[0]: term[1]}
+        else:
+            self._check_terms("product", len(left), len(right))
+            left, right = self._poly(left, 1), self._poly(right, 1)
+            for side, other in ((left, right), (right, left)):
+                groups = side.groups()
+                if len(groups) == 1 and () in groups:
+                    return other.scaled(groups[()]).terms
+            terms = left.times(right).terms
+            word = max((w for w, _ in terms), key=len, default=())
+        if len(word) > self.longest:
+            raise CapExceededError(f"word {word_str(word, self.context.basis)} exceeds "
+                                   f"word-length limit {self.longest}")
+        return terms
 
     def _factor(self):
         start = self.at
@@ -453,7 +514,8 @@ class Parser:
         terms = self._resolve(value)
         if value[1] != 1:
             self._fail("series functions take non-tensor arguments", at)
-        return series_apply(name, self._poly(terms, 1), self.longest).terms, 1, _NO_DIVISOR
+        self._check_growth(at, terms)
+        return series_apply(name, self._poly(terms, 1)).terms, 1, _NO_DIVISOR
 
     def _atom(self, name, at):
         """The terms of the identifier name, read at token at: i, a
@@ -478,16 +540,17 @@ class Parser:
             if kind == "CARET":
                 self.at += 1
                 at = self._expect("NUMBER")
-                value = self._memoised(start, at, self._power, value, at)
+                value = self._memoised(start, at, self._power, value, start, at)
             elif kind == "SLASH":
                 self.at += 1
                 value = self._division(value)
             else:
                 return value
 
-    def _power(self, value, at):
-        """value, a factor read already (identifier or group memo hit and
-        all), raised to the natural at token at. _postfix reads it through
+    def _power(self, value, start, at):
+        """value, a factor read from token start already (identifier or
+        group memo hit and all), raised to the natural at token at, its
+        growth checked first (_check_growth). _postfix reads it through
         _memoised, keyed by the factor's text through its exponent, so
         each distinct power is raised once per order."""
         n = self.values[at]
@@ -510,9 +573,10 @@ class Parser:
         if sum(exps) <= context.order:
             constant = terms.get(((), context.monomials.pack(exps)), ZERO)
         check_power(constant, n)
+        self._check_growth(start, terms, n)
         if den:
             den = {name: power * n for name, power in den.items()}
-        return self._poly(terms, 1).raised(n, self.longest).terms, 1, den
+        return self._poly(terms, 1).raised(n).terms, 1, den
 
     def _division(self, value):
         terms, arity, den = value
@@ -579,13 +643,10 @@ def parse_expr(text: str, context: Context, *, _memo=None):
     order, slack = context.order, context.slack
     source = (text, *_lex(text))
     memo = {} if _memo is None else _memo
-    # the guard is fixed here, from the caller's order and slack: the loss,
-    # which the text sets, raises the parse order again but not the guard
-    longest = max(MIN_GUARD, _UNITS + order + slack) if context.cap is None else context.cap
-    parser = Parser(_working(context, order + slack, memo), source, memo, longest)
+    parser = Parser(_working(context, order + slack, memo), source, memo)
     poly = parser.parse()
     if parser.loss > slack:
-        poly = Parser(_working(context, order + parser.loss, memo), source, memo, longest).parse()
+        poly = Parser(_working(context, order + parser.loss, memo), source, memo).parse()
     return poly.repack(context)
 
 
@@ -612,9 +673,8 @@ def parse_scalar_text(text: str) -> Scalar:
 def word_bound(context: Context, relations, coproducts) -> int:
     """B, the longest word that the checks of a presentation over context
     can form, from its relation right-hand sides and its coproducts
-    (NCPoly and TensorNCPoly values). B is held to context's cap, or to
-    MAX_WORD_LENGTH when no cap is given: a larger B is a
-    CapExceededError that names it.
+    (NCPoly and TensorNCPoly values). B is held to word_limit(context): a
+    larger B is a CapExceededError that names it.
 
     The rate rho is the largest (letters - base) / degree over the terms
     of these values, a term's letters summed over its tensor factors and
@@ -658,8 +718,8 @@ def word_bound(context: Context, relations, coproducts) -> int:
                         raise CapExceededError(f"coproduct term {term} has parameter degree 0 "
                                                "and more than one letter: no bound on word length")
                     bound = max(bound, _UNITS + extra * order // (m >> shift))
-    cap = context.cap
-    if bound > (MAX_WORD_LENGTH if cap is None else cap):
+    limit = word_limit(context)
+    if bound > limit:
         raise CapExceededError(f"word-length bound {bound} at order {context.order} exceeds "
-                               + (f"the limit {MAX_WORD_LENGTH}" if cap is None else f"cap {cap}"))
+                               + (f"the limit {limit}" if context.cap is None else f"cap {limit}"))
     return bound

@@ -2,11 +2,10 @@
 
 Words are tuples of generator indices; the empty word is the unit.
 Coefficients lie in Q(i)[params] truncated at the context's order, where
-truncated arithmetic is exact. A product holds its words to a longest
-word only when it is given one (the parser's guard, exprparse): a product
-whose coefficient survives truncation but whose word is longer is then a
-hard error. Word length needs no other check: a built presentation proves
-one bound on every word its checks form (exprparse.word_bound).
+truncated arithmetic is exact. No operation here checks a word's
+length or a value's size: the parser bounds each value it forms before
+forming it (exprparse), and a built presentation proves one bound on
+every word its checks form (exprparse.word_bound).
 
 Word polynomials (NCPoly, keyed by words) and their tensor squares and
 cubes (TensorNCPoly, keyed by tuples of words) share one implementation
@@ -23,8 +22,8 @@ m1 + m2, with no carry between fields, and the test m < limit(budget)
 says whether its degree is within a budget. So a coefficient product,
 params.coefficient_product (the one product rule, which the Lie-data
 pass shares), is one int add, one comparison and one Scalar multiply
-per pair. Work that depends only on a key (a word product, a guard
-check, a normal form) is done once per key: groups() gives each key's packed
+per pair. Work that depends only on a key (a word product, a normal
+form) is done once per key: groups() gives each key's packed
 coefficient, its (m, Scalar) pairs by ascending m, so the first pair
 holds the lowest degree. A ParamPoly appears only at the edges: the
 public constructors take {key: ParamPoly}, coefficients() and
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from types import MappingProxyType
 
-from .errors import CapExceededError, InputError, NonTerminatingSeriesError
+from .errors import InputError, NonTerminatingSeriesError
 from .params import PACKED_ONE, Monomials, ParamPoly, coefficient_product, exponent_map
 from .scalars import ONE, Scalar, power
 from .sparse import accumulate, deduct
@@ -53,9 +52,10 @@ SETTINGS = ("order", "cap", "slack")
 class Context:
     """Shared computation settings: basis, parameters, truncation. Every
     value lives at `order`; `slack` is only the parser's first-pass
-    headroom (exprparse.parse_expr). `cap`, when given, is a ceiling on
-    word length that a presentation's derived word bound must fit under
-    (exprparse.word_bound); None, the default, derives the bound alone.
+    headroom (exprparse.parse_expr). `cap`, when given, is the ceiling on
+    word length that the parser's words and a presentation's derived
+    word bound must fit under (exprparse.word_limit); None, the default,
+    leaves the fixed limit exprparse.MAX_WORD_LENGTH.
     `monomials` packs the parameter monomials through the order."""
 
     basis: Basis
@@ -92,11 +92,10 @@ class Context:
         return replace(self, params=tuple(params))
 
 
-def term_product(left, right, context: Context, limit: int, longest=None):
+def term_product(left, right, limit: int):
     """The product of two word terms ((word, m), Scalar): None when the
-    monomial is at or past limit, else the one term, whose word (the two
-    words joined) must be at most longest letters when longest is given
-    (long_word_error). NCPoly.times forms a product of two single-term
+    monomial is at or past limit, else the one term, whose word is the
+    two words joined. NCPoly.times forms a product of two single-term
     values by it; the coefficient is that of coefficient_product's
     single-pair rule, which the word kernel keeps inline."""
     (w1, m1), c1 = left
@@ -104,10 +103,7 @@ def term_product(left, right, context: Context, limit: int, longest=None):
     m = m1 + m2
     if m >= limit:
         return None
-    word = w1 + w2
-    if longest is not None and len(word) > longest:
-        raise long_word_error(word, context, longest)
-    return (word, m), c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
+    return (w1 + w2, m), c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
 
 
 def word_str(word, basis: Basis) -> str:
@@ -124,13 +120,6 @@ def word_str(word, basis: Basis) -> str:
     parts.append((run, count))
     return "*".join(
         basis.names[g] if c == 1 else f"{basis.names[g]}^{c}" for g, c in parts
-    )
-
-
-def long_word_error(word, context: Context, longest: int) -> CapExceededError:
-    """The error of a word longer than the longest word a product may form."""
-    return CapExceededError(
-        f"word {word_str(word, context.basis)} exceeds word-length limit {longest}"
     )
 
 
@@ -252,20 +241,19 @@ class _Terms:
 
     # -- free multiplication ----------------------------------------------------
 
-    def times(self, other, budget=None, longest=None):
+    def times(self, other, budget=None):
         """The product self*other, exact through parameter degree `budget`
         (default: the order), with no term above it. A key pair's word is
-        formed, and held to `longest` letters when that is given, only
-        when its coefficient product has a term through the budget: that
-        is, when the lowest degrees of the two coefficients sum to at most
-        the budget. Two single-term word polynomials make one
-        term_product."""
+        formed only when its coefficient product has a term through the
+        budget: that is, when the lowest degrees of the two coefficients
+        sum to at most the budget. Two single-term word polynomials make
+        one term_product."""
         self._same_arity(other)
         context = self.context
         limit = context.monomials.limit(context.order if budget is None else budget)
         if self.arity == 1 and len(self.terms) == 1 == len(other.terms):
             [left], [right] = self.terms.items(), other.terms.items()
-            term = term_product(left, right, context, limit, longest)
+            term = term_product(left, right, limit)
             return self._like({} if term is None else {term[0]: term[1]})
         split, join = self._factors, self._key
         right = [(split(k2), pairs2) for k2, pairs2 in other.groups().items()]
@@ -276,10 +264,7 @@ class _Terms:
                 product = coefficient_product(pairs1, pairs2, limit)
                 if not product:
                     continue
-                words = tuple(map(add, f1, f2))
-                if longest is not None and max(map(len, words)) > longest:
-                    raise long_word_error(max(words, key=len), context, longest)
-                key = join(words)
+                key = join(tuple(map(add, f1, f2)))
                 for m, c in product:
                     accumulate(out, (key, m), c)
         return self._like(out)
@@ -408,13 +393,11 @@ class NCPoly(_Terms):
     def from_coeff(cls, context, coeff: ParamPoly):
         return cls(context, {(): coeff})
 
-    def raised(self, n: int, longest=None):
+    def raised(self, n: int):
         """(C + N)^n = sum_k binom(n, k) C^(n-k) N^k, for the empty-word
         coefficient C, which is central, and the word part N. N^k takes
-        one factor at a time, so a word past `longest` (when given)
-        raises, and the sum stops once N^k is zero, by k = longest + 1 at
-        the latest. With C = 0 only the k = n term is nonzero: the power
-        is N^n."""
+        one factor at a time, and the sum stops once N^k is zero. With
+        C = 0 only the k = n term is nonzero: the power is N^n."""
         if n < 0:
             raise InputError(f"negative power {n} of a polynomial")
         constant = self.groups().get(())
@@ -422,7 +405,7 @@ class NCPoly(_Terms):
         if not constant:
             power = NCPoly.unit(self.context)
             for _ in range(n):
-                power = power.times(words, longest=longest)
+                power = power.times(words)
                 if not power:
                     break
             return power
@@ -432,7 +415,7 @@ class NCPoly(_Terms):
             return out
         power, binomial = NCPoly.unit(self.context), 1
         for k in range(1, n + 1):
-            power = power.times(words, longest=longest)
+            power = power.times(words)
             if not power:
                 break
             binomial = binomial * (n + 1 - k) // k
@@ -552,9 +535,8 @@ def _series_coeffs(fn: str, max_k: int) -> list:
     return [(k, table[k]) for k in range(first, max_k + 1, step)]
 
 
-def series_apply(fn: str, arg: NCPoly, longest=None) -> NCPoly:
-    """Taylor series of exp/sinh/cosh at a parameter-weighted argument,
-    each power's words held to `longest` letters when that is given.
+def series_apply(fn: str, arg: NCPoly) -> NCPoly:
+    """Taylor series of exp/sinh/cosh at a parameter-weighted argument.
 
     Every term of arg must carry parameter degree >= 1 so that the
     series terminates at the context's order.
@@ -571,7 +553,7 @@ def series_apply(fn: str, arg: NCPoly, longest=None) -> NCPoly:
     next_k = 0
     for k, coeff in _series_coeffs(fn, max_k):
         while next_k < k and power:
-            power = power.times(arg, longest=longest)
+            power = power.times(arg)
             next_k += 1
         for term, c in power.terms.items():
             accumulate(out, term, coeff * c)

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import contextlib
 import io
 import json
@@ -194,7 +195,7 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert "(0," not in err
-    # expand bounds that are not integers or are below 1, one parameter
+    # expand bounds that are not integers or are negative, one parameter
     # in two roles and a role that is no parameter, each refused before
     # the presentation is built
     def unbuilt(self, context):
@@ -204,9 +205,6 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
     for flags, message in (
         (["--up-to", "x,1,1"], "--up-to needs three integer exponent bounds"),
         (["--up-to=-1,2,2"], "--up-to bounds must not be negative, got '-1,2,2'"),
-        # the order-2 and order-3 checks read every role's degree-1 terms
-        (["--roles", "t,h,z1", "--up-to", "0,2,2"],
-         "--up-to bounds must be at least 1, got '0,2,2'"),
         (["--roles", "t,t,h"], "name one parameter twice"),
         (["--roles", "t,h,w"], "presentation lacks parameters ('t', 'h', 'w')"),
         (["--roles", "t,h"], "--roles needs three parameter names"),
@@ -326,6 +324,11 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
          "tensor products beyond a square are not supported (at position 10)"),
         ("tensor mu value", {"mu": [{"left": "l_x", "right": "l_y", "value": "l_x (x) 1"}]},
          "mu(l_x,l_y) given a tensor expression"),
+        # an entry key the schema does not name, beside a matching field
+        ("mode in an entry", _h_field_entry("mu", mode="exact"),
+         "unknown key 'mode' in expectation mu entry; expected one of left, right, value"),
+        ("misspelt value key", _h_field_entry("delta", vaule="0"),
+         "unknown key 'vaule' in expectation delta entry; expected one of generator, value"),
     ):
         path = tmp_path / "expect.json"
         path.write_text(json.dumps(body))
@@ -333,6 +336,18 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
                              "--expect", str(path))
         assert code == 2 and out == "", label
         assert err.startswith("error: ") and message in err, (label, err)
+    # the unknown-entry-key rows' fixture, unaltered, passes
+    path.write_text(json.dumps(_h_field_entry("mu")))
+    code, out, _ = run(capsys, "tangent", str(diag), "--direction", "h", "--expect", str(path))
+    assert code == 0 and "[pass] field matches expectation" in out
+
+
+def _h_field_entry(kind, **extra):
+    """The h-field expectation, which the diagonal's h field matches,
+    with extra keys in its first kind entry."""
+    body = copy.deepcopy(bf.load_tangent_fixtures()["h-field"])
+    body[kind][0].update(extra)
+    return body
 
 
 def test_huge_power_of_a_vanishing_term(tmp_path, capsys):
@@ -686,23 +701,39 @@ def test_hopf_runs_each_check_once_in_first_requested_order(capsys):
     assert code == 2 and out == "" and err == "error: unknown hopf check 'bogus'\n"
 
 
-# one presentation field of a document, each made hostile in one way
+def _bracket_rhs(rhs, **settings):
+    """A change of a document: its first bracket's rhs, and settings."""
+    def alter(data):
+        data["presentation"]["brackets"][0]["rhs"] = rhs
+        data["settings"].update(settings)
+    return alter
+
+
+# a document, each made hostile in one way
 _HOSTILE = {
-    "cube coproduct": lambda p: p["coproducts"].update(
+    "cube coproduct": lambda d: d["presentation"]["coproducts"].update(
         p_x="p_x (x) 1 (x) 1 + 1 (x) p_x (x) 1"),
-    "non-tensor coproduct": lambda p: p["coproducts"].update(p_x="p_x"),
-    "tensor bracket rhs": lambda p: p["brackets"][0].update(rhs="p_x (x) p_y"),
-    "1 (x) 1 coproduct term": lambda p: p["coproducts"].update(
-        p_x=p["coproducts"]["p_x"] + " + 1 (x) 1"),
-    "undeclared counit key": lambda p: p["counit"].update(q="0"),
-    # words past the parser's guard, refused at their first letter past
-    # it: a power of a generator, and a power of a sum, before it builds
-    # every word of the sum's power
-    "long power bracket rhs": lambda p: p["brackets"][0].update(rhs="t*p_x^200"),
-    "long sum power bracket rhs": lambda p: p["brackets"][0].update(rhs="t*(p_x+p_y)^40"),
-    # a divisor raises the order of the parse again, but not the guard
-    "divided power bracket rhs": lambda p: p["brackets"][0].update(
-        rhs="t*(t*p_x+t*p_y)^30/t^30"),
+    "non-tensor coproduct": lambda d: d["presentation"]["coproducts"].update(p_x="p_x"),
+    "tensor bracket rhs": _bracket_rhs("p_x (x) p_y"),
+    "1 (x) 1 coproduct term": lambda d: d["presentation"]["coproducts"].update(
+        p_x=d["presentation"]["coproducts"]["p_x"] + " + 1 (x) 1"),
+    "undeclared counit key": lambda d: d["presentation"]["counit"].update(q="0"),
+    # values past the parser's limits, refused before they are formed: a
+    # power past the word-length limit, and powers, a series and a tensor
+    # join past the term limit, which neither the order nor the slack
+    # widens; before the term limit the slack-40 power, the 6-term power
+    # and the series each ran out of memory
+    "long power bracket rhs": _bracket_rhs("t*p_x^200"),
+    "long sum power bracket rhs": _bracket_rhs("t*(p_x+p_y)^40"),
+    "divided power bracket rhs": _bracket_rhs("t*(t*p_x+t*p_y)^30/t^30"),
+    "sum power at slack 40": _bracket_rhs("t*(p_x+p_y)^40", slack=40),
+    "6-term power bracket rhs": _bracket_rhs("t*(p_x+p_y+p_z+l_x+l_y+l_z)^9"),
+    "6-term series at order 12": _bracket_rhs("t*exp(t*(p_x+p_y+p_z+l_x+l_y+l_z))",
+                                              order=12),
+    "long tensor join": lambda d: d["presentation"]["coproducts"].update(
+        p_x=d["presentation"]["coproducts"]["p_x"] + " + t*(p_x+p_y)^10 (x) (p_x+p_y)^10"),
+    # a word-length limit that a document's cap sets
+    "power past the cap": _bracket_rhs("t*p_x^12", cap=7),
 }
 
 
@@ -723,12 +754,32 @@ def test_hostile_presentations_are_input_errors(tmp_path, capsys):
         extra = [("@corrected", ["check", "four-pairs"])] if "counit" in label else []
         for source, argv in commands + extra:
             data = json.loads(json.dumps(documents[source]))
-            alter(data["presentation"])
+            alter(data)
             path = tmp_path / "hostile.json"
             path.write_text(json.dumps(data))
             code, out, err = run(capsys, *argv, str(path))
             assert code == 2 and out == "", (label, argv, code)
             assert err.startswith("error: ") and err.count("\n") == 1, (label, argv, err)
+            assert "MemoryError" not in err, (label, argv)
+
+
+def test_a_presentation_that_gains_many_letters_per_degree_needs_no_cap(tmp_path, capsys):
+    """A bracket rhs t*p_x^12 gains 10 letters at one degree: its build
+    derives the word bound 53, under the limit 64, so hopf all runs with
+    no --cap and reports what --cap 64 reports; a cap below the power's
+    12 letters refuses it."""
+    data = bf.load_bundled("corrected").to_dict()
+    _bracket_rhs("t*p_x^12")(data)
+    path = tmp_path / "gains.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hopf", "all", str(path))
+    assert code == 1 and err == "" and "[FAIL] presentation-jacobi" in out
+    capped = run(capsys, "hopf", "all", str(path), "--cap", "64")
+    assert capped == (1, out.replace("settings: ", "settings: cap=64, "), "")
+    code, out, err = run(capsys, "hopf", "all", str(path), "--cap", "7")
+    assert code == 2 and out == ""
+    assert err == ("error: 'p_x^12' can form words of 12 letters, past the "
+                   "word-length limit 7\n")
 
 
 def test_document_antipode_is_rejected(tmp_path, capsys):
@@ -886,6 +937,23 @@ def test_expand_exclusion_failure_names_the_entries(tmp_path, capsys):
     assert code == 1
     assert ("[FAIL] expansion exclusions: delta_100: p_x->1/2*l_x^l_y; "
             "mu_010: (p_x,p_z)->-1*l_x\n") in out
+
+
+def test_expand_bounds_choose_only_the_printed_coefficients(capsys):
+    """The order-2 and order-3 checks read every role monomial through the
+    order, so a bound of 0 is no error and the verdicts at any --up-to
+    are those at the default; only the printed notes differ."""
+    def verdicts(out):
+        return [line for line in out.splitlines() if not line.startswith("note: mu_")
+                and not line.startswith("note: delta_")]
+
+    code, full, err = run(capsys, "expand", "@corrected", "--roles", "t,h,z1")
+    assert (code, err) == (0, "")
+    for bounds in ("0,2,2", "1,0,1", "0,0,0"):
+        got = run(capsys, "expand", "@corrected", "--roles", "t,h,z1", "--up-to", bounds)
+        assert (got[0], got[2]) == (0, ""), bounds
+        assert verdicts(got[1]) == verdicts(full), bounds
+    assert "note: mu_" in full and "note: mu_" not in got[1]
 
 
 def test_expand_exclusions_do_not_depend_on_the_bounds(tmp_path, capsys):

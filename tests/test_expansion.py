@@ -280,9 +280,18 @@ def test_order3_detects_spurious_coefficient():
 
 
 def test_order3_reports_missing_bounds():
-    table = bf.extract_coefficients(diagonal5(), up_to=(1, 1, 0), roles=("t", "h", "z"))
-    with pytest.raises(InputError):
-        bf.verify_order3_thz(table)
+    # the table holds every role monomial through the order whatever its
+    # bounds, so the checks read the same coefficients at any bounds ...
+    for bounds in ((1, 1, 0), (1, 0, 1), (0, 0, 0)):
+        table = bf.extract_coefficients(diagonal5(), up_to=bounds, roles=("t", "h", "z"))
+        assert (table.mu, table.delta) == (TABLE.mu, TABLE.delta)
+        assert bf.verify_order3_thz(table).ok == bf.verify_order3_thz(TABLE).ok
+        assert bf.verify_order2(table).ok == bf.verify_order2(TABLE).ok
+    # ... and a multi-index above the order, where no coefficient is
+    # exact, is what the checks report missing
+    low = dataclasses.replace(TABLE, order=1)
+    with pytest.raises(InputError, match=r"multi-index \(1, 1, 0\) lies above order 1"):
+        bf.verify_order3_thz(low)
 
 
 # -- tangent fields -------------------------------------------------------------------

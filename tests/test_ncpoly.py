@@ -10,12 +10,12 @@ from bialgebra_forge import ncpoly
 from bialgebra_forge.errors import (
     CapExceededError, InexactDivisionError, InputError, NonTerminatingSeriesError,
 )
-from bialgebra_forge.exprparse import _divide
+from bialgebra_forge.exprparse import MAX_TERMS, _divide, parse_expr
 from bialgebra_forge.ncpoly import (
     Context, NCPoly, TensorNCPoly, _series_coeffs, outer, series_apply, tensor,
 )
 from bialgebra_forge.params import ParamPoly
-from bialgebra_forge.scalars import I, ONE, Scalar
+from bialgebra_forge.scalars import I, ONE, Scalar, format_scalar
 from bialgebra_forge.tensors import Basis
 
 from conftest import terms_through
@@ -61,21 +61,27 @@ def test_coefficients_multiply():
 
 
 def test_cap_exceeded_is_reported():
-    # a product given a longest word (the parser's guard) holds its words
-    # to it; a product given none forms any word
-    word = gen(A)
-    for _ in range(7):
-        word = word.times(gen(A), longest=CTX.cap)
+    # the parser holds every product word it keeps to the word-length
+    # limit, here the cap, whether its operands are single terms or not;
+    # a product in the kernel forms any word
+    assert list(parse_expr("a^8", CTX).coefficients()) == [(A,) * 8]
     with pytest.raises(CapExceededError, match=r"^word a\^9 exceeds word-length limit 8$"):
-        word.times(gen(A), longest=CTX.cap)
-    assert list((word * gen(A)).coefficients()) == [(A,) * 9]
+        parse_expr("a^8*a", CTX)
+    with pytest.raises(CapExceededError, match="exceeds word-length limit 8$"):
+        parse_expr("(a+b)^4*(a+u*b)^5", CTX)
+    word = gen(A)
+    for _ in range(8):
+        word = word * gen(A)
+    assert list(word.coefficients()) == [(A,) * 9]
 
 
 def test_cap_not_triggered_by_truncated_coefficients():
     # both factors carry parameter degree 4; the product's coefficient
     # truncates to zero before the word-length check fires
+    assert not parse_expr("(u^4*a^4)*(u^4*a^4)", CTX)
+    assert not parse_expr("(u^4*a^4 + u^4*b^4)*(u^4*a^4 + v^4*b^4)", CTX)
     p = NCPoly(CTX, {(A,) * 4: CTX.param_poly("u") ** 4})
-    assert not p.times(p, longest=CTX.cap)
+    assert not p * p
 
 
 # -- series ---------------------------------------------------------------------
@@ -238,59 +244,80 @@ def test_power_without_constant_term_is_the_word_power():
         for p in (words, words + param("v")):
             for n in range(5):
                 assert p ** n == _stepwise_power(p, n), (p, n)
-    with pytest.raises(CapExceededError):
-        (gen(A) + gen(B)).raised(9, CTX.cap)
+    # the parser refuses a power whose words could pass the cap
+    with pytest.raises(CapExceededError, match="words of 9 letters, past the word-length"):
+        parse_expr("(a+b)^9", CTX)
 
 
 def test_word_power_stops_once_zero():
     # u*a has parameter degree k in its k-th power: zero past the order,
-    # before the word reaches the cap, however large the exponent
-    assert (param("u") * gen(A)).raised(100000000, CTX.cap) == NCPoly.zero(CTX)
-    with pytest.raises(CapExceededError):
-        gen(A).raised(9, CTX.cap)
+    # however large the exponent, and the parser counts no factor past it
+    assert (param("u") * gen(A)).raised(100000000) == NCPoly.zero(CTX)
+    assert parse_expr("(u*a)^100000000", CTX) == NCPoly.zero(CTX)
+    with pytest.raises(CapExceededError, match="words of 9 letters"):
+        parse_expr("a^9", CTX)
 
 
-def _stepwise_power(p, n, longest=None):
-    """p^n as n products, each holding its words to longest when that is
-    given, stopping once the product is zero."""
+def _stepwise_power(p, n):
+    """p^n as n products, stopping once the product is zero."""
     out = NCPoly.unit(p.context)
     for _ in range(n):
-        out = out.times(p, longest=longest)
+        out = out * p
         if not out:
             break
     return out
 
 
-def _outcome(power):
-    try:
-        return "value", power()
-    except CapExceededError as error:
-        return "cap", str(error)
+def _text(terms, basis):
+    """Parser text of the sum of coefficient*u^i*v^j*word over terms, a
+    list of (word, (i, j), Scalar)."""
+    parts = []
+    for word, exps, coeff in terms:
+        factors = [f"({format_scalar(coeff)})"]
+        factors += [f"{name}^{e}" for name, e in zip("uv", exps) if e]
+        if word:
+            factors.append(ncpoly.word_str(word, basis))
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 def test_powers_match_stepwise_products_on_random_polynomials():
-    """Same value, or the same CapExceededError, as the step-by-step
-    product, each holding words to the cap, for word polynomials with and
-    without an empty-word term."""
+    """The parser's power is the step-by-step product, for word
+    polynomials with and without an empty-word term, and the kernel's
+    power is the same; the parser refuses the power, before forming it,
+    exactly when its k factors of the word part (n, or fewer when every
+    word term carries a parameter degree) could pass the cap by k times
+    the longest word or MAX_TERMS by T^k terms, and no word of a power it
+    forms passes the cap."""
     rng = random.Random(7)
+    refused = 0
     for _ in range(3000):
         ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(2, 5),
                       cap=rng.randint(2, 6), slack=0)
-        terms = {}
+        terms = []
         for _ in range(rng.randint(1, 4)):
             word = tuple(rng.randrange(2) for _ in range(rng.choice((0, 0, 1, 1, 2, 3))))
+            # a base word past the cap is refused as the base is read
+            word = word[:ctx.cap]
             exps = (rng.randint(0, 2), rng.randint(0, 1))
-            coeff = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
-            terms[word] = terms.get(word, ctx.zero_poly()) + ParamPoly(
-                ctx.params, ctx.order, {exps: coeff}
-            )
-        p = NCPoly(ctx, terms)
+            terms.append((word, exps, Scalar(rng.randint(-2, 2), rng.randint(-1, 1))))
+        p = NCPoly(ctx, {})
+        for word, exps, coeff in terms:
+            p = p + NCPoly(ctx, {word: ParamPoly(ctx.params, ctx.order, {exps: coeff})})
         n = rng.randint(0, 2 * ctx.cap + 2)
-        got = _outcome(lambda: p.raised(n, ctx.cap))
-        assert got == _outcome(lambda: _stepwise_power(p, n, ctx.cap)), (p, n)
-        if got[0] == "value":
-            # within the guard, a power given no longest word is the same
-            assert p ** n == got[1], (p, n)
+        degrees = [ctx.monomials.degree(m) for w, m in p.terms if w]
+        k = min(n, ctx.order // min(degrees)) if degrees and min(degrees) else n
+        longest = max((len(w) for w, _ in p.terms), default=0)
+        text = f"({_text(terms, ctx.basis)})^{n}"
+        if degrees and (k * longest > ctx.cap or len(p.terms) ** k > MAX_TERMS):
+            refused += 1
+            with pytest.raises(CapExceededError, match="can form"):
+                parse_expr(text, ctx)
+            continue
+        got = parse_expr(text, ctx)
+        assert got == _stepwise_power(p, n) == p ** n, (p, n)
+        assert all(len(w) <= ctx.cap for w in got.groups()), (p, n)
+    assert 0 < refused < 3000
 
 
 # -- degree budgets ------------------------------------------------------------------
@@ -346,30 +373,33 @@ def test_a_budgeted_product_is_the_product_through_the_budget(pair, budget):
 
 def test_a_product_of_single_terms_is_one_term_product():
     """times forms the product of two single-term word polynomials as one
-    term_product: the term pair's product through the budget, and a
-    CapExceededError exactly when that product keeps a term and its word
-    is past the longest word it is given."""
+    term_product: the term pair's product through the budget. The
+    parser forms it by the same rule, and raises CapExceededError
+    exactly when an operand's word or a kept product's word is past the
+    cap."""
     rng = random.Random(11)
     for _ in range(2000):
         ctx = Context(Basis(("a", "b")), ("u", "v"), order=rng.randint(0, 5),
                       cap=rng.randint(0, 4), slack=0)
-        single = []
+        single, texts = [], []
         for _ in range(2):
             word = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
             u = rng.randint(0, ctx.order)
             exps = (u, rng.randint(0, ctx.order - u))
             coeff = Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) or ONE
             single.append(NCPoly(ctx, {word: ParamPoly(ctx.params, ctx.order, {exps: coeff})}))
+            texts.append(f"({_text([(word, exps, coeff)], ctx.basis)})")
         a, b = single
         budget = rng.randint(0, ctx.order)
         want = terms_through(_every_pair(a, b), budget)
-        [(wa, _)], [(wb, _)] = a.coefficients().items(), b.coefficients().items()
-        if want and len(wa + wb) > ctx.cap:
-            with pytest.raises(CapExceededError, match="exceeds word-length limit"):
-                a.times(b, budget, longest=ctx.cap)
-        else:
-            assert terms_through(a.times(b, budget, ctx.cap), budget) == want, (a, b, budget)
         assert terms_through(a.times(b, budget), budget) == want, (a, b, budget)
+        [wa], [wb] = a.groups(), b.groups()
+        text = "*".join(texts)
+        if max(len(wa), len(wb)) > ctx.cap or (a * b and len(wa + wb) > ctx.cap):
+            with pytest.raises(CapExceededError, match="limit"):
+                parse_expr(text, ctx)
+        else:
+            assert parse_expr(text, ctx) == a * b, text
 
 
 @given(_wide_polys(1), _wide_polys(1), _wide_coefficients(), st.integers(0, WIDE.order))

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import bialgebra_forge as bf
-from bialgebra_forge import document, exprparse, presentation_diff
+from bialgebra_forge import document, exprparse, ncpoly, presentation_diff
 from bialgebra_forge.document import SCHEMA
 from bialgebra_forge.errors import (
     CapExceededError, ExprSyntaxError, InexactDivisionError, UnknownIdentifierError,
@@ -159,28 +159,54 @@ def test_nesting_up_to_the_limit_parses():
     assert coeff("-" * (MAX_NESTING - 1) + "t") == -CTX.param_poly("t")
 
 
-@pytest.mark.parametrize("order, slack, cap, guard", [
-    (5, 2, None, 10), (5, 0, None, 10), (2, 2, None, 10), (12, 2, None, 17),
-    (16, 2, None, 21), (5, 2, 7, 7), (12, 2, 24, 24),
+@pytest.mark.parametrize("order, slack, cap, limit", [
+    (5, 2, None, 64), (5, 0, None, 64), (2, 2, None, 64), (12, 2, None, 64),
+    (16, 2, None, 64), (5, 2, 7, 7), (12, 2, 24, 24),
 ])
-def test_the_parser_holds_each_word_to_a_guard_that_grows_with_its_order(
-        order, slack, cap, guard):
-    """The guard is the cap when one is given, else 3 + order + slack and
-    at least 10: at the default order and slack the 10 letters the old
-    default cap allowed. A word one letter past it is refused, however it
-    is formed, and a divisor that makes the text parse again at a higher
-    order does not widen it. (A power of a sum of two letters forms
-    2^guard words before the guard refuses it, so it is tried only at the
-    guard 10.)"""
+def test_the_parser_holds_each_word_to_the_word_limit(order, slack, cap, limit):
+    """The word-length limit is the cap when one is given, else 64, at
+    every order and slack. A word one letter past it is refused, whether
+    a power, a series times a power or a product forms it, and a divisor
+    that makes the text parse again at a higher order does not widen
+    it."""
     ctx = replace(context5(), order=order, slack=slack, cap=cap)
-    assert parse_expr(f"t*p_x^{guard}", ctx).terms
-    texts = [f"t*p_x^{guard + 1}", "t*p_x^200", f"t*p_x^{guard}*p_y",
-             f"t*exp(t*p_x)*p_x^{guard}", f"t*(t*p_x)^{guard + 1}/t^{guard + 1}"]
-    if guard == 10:
-        texts += ["t*(p_x+p_y)^11", "t*(p_x+p_y)^40", "t*(t*p_x+t*p_y)^30/t^30"]
-    for text in texts:
-        with pytest.raises(CapExceededError, match=f"exceeds word-length limit {guard}$"):
+    assert exprparse.word_limit(ctx) == limit
+    assert parse_expr(f"t*p_x^{limit}", ctx).terms
+    for text in (f"t*p_x^{limit + 1}", "t*p_x^200", f"t*p_x^{limit}*p_y",
+                 f"t*exp(t*p_x)*p_x^{limit}", f"t*(t*p_x)^{limit + 1}/t^{limit + 1}"):
+        with pytest.raises(CapExceededError, match=f"word-length limit {limit}$"):
             parse_expr(text, ctx)
+
+
+@pytest.mark.parametrize("settings_, text, read_first", [
+    # the first three took 18-33 s each and ended in MemoryError under a
+    # 1.5 GB address-space limit when no term limit held them
+    ({"slack": 40}, "t*(p_x+p_y)^40", None),
+    ({}, "t*(p_x+p_y+p_z+l_x+l_y+l_z)^9", None),
+    ({"order": 12}, "t*exp(t*(p_x+p_y+p_z+l_x+l_y+l_z))", None),
+    ({}, "t*(p_x+p_y)^10 (x) (p_x+p_y)^10", "(p_x+p_y)^10"),
+    ({}, "t*(t*p_x+t*p_y)^30/t^30", "(t*p_x+t*p_y)^30"),
+])
+def test_a_value_past_the_term_limit_is_refused_before_it_is_formed(
+        settings_, text, read_first, monkeypatch):
+    """A power, series or tensor join that can form more than MAX_TERMS
+    terms is refused before the kernel forms it. A legitimate part of the
+    text (the join's two powers, or the divided power at the first parse
+    order) is read into the memo first, so that no kernel product,
+    power, series or tensor runs at all after."""
+    ctx = replace(context5(), **settings_)
+    memo = {}
+    if read_first:
+        parse_expr(read_first, ctx, _memo=memo)
+
+    def unformed(*args, **kwargs):
+        raise AssertionError("the kernel formed a value the parser should refuse")
+
+    for owner, name in ((NCPoly, "raised"), (exprparse, "series_apply"),
+                        (ncpoly._Terms, "times"), (exprparse, "tensor")):
+        monkeypatch.setattr(owner, name, unformed)
+    with pytest.raises(CapExceededError, match=f"term limit {exprparse.MAX_TERMS}$"):
+        parse_expr(text, ctx, _memo=memo)
 
 
 def test_syntax_error_carries_position():
@@ -425,9 +451,9 @@ def test_a_build_does_no_per_factor_polynomial_work():
 def test_a_build_expands_each_distinct_series_once(monkeypatch):
     calls = []
 
-    def counted(fn, arg, longest):
+    def counted(fn, arg):
         calls.append(fn)
-        return series_apply(fn, arg, longest)
+        return series_apply(fn, arg)
 
     monkeypatch.setattr(exprparse, "series_apply", counted)
     doc = corrected_document()
@@ -453,9 +479,9 @@ def test_exprparse_keeps_no_module_level_mutable_state():
 def test_a_repeated_group_expands_its_series_once_per_build(monkeypatch):
     calls = []
 
-    def counted(fn, arg, longest):
+    def counted(fn, arg):
         calls.append(fn)
-        return series_apply(fn, arg, longest)
+        return series_apply(fn, arg)
 
     monkeypatch.setattr(exprparse, "series_apply", counted)
     group = "(t*sinh(z*c))"
@@ -519,9 +545,8 @@ def test_a_shared_memo_builds_what_fresh_parses_build(doc, settings_, monkeypatc
 
 def _parsed(text, context, memo):
     """The value and the loss of one Parser pass over text at context's
-    order, reading and filling memo, under the guard MIN_GUARD."""
-    parser = exprparse.Parser(context, (text, *exprparse._lex(text)), memo,
-                              exprparse.MIN_GUARD)
+    order, reading and filling memo."""
+    parser = exprparse.Parser(context, (text, *exprparse._lex(text)), memo)
     return parser.parse(), parser.loss
 
 
@@ -563,10 +588,10 @@ def test_a_build_raises_each_distinct_power_once(monkeypatch):
     memoised, raise_ = exprparse.Parser._memoised, NCPoly.raised
     calls = 0
 
-    def counted_raise(poly, n, longest):
+    def counted_raise(poly, n):
         nonlocal calls
         calls += 1
-        return raise_(poly, n, longest)
+        return raise_(poly, n)
 
     def counted_power(parser, start, end, parse, *args):
         if parse != parser._power:
