@@ -301,15 +301,15 @@ class Parser:
             return
         if n is not None:
             k = min(k, n)
-        text = self._text_key(start, self.at - 1)[1]
         letters = k * max(len(w) for w, _ in terms)
         if letters > self.longest:
-            raise CapExceededError(f"{text!r} can form words of {letters} letters, past "
-                                   f"the word-length limit {self.longest}")
+            past = f"words of {letters} letters, past the word-length limit {self.longest}"
         # past MAX_TERMS' bit length, k factors of any T > 1 pass it already
-        if len(terms) ** min(k, MAX_TERMS.bit_length()) > MAX_TERMS:
-            raise CapExceededError(f"{text!r} can form {len(terms)}^{k} terms, past the "
-                                   f"term limit {MAX_TERMS}")
+        elif len(terms) ** min(k, MAX_TERMS.bit_length()) > MAX_TERMS:
+            past = f"{len(terms)}^{k} terms, past the term limit {MAX_TERMS}"
+        else:
+            return
+        raise CapExceededError(f"{self._text_key(start, self.at - 1)[1]!r} can form {past}")
 
     def _poly(self, terms, arity):
         """The NCPoly (arity 1) or TensorNCPoly holding terms."""
