@@ -16,7 +16,7 @@ import sys
 
 from .document import (
     Document, composition_document, load_bundled, load_tangent_fixtures,
-    presentation_document, read_expectation,
+    presentation_document, read_expectation, read_json,
 )
 from .errors import ForgeError, HypothesisError, InputError
 from .expansion import (
@@ -365,11 +365,7 @@ def _load_expectation(ref: str, names):
             )
         body = fixtures[case]
     else:
-        try:
-            with open(ref, "r", encoding="utf-8") as fh:
-                body = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read expectation {ref}: {exc}") from exc
+        body = read_json(ref)
     return read_expectation(body, names, ref)
 
 

@@ -176,14 +176,7 @@ class Document:
 
     @classmethod
     def load(cls, path) -> "Document":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     # -- object construction -----------------------------------------------------
 
@@ -359,6 +352,18 @@ def _data_text(filename: str) -> str:
     return resources.files("bialgebra_forge").joinpath("data", filename).read_text(
         encoding="utf-8"
     )
+
+
+def read_json(path):
+    """The JSON value of a document or expectation file; one that cannot be read,
+    is not UTF-8, is not JSON or nests past the decoder's depth is a DocumentError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_bundled(name: str) -> Document:

@@ -73,7 +73,8 @@ and a product word that survives truncation and passes the word-length
 limit is refused. A power or series whose base has T terms and a
 longest word of l letters can multiply at most k word factors, k the
 most whose degrees fit under the parse order (Parser._check_growth); it
-is refused when k*l passes the word-length limit or T^k passes
+is refused when k*l passes the word-length limit, or when T^k (for a
+series, which sums every power through k, T^0 + ... + T^k) passes
 MAX_TERMS. So p_x^200 and (p_x+p_y)^40 stop before any product is
 formed. Neither number reads the order or the slack.
 
@@ -97,7 +98,7 @@ from .ncpoly import (
     SERIES_TERMS, Context, NCPoly, TensorNCPoly, series_apply, tensor, term_product,
     word_str,
 )
-from .params import ParamPoly, coefficient_product
+from .params import coefficient_product, coefficient_text, monomial_text
 from .scalars import I, ONE, ZERO, Scalar, check_power
 from .sparse import accumulate, deduct
 from .tensors import Basis
@@ -203,20 +204,16 @@ def _divide(value, den: dict):
     the parameter monomial den = {name: power}, term by term. The only
     division by a parameter in the package: a term the monomial does not
     divide raises InexactDivisionError, naming the divisor."""
-    context = value.context
-    params, monomials = context.params, context.monomials
+    params, monomials = value.context.params, value.context.monomials
     exps = tuple(den.get(name, 0) for name in params)
     out = {}
     for (key, m), c in value.terms.items():
         e = monomials.unpack(m)
         shifted = tuple(map(sub, e, exps))
         if min(shifted) < 0:
-            divisor = "*".join(
-                name if p == 1 else f"{name}^{p}" for name, p in den.items() if p
-            )
-            term = ParamPoly(params, context.order, {e: c})
             raise InexactDivisionError(
-                f"division by {divisor} is inexact: it does not divide {term}"
+                f"division by {monomial_text(den.items())} is inexact: it does not "
+                f"divide {coefficient_text(params, [(e, c)])}"
             )
         out[(key, monomials.pack(shifted))] = c
     return value._like(out)
@@ -289,9 +286,10 @@ class Parser:
         at least its lowest degree d, so a product keeps at most k =
         order // d of them, and a power takes at most n (any number when
         d = 0). So no word formed has more than k*l letters, l the
-        base's longest word, and no product more than T^k terms, T the
-        base's terms. A base with no word forms none, and series_apply
-        refuses a series of a degree-0 argument."""
+        base's longest word, no power more than T^k terms, T the base's
+        terms, and no series, which sums the powers 0 through k, more
+        than T^0 + ... + T^k. A base with no word forms none, and
+        series_apply refuses a series of a degree-0 argument."""
         degrees = [m for w, m in terms if w]
         if not degrees:
             return
@@ -302,11 +300,14 @@ class Parser:
         if n is not None:
             k = min(k, n)
         letters = k * max(len(w) for w, _ in terms)
+        # T^i for i from 0 through k: past MAX_TERMS' bit length, k
+        # factors of any T > 1 pass it already
+        powers = [len(terms) ** i for i in range(min(k, MAX_TERMS.bit_length()) + 1)]
         if letters > self.longest:
             past = f"words of {letters} letters, past the word-length limit {self.longest}"
-        # past MAX_TERMS' bit length, k factors of any T > 1 pass it already
-        elif len(terms) ** min(k, MAX_TERMS.bit_length()) > MAX_TERMS:
-            past = f"{len(terms)}^{k} terms, past the term limit {MAX_TERMS}"
+        elif (sum(powers) if n is None else powers[-1]) > MAX_TERMS:
+            formed = f"{len(terms)}^0+...+{len(terms)}^{k}" if n is None else f"{len(terms)}^{k}"
+            past = f"{formed} terms, past the term limit {MAX_TERMS}"
         else:
             return
         raise CapExceededError(f"{self._text_key(start, self.at - 1)[1]!r} can form {past}")

@@ -26,9 +26,10 @@ per pair. Work that depends only on a key (a word product, a normal
 form) is done once per key: groups() gives each key's packed
 coefficient, its (m, Scalar) pairs by ascending m, so the first pair
 holds the lowest degree. A ParamPoly appears only at the edges: the
-public constructors take {key: ParamPoly}, coefficients() and
-coefficient() give them back, and printing groups each key's terms into
-one, so every value prints as a ParamPoly-valued map would.
+public constructors take {key: ParamPoly}, and coefficients() and
+coefficient() give them back. Printing forms none: it reads each key's
+packed pairs from groups() straight into params.coefficient_text, the
+one text rule, so every value prints as a ParamPoly-valued map would.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from operator import add
 from types import MappingProxyType
 
 from .errors import InputError, NonTerminatingSeriesError
-from .params import PACKED_ONE, Monomials, ParamPoly, coefficient_product, exponent_map
+from .params import (PACKED_ONE, Monomials, ParamPoly, coefficient_product, coefficient_text,
+                     exponent_map, monomial_text, product_text, signed_sum)
 from .scalars import ONE, Scalar, power
 from .sparse import accumulate, deduct
 from .tensors import Basis
@@ -109,18 +111,16 @@ def term_product(left, right, limit: int):
 def word_str(word, basis: Basis) -> str:
     if not word:
         return "1"
-    parts = []
+    names, runs = basis.names, []
     run, count = word[0], 0
     for g in word:
         if g == run:
             count += 1
         else:
-            parts.append((run, count))
+            runs.append((names[run], count))
             run, count = g, 1
-    parts.append((run, count))
-    return "*".join(
-        basis.names[g] if c == 1 else f"{basis.names[g]}^{c}" for g, c in parts
-    )
+    runs.append((names[run], count))
+    return monomial_text(runs)
 
 
 class _Terms:
@@ -307,42 +307,20 @@ class _Terms:
         ctx = self.context if target is None else target
         return self.repack(ctx, exponent_map(self.context.params, images, ctx.params))
 
-    def sorted_terms(self):
-        """(key, ParamPoly) by factor word lengths, then key."""
-        split = self._factors
-        return sorted(
-            self.coefficients().items(),
-            key=lambda kv: (tuple(len(w) for w in split(kv[0])), kv[0]),
-        )
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        basis = self.context.basis
+        basis, params = self.context.basis, self.context.params
+        split, unpack, groups = self._factors, self.context.monomials.unpack, self.groups()
         parts = []
-        for key, coeff in self.sorted_terms():
-            body = " (x) ".join(word_str(w, basis) for w in self._factors(key))
-            parts.append(_joined(coeff, body, not key))
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += p if p.startswith("-") else "+" + p
-        return joined
+        for key in sorted(groups, key=lambda k: (tuple(map(len, split(k))), k)):
+            coeff = coefficient_text(params, [(unpack(m), c) for m, c in groups[key]])
+            body = " (x) ".join(word_str(w, basis) for w in split(key)) if key else ""
+            if body and ("+" in coeff[1:] or "-" in coeff[1:]):
+                coeff = f"({coeff})"
+            parts.append(product_text(coeff, body))
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
-
-
-def _joined(coeff: ParamPoly, body: str, body_is_unit: bool) -> str:
-    c = str(coeff)
-    if body_is_unit:
-        return c
-    if c == "1":
-        return body
-    if c == "-1":
-        return "-" + body
-    if "+" in c[1:] or "-" in c[1:]:
-        c = f"({c})"
-    return f"{c}*{body}"
 
 
 class NCPoly(_Terms):

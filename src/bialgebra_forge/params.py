@@ -5,9 +5,10 @@ over a fixed ordered tuple of parameter names, with every stored term of
 total degree <= order. Truncation at total degree N is a quotient of
 the coefficient ring, so sums and products are exact through N.
 ParamPoly is the edge and reference form: the form in which a constant
-tensor's entries and a word polynomial's coefficients are given, stored
-at the edges and printed, and the independent reference that the tests
-compare against. The checks multiply packed coefficients instead: lists
+tensor's entries and a word polynomial's coefficients are given and
+stored at the edges, and the independent reference that the tests
+compare against. Printing needs none: one text rule, coefficient_text
+and its helpers, prints them, packed coefficients and parser messages. The checks multiply packed coefficients instead: lists
 of (m, Scalar) pairs, each monomial m packed into one int (Monomials),
 multiplied by the one rule coefficient_product. The word and tensor
 polynomials store their terms that way, and the Lie-data pass packs the
@@ -159,38 +160,52 @@ class ParamPoly:
 
     # -- display -------------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (_degree(kv[0]), kv[0]))
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = [
-                name if p == 1 else f"{name}^{p}"
-                for name, p in zip(self.params, exps)
-                if p
-            ]
-            c = format_scalar(coeff)
-            if factors:
-                if c == "1":
-                    c = ""
-                elif c == "-1":
-                    c = "-"
-            body = "*".join(factors)
-            if c and body:
-                text = f"{c}*{body}" if not c.endswith("-") else f"{c}{body}"
-            else:
-                text = c + body if c else body
-            parts.append(text or "1")
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += p if p.startswith("-") else "+" + p
-        return joined
+        return coefficient_text(self.params, self.terms.items())
 
     def __repr__(self):
         return f"ParamPoly({self})"
+
+
+# -- the text rule ----------------------------------------------------------------
+
+
+def monomial_text(powers) -> str:
+    """The text of a monomial given as (name, power) pairs: each name of
+    nonzero power, as name or name^power, joined by '*'."""
+    return "*".join(name if p == 1 else f"{name}^{p}" for name, p in powers if p)
+
+
+def product_text(coefficient: str, monomial: str) -> str:
+    """The text of a coefficient times a monomial, from their texts: the
+    coefficient alone when the monomial is empty; else a coefficient 1
+    prints as nothing and -1 as '-'."""
+    if not monomial:
+        return coefficient
+    if coefficient == "1":
+        return monomial
+    if coefficient == "-1":
+        return "-" + monomial
+    return f"{coefficient}*{monomial}"
+
+
+def signed_sum(parts) -> str:
+    """The sum of the term texts parts: a term joins with '+' unless its
+    text starts with '-'; '0' for no terms."""
+    text = ""
+    for part in parts:
+        text += "+" + part if text and not part.startswith("-") else part
+    return text or "0"
+
+
+def coefficient_text(params, terms) -> str:
+    """The text of the coefficient over params with these (exponent
+    vector, Scalar) terms, ordered by total degree, then by exponent
+    vector."""
+    return signed_sum(
+        product_text(format_scalar(c), monomial_text(zip(params, e)))
+        for e, c in sorted(terms, key=lambda term: (_degree(term[0]), term[0]))
+    )
 
 
 def exact_image(name, image):

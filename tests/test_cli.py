@@ -118,6 +118,20 @@ def test_defect_details_elide_only_what_they_leave_out(count, shown, elided):
     assert parts == listed + ["..."] * elided
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                         ids=["not UTF-8", "nested past the decoder's depth"])
+def test_a_json_file_that_cannot_be_decoded_is_an_input_error(tmp_path, capsys, content):
+    """A document or --expect file that is not UTF-8, or nests deeper
+    than the JSON decoder reaches, exits 2 with one error line."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for argv in (["hopf", "all", str(path)], ["specialize", str(path), "--set", "z1=0"],
+                 ["tangent", "@corrected", "--direction", "h", "--expect", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "check", "four-pairs", "@verbatim")
     assert code == 2

@@ -19,7 +19,11 @@ copy of the wide document with one coproduct coefficient altered) write
 it to a scratch directory first; no path appears in any pinned output.
 The wide document, tests/data/wide.json, is the tensor product of two
 rescaled copies of @corrected (perfbench/widegen.py, seed 1), written out
-once, so its coefficients are multi-term Gaussian rationals.
+once, so its coefficients are multi-term Gaussian rationals. `hopf all`
+also runs at order 5 on tests/data/gl3-twist.json, U(gl_3) twisted by a
+Cartan r with every r^ij nonzero (tests/twist.py, scale ht, written out
+once as GL3_TWIST_DOCUMENT gives it): the first document whose stored
+coproducts, series of several generators, are not in normal form.
 
 The expected outputs are the files under tests/golden/, one JSON object
 {"exit", "stdout", "stderr"} per case. The exactness check is
@@ -49,8 +53,12 @@ import pytest
 import bialgebra_forge as bf
 from bialgebra_forge.cli import main
 
+import twist
+from test_twist import R3
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WIDE = Path(__file__).resolve().parent / "data" / "wide.json"
+GL3_TWIST = Path(__file__).resolve().parent / "data" / "gl3-twist.json"
 
 SETTINGS = {
     "o5": ["--order", "5"],
@@ -64,6 +72,10 @@ ORDER = {"o5": 5, "o6c12": 6, "o8c16": 8, "o12c24": 12, "o16c32": 16}
 FORMATS = ("text", "json")
 FIXTURES = ("h-field-at-z0", "t-field-at-z0", "h-field", "t-field")
 DIAGONAL = "z1=z,z2=z"
+# the twisted gl_3 document, U(gl_3) twisted along h*t by R3, whose r^ij
+# are all nonzero; tests/data/gl3-twist.json holds it, as json.dumps
+# with indent=1 writes it
+GL3_TWIST_DOCUMENT = twist.twisted_gln(3, R3, "ht")
 
 # Composition entries added to @corrected for the gate document: both
 # orientations listed consistently (mu_001), a key whose duplicates sum to
@@ -112,8 +124,8 @@ COJACOBI_ENTRIES = {
 
 def _cases():
     """(case id, argv template, setting, format); '{diag}', '{altered}',
-    '{diag_altered}', '{gate}', '{mixed}', '{cojacobi}', '{wide}' and
-    '{wide_altered}' stand for the documents _prepare names."""
+    '{diag_altered}', '{gate}', '{mixed}', '{cojacobi}', '{wide}',
+    '{wide_altered}' and '{gl3}' stand for the documents _prepare names."""
     per_setting = [
         ("check-lie", ["check", "lie", "@corrected"]),
         ("check-colie", ["check", "colie", "@corrected"]),
@@ -159,6 +171,8 @@ def _cases():
         for fmt in FORMATS:
             out.append((f"hopf-all.{setting}.{fmt}", ["hopf", "all", "@corrected"],
                         setting, fmt))
+    for fmt in FORMATS:
+        out.append((f"hopf-gl3-twist.o5.{fmt}", ["hopf", "all", "{gl3}"], "o5", fmt))
     out.append(("verbatim.o5.text", ["check", "four-pairs", "@verbatim"], "o5", "text"))
     return out
 
@@ -169,7 +183,7 @@ CASES = _cases()
 def _prepare(directory: Path) -> dict:
     """Write the diagonal and its altered copy (per setting), the altered
     document, the three gate documents and the altered wide document;
-    name the wide document."""
+    name the wide and twisted gl_3 documents."""
     paths = {}
     for setting in GRID:
         diag = directory / f"diagonal-{setting}.json"
@@ -209,6 +223,7 @@ def _prepare(directory: Path) -> dict:
     wide_altered = directory / "wide-altered.json"
     wide_altered.write_text(json.dumps(data))
     paths["wide_altered"] = str(wide_altered)
+    paths["gl3"] = str(GL3_TWIST)
     return paths
 
 
@@ -217,7 +232,7 @@ def _run(argv, setting, fmt, paths) -> dict:
         a.format(diag=paths.get(("diag", setting)), altered=paths["altered"],
                  diag_altered=paths.get(("diag_altered", setting)), gate=paths["gate"],
                  mixed=paths["mixed"], cojacobi=paths["cojacobi"], wide=paths["wide"],
-                 wide_altered=paths["wide_altered"])
+                 wide_altered=paths["wide_altered"], gl3=paths["gl3"])
         for a in argv
     ] + SETTINGS[setting] + ["--format", fmt]
     out, err = io.StringIO(), io.StringIO()
@@ -235,6 +250,10 @@ def paths(tmp_path_factory):
 def test_golden_output(case, argv, setting, fmt, paths):
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     assert _run(argv, setting, fmt, paths) == expected
+
+
+def test_the_gl3_twist_document_is_the_generated_one():
+    assert json.loads(GL3_TWIST.read_text(encoding="utf-8")) == GL3_TWIST_DOCUMENT
 
 
 def test_golden_set_is_complete():

@@ -184,6 +184,8 @@ def test_the_parser_holds_each_word_to_the_word_limit(order, slack, cap, limit):
     ({"slack": 40}, "t*(p_x+p_y)^40", None),
     ({}, "t*(p_x+p_y+p_z+l_x+l_y+l_z)^9", None),
     ({"order": 12}, "t*exp(t*(p_x+p_y+p_z+l_x+l_y+l_z))", None),
+    # a series sums its powers: 4^9 terms pass the limit, 4^0+...+4^9 do not
+    ({"order": 9, "slack": 0}, "exp(t*(p_x+p_y+p_z+l_x))", None),
     ({}, "t*(p_x+p_y)^10 (x) (p_x+p_y)^10", "(p_x+p_y)^10"),
     ({}, "t*(t*p_x+t*p_y)^30/t^30", "(t*p_x+t*p_y)^30"),
 ])
@@ -271,6 +273,53 @@ def test_round_trip_on_dataset_expressions():
 def test_printer_produces_grammar_conformant_scalars():
     p = parse_expr("(1/2 + 3*i/4)*p_x + (-1/2)*p_y - i*p_z", CTX)
     assert parse_expr(str(p), CTX) == p
+
+
+# a nonzero Gaussian rational: often 1, -1, i or -i, else any small one
+_GAUSSIAN = st.one_of(
+    st.sampled_from((Scalar(1), Scalar(-1), I, -I)),
+    st.builds(Scalar, st.fractions(-3, 3, max_denominator=4),
+              st.fractions(-3, 3, max_denominator=4)).filter(bool),
+)
+
+
+@st.composite
+def _printable_values(draw):
+    """A nonzero word or tensor-square polynomial over 2-3 generators and
+    2-3 parameters at order 0-4: up to four keys (words of up to four
+    letters over so few generators repeat letters, and the empty word is
+    the unit), each with one to three Gaussian-rational terms."""
+    generators = ("a", "b", "c")[:draw(st.integers(2, 3))]
+    params = ("u", "v", "w")[:draw(st.integers(2, 3))]
+    order = draw(st.integers(0, 4))
+    ctx = Context(Basis(generators), params, order=order, slack=0)
+    exps = st.tuples(*[st.integers(0, order)] * len(params)).filter(lambda e: sum(e) <= order)
+    coefficient = st.dictionaries(exps, _GAUSSIAN, min_size=1, max_size=3).map(
+        lambda terms: ParamPoly(params, order, terms))
+    word = st.lists(st.integers(0, len(generators) - 1), max_size=4).map(tuple)
+    if draw(st.booleans()):
+        return NCPoly(ctx, draw(st.dictionaries(word, coefficient, min_size=1, max_size=4)))
+    keys = st.tuples(word, word)
+    return TensorNCPoly(ctx, 2, draw(st.dictionaries(keys, coefficient, min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_printable_values())
+def test_every_printed_value_parses_back_to_itself(value):
+    assert parse_expr(str(value), value.context) == value
+
+
+@settings(max_examples=30, deadline=None)
+@given(_printable_values())
+def test_printing_reads_the_packed_terms_and_forms_no_param_poly(value):
+    def formed(*args, **kwargs):
+        raise AssertionError("printing formed a ParamPoly")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ParamPoly, "__init__", formed)
+        patch.setattr(ParamPoly, "_like", formed)
+        text = str(value)
+    assert parse_expr(text, value.context) == value
 
 
 # -- independent oracle: sympy expansions truncated at the order -----------------
