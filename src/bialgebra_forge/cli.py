@@ -111,9 +111,7 @@ def _write_output(args, payload: str) -> str:
 
 
 def _names(basis, key):
-    if isinstance(key, tuple):
-        return "(" + ",".join(basis.names[k] for k in key) + ")"
-    return basis.names[key]
+    return "(" + ",".join(basis.names[k] for k in key) + ")"
 
 
 def _render_defects(basis, defects: dict) -> str:

@@ -416,7 +416,8 @@ def read_expectation(body, names, ref) -> dict:
         for e in _typed(body.get(kind, []), list, f"expectation {kind}"):
             if isinstance(e, dict):
                 _known_keys(e, (*keys, "value"), f"expectation {kind} entry")
-            fields = [e.get(k) for k in (*keys, "value")] if isinstance(e, dict) else [e]
+            # an entry that is not an object has no fields: refused below
+            fields = [e.get(k) for k in (*keys, "value")] if isinstance(e, dict) else [None]
             if not all(isinstance(f, str) for f in fields):
                 raise DocumentError(
                     f"{kind} entry must have string {', '.join(keys)} and value: {e!r}"

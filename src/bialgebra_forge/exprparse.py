@@ -314,9 +314,7 @@ class Parser:
 
     def _poly(self, terms, arity):
         """The NCPoly (arity 1) or TensorNCPoly holding terms."""
-        if arity == 1:
-            return NCPoly._of(self.context, terms)
-        return TensorNCPoly._of(self.context, terms, arity)
+        return (NCPoly if arity == 1 else TensorNCPoly)._of(self.context, terms, arity)
 
     def _resolve(self, value):
         """The terms of value divided by its pending divisor. Every product
@@ -525,7 +523,7 @@ class Parser:
         if name == "i":
             return NCPoly.from_scalar(context, I).terms
         if name in context.params:
-            return NCPoly.from_coeff(context, context.param_poly(name)).terms
+            return NCPoly(context, {(): context.param_poly(name)}).terms
         index = context.basis.index.get(name)
         if index is None:
             raise UnknownIdentifierError(

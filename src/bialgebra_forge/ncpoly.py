@@ -9,9 +9,11 @@ every word its checks form (exprparse.word_bound).
 
 Word polynomials (NCPoly, keyed by words) and their tensor squares and
 cubes (TensorNCPoly, keyed by tuples of words) share one implementation
-of every operation; the two classes only say how a key splits into its
-factor words. outer() is the one outer-product loop, used by tensor()
-and by factorwise normalisation.
+of every operation and of the constructors zero(), unit() and _of():
+every value carries its arity, 1 for a word polynomial, and the two
+classes only say how a key splits into its factor words. outer() is
+the one outer-product loop, used by tensor() and by factorwise
+normalisation.
 
 The terms are flat: one map (key, m) -> Scalar, where m is a parameter
 monomial packed into one int by the context's params.Monomials, in
@@ -125,22 +127,42 @@ def word_str(word, basis: Basis) -> str:
 
 class _Terms:
     """The single implementation behind NCPoly and TensorNCPoly: a sparse
-    map (key, packed monomial) -> nonzero Scalar. The two classes differ
+    map (key, packed monomial) -> nonzero Scalar of one tensor arity,
+    built as _Terms(context, arity, coefficients). The two classes differ
     only in how a key splits into its tensor factor words (_factors) and
     how factor words join back into a key (_key); multiplication acts
     factorwise."""
 
-    __slots__ = ("context", "terms", "_groups")
+    __slots__ = ("context", "terms", "_groups", "arity")
 
-    def __init__(self, context: Context, coefficients=None):
-        """The value over context with these coefficients, a map from
-        keys to ParamPoly over context's params; terms above the order
-        drop."""
-        self.context = context
-        self._groups = None
+    def __init__(self, context: Context, arity: int, coefficients=None):
+        """The value of this arity over context with these coefficients, a
+        map from keys to ParamPoly over context's params; terms above the
+        order drop."""
+        self.context, self.arity, self._groups = context, arity, None
         pairs = context.monomials.pairs
         self.terms = {(key, m): c for key, coeff in (coefficients or {}).items()
                       for m, c in pairs(coeff)}
+
+    @classmethod
+    def _of(cls, context, terms, arity=1):
+        """The value of this arity over context holding the flat terms as
+        they are: sums, products and normal forms yield only nonzero
+        coefficients within the order, so only the public constructors
+        filter."""
+        out = _new(cls)
+        out.context, out.terms, out._groups, out.arity = context, terms, None, arity
+        return out
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def zero(cls, context, arity=1):
+        return cls._of(context, {}, arity)
+
+    @classmethod
+    def unit(cls, context, arity=1):
+        return cls._of(context, {(cls._key(((),) * arity), 0): ONE}, arity)
 
     def _like(self, terms, context=None):
         """A value of this kind over context (default: this one) holding
@@ -327,7 +349,9 @@ class NCPoly(_Terms):
     """Word polynomial: keys are words."""
 
     __slots__ = ()
-    arity = 1
+
+    def __init__(self, context: Context, coefficients=None):
+        super().__init__(context, 1, coefficients)
 
     @staticmethod
     def _factors(word):
@@ -336,25 +360,6 @@ class NCPoly(_Terms):
     @staticmethod
     def _key(words):
         return words[0]
-
-    @classmethod
-    def _of(cls, context, terms, arity=1):
-        """The value over context holding the flat terms as they are:
-        sums, products and normal forms yield only nonzero coefficients
-        within the order, so only the public constructors filter."""
-        out = _new(cls)
-        out.context, out.terms, out._groups = context, terms, None
-        return out
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, context):
-        return cls._of(context, {})
-
-    @classmethod
-    def unit(cls, context):
-        return cls._of(context, {((), 0): ONE})
 
     @classmethod
     def generator(cls, context, index):
@@ -366,10 +371,6 @@ class NCPoly(_Terms):
     def from_scalar(cls, context, value):
         value = value if isinstance(value, Scalar) else Scalar(value)
         return cls._of(context, {((), 0): value} if value else {})
-
-    @classmethod
-    def from_coeff(cls, context, coeff: ParamPoly):
-        return cls(context, {(): coeff})
 
     def raised(self, n: int):
         """(C + N)^n = sum_k binom(n, k) C^(n-k) N^k, for the empty-word
@@ -420,11 +421,7 @@ class TensorNCPoly(_Terms):
     """Tensor square / cube of the word algebra: keys are tuples of words;
     coefficients are global ones."""
 
-    __slots__ = ("arity",)
-
-    def __init__(self, context: Context, arity: int, coefficients=None):
-        self.arity = arity
-        super().__init__(context, coefficients)
+    __slots__ = ()
 
     @staticmethod
     def _factors(key):
@@ -433,22 +430,6 @@ class TensorNCPoly(_Terms):
     @staticmethod
     def _key(words):
         return words
-
-    @classmethod
-    def _of(cls, context, terms, arity):
-        """The value of this arity over context holding the flat terms as
-        they are (NCPoly._of)."""
-        out = _new(cls)
-        out.context, out.terms, out._groups, out.arity = context, terms, None, arity
-        return out
-
-    @classmethod
-    def zero(cls, context, arity):
-        return cls._of(context, {}, arity)
-
-    @classmethod
-    def unit(cls, context, arity):
-        return cls._of(context, {(((),) * arity, 0): ONE}, arity)
 
     def flip(self) -> "TensorNCPoly":
         """Swap the two factors (arity 2 only)."""

@@ -331,6 +331,11 @@ def test_exit_code_2_on_input_error(tmp_path, capsys, monkeypatch):
          "unknown generator 'q'"),
         ("integer value", {"delta": [{"generator": "l_x", "value": 1}]},
          "delta entry must have string"),
+        # an entry that is a bare string, not an object
+        ("bare-string mu entry", {"mu": ["t*l_z"]},
+         "mu entry must have string left, right and value: 't*l_z'"),
+        ("bare-string delta entry", {"delta": ["l_x (x) 1"]},
+         "delta entry must have string generator and value: 'l_x (x) 1'"),
         ("unknown mode", {"mode": "loose"}, "unknown comparison mode 'loose'"),
         ("misspelt mode key", {"Mode": "exact", "mu": []},
          "unknown key 'Mode' in expectation"),
@@ -505,6 +510,27 @@ def test_tangent_against_bundled_fixture(tmp_path, capsys):
     )
     assert code == 0
     assert "field matches expectation" in out
+
+
+def test_tangent_expectation_failure_names_each_entry(tmp_path, capsys):
+    """A failed comparison exits 1 and names the entry: a leading-mode
+    value that differs from the field's, and in exact mode a nonzero
+    field entry that the expectation does not list."""
+    diag = _diagonal(tmp_path, capsys)
+    path = tmp_path / "expect.json"
+    for body, detail in (
+        ({"mu": [{"left": "p_x", "right": "l_x", "value": "t*p_x"}]},
+         "[FAIL] field matches expectation (leading): "
+         "mu(p_x,l_x): actual 0 != expected t*p_x\n"),
+        ({"mode": "exact", "mu": [], "delta": []},
+         "[FAIL] field matches expectation (exact): "
+         "extra delta(l_x): -i*l_y (x) l_z+i*l_z (x) l_y\n"),
+    ):
+        path.write_text(json.dumps(body))
+        code, out, err = run(capsys, "tangent", str(diag), "--direction", "h",
+                             "--at", "z=0", "--expect", str(path))
+        assert code == 1 and err == "", body
+        assert detail in out and out.endswith("result: FAIL\n"), out
 
 
 def test_tangent_unknown_fixture_is_input_error(capsys):

@@ -192,3 +192,26 @@ def test_boundary_fixture_documents_load():
     for body in fixtures.values():
         ctx = body["document"].make_context()
         body["document"].build_presentation(ctx)
+
+
+def test_presentation_diff_names_each_difference():
+    """One changed bracket, coproduct and counit are each reported with
+    both sides: the brackets first, then each generator's coproduct and
+    counit in basis order. A presentation over other parameters is
+    refused, not compared."""
+    doc = corrected_document()
+    ctx = doc.make_context()
+    H = doc.build_presentation(ctx)
+    data = doc.to_dict()
+    data["presentation"]["brackets"][0]["rhs"] = "t*p_z"
+    data["presentation"]["coproducts"]["p_y"] += " + h*p_x (x) p_x"
+    data["presentation"]["counit"]["l_z"] = "2"
+    altered = bf.Document.from_dict(data).build_presentation(ctx)
+    diffs = bf.presentation_diff(H, altered)
+    assert [label for label, _, _ in diffs] == ["[p_y,p_x]", "Delta p_y", "eps l_z"]
+    (_, a, b), (_, c, d), (_, e, f) = diffs
+    assert (str(a), str(b)) == ("0", "-t*p_z")
+    assert str(d - c) == "h*p_x (x) p_x"
+    assert (str(e), str(f)) == ("0", "2")
+    with pytest.raises(DocumentError, match="presentations use different parameters"):
+        bf.presentation_diff(H, bf.specialize(H, {"z1": "z2"}))

@@ -64,3 +64,42 @@ def test_the_kernel_holds_no_word_length_guard():
             args = node.args
             taken = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
             assert "longest" not in taken, node.name
+
+
+def _slots(cls: ast.ClassDef) -> tuple:
+    """The __slots__ a class body declares; none when it declares none."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def _bound(cls: ast.ClassDef) -> set:
+    """Every name a class body binds (its methods, class attributes and
+    slots) and every attribute its methods store."""
+    names = set(_slots(cls))
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    names.update(node.attr for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store))
+    return names
+
+
+def test_word_and_tensor_values_share_one_constructor_set():
+    """arity is a slot of every value, and _of, zero and unit are written
+    once, on ncpoly._Terms: NCPoly and TensorNCPoly bind none of them, nor
+    a second name for NCPoly's public constructor, so the two classes
+    differ only in how a key splits into its factor words."""
+    tree = ast.parse((PACKAGE / "ncpoly.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    shared = {"_of", "zero", "unit", "arity"}
+    assert "arity" in _slots(classes["_Terms"])
+    assert shared <= _bound(classes["_Terms"])
+    for name in ("NCPoly", "TensorNCPoly"):
+        assert not (shared | {"from_coeff"}) & _bound(classes[name]), name

@@ -29,7 +29,7 @@ def gen(i):
 
 
 def param(name):
-    return NCPoly.from_coeff(CTX, CTX.param_poly(name))
+    return NCPoly(CTX, {(): CTX.param_poly(name)})
 
 
 @pytest.mark.parametrize("setting, value", [

@@ -129,6 +129,9 @@ def test_scalar_division_binds_to_coefficient():
     ("t*z2^2/z2^2*p_y", "t*p_y"),
     ("(t/2)^3", "1/8*t^3"),
     ("t/2^2^2", "1/16*t^2"),
+    # a name divided on both sides of one product adds its two powers
+    ("t^2*z2^2/z2/z2*p_y", "t^2*p_y"),
+    ("z2^2*(t/z2)*(h/z2)*p_y", "t*h*p_y"),
 ])
 def test_a_numeric_divisor_takes_its_power(text, same):
     assert parse_expr(text, CTX) == parse_expr(same, CTX)
